@@ -29,7 +29,7 @@ from .errors import (
     RetriesExhausted,
 )
 from .exact import EpsScale
-from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
+from .links import HostIndex, LinkGraph, _bits, count_forbidden, pick_link_vertex
 from .seeding import derive_seed
 
 
@@ -78,6 +78,7 @@ def classify_pairs_triples(
     K: int,
     scale: EpsScale,
     ys: list[int] | None = None,
+    forbidden_by_pair: dict[Pair, int] | None = None,
 ) -> tuple[list[PairStats], list[TripleStats]]:
     """Good/bad statistics for every pair and triple of Y (or of ``ys``).
 
@@ -85,40 +86,44 @@ def classify_pairs_triples(
     n**(1-2*eps) and at most (K/C) n**(1-3*eps) |Gamma(y1,y2)| forbidden
     4-cycles pass through it; a triple is good when its common neighbourhood
     has size at least n**(1-3*eps).
+
+    The per-pair forbidden counts are those of ``count_forbidden`` (passed in
+    as ``forbidden_by_pair`` when the caller already has them), so no cycle
+    is walked here.  Each threshold is an exact integer cutoff, worked out
+    once per call (per distinct common degree for the forbidden count).
     """
+    if forbidden_by_pair is None:
+        _, forbidden_by_pair = count_forbidden(link, K, index)
     ys = list(range(link.n_y)) if ys is None else sorted(ys)
-    ymasks = link.y_masks()
-    C = cfg.C
-    zb = index.zbits
+    ymasks = link.y_masks
+    pair_min = scale.ceil(1, 1, 2)
+    triple_min = scale.ceil(1, 1, 3)
+    k_over_c = Fraction(K) / cfg.C
+    forb_max: dict[int, int] = {}  # common degree -> largest good forbidden count
 
     pair_stats = []
     for i, y1 in enumerate(ys):
         m1 = ymasks[y1]
         for y2 in ys[i + 1:]:
-            gmask = m1 & ymasks[y2]
-            deg = gmask.bit_count()
-            forb = 0
-            if deg >= 2:
-                tm = [
-                    zb.get((x, y1), 0) & zb.get((x, y2), 0)
-                    for x in _bits(gmask)
-                ]
-                for a in range(len(tm)):
-                    ta = tm[a]
-                    for b in range(a + 1, len(tm)):
-                        if (ta & tm[b]).bit_count() <= K:
-                            forb += 1
-            good = scale.cmp(deg, 1, 2) >= 0 and (
-                forb == 0 or scale.cmp(Fraction(forb) * C / (K * deg), 1, 3) <= 0
-            )
+            deg = (m1 & ymasks[y2]).bit_count()
+            forb = forbidden_by_pair.get((y1, y2), 0)
+            good = deg >= pair_min
+            if good and forb:
+                limit = forb_max.get(deg)
+                if limit is None:
+                    limit = forb_max[deg] = scale.floor(k_over_c * deg, 1, 3)
+                good = forb <= limit
             pair_stats.append(PairStats((y1, y2), deg, forb, good))
 
     triple_stats = []
-    for y1, y2, y3 in itertools.combinations(ys, 3):
-        deg = (ymasks[y1] & ymasks[y2] & ymasks[y3]).bit_count()
-        triple_stats.append(
-            TripleStats((y1, y2, y3), deg, scale.cmp(deg, 1, 3) >= 0)
-        )
+    for i, y1 in enumerate(ys):
+        m1 = ymasks[y1]
+        for j in range(i + 1, len(ys)):
+            y2 = ys[j]
+            m12 = m1 & ymasks[y2]
+            for y3 in ys[j + 1:]:
+                deg = (m12 & ymasks[y3]).bit_count()
+                triple_stats.append(TripleStats((y1, y2, y3), deg, deg >= triple_min))
     return pair_stats, triple_stats
 
 
@@ -144,7 +149,7 @@ def select_core_set(
             bad_pair_mask[b] |= 1 << a
     bad_triples = [ts.triple for ts in triple_stats if not ts.good]
 
-    xmasks = link.x_masks()
+    xmasks = link.x_masks
     for x in range(link.n_x):
         gmask = xmasks[x]
         s = gmask.bit_count()
@@ -235,7 +240,7 @@ def embed_v2(
     the images of its V1 neighbours; on any collision the whole map is
     resampled, up to cfg.retry_limit times.
     """
-    ymasks = link.y_masks()
+    ymasks = link.y_masks
     candidates: list[tuple[int, list[int]]] = []
     for u in aux.v2:
         mask = ~0
@@ -371,7 +376,9 @@ def find_homeomorph(
     n = max(host.class_sizes)
     scale = EpsScale(n=n, q=choice.q)
 
-    pair_stats, triple_stats = classify_pairs_triples(choice.link, index, cfg, K, scale)
+    pair_stats, triple_stats = classify_pairs_triples(
+        choice.link, index, cfg, K, scale, forbidden_by_pair=choice.forbidden_by_pair
+    )
     _, yprime = select_core_set(choice.link, pair_stats, triple_stats, cfg, scale)
     problem = build_problem_graph(yprime, pair_stats, triple_stats)
     core = find_complete_subgraph(problem, target.v)

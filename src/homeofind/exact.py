@@ -64,6 +64,43 @@ class EpsScale:
             return (value > rhs) - (value < rhs)
         return cmp_pow(value, self.n, Fraction(a) - b * self.eps)
 
+    def floor(self, c: Rat, a: int, b: int) -> int:
+        """Largest integer m with ``m <= c * n**(a - b*eps)``, exact; c >= 0.
+
+        An integer passes ``count <= c * n**(a - b*eps)`` exactly when it is
+        at most this cutoff, so a threshold shared by many integer tests is
+        worked out once.
+        """
+        c = Fraction(c)
+        if c < 0:
+            raise ValueError("cutoffs need c >= 0")
+        if self.q is not None:
+            x = c * Fraction(self.n) ** a * self.q ** b
+            return x.numerator // x.denominator
+        if c == 0:
+            return 0
+
+        def above(m: int) -> bool:  # m > c * n**(a - b*eps)
+            return self.cmp(m / c, a, b) > 0
+
+        lo, hi = 0, 1  # invariant: lo <= c * n**(...) < hi once hi is found
+        while not above(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+    def ceil(self, c: Rat, a: int, b: int) -> int:
+        """Least integer m with ``m >= c * n**(a - b*eps)``, exact; c >= 0."""
+        m = self.floor(c, a, b)
+        if c == 0 or self.cmp(m / Fraction(c), a, b) == 0:
+            return m
+        return m + 1
+
     def eps_float(self) -> float:
         """The exponent as a float, for diagnostics only."""
         import math

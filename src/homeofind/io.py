@@ -31,6 +31,8 @@ def parse_threegraph(text: str) -> ThreeGraph:
         if tok[0] == "tg":
             if header is not None:
                 raise FormatError(f"line {lineno}: duplicate tg header")
+            if len(tok) != 2:
+                raise FormatError(f"line {lineno}: expected 'tg n'")
             header = int(tok[1])
         elif tok[0] == "f":
             if header is None:
@@ -152,6 +154,8 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         elif tok[0] in ("tg", "f"):
             tg_lines.append(" ".join(tok))
         elif tok[0] == "v1":
+            if len(tok) != 3:
+                raise FormatError(f"line {lineno}: expected 'v1 v y'")
             v1_lines.append((int(tok[1]), int(tok[2])))
         elif tok[0] == "disk":
             if len(tok) != 7:

@@ -4,12 +4,23 @@ The hot path here is counting, for every 4-cycle of a link, the number of
 host vertices z whose link also contains it (its 4-disks).  We precompute,
 for each (x, y) pair of the host, the bitmask of z-vertices completing it to
 a face; a cycle's disk count is then a popcount of an AND of four masks.
+
+``count_forbidden`` is the one walk over a link's 4-cycles that the search
+makes: it yields B_z (the number of forbidden cycles) and, in the same pass,
+the number of forbidden cycles through every Y-pair, which the good/bad pair
+classification in ``embed`` reads instead of walking the cycles again.  The
+walk skips, without an AND, cycles whose disk count is certainly above or
+certainly at most K by the sizes of its two column z-sets alone.
+``iter_link_cycles``, ``classify_cycles`` and ``count_disks`` enumerate
+cycles independently of it and serve as oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Config, TripartiteHost
 from .errors import NoQualifyingVertex
@@ -54,18 +65,21 @@ class LinkGraph:
     def e(self) -> int:
         return len(self.edges)
 
-    def x_masks(self) -> list[int]:
-        """Per x, the bitmask over Y of its neighbours."""
+    @cached_property
+    def x_masks(self) -> tuple[int, ...]:
+        """Per x, the bitmask over Y of its neighbours (built once)."""
         masks = [0] * self.n_x
         for x, y in self.edges:
             masks[x] |= 1 << y
-        return masks
+        return tuple(masks)
 
-    def y_masks(self) -> list[int]:
+    @cached_property
+    def y_masks(self) -> tuple[int, ...]:
+        """Per y, the bitmask over X of its neighbours (built once)."""
         masks = [0] * self.n_y
         for x, y in self.edges:
             masks[y] |= 1 << x
-        return masks
+        return tuple(masks)
 
 
 class HostIndex:
@@ -139,7 +153,7 @@ def count_disks(host: TripartiteHost, c: FourCycle) -> int:
 
 def iter_link_cycles(link: LinkGraph):
     """All 4-cycles of a link, via common neighbourhoods of X-pairs."""
-    masks = link.x_masks()
+    masks = link.x_masks
     xs = [x for x in range(link.n_x) if masks[x]]
     for i, x1 in enumerate(xs):
         m1 = masks[x1]
@@ -172,7 +186,7 @@ def classify_cycles(
     """
     index = index or HostIndex(host)
     out = []
-    masks = link.x_masks()
+    masks = link.x_masks
     xs = [x for x in range(link.n_x) if masks[x]]
     for i, x1 in enumerate(xs):
         m1 = masks[x1]
@@ -197,32 +211,69 @@ def classify_cycles(
     return out
 
 
-def count_forbidden(link: LinkGraph, K: int, index: HostIndex) -> int:
-    """Number of forbidden 4-cycles in the link (cheap counting form)."""
+def count_forbidden(
+    link: LinkGraph, K: int, index: HostIndex
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """B_z and the forbidden-cycle count of every Y-pair, in one walk.
+
+    Returns ``(total, by_pair)``: ``by_pair[(y1, y2)]`` (y1 < y2) is the
+    number of forbidden 4-cycles of the link through y1 and y2, and pairs
+    with none are left out.  Every cycle passes through exactly one Y-pair,
+    so ``total`` is the sum of the values.
+
+    For a Y-pair, each common neighbour x contributes the column z-set
+    Z(x) = zbits(x, y1) & zbits(x, y2), and the cycle on columns x, x' bounds
+    |Z(x) & Z(x')| disks.  With the columns sorted by c = |Z(x)|, two facts
+    settle most cycles without an AND, both exact:
+
+    - |Z(x) & Z(x')| <= min(c, c'), so a column with c <= K is forbidden
+      with every column sorted before it;
+    - |Z(x) & Z(x')| >= c + c' - n_Z (inclusion-exclusion), so a column pair
+      with c + c' > K + n_Z is admissible.
+    """
+    zb = index.zbits
+    cap = K + index.host.n_z
+    ymasks = link.y_masks
+    ys = [y for y in range(link.n_y) if ymasks[y]]
     total = 0
-    masks = link.x_masks()
-    xs = [x for x in range(link.n_x) if masks[x]]
-    for i, x1 in enumerate(xs):
-        m1 = masks[x1]
-        for x2 in xs[i + 1:]:
-            common = m1 & masks[x2]
-            if common.bit_count() < 2:
+    by_pair: dict[tuple[int, int], int] = {}
+    for i, y1 in enumerate(ys):
+        m1 = ymasks[y1]
+        for y2 in ys[i + 1:]:
+            common = m1 & ymasks[y2]
+            if common & (common - 1) == 0:  # fewer than two common neighbours
                 continue
-            ys = _bits(common)
-            zmasks = [index.disk_mask(x1, x2, y, y) for y in ys]
-            for j in range(len(ys)):
-                zj = zmasks[j]
-                for k in range(j + 1, len(ys)):
-                    if (zj & zmasks[k]).bit_count() <= K:
-                        total += 1
-    return total
+            cols = sorted(
+                (zb[(x, y1)] & zb[(x, y2)] for x in _bits(common)),
+                key=int.bit_count,
+            )
+            sizes = [c.bit_count() for c in cols]
+            forb = 0
+            for j in range(1, len(cols)):
+                cj = sizes[j]
+                if cj <= K:
+                    forb += j
+                    continue
+                # partners that may share at most K centers: c <= cap - cj
+                p = bisect_right(sizes, cap - cj, 0, j)
+                if p == 0:
+                    break  # sizes ascend, so no later column has partners
+                zj = cols[j]
+                for k in range(p):
+                    if (zj & cols[k]).bit_count() <= K:
+                        forb += 1
+            if forb:
+                by_pair[(y1, y2)] = forb
+                total += forb
+    return total, by_pair
 
 
 @dataclass(frozen=True)
 class LinkChoice:
     z: int
     link: LinkGraph
-    forbidden_count: int
+    forbidden_count: int  # B_z
+    forbidden_by_pair: dict[tuple[int, int], int]  # see count_forbidden
     q: Fraction  # n**(-eps_realized), clamped to (0, 1]
     epsilon_realized: float
 
@@ -251,7 +302,7 @@ def pick_link_vertex(
         if cmp_pow(Fraction(2 * e_l) / C, n, 2 - cfg.delta) < 0:
             best_diag.append((z, e_l, None))
             continue
-        b_z = count_forbidden(link, K, index)
+        b_z, by_pair = count_forbidden(link, K, index)
         # (2): B_z <= (2K/C) n**(1 + delta) e(L_z)
         if b_z > 0 and cmp_pow(Fraction(b_z) * C / (2 * K * e_l), n, 1 + cfg.delta) > 0:
             best_diag.append((z, e_l, b_z))
@@ -259,19 +310,10 @@ def pick_link_vertex(
         q = min(Fraction(1), Fraction(2 * e_l) / (C * n * n))
         scale = EpsScale(n=n, q=q)
         return LinkChoice(
-            z=z, link=link, forbidden_count=b_z, q=q,
+            z=z, link=link, forbidden_count=b_z, forbidden_by_pair=by_pair, q=q,
             epsilon_realized=scale.eps_float(),
         )
     raise NoQualifyingVertex(
         f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "
         f"per-z diagnostics: {best_diag[:10]}"
     )
-
-
-def average_link_edges(host: TripartiteHost) -> Fraction:
-    """Average of e(L_z) over z in Z, exact.  Equals e(G)/n_Z."""
-    if host.n_z == 0:
-        raise ValueError("host has no Z vertices")
-    index = HostIndex(host)
-    total = sum(index.link(z).e for z in range(host.n_z))
-    return Fraction(total, host.n_z)

@@ -93,6 +93,25 @@ class TestClassifyPairsTriples:
         )
         assert all(not ps.good for ps in pairs)
 
+    @pytest.mark.parametrize(
+        "scale", [EpsScale(n=32, eps=Fraction(1, 5)), EpsScale(n=32, q=Fraction(1, 2))]
+    )
+    def test_thresholds_at_exact_boundaries(self, scale):
+        # n**(1-2eps) = 8 and n**(1-3eps) = 4.  In the complete 8-host every
+        # pair has degree 8 and, with K = 8 = n_Z, C(8, 2) = 28 forbidden
+        # cycles; the pair bound (K/C) * 4 * 8 equals 28 at C = 64/7.
+        host = complete_host(8)
+        index = HostIndex(host)
+        link = index.link(0)
+        at, _ = classify_pairs_triples(link, index, Config(C=Fraction(64, 7)), 8, scale)
+        assert {(ps.common_degree, ps.forbidden_through) for ps in at} == {(8, 28)}
+        assert all(ps.good for ps in at)
+        over, triples = classify_pairs_triples(
+            link, index, Config(C=Fraction(64, 7) + Fraction(1, 10 ** 6)), 8, scale
+        )
+        assert not any(ps.good for ps in over)
+        assert all(ts.good for ts in triples)  # degree 8 >= 4
+
     def test_empty_common_neighbourhood_is_bad(self):
         link = LinkGraph(z=0, n_x=3, n_y=2, edges=frozenset({(0, 0), (1, 1)}))
         index = HostIndex(

@@ -156,6 +156,23 @@ class TestCli:
         assert main(["verify", "--cert", str(tmp_path / "absent.cert"),
                      "--host", str(tmp_path / "absent.tph")]) == 2
 
+    def test_tg_header_without_count_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tg"
+        bad.write_text("tg\nf 0 1 2\n")
+        assert main(["inspect", "--target", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: expected 'tg n'")
+        assert "Traceback" not in err
+
+    def test_truncated_v1_line_exit_2(self, tmp_path, capsys):
+        hostp = self._write_host(tmp_path, complete_host(10))
+        certp = tmp_path / "bad.cert"
+        certp.write_text("cert v1\ntg 4\nf 0 1 2\nv1 0\n")
+        assert main(["verify", "--cert", str(certp), "--host", hostp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: expected 'v1 v y'")
+        assert "Traceback" not in err
+
     def test_gen_is_seeded(self, tmp_path):
         out1 = str(tmp_path / "a.tph")
         out2 = str(tmp_path / "b.tph")

@@ -7,12 +7,13 @@ import pytest
 from conftest import complete_host, random_host
 from homeofind.core import Config, TripartiteHost
 from homeofind.errors import NoQualifyingVertex
-from homeofind.exact import cmp_pow
+from homeofind.exact import EpsScale, cmp_pow
 from homeofind.links import (
     FourCycle,
     HostIndex,
     classify_cycles,
     count_disks,
+    count_forbidden,
     iter_link_cycles,
     link_graph,
     pick_link_vertex,
@@ -134,6 +135,73 @@ class TestExpectationIdentities:
         assert per_link_total == sum(seen.values())
 
 
+def brute_force_forbidden(host, link, K):
+    """Forbidden cycles per Y-pair via the oracle enumeration and face scan."""
+    by_pair = {}
+    for c in iter_link_cycles(link):
+        if count_disks(host, c) <= K:
+            by_pair[(c.y1, c.y2)] = by_pair.get((c.y1, c.y2), 0) + 1
+    return by_pair
+
+
+class TestCountForbidden:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(100 + seed)
+        n = rng.randint(5, 9)
+        host = random_host(rng, n, n + 1, n - 1, rng.uniform(0.4, 0.9))
+        index = HostIndex(host)
+        # K = 0, small K, and K >= n_Z, where every cycle is forbidden
+        for K in (0, 1, 2, 4, host.n_z, host.n_z + 2):
+            for z in range(host.n_z):
+                link = index.link(z)
+                total, by_pair = count_forbidden(link, K, index)
+                want = brute_force_forbidden(host, link, K)
+                assert by_pair == want
+                assert total == sum(want.values())
+                if K >= host.n_z:
+                    assert total == sum(1 for _ in iter_link_cycles(link))
+
+    def test_empty_link(self):
+        host = TripartiteHost((3, 3, 3), frozenset({(0, 0, 1)}))
+        assert count_forbidden(link_graph(host, 0), 2, HostIndex(host)) == (0, {})
+
+    def test_single_column_links(self):
+        # every face on y = 0 (or on x = 0): the links have no 4-cycles
+        for faces in (
+            {(x, 0, z) for x in range(4) for z in range(3)},
+            {(0, y, z) for y in range(4) for z in range(3)},
+        ):
+            host = TripartiteHost((4, 4, 3), frozenset(faces))
+            index = HostIndex(host)
+            for K in (0, 5):
+                assert count_forbidden(index.link(0), K, index) == (0, {})
+
+    def test_size_bound_is_strict(self):
+        # n_Z = 4, K = 2.  The one cycle x0 x1 / y0 y1 of L_0 has column
+        # z-sets of size 3 in both orientations, so c1 + c2 = 6 = K + n_Z:
+        # inclusion-exclusion only says it bounds >= 2 disks.  It bounds
+        # exactly 2 (centers 0 and 1), so it is forbidden.
+        sets = {
+            (0, 0): range(4), (1, 1): range(4), (0, 1): (0, 1, 2), (1, 0): (0, 1, 3),
+        }
+        faces = frozenset((x, y, z) for (x, y), zs in sets.items() for z in zs)
+        host = TripartiteHost((2, 2, 4), faces)
+        index = HostIndex(host)
+        assert count_disks(host, FourCycle(0, 1, 0, 1)) == 2
+        assert count_forbidden(index.link(0), 2, index) == (1, {(0, 1): 1})
+        assert count_forbidden(index.link(0), 1, index) == (0, {})
+
+    def test_choice_carries_the_pass(self):
+        rng = random.Random(6)
+        host = random_host(rng, 10, 10, 10, 0.7)
+        index = HostIndex(host)
+        choice = pick_link_vertex(host, Config(C=1), K=3, index=index)
+        assert (choice.forbidden_count, choice.forbidden_by_pair) == count_forbidden(
+            choice.link, 3, index
+        )
+
+
 class TestPickLinkVertex:
     def test_complete_host_returns_first(self):
         host = complete_host(6)
@@ -186,6 +254,50 @@ class TestPickLinkVertex:
                 continue
             b = sum(1 for c in iter_link_cycles(link) if count_disks(host, c) <= K)
             assert cmp_pow(Fraction(b) * cfg.C / (2 * K * e_l), 15, Fraction(6, 5)) > 0
+
+
+class TestEpsScaleCutoffs:
+    @staticmethod
+    def check(scale, c, a, b):
+        """floor/ceil agree with cmp on both sides of the threshold."""
+        lo, hi = scale.floor(c, a, b), scale.ceil(c, a, b)
+        if c == 0:
+            assert lo == hi == 0
+            return
+        c = Fraction(c)
+        assert scale.cmp(lo / c, a, b) <= 0 < scale.cmp((lo + 1) / c, a, b)
+        assert scale.cmp(hi / c, a, b) >= 0 > scale.cmp((hi - 1) / c, a, b)
+        assert hi - lo == (scale.cmp(lo / c, a, b) != 0)
+
+    def test_exact_boundaries_in_both_forms(self):
+        # n = 32, eps = 1/5: q = n**(-eps) = 1/2, n**(3/5) = 8, n**(2/5) = 4
+        cases = [  # (c, a, b, floor, ceil)
+            (1, 1, 2, 8, 8),
+            (1, 1, 3, 4, 4),
+            (Fraction(3, 4), 1, 3, 3, 3),
+            (Fraction(5, 4), 1, 3, 5, 5),
+            (Fraction(1, 3), 1, 3, 1, 2),
+            (0, 1, 2, 0, 0),
+        ]
+        for scale in (EpsScale(n=32, eps=Fraction(1, 5)), EpsScale(n=32, q=Fraction(1, 2))):
+            for c, a, b, lo, hi in cases:
+                assert (scale.floor(c, a, b), scale.ceil(c, a, b)) == (lo, hi)
+                self.check(scale, c, a, b)
+
+    def test_agrees_with_cmp(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 60)
+            if rng.random() < 0.5:
+                scale = EpsScale(n=n, eps=Fraction(rng.randint(0, 6), rng.randint(6, 15)))
+            else:
+                scale = EpsScale(n=n, q=Fraction(rng.randint(1, 9), 9))
+            c = Fraction(rng.randint(0, 40), rng.randint(1, 7))
+            self.check(scale, c, rng.randint(0, 2), rng.randint(0, 3))
+
+    def test_negative_constant_rejected(self):
+        with pytest.raises(ValueError):
+            EpsScale(n=4, eps=Fraction(1, 5)).floor(-1, 1, 2)
 
 
 class TestCmpPow:
