@@ -56,7 +56,11 @@ class ThreeGraph:
 
 @dataclass(frozen=True)
 class TripartiteHost:
-    """A 3-partite 3-graph with classes X, Y, Z and per-class 0-based indices."""
+    """A 3-partite 3-graph with classes X, Y, Z and per-class 0-based indices.
+
+    ``faces`` may be given as any iterable of (x, y, z) triples; it is stored
+    as a frozenset of tuples.
+    """
 
     class_sizes: tuple[int, int, int]
     faces: frozenset[Face]
@@ -65,8 +69,9 @@ class TripartiteHost:
         nx, ny, nz = self.class_sizes
         if min(nx, ny, nz) < 0:
             raise ValueError("class sizes must be non-negative")
-        object.__setattr__(self, "faces", frozenset(tuple(f) for f in self.faces))
-        for x, y, z in self.faces:
+        faces = frozenset(map(tuple, self.faces))
+        object.__setattr__(self, "faces", faces)
+        for x, y, z in faces:
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise ValueError(f"face {(x, y, z)} out of class bounds")
 
@@ -146,9 +151,6 @@ class AuxGraph:
         tag = self.v2_tags[u - len(self.v1)]
         return tag[1]
 
-    def degree_of_v2(self, u: int) -> int:
-        return len(self.neighbors_of_v2(u))
-
 
 @dataclass(frozen=True)
 class Config:
@@ -218,11 +220,6 @@ def euler_characteristic(h: ThreeGraph) -> int:
     toward V.
     """
     return h.vertex_count - len(covered_pairs(h)) + h.e
-
-
-def one_cells(h: ThreeGraph) -> list[Pair]:
-    # alias with the geometric reading; identical to covered_pairs
-    return covered_pairs(h)
 
 
 def tripartite_reduce(h: ThreeGraph, seed: int, retry_limit: int = 1000) -> TripartiteHost:

@@ -30,14 +30,15 @@ def gen_random_host(
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    rng = random.Random(seed)
-    faces = []
-    for x in range(n_x):
-        for y in range(n_y):
-            for z in range(n_z):
-                if rng.random() < p:
-                    faces.append((x, y, z))
-    return TripartiteHost((n_x, n_y, n_z), frozenset(faces))
+    draw = random.Random(seed).random
+    faces = [
+        (x, y, z)
+        for x in range(n_x)
+        for y in range(n_y)
+        for z in range(n_z)
+        if draw() < p
+    ]
+    return TripartiteHost((n_x, n_y, n_z), faces)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Flat-file formats: 3-graphs, tripartite hosts, certificates.
 
 Every serializer writes in a fixed sorted order so that identical inputs
-produce byte-identical files.  Lines starting with ``#`` are comments.
+produce byte-identical files.  Lines whose first token starts with ``#``
+are comments; blank lines are skipped and tokens may be separated by any
+run of whitespace.  Faces are sets, so a repeated ``f`` line is accepted
+and counted once.  Every malformed input, a non-integer token included,
+raises ``FormatError`` naming the line where one applies.
 """
 
 from __future__ import annotations
@@ -27,21 +31,26 @@ def _content_lines(text: str):
 def parse_threegraph(text: str) -> ThreeGraph:
     header = None
     faces = []
-    for lineno, tok in _content_lines(text):
-        if tok[0] == "tg":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate tg header")
-            if len(tok) != 2:
-                raise FormatError(f"line {lineno}: expected 'tg n'")
-            header = int(tok[1])
-        elif tok[0] == "f":
-            if header is None:
-                raise FormatError(f"line {lineno}: face before tg header")
-            if len(tok) != 4:
-                raise FormatError(f"line {lineno}: expected 'f a b c'")
-            faces.append(tuple(int(t) for t in tok[1:]))
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+    try:
+        for lineno, tok in _content_lines(text):
+            if tok[0] == "tg":
+                if header is not None:
+                    raise FormatError(f"line {lineno}: duplicate tg header")
+                if len(tok) != 2:
+                    raise FormatError(f"line {lineno}: expected 'tg n'")
+                header = int(tok[1])
+            elif tok[0] == "f":
+                if header is None:
+                    raise FormatError(f"line {lineno}: face before tg header")
+                if len(tok) != 4:
+                    raise FormatError(f"line {lineno}: expected 'f a b c'")
+                faces.append(tuple(int(t) for t in tok[1:]))
+            else:
+                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+    except FormatError:
+        raise
+    except ValueError as exc:  # a token that is not an integer
+        raise FormatError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise FormatError("missing tg header")
     try:
@@ -59,25 +68,34 @@ def write_threegraph(h: ThreeGraph) -> str:
 def parse_host(text: str) -> TripartiteHost:
     sizes = None
     faces = []
-    for lineno, tok in _content_lines(text):
-        if tok[0] == "tph":
-            if sizes is not None:
-                raise FormatError(f"line {lineno}: duplicate tph header")
-            if len(tok) != 4:
-                raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
-            sizes = tuple(int(t) for t in tok[1:])
-        elif tok[0] == "f":
-            if sizes is None:
+    append = faces.append
+    try:
+        for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
+            # the well-formed face line comes first: it is nearly every line
+            if len(tok) == 4 and tok[0] == "f" and sizes is not None:
+                append((int(tok[1]), int(tok[2]), int(tok[3])))
+            elif not tok or tok[0].startswith("#"):
+                continue
+            elif tok[0] == "tph":
+                if sizes is not None:
+                    raise FormatError(f"line {lineno}: duplicate tph header")
+                if len(tok) != 4:
+                    raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
+                sizes = (int(tok[1]), int(tok[2]), int(tok[3]))
+            elif tok[0] != "f":
+                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+            elif sizes is None:
                 raise FormatError(f"line {lineno}: face before tph header")
-            if len(tok) != 4:
+            else:
                 raise FormatError(f"line {lineno}: expected 'f x y z'")
-            faces.append(tuple(int(t) for t in tok[1:]))
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+    except FormatError:
+        raise
+    except ValueError as exc:  # a token that is not an integer
+        raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
     try:
-        return TripartiteHost(sizes, frozenset(faces))
+        return TripartiteHost(sizes, faces)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -147,27 +165,32 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
     v1_lines = []
     disk_blocks = []
     current = None
-    for lineno, tok in _content_lines(text):
-        if tok[0] == "cert":
-            if tok[1:] != ["v1"]:
-                raise FormatError(f"line {lineno}: unsupported certificate version")
-        elif tok[0] in ("tg", "f"):
-            tg_lines.append(" ".join(tok))
-        elif tok[0] == "v1":
-            if len(tok) != 3:
-                raise FormatError(f"line {lineno}: expected 'v1 v y'")
-            v1_lines.append((int(tok[1]), int(tok[2])))
-        elif tok[0] == "disk":
-            if len(tok) != 7:
-                raise FormatError(f"line {lineno}: expected 'disk ci a u b w center'")
-            current = {"head": tuple(int(t) for t in tok[1:]), "faces": []}
-            disk_blocks.append(current)
-        elif tok[0] == "hf":
-            if current is None:
-                raise FormatError(f"line {lineno}: hf before any disk line")
-            current["faces"].append(tuple(int(t) for t in tok[1:]))
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+    try:
+        for lineno, tok in _content_lines(text):
+            if tok[0] == "cert":
+                if tok[1:] != ["v1"]:
+                    raise FormatError(f"line {lineno}: unsupported certificate version")
+            elif tok[0] in ("tg", "f"):
+                tg_lines.append(" ".join(tok))
+            elif tok[0] == "v1":
+                if len(tok) != 3:
+                    raise FormatError(f"line {lineno}: expected 'v1 v y'")
+                v1_lines.append((int(tok[1]), int(tok[2])))
+            elif tok[0] == "disk":
+                if len(tok) != 7:
+                    raise FormatError(f"line {lineno}: expected 'disk ci a u b w center'")
+                current = {"head": tuple(int(t) for t in tok[1:]), "faces": []}
+                disk_blocks.append(current)
+            elif tok[0] == "hf":
+                if current is None:
+                    raise FormatError(f"line {lineno}: hf before any disk line")
+                current["faces"].append(tuple(int(t) for t in tok[1:]))
+            else:
+                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+    except FormatError:
+        raise
+    except ValueError as exc:  # a token that is not an integer
+        raise FormatError(f"line {lineno}: {exc}") from exc
 
     target = parse_threegraph("\n".join(tg_lines))
     aux = build_aux_graph(target)

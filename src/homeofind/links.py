@@ -1,9 +1,10 @@
 """Link graphs of host vertices, 4-cycle enumeration and classification.
 
 The hot path here is counting, for every 4-cycle of a link, the number of
-host vertices z whose link also contains it (its 4-disks).  We precompute,
-for each (x, y) pair of the host, the bitmask of z-vertices completing it to
-a face; a cycle's disk count is then a popcount of an AND of four masks.
+host vertices z whose link also contains it (its 4-disks).  ``HostIndex``
+precomputes, in one pass over the host's faces, the bitmask of z-vertices
+completing each (x, y) pair to a face and the edge list of every link; a
+cycle's disk count is then a popcount of an AND of four masks.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it yields B_z (the number of forbidden cycles) and, in the same pass,
@@ -83,19 +84,27 @@ class LinkGraph:
 
 
 class HostIndex:
-    """Precomputed lookup structures for one host.
+    """Precomputed lookup structures for one host, built in one pass.
 
-    Immutable once built; shared by every stage of a pipeline run.
+    The pass over the faces ORs each face's z-bit into a flat list indexed
+    ``x * n_y + y`` and appends (x, y) to the list of its z.  ``zbits`` then
+    maps every (x, y) with at least one face to its bitmask over Z, and
+    ``faces_by_z[z]`` lists the edges of the link of z.  Immutable once
+    built; shared by every stage of a pipeline run.
     """
 
     def __init__(self, host: TripartiteHost):
         self.host = host
-        self.face_set = host.faces
-        self.zbits: dict[tuple[int, int], int] = {}
-        self.faces_by_z: dict[int, list[tuple[int, int]]] = {}
+        n_y = host.n_y
+        flat = [0] * (host.n_x * n_y)
+        faces_by_z: list[list[tuple[int, int]]] = [[] for _ in range(host.n_z)]
         for x, y, z in host.faces:
-            self.zbits[(x, y)] = self.zbits.get((x, y), 0) | (1 << z)
-            self.faces_by_z.setdefault(z, []).append((x, y))
+            flat[x * n_y + y] |= 1 << z
+            faces_by_z[z].append((x, y))
+        self.faces_by_z = faces_by_z
+        self.zbits: dict[tuple[int, int], int] = {
+            divmod(i, n_y): m for i, m in enumerate(flat) if m
+        }
 
     def link(self, z: int) -> LinkGraph:
         if not 0 <= z < self.host.n_z:
@@ -104,7 +113,7 @@ class HostIndex:
             z=z,
             n_x=self.host.n_x,
             n_y=self.host.n_y,
-            edges=frozenset(self.faces_by_z.get(z, ())),
+            edges=frozenset(self.faces_by_z[z]),
         )
 
     def disk_count(self, c: FourCycle) -> int:

@@ -5,13 +5,16 @@ capture) so the summary survives in piped output, then asserts.
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import complete_host, random_host, random_threegraph
+import homeofind
 from homeofind.core import (
     Config,
     build_aux_graph,
@@ -261,6 +264,10 @@ def test_criterion_6_threshold_behavior(capfd):
 def test_criterion_7_determinism(capfd, tmp_path):
     hostp = tmp_path / "h.tph"
     hostp.write_text(write_host(complete_host(10)))
+    # the subprocess imports the same package as this test, installed or not
+    src = str(Path(homeofind.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
 
     def run_find(out):
         cmd = [
@@ -268,7 +275,7 @@ def test_criterion_7_determinism(capfd, tmp_path):
             "--target", "builtin:triangle", "--host", str(hostp),
             "--C", "1", "--k", "3", "--seed", "7", "--out", str(out),
         ]
-        r = subprocess.run(cmd, capture_output=True, text=True)
+        r = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
         return out.read_bytes()
 

@@ -269,23 +269,25 @@ class TestEmbedV2:
             embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0))
 
     def test_collision_rate_below_half_at_scale(self):
-        # K4 has |V2| = 10; on a 100-wide link the per-attempt collision
-        # probability is about 0.36, so 64 retries essentially always land
+        # K4 has |V2| = 10 on a 100-wide link.  x is joined to every y except
+        # x % 5, so each V2 vertex's candidates are a proper subset of X.
+        # Every seed must give a collision-free placement inside the common
+        # neighbourhoods, and the seeds must not all give the same one.
         aux = build_aux_graph(K4)
-        link = complete_link(100, 4)
+        link = LinkGraph(
+            z=0, n_x=100, n_y=4,
+            edges=frozenset((x, y) for x in range(100) for y in range(4) if x % 5 != y),
+        )
         v1_map = {i: i for i in range(4)}
-        collisions = 0
-        trials = 400
-        for seed in range(trials):
-            rng = random.Random(seed)
-            images = {}
-            for u in aux.v2:
-                images[u] = rng.randrange(100)  # same uniform draw shape
-            if len(set(images.values())) < len(images):
-                collisions += 1
+        placements = set()
+        for seed in range(400):
             out = embed_v2(aux, v1_map, link, Config(), random.Random(seed))
+            assert sorted(out) == sorted(aux.v2)
             assert len(set(out.values())) == len(out)
-        assert collisions / trials < 0.5
+            for u, x in out.items():
+                assert all((x, v1_map[a]) in link.edges for a in aux.neighbors_of_v2(u))
+            placements.add(tuple(sorted(out.items())))
+        assert len(placements) > 1
 
     def test_retries_exhausted_when_injectivity_impossible(self):
         # |V2| = 4 but only 2 X-vertices available

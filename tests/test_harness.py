@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from homeofind.harness import SweepSpec, gen_random_host, run_sweep
-from homeofind.io import load_certificate
+from homeofind.io import load_certificate, write_host
 from homeofind.seeding import derive_seed
 from homeofind.verify import verify_certificate
 
@@ -21,6 +22,18 @@ class TestGenRandomHost:
         c = gen_random_host(6, 6, 6, 0.3, seed=43)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("args, digest", [
+        ((6, 6, 6, 0.3, 42),
+         "d407c702bddbfb520e9108c576940c2be1a8664574660f31c6ff84b58592ecaf"),
+        ((30, 30, 30, 0.5, 7),
+         "438b3b267acc97244dfd3ef23a3b19a5200407673693460db990b17b32db614f"),
+    ])
+    def test_output_pinned(self, args, digest):
+        # Every seeded host (the benchmark's inputs among them) depends on the
+        # order of the draws; a change to it must show up here.
+        text = write_host(gen_random_host(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_binomial_mean_within_four_sigma(self):
         n, p, seeds = 10, 0.5, 100

@@ -45,6 +45,12 @@ class TestThreeGraphFormat:
         with pytest.raises(FormatError):
             parse_threegraph("tg 3\nf 0 1 1\n")
 
+    def test_non_integer_token(self):
+        with pytest.raises(FormatError, match=r"^line 3: .*'b'"):
+            parse_threegraph("tg 3\n\nf 0 b 2\n")
+        with pytest.raises(FormatError, match=r"^line 1: .*'x'"):
+            parse_threegraph("tg x\n")
+
     def test_builtin_targets(self):
         tri = load_target("builtin:triangle")
         assert tri == TRIANGLE
@@ -80,6 +86,24 @@ class TestHostFormat:
         with pytest.raises(FormatError):
             parse_host("tph 2 2\nf 0 0 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("f 0 0 0\ntph 1 1 1\n", "line 1: face before tph header"),
+        ("tph 1 1 1\n#\ntph 1 1 1\n", "line 3: duplicate tph header"),
+        ("tph 1 1 1\nf 0 0\n", "line 2: expected 'f x y z'"),
+        ("tph 1 1 1\n\n g 0 0 0\n", "line 3: unknown directive 'g'"),
+        ("# only a comment\n", "missing tph header"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_host(text)
+        assert str(info.value) == message
+
+    def test_non_integer_token(self):
+        with pytest.raises(FormatError, match=r"^line 2: .*'a'"):
+            parse_host("tph 2 2 2\nf 0 a 1\n")
+        with pytest.raises(FormatError, match=r"^line 2: .*'x'"):
+            parse_host("# host\ntph 2 x 2\n")
+
 
 class TestCertificateFormat:
     def test_round_trip(self):
@@ -110,6 +134,11 @@ class TestCertificateFormat:
     def test_missing_header(self):
         with pytest.raises(FormatError):
             parse_certificate("tg 3\nf 0 1 2\n")
+
+    def test_non_integer_token(self):
+        text = "cert v1\ntg 3\nf 0 1 2\ndisk a 0 3 1 4 5\n"
+        with pytest.raises(FormatError, match=r"^line 4: .*'a'"):
+            parse_certificate(text)
 
 
 class TestCli:
@@ -180,6 +209,17 @@ class TestCli:
         assert main(["verify", "--cert", str(certp), "--host", hostp]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 4: expected 'v1 v y'")
+        assert "Traceback" not in err
+
+    def test_non_integer_host_token_exit_2(self, tmp_path, capsys):
+        hostp = tmp_path / "bad.tph"
+        hostp.write_text("tph 3 3 3\nf 0 0 0\nf 0 1 z\n")
+        assert main([
+            "find", "--target", "builtin:triangle", "--host", str(hostp),
+            "--C", "1", "--k", "3", "--out", str(tmp_path / "x.cert"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ")
         assert "Traceback" not in err
 
     def test_gen_is_seeded(self, tmp_path):
