@@ -46,12 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="search a host for a homeomorph of a target")
     p_find.add_argument("--target", required=True, help="path or builtin:NAME")
     p_find.add_argument("--host", required=True)
-    p_find.add_argument("--C", type=_rat, default=None, help="density constant (default: 2000 v(H)^6)")
-    p_find.add_argument("--delta", type=_rat, default=Fraction(1, 5))
-    p_find.add_argument("--eps", type=_rat, default=None)
-    p_find.add_argument("--k", type=int, default=None, help="admissibility cutoff K (default: 3 v(H)^3)")
-    p_find.add_argument("--seed", type=int, default=0)
-    p_find.add_argument("--retries", type=int, default=64, help="V2 placement search budget: RETRIES**2 nodes")
+    # Defaults live in Config.paper_defaults; the help texts only state them.
+    p_find.add_argument("--C", type=_rat, help="density constant (default: 2000 v(H)^6)")
+    p_find.add_argument("--delta", type=_rat, help="density exponent (default: 1/5)")
+    p_find.add_argument("--k", type=int, help="admissibility cutoff K (default: 3 v(H)^3)")
+    p_find.add_argument("--seed", type=int, help="seed of the V2 candidate order (default: 0)")
+    p_find.add_argument("--retries", type=int, help="V2 placement search budget: RETRIES**2 nodes (default: 64)")
     p_find.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify", help="check a certificate against a host")
@@ -79,14 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_find(args) -> int:
     target = load_target(args.target)
     host = load_host(args.host)
-    cfg = Config(
-        C=args.C if args.C is not None else Fraction(2000) * target.v ** 6,
-        delta=args.delta,
-        epsilon=args.eps if args.eps is not None else args.delta,
-        k_threshold=args.k,
-        rng_seed=args.seed,
-        retry_limit=args.retries,
-    )
+    flags = {"C": args.C, "delta": args.delta, "k_threshold": args.k,
+             "rng_seed": args.seed, "retry_limit": args.retries}
+    cfg = Config.paper_defaults(target, **{k: v for k, v in flags.items() if v is not None})
     try:
         cert = find_homeomorph(host, target, cfg)
     except PipelineError as exc:
@@ -163,10 +158,6 @@ def main(argv=None) -> int:
     except (FormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

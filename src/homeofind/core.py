@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 Face = tuple[int, int, int]
 Pair = tuple[int, int]
@@ -69,9 +69,12 @@ class TripartiteHost:
         nx, ny, nz = self.class_sizes
         if min(nx, ny, nz) < 0:
             raise ValueError("class sizes must be non-negative")
-        faces = frozenset(map(tuple, self.faces))
+        given = self.faces
+        faces = frozenset(map(tuple, given))
         object.__setattr__(self, "faces", faces)
-        for x, y, z in faces:
+        # in input order when the input can be read twice, so that an error
+        # names the first bad face given
+        for x, y, z in given if isinstance(given, Collection) else faces:
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise ValueError(f"face {(x, y, z)} out of class bounds")
 
@@ -154,12 +157,13 @@ class AuxGraph:
 
 @dataclass(frozen=True)
 class Config:
-    """Pipeline knobs.
+    """Pipeline knobs, and the one home of their defaults.
 
-    C and the exponents are exact rationals so that every threshold
-    comparison stays exact.  ``k_threshold`` is the admissibility cutoff K
-    (a 4-cycle is admissible when it bounds more than K 4-disks); when None
-    it defaults to 3*v(H)**3 for the target at hand.  The certificate gluing
+    C and delta are exact rationals so that every threshold comparison stays
+    exact; eps is no knob, as the pipeline realizes it (q = n**-eps) from the
+    chosen link's density.  ``k_threshold`` is the admissibility cutoff K (a
+    4-cycle is admissible when it bounds more than K 4-disks); when None it
+    defaults to 3*v(H)**3 for the target at hand.  The certificate gluing
     step needs k_threshold >= 3*e(H); this is checked when gluing is
     requested.  ``retry_limit`` bounds the V2 placement search: it visits
     at most ``retry_limit ** 2`` nodes before giving up undecided.
@@ -167,7 +171,6 @@ class Config:
 
     C: Fraction = Fraction(1)
     delta: Fraction = Fraction(1, 5)
-    epsilon: Fraction = Fraction(1, 5)
     k_threshold: int | None = None
     rng_seed: int = 0
     retry_limit: int = 64
@@ -175,11 +178,10 @@ class Config:
     def __post_init__(self):
         object.__setattr__(self, "C", Fraction(self.C))
         object.__setattr__(self, "delta", Fraction(self.delta))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.C <= 0:
             raise ValueError("C must be positive")
-        if not 0 < self.epsilon <= self.delta <= 1:
-            raise ValueError("need 0 < epsilon <= delta <= 1")
+        if not 0 < self.delta <= 1:
+            raise ValueError("need 0 < delta <= 1")
         if self.k_threshold is not None and self.k_threshold <= 0:
             raise ValueError("k_threshold must be positive")
         if self.retry_limit <= 0:

@@ -69,8 +69,7 @@ class Embedding:
 @dataclass(frozen=True)
 class HomeomorphCertificate:
     target: ThreeGraph
-    host_faces: tuple[Face, ...]
-    provenance: dict[Face, tuple[Face, int, int]]  # face -> (H-face, cycle idx, role)
+    host_faces: tuple[Face, ...]  # four per special cycle, in cycle order
     embedding: Embedding
 
 
@@ -80,10 +79,9 @@ def classify_pairs_triples(
     cfg: Config,
     K: int,
     scale: EpsScale,
-    ys: list[int] | None = None,
     forbidden_by_pair: dict[Pair, int] | None = None,
 ) -> tuple[list[PairStats], list[TripleStats]]:
-    """Good/bad statistics for every pair and triple of Y (or of ``ys``).
+    """Good/bad statistics for every pair and triple of Y.
 
     A pair is good when its common neighbourhood has size at least
     n**(1-2*eps) and at most (K/C) n**(1-3*eps) |Gamma(y1,y2)| forbidden
@@ -97,7 +95,7 @@ def classify_pairs_triples(
     """
     if forbidden_by_pair is None:
         _, forbidden_by_pair = count_forbidden(link, K, index)
-    ys = list(range(link.n_y)) if ys is None else sorted(ys)
+    n_y = link.n_y
     ymasks = link.y_masks
     pair_min = scale.ceil(1, 1, 2)
     triple_min = scale.ceil(1, 1, 3)
@@ -105,9 +103,9 @@ def classify_pairs_triples(
     forb_max: dict[int, int] = {}  # common degree -> largest good forbidden count
 
     pair_stats = []
-    for i, y1 in enumerate(ys):
+    for y1 in range(n_y):
         m1 = ymasks[y1]
-        for y2 in ys[i + 1:]:
+        for y2 in range(y1 + 1, n_y):
             deg = (m1 & ymasks[y2]).bit_count()
             forb = forbidden_by_pair.get((y1, y2), 0)
             good = deg >= pair_min
@@ -119,12 +117,11 @@ def classify_pairs_triples(
             pair_stats.append(PairStats((y1, y2), deg, forb, good))
 
     triple_stats = []
-    for i, y1 in enumerate(ys):
+    for y1 in range(n_y):
         m1 = ymasks[y1]
-        for j in range(i + 1, len(ys)):
-            y2 = ys[j]
+        for y2 in range(y1 + 1, n_y):
             m12 = m1 & ymasks[y2]
-            for y3 in ys[j + 1:]:
+            for y3 in range(y2 + 1, n_y):
                 deg = (m12 & ymasks[y3]).bit_count()
                 triple_stats.append(TripleStats((y1, y2, y3), deg, deg >= triple_min))
     return pair_stats, triple_stats
@@ -501,21 +498,12 @@ def _assemble_certificate(
     target: ThreeGraph, aux: AuxGraph, emb: Embedding
 ) -> HomeomorphCertificate:
     faces: list[Face] = []
-    provenance: dict[Face, tuple[Face, int, int]] = {}
     for ci, sc in enumerate(aux.special_cycles):
         c = emb.center_map[ci]
         ya, yb = emb.v1_map[sc.a], emb.v1_map[sc.b]
         xu, xw = emb.v2_map[sc.u], emb.v2_map[sc.w]
-        quad = [(xu, ya, c), (xu, yb, c), (xw, yb, c), (xw, ya, c)]
-        for role, f in enumerate(quad):
-            faces.append(f)
-            provenance[f] = (sc.face, ci, role)
-    return HomeomorphCertificate(
-        target=target,
-        host_faces=tuple(faces),
-        provenance=provenance,
-        embedding=emb,
-    )
+        faces += [(xu, ya, c), (xu, yb, c), (xw, yb, c), (xw, ya, c)]
+    return HomeomorphCertificate(target=target, host_faces=tuple(faces), embedding=emb)
 
 
 def _check_capacity(host: TripartiteHost, target: ThreeGraph, aux: AuxGraph, K: int) -> None:

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Config, ThreeGraph, TripartiteHost
+from .core import Config, TripartiteHost
 from .embed import find_homeomorph
 from .errors import PipelineError
-from .io import load_target, write_certificate
+from .io import FormatError, load_target, write_certificate
 from .seeding import derive_seed
 from .verify import verify_certificate
 
@@ -41,6 +41,11 @@ def gen_random_host(
     return TripartiteHost((n_x, n_y, n_z), faces)
 
 
+# A sweep's cfg may set every Config field but rng_seed, which it derives
+# per trial.
+_CFG_KEYS = tuple(f.name for f in fields(Config) if f.name != "rng_seed")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     target: str  # path or builtin:NAME
@@ -54,6 +59,13 @@ class SweepSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not all(isinstance(n, int) and n >= 1 for n in self.n_values):
+            raise ValueError(f"n_values must be positive integers, got {list(self.n_values)}")
+        unknown = sorted(set(self.cfg_overrides) - set(_CFG_KEYS), key=str)
+        if unknown:
+            raise ValueError(
+                f"unknown sweep cfg key(s) {unknown}; allowed: {', '.join(_CFG_KEYS)}"
+            )
 
     def p_for(self, n: int) -> float:
         p = float(self.a) * n ** (-float(self.b))
@@ -63,16 +75,26 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
+        """Parse a JSON spec; ``a``, ``b`` and the C and delta of ``cfg`` are
+        read as exact rationals from their decimal text (0.1 is 1/10)."""
         raw = json.loads(text)
-        return cls(
-            target=raw["target"],
-            n_values=tuple(raw["n_values"]),
-            a=Fraction(str(raw["a"])),
-            b=Fraction(str(raw.get("b", "1/5"))),
-            trials=int(raw["trials"]),
-            seed=int(raw.get("seed", 0)),
-            cfg_overrides=dict(raw.get("cfg", {})),
-        )
+        try:
+            if not isinstance(raw["n_values"], list):
+                raise FormatError('sweep spec: "n_values" must be a list')
+            cfg = {k: Fraction(str(v)) if k in ("C", "delta") else v for k, v in raw.get("cfg", {}).items()}
+            return cls(
+                target=str(raw["target"]),
+                n_values=tuple(raw["n_values"]),
+                a=Fraction(str(raw["a"])),
+                b=Fraction(str(raw.get("b", "1/5"))),
+                trials=int(raw["trials"]),
+                seed=int(raw.get("seed", 0)),
+                cfg_overrides=cfg,
+            )
+        except KeyError as exc:
+            raise FormatError(f"sweep spec lacks the key {exc}") from None
+        except (TypeError, AttributeError) as exc:  # a value of the wrong JSON type
+            raise FormatError(f"malformed sweep spec: {exc}") from None
 
 
 @dataclass
@@ -95,16 +117,6 @@ class SweepRow:
         )
 
 
-def _cfg_for(target: ThreeGraph, overrides: dict, seed: int) -> Config:
-    kw = dict(overrides)
-    for key in ("C", "delta", "epsilon"):
-        if key in kw:
-            kw[key] = Fraction(str(kw[key]))
-    kw.setdefault("k_threshold", max(1, 3 * target.e))
-    kw["rng_seed"] = seed
-    return Config(**kw)
-
-
 def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None) -> list[SweepRow]:
     """Run every (n, trial) cell; per-trial failures never abort the sweep."""
     target = load_target(spec.target)
@@ -123,7 +135,7 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None) -> list[SweepR
             trial_seed = derive_seed(spec.seed, n, trial)
             host = gen_random_host(n, n, n, p, trial_seed)
             total_faces += host.e
-            cfg = _cfg_for(target, spec.cfg_overrides, trial_seed)
+            cfg = Config.desk_scale(target, **spec.cfg_overrides, rng_seed=trial_seed)
             t0 = time.perf_counter()
             try:
                 cert = find_homeomorph(host, target, cfg)

@@ -28,35 +28,45 @@ def _content_lines(text: str):
         yield lineno, line.split()
 
 
-def parse_threegraph(text: str) -> ThreeGraph:
-    header = None
-    faces = []
-    try:
-        for lineno, tok in _content_lines(text):
-            if tok[0] == "tg":
-                if header is not None:
-                    raise FormatError(f"line {lineno}: duplicate tg header")
-                if len(tok) != 2:
-                    raise FormatError(f"line {lineno}: expected 'tg n'")
-                header = int(tok[1])
-            elif tok[0] == "f":
-                if header is None:
-                    raise FormatError(f"line {lineno}: face before tg header")
-                if len(tok) != 4:
-                    raise FormatError(f"line {lineno}: expected 'f a b c'")
-                faces.append(tuple(int(t) for t in tok[1:]))
-            else:
-                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
-    except FormatError:
-        raise
-    except ValueError as exc:  # a token that is not an integer
-        raise FormatError(f"line {lineno}: {exc}") from exc
+def _target_line(lineno: int, tok: list[str], header: int | None, faces: list) -> int:
+    """One ``tg`` or ``f`` line of a target or certificate file: adds a face
+    to ``faces`` or reads the header, and returns the header."""
+    if tok[0] == "tg":
+        if header is not None:
+            raise FormatError(f"line {lineno}: duplicate tg header")
+        if len(tok) != 2:
+            raise FormatError(f"line {lineno}: expected 'tg n'")
+        return int(tok[1])
+    if header is None:
+        raise FormatError(f"line {lineno}: face before tg header")
+    if len(tok) != 4:
+        raise FormatError(f"line {lineno}: expected 'f a b c'")
+    faces.append((int(tok[1]), int(tok[2]), int(tok[3])))
+    return header
+
+
+def _target(header: int | None, faces: list) -> ThreeGraph:
     if header is None:
         raise FormatError("missing tg header")
     try:
         return ThreeGraph(header, frozenset(faces))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def parse_threegraph(text: str) -> ThreeGraph:
+    header = None
+    faces = []
+    try:
+        for lineno, tok in _content_lines(text):
+            if tok[0] not in ("tg", "f"):
+                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+            header = _target_line(lineno, tok, header, faces)
+    except FormatError:
+        raise
+    except ValueError as exc:  # a token that is not an integer
+        raise FormatError(f"line {lineno}: {exc}") from exc
+    return _target(header, faces)
 
 
 def write_threegraph(h: ThreeGraph) -> str:
@@ -97,6 +107,13 @@ def parse_host(text: str) -> TripartiteHost:
     try:
         return TripartiteHost(sizes, faces)
     except ValueError as exc:
+        # error path only: each well-formed face line added one face, in order
+        nx, ny, nz = sizes
+        lines = (n for n, tok in enumerate(map(str.split, text.splitlines()), 1)
+                 if len(tok) == 4 and tok[0] == "f")
+        for lineno, (x, y, z) in zip(lines, faces):
+            if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
+                raise FormatError(f"line {lineno}: {exc}") from exc
         raise FormatError(str(exc)) from exc
 
 
@@ -161,7 +178,8 @@ def write_certificate(cert: HomeomorphCertificate) -> str:
 
 
 def parse_certificate(text: str) -> HomeomorphCertificate:
-    tg_lines = []
+    header = None
+    tg_faces: list = []
     v1_lines = []
     disk_blocks = []
     current = None
@@ -171,7 +189,7 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
                 if tok[1:] != ["v1"]:
                     raise FormatError(f"line {lineno}: unsupported certificate version")
             elif tok[0] in ("tg", "f"):
-                tg_lines.append(" ".join(tok))
+                header = _target_line(lineno, tok, header, tg_faces)
             elif tok[0] == "v1":
                 if len(tok) != 3:
                     raise FormatError(f"line {lineno}: expected 'v1 v y'")
@@ -192,7 +210,7 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
     except ValueError as exc:  # a token that is not an integer
         raise FormatError(f"line {lineno}: {exc}") from exc
 
-    target = parse_threegraph("\n".join(tg_lines))
+    target = _target(header, tg_faces)
     aux = build_aux_graph(target)
     if len(disk_blocks) != len(aux.special_cycles):
         raise FormatError(
@@ -209,8 +227,6 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
             raise FormatError(f"inconsistent {what} for {key}: {mapping[key]} vs {val}")
         mapping[key] = val
 
-    faces = []
-    provenance = {}
     seen = set()
     for block in disk_blocks:
         ci, a, u, b, w, center = block["head"]
@@ -225,22 +241,12 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         put(v2_map, sc.u, u, "v2 image")
         put(v2_map, sc.w, w, "v2 image")
         put(center_map, ci, center, "center")
-    for block in sorted(disk_blocks, key=lambda bl: bl["head"][0]):
-        ci = block["head"][0]
-        sc = aux.special_cycles[ci]
-        for role, f in enumerate(block["faces"]):
-            faces.append(f)
-            provenance[f] = (sc.face, ci, role)
+    faces = [f for bl in sorted(disk_blocks, key=lambda bl: bl["head"][0]) for f in bl["faces"]]
     for v, y in v1_lines:
         put(v1_map, v, y, "v1 image")
 
     emb = Embedding(v1_map=v1_map, v2_map=v2_map, center_map=center_map)
-    return HomeomorphCertificate(
-        target=target,
-        host_faces=tuple(faces),
-        provenance=provenance,
-        embedding=emb,
-    )
+    return HomeomorphCertificate(target=target, host_faces=tuple(faces), embedding=emb)
 
 
 def load_certificate(path: str) -> HomeomorphCertificate:

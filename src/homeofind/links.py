@@ -12,8 +12,9 @@ the number of forbidden cycles through every Y-pair, which the good/bad pair
 classification in ``embed`` reads instead of walking the cycles again.  The
 walk skips, without an AND, cycles whose disk count is certainly above or
 certainly at most K by the sizes of its two column z-sets alone.
-``iter_link_cycles``, ``classify_cycles`` and ``count_disks`` enumerate
-cycles independently of it and serve as oracles.
+Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
+``classify_cycles`` (that walk plus ``HostIndex.disk_count``) and
+``count_disks``, a face-set scan independent of the index.
 """
 
 from __future__ import annotations
@@ -117,14 +118,7 @@ class HostIndex:
         )
 
     def disk_count(self, c: FourCycle) -> int:
-        zb = self.zbits
-        m = (
-            zb.get((c.x1, c.y1), 0)
-            & zb.get((c.x1, c.y2), 0)
-            & zb.get((c.x2, c.y1), 0)
-            & zb.get((c.x2, c.y2), 0)
-        )
-        return m.bit_count()
+        return self.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
         """Bitmask over Z of the centers completing the cycle to 4-disks."""
@@ -195,28 +189,9 @@ def classify_cycles(
     """
     index = index or HostIndex(host)
     out = []
-    masks = link.x_masks
-    xs = [x for x in range(link.n_x) if masks[x]]
-    for i, x1 in enumerate(xs):
-        m1 = masks[x1]
-        for x2 in xs[i + 1:]:
-            common = m1 & masks[x2]
-            if common.bit_count() < 2:
-                continue
-            ys = _bits(common)
-            zmasks = [index.disk_mask(x1, x2, y, y) for y in ys]
-            # disk_mask with ya == yb is the z-set containing both column
-            # faces; AND-ing two of them gives the cycle's centers.
-            for j, y1 in enumerate(ys):
-                for k in range(j + 1, len(ys)):
-                    d = (zmasks[j] & zmasks[k]).bit_count()
-                    out.append(
-                        CycleClassification(
-                            cycle=FourCycle(x1, x2, y1, ys[k]),
-                            disk_count=d,
-                            admissible=d > K,
-                        )
-                    )
+    for c in iter_link_cycles(link):
+        d = index.disk_count(c)
+        out.append(CycleClassification(cycle=c, disk_count=d, admissible=d > K))
     return out
 
 

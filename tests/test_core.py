@@ -229,7 +229,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(C=0)
         with pytest.raises(ValueError):
-            Config(epsilon=Fraction(1, 2), delta=Fraction(1, 5))
+            Config(delta=0)
+        with pytest.raises(ValueError):
+            Config(delta=Fraction(6, 5))
         with pytest.raises(ValueError):
             Config(k_threshold=0)
 

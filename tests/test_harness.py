@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from homeofind import harness
+from homeofind.core import Config
+from homeofind.errors import NoQualifyingVertex
 from homeofind.harness import SweepSpec, gen_random_host, run_sweep
-from homeofind.io import load_certificate, write_host
+from homeofind.io import load_certificate, load_target, write_host
 from homeofind.seeding import derive_seed
 from homeofind.verify import verify_certificate
 
@@ -92,6 +96,18 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("builtin:triangle", (4,), Fraction(1), Fraction(0), 0, 0)
 
+    @pytest.mark.parametrize("key", ["foo", "epsilon", "rng_seed"])
+    def test_rejects_cfg_keys_a_sweep_does_not_set(self, key):
+        with pytest.raises(ValueError, match="unknown sweep cfg key"):
+            SweepSpec("builtin:triangle", (4,), Fraction(1), Fraction(0), 1, 0, {key: 1})
+
+    def test_cfg_rationals_from_decimal_text(self):
+        spec = SweepSpec.from_json(json.dumps({
+            "target": "builtin:triangle", "n_values": [10], "a": 1, "trials": 1,
+            "cfg": {"C": 0.1, "delta": "1/3"},
+        }))
+        assert spec.cfg_overrides == {"C": Fraction(1, 10), "delta": Fraction(1, 3)}
+
 
 class TestRunSweep:
     def _spec(self, a, b="0", trials=3, n=12, seed=11):
@@ -136,6 +152,24 @@ class TestRunSweep:
                 n, n, n, spec.p_for(n), derive_seed(spec.seed, n, trial)
             )
             assert verify_certificate(cert, host).passed
+
+    @pytest.mark.parametrize("cfg", [{}, {"C": "1", "k_threshold": 3}, {"delta": "1/3", "retry_limit": 7}])
+    def test_trial_config_is_desk_scale(self, monkeypatch, cfg):
+        seen = []
+
+        def fake_find(host, target, trial_cfg):
+            seen.append(trial_cfg)
+            raise NoQualifyingVertex("not searched")
+
+        monkeypatch.setattr(harness, "find_homeomorph", fake_find)
+        spec = dataclasses.replace(self._spec("1", trials=2), cfg_overrides=cfg)
+        run_sweep(spec)
+        target = load_target(spec.target)
+        n = spec.n_values[0]
+        assert seen == [
+            Config.desk_scale(target, rng_seed=derive_seed(spec.seed, n, t), **cfg)
+            for t in range(spec.trials)
+        ]
 
     def test_mean_faces_exact(self):
         spec = self._spec("1", trials=2)

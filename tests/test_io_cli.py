@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import complete_host, random_host, random_threegraph
+from homeofind import cli
 from homeofind.cli import main
 from homeofind.core import Config, ThreeGraph, TripartiteHost
 from homeofind.embed import find_homeomorph
+from homeofind.errors import NoQualifyingVertex
 from homeofind.io import (
     FormatError,
     load_certificate,
@@ -92,6 +96,8 @@ class TestHostFormat:
         ("tph 1 1 1\nf 0 0\n", "line 2: expected 'f x y z'"),
         ("tph 1 1 1\n\n g 0 0 0\n", "line 3: unknown directive 'g'"),
         ("# only a comment\n", "missing tph header"),
+        # the first bad face in file order, with its line
+        ("tph 2 2 2\nf 0 0 0\nf 5 0 0\nf 0 9 0\n", "line 3: face (5, 0, 0) out of class bounds"),
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(FormatError) as info:
@@ -138,6 +144,14 @@ class TestCertificateFormat:
     def test_non_integer_token(self):
         text = "cert v1\ntg 3\nf 0 1 2\ndisk a 0 3 1 4 5\n"
         with pytest.raises(FormatError, match=r"^line 4: .*'a'"):
+            parse_certificate(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("cert v1\n\n# c\ntg 3\nf 0 1 x\n", r"^line 5: .*'x'"),
+        ("cert v1\ntg 3\nf 0 1 2\ntg 3\n", r"^line 4: duplicate tg header$"),
+    ])
+    def test_target_block_errors_name_certificate_line(self, text, message):
+        with pytest.raises(FormatError, match=message):
             parse_certificate(text)
 
 
@@ -222,6 +236,21 @@ class TestCli:
         assert err.startswith("error: line 3: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"n_values": [12], "a": 1, "trials": 1}, "lacks the key 'target'"),
+        ({"target": "builtin:triangle", "n_values": 6, "a": 1, "trials": 1},
+         '"n_values" must be a list'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
+          "cfg": {"foo": 1}}, "unknown sweep cfg key(s) ['foo']"),
+    ])
+    def test_malformed_sweep_spec_exit_2(self, tmp_path, capsys, spec, message):
+        specp = tmp_path / "sweep.json"
+        specp.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(specp), "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_gen_is_seeded(self, tmp_path):
         out1 = str(tmp_path / "a.tph")
         out2 = str(tmp_path / "b.tph")
@@ -265,3 +294,47 @@ class TestCli:
         for c in certs:
             cert = load_certificate(str(c))
             assert cert.target == TRIANGLE
+
+
+class TestFindConfig:
+    """``find`` takes every default from Config.paper_defaults."""
+
+    def _cfg(self, monkeypatch, tmp_path, *flags) -> Config:
+        seen = []
+
+        def fake_find(host, target, cfg):
+            seen.append(cfg)
+            raise NoQualifyingVertex("not searched")
+
+        monkeypatch.setattr(cli, "find_homeomorph", fake_find)
+        hostp = tmp_path / "h.tph"
+        hostp.write_text(write_host(complete_host(4)))
+        assert main([
+            "find", "--target", "builtin:k4", "--host", str(hostp),
+            "--out", str(tmp_path / "x.cert"), *flags,
+        ]) == 1
+        return seen[0]
+
+    def test_no_flags_gives_paper_defaults(self, monkeypatch, tmp_path):
+        cfg = self._cfg(monkeypatch, tmp_path)
+        assert cfg == Config.paper_defaults(load_target("builtin:k4"))
+
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--C", "3/2", "C", Fraction(3, 2)),
+        ("--delta", "1/3", "delta", Fraction(1, 3)),
+        ("--k", "50", "k_threshold", 50),
+        ("--seed", "9", "rng_seed", 9),
+        ("--retries", "5", "retry_limit", 5),
+    ])
+    def test_flag_sets_only_its_field(self, monkeypatch, tmp_path, flag, value, field, expected):
+        cfg = self._cfg(monkeypatch, tmp_path, flag, value)
+        defaults = Config.paper_defaults(load_target("builtin:k4"))
+        assert cfg == dataclasses.replace(defaults, **{field: expected})
+
+    def test_eps_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main([
+                "find", "--target", "builtin:k4", "--host", "h.tph",
+                "--out", str(tmp_path / "x.cert"), "--eps", "1/5",
+            ])
+        assert info.value.code == 2
