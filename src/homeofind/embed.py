@@ -12,14 +12,21 @@ Both expectation arguments (the choice of z and the choice of x) are
 derandomized by first-qualifying scans, and the V2 placement is an exact
 search; randomness remains only in the order in which that search tries
 candidates, and is fully seeded.
+
+The Theta(n**3) triple layers make no object per triple: the bad triples
+of Y are one bitmask over y3 per pair (y1, y2), so the core-set scan counts
+them by popcount and D(Y') is built from masks; only the triples of D(Y')
+become tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import AuxGraph, Config, Face, Pair, ThreeGraph, TripartiteHost, build_aux_graph
 from .errors import (
@@ -41,13 +48,6 @@ class PairStats:
     pair: Pair
     common_degree: int
     forbidden_through: int
-    good: bool
-
-
-@dataclass(frozen=True)
-class TripleStats:
-    triple: tuple[int, int, int]
-    common_degree: int
     good: bool
 
 
@@ -80,13 +80,19 @@ def classify_pairs_triples(
     K: int,
     scale: EpsScale,
     forbidden_by_pair: dict[Pair, int] | None = None,
-) -> tuple[list[PairStats], list[TripleStats]]:
-    """Good/bad statistics for every pair and triple of Y.
+) -> tuple[list[PairStats], dict[Pair, int]]:
+    """Good/bad statistics for every pair of Y, and the bad triples of Y.
 
     A pair is good when its common neighbourhood has size at least
     n**(1-2*eps) and at most (K/C) n**(1-3*eps) |Gamma(y1,y2)| forbidden
     4-cycles pass through it; a triple is good when its common neighbourhood
     has size at least n**(1-3*eps).
+
+    Returns ``(pair_stats, bad_triples)``: one ``PairStats`` per pair
+    (y1 < y2), and ``bad_triples[(y1, y2)]``, the bitmask over the y3 > y2
+    for which (y1, y2, y3) is bad; pairs with no bad triple are left out.
+    When |Gamma(y1, y2)| is itself below the triple cutoff, every y3 is bad
+    and no triple of that pair is looked at.
 
     The per-pair forbidden counts are those of ``count_forbidden`` (passed in
     as ``forbidden_by_pair`` when the caller already has them), so no cycle
@@ -97,16 +103,20 @@ def classify_pairs_triples(
         _, forbidden_by_pair = count_forbidden(link, K, index)
     n_y = link.n_y
     ymasks = link.y_masks
+    bits = [1 << y for y in range(n_y)]
+    full = (1 << n_y) - 1
     pair_min = scale.ceil(1, 1, 2)
     triple_min = scale.ceil(1, 1, 3)
     k_over_c = Fraction(K) / cfg.C
     forb_max: dict[int, int] = {}  # common degree -> largest good forbidden count
 
     pair_stats = []
+    bad_triples: dict[Pair, int] = {}
     for y1 in range(n_y):
         m1 = ymasks[y1]
         for y2 in range(y1 + 1, n_y):
-            deg = (m1 & ymasks[y2]).bit_count()
+            m12 = m1 & ymasks[y2]
+            deg = m12.bit_count()
             forb = forbidden_by_pair.get((y1, y2), 0)
             good = deg >= pair_min
             if good and forb:
@@ -116,21 +126,33 @@ def classify_pairs_triples(
                 good = forb <= limit
             pair_stats.append(PairStats((y1, y2), deg, forb, good))
 
-    triple_stats = []
-    for y1 in range(n_y):
-        m1 = ymasks[y1]
-        for y2 in range(y1 + 1, n_y):
-            m12 = m1 & ymasks[y2]
-            for y3 in range(y2 + 1, n_y):
-                deg = (m12 & ymasks[y3]).bit_count()
-                triple_stats.append(TripleStats((y1, y2, y3), deg, deg >= triple_min))
-    return pair_stats, triple_stats
+            if deg < triple_min:  # every triple through the pair is bad
+                bad = full >> (y2 + 1) << (y2 + 1)
+            else:
+                bad = 0
+                for m3, bit in zip(ymasks[y2 + 1:], bits[y2 + 1:]):
+                    if (m12 & m3).bit_count() < triple_min:
+                        bad |= bit
+            if bad:
+                bad_triples[(y1, y2)] = bad
+    return pair_stats, bad_triples
+
+
+def _bad_pair_masks(pair_stats: list[PairStats]) -> dict[int, int]:
+    """Per y, the bitmask of the y' with {y, y'} a bad pair (none: left out)."""
+    masks: dict[int, int] = {}
+    for ps in pair_stats:
+        if not ps.good:
+            a, b = ps.pair
+            masks[a] = masks.get(a, 0) | 1 << b
+            masks[b] = masks.get(b, 0) | 1 << a
+    return masks
 
 
 def select_core_set(
     link: LinkGraph,
     pair_stats: list[PairStats],
-    triple_stats: list[TripleStats],
+    bad_triples: dict[Pair, int],
     cfg: Config,
     scale: EpsScale,
 ) -> tuple[int, list[int]]:
@@ -138,16 +160,12 @@ def select_core_set(
 
     (A) |Gamma(x)| >= (C/4) n**(1-eps); (B) |Gamma(x)| bounds the surviving
     bad pairs P_x; (C) |Gamma(x)| bounds the surviving bad triples T_x.
+    ``bad_triples`` is as returned by ``classify_pairs_triples``, so T_x is
+    the sum over the pairs inside Gamma(x) of popcount(mask & Gamma(x)).
     Returns (x, sorted Y').
     """
     C = cfg.C
-    bad_pair_mask = [0] * link.n_y
-    for ps in pair_stats:
-        if not ps.good:
-            a, b = ps.pair
-            bad_pair_mask[a] |= 1 << b
-            bad_pair_mask[b] |= 1 << a
-    bad_triples = [ts.triple for ts in triple_stats if not ts.good]
+    bad_pair_mask = _bad_pair_masks(pair_stats)
 
     xmasks = link.x_masks
     for x in range(link.n_x):
@@ -157,17 +175,19 @@ def select_core_set(
             continue
         if scale.cmp(Fraction(4 * s) / C, 1, 1) < 0:
             continue
-        p_x = sum((bad_pair_mask[y] & gmask).bit_count() for y in _bits(gmask)) // 2
+        ys = _bits(gmask)
+        p_x = sum((bad_pair_mask.get(y, 0) & gmask).bit_count() for y in ys) // 2
         if p_x and scale.cmp(C * p_x / Fraction(12 * (1 + C) * s), 1, 1) > 0:
             continue
-        t_x = sum(
-            1
-            for (a, b, c) in bad_triples
-            if (gmask >> a) & 1 and (gmask >> b) & 1 and (gmask >> c) & 1
-        )
+        t_x = 0
+        for i, a in enumerate(ys):
+            for b in ys[i + 1:]:
+                bad = bad_triples.get((a, b))
+                if bad:
+                    t_x += (bad & gmask).bit_count()
         if t_x and scale.cmp(C * t_x / Fraction(6 * s), 2, 2) > 0:
             continue
-        return x, _bits(gmask)
+        return x, ys
     raise NoQualifyingX(
         f"no x in X satisfies the core-set inequalities (C={cfg.C}, n={scale.n})"
     )
@@ -176,18 +196,30 @@ def select_core_set(
 def build_problem_graph(
     yprime: list[int],
     pair_stats: list[PairStats],
-    triple_stats: list[TripleStats],
+    bad_triples: dict[Pair, int],
 ) -> ProblemGraph:
-    """D(Y'): triples of Y' that are bad or contain a bad pair."""
-    yset = set(yprime)
-    bad_pairs = {ps.pair for ps in pair_stats if not ps.good}
-    bad = set()
-    for ts in triple_stats:
-        a, b, c = ts.triple
-        if a in yset and b in yset and c in yset:
-            if not ts.good or (a, b) in bad_pairs or (a, c) in bad_pairs or (b, c) in bad_pairs:
-                bad.add(ts.triple)
-    return ProblemGraph(ground_set=tuple(sorted(yset)), bad_triples=frozenset(bad))
+    """D(Y'): triples of Y' that are bad or contain a bad pair.
+
+    For each pair a < b of Y', the c > b that close a triple of D(Y') are
+    read off one mask: every c when {a, b} is a bad pair, and otherwise the
+    c of a bad triple (a, b, c) or of a bad pair {a, c} or {b, c}.
+    """
+    ground = sorted(set(yprime))
+    ymask = sum(1 << y for y in ground)
+    bad_pair_mask = _bad_pair_masks(pair_stats)
+    bad = []
+    for i, a in enumerate(ground):
+        ma = bad_pair_mask.get(a, 0)
+        for b in ground[i + 1:]:
+            above = ymask & (-1 << (b + 1))
+            if (ma >> b) & 1:
+                cs = above
+            else:
+                cs = above & (
+                    bad_triples.get((a, b), 0) | ma | bad_pair_mask.get(b, 0)
+                )
+            bad.extend((a, b, c) for c in _bits(cs))
+    return ProblemGraph(ground_set=tuple(ground), bad_triples=frozenset(bad))
 
 
 def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
@@ -337,7 +369,10 @@ def _admissible_placement(
     # bitmask of the images of u that make the cycle admissible with w on
     # xw.  disk_mask(xu, xw, ya, yb) is the AND of the column masks
     # disk_mask(x, x, ya, yb) of xu and xw, which are worked out once per
-    # Y-pair and X-vertex.
+    # Y-pair and X-vertex.  As in count_forbidden, the column sizes c settle
+    # most pairs without an AND: the AND has at most min(c_u, c_w) and at
+    # least c_u + c_w - n_Z bits.
+    cap = K + index.host.n_z
     columns: dict[tuple[int, int], dict[int, int]] = {}
     arcs: list[tuple[int, int, dict[int, int]]] = []
     for sc in aux.special_cycles:
@@ -346,15 +381,29 @@ def _admissible_placement(
         for x in _bits(dom[sc.u] | dom[sc.w]):
             if x not in col:
                 col[x] = index.disk_mask(x, x, ya, yb)
-        us = [(xu, col[xu]) for xu in _bits(dom[sc.u])]
+        # the images of u by column size; above[i] is the mask of us[i:]
+        us = sorted(
+            ((col[xu].bit_count(), xu, col[xu]) for xu in _bits(dom[sc.u])),
+            key=itemgetter(0),
+        )
+        sizes = [c for c, _, _ in us]
+        above = [0] * (len(us) + 1)
+        for i in range(len(us) - 1, -1, -1):
+            above[i] = above[i + 1] | 1 << us[i][1]
+        low = bisect_right(sizes, K)  # us[:low] are forbidden with every xw
         compat = {}
         for xw in _bits(dom[sc.w]):
             cw = col[xw]
-            m = 0
-            for xu, cu in us:
-                if xu != xw and (cw & cu).bit_count() > K:
+            c = cw.bit_count()
+            if c <= K:
+                compat[xw] = 0
+                continue
+            sure = bisect_right(sizes, cap - c, low)  # us[sure:] admissible
+            m = above[sure]
+            for _, xu, cu in us[low:sure]:
+                if (cw & cu).bit_count() > K:
                     m |= 1 << xu
-            compat[xw] = m
+            compat[xw] = m & ~(1 << xw)
         arcs.append((sc.w, sc.u, compat))
 
     def no_placement(why: str) -> RetriesExhausted:
@@ -551,11 +600,11 @@ def find_homeomorph(
     n = max(host.class_sizes)
     scale = EpsScale(n=n, q=choice.q)
 
-    pair_stats, triple_stats = classify_pairs_triples(
+    pair_stats, bad_triples = classify_pairs_triples(
         choice.link, index, cfg, K, scale, forbidden_by_pair=choice.forbidden_by_pair
     )
-    _, yprime = select_core_set(choice.link, pair_stats, triple_stats, cfg, scale)
-    problem = build_problem_graph(yprime, pair_stats, triple_stats)
+    _, yprime = select_core_set(choice.link, pair_stats, bad_triples, cfg, scale)
+    problem = build_problem_graph(yprime, pair_stats, bad_triples)
     core = find_complete_subgraph(problem, target.v)
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}
 

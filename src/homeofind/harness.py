@@ -87,14 +87,21 @@ class SweepSpec:
                 n_values=tuple(raw["n_values"]),
                 a=Fraction(str(raw["a"])),
                 b=Fraction(str(raw.get("b", "1/5"))),
-                trials=int(raw["trials"]),
-                seed=int(raw.get("seed", 0)),
+                trials=_json_int(raw["trials"], "trials"),
+                seed=_json_int(raw.get("seed", 0), "seed"),
                 cfg_overrides=cfg,
             )
         except KeyError as exc:
             raise FormatError(f"sweep spec lacks the key {exc}") from None
         except (TypeError, AttributeError) as exc:  # a value of the wrong JSON type
             raise FormatError(f"malformed sweep spec: {exc}") from None
+
+
+def _json_int(value, key: str) -> int:
+    """``value`` if it is a JSON integer (not a float, string or bool)."""
+    if type(value) is not int:
+        raise FormatError(f'sweep spec: "{key}" must be an integer, got {json.dumps(value)}')
+    return value
 
 
 @dataclass

@@ -3,8 +3,10 @@
 The hot path here is counting, for every 4-cycle of a link, the number of
 host vertices z whose link also contains it (its 4-disks).  ``HostIndex``
 precomputes, in one pass over the host's faces, the bitmask of z-vertices
-completing each (x, y) pair to a face and the edge list of every link; a
-cycle's disk count is then a popcount of an AND of four masks.
+completing each (x, y) pair to a face and, per z, the edges of its link as
+flat indices ``x * n_y + y``; a cycle's disk count is then a popcount of an
+AND of four masks.  The z-scan reads e(L_z) off the length of that list and
+builds a ``LinkGraph`` only for a z that passes the density condition.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it yields B_z (the number of forbidden cycles) and, in the same pass,
@@ -87,21 +89,26 @@ class LinkGraph:
 class HostIndex:
     """Precomputed lookup structures for one host, built in one pass.
 
-    The pass over the faces ORs each face's z-bit into a flat list indexed
-    ``x * n_y + y`` and appends (x, y) to the list of its z.  ``zbits`` then
-    maps every (x, y) with at least one face to its bitmask over Z, and
-    ``faces_by_z[z]`` lists the edges of the link of z.  Immutable once
-    built; shared by every stage of a pipeline run.
+    The pass over the faces ORs each face's z-bit (from a table of
+    ``1 << z``) into a flat list indexed ``x * n_y + y`` and appends that
+    flat index to the list of its z, so no object is made per face.
+    ``zbits`` then maps every (x, y) with at least one face to its bitmask
+    over Z, and ``faces_by_z[z]`` holds the flat indices ``x * n_y + y`` of
+    the edges of the link of z (so its length is e(L_z)); ``link(z)`` turns
+    them into (x, y) edges.  Immutable once built; shared by every stage of
+    a pipeline run.
     """
 
     def __init__(self, host: TripartiteHost):
         self.host = host
         n_y = host.n_y
+        zbit = [1 << z for z in range(host.n_z)]
         flat = [0] * (host.n_x * n_y)
-        faces_by_z: list[list[tuple[int, int]]] = [[] for _ in range(host.n_z)]
+        faces_by_z: list[list[int]] = [[] for _ in range(host.n_z)]
         for x, y, z in host.faces:
-            flat[x * n_y + y] |= 1 << z
-            faces_by_z[z].append((x, y))
+            i = x * n_y + y
+            flat[i] |= zbit[z]
+            faces_by_z[z].append(i)
         self.faces_by_z = faces_by_z
         self.zbits: dict[tuple[int, int], int] = {
             divmod(i, n_y): m for i, m in enumerate(flat) if m
@@ -110,11 +117,12 @@ class HostIndex:
     def link(self, z: int) -> LinkGraph:
         if not 0 <= z < self.host.n_z:
             raise IndexError(f"z = {z} out of range")
+        n_y = self.host.n_y
         return LinkGraph(
             z=z,
             n_x=self.host.n_x,
-            n_y=self.host.n_y,
-            edges=frozenset(self.faces_by_z[z]),
+            n_y=n_y,
+            edges=frozenset(divmod(i, n_y) for i in self.faces_by_z[z]),
         )
 
     def disk_count(self, c: FourCycle) -> int:
@@ -269,7 +277,9 @@ def pick_link_vertex(
 
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
-    B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.
+    B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  The first
+    is checked on the index's edge count, so the link graph is built only
+    for a z that passes it.
     """
     if host.e == 0:
         raise NoQualifyingVertex("empty host")
@@ -278,14 +288,14 @@ def pick_link_vertex(
     C = cfg.C
     best_diag = []
     for z in range(host.n_z):
-        link = index.link(z)
-        e_l = link.e
+        e_l = len(index.faces_by_z[z])  # faces are a set, so this is e(L_z)
         if e_l == 0:
             continue
         # (1): e(L_z) >= (C/2) n**(2 - delta)
         if cmp_pow(Fraction(2 * e_l) / C, n, 2 - cfg.delta) < 0:
             best_diag.append((z, e_l, None))
             continue
+        link = index.link(z)
         b_z, by_pair = count_forbidden(link, K, index)
         # (2): B_z <= (2K/C) n**(1 + delta) e(L_z)
         if b_z > 0 and cmp_pow(Fraction(b_z) * C / (2 * K * e_l), n, 1 + cfg.delta) > 0:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from homeofind.embed import (
     Embedding,
     PairStats,
     ProblemGraph,
-    TripleStats,
     assert_valid_embedding,
     assign_centers,
     build_problem_graph,
@@ -29,7 +29,8 @@ from homeofind.errors import (
     RetriesExhausted,
 )
 from homeofind.exact import EpsScale
-from homeofind.io import load_target
+from homeofind.harness import gen_random_host
+from homeofind.io import load_target, write_certificate
 from homeofind.links import FourCycle, HostIndex, LinkGraph, count_disks
 from homeofind.verify import verify_certificate
 
@@ -54,7 +55,7 @@ class TestClassifyPairsTriples:
         cfg = Config(C=1)
         K = 2
         scale = EpsScale(n=n, eps=Fraction(1, 5))
-        pairs, triples = classify_pairs_triples(link, index, cfg, K, scale)
+        pairs, bad_triples = classify_pairs_triples(link, index, cfg, K, scale)
 
         edges = set(link.edges)
         for ps in pairs:
@@ -73,15 +74,22 @@ class TestClassifyPairsTriples:
             good = len(gamma) ** 5 >= n ** 3 and forb ** 5 <= K ** 5 * n ** 2 * len(gamma) ** 5
             assert ps.good == good
 
-        for ts in triples:
-            y1, y2, y3 = ts.triple
+        # bad_triples[(y1, y2)] has bit y3 exactly for the bad (y1, y2, y3),
+        # y1 < y2 < y3, and holds no other bit and no empty mask
+        assert all(bad for bad in bad_triples.values())
+        assert sum(bad.bit_count() for bad in bad_triples.values()) == sum(
+            1 for y1, y2, y3 in itertools.combinations(range(n), 3)
+            if (bad_triples.get((y1, y2), 0) >> y3) & 1
+        )
+        for y1, y2, y3 in itertools.combinations(range(n), 3):
             deg = sum(
                 1
                 for x in range(n)
                 if (x, y1) in edges and (x, y2) in edges and (x, y3) in edges
             )
-            assert ts.common_degree == deg
-            assert ts.good == (deg ** 5 >= n ** 2)
+            # deg >= n^(2/5)  <=>  deg^5 >= n^2
+            bit = (bad_triples.get((y1, y2), 0) >> y3) & 1
+            assert bit == (deg ** 5 < n ** 2), (y1, y2, y3)
 
     def test_all_forbidden_makes_pairs_bad(self):
         # with K >= n every cycle is forbidden, and a huge C makes the
@@ -108,11 +116,32 @@ class TestClassifyPairsTriples:
         at, _ = classify_pairs_triples(link, index, Config(C=Fraction(64, 7)), 8, scale)
         assert {(ps.common_degree, ps.forbidden_through) for ps in at} == {(8, 28)}
         assert all(ps.good for ps in at)
-        over, triples = classify_pairs_triples(
+        over, bad_triples = classify_pairs_triples(
             link, index, Config(C=Fraction(64, 7) + Fraction(1, 10 ** 6)), 8, scale
         )
         assert not any(ps.good for ps in over)
-        assert all(ts.good for ts in triples)  # degree 8 >= 4
+        assert bad_triples == {}  # every triple has degree 8 >= 4
+
+    def test_triple_cutoff_at_pair_degree_boundary(self):
+        # n = 32, q = 1/2: n**(1-3eps) = 4.  Pair (0, 1) has |Gamma| = 3, one below the cutoff,
+        # so every triple through it is bad, whatever y3's neighbours.  Pair
+        # (0, 2) has |Gamma| = 4, exactly the cutoff: (0, 2, 3) keeps all four
+        # common neighbours and is good, (0, 2, 4) keeps three and is bad.
+        nbrs = {0: range(8), 1: range(3), 2: range(4), 3: range(8), 4: range(3)}
+        faces = frozenset((x, y, 0) for y, xs in nbrs.items() for x in xs)
+        index = HostIndex(TripartiteHost((8, 5, 1), faces))
+        link = index.link(0)
+        pairs, bad_triples = classify_pairs_triples(
+            link, index, Config(C=1), K=1, scale=EpsScale(n=32, q=Fraction(1, 2))
+        )
+        degree = {ps.pair: ps.common_degree for ps in pairs}
+        assert degree[(0, 1)] == 3 and degree[(0, 2)] == 4
+        assert bad_triples[(0, 1)] == 1 << 2 | 1 << 3 | 1 << 4
+        assert bad_triples[(0, 2)] == 1 << 4
+        # brute force over all ten triples
+        for tr in itertools.combinations(range(5), 3):
+            deg = len(set.intersection(*(set(nbrs[y]) for y in tr)))
+            assert (bad_triples.get(tr[:2], 0) >> tr[2]) & 1 == (deg < 4), tr
 
     def test_empty_common_neighbourhood_is_bad(self):
         link = LinkGraph(z=0, n_x=3, n_y=2, edges=frozenset({(0, 0), (1, 1)}))
@@ -133,8 +162,8 @@ class TestSelectCoreSet:
         link = index.link(0)
         cfg = Config(C=1)
         scale = EpsScale(n=8, q=Fraction(1))
-        pairs, triples = classify_pairs_triples(link, index, cfg, K=3, scale=scale)
-        x, yprime = select_core_set(link, pairs, triples, cfg, scale)
+        pairs, bad_triples = classify_pairs_triples(link, index, cfg, K=3, scale=scale)
+        x, yprime = select_core_set(link, pairs, bad_triples, cfg, scale)
         assert x == 0
         assert yprime == list(range(8))
 
@@ -142,7 +171,7 @@ class TestSelectCoreSet:
         link = LinkGraph(z=0, n_x=4, n_y=4, edges=frozenset())
         scale = EpsScale(n=4, eps=Fraction(1, 5))
         with pytest.raises(NoQualifyingX):
-            select_core_set(link, [], [], Config(C=1), scale)
+            select_core_set(link, [], {}, Config(C=1), scale)
 
     def test_scan_inequalities_hold_for_winner(self):
         rng = random.Random(31)
@@ -152,8 +181,8 @@ class TestSelectCoreSet:
         link = index.link(0)
         cfg = Config(C=2)
         scale = EpsScale(n=n, eps=Fraction(1, 5))
-        pairs, triples = classify_pairs_triples(link, index, cfg, K=2, scale=scale)
-        x, yprime = select_core_set(link, pairs, triples, cfg, scale)
+        pairs, bad_triples = classify_pairs_triples(link, index, cfg, K=2, scale=scale)
+        x, yprime = select_core_set(link, pairs, bad_triples, cfg, scale)
 
         # recompute everything independently
         edges = set(link.edges)
@@ -161,16 +190,35 @@ class TestSelectCoreSet:
         assert sorted(yprime) == gamma
         s = len(gamma)
         bad_pairs = {ps.pair for ps in pairs if not ps.good}
-        bad_triples = {ts.triple for ts in triples if not ts.good}
+
+        def triple_bad(tr):
+            # common degree below n^(2/5), i.e. deg^5 < n^2
+            deg = sum(1 for x2 in range(n) if all((x2, y) in edges for y in tr))
+            return deg ** 5 < n ** 2
+
         p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
-        t_x = sum(1 for tr in itertools.combinations(gamma, 3) if tr in bad_triples)
+        t_x = sum(1 for tr in itertools.combinations(gamma, 3) if triple_bad(tr))
+        assert t_x > 0  # the T_x inequality is exercised
         C = cfg.C
-        # (A) (4s/C)^5 >= n^4, (B/C) cross-multiplied to integer comparisons
-        assert (Fraction(4 * s) / C) ** 5 >= n ** 4
-        if p_x:
-            assert (C * p_x) ** 5 <= (12 * (1 + C) * s) ** 5 * n ** 4
-        if t_x:
-            assert (C * t_x) ** 5 <= (6 * s) ** 5 * n ** 8
+
+        def passes(s, p_x, t_x):
+            # (A) (4s/C)^5 >= n^4, (B/C) cross-multiplied to integer comparisons
+            return (
+                s > 0
+                and (Fraction(4 * s) / C) ** 5 >= n ** 4
+                and (C * p_x) ** 5 <= (12 * (1 + C) * s) ** 5 * n ** 4
+                and (C * t_x) ** 5 <= (6 * s) ** 5 * n ** 8
+            )
+
+        assert passes(s, p_x, t_x)
+        # and every x scanned before the winner fails one of the inequalities
+        for x2 in range(x):
+            g2 = [y for y in range(n) if (x2, y) in edges]
+            assert not passes(
+                len(g2),
+                sum(1 for pr in itertools.combinations(g2, 2) if pr in bad_pairs),
+                sum(1 for tr in itertools.combinations(g2, 3) if triple_bad(tr)),
+            ), x2
         # guaranteed density of bad pairs/triples, with the weaker 600/C gate
         if s >= 2:
             assert Fraction(p_x) <= Fraction(400, 1) / C * (s * (s - 1) // 2)
@@ -178,12 +226,71 @@ class TestSelectCoreSet:
             assert Fraction(t_x) <= Fraction(600, 1) / C * (s * (s - 1) * (s - 2) // 6)
 
 
+    def test_first_x_by_brute_force(self):
+        # Random links with random bad pairs and triples, on a scale where
+        # the T_x inequality decides: q = 1/3, C = 8 and n = 12 give
+        # (A) 4s/C >= nq, i.e. s >= 8, and (C) C T_x/(6s) <= (nq)**2, i.e.
+        # T_x <= 12 s, which fails once most triples of an 11- or 12-set are
+        # bad.  The winner must be the first x passing (A), (B) and (C) with
+        # P_x and T_x counted over itertools' pairs and triples of Gamma(x).
+        n, C, q = 12, 8, Fraction(1, 3)
+        cfg, scale = Config(C=C), EpsScale(n=n, q=q)
+        decided_by_tx = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            link = LinkGraph(
+                z=0, n_x=6, n_y=n,
+                edges=frozenset(
+                    (x, y) for x in range(6) for y in range(n) if rng.random() < 0.92
+                ),
+            )
+            pairs = [
+                PairStats(pr, 1, 0, rng.random() > 0.1)
+                for pr in itertools.combinations(range(n), 2)
+            ]
+            density = rng.uniform(0.4, 0.9)
+            bad_triples = {
+                tr for tr in itertools.combinations(range(n), 3) if rng.random() < density
+            }
+            bad_pairs = {ps.pair for ps in pairs if not ps.good}
+            want = None
+            for x in range(6):
+                gamma = [y for y in range(n) if (x, y) in link.edges]
+                s = len(gamma)
+                p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
+                t_x = sum(1 for tr in itertools.combinations(gamma, 3) if tr in bad_triples)
+                a_and_b = (
+                    s > 0
+                    and Fraction(4 * s, C) >= n * q
+                    and Fraction(C * p_x, 12 * (1 + C) * s) <= n * q
+                )
+                if a_and_b and Fraction(C * t_x, 6 * s) <= (n * q) ** 2:
+                    want = (x, gamma)
+                    break
+                decided_by_tx += a_and_b
+            if want is None:
+                with pytest.raises(NoQualifyingX):
+                    select_core_set(link, pairs, _triple_masks(bad_triples), cfg, scale)
+            else:
+                got = select_core_set(link, pairs, _triple_masks(bad_triples), cfg, scale)
+                assert got == want, seed
+        assert decided_by_tx > 0
+
+
+def _triple_masks(triples):
+    """classify_pairs_triples' form of a set of bad triples (a < b < c)."""
+    masks = {}
+    for a, b, c in triples:
+        masks[(a, b)] = masks.get((a, b), 0) | 1 << c
+    return masks
+
+
 class TestProblemGraph:
     def test_no_bad_gives_empty(self):
         pairs = [PairStats((0, 1), 5, 0, True)]
-        triples = [TripleStats((0, 1, 2), 3, True)]
-        pg = build_problem_graph([0, 1, 2], pairs, triples)
+        pg = build_problem_graph([0, 1, 2], pairs, {})
         assert pg.bad_triples == frozenset()
+        assert pg.ground_set == (0, 1, 2)
 
     def test_bad_pair_spreads_to_triples(self):
         s = 6
@@ -192,31 +299,35 @@ class TestProblemGraph:
             PairStats(pr, 5, 0, pr != (0, 1))
             for pr in itertools.combinations(yprime, 2)
         ]
-        triples = [
-            TripleStats(tr, 3, True) for tr in itertools.combinations(yprime, 3)
-        ]
-        pg = build_problem_graph(yprime, pairs, triples)
+        pg = build_problem_graph(yprime, pairs, {})
         assert len(pg.bad_triples) == s - 2
         assert all(0 in tr and 1 in tr for tr in pg.bad_triples)
 
     def test_matches_brute_force(self):
-        rng = random.Random(17)
-        yprime = list(range(8))
-        pairs = [
-            PairStats(pr, 1, 0, rng.random() > 0.3)
-            for pr in itertools.combinations(yprime, 2)
-        ]
-        triples = [
-            TripleStats(tr, 1, rng.random() > 0.2)
-            for tr in itertools.combinations(yprime, 3)
-        ]
-        pg = build_problem_graph(yprime, pairs, triples)
-        bad_pairs = {ps.pair for ps in pairs if not ps.good}
-        for tr in itertools.combinations(yprime, 3):
-            expect = any(not ts.good for ts in triples if ts.triple == tr) or any(
-                pr in bad_pairs for pr in itertools.combinations(tr, 2)
-            )
-            assert (tr in pg.bad_triples) == expect
+        # D(Y') against its set-based definition, on random bad pairs and
+        # triples of range(n) and a random core set Y' inside it
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(3, 12)
+            yprime = sorted(rng.sample(range(n), rng.randint(0, n)))
+            rng.shuffle(yprime)
+            pairs = [
+                PairStats(pr, 1, 0, rng.random() > 0.3)
+                for pr in itertools.combinations(range(n), 2)
+            ]
+            bad_triples = {
+                tr for tr in itertools.combinations(range(n), 3) if rng.random() < 0.2
+            }
+            pg = build_problem_graph(yprime, pairs, _triple_masks(bad_triples))
+            assert pg.ground_set == tuple(sorted(yprime))
+            bad_pairs = {ps.pair for ps in pairs if not ps.good}
+            expect = {
+                tr
+                for tr in itertools.combinations(sorted(yprime), 3)
+                if tr in bad_triples
+                or any(pr in bad_pairs for pr in itertools.combinations(tr, 2))
+            }
+            assert pg.bad_triples == expect, seed
 
 
 class TestFindCompleteSubgraph:
@@ -485,6 +596,26 @@ class TestFindHomeomorph:
             find_homeomorph(host, target, Config(C=1, k_threshold=K))
         assert info.value.stage == "capacity"
         assert reason in str(info.value)
+
+    @pytest.mark.parametrize("host_args, target, digest", [
+        ((30, 30, 30, 0.8, 1), TRIANGLE,
+         "a299cb0e47624cabc02e71ba3ebfaea50017de44b6cef0ff7c5e9ed7f593d482"),
+        ((30, 30, 30, 0.8, 1), K4,
+         "61172c6f85284084e985412a81eaac35af8b68ba4d4a7a733d03ef1ad449ad24"),
+        ((40, 40, 40, 0.7, 2), TRIANGLE,
+         "bf796ccae9896d478a6fc8c48095677508faab4ec7844d2512a4548cb8333606"),
+        ((40, 40, 40, 0.7, 2), K4,
+         "6165a4d16853d32660fed518744e605853ee74c23024c3bcc79e4cb1797793fe"),
+    ])
+    def test_certificate_pinned(self, host_args, target, digest):
+        # A change that only makes the search faster must leave every
+        # certificate byte-identical.  C = 2, as desk_scale's C = 1 realizes
+        # eps = 0 on these hosts and finds nothing below p = 0.95; both hosts
+        # have a non-empty D(Y') (1424 and 1309 triples).
+        host = gen_random_host(*host_args)
+        cert = find_homeomorph(host, target, Config.desk_scale(target, C=2))
+        text = write_certificate(cert)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_k_floor_enforced(self, complete30):
         with pytest.raises(ValueError):

@@ -242,6 +242,16 @@ class TestCli:
          '"n_values" must be a list'),
         ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
           "cfg": {"foo": 1}}, "unknown sweep cfg key(s) ['foo']"),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 2.7},
+         '"trials" must be an integer, got 2.7'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 2,
+          "seed": 1.9}, '"seed" must be an integer, got 1.9'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": "3"},
+         '"trials" must be an integer, got "3"'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": True},
+         '"trials" must be an integer, got true'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 2,
+          "seed": "1"}, '"seed" must be an integer, got "1"'),
     ])
     def test_malformed_sweep_spec_exit_2(self, tmp_path, capsys, spec, message):
         specp = tmp_path / "sweep.json"

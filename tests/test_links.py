@@ -239,6 +239,23 @@ class TestPickLinkVertex:
         assert b == brute_b
         assert (Fraction(b) * cfg.C) ** 5 <= (2 * K) ** 5 * n ** 6 * e_l ** 5
 
+    def test_density_condition_at_exact_boundary(self):
+        # n = 4, C = 2, delta = 1/2: condition (1) is e(L_z) >= 4**(3/2) = 8.
+        # L_0 has 7 edges and L_1 exactly 8, so z = 1 is chosen, and the
+        # scan builds a link graph for it alone.
+        cells = list(itertools.product(range(4), range(4)))
+        faces = frozenset(
+            [(x, y, 0) for x, y in cells[:7]] + [(x, y, 1) for x, y in cells[:8]]
+        )
+        host = TripartiteHost((4, 4, 2), faces)
+        index = HostIndex(host)
+        built = []
+        link = index.link
+        index.link = lambda z: built.append(z) or link(z)
+        choice = pick_link_vertex(host, Config(C=2, delta=Fraction(1, 2)), K=3, index=index)
+        assert (choice.z, choice.link.e) == (1, 8)
+        assert built == [1]
+
     def test_earlier_z_really_fail(self):
         # the scan must return the first qualifying z in index order
         rng = random.Random(2)
