@@ -555,16 +555,19 @@ def _assemble_certificate(
     return HomeomorphCertificate(target=target, host_faces=tuple(faces), embedding=emb)
 
 
-def _check_capacity(host: TripartiteHost, target: ThreeGraph, aux: AuxGraph, K: int) -> None:
-    """Reject a host too small for the glued subdivision, before any search.
+def _aux_graph_within_capacity(host: TripartiteHost, target: ThreeGraph, K: int) -> AuxGraph:
+    """The target's auxiliary graph, or CapacityExceeded for a host too
+    small for the glued subdivision, before any search.
 
-    The original vertices need v(H) distinct images in Y and the added ones
+    The original vertices need v(H) distinct images in Y, checked before the
+    auxiliary graph (whose V1 has v(H) entries) is built, and the added ones
     |V2| in X.  A 4-cycle bounds at most n_z disks, so none is admissible
     unless K < n_z; as K >= 3 e(H), this also leaves 3 e(H) distinct centers
     besides the link vertex.
     """
     if target.v > host.n_y:
         raise CapacityExceeded(f"v(H) = {target.v} exceeds n_y = {host.n_y}")
+    aux = build_aux_graph(target)
     if len(aux.v2) > host.n_x:
         raise CapacityExceeded(
             f"|V2| = {len(aux.v2)} added vertices exceed n_x = {host.n_x}"
@@ -573,6 +576,7 @@ def _check_capacity(host: TripartiteHost, target: ThreeGraph, aux: AuxGraph, K: 
         raise CapacityExceeded(
             f"K = {K} is not below n_z = {host.n_z}, so no 4-cycle is admissible"
         )
+    return aux
 
 
 def find_homeomorph(
@@ -592,8 +596,7 @@ def find_homeomorph(
         raise ValueError(
             f"k_threshold = {K} below the gluing floor 3*e(H) = {3 * target.e}"
         )
-    aux = build_aux_graph(target)
-    _check_capacity(host, target, aux, K)
+    aux = _aux_graph_within_capacity(host, target, K)
     index = HostIndex(host)
 
     choice = pick_link_vertex(host, cfg, K, index)

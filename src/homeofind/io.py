@@ -6,6 +6,11 @@ are comments; blank lines are skipped and tokens may be separated by any
 run of whitespace.  Faces are sets, so a repeated ``f`` line is accepted
 and counted once.  Every malformed input, a non-integer token included,
 raises ``FormatError`` naming the line where one applies.
+
+Nothing is allocated in proportion to a header's count: a host file's
+faces are checked against its ``tph`` sizes one by one, and a
+certificate's ``tg`` count is bounded by the lines that can place its
+vertices before anything is built from it.
 """
 
 from __future__ import annotations
@@ -75,15 +80,32 @@ def write_threegraph(h: ThreeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _TokenInts(dict):
+    """Token text -> ``int(text)``, converted the first time it is looked up."""
+
+    def __missing__(self, tok: str) -> int:
+        val = self[tok] = int(tok)
+        return val
+
+
 def parse_host(text: str) -> TripartiteHost:
+    """Parse a ``.tph`` host.
+
+    A host repeats a few distinct tokens on many face lines, so each
+    distinct token text is converted once, through a memo that grows only
+    with the tokens read (not with the ``tph`` sizes); every coordinate is
+    still ``int(token)``, so spellings, errors and line numbers are those of
+    a plain per-token ``int()``.
+    """
     sizes = None
     faces = []
     append = faces.append
+    num = _TokenInts()
     try:
         for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
             # the well-formed face line comes first: it is nearly every line
             if len(tok) == 4 and tok[0] == "f" and sizes is not None:
-                append((int(tok[1]), int(tok[2]), int(tok[3])))
+                append((num[tok[1]], num[tok[2]], num[tok[3]]))
             elif not tok or tok[0].startswith("#"):
                 continue
             elif tok[0] == "tph":
@@ -189,6 +211,8 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
                 if tok[1:] != ["v1"]:
                     raise FormatError(f"line {lineno}: unsupported certificate version")
             elif tok[0] in ("tg", "f"):
+                if tok[0] == "tg":
+                    tg_lineno = lineno
                 header = _target_line(lineno, tok, header, tg_faces)
             elif tok[0] == "v1":
                 if len(tok) != 3:
@@ -202,7 +226,9 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
             elif tok[0] == "hf":
                 if current is None:
                     raise FormatError(f"line {lineno}: hf before any disk line")
-                current["faces"].append(tuple(int(t) for t in tok[1:]))
+                if len(tok) != 4:
+                    raise FormatError(f"line {lineno}: expected 'hf x y z'")
+                current["faces"].append((int(tok[1]), int(tok[2]), int(tok[3])))
             else:
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
     except FormatError:
@@ -210,6 +236,14 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
     except ValueError as exc:  # a token that is not an integer
         raise FormatError(f"line {lineno}: {exc}") from exc
 
+    # every target vertex is in a face or on a v1 line, so this bounds what
+    # build_aux_graph allocates by the size of the text
+    placeable = 3 * len(tg_faces) + len(v1_lines)
+    if header is not None and header > placeable:
+        raise FormatError(
+            f"line {tg_lineno}: tg {header} names more vertices than its "
+            f"{len(tg_faces)} face lines and {len(v1_lines)} v1 lines can place"
+        )
     target = _target(header, tg_faces)
     aux = build_aux_graph(target)
     if len(disk_blocks) != len(aux.special_cycles):
@@ -233,7 +267,7 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         if not 0 <= ci < len(aux.special_cycles) or ci in seen:
             raise FormatError(f"bad or duplicate cycle index {ci}")
         seen.add(ci)
-        if len(block["faces"]) != 4 or any(len(f) != 3 for f in block["faces"]):
+        if len(block["faces"]) != 4:
             raise FormatError(f"disk {ci} must carry exactly four 'hf x y z' faces")
         sc = aux.special_cycles[ci]
         put(v1_map, sc.a, a, "v1 image")

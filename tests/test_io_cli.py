@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,18 @@ class TestHostFormat:
         with pytest.raises(FormatError, match=r"^line 2: .*'x'"):
             parse_host("# host\ntph 2 x 2\n")
 
+    def test_huge_header_allocates_nothing_in_proportion(self):
+        # faces are checked against the sizes one by one; no table is sized
+        # from the header
+        tracemalloc.start()
+        try:
+            host = parse_host(f"tph {10**12} {10**12} {10**12}\nf 0 0 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert host == TripartiteHost((10**12,) * 3, frozenset({(0, 0, 0)}))
+        assert peak < 1 << 20
+
 
 class TestCertificateFormat:
     def test_round_trip(self):
@@ -121,6 +134,7 @@ class TestCertificateFormat:
         assert verify_certificate(back, host).passed
 
     def test_isolated_vertex_survives(self):
+        # tg 4 with one face: the v1 line keeps the count within its bound
         lonely = ThreeGraph(4, frozenset({(0, 1, 2)}))
         host = complete_host(10)
         cert = find_homeomorph(host, lonely, Config(C=1, k_threshold=3, rng_seed=2))
@@ -153,6 +167,28 @@ class TestCertificateFormat:
     def test_target_block_errors_name_certificate_line(self, text, message):
         with pytest.raises(FormatError, match=message):
             parse_certificate(text)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("cert v1\ntg 3\nf 0 1 2\ndisk 0 0 3 1 4 5\nhf 1 2\n", 5),
+        ("cert v1\ntg 3\nf 0 1 2\ndisk 0 0 3 1 4 5\nhf 0 0 0\n# c\nhf 1 2 3 4\n", 7),
+    ])
+    def test_malformed_hf_line_names_its_line(self, text, lineno):
+        with pytest.raises(FormatError) as info:
+            parse_certificate(text)
+        assert str(info.value) == f"line {lineno}: expected 'hf x y z'"
+
+    @pytest.mark.parametrize("count", [4_000_000, 10**9])
+    def test_oversized_tg_count_rejected_before_building(self, monkeypatch, count):
+        def never(target):
+            raise AssertionError("build_aux_graph called on an unbounded target")
+
+        monkeypatch.setattr("homeofind.io.build_aux_graph", never)
+        with pytest.raises(FormatError) as info:
+            parse_certificate(f"cert v1\n# c\ntg {count}\nf 0 1 2\nv1 3 7\n")
+        assert str(info.value) == (
+            f"line 3: tg {count} names more vertices than its "
+            "1 face lines and 1 v1 lines can place"
+        )
 
 
 class TestCli:
@@ -201,6 +237,23 @@ class TestCli:
         ])
         assert rc == 1
         assert "stage=capacity" in capsys.readouterr().err
+
+    def test_huge_target_stops_at_capacity(self, tmp_path, capsys, monkeypatch):
+        # v(H) <= n_y is checked before the auxiliary graph (with its
+        # v(H)-long V1) is built
+        def never(target):
+            raise AssertionError("build_aux_graph called on a target that cannot fit")
+
+        monkeypatch.setattr("homeofind.embed.build_aux_graph", never)
+        hostp = self._write_host(tmp_path, complete_host(5))
+        targetp = tmp_path / "huge.tg"
+        targetp.write_text(f"tg {10**9}\nf 0 1 2\n")
+        rc = main([
+            "find", "--target", str(targetp), "--host", hostp,
+            "--C", "1", "--k", "3", "--out", str(tmp_path / "x.cert"),
+        ])
+        assert rc == 1
+        assert f"stage=capacity: v(H) = {10**9} exceeds n_y = 5" in capsys.readouterr().err
 
     def test_usage_errors_exit_2(self, tmp_path):
         assert main(["find", "--target", "builtin:nope", "--host", "missing.tph",
