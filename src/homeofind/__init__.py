@@ -22,7 +22,7 @@ from .embed import (
 from .errors import PipelineError
 from .harness import SweepSpec, gen_random_host, run_sweep
 from .io import load_certificate, load_host, load_target, write_certificate
-from .links import FourCycle, LinkGraph, classify_cycles, count_disks, link_graph, pick_link_vertex
+from .links import FourCycle, LinkGraph, classify_cycles, count_disks, pick_link_vertex
 from .verify import (
     canonical_glued_subdivision,
     clique_oracle,
@@ -57,7 +57,6 @@ __all__ = [
     "find_homeomorph",
     "forbidden_expectation_oracle",
     "gen_random_host",
-    "link_graph",
     "load_certificate",
     "load_host",
     "load_target",

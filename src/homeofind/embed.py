@@ -39,7 +39,7 @@ from .errors import (
     RetriesExhausted,
 )
 from .exact import EpsScale
-from .links import HostIndex, LinkGraph, _bits, count_forbidden, pick_link_vertex
+from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
 from .seeding import derive_seed
 
 
@@ -75,11 +75,10 @@ class HomeomorphCertificate:
 
 def classify_pairs_triples(
     link: LinkGraph,
-    index: HostIndex,
     cfg: Config,
     K: int,
     scale: EpsScale,
-    forbidden_by_pair: dict[Pair, int] | None = None,
+    forbidden_by_pair: dict[Pair, int],
 ) -> tuple[list[PairStats], dict[Pair, int]]:
     """Good/bad statistics for every pair of Y, and the bad triples of Y.
 
@@ -94,13 +93,11 @@ def classify_pairs_triples(
     When |Gamma(y1, y2)| is itself below the triple cutoff, every y3 is bad
     and no triple of that pair is looked at.
 
-    The per-pair forbidden counts are those of ``count_forbidden`` (passed in
-    as ``forbidden_by_pair`` when the caller already has them), so no cycle
-    is walked here.  Each threshold is an exact integer cutoff, worked out
-    once per call (per distinct common degree for the forbidden count).
+    ``forbidden_by_pair`` holds the per-pair forbidden counts of the link's
+    ``count_forbidden`` pass (as carried by ``LinkChoice``), so no cycle is
+    walked here.  Each threshold is an exact integer cutoff, worked out once
+    per call (per distinct common degree for the forbidden count).
     """
-    if forbidden_by_pair is None:
-        _, forbidden_by_pair = count_forbidden(link, K, index)
     n_y = link.n_y
     ymasks = link.y_masks
     bits = [1 << y for y in range(n_y)]
@@ -266,29 +263,27 @@ def embed_v2(
     cfg: Config,
     rng: random.Random,
     *,
-    index: HostIndex | None = None,
-    K: int | None = None,
+    index: HostIndex,
+    K: int,
 ) -> dict[int, int]:
     """Injective placement of V2 into X by exact search, seeded by ``rng``.
 
     Each V2 vertex may go to the common link-neighbourhood of the images of
     its V1 neighbours; ``rng`` shuffles the order in which its candidates are
-    tried.  Without ``index`` and ``K`` only injectivity is enforced, by one
-    bipartite matching (augmenting paths).  With them, the image of every
-    special cycle must also be admissible: a constraint between the images
-    of its pair-vertex u and face-vertex w, decided as
-    ``index.disk_mask(...).bit_count() > K``.  Candidates with no compatible
-    partner are pruned (arc consistency), the face-vertices are placed depth
-    first, and at each leaf the pair-vertices are matched into the unused
-    X-vertices.
+    tried.  The placement must be injective and make the image of every
+    special cycle admissible: a constraint between the images of its
+    pair-vertex u and face-vertex w, decided as
+    ``index.disk_mask(...).bit_count() > K``.  One bipartite matching
+    (augmenting paths) first checks Hall's condition on the candidates.
+    Then candidates with no compatible partner are pruned (arc consistency),
+    the face-vertices are placed depth first, and at each leaf the
+    pair-vertices are matched into the unused X-vertices.
 
     Raises EmptyCandidateSet when a V2 vertex has no candidate at all, and
     RetriesExhausted when no injective placement exists (Hall's condition
     fails), when no admissible one exists (the search was exhaustive), or
     when the search spends its budget of ``cfg.retry_limit ** 2`` nodes.
     """
-    if (index is None) != (K is None):
-        raise ValueError("index and K must be given together")
     ymasks = link.y_masks
     domain: dict[int, int] = {}  # V2 vertex -> bitmask of its candidates in X
     order: dict[int, list[int]] = {}  # V2 vertex -> its candidates, shuffled
@@ -305,16 +300,15 @@ def embed_v2(
         order[u] = _bits(mask)
         rng.shuffle(order[u])
 
-    placed, short = _match(aux.v2, order, domain)
-    if placed is None:
+    _, short = _match(aux.v2, order, domain)
+    if short:
         raise RetriesExhausted(
             f"no injective placement: the candidates of {len(short)} V2 "
             f"vertices cover only {len(short) - 1} X-vertices (Hall)"
         )
-    if index is not None:
-        placed = _admissible_placement(
-            aux, v1_map, index, K, order, domain, cfg.retry_limit ** 2
-        )
+    placed = _admissible_placement(
+        aux, v1_map, index, K, order, domain, cfg.retry_limit ** 2
+    )
     return {u: placed[u] for u in aux.v2}
 
 
@@ -604,7 +598,7 @@ def find_homeomorph(
     scale = EpsScale(n=n, q=choice.q)
 
     pair_stats, bad_triples = classify_pairs_triples(
-        choice.link, index, cfg, K, scale, forbidden_by_pair=choice.forbidden_by_pair
+        choice.link, cfg, K, scale, choice.forbidden_by_pair
     )
     _, yprime = select_core_set(choice.link, pair_stats, bad_triples, cfg, scale)
     problem = build_problem_graph(yprime, pair_stats, bad_triples)

@@ -4,10 +4,15 @@ All density thresholds in this package have the shape  const * n**(a - b*eps)
 with rational constants.  Comparing integers against such thresholds with
 floats would introduce a tolerance exactly where the accept/reject rules are
 tight, so every comparison is done in exact rational arithmetic.
+
+``cmp_pow`` compares against n**expo for a rational exponent (the z-scan's
+delta).  ``EpsScale`` evaluates the thresholds in eps, which the pipeline
+realizes from the chosen link as the rational q = n**(-eps).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -40,29 +45,31 @@ def cmp_pow(value: Rat, n: int, expo: Fraction) -> int:
 class EpsScale:
     """Threshold evaluator for quantities of the form n**(a - b*eps).
 
-    The exponent ``eps`` is carried in one of two exact forms: as a rational
-    exponent itself, or as the rational value ``q = n**(-eps)`` (this is how
-    the pipeline realizes eps from a concrete link density, where the
-    exponent would be irrational but q is a ratio of integers).
+    The exponent is carried as the rational value ``q = n**(-eps)``: the
+    pipeline realizes eps from a concrete link density, where the exponent
+    would be irrational but q is a ratio of integers.  Every threshold
+    n**(a - b*eps) = n**a * q**b is then an exact rational.
     """
 
     n: int
-    q: Fraction | None = None
-    eps: Fraction | None = None
+    q: Fraction
 
     def __post_init__(self):
-        if (self.q is None) == (self.eps is None):
-            raise ValueError("exactly one of q, eps must be given")
-        if self.q is not None and not 0 < self.q <= 1:
+        if not 0 < self.q <= 1:
             raise ValueError("q = n**(-eps) must lie in (0, 1]")
+
+    def _scaled(self, c: Rat, a: int, b: int) -> Fraction:
+        """``c * n**(a - b*eps)``, exact; c >= 0."""
+        c = Fraction(c)
+        if c < 0:
+            raise ValueError("cutoffs need c >= 0")
+        return c * Fraction(self.n) ** a * self.q ** b
 
     def cmp(self, value: Rat, a: int, b: int) -> int:
         """Sign of ``value - n**(a - b*eps)``, exact."""
-        if self.q is not None:
-            rhs = Fraction(self.n) ** a * self.q ** b
-            value = Fraction(value)
-            return (value > rhs) - (value < rhs)
-        return cmp_pow(value, self.n, Fraction(a) - b * self.eps)
+        rhs = self._scaled(1, a, b)
+        value = Fraction(value)
+        return (value > rhs) - (value < rhs)
 
     def floor(self, c: Rat, a: int, b: int) -> int:
         """Largest integer m with ``m <= c * n**(a - b*eps)``, exact; c >= 0.
@@ -71,42 +78,16 @@ class EpsScale:
         at most this cutoff, so a threshold shared by many integer tests is
         worked out once.
         """
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("cutoffs need c >= 0")
-        if self.q is not None:
-            x = c * Fraction(self.n) ** a * self.q ** b
-            return x.numerator // x.denominator
-        if c == 0:
-            return 0
-
-        def above(m: int) -> bool:  # m > c * n**(a - b*eps)
-            return self.cmp(m / c, a, b) > 0
-
-        lo, hi = 0, 1  # invariant: lo <= c * n**(...) < hi once hi is found
-        while not above(hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if above(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo
+        x = self._scaled(c, a, b)
+        return x.numerator // x.denominator
 
     def ceil(self, c: Rat, a: int, b: int) -> int:
         """Least integer m with ``m >= c * n**(a - b*eps)``, exact; c >= 0."""
-        m = self.floor(c, a, b)
-        if c == 0 or self.cmp(m / Fraction(c), a, b) == 0:
-            return m
-        return m + 1
+        x = self._scaled(c, a, b)
+        return -(-x.numerator // x.denominator)
 
     def eps_float(self) -> float:
         """The exponent as a float, for diagnostics only."""
-        import math
-
-        if self.eps is not None:
-            return float(self.eps)
         if self.n <= 1 or self.q == 1:
             return 0.0
         return -math.log(float(self.q)) / math.log(self.n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -76,15 +75,21 @@ class SweepSpec:
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
         """Parse a JSON spec; ``a``, ``b`` and the C and delta of ``cfg`` are
-        read as exact rationals from their decimal text (0.1 is 1/10)."""
+        read as exact rationals from their decimal text (0.1 is 1/10), and
+        ``trials``, ``seed``, every entry of ``n_values`` and the other keys
+        of ``cfg`` as JSON integers."""
         raw = json.loads(text)
         try:
             if not isinstance(raw["n_values"], list):
                 raise FormatError('sweep spec: "n_values" must be a list')
-            cfg = {k: Fraction(str(v)) if k in ("C", "delta") else v for k, v in raw.get("cfg", {}).items()}
+            # a key no sweep sets is passed on, for __post_init__ to name it
+            cfg = {
+                k: Fraction(str(v)) if k in ("C", "delta") else _json_int(v, k) if k in _CFG_KEYS else v
+                for k, v in raw.get("cfg", {}).items()
+            }
             return cls(
                 target=str(raw["target"]),
-                n_values=tuple(raw["n_values"]),
+                n_values=tuple(_json_int(n, "n_values") for n in raw["n_values"]),
                 a=Fraction(str(raw["a"])),
                 b=Fraction(str(raw.get("b", "1/5"))),
                 trials=_json_int(raw["trials"], "trials"),
@@ -111,12 +116,9 @@ class SweepRow:
     trials: int
     successes: int
     mean_host_faces: Fraction
-    mean_runtime: float
     failure_stages: dict[str, int]
 
     def serialize(self) -> str:
-        # runtime is excluded from the on-disk row to keep output bytes
-        # reproducible across machines
         failures = ",".join(f"{k}={v}" for k, v in sorted(self.failure_stages.items()))
         return (
             f"{self.n}\t{self.p!r}\t{self.trials}\t{self.successes}\t"
@@ -136,14 +138,12 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None) -> list[SweepR
         p = spec.p_for(n)
         successes = 0
         total_faces = 0
-        total_time = 0.0
         failures: dict[str, int] = {}
         for trial in range(spec.trials):
             trial_seed = derive_seed(spec.seed, n, trial)
             host = gen_random_host(n, n, n, p, trial_seed)
             total_faces += host.e
             cfg = Config.desk_scale(target, **spec.cfg_overrides, rng_seed=trial_seed)
-            t0 = time.perf_counter()
             try:
                 cert = find_homeomorph(host, target, cfg)
             except PipelineError as exc:
@@ -157,7 +157,6 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None) -> list[SweepR
                         (out_path / name).write_text(write_certificate(cert))
                 else:
                     failures["verify"] = failures.get("verify", 0) + 1
-            total_time += time.perf_counter() - t0
         rows.append(
             SweepRow(
                 n=n,
@@ -165,7 +164,6 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None) -> list[SweepR
                 trials=spec.trials,
                 successes=successes,
                 mean_host_faces=Fraction(total_faces, spec.trials),
-                mean_runtime=total_time / spec.trials,
                 failure_stages=failures,
             )
         )

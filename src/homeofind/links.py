@@ -139,11 +139,6 @@ class HostIndex:
         )
 
 
-def link_graph(host: TripartiteHost, z: int) -> LinkGraph:
-    """The link of z: edges xy with xyz a face of the host."""
-    return HostIndex(host).link(z)
-
-
 def count_disks(host: TripartiteHost, c: FourCycle) -> int:
     """Number of z whose link contains the cycle; direct face-set scan.
 
@@ -271,19 +266,20 @@ class LinkChoice:
 
 
 def pick_link_vertex(
-    host: TripartiteHost, cfg: Config, K: int, index: HostIndex | None = None
+    host: TripartiteHost, cfg: Config, K: int, index: HostIndex
 ) -> LinkChoice:
     """First z (in index order) whose link is dense with few forbidden cycles.
 
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
     B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  The first
-    is checked on the index's edge count, so the link graph is built only
-    for a z that passes it.
+    is checked on the edge count of ``index`` (the host's index, shared with
+    the later stages), so the link graph is built only for a z that passes
+    it.  The choice carries the count_forbidden pass of that link and
+    q = n**(-eps), realized from its density.
     """
     if host.e == 0:
         raise NoQualifyingVertex("empty host")
-    index = index or HostIndex(host)
     n = max(host.class_sizes)
     C = cfg.C
     best_diag = []

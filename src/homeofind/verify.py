@@ -79,14 +79,13 @@ class VerifyResult:
     passed: bool
     check: int | None = None
     reason: str = ""
-    witness: object = None
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def _fail(check: int, reason: str, witness=None) -> VerifyResult:
-    return VerifyResult(passed=False, check=check, reason=reason, witness=witness)
+def _fail(check: int, reason: str) -> VerifyResult:
+    return VerifyResult(passed=False, check=check, reason=reason)
 
 
 def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> VerifyResult:
@@ -105,25 +104,23 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     # (1) membership
     for f in cert.host_faces:
         if f not in host.faces:
-            return _fail(1, f"certificate face {f} not a face of the host", f)
+            return _fail(1, f"certificate face {f} not a face of the host")
 
     # (2) face count
     expected = 12 * target.e
     if len(cert.host_faces) != expected:
         return _fail(
-            2,
-            f"certificate lists {len(cert.host_faces)} faces, expected {expected}",
-            len(cert.host_faces),
+            2, f"certificate lists {len(cert.host_faces)} faces, expected {expected}"
         )
 
     # (3) injectivity of the vertex maps
     for name, m in (("v1_map", emb.v1_map), ("v2_map", emb.v2_map)):
         if len(set(m.values())) != len(m):
-            return _fail(3, f"{name} is not injective", m)
+            return _fail(3, f"{name} is not injective")
 
     # (4) distinct centers
     if len(set(emb.center_map.values())) != len(emb.center_map):
-        return _fail(4, "4-disk centers are not pairwise distinct", emb.center_map)
+        return _fail(4, "4-disk centers are not pairwise distinct")
 
     # (5) relabel through the embedding and compare with the canonical shape
     aux = build_aux_graph(target)
@@ -135,9 +132,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     relabeled: set[frozenset[Label]] = set()
     for x, y, z in cert.host_faces:
         if x not in v2_inv or y not in v1_inv or z not in center_inv:
-            return _fail(
-                5, f"face {(x, y, z)} has a vertex outside the embedding image", (x, y, z)
-            )
+            return _fail(5, f"face {(x, y, z)} has a vertex outside the embedding image")
         tag = tag_of_v2[v2_inv[x]]
         xl: Label = ("pair", tag[1]) if tag[0] == "pair" else ("facevtx", tag[1])
         sc = aux.special_cycles[center_inv[z]]
@@ -145,13 +140,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
 
     canon = canonical_glued_subdivision(target)
     if relabeled != canon.faces:
-        missing = canon.faces - relabeled
-        extra = relabeled - canon.faces
-        return _fail(
-            5,
-            "relabeled faces differ from the canonical glued subdivision",
-            {"missing": sorted(map(sorted, missing))[:4], "extra": sorted(map(sorted, extra))[:4]},
-        )
+        return _fail(5, "relabeled faces differ from the canonical glued subdivision")
 
     # (6) Euler characteristic of the certificate complex
     v_count = len(emb.v1_map) + len(emb.v2_map) + len(emb.center_map)
@@ -163,9 +152,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     chi_target = target.vertex_count - len(covered_pairs(target)) + target.e
     if chi_cert != chi_target:
         return _fail(
-            6,
-            f"certificate complex has chi = {chi_cert}, target has chi = {chi_target}",
-            (chi_cert, chi_target),
+            6, f"certificate complex has chi = {chi_cert}, target has chi = {chi_target}"
         )
 
     return VerifyResult(passed=True)

@@ -31,7 +31,7 @@ from homeofind.errors import (
 from homeofind.exact import EpsScale
 from homeofind.harness import gen_random_host
 from homeofind.io import load_target, write_certificate
-from homeofind.links import FourCycle, HostIndex, LinkGraph, count_disks
+from homeofind.links import FourCycle, HostIndex, LinkGraph, count_disks, count_forbidden
 from homeofind.verify import verify_certificate
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
@@ -45,6 +45,22 @@ def complete_link(n_x, n_y):
     )
 
 
+def only_link(link):
+    """The index of a host whose one Z-vertex has ``link`` as its link.
+
+    With n_Z = 1 and K = 0, every special cycle placed inside the link bounds
+    one 4-disk and is admissible, so embed_v2 has only injectivity to meet.
+    """
+    faces = frozenset((x, y, 0) for x, y in link.edges)
+    return HostIndex(TripartiteHost((link.n_x, link.n_y, 1), faces))
+
+
+def classify(link, index, cfg, K, scale):
+    """classify_pairs_triples on the forbidden counts of the link's own pass."""
+    _, by_pair = count_forbidden(link, K, index)
+    return classify_pairs_triples(link, cfg, K, scale, by_pair)
+
+
 class TestClassifyPairsTriples:
     def test_matches_brute_force(self):
         rng = random.Random(13)
@@ -54,8 +70,9 @@ class TestClassifyPairsTriples:
         link = index.link(0)
         cfg = Config(C=1)
         K = 2
-        scale = EpsScale(n=n, eps=Fraction(1, 5))
-        pairs, bad_triples = classify_pairs_triples(link, index, cfg, K, scale)
+        q = Fraction(2, 3)
+        scale = EpsScale(n=n, q=q)
+        pairs, bad_triples = classify(link, index, cfg, K, scale)
 
         edges = set(link.edges)
         for ps in pairs:
@@ -68,10 +85,8 @@ class TestClassifyPairsTriples:
                 if count_disks(host, FourCycle.of(x1, x2, y1, y2)) <= K
             )
             assert ps.forbidden_through == forb
-            # thresholds with eps = 1/5 in pure integer arithmetic:
-            # deg >= n^(3/5)  <=>  deg^5 >= n^3
-            # forb <= K n^(2/5) deg  <=>  forb^5 <= K^5 n^2 deg^5  (C = 1)
-            good = len(gamma) ** 5 >= n ** 3 and forb ** 5 <= K ** 5 * n ** 2 * len(gamma) ** 5
+            # deg >= n^(1-2eps) = n q^2 and forb <= (K/C) n^(1-3eps) deg = K n q^3 deg
+            good = len(gamma) >= n * q ** 2 and forb <= K * n * q ** 3 * len(gamma)
             assert ps.good == good
 
         # bad_triples[(y1, y2)] has bit y3 exactly for the bad (y1, y2, y3),
@@ -87,9 +102,9 @@ class TestClassifyPairsTriples:
                 for x in range(n)
                 if (x, y1) in edges and (x, y2) in edges and (x, y3) in edges
             )
-            # deg >= n^(2/5)  <=>  deg^5 >= n^2
+            # bad: deg < n^(1-3eps) = n q^3
             bit = (bad_triples.get((y1, y2), 0) >> y3) & 1
-            assert bit == (deg ** 5 < n ** 2), (y1, y2, y3)
+            assert bit == (deg < n * q ** 3), (y1, y2, y3)
 
     def test_all_forbidden_makes_pairs_bad(self):
         # with K >= n every cycle is forbidden, and a huge C makes the
@@ -98,25 +113,22 @@ class TestClassifyPairsTriples:
         index = HostIndex(host)
         link = index.link(0)
         scale = EpsScale(n=6, q=Fraction(1))  # eps = 0
-        pairs, _ = classify_pairs_triples(
-            link, index, Config(C=10 ** 9), K=6, scale=scale
-        )
+        pairs, _ = classify(link, index, Config(C=10 ** 9), K=6, scale=scale)
         assert all(not ps.good for ps in pairs)
 
-    @pytest.mark.parametrize(
-        "scale", [EpsScale(n=32, eps=Fraction(1, 5)), EpsScale(n=32, q=Fraction(1, 2))]
-    )
-    def test_thresholds_at_exact_boundaries(self, scale):
-        # n**(1-2eps) = 8 and n**(1-3eps) = 4.  In the complete 8-host every
-        # pair has degree 8 and, with K = 8 = n_Z, C(8, 2) = 28 forbidden
-        # cycles; the pair bound (K/C) * 4 * 8 equals 28 at C = 64/7.
+    def test_thresholds_at_exact_boundaries(self):
+        # n = 32, q = 1/2: n**(1-2eps) = 8 and n**(1-3eps) = 4.  In the
+        # complete 8-host every pair has degree 8 and, with K = 8 = n_Z,
+        # C(8, 2) = 28 forbidden cycles; the pair bound (K/C) * 4 * 8 equals
+        # 28 at C = 64/7.
+        scale = EpsScale(n=32, q=Fraction(1, 2))
         host = complete_host(8)
         index = HostIndex(host)
         link = index.link(0)
-        at, _ = classify_pairs_triples(link, index, Config(C=Fraction(64, 7)), 8, scale)
+        at, _ = classify(link, index, Config(C=Fraction(64, 7)), 8, scale)
         assert {(ps.common_degree, ps.forbidden_through) for ps in at} == {(8, 28)}
         assert all(ps.good for ps in at)
-        over, bad_triples = classify_pairs_triples(
+        over, bad_triples = classify(
             link, index, Config(C=Fraction(64, 7) + Fraction(1, 10 ** 6)), 8, scale
         )
         assert not any(ps.good for ps in over)
@@ -131,7 +143,7 @@ class TestClassifyPairsTriples:
         faces = frozenset((x, y, 0) for y, xs in nbrs.items() for x in xs)
         index = HostIndex(TripartiteHost((8, 5, 1), faces))
         link = index.link(0)
-        pairs, bad_triples = classify_pairs_triples(
+        pairs, bad_triples = classify(
             link, index, Config(C=1), K=1, scale=EpsScale(n=32, q=Fraction(1, 2))
         )
         degree = {ps.pair: ps.common_degree for ps in pairs}
@@ -148,8 +160,8 @@ class TestClassifyPairsTriples:
         index = HostIndex(
             TripartiteHost((3, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
         )
-        scale = EpsScale(n=3, eps=Fraction(1, 5))
-        pairs, _ = classify_pairs_triples(link, index, Config(C=1), K=1, scale=scale)
+        scale = EpsScale(n=3, q=Fraction(1, 2))  # pair cutoff ceil(3/4) = 1
+        pairs, _ = classify(link, index, Config(C=1), K=1, scale=scale)
         assert len(pairs) == 1
         assert pairs[0].common_degree == 0
         assert not pairs[0].good
@@ -162,14 +174,14 @@ class TestSelectCoreSet:
         link = index.link(0)
         cfg = Config(C=1)
         scale = EpsScale(n=8, q=Fraction(1))
-        pairs, bad_triples = classify_pairs_triples(link, index, cfg, K=3, scale=scale)
+        pairs, bad_triples = classify(link, index, cfg, K=3, scale=scale)
         x, yprime = select_core_set(link, pairs, bad_triples, cfg, scale)
         assert x == 0
         assert yprime == list(range(8))
 
     def test_empty_link(self):
         link = LinkGraph(z=0, n_x=4, n_y=4, edges=frozenset())
-        scale = EpsScale(n=4, eps=Fraction(1, 5))
+        scale = EpsScale(n=4, q=Fraction(1, 2))
         with pytest.raises(NoQualifyingX):
             select_core_set(link, [], {}, Config(C=1), scale)
 
@@ -180,8 +192,9 @@ class TestSelectCoreSet:
         index = HostIndex(host)
         link = index.link(0)
         cfg = Config(C=2)
-        scale = EpsScale(n=n, eps=Fraction(1, 5))
-        pairs, bad_triples = classify_pairs_triples(link, index, cfg, K=2, scale=scale)
+        q = Fraction(7, 12)
+        scale = EpsScale(n=n, q=q)
+        pairs, bad_triples = classify(link, index, cfg, K=2, scale=scale)
         x, yprime = select_core_set(link, pairs, bad_triples, cfg, scale)
 
         # recompute everything independently
@@ -192,9 +205,9 @@ class TestSelectCoreSet:
         bad_pairs = {ps.pair for ps in pairs if not ps.good}
 
         def triple_bad(tr):
-            # common degree below n^(2/5), i.e. deg^5 < n^2
+            # common degree below n^(1-3eps) = n q^3
             deg = sum(1 for x2 in range(n) if all((x2, y) in edges for y in tr))
-            return deg ** 5 < n ** 2
+            return deg < n * q ** 3
 
         p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
         t_x = sum(1 for tr in itertools.combinations(gamma, 3) if triple_bad(tr))
@@ -202,12 +215,12 @@ class TestSelectCoreSet:
         C = cfg.C
 
         def passes(s, p_x, t_x):
-            # (A) (4s/C)^5 >= n^4, (B/C) cross-multiplied to integer comparisons
+            # (A), (B) and (C) with n^(1-eps) = n q and n^(2-2eps) = (n q)^2
             return (
                 s > 0
-                and (Fraction(4 * s) / C) ** 5 >= n ** 4
-                and (C * p_x) ** 5 <= (12 * (1 + C) * s) ** 5 * n ** 4
-                and (C * t_x) ** 5 <= (6 * s) ** 5 * n ** 8
+                and Fraction(4 * s) / C >= n * q
+                and C * p_x / (12 * (1 + C) * s) <= n * q
+                and C * t_x / (6 * s) <= (n * q) ** 2
             )
 
         assert passes(s, p_x, t_x)
@@ -362,14 +375,19 @@ class TestEmbedV2:
     def test_single_vertex_no_collision(self):
         aux = build_aux_graph(ThreeGraph(3, frozenset()))
         # no V2 at all: trivially succeeds
-        out = embed_v2(aux, {0: 0, 1: 1, 2: 2}, complete_link(4, 4), Config(), random.Random(0))
+        link = complete_link(4, 4)
+        out = embed_v2(
+            aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0), index=only_link(link), K=0
+        )
         assert out == {}
 
     def test_injective_on_complete_link(self):
         aux = build_aux_graph(TRIANGLE)
         link = complete_link(20, 3)
         v1_map = {0: 0, 1: 1, 2: 2}
-        out = embed_v2(aux, v1_map, link, Config(rng_seed=1), random.Random(1))
+        out = embed_v2(
+            aux, v1_map, link, Config(rng_seed=1), random.Random(1), index=only_link(link), K=0
+        )
         assert sorted(out) == sorted(aux.v2)
         assert len(set(out.values())) == len(out)
 
@@ -377,7 +395,9 @@ class TestEmbedV2:
         aux = build_aux_graph(TRIANGLE)
         link = LinkGraph(z=0, n_x=2, n_y=3, edges=frozenset({(0, 0), (0, 1)}))
         with pytest.raises(EmptyCandidateSet):
-            embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0))
+            embed_v2(
+                aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0), index=only_link(link), K=0
+            )
 
     def test_collision_rate_below_half_at_scale(self):
         # K4 has |V2| = 10 on a 100-wide link.  x is joined to every y except
@@ -390,9 +410,10 @@ class TestEmbedV2:
             edges=frozenset((x, y) for x in range(100) for y in range(4) if x % 5 != y),
         )
         v1_map = {i: i for i in range(4)}
+        index = only_link(link)
         placements = set()
         for seed in range(400):
-            out = embed_v2(aux, v1_map, link, Config(), random.Random(seed))
+            out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), index=index, K=0)
             assert sorted(out) == sorted(aux.v2)
             assert len(set(out.values())) == len(out)
             for u, x in out.items():
@@ -404,8 +425,11 @@ class TestEmbedV2:
         # |V2| = 4 but only 2 X-vertices available
         aux = build_aux_graph(TRIANGLE)
         link = complete_link(2, 3)
-        with pytest.raises(RetriesExhausted):
-            embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(retry_limit=8), random.Random(0))
+        with pytest.raises(RetriesExhausted, match="no injective placement"):
+            embed_v2(
+                aux, {0: 0, 1: 1, 2: 2}, link, Config(retry_limit=8), random.Random(0),
+                index=only_link(link), K=0,
+            )
 
     def test_permutation_on_exactly_wide_link(self):
         # torus7 has |V2| = 21 + 14 = 35; on a 35-wide complete link every
@@ -414,7 +438,8 @@ class TestEmbedV2:
         torus7 = load_target("builtin:torus7")
         aux = build_aux_graph(torus7)
         v1_map = {v: v for v in aux.v1}
-        out = embed_v2(aux, v1_map, complete_link(35, 7), Config(), random.Random(0))
+        link = complete_link(35, 7)
+        out = embed_v2(aux, v1_map, link, Config(), random.Random(0), index=only_link(link), K=0)
         assert sorted(out) == sorted(aux.v2)
         assert sorted(out.values()) == list(range(35))
         # the same with admissibility enforced: 43 centers per cycle > K = 42

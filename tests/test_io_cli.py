@@ -9,7 +9,15 @@ import pytest
 from conftest import complete_host, random_host, random_threegraph
 from homeofind import cli
 from homeofind.cli import main
-from homeofind.core import Config, ThreeGraph, TripartiteHost
+from homeofind.core import (
+    Config,
+    ThreeGraph,
+    TripartiteHost,
+    build_aux_graph,
+    build_triple_subdivision,
+    covered_pairs,
+    euler_characteristic,
+)
 from homeofind.embed import find_homeomorph
 from homeofind.errors import NoQualifyingVertex
 from homeofind.io import (
@@ -305,6 +313,16 @@ class TestCli:
          '"trials" must be an integer, got true'),
         ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 2,
           "seed": "1"}, '"seed" must be an integer, got "1"'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
+          "cfg": {"k_threshold": 3.5}}, '"k_threshold" must be an integer, got 3.5'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
+          "cfg": {"retry_limit": 1.5}}, '"retry_limit" must be an integer, got 1.5'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
+          "cfg": {"retry_limit": True}}, '"retry_limit" must be an integer, got true'),
+        ({"target": "builtin:triangle", "n_values": [True], "a": 1, "trials": 1},
+         '"n_values" must be an integer, got true'),
+        ({"target": "builtin:triangle", "n_values": [12, 20.0], "a": 1, "trials": 1},
+         '"n_values" must be an integer, got 20.0'),
     ])
     def test_malformed_sweep_spec_exit_2(self, tmp_path, capsys, spec, message):
         specp = tmp_path / "sweep.json"
@@ -335,6 +353,46 @@ class TestCli:
         assert main(["inspect", "--target", "builtin:torus7"]) == 0
         out = capsys.readouterr().out
         assert "chi" in out and "0" in out
+
+    @staticmethod
+    def _inspect_by_building(h):
+        """inspect's report, read off the built auxiliary graph and subdivision."""
+        aux, sub = build_aux_graph(h), build_triple_subdivision(h)
+        return (
+            f"vertices: {h.vertex_count}\n"
+            f"faces: {h.e}\n"
+            f"covered pairs: {len(covered_pairs(h))}\n"
+            f"euler characteristic: {euler_characteristic(h)}\n"
+            f"aux graph: |V1|={len(aux.v1)} |V2|={len(aux.v2)} "
+            f"edges={len(aux.edges)} special-cycles={len(aux.special_cycles)}\n"
+            f"subdivision: vertices={sub.underlying.vertex_count} "
+            f"faces={sub.underlying.e} chi={euler_characteristic(sub.underlying)}\n"
+        )
+
+    def test_inspect_counts_match_built_objects(self, tmp_path, capsys):
+        rng = random.Random(41)
+        specs = ["builtin:triangle", "builtin:k4", "builtin:torus7"]
+        for i in range(20):
+            path = tmp_path / f"r{i}.tg"
+            path.write_text(write_threegraph(random_threegraph(rng)))
+            specs.append(str(path))
+        for spec in specs:
+            assert main(["inspect", "--target", spec]) == 0
+            assert capsys.readouterr().out == self._inspect_by_building(load_target(spec)), spec
+
+    def test_inspect_memory_follows_the_file(self, tmp_path, capsys):
+        # a two-line target naming 10**9 vertices: nothing is built per vertex
+        path = tmp_path / "huge.tg"
+        path.write_text("tg 1000000000\nf 0 1 2\n")
+        tracemalloc.start()
+        try:
+            assert main(["inspect", "--target", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        out = capsys.readouterr().out
+        assert "subdivision: vertices=1000000007 faces=12 chi=999999998\n" in out
 
     def test_sweep_from_spec(self, tmp_path):
         spec = {

@@ -15,7 +15,6 @@ from homeofind.links import (
     count_disks,
     count_forbidden,
     iter_link_cycles,
-    link_graph,
     pick_link_vertex,
 )
 
@@ -40,22 +39,23 @@ def brute_force_cycles(host, z):
 
 class TestLinkGraph:
     def test_complete_two_by_two(self):
-        link = link_graph(SMALL, 0)
+        link = HostIndex(SMALL).link(0)
         assert link.edges == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
         assert link.e == 4
 
     def test_empty_link(self):
-        assert link_graph(SMALL, 1).e == 0
+        assert HostIndex(SMALL).link(1).e == 0
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            link_graph(SMALL, 2)
+            HostIndex(SMALL).link(2)
 
     def test_matches_face_filter(self):
         rng = random.Random(11)
         host = random_host(rng, 8, 7, 6, 0.3)
+        index = HostIndex(host)
         for z in range(host.n_z):
-            link = link_graph(host, z)
+            link = index.link(z)
             expected = {(x, y) for (x, y, zz) in host.faces if zz == z}
             assert set(link.edges) == expected
 
@@ -79,7 +79,7 @@ class TestCountDisks:
 class TestClassifyCycles:
     def test_threshold_boundary(self):
         host = complete_host(3)
-        link = link_graph(host, 0)
+        link = HostIndex(host).link(0)
         d = 3  # every cycle bounds n_Z disks
         at = {c.cycle: c for c in classify_cycles(host, link, K=d)}
         below = {c.cycle: c for c in classify_cycles(host, link, K=d - 1)}
@@ -89,14 +89,15 @@ class TestClassifyCycles:
 
     def test_no_cycles(self):
         host = TripartiteHost((2, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
-        assert classify_cycles(host, link_graph(host, 0), K=1) == []
+        assert classify_cycles(host, HostIndex(host).link(0), K=1) == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_brute_force(self, seed):
         rng = random.Random(seed)
         host = random_host(rng, 7, 7, 7, 0.45)
+        index = HostIndex(host)
         for z in range(host.n_z):
-            link = link_graph(host, z)
+            link = index.link(z)
             got = {c.cycle: c for c in classify_cycles(host, link, K=2)}
             expected = brute_force_cycles(host, z)
             assert set(got) == set(expected)
@@ -107,7 +108,7 @@ class TestClassifyCycles:
     def test_monotone_in_k(self):
         rng = random.Random(9)
         host = random_host(rng, 8, 8, 8, 0.5)
-        link = link_graph(host, 0)
+        link = HostIndex(host).link(0)
         for k in range(1, 6):
             lo = {c.cycle for c in classify_cycles(host, link, K=k) if c.admissible}
             hi = {c.cycle for c in classify_cycles(host, link, K=k + 1) if c.admissible}
@@ -119,7 +120,8 @@ class TestExpectationIdentities:
     def test_link_sizes_sum_to_face_count(self, seed):
         rng = random.Random(seed)
         host = random_host(rng, 9, 9, 9, 0.3)
-        total = sum(link_graph(host, z).e for z in range(host.n_z))
+        index = HostIndex(host)
+        total = sum(index.link(z).e for z in range(host.n_z))
         assert total == host.e
 
     def test_disk_double_count(self):
@@ -164,7 +166,8 @@ class TestCountForbidden:
 
     def test_empty_link(self):
         host = TripartiteHost((3, 3, 3), frozenset({(0, 0, 1)}))
-        assert count_forbidden(link_graph(host, 0), 2, HostIndex(host)) == (0, {})
+        index = HostIndex(host)
+        assert count_forbidden(index.link(0), 2, index) == (0, {})
 
     def test_single_column_links(self):
         # every face on y = 0 (or on x = 0): the links have no 4-cycles
@@ -205,7 +208,7 @@ class TestCountForbidden:
 class TestPickLinkVertex:
     def test_complete_host_returns_first(self):
         host = complete_host(6)
-        choice = pick_link_vertex(host, Config(C=1), K=3)
+        choice = pick_link_vertex(host, Config(C=1), K=3, index=HostIndex(host))
         assert choice.z == 0
         assert choice.link.e == 36
         assert choice.q == 1  # link denser than (C/2) n^2 clamps eps to 0
@@ -214,12 +217,12 @@ class TestPickLinkVertex:
     def test_empty_host(self):
         host = TripartiteHost((3, 3, 3), frozenset())
         with pytest.raises(NoQualifyingVertex):
-            pick_link_vertex(host, Config(C=1), K=3)
+            pick_link_vertex(host, Config(C=1), K=3, index=HostIndex(host))
 
     def test_sparse_host_rejected(self):
         host = TripartiteHost((4, 4, 4), frozenset({(0, 0, 0)}))
         with pytest.raises(NoQualifyingVertex):
-            pick_link_vertex(host, Config(C=4), K=3)
+            pick_link_vertex(host, Config(C=4), K=3, index=HostIndex(host))
 
     def test_conditions_hold_by_independent_recomputation(self):
         rng = random.Random(21)
@@ -227,7 +230,7 @@ class TestPickLinkVertex:
         host = random_host(rng, n, n, n, n ** (-0.2))
         cfg = Config(C=Fraction(1, 2))
         K = 3
-        choice = pick_link_vertex(host, cfg, K=K)
+        choice = pick_link_vertex(host, cfg, K=K, index=HostIndex(host))
         e_l = choice.link.e
         # (1): (2 e)^5 >= C^5 n^9, checked in integers (C = 1/2, delta = 1/5)
         assert (2 * e_l) ** 5 >= Fraction(1, 2) ** 5 * n ** 9
@@ -262,9 +265,10 @@ class TestPickLinkVertex:
         host = random_host(rng, 15, 15, 15, 0.5)
         cfg = Config(C=Fraction(3, 2))
         K = 2
-        choice = pick_link_vertex(host, cfg, K=K)
+        index = HostIndex(host)
+        choice = pick_link_vertex(host, cfg, K=K, index=index)
         for z in range(choice.z):
-            link = link_graph(host, z)
+            link = index.link(z)
             e_l = link.e
             dense = e_l > 0 and cmp_pow(Fraction(2 * e_l) / cfg.C, 15, Fraction(9, 5)) >= 0
             if not dense:
@@ -286,8 +290,8 @@ class TestEpsScaleCutoffs:
         assert scale.cmp(hi / c, a, b) >= 0 > scale.cmp((hi - 1) / c, a, b)
         assert hi - lo == (scale.cmp(lo / c, a, b) != 0)
 
-    def test_exact_boundaries_in_both_forms(self):
-        # n = 32, eps = 1/5: q = n**(-eps) = 1/2, n**(3/5) = 8, n**(2/5) = 4
+    def test_exact_boundaries(self):
+        # n = 32, q = n**(-eps) = 1/2: n**(1-2eps) = 8, n**(1-3eps) = 4
         cases = [  # (c, a, b, floor, ceil)
             (1, 1, 2, 8, 8),
             (1, 1, 3, 4, 4),
@@ -296,25 +300,21 @@ class TestEpsScaleCutoffs:
             (Fraction(1, 3), 1, 3, 1, 2),
             (0, 1, 2, 0, 0),
         ]
-        for scale in (EpsScale(n=32, eps=Fraction(1, 5)), EpsScale(n=32, q=Fraction(1, 2))):
-            for c, a, b, lo, hi in cases:
-                assert (scale.floor(c, a, b), scale.ceil(c, a, b)) == (lo, hi)
-                self.check(scale, c, a, b)
+        scale = EpsScale(n=32, q=Fraction(1, 2))
+        for c, a, b, lo, hi in cases:
+            assert (scale.floor(c, a, b), scale.ceil(c, a, b)) == (lo, hi)
+            self.check(scale, c, a, b)
 
     def test_agrees_with_cmp(self):
         rng = random.Random(17)
         for _ in range(200):
-            n = rng.randint(1, 60)
-            if rng.random() < 0.5:
-                scale = EpsScale(n=n, eps=Fraction(rng.randint(0, 6), rng.randint(6, 15)))
-            else:
-                scale = EpsScale(n=n, q=Fraction(rng.randint(1, 9), 9))
+            scale = EpsScale(n=rng.randint(1, 60), q=Fraction(rng.randint(1, 9), 9))
             c = Fraction(rng.randint(0, 40), rng.randint(1, 7))
             self.check(scale, c, rng.randint(0, 2), rng.randint(0, 3))
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
-            EpsScale(n=4, eps=Fraction(1, 5)).floor(-1, 1, 2)
+            EpsScale(n=4, q=Fraction(1, 2)).floor(-1, 1, 2)
 
 
 class TestCmpPow:
