@@ -6,6 +6,13 @@ the immutable value types shared by the whole pipeline together with the two
 target-side constructions: the 3-partite subdivision of a target and its
 bipartite auxiliary graph whose special 4-cycles mark where 4-disks must be
 glued.
+
+It also defines the one storage format of a host's faces: a face (x, y, z)
+of a host with class sizes (n_x, n_y, n_z) is the int code
+``(x * n_y + y) * n_z + z``, and a ``TripartiteHost`` keeps a frozenset of
+codes, so a dense host with Θ(n³) faces holds no tuple per face.  Codes
+sort as their faces do.  The per-face loops of ``io`` (parse and write a
+host) and ``links`` (``HostIndex``) inline this arithmetic.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Iterable
 
 Face = tuple[int, int, int]
 Pair = tuple[int, int]
@@ -54,29 +62,54 @@ class ThreeGraph:
         return sorted(self.faces)
 
 
-@dataclass(frozen=True)
+def _class_sizes(class_sizes) -> tuple[int, int, int]:
+    sizes = tuple(class_sizes)
+    if len(sizes) != 3 or not all(type(n) is int and n >= 0 for n in sizes):
+        raise ValueError(f"class sizes must be three non-negative integers, got {sizes}")
+    return sizes
+
+
+@dataclass(frozen=True, init=False)
 class TripartiteHost:
     """A 3-partite 3-graph with classes X, Y, Z and per-class 0-based indices.
 
-    ``faces`` may be given as any iterable of (x, y, z) triples; it is stored
-    as a frozenset of tuples.
+    Faces are stored as their codes ``(x * n_y + y) * n_z + z`` (see the
+    module docstring).  ``TripartiteHost(class_sizes, faces)`` takes any
+    iterable of (x, y, z) triples of ints and names the first bad face in
+    input order; ``from_codes`` takes the codes themselves.  ``has`` tests
+    one face, and ``faces`` decodes them all, for tests and oracles.
+    Equality and hashing are by value.
     """
 
     class_sizes: tuple[int, int, int]
-    faces: frozenset[Face]
+    codes: frozenset[int]
 
-    def __post_init__(self):
-        nx, ny, nz = self.class_sizes
-        if min(nx, ny, nz) < 0:
-            raise ValueError("class sizes must be non-negative")
-        given = self.faces
-        faces = frozenset(map(tuple, given))
-        object.__setattr__(self, "faces", faces)
-        # in input order when the input can be read twice, so that an error
-        # names the first bad face given
-        for x, y, z in given if isinstance(given, Collection) else faces:
+    def __init__(self, class_sizes, faces: Iterable[Face]):
+        nx, ny, nz = sizes = _class_sizes(class_sizes)
+        codes = []
+        append = codes.append
+        for x, y, z in faces:
+            if not (type(x) is int and type(y) is int and type(z) is int):
+                raise ValueError(f"face {(x, y, z)} has a non-integer coordinate")
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise ValueError(f"face {(x, y, z)} out of class bounds")
+            append((x * ny + y) * nz + z)
+        object.__setattr__(self, "class_sizes", sizes)
+        object.__setattr__(self, "codes", frozenset(codes))
+
+    @classmethod
+    def from_codes(cls, class_sizes, codes: Iterable[int]) -> "TripartiteHost":
+        """A host from face codes, each an int in [0, n_x * n_y * n_z)."""
+        nx, ny, nz = sizes = _class_sizes(class_sizes)
+        codes = frozenset(codes)
+        end = nx * ny * nz
+        if codes and (set(map(type, codes)) != {int} or min(codes) < 0 or max(codes) >= end):
+            bad = next(c for c in codes if type(c) is not int or not 0 <= c < end)
+            raise ValueError(f"face code {bad!r} not an int in [0, {end})")
+        host = object.__new__(cls)
+        object.__setattr__(host, "class_sizes", sizes)
+        object.__setattr__(host, "codes", codes)
+        return host
 
     @property
     def n_x(self) -> int:
@@ -92,10 +125,23 @@ class TripartiteHost:
 
     @property
     def e(self) -> int:
-        return len(self.faces)
+        return len(self.codes)
+
+    def has(self, x: int, y: int, z: int) -> bool:
+        """Whether (x, y, z) is a face.  Each coordinate is checked against
+        its class first: out of range, it would alias another face's code."""
+        nx, ny, nz = self.class_sizes
+        return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz and (x * ny + y) * nz + z in self.codes
 
     def sorted_faces(self) -> list[Face]:
-        return sorted(self.faces)
+        """The faces in lexicographic order: the sorted codes, decoded."""
+        _, ny, nz = self.class_sizes
+        return [(c // (ny * nz), c // nz % ny, c % nz) for c in sorted(self.codes)]
+
+    @cached_property
+    def faces(self) -> frozenset[Face]:
+        """The faces as (x, y, z) tuples, decoded once when first read."""
+        return frozenset(self.sorted_faces())
 
 
 # Colors of the 3-partition of a subdivided complex.
@@ -182,10 +228,11 @@ class Config:
             raise ValueError("C must be positive")
         if not 0 < self.delta <= 1:
             raise ValueError("need 0 < delta <= 1")
-        if self.k_threshold is not None and self.k_threshold <= 0:
-            raise ValueError("k_threshold must be positive")
-        if self.retry_limit <= 0:
-            raise ValueError("retry_limit must be positive")
+        # ints, not floats or bools, so that K stays exact in every comparison
+        if self.k_threshold is not None and not _positive_int(self.k_threshold):
+            raise ValueError(f"k_threshold must be a positive integer, got {self.k_threshold!r}")
+        if not _positive_int(self.retry_limit):
+            raise ValueError(f"retry_limit must be a positive integer, got {self.retry_limit!r}")
 
     def k_for(self, target: ThreeGraph) -> int:
         if self.k_threshold is not None:
@@ -205,6 +252,10 @@ class Config:
         kw = dict(C=Fraction(1), k_threshold=max(1, 3 * target.e))
         kw.update(overrides)
         return cls(**kw)
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value > 0
 
 
 def covered_pairs(h: ThreeGraph) -> list[Pair]:

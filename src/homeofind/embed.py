@@ -512,8 +512,8 @@ def assert_valid_embedding(
     """Independent validity pass over a finished embedding.
 
     Checks injectivity and every adjacency/containment directly against the
-    raw host face set; raises RuntimeError on any violation (construction
-    bugs, not expected input failures).
+    host's faces (``host.has``, not the index); raises RuntimeError on any
+    violation (construction bugs, not expected input failures).
     """
     if len(set(emb.v1_map.values())) != len(emb.v1_map):
         raise RuntimeError("v1_map not injective")
@@ -531,7 +531,7 @@ def assert_valid_embedding(
         xu, xw = emb.v2_map[sc.u], emb.v2_map[sc.w]
         for x in (xu, xw):
             for y in (ya, yb):
-                if (x, y, c) not in host.faces:
+                if not host.has(x, y, c):
                     raise RuntimeError(
                         f"4-disk face {(x, y, c)} of cycle {ci} missing from host"
                     )

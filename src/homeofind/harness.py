@@ -25,19 +25,16 @@ from .verify import verify_certificate
 def gen_random_host(
     n_x: int, n_y: int, n_z: int, p: float | Fraction, seed: int
 ) -> TripartiteHost:
-    """Binomial random host: each potential face kept with probability p."""
+    """Binomial random host: each potential face kept with probability p.
+
+    One draw per face code, in ascending order: (x, y, z) lexicographic.
+    """
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     draw = random.Random(seed).random
-    faces = [
-        (x, y, z)
-        for x in range(n_x)
-        for y in range(n_y)
-        for z in range(n_z)
-        if draw() < p
-    ]
-    return TripartiteHost((n_x, n_y, n_z), faces)
+    codes = [c for c in range(n_x * n_y * n_z) if draw() < p]
+    return TripartiteHost.from_codes((n_x, n_y, n_z), codes)
 
 
 # A sweep's cfg may set every Config field but rng_seed, which it derives
@@ -56,9 +53,9 @@ class SweepSpec:
     cfg_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not all(isinstance(n, int) and n >= 1 for n in self.n_values):
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not all(type(n) is int and n >= 1 for n in self.n_values):
             raise ValueError(f"n_values must be positive integers, got {list(self.n_values)}")
         unknown = sorted(set(self.cfg_overrides) - set(_CFG_KEYS), key=str)
         if unknown:

@@ -7,10 +7,12 @@ run of whitespace.  Faces are sets, so a repeated ``f`` line is accepted
 and counted once.  Every malformed input, a non-integer token included,
 raises ``FormatError`` naming the line where one applies.
 
-Nothing is allocated in proportion to a header's count: a host file's
-faces are checked against its ``tph`` sizes one by one, and a
-certificate's ``tg`` count is bounded by the lines that can place its
-vertices before anything is built from it.
+A host file's face lines become face codes (see ``core``) as they are
+read; the coordinates are checked against the ``tph`` sizes once per
+distinct value, after the last line.  Nothing is allocated in proportion
+to a header's count: not from a host's ``tph`` sizes, and not from a
+certificate's ``tg`` count, which is bounded by the lines that can place
+its vertices before anything is built from it.
 """
 
 from __future__ import annotations
@@ -91,21 +93,25 @@ class _TokenInts(dict):
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host.
 
-    A host repeats a few distinct tokens on many face lines, so each
-    distinct token text is converted once, through a memo that grows only
-    with the tokens read (not with the ``tph`` sizes); every coordinate is
-    still ``int(token)``, so spellings, errors and line numbers are those of
-    a plain per-token ``int()``.
+    Each well-formed face line adds one face code.  A host repeats a few
+    distinct tokens on many face lines, so each distinct token text is
+    converted once per class, through a memo that grows only with the
+    tokens read (not with the ``tph`` sizes); every coordinate is still
+    ``int(token)``, so spellings, errors and line numbers are those of a
+    plain per-token ``int()``.  A coordinate outside its class would alias
+    another face's code, so the memos' values are checked against the
+    sizes before the codes are used.
     """
     sizes = None
-    faces = []
-    append = faces.append
-    num = _TokenInts()
+    ny = nz = 0
+    codes = []
+    append = codes.append
+    memos = xs, ys, zs = _TokenInts(), _TokenInts(), _TokenInts()
     try:
         for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
             # the well-formed face line comes first: it is nearly every line
             if len(tok) == 4 and tok[0] == "f" and sizes is not None:
-                append((num[tok[1]], num[tok[2]], num[tok[3]]))
+                append((xs[tok[1]] * ny + ys[tok[2]]) * nz + zs[tok[3]])
             elif not tok or tok[0].startswith("#"):
                 continue
             elif tok[0] == "tph":
@@ -114,6 +120,7 @@ def parse_host(text: str) -> TripartiteHost:
                 if len(tok) != 4:
                     raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
                 sizes = (int(tok[1]), int(tok[2]), int(tok[3]))
+                ny, nz = sizes[1], sizes[2]
             elif tok[0] != "f":
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
             elif sizes is None:
@@ -126,22 +133,27 @@ def parse_host(text: str) -> TripartiteHost:
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
+    if not all(0 <= v < n for memo, n in zip(memos, sizes) for v in memo.values()):
+        # error path only: every well-formed face line added one code, in
+        # order; the first whose face TripartiteHost rejects is named
+        for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
+            if len(tok) == 4 and tok[0] == "f":
+                try:
+                    TripartiteHost(sizes, [(xs[tok[1]], ys[tok[2]], zs[tok[3]])])
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from exc
     try:
-        return TripartiteHost(sizes, faces)
+        return TripartiteHost.from_codes(sizes, codes)
     except ValueError as exc:
-        # error path only: each well-formed face line added one face, in order
-        nx, ny, nz = sizes
-        lines = (n for n, tok in enumerate(map(str.split, text.splitlines()), 1)
-                 if len(tok) == 4 and tok[0] == "f")
-        for lineno, (x, y, z) in zip(lines, faces):
-            if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-                raise FormatError(f"line {lineno}: {exc}") from exc
         raise FormatError(str(exc)) from exc
 
 
 def write_host(host: TripartiteHost) -> str:
-    lines = [f"tph {host.n_x} {host.n_y} {host.n_z}"]
-    lines += [f"f {x} {y} {z}" for x, y, z in host.sorted_faces()]
+    """The face lines in lexicographic order: the sorted codes, decoded."""
+    ny, nz = host.n_y, host.n_z
+    yz = ny * nz
+    lines = [f"tph {host.n_x} {ny} {nz}"]
+    lines += [f"f {c // yz} {c // nz % ny} {c % nz}" for c in sorted(host.codes)]
     return "\n".join(lines) + "\n"
 
 

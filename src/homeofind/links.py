@@ -16,7 +16,7 @@ walk skips, without an AND, cycles whose disk count is certainly above or
 certainly at most K by the sizes of its two column z-sets alone.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
 ``classify_cycles`` (that walk plus ``HostIndex.disk_count``) and
-``count_disks``, a face-set scan independent of the index.
+``count_disks``, a face-membership scan independent of the index.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ class LinkGraph:
 class HostIndex:
     """Precomputed lookup structures for one host, built in one pass.
 
-    The pass over the faces ORs each face's z-bit (from a table of
-    ``1 << z``) into a flat list indexed ``x * n_y + y`` and appends that
-    flat index to the list of its z, so no object is made per face.
+    The pass over the host's face codes splits each code c into
+    ``i = c // n_z`` (the flat index ``x * n_y + y``) and ``z = c % n_z``,
+    ORs the z-bit (from a table of ``1 << z``) into a flat list at i and
+    appends i to the list of its z, so no object is made per face.
     ``zbits`` then maps every (x, y) with at least one face to its bitmask
     over Z, and ``faces_by_z[z]`` holds the flat indices ``x * n_y + y`` of
     the edges of the link of z (so its length is e(L_z)); ``link(z)`` turns
@@ -101,12 +102,13 @@ class HostIndex:
 
     def __init__(self, host: TripartiteHost):
         self.host = host
-        n_y = host.n_y
-        zbit = [1 << z for z in range(host.n_z)]
+        n_y, n_z = host.n_y, host.n_z
+        zbit = [1 << z for z in range(n_z)]
         flat = [0] * (host.n_x * n_y)
-        faces_by_z: list[list[int]] = [[] for _ in range(host.n_z)]
-        for x, y, z in host.faces:
-            i = x * n_y + y
+        faces_by_z: list[list[int]] = [[] for _ in range(n_z)]
+        for c in host.codes:
+            i = c // n_z
+            z = c % n_z
             flat[i] |= zbit[z]
             faces_by_z[z].append(i)
         self.faces_by_z = faces_by_z
@@ -140,7 +142,7 @@ class HostIndex:
 
 
 def count_disks(host: TripartiteHost, c: FourCycle) -> int:
-    """Number of z whose link contains the cycle; direct face-set scan.
+    """Number of z whose link contains the cycle; direct membership scan.
 
     Deliberately independent of the bitmask index so the two code paths can
     be checked against each other.
@@ -148,10 +150,10 @@ def count_disks(host: TripartiteHost, c: FourCycle) -> int:
     count = 0
     for z in range(host.n_z):
         if (
-            (c.x1, c.y1, z) in host.faces
-            and (c.x1, c.y2, z) in host.faces
-            and (c.x2, c.y1, z) in host.faces
-            and (c.x2, c.y2, z) in host.faces
+            host.has(c.x1, c.y1, z)
+            and host.has(c.x1, c.y2, z)
+            and host.has(c.x2, c.y1, z)
+            and host.has(c.x2, c.y2, z)
         ):
             count += 1
     return count

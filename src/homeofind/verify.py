@@ -103,7 +103,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
 
     # (1) membership
     for f in cert.host_faces:
-        if f not in host.faces:
+        if not host.has(*f):
             return _fail(1, f"certificate face {f} not a face of the host")
 
     # (2) face count

@@ -235,6 +235,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(k_threshold=0)
 
+    @pytest.mark.parametrize("kw", [
+        dict(k_threshold=3.5), dict(k_threshold=3.0), dict(k_threshold=True),
+        dict(retry_limit=True), dict(retry_limit=2.5), dict(retry_limit=Fraction(4)),
+    ])
+    def test_integer_fields_reject_floats_and_bools(self, kw):
+        # a float K would enter every admissibility comparison
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            Config(**kw)
+
     def test_paper_defaults(self):
         cfg = Config.paper_defaults(K4)
         assert cfg.C == 2000 * 4 ** 6

@@ -96,6 +96,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("builtin:triangle", (4,), Fraction(1), Fraction(0), 0, 0)
 
+    @pytest.mark.parametrize("n_values, trials", [
+        ((True,), 1), ((4.0,), 1), ((4,), True), ((4,), 2.0),
+    ])
+    def test_integer_fields_reject_floats_and_bools(self, n_values, trials):
+        with pytest.raises(ValueError, match="integer"):
+            SweepSpec("builtin:triangle", n_values, Fraction(1), Fraction(0), trials, 0)
+
     @pytest.mark.parametrize("key", ["foo", "epsilon", "rng_seed"])
     def test_rejects_cfg_keys_a_sweep_does_not_set(self, key):
         with pytest.raises(ValueError, match="unknown sweep cfg key"):

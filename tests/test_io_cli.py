@@ -120,8 +120,8 @@ class TestHostFormat:
             parse_host("# host\ntph 2 x 2\n")
 
     def test_huge_header_allocates_nothing_in_proportion(self):
-        # faces are checked against the sizes one by one; no table is sized
-        # from the header
+        # coordinates are checked against the sizes once per distinct value;
+        # no table is sized from the header
         tracemalloc.start()
         try:
             host = parse_host(f"tph {10**12} {10**12} {10**12}\nf 0 0 0\n")

@@ -11,6 +11,7 @@ from conftest import complete_host, random_host, random_threegraph
 from homeofind.core import (
     Config,
     ThreeGraph,
+    TripartiteHost,
     build_triple_subdivision,
     covered_pairs,
     euler_characteristic,
@@ -187,6 +188,20 @@ class TestVerifierRejects:
         empty = type(complete_host(10))((10, 10, 10), frozenset())
         res = verify_certificate(cert, empty)
         assert not res.passed and res.check == 1
+
+
+class TestOutOfRangeFaces:
+    def test_face_outside_its_class_does_not_alias(self):
+        # (0, 3, 0) and (1, 0, 0) share the naive code (x * n_y + y) * n_z + z
+        # = 12 at sizes (2, 3, 4); y = 3 is outside Y
+        host = TripartiteHost((2, 3, 4), frozenset({(1, 0, 0)}))
+        assert host.has(1, 0, 0)
+        assert not host.has(0, 3, 0)
+        cert, _ = _good_cert()
+        forged = replace(cert, host_faces=((0, 3, 0),) + cert.host_faces[1:])
+        res = verify_certificate(forged, host)
+        assert not res.passed and res.check == 1
+        assert "(0, 3, 0)" in res.reason
 
 
 class TestExpectationOracles:
