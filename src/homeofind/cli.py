@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="search a host for a homeomorph of a target")
     p_find.add_argument("--target", required=True, help="path or builtin:NAME")
     p_find.add_argument("--host", required=True)
-    # Defaults live in Config.paper_defaults; the help texts only state them.
+    # Defaults live in Config (paper_defaults; k_for for K); the help texts only state them.
     p_find.add_argument("--C", type=_rat, help="density constant (default: 2000 v(H)^6)")
     p_find.add_argument("--delta", type=_rat, help="density exponent (default: 1/5)")
     p_find.add_argument("--k", type=int, help="admissibility cutoff K (default: 3 v(H)^3)")

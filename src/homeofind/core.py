@@ -209,10 +209,10 @@ class Config:
     exact; eps is no knob, as the pipeline realizes it (q = n**-eps) from the
     chosen link's density.  ``k_threshold`` is the admissibility cutoff K (a
     4-cycle is admissible when it bounds more than K 4-disks); when None it
-    defaults to 3*v(H)**3 for the target at hand.  The certificate gluing
-    step needs k_threshold >= 3*e(H); this is checked when gluing is
-    requested.  ``retry_limit`` bounds the V2 placement search: it visits
-    at most ``retry_limit ** 2`` nodes before giving up undecided.
+    defaults to 3*v(H)**3 for the target at hand.  Any positive K is valid:
+    the V2 placement search itself secures distinct disk centers.
+    ``retry_limit`` bounds that search: it visits at most
+    ``retry_limit ** 2`` nodes before giving up undecided.
     """
 
     C: Fraction = Fraction(1)
@@ -241,14 +241,14 @@ class Config:
 
     @classmethod
     def paper_defaults(cls, target: ThreeGraph, **overrides) -> "Config":
-        """The asymptotic constants: C = 2000 v(H)**6, K = 3 v(H)**3."""
-        kw = dict(C=Fraction(2000) * target.v ** 6, k_threshold=3 * target.v ** 3)
+        """The asymptotic constants: C = 2000 v(H)**6; K is left to k_for (3 v(H)**3)."""
+        kw = dict(C=Fraction(2000) * target.v ** 6)
         kw.update(overrides)
         return cls(**kw)
 
     @classmethod
     def desk_scale(cls, target: ThreeGraph, **overrides) -> "Config":
-        """Small-host settings: K at its gluing floor 3*e(H), C = 1."""
+        """Small-host settings: C = 1 and K = 3*e(H), a desk setting, not a floor."""
         kw = dict(C=Fraction(1), k_threshold=max(1, 3 * target.e))
         kw.update(overrides)
         return cls(**kw)

@@ -5,8 +5,9 @@ pairs and triples of Y as good or bad, pass (via an exhaustive scan over X)
 to a core set Y' in which bad pairs and triples are rare, place the original
 target vertices on a completely-good subset of Y', place the added vertices
 injectively into their common neighbourhoods in X by an exact search that
-keeps every special cycle admissible, and finally glue one 4-disk with a
-fresh center onto the image of every special cycle.
+keeps every special cycle admissible and leaves each its own center, and
+finally glue one 4-disk with that center onto the image of every special
+cycle.
 
 Both expectation arguments (the choice of z and the choice of x) are
 derandomized by first-qualifying scans, and the V2 placement is an exact
@@ -24,15 +25,14 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
 from .core import AuxGraph, Config, Face, Pair, ThreeGraph, TripartiteHost, build_aux_graph
 from .errors import (
-    AdmissibilityViolation,
     CapacityExceeded,
-    CenterExhausted,
     CliqueNotFound,
     EmptyCandidateSet,
     NoQualifyingX,
@@ -277,12 +277,14 @@ def embed_v2(
     (augmenting paths) first checks Hall's condition on the candidates.
     Then candidates with no compatible partner are pruned (arc consistency),
     the face-vertices are placed depth first, and at each leaf the
-    pair-vertices are matched into the unused X-vertices.
+    pair-vertices are matched into the unused X-vertices; the leaf is taken
+    only if ``assign_centers`` then finds distinct centers besides link.z.
 
     Raises EmptyCandidateSet when a V2 vertex has no candidate at all, and
     RetriesExhausted when no injective placement exists (Hall's condition
-    fails), when no admissible one exists (the search was exhaustive), or
-    when the search spends its budget of ``cfg.retry_limit ** 2`` nodes.
+    fails), when the exhaustive search finds no admissible one with distinct
+    centers (trying one matching per leaf), or when the search spends its
+    budget of ``cfg.retry_limit ** 2`` nodes.
     """
     ymasks = link.y_masks
     domain: dict[int, int] = {}  # V2 vertex -> bitmask of its candidates in X
@@ -307,21 +309,26 @@ def embed_v2(
             f"vertices cover only {len(short) - 1} X-vertices (Hall)"
         )
     placed = _admissible_placement(
-        aux, v1_map, index, K, order, domain, cfg.retry_limit ** 2
+        aux, v1_map, index, K, link.z, order, domain, cfg.retry_limit ** 2
     )
     return {u: placed[u] for u in aux.v2}
 
 
 def _match(
-    verts, order: dict[int, list[int]], allowed: dict[int, int]
+    verts,
+    order: dict[int, list[int]],
+    allowed: dict[int, int],
+    owner: dict[int, int] | None = None,
 ) -> tuple[dict[int, int] | None, list[int]]:
     """An injective map of ``verts`` into their ``allowed`` masks (Kuhn).
 
-    Candidates are tried in ``order``.  Returns ``(map, [])``, or
-    ``(None, S)`` for a set S of vertices whose allowed sets together hold
-    only |S| - 1 X-vertices, which shows that no such map exists.
+    Candidates are tried in ``order``, starting from the partial map
+    ``owner`` (X-vertex -> vertex placed on it), which is updated in place.
+    Returns ``(map, [])``, or ``(None, S)`` for a set S of vertices whose
+    allowed sets together hold only |S| - 1 X-vertices, which shows that no
+    such map exists.
     """
-    owner: dict[int, int] = {}  # X-vertex -> vertex placed on it
+    owner = {} if owner is None else owner
 
     def augment(v: int, seen: set[int]) -> bool:
         for x in order[v]:
@@ -346,17 +353,19 @@ def _admissible_placement(
     v1_map: dict[int, int],
     index: HostIndex,
     K: int,
+    z: int,
     order: dict[int, list[int]],
     domain: dict[int, int],
     budget: int,
 ) -> dict[int, int]:
-    """An injective V2 placement under which every special cycle is admissible.
+    """An injective V2 placement under which every special cycle is
+    admissible and has its own center, other than ``z``.
 
     Every constraint joins a face-vertex to a pair-vertex, so once the
     face-vertices are placed the pair-vertices only have to be matched.  The
     search is depth first over the face-vertices (fewer than the
     pair-vertices on a surface), with forward checking of the pair-vertices,
-    and is stopped after ``budget`` nodes.
+    and is stopped after ``budget`` nodes.  A leaf tries one matching only.
     """
     dom = dict(domain)
     # One arc per special cycle: (w, u, compat), where compat[xw] is the
@@ -433,11 +442,13 @@ def _admissible_placement(
     rest = [v for v in aux.v2 if v not in arcs_of]
     nodes = 0
 
-    def search(dom: dict[int, int], used: int, left: list[int]) -> dict[int, int] | None:
+    def search(dom: dict[int, int], used: int, left: list[int]) -> Iterator[dict[int, int]]:
         nonlocal nodes
         if not left:
             placed, _ = _match(rest, order, {v: dom[v] & ~used for v in rest})
-            return placed
+            if placed is not None:
+                yield placed
+            return
         # the face-vertex with the fewest free candidates goes next
         w = min(left, key=lambda v: (dom[v] & ~used).bit_count())
         others = [v for v in left if v != w]
@@ -458,16 +469,15 @@ def _admissible_placement(
             if all(child[v] & ~taken for v in others) and all(
                 child[u] & ~taken for u, _ in arcs_of[w]
             ):
-                placed = search(child, taken, others)
-                if placed is not None:
+                for placed in search(child, taken, others):
                     placed[w] = x
-                    return placed
-        return None
+                    yield placed
 
-    placed = search(dom, 0, list(arcs_of))
-    if placed is None:
-        raise no_placement(f"exhaustive search over {nodes} nodes")
-    return placed
+    # the leaves in search order; the first with distinct centers is taken
+    for placed in search(dom, 0, list(arcs_of)):
+        if assign_centers(index, aux, v1_map, placed, z) is not None:
+            return placed
+    raise no_placement(f"exhaustive search over {nodes} nodes")
 
 
 def assign_centers(
@@ -475,35 +485,32 @@ def assign_centers(
     aux: AuxGraph,
     v1_map: dict[int, int],
     v2_map: dict[int, int],
-    K: int,
     exclude_z: int,
-) -> dict[int, int]:
-    """Greedy distinct-center assignment over special cycles in fixed order.
+) -> dict[int, int] | None:
+    """Distinct centers for the special cycles, or None when none exist.
 
-    Every image cycle must be admissible (more than K disks); ``embed_v2``
-    places V2 so that it is, and it is checked again here as a guard.  The
-    chosen link vertex itself is never used as a center.  With K >= 3 e(H) the greedy
-    scan cannot run out of candidates.
+    A cycle's centers are the Z-vertices that complete its image to 4-disks,
+    the link vertex ``exclude_z`` left out.  Each cycle takes its first free
+    center in cycle order; any cycle left without one is then placed by an
+    augmenting path (``_match``), so the result is a system of distinct
+    representatives whenever one exists.
     """
-    used: set[int] = set()
-    center_map: dict[int, int] = {}
-    for ci, sc in enumerate(aux.special_cycles):
-        mask = index.disk_mask(v2_map[sc.u], v2_map[sc.w], v1_map[sc.a], v1_map[sc.b])
-        if mask.bit_count() <= K:
-            raise AdmissibilityViolation(
-                f"image of special cycle {ci} bounds only {mask.bit_count()} "
-                f"4-disks (K={K})"
-            )
-        chosen = None
-        for z in _bits(mask):
-            if z != exclude_z and z not in used:
-                chosen = z
-                break
-        if chosen is None:
-            raise CenterExhausted(f"no unused center for special cycle {ci}")
-        used.add(chosen)
-        center_map[ci] = chosen
-    return center_map
+    keep = ~(1 << exclude_z)
+    masks = {
+        ci: index.disk_mask(v2_map[sc.u], v2_map[sc.w], v1_map[sc.a], v1_map[sc.b]) & keep
+        for ci, sc in enumerate(aux.special_cycles)
+    }
+    owner: dict[int, int] = {}  # center -> cycle index
+    taken, short = 0, []
+    for ci, mask in masks.items():
+        free = mask & ~taken
+        if free:
+            taken |= free & -free
+            owner[(free & -free).bit_length() - 1] = ci
+        else:
+            short.append(ci)
+    order = {ci: _bits(mask) for ci, mask in masks.items()} if short else {}
+    return _match(short, order, masks, owner)[0]
 
 
 def assert_valid_embedding(
@@ -556,7 +563,7 @@ def _aux_graph_within_capacity(host: TripartiteHost, target: ThreeGraph, K: int)
     The original vertices need v(H) distinct images in Y, checked before the
     auxiliary graph (whose V1 has v(H) entries) is built, and the added ones
     |V2| in X.  A 4-cycle bounds at most n_z disks, so none is admissible
-    unless K < n_z; as K >= 3 e(H), this also leaves 3 e(H) distinct centers
+    unless K < n_z; and the 3 e(H) special cycles need distinct centers in Z
     besides the link vertex.
     """
     if target.v > host.n_y:
@@ -570,6 +577,11 @@ def _aux_graph_within_capacity(host: TripartiteHost, target: ThreeGraph, K: int)
         raise CapacityExceeded(
             f"K = {K} is not below n_z = {host.n_z}, so no 4-cycle is admissible"
         )
+    if 3 * target.e >= host.n_z:
+        raise CapacityExceeded(
+            f"3 e(H) = {3 * target.e} special cycles need distinct centers "
+            f"besides the link vertex, but n_z = {host.n_z}"
+        )
     return aux
 
 
@@ -582,14 +594,10 @@ def find_homeomorph(
     (stage ``capacity``) before any search when the host classes are too
     small for the target at this K, and a later stage when the host is too
     sparse for the configured constants or, at ``embed_v2``, when no
-    admissible injective placement of the added vertices exists for the
-    chosen core or the placement search spends its budget.
+    admissible injective placement of the added vertices with distinct
+    centers exists for the chosen core or the search spends its budget.
     """
     K = cfg.k_for(target)
-    if K < 3 * target.e:
-        raise ValueError(
-            f"k_threshold = {K} below the gluing floor 3*e(H) = {3 * target.e}"
-        )
     aux = _aux_graph_within_capacity(host, target, K)
     index = HostIndex(host)
 
@@ -607,7 +615,8 @@ def find_homeomorph(
 
     rng = random.Random(derive_seed(cfg.rng_seed))
     v2_map = embed_v2(aux, v1_map, choice.link, cfg, rng, index=index, K=K)
-    center_map = assign_centers(index, aux, v1_map, v2_map, K, choice.z)
+    # embed_v2 accepted this placement only once these centers existed
+    center_map = assign_centers(index, aux, v1_map, v2_map, choice.z)
     emb = Embedding(v1_map=v1_map, v2_map=v2_map, center_map=center_map)
     assert_valid_embedding(emb, aux, target, host)
     return _assemble_certificate(target, aux, emb)

@@ -37,19 +37,9 @@ class RetriesExhausted(PipelineError):
     """No V2 placement was found; the message says which of three reasons.
 
     No injective placement exists (Hall's condition fails), no admissible one
-    exists (the search was exhaustive), or the search spent its node budget.
+    with distinct disk centers exists (the search was exhaustive), or the
+    search spent its node budget.
     """
 
     stage = "embed_v2"
 
-
-class AdmissibilityViolation(PipelineError):
-    """Some embedded special cycle is forbidden; signals a placement bug."""
-
-    stage = "assign_centers"
-
-
-class CenterExhausted(PipelineError):
-    """Distinct-center assignment ran out of candidates; signals a bug."""
-
-    stage = "assign_centers"

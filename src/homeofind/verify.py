@@ -91,12 +91,13 @@ def _fail(check: int, reason: str) -> VerifyResult:
 def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> VerifyResult:
     """Check a certificate against the host; trusts nothing.
 
-    Runs six checks in order and reports the first violation:
+    Runs seven checks in order and reports the first violation:
     (1) all faces exist in the host, (2) face count is 12 e(H),
     (3) embedding maps are injective, (4) centers are distinct,
     (5) the relabeled face set equals the canonical glued subdivision,
     (6) the Euler characteristic of the certificate complex equals the
-    target's.
+    target's, (7) v1_map maps exactly the target's vertices into Y (this
+    reaches isolated vertices, which no face shows).
     """
     target = cert.target
     emb = cert.embedding
@@ -154,6 +155,14 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
         return _fail(
             6, f"certificate complex has chi = {chi_cert}, target has chi = {chi_target}"
         )
+
+    # (7) the original vertices, isolated ones included, are exactly v1_map's
+    # keys, and it sends them into Y
+    if len(emb.v1_map) != target.v or not all(0 <= v < target.v for v in emb.v1_map):
+        return _fail(7, f"v1_map does not map exactly the target vertices 0..{target.v - 1}")
+    for v, y in emb.v1_map.items():
+        if not 0 <= y < host.n_y:
+            return _fail(7, f"v1_map sends vertex {v} to {y}, outside Y = [0, {host.n_y})")
 
     return VerifyResult(passed=True)
 

@@ -247,7 +247,7 @@ class TestConfig:
     def test_paper_defaults(self):
         cfg = Config.paper_defaults(K4)
         assert cfg.C == 2000 * 4 ** 6
-        assert cfg.k_threshold == 3 * 4 ** 3
+        assert cfg.k_for(K4) == 192
 
     def test_desk_scale_floor(self):
         cfg = Config.desk_scale(K4)

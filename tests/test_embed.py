@@ -45,14 +45,17 @@ def complete_link(n_x, n_y):
     )
 
 
-def only_link(link):
-    """The index of a host whose one Z-vertex has ``link`` as its link.
+def only_link(link, target):
+    """The index of a host whose 1 + 3 e(H) Z-vertices all have ``link`` as
+    their link.
 
-    With n_Z = 1 and K = 0, every special cycle placed inside the link bounds
-    one 4-disk and is admissible, so embed_v2 has only injectivity to meet.
+    With K = 0, every special cycle placed inside the link bounds 1 + 3 e(H)
+    4-disks and is admissible, and the 3 e(H) of them other than z = 0 give
+    every cycle its own center, so embed_v2 has only injectivity to meet.
     """
-    faces = frozenset((x, y, 0) for x, y in link.edges)
-    return HostIndex(TripartiteHost((link.n_x, link.n_y, 1), faces))
+    n_z = 1 + 3 * target.e
+    faces = frozenset((x, y, z) for x, y in link.edges for z in range(n_z))
+    return HostIndex(TripartiteHost((link.n_x, link.n_y, n_z), faces))
 
 
 def classify(link, index, cfg, K, scale):
@@ -373,11 +376,13 @@ class TestFindCompleteSubgraph:
 
 class TestEmbedV2:
     def test_single_vertex_no_collision(self):
-        aux = build_aux_graph(ThreeGraph(3, frozenset()))
+        target = ThreeGraph(3, frozenset())
+        aux = build_aux_graph(target)
         # no V2 at all: trivially succeeds
         link = complete_link(4, 4)
         out = embed_v2(
-            aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0), index=only_link(link), K=0
+            aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
+            index=only_link(link, target), K=0,
         )
         assert out == {}
 
@@ -386,7 +391,8 @@ class TestEmbedV2:
         link = complete_link(20, 3)
         v1_map = {0: 0, 1: 1, 2: 2}
         out = embed_v2(
-            aux, v1_map, link, Config(rng_seed=1), random.Random(1), index=only_link(link), K=0
+            aux, v1_map, link, Config(rng_seed=1), random.Random(1),
+            index=only_link(link, TRIANGLE), K=0,
         )
         assert sorted(out) == sorted(aux.v2)
         assert len(set(out.values())) == len(out)
@@ -396,7 +402,8 @@ class TestEmbedV2:
         link = LinkGraph(z=0, n_x=2, n_y=3, edges=frozenset({(0, 0), (0, 1)}))
         with pytest.raises(EmptyCandidateSet):
             embed_v2(
-                aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0), index=only_link(link), K=0
+                aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
+                index=only_link(link, TRIANGLE), K=0,
             )
 
     def test_collision_rate_below_half_at_scale(self):
@@ -410,7 +417,7 @@ class TestEmbedV2:
             edges=frozenset((x, y) for x in range(100) for y in range(4) if x % 5 != y),
         )
         v1_map = {i: i for i in range(4)}
-        index = only_link(link)
+        index = only_link(link, K4)
         placements = set()
         for seed in range(400):
             out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), index=index, K=0)
@@ -428,7 +435,7 @@ class TestEmbedV2:
         with pytest.raises(RetriesExhausted, match="no injective placement"):
             embed_v2(
                 aux, {0: 0, 1: 1, 2: 2}, link, Config(retry_limit=8), random.Random(0),
-                index=only_link(link), K=0,
+                index=only_link(link, TRIANGLE), K=0,
             )
 
     def test_permutation_on_exactly_wide_link(self):
@@ -439,7 +446,9 @@ class TestEmbedV2:
         aux = build_aux_graph(torus7)
         v1_map = {v: v for v in aux.v1}
         link = complete_link(35, 7)
-        out = embed_v2(aux, v1_map, link, Config(), random.Random(0), index=only_link(link), K=0)
+        out = embed_v2(
+            aux, v1_map, link, Config(), random.Random(0), index=only_link(link, torus7), K=0
+        )
         assert sorted(out) == sorted(aux.v2)
         assert sorted(out.values()) == list(range(35))
         # the same with admissibility enforced: 43 centers per cycle > K = 42
@@ -452,7 +461,8 @@ class TestEmbedV2:
             aux, v1_map, index.link(0), Config(), random.Random(0), index=index, K=42
         )
         assert sorted(out.values()) == list(range(35))
-        assign_centers(index, aux, v1_map, out, K=42, exclude_z=0)
+        centers = assign_centers(index, aux, v1_map, out, exclude_z=0)
+        assert sorted(centers.values()) == list(range(1, 43))
 
     @staticmethod
     def _clashing_host():
@@ -482,6 +492,27 @@ class TestEmbedV2:
                 random.Random(0), index=index, K=0,
             )
 
+    def test_no_distinct_centers_is_proved(self):
+        # In a complete host with n_Z = 3 every placement is admissible at
+        # K = 0, but the triangle's three special cycles share the two
+        # centers other than z = 0; one more Z-vertex is enough.
+        aux = build_aux_graph(TRIANGLE)
+        for n_z, found in ((3, False), (4, True)):
+            host = TripartiteHost(
+                (4, 3, n_z), frozenset(itertools.product(range(4), range(3), range(n_z)))
+            )
+            index = HostIndex(host)
+            try:
+                out = embed_v2(
+                    aux, {0: 0, 1: 1, 2: 2}, index.link(0), Config(), random.Random(0),
+                    index=index, K=0,
+                )
+            except RetriesExhausted as exc:
+                assert not found
+                assert "no admissible placement: exhaustive" in str(exc)
+            else:
+                assert found and sorted(out.values()) == [0, 1, 2, 3]
+
     def test_budget_reason_when_search_is_cut(self):
         aux = build_aux_graph(TRIANGLE)
         index = self._clashing_host()
@@ -492,8 +523,13 @@ class TestEmbedV2:
             )
 
     def test_search_matches_brute_force(self):
-        # exact in both directions: a placement is returned exactly when some
-        # injective placement makes every special cycle admissible
+        # exact in both directions on these hosts: a placement is returned
+        # exactly when some injective placement makes every special cycle
+        # admissible and leaves the cycles distinct centers other than the
+        # link vertex z = 0 (the 3 e(H) = 6 cycles need n_Z >= 7).  A leaf
+        # tries one matching of its pair-vertices, so on other hosts the
+        # search can miss a placement whose centers only another matching
+        # of the same leaf makes distinct.
         target = ThreeGraph(4, frozenset({(0, 1, 2), (0, 1, 3)}))
         aux = build_aux_graph(target)
         v1_map = {i: i for i in range(4)}
@@ -501,15 +537,26 @@ class TestEmbedV2:
         outcomes = []
         for seed in range(40):
             rng = random.Random(seed)
-            host = random_host(rng, n_x, 4, 6, rng.uniform(0.85, 1.0))
+            host = random_host(rng, n_x, 4, 7, rng.uniform(0.85, 1.0))
             index = HostIndex(host)
             link = index.link(0)
             K = rng.randint(2, 4)
 
+            def distinct_centers(centers, used):
+                if not centers:
+                    return True
+                return any(
+                    distinct_centers(centers[1:], used | {z})
+                    for z in centers[0] if z != 0 and z not in used
+                )
+
             def admissible(img):
-                return all(
-                    index.disk_mask(img[sc.u], img[sc.w], sc.a, sc.b).bit_count() > K
+                masks = [
+                    index.disk_mask(img[sc.u], img[sc.w], sc.a, sc.b)
                     for sc in aux.special_cycles
+                ]
+                return all(m.bit_count() > K for m in masks) and distinct_centers(
+                    [[z for z in range(host.n_z) if (m >> z) & 1] for m in masks], set()
                 )
 
             cands = [
@@ -543,16 +590,42 @@ class TestEmbedV2:
         assert any(outcomes) and not all(outcomes)
 
 
+def disks_host(aux, v1_map, v2_map, centers):
+    """The index of the host made of the 4-disks of the special cycles'
+    images, cycle ci having a disk around each z in centers[ci]."""
+    faces = set()
+    for sc, zs in zip(aux.special_cycles, centers):
+        for z in zs:
+            for x in (v2_map[sc.u], v2_map[sc.w]):
+                faces.update((x, v1_map[a], z) for a in (sc.a, sc.b))
+    n_z = 1 + max(z for zs in centers for z in zs)
+    return HostIndex(TripartiteHost((len(v2_map), len(v1_map), n_z), frozenset(faces)))
+
+
 class TestAssignCenters:
+    V1 = {0: 0, 1: 1, 2: 2}
+    V2 = {3: 0, 4: 1, 5: 2, 6: 3}
+
     def test_single_cycle_smallest_center(self):
-        host = complete_host(5)
-        index = HostIndex(host)
+        index = HostIndex(complete_host(5))
         aux = build_aux_graph(TRIANGLE)
-        v1_map = {0: 0, 1: 1, 2: 2}
-        v2_map = {3: 0, 4: 1, 5: 2, 6: 3}
-        centers = assign_centers(index, aux, v1_map, v2_map, K=3, exclude_z=0)
+        centers = assign_centers(index, aux, self.V1, self.V2, exclude_z=0)
         assert centers[0] == 1  # z = 0 excluded, smallest unused otherwise
         assert len(set(centers.values())) == 3
+
+    def test_augments_where_greedy_runs_out(self):
+        # cycle 0 may take 1 or 2 and cycle 1 only 1: first-free order gives
+        # cycle 0 the center 1, and an augmenting path moves it to 2
+        aux = build_aux_graph(TRIANGLE)
+        index = disks_host(aux, self.V1, self.V2, [{0, 1, 2}, {0, 1}, {0, 3}])
+        centers = assign_centers(index, aux, self.V1, self.V2, exclude_z=0)
+        assert centers == {0: 2, 1: 1, 2: 3}
+
+    def test_none_when_hall_fails(self):
+        # cycles 0 and 1 both have only the center 1 besides z = 0
+        aux = build_aux_graph(TRIANGLE)
+        index = disks_host(aux, self.V1, self.V2, [{0, 1}, {0, 1}, {0, 2, 3}])
+        assert assign_centers(index, aux, self.V1, self.V2, exclude_z=0) is None
 
     def test_k4_centers_recheck(self):
         host = complete_host(20)
@@ -612,6 +685,8 @@ class TestFindHomeomorph:
             ((10, 2, 10), TRIANGLE, 3, "v(H) = 3 exceeds n_y = 2"),
             ((3, 10, 10), TRIANGLE, 3, "|V2| = 4 added vertices exceed n_x = 3"),
             ((10, 10, 12), K4, 12, "K = 12 is not below n_z = 12"),
+            ((10, 10, 12), K4, 3, "3 e(H) = 12 special cycles need distinct centers "
+                                  "besides the link vertex, but n_z = 12"),
         ],
     )
     def test_capacity_rejected_before_search(self, sizes, target, K, reason):
@@ -642,9 +717,26 @@ class TestFindHomeomorph:
         text = write_certificate(cert)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_k_floor_enforced(self, complete30):
-        with pytest.raises(ValueError):
-            find_homeomorph(complete30, K4, Config(C=1, k_threshold=11))
+    def test_k_below_three_e_finds(self, complete30):
+        # K < 3 e(H) = 12 is valid: the search itself secures distinct centers
+        cert = find_homeomorph(complete30, K4, Config(C=1, k_threshold=11))
+        assert verify_certificate(cert, complete30).passed
+
+    @pytest.mark.parametrize("name, n, p", [
+        ("k4", 40, 0.5), ("k4", 40, 0.6), ("torus7", 43, 0.7), ("torus7", 43, 0.9),
+    ])
+    def test_small_k_finds_where_three_e_cannot(self, name, n, p):
+        # With distinct centers secured inside the V2 search, K = 3 finds and
+        # verifies on every one of these hosts, while K = 3 e(H) (12 for k4,
+        # 42 for torus7) leaves no admissible placement on any of them.
+        target = load_target(f"builtin:{name}")
+        for s in range(6):
+            host = gen_random_host(n, n, n, p, 1000 + s)
+            cert = find_homeomorph(host, target, Config(C=2, k_threshold=3, rng_seed=s))
+            assert verify_certificate(cert, host).passed
+            with pytest.raises(RetriesExhausted) as info:
+                find_homeomorph(host, target, Config(C=2, k_threshold=3 * target.e, rng_seed=s))
+            assert info.value.stage == "embed_v2"
 
     def test_monotone_under_host_growth(self):
         rng = random.Random(3)

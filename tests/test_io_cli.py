@@ -32,6 +32,7 @@ from homeofind.io import (
     write_threegraph,
 )
 from homeofind.verify import verify_certificate
+from test_verify import isolated_vertex_certificate_text
 
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
 
@@ -226,6 +227,14 @@ class TestCli:
             "--C", "1", "--k", "3", "--out", certp,
         ]) == 0
         assert main(["verify", "--cert", certp, "--host", empty]) == 1
+
+    def test_verify_rejects_isolated_vertex_outside_y(self, tmp_path, capsys):
+        host = complete_host(12)
+        hostp = self._write_host(tmp_path, host)
+        certp = tmp_path / "bad.cert"
+        certp.write_text(isolated_vertex_certificate_text(host, "v1 3 999"))
+        assert main(["verify", "--cert", str(certp), "--host", hostp]) == 1
+        assert "fail check=7: " in capsys.readouterr().err
 
     def test_find_failure_exit_code(self, tmp_path, capsys):
         empty = self._write_host(tmp_path, TripartiteHost((5, 5, 5), frozenset()))

@@ -22,6 +22,7 @@ from homeofind.embed import (
     find_homeomorph,
 )
 from homeofind.errors import CliqueNotFound
+from homeofind.io import parse_certificate, write_certificate
 from homeofind.verify import (
     canonical_glued_subdivision,
     clique_oracle,
@@ -188,6 +189,33 @@ class TestVerifierRejects:
         empty = type(complete_host(10))((10, 10, 10), frozenset())
         res = verify_certificate(cert, empty)
         assert not res.passed and res.check == 1
+
+
+def isolated_vertex_certificate_text(host, v1_line):
+    """The text of a certificate for a target with an isolated vertex 3,
+    with its ``v1 3 ...`` line replaced by ``v1_line``."""
+    lonely = ThreeGraph(4, frozenset({(0, 1, 2)}))
+    cert = find_homeomorph(host, lonely, Config(C=1, k_threshold=3, rng_seed=1))
+    lines = write_certificate(cert).splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.startswith("v1 3 ")]
+    lines[i] = v1_line
+    return "\n".join(lines) + "\n"
+
+
+class TestIsolatedVertexImage:
+    # No face shows an isolated vertex, so checks 1-6 pass each of these;
+    # only check 7 reads v1_map itself.
+    @pytest.mark.parametrize("v1_line, reason", [
+        ("v1 3 999", "sends vertex 3 to 999, outside Y = [0, 12)"),
+        ("v1 3 -1", "sends vertex 3 to -1, outside Y = [0, 12)"),
+        ("v1 99 5", "does not map exactly the target vertices 0..3"),
+    ])
+    def test_check7_bad_isolated_vertex_image(self, v1_line, reason):
+        host = complete_host(12)
+        cert = parse_certificate(isolated_vertex_certificate_text(host, v1_line))
+        res = verify_certificate(cert, host)
+        assert not res.passed and res.check == 7
+        assert reason in res.reason
 
 
 class TestOutOfRangeFaces:
