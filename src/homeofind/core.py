@@ -7,12 +7,15 @@ target-side constructions: the 3-partite subdivision of a target and its
 bipartite auxiliary graph whose special 4-cycles mark where 4-disks must be
 glued.
 
-It also defines the one storage format of a host's faces: a face (x, y, z)
-of a host with class sizes (n_x, n_y, n_z) is the int code
-``(x * n_y + y) * n_z + z``, and a ``TripartiteHost`` keeps a frozenset of
-codes, so a dense host with Θ(n³) faces holds no tuple per face.  Codes
-sort as their faces do.  The per-face loops of ``io`` (parse and write a
-host) and ``links`` (``HostIndex``) inline this arithmetic.
+It also defines the one storage format of a host's faces, its z-mask
+table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
+each (x, y) with at least one face, the bitmask over Z of the z that
+complete (x, y) to a face, keyed by the flat index ``x * n_y + y``.  The
+table is sparse (an (x, y) with no face has no entry), so it holds one int
+per occupied (x, y) and nothing per face or per header-sized class.  Every
+stage reads the host through it: ``io`` writes and parses it, and ``links``
+views it as ``HostIndex`` and counts every link size e(L_z) from it with
+one bit-sliced counter.
 """
 
 from __future__ import annotations
@@ -69,47 +72,57 @@ def _class_sizes(class_sizes) -> tuple[int, int, int]:
     return sizes
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class TripartiteHost:
     """A 3-partite 3-graph with classes X, Y, Z and per-class 0-based indices.
 
-    Faces are stored as their codes ``(x * n_y + y) * n_z + z`` (see the
-    module docstring).  ``TripartiteHost(class_sizes, faces)`` takes any
-    iterable of (x, y, z) triples of ints and names the first bad face in
-    input order; ``from_codes`` takes the codes themselves.  ``has`` tests
-    one face, and ``faces`` decodes them all, for tests and oracles.
-    Equality and hashing are by value.
+    Faces are stored as the z-mask table ``zmasks`` (see the module
+    docstring): bit z of ``zmasks[x * n_y + y]`` marks the face (x, y, z),
+    and no entry is zero.  Treat the table as read-only.
+    ``TripartiteHost(class_sizes, faces)`` takes any iterable of (x, y, z)
+    triples of ints and names the first bad face in input order; a face's
+    mask takes z + 1 bits, so memory grows with the largest z given.
+    ``has`` tests one face, and ``sorted_faces`` and ``faces`` decode the
+    table, for tests and oracles.  Equality and hashing are by value.
     """
 
     class_sizes: tuple[int, int, int]
-    codes: frozenset[int]
+    zmasks: dict[int, int]
 
     def __init__(self, class_sizes, faces: Iterable[Face]):
         nx, ny, nz = sizes = _class_sizes(class_sizes)
-        codes = []
-        append = codes.append
+        table: dict[int, int] = {}
         for x, y, z in faces:
             if not (type(x) is int and type(y) is int and type(z) is int):
                 raise ValueError(f"face {(x, y, z)} has a non-integer coordinate")
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise ValueError(f"face {(x, y, z)} out of class bounds")
-            append((x * ny + y) * nz + z)
+            i = x * ny + y
+            table[i] = table.get(i, 0) | 1 << z
         object.__setattr__(self, "class_sizes", sizes)
-        object.__setattr__(self, "codes", frozenset(codes))
+        object.__setattr__(self, "zmasks", table)
 
     @classmethod
-    def from_codes(cls, class_sizes, codes: Iterable[int]) -> "TripartiteHost":
-        """A host from face codes, each an int in [0, n_x * n_y * n_z)."""
-        nx, ny, nz = sizes = _class_sizes(class_sizes)
-        codes = frozenset(codes)
-        end = nx * ny * nz
-        if codes and (set(map(type, codes)) != {int} or min(codes) < 0 or max(codes) >= end):
-            bad = next(c for c in codes if type(c) is not int or not 0 <= c < end)
-            raise ValueError(f"face code {bad!r} not an int in [0, {end})")
+    def _from_table(cls, class_sizes, zmasks: dict[int, int]) -> "TripartiteHost":
+        """A host that takes over ``zmasks``.  Only the sizes are checked: the
+        caller vouches for keys in [0, n_x * n_y) and non-zero masks below
+        2**n_z."""
         host = object.__new__(cls)
-        object.__setattr__(host, "class_sizes", sizes)
-        object.__setattr__(host, "codes", codes)
+        object.__setattr__(host, "class_sizes", _class_sizes(class_sizes))
+        object.__setattr__(host, "zmasks", zmasks)
         return host
+
+    def __eq__(self, other):
+        if not isinstance(other, TripartiteHost):
+            return NotImplemented
+        return self.class_sizes == other.class_sizes and self.zmasks == other.zmasks
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.class_sizes, frozenset(self.zmasks.items())))
 
     @property
     def n_x(self) -> int:
@@ -123,20 +136,28 @@ class TripartiteHost:
     def n_z(self) -> int:
         return self.class_sizes[2]
 
-    @property
+    @cached_property
     def e(self) -> int:
-        return len(self.codes)
+        return sum(map(int.bit_count, self.zmasks.values()))
 
     def has(self, x: int, y: int, z: int) -> bool:
         """Whether (x, y, z) is a face.  Each coordinate is checked against
-        its class first: out of range, it would alias another face's code."""
+        its class first: out of range, it would alias another face's entry."""
         nx, ny, nz = self.class_sizes
-        return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz and (x * ny + y) * nz + z in self.codes
+        return (
+            0 <= x < nx and 0 <= y < ny and 0 <= z < nz
+            and self.zmasks.get(x * ny + y, 0) >> z & 1 == 1
+        )
 
     def sorted_faces(self) -> list[Face]:
-        """The faces in lexicographic order: the sorted codes, decoded."""
-        _, ny, nz = self.class_sizes
-        return [(c // (ny * nz), c // nz % ny, c % nz) for c in sorted(self.codes)]
+        """The faces in lexicographic order: the sorted table, decoded."""
+        ny = self.n_y
+        return [
+            (i // ny, i % ny, z)
+            for i, m in sorted(self.zmasks.items())
+            for z in range(m.bit_length())
+            if m >> z & 1
+        ]
 
     @cached_property
     def faces(self) -> frozenset[Face]:

@@ -22,19 +22,34 @@ from .seeding import derive_seed
 from .verify import verify_certificate
 
 
+# a draw's outcome, the byte 0 or 1, as a binary digit
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def gen_random_host(
     n_x: int, n_y: int, n_z: int, p: float | Fraction, seed: int
 ) -> TripartiteHost:
     """Binomial random host: each potential face kept with probability p.
 
-    One draw per face code, in ascending order: (x, y, z) lexicographic.
+    One draw per potential face, in ascending order: (x, y, z)
+    lexicographic.  The draws of one x become a string of binary digits,
+    reversed once, so that the slice of each (x, y) reads, through
+    ``int(slice, 2)``, as its z-mask.
     """
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     draw = random.Random(seed).random
-    codes = [c for c in range(n_x * n_y * n_z) if draw() < p]
-    return TripartiteHost.from_codes((n_x, n_y, n_z), codes)
+    row = n_y * n_z
+    table = {}
+    for x in range(n_x if row else 0):  # no potential face, no draw
+        digits = bytes([draw() < p for _ in range(row)]).translate(_DIGITS)[::-1]
+        for y in range(n_y):
+            end = row - y * n_z  # digits[end - n_z:end] holds z = n_z - 1, ..., 0
+            mask = int(digits[end - n_z:end], 2)
+            if mask:
+                table[x * n_y + y] = mask
+    return TripartiteHost._from_table((n_x, n_y, n_z), table)
 
 
 # A sweep's cfg may set every Config field but rng_seed, which it derives

@@ -7,17 +7,27 @@ run of whitespace.  Faces are sets, so a repeated ``f`` line is accepted
 and counted once.  Every malformed input, a non-integer token included,
 raises ``FormatError`` naming the line where one applies.
 
-A host file's face lines become face codes (see ``core``) as they are
-read; the coordinates are checked against the ``tph`` sizes once per
-distinct value, after the last line.  Nothing is allocated in proportion
-to a header's count: not from a host's ``tph`` sizes, and not from a
-certificate's ``tg`` count, which is bounded by the lines that can place
-its vertices before anything is built from it.
+A host file's face lines are ORed into the host's z-mask table (see
+``core``) as they are read, and ``write_host`` writes the table back in
+sorted order; the coordinates are checked against the ``tph`` sizes once
+per distinct value, after the last line.  Nothing is allocated in
+proportion to a header's count: not from a host's ``tph`` sizes, and not
+from a certificate's ``tg`` count, which is bounded by the lines that can
+place its vertices before anything is built from it.
+
+A host's table is bounded by its text: with k (x, y) entries and largest
+z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
+the line that would pass it, a text whose table would exceed
+``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
+``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists.  A
+written host stays far inside: a dense n = 60 host holds about 0.1 bit
+per character.
 """
 
 from __future__ import annotations
 
 from importlib import resources
+from itertools import compress, count
 
 from .core import ThreeGraph, TripartiteHost, build_aux_graph
 from .embed import Embedding, HomeomorphCertificate
@@ -90,28 +100,88 @@ class _TokenInts(dict):
         return val
 
 
+# parse_host's bound on a host table: bits per character of text, and a floor
+TABLE_BITS_PER_CHAR = 64
+TABLE_BITS_FLOOR = 1 << 23
+
+
+def _over_budget(keys: int, top: int, budget: int) -> str:
+    return (
+        f"a host table of {keys} (x, y) masks of up to {top} bits would exceed "
+        f"its budget of {budget} bits ({TABLE_BITS_PER_CHAR} per character of "
+        f"text plus {TABLE_BITS_FLOOR})"
+    )
+
+
+class _ZBits(dict):
+    """Token text -> the bit ``1 << z`` of ``z = int(text)``, or 0 for a z
+    outside [0, n_z), which ``parse_host`` reports after the last line.
+
+    ``top`` is the largest z + 1 seen in range.  A new largest z is checked
+    against the table budget, counting one more (x, y) entry than the table
+    has, before its bit is made.
+    """
+
+    def __init__(self, nz: int, table: dict[int, int], budget: int):
+        super().__init__()
+        self.nz, self.table, self.budget = nz, table, budget
+        self.top = 0
+
+    def __missing__(self, tok: str) -> int:
+        z = int(tok)
+        if not 0 <= z < self.nz:
+            val = 0
+        else:
+            if z >= self.top:
+                if (len(self.table) + 1) * (z + 1) > self.budget:
+                    raise ValueError(_over_budget(len(self.table) + 1, z + 1, self.budget))
+                self.top = z + 1
+            val = 1 << z
+        self[tok] = val
+        return val
+
+
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host.
 
-    Each well-formed face line adds one face code.  A host repeats a few
-    distinct tokens on many face lines, so each distinct token text is
-    converted once per class, through a memo that grows only with the
-    tokens read (not with the ``tph`` sizes); every coordinate is still
-    ``int(token)``, so spellings, errors and line numbers are those of a
-    plain per-token ``int()``.  A coordinate outside its class would alias
-    another face's code, so the memos' values are checked against the
-    sizes before the codes are used.
+    Each well-formed face line ORs its z-bit into the table entry of its
+    (x, y).  A host repeats a few distinct tokens on many face lines, so
+    each distinct token text is converted once per class, through a memo
+    that grows only with the tokens read (not with the ``tph`` sizes);
+    every coordinate is still ``int(token)``, so spellings, errors and line
+    numbers are those of a plain per-token ``int()``.  The z memo holds
+    bits, made only for a z inside its class.  A coordinate outside its
+    class would alias another face's entry, so the memos' values are
+    checked against the sizes before the table is used.  A line that opens
+    a new entry or a new largest z checks the table's bound (see the module
+    docstring) first.
     """
     sizes = None
-    ny = nz = 0
-    codes = []
-    append = codes.append
-    memos = xs, ys, zs = _TokenInts(), _TokenInts(), _TokenInts()
+    ny = 0
+    table: dict[int, int] = {}
+    budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
+    xs, ys, zs = _TokenInts(), _TokenInts(), None
+    # A written host gives each (x, y) one run of consecutive lines: the run
+    # ORs its z-bits into ``run``, kept out of the table until the run ends.
+    xt = yt = key = None  # the run's x and y tokens and its table key
+    run = 0
     try:
         for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
             # the well-formed face line comes first: it is nearly every line
             if len(tok) == 4 and tok[0] == "f" and sizes is not None:
-                append((xs[tok[1]] * ny + ys[tok[2]]) * nz + zs[tok[3]])
+                if tok[2] != yt or tok[1] != xt:  # a new run
+                    if key is not None:
+                        table[key] = run
+                    xt, yt = tok[1], tok[2]
+                    key = xs[xt] * ny + ys[yt]
+                    run = table.get(key)
+                    if run is None:  # a new entry, counted with the table
+                        if (len(table) + 1) * zs.top > budget:
+                            raise FormatError(
+                                f"line {lineno}: {_over_budget(len(table) + 1, zs.top, budget)}"
+                            )
+                        run = 0
+                run |= zs[tok[3]]
             elif not tok or tok[0].startswith("#"):
                 continue
             elif tok[0] == "tph":
@@ -120,7 +190,8 @@ def parse_host(text: str) -> TripartiteHost:
                 if len(tok) != 4:
                     raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
                 sizes = (int(tok[1]), int(tok[2]), int(tok[3]))
-                ny, nz = sizes[1], sizes[2]
+                ny = sizes[1]
+                zs = _ZBits(sizes[2], table, budget)
             elif tok[0] != "f":
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
             elif sizes is None:
@@ -129,31 +200,51 @@ def parse_host(text: str) -> TripartiteHost:
                 raise FormatError(f"line {lineno}: expected 'f x y z'")
     except FormatError:
         raise
-    except ValueError as exc:  # a token that is not an integer
+    except ValueError as exc:  # a token that is not an integer, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
-    if not all(0 <= v < n for memo, n in zip(memos, sizes) for v in memo.values()):
-        # error path only: every well-formed face line added one code, in
+    if key is not None:
+        table[key] = run
+    in_range = all(0 <= v < n for memo, n in zip((xs, ys), sizes) for v in memo.values())
+    if not (in_range and all(zs.values())):
+        # error path only: every well-formed face line set one bit, in
         # order; the first whose face TripartiteHost rejects is named
         for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
             if len(tok) == 4 and tok[0] == "f":
                 try:
-                    TripartiteHost(sizes, [(xs[tok[1]], ys[tok[2]], zs[tok[3]])])
+                    TripartiteHost(sizes, [(xs[tok[1]], ys[tok[2]], int(tok[3]))])
                 except ValueError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from exc
     try:
-        return TripartiteHost.from_codes(sizes, codes)
+        return TripartiteHost._from_table(sizes, table)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
+# a binary digit of a z-mask, as the byte 0 or 1
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_positions(mask: int):
+    """The positions of the set bits of ``mask``, ascending, found in C:
+    its binary digits, reversed, select from the counter 0, 1, 2, ..."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS))
+
+
 def write_host(host: TripartiteHost) -> str:
-    """The face lines in lexicographic order: the sorted codes, decoded."""
-    ny, nz = host.n_y, host.n_z
-    yz = ny * nz
-    lines = [f"tph {host.n_x} {ny} {nz}"]
-    lines += [f"f {c // yz} {c // nz % ny} {c % nz}" for c in sorted(host.codes)]
+    """The face lines in lexicographic order, from the sorted table: each
+    (x, y) makes one ``f x y`` prefix, joined to the text of each z in its
+    mask.  That text is made once per z that occurs in the host."""
+    ny = host.n_y
+    table = sorted(host.zmasks.items())
+    union = 0
+    for _, m in table:
+        union |= m
+    z_text = {z: str(z) for z in _bit_positions(union)}.__getitem__
+    lines = [f"tph {host.n_x} {ny} {host.n_z}"]
+    for i, m in table:
+        lines += map(f"f {i // ny} {i % ny} ".__add__, map(z_text, _bit_positions(m)))
     return "\n".join(lines) + "\n"
 
 

@@ -1,12 +1,13 @@
 """Link graphs of host vertices, 4-cycle enumeration and classification.
 
 The hot path here is counting, for every 4-cycle of a link, the number of
-host vertices z whose link also contains it (its 4-disks).  ``HostIndex``
-precomputes, in one pass over the host's faces, the bitmask of z-vertices
-completing each (x, y) pair to a face and, per z, the edges of its link as
-flat indices ``x * n_y + y``; a cycle's disk count is then a popcount of an
-AND of four masks.  The z-scan reads e(L_z) off the length of that list and
-builds a ``LinkGraph`` only for a z that passes the density condition.
+host vertices z whose link also contains it (its 4-disks).  The host's
+z-mask table (see ``core``) already holds, per (x, y), the bitmask of the
+z completing it to a face; ``HostIndex`` is a view of that table, so a
+cycle's disk count is a popcount of an AND of four of its entries, looked
+up by flat index ``x * n_y + y``.  The z-scan reads e(L_z) for every z off
+one bit-sliced counter over the table's masks (``HostIndex.link_size``)
+and builds a ``LinkGraph`` only for a z that passes the density condition.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it yields B_z (the number of forbidden cycles) and, in the same pass,
@@ -56,89 +57,108 @@ class CycleClassification:
     admissible: bool  # True: admissible, False: forbidden
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinkGraph:
-    """The bipartite X-Y graph of faces through a fixed z."""
+    """The bipartite X-Y graph of faces through a fixed z, as neighbour masks.
+
+    ``x_masks[x]`` is the bitmask over Y of the neighbours of x, and
+    ``y_masks[y]`` the bitmask over X of those of y.  ``LinkGraph(z, n_x,
+    n_y, edges)`` builds both from (x, y) edges; ``HostIndex.link`` builds
+    them straight from the host's table.  ``edges`` decodes them, for tests
+    and oracles.
+    """
 
     z: int
     n_x: int
     n_y: int
-    edges: frozenset[tuple[int, int]]
+    x_masks: tuple[int, ...]
+    y_masks: tuple[int, ...]
 
-    @property
+    def __init__(self, z: int, n_x: int, n_y: int, edges):
+        x_masks, y_masks = [0] * n_x, [0] * n_y
+        for x, y in edges:
+            x_masks[x] |= 1 << y
+            y_masks[y] |= 1 << x
+        self._set(z, n_x, n_y, x_masks, y_masks)
+
+    @classmethod
+    def _of_masks(cls, z: int, n_x: int, n_y: int, x_masks, y_masks) -> "LinkGraph":
+        link = object.__new__(cls)
+        link._set(z, n_x, n_y, x_masks, y_masks)
+        return link
+
+    def _set(self, z, n_x, n_y, x_masks, y_masks):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "n_y", n_y)
+        object.__setattr__(self, "x_masks", tuple(x_masks))
+        object.__setattr__(self, "y_masks", tuple(y_masks))
+
+    @cached_property
     def e(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.x_masks))
 
     @cached_property
-    def x_masks(self) -> tuple[int, ...]:
-        """Per x, the bitmask over Y of its neighbours (built once)."""
-        masks = [0] * self.n_x
-        for x, y in self.edges:
-            masks[x] |= 1 << y
-        return tuple(masks)
-
-    @cached_property
-    def y_masks(self) -> tuple[int, ...]:
-        """Per y, the bitmask over X of its neighbours (built once)."""
-        masks = [0] * self.n_y
-        for x, y in self.edges:
-            masks[y] |= 1 << x
-        return tuple(masks)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((x, y) for x, m in enumerate(self.x_masks) for y in _bits(m))
 
 
 class HostIndex:
-    """Precomputed lookup structures for one host, built in one pass.
+    """A view of one host's z-mask table, shared by every stage of a run.
 
-    The pass over the host's face codes splits each code c into
-    ``i = c // n_z`` (the flat index ``x * n_y + y``) and ``z = c % n_z``,
-    ORs the z-bit (from a table of ``1 << z``) into a flat list at i and
-    appends i to the list of its z, so no object is made per face.
-    ``zbits`` then maps every (x, y) with at least one face to its bitmask
-    over Z, and ``faces_by_z[z]`` holds the flat indices ``x * n_y + y`` of
-    the edges of the link of z (so its length is e(L_z)); ``link(z)`` turns
-    them into (x, y) edges.  Immutable once built; shared by every stage of
-    a pipeline run.
+    ``zmasks`` is the host's table itself: nothing is copied, and nothing
+    is built per face.  ``disk_mask`` ANDs table entries found by flat
+    index.  ``link_size(z)`` is e(L_z), read off a bit-sliced counter over
+    the table's masks that is built on first use; ``link(z)`` builds the
+    link of z from the table.
     """
 
     def __init__(self, host: TripartiteHost):
         self.host = host
-        n_y, n_z = host.n_y, host.n_z
-        zbit = [1 << z for z in range(n_z)]
-        flat = [0] * (host.n_x * n_y)
-        faces_by_z: list[list[int]] = [[] for _ in range(n_z)]
-        for c in host.codes:
-            i = c // n_z
-            z = c % n_z
-            flat[i] |= zbit[z]
-            faces_by_z[z].append(i)
-        self.faces_by_z = faces_by_z
-        self.zbits: dict[tuple[int, int], int] = {
-            divmod(i, n_y): m for i, m in enumerate(flat) if m
-        }
+        self.zmasks = host.zmasks
+        self.n_y = host.n_y
+
+    @cached_property
+    def _size_planes(self) -> list[int]:
+        """Bit z of ``planes[j]`` is bit j of e(L_z), the number of masks
+        holding z: each mask is added to the planes with a ripple carry."""
+        planes: list[int] = []
+        for carry in self.zmasks.values():
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        return planes
+
+    def link_size(self, z: int) -> int:
+        """e(L_z), the number of faces through z."""
+        if not 0 <= z < self.host.n_z:
+            raise IndexError(f"z = {z} out of range")
+        return sum((plane >> z & 1) << j for j, plane in enumerate(self._size_planes))
 
     def link(self, z: int) -> LinkGraph:
         if not 0 <= z < self.host.n_z:
             raise IndexError(f"z = {z} out of range")
-        n_y = self.host.n_y
-        return LinkGraph(
-            z=z,
-            n_x=self.host.n_x,
-            n_y=n_y,
-            edges=frozenset(divmod(i, n_y) for i in self.faces_by_z[z]),
-        )
+        n_x, n_y = self.host.n_x, self.n_y
+        x_masks, y_masks = [0] * n_x, [0] * n_y
+        for i, m in self.zmasks.items():
+            if m >> z & 1:
+                x, y = divmod(i, n_y)
+                x_masks[x] |= 1 << y
+                y_masks[y] |= 1 << x
+        return LinkGraph._of_masks(z, n_x, n_y, x_masks, y_masks)
 
     def disk_count(self, c: FourCycle) -> int:
         return self.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
         """Bitmask over Z of the centers completing the cycle to 4-disks."""
-        zb = self.zbits
-        return (
-            zb.get((xa, ya), 0)
-            & zb.get((xa, yb), 0)
-            & zb.get((xb, ya), 0)
-            & zb.get((xb, yb), 0)
-        )
+        get = self.zmasks.get
+        ra, rb = xa * self.n_y, xb * self.n_y
+        return get(ra + ya, 0) & get(ra + yb, 0) & get(rb + ya, 0) & get(rb + yb, 0)
 
 
 def count_disks(host: TripartiteHost, c: FourCycle) -> int:
@@ -211,7 +231,7 @@ def count_forbidden(
     so ``total`` is the sum of the values.
 
     For a Y-pair, each common neighbour x contributes the column z-set
-    Z(x) = zbits(x, y1) & zbits(x, y2), and the cycle on columns x, x' bounds
+    Z(x) = zmasks[x * n_y + y1] & zmasks[x * n_y + y2], and the cycle on columns x, x' bounds
     |Z(x) & Z(x')| disks.  With the columns sorted by c = |Z(x)|, two facts
     settle most cycles without an AND, both exact:
 
@@ -220,7 +240,7 @@ def count_forbidden(
     - |Z(x) & Z(x')| >= c + c' - n_Z (inclusion-exclusion), so a column pair
       with c + c' > K + n_Z is admissible.
     """
-    zb = index.zbits
+    zb, ny = index.zmasks, index.n_y
     cap = K + index.host.n_z
     ymasks = link.y_masks
     ys = [y for y in range(link.n_y) if ymasks[y]]
@@ -233,7 +253,7 @@ def count_forbidden(
             if common & (common - 1) == 0:  # fewer than two common neighbours
                 continue
             cols = sorted(
-                (zb[(x, y1)] & zb[(x, y2)] for x in _bits(common)),
+                (zb[x * ny + y1] & zb[x * ny + y2] for x in _bits(common)),
                 key=int.bit_count,
             )
             sizes = [c.bit_count() for c in cols]
@@ -275,9 +295,9 @@ def pick_link_vertex(
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
     B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  The first
-    is checked on the edge count of ``index`` (the host's index, shared with
-    the later stages), so the link graph is built only for a z that passes
-    it.  The choice carries the count_forbidden pass of that link and
+    is checked on ``index.link_size`` (one counter over the host's table
+    gives e(L_z) for every z; the index is shared with the later stages),
+    so the link graph is built only for a z that passes it.  The choice carries the count_forbidden pass of that link and
     q = n**(-eps), realized from its density.
     """
     if host.e == 0:
@@ -286,7 +306,7 @@ def pick_link_vertex(
     C = cfg.C
     best_diag = []
     for z in range(host.n_z):
-        e_l = len(index.faces_by_z[z])  # faces are a set, so this is e(L_z)
+        e_l = index.link_size(z)
         if e_l == 0:
             continue
         # (1): e(L_z) >= (C/2) n**(2 - delta)

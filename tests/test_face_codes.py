@@ -1,11 +1,14 @@
-"""Face codes, the one storage format of a host's faces.
+"""The z-mask table, the one storage format of a host's faces.
 
-A face (x, y, z) of a host with class sizes (n_x, n_y, n_z) is stored as
-(x * n_y + y) * n_z + z.  Every benchmark host is cubic, so these tests use
-non-cubic sizes, where a code that mixed up n_y and n_z would go wrong.
+A host with class sizes (n_x, n_y, n_z) keeps, per (x, y) with a face, the
+bitmask over Z of its faces, keyed by x * n_y + y.  Every benchmark host is
+cubic, so these tests use non-cubic sizes, where a key that mixed up n_x
+and n_y would go wrong.
 """
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +28,13 @@ from homeofind.verify import verify_certificate
 NON_CUBIC = [(3, 5, 7), (7, 1, 4), (4, 7, 1), (1, 6, 3)]
 
 
+def brute_table(sizes, faces):
+    table = {}
+    for x, y, z in faces:
+        table[x * sizes[1] + y] = table.get(x * sizes[1] + y, 0) | 1 << z
+    return table
+
+
 class TestConstruction:
     @pytest.mark.parametrize("face", [(0.5, 0, 0), (0, 1.0, 0), (0, 0, True), (False, 0, 0)])
     def test_rejects_non_integer_coordinates(self, face):
@@ -41,24 +51,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="class sizes"):
             TripartiteHost(sizes, [])
         with pytest.raises(ValueError, match="class sizes"):
-            TripartiteHost.from_codes(sizes, [])
+            TripartiteHost._from_table(sizes, {})
 
     @pytest.mark.parametrize("sizes", NON_CUBIC)
-    def test_from_codes_equals_from_faces(self, sizes):
-        nx, ny, nz = sizes
-        faces = list(itertools.product(range(nx), range(ny), range(nz)))[::3]
-        codes = [(x * ny + y) * nz + z for x, y, z in faces]
+    def test_table_matches_brute_force(self, sizes):
+        faces = list(itertools.product(*map(range, sizes)))[::3]
         a = TripartiteHost(sizes, faces)
-        b = TripartiteHost.from_codes(sizes, codes)
-        assert a == b and hash(a) == hash(b)
-        assert a.codes == frozenset(codes)
+        assert a.zmasks == brute_table(sizes, faces)
+        assert 0 not in a.zmasks.values()
         assert a.faces == frozenset(faces)
         assert a.e == len(faces)
-
-    @pytest.mark.parametrize("code", [-1, 3 * 5 * 7, 2.0, True, "4"])
-    def test_from_codes_rejects(self, code):
-        with pytest.raises(ValueError, match=f"face code {code!r} not an int"):
-            TripartiteHost.from_codes((3, 5, 7), [0, code, 1])
+        # by value: the order of the faces and a repeated face do not matter
+        shuffled = faces + faces[:2]
+        random.Random(1).shuffle(shuffled)
+        b = TripartiteHost(sizes, shuffled)
+        assert a == b and hash(a) == hash(b)
+        c = TripartiteHost._from_table(sizes, dict(reversed(a.zmasks.items())))
+        assert a == c and hash(a) == hash(c)
+        if faces[1:]:
+            assert a != TripartiteHost(sizes, faces[1:])
+        assert a != TripartiteHost(sizes[::-1], [])
 
 
 class TestNonCubicEncoding:
@@ -78,13 +90,19 @@ class TestNonCubicEncoding:
     @pytest.mark.parametrize("sizes", NON_CUBIC)
     def test_index_matches_brute_force(self, sizes):
         host = gen_random_host(*sizes, 0.5, 5)
-        zbits = {}
-        for x, y, z in host.faces:
-            zbits[(x, y)] = zbits.get((x, y), 0) | 1 << z
         index = HostIndex(host)
-        assert index.zbits == zbits
+        assert index.zmasks == brute_table(sizes, host.faces)
         for z in range(host.n_z):
-            assert index.link(z).edges == {(x, y) for x, y, zz in host.faces if zz == z}
+            link = index.link(z)
+            edges = {(x, y) for x, y, zz in host.faces if zz == z}
+            assert link.edges == edges
+            assert link.x_masks == tuple(
+                sum(1 << y for y in range(host.n_y) if (x, y) in edges) for x in range(host.n_x)
+            )
+            assert link.y_masks == tuple(
+                sum(1 << x for x in range(host.n_x) if (x, y) in edges) for y in range(host.n_y)
+            )
+            assert link.e == len(edges)
 
     @pytest.mark.parametrize("sizes", NON_CUBIC)
     def test_has_matches_tuple_membership(self, sizes):
@@ -95,8 +113,34 @@ class TestNonCubicEncoding:
             assert host.has(x, y, z) == ((x, y, z) in faces), (x, y, z)
 
 
+@pytest.mark.parametrize("sizes", NON_CUBIC + [(3, 4, 0), (3, 4, 1), (0, 4, 5), (2, 0, 3), (9, 8, 70)])
+@pytest.mark.parametrize("p", [0, 0.05, 0.5, 1])
+def test_link_sizes_match_brute_force(sizes, p):
+    """e(L_z) off the bit-sliced counter, on hosts with empty (x, y) and
+    with no Z or no faces at all."""
+    host = gen_random_host(*sizes, p, 7)
+    index = HostIndex(host)
+    want = [sum(1 for f in host.faces if f[2] == z) for z in range(host.n_z)]
+    assert [index.link_size(z) for z in range(host.n_z)] == want
+    for z in (-1, host.n_z):
+        with pytest.raises(IndexError):
+            index.link_size(z)
+
+
+def test_generated_host_retains_under_a_megabyte():
+    """A dense n = 60 host is one mask per (x, y), not a set of face codes."""
+    tracemalloc.start()
+    try:
+        host = gen_random_host(60, 60, 60, 0.9, 11)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert host.e > 0.85 * 60 ** 3
+    assert retained < 1 << 20
+
+
 def test_shipping_path_reads_no_face_tuples(monkeypatch):
-    """gen, host text, find, certificate text and verify use codes only."""
+    """gen, host text, find, certificate text and verify use the table only."""
 
     def refuse(self):
         raise AssertionError("a shipping stage read TripartiteHost.faces")

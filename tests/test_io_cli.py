@@ -21,6 +21,8 @@ from homeofind.core import (
 from homeofind.embed import find_homeomorph
 from homeofind.errors import NoQualifyingVertex
 from homeofind.io import (
+    TABLE_BITS_FLOOR,
+    TABLE_BITS_PER_CHAR,
     FormatError,
     load_certificate,
     load_target,
@@ -131,6 +133,41 @@ class TestHostFormat:
             tracemalloc.stop()
         assert host == TripartiteHost((10**12,) * 3, frozenset({(0, 0, 0)}))
         assert peak < 1 << 20
+
+    def test_table_bounded_by_text(self):
+        # one line asks for a 10**12-bit mask: refused before the mask exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"^line 2: a host table .* budget"):
+                parse_host(f"tph 1 1 {10**12}\nf 0 0 {10**12 - 1}\n")
+            # a z outside its class gets no bit either
+            with pytest.raises(FormatError, match=rf"^line 3: face \(0, 0, {10**12}\) out of class"):
+                parse_host(f"tph 1 1 2\nf 0 0 1\nf 0 0 {10**12}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_table_bound_counts_entries(self):
+        # each new (x, y) entry may hold up to the largest z + 1 bits; the
+        # line that opens the entry passing the budget is named
+        top = 10**5
+        text = f"tph 1000 1 {top}\n" + "".join(f"f {x} 0 {top - 1}\n" for x in range(200))
+        budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
+        first_over = budget // top + 1
+        assert first_over <= 200
+        with pytest.raises(FormatError, match=rf"^line {1 + first_over}: .* {first_over} \(x, y\) masks"):
+            parse_host(text)
+        # the floor alone admits this many entries, whatever the text
+        fits = TABLE_BITS_FLOOR // top
+        assert parse_host("".join(text.splitlines(keepends=True)[:1 + fits])).e == fits
+
+    def test_written_hosts_stay_inside_the_bound(self):
+        for host in (complete_host(12), random_host(random.Random(3), 7, 9, 70, 0.05)):
+            text = write_host(host)
+            bits = len(host.zmasks) * max(m.bit_length() for m in host.zmasks.values())
+            assert bits <= TABLE_BITS_PER_CHAR * len(text)
+            assert parse_host(text) == host
 
 
 class TestCertificateFormat:
@@ -293,6 +330,20 @@ class TestCli:
         assert main(["verify", "--cert", str(certp), "--host", hostp]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 4: expected 'v1 v y'")
+        assert "Traceback" not in err
+
+    def test_host_over_its_table_bound_exit_2(self, tmp_path, capsys):
+        hostp = self._write_host(tmp_path, complete_host(10))
+        certp = str(tmp_path / "out.cert")
+        assert main([
+            "find", "--target", "builtin:triangle", "--host", hostp,
+            "--C", "1", "--k", "3", "--out", certp,
+        ]) == 0
+        hostile = tmp_path / "hostile.tph"
+        hostile.write_text(f"tph 1 1 {10**12}\nf 0 0 {10**12 - 1}\n")
+        assert main(["verify", "--cert", certp, "--host", str(hostile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: a host table")
         assert "Traceback" not in err
 
     def test_non_integer_host_token_exit_2(self, tmp_path, capsys):
