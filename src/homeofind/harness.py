@@ -9,7 +9,9 @@ find-and-verify pipeline with a seed derived from the master seed.
 from __future__ import annotations
 
 import json
+import math
 import random
+import struct
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -22,8 +24,8 @@ from .seeding import derive_seed
 from .verify import verify_certificate
 
 
-# a draw's outcome, the byte 0 or 1, as a binary digit
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# the two 32-bit outputs a, b behind one random() draw
+_WORD_PAIR = struct.Struct("<II")
 
 
 def gen_random_host(
@@ -31,24 +33,51 @@ def gen_random_host(
 ) -> TripartiteHost:
     """Binomial random host: each potential face kept with probability p.
 
-    One draw per potential face, in ascending order: (x, y, z)
-    lexicographic.  The draws of one x become a string of binary digits,
-    reversed once, so that the slice of each (x, y) reads, through
-    ``int(slice, 2)``, as its z-mask.
+    The host is the one that one ``random()`` draw per potential face, in
+    (x, y, z) lexicographic order, keeps when the draw is below p; the
+    draws are made in bulk.  CPython's ``random()`` is v / 2**53 with
+    v = (a >> 5) * 2**26 + (b >> 6) for two consecutive 32-bit outputs a, b
+    of the Mersenne Twister, so a face is kept exactly when
+    v < ceil(p * 2**53) (p * 2**53 only scales by a power of two).
+
+    Each x takes the 2 * n_y * n_z outputs of its draws from one
+    ``getrandbits`` call, read as little-endian bytes.  This relies on
+    CPython's ``getrandbits`` putting its 32-bit words in the order they
+    are made, least significant first; the pinned digests in the tests
+    guard it.  The top byte of a, which is the top 8 bits of v, decides a
+    draw through one byte table; a tie with the top 8 bits of the bound
+    (about 1 draw in 256) is decided from the full v.  The row's digits,
+    reversed, read through ``int(..., 2)`` as one integer whose bit
+    y * n_z + z is the face (x, y, z).
     """
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    draw = random.Random(seed).random
+    if min(n_x, n_y, n_z) <= 0:  # no potential face, no draw
+        return TripartiteHost._from_table((n_x, n_y, n_z), {})
+    rng = random.Random(seed)
+    bound = math.ceil(p * 2.0 ** 53)  # random() < p  <=>  v < bound
+    top = bound >> 45
+    # top byte of a -> the draw's digit: "1" kept, "0" dropped, "2" a tie
+    verdict = bytes(49 if t < top else 50 if t == top else 48 for t in range(256))
     row = n_y * n_z
+    full = (1 << n_z) - 1
     table = {}
-    for x in range(n_x if row else 0):  # no potential face, no draw
-        digits = bytes([draw() < p for _ in range(row)]).translate(_DIGITS)[::-1]
-        for y in range(n_y):
-            end = row - y * n_z  # digits[end - n_z:end] holds z = n_z - 1, ..., 0
-            mask = int(digits[end - n_z:end], 2)
-            if mask:
-                table[x * n_y + y] = mask
+    for x in range(n_x):
+        words = rng.getrandbits(64 * row).to_bytes(8 * row, "little")
+        digits = words[3::8].translate(verdict)
+        i = digits.find(b"2")
+        if i >= 0:
+            digits = bytearray(digits)
+            while i >= 0:
+                a, b = _WORD_PAIR.unpack_from(words, 8 * i)
+                digits[i] = 49 if ((a >> 5) << 26 | b >> 6) < bound else 48
+                i = digits.find(b"2", i + 1)
+        bits = int(digits[::-1], 2)
+        for flat in range(x * n_y, (x + 1) * n_y):
+            if mask := bits & full:
+                table[flat] = mask
+            bits >>= n_z
     return TripartiteHost._from_table((n_x, n_y, n_z), table)
 
 

@@ -277,6 +277,24 @@ def count_forbidden(
     return total, by_pair
 
 
+def min_dense_link(C: Fraction, n: int, delta: Fraction, most: int) -> int:
+    """Least e in [1, most] with e >= (C/2) n**(2 - delta), else most + 1.
+
+    Found by bisection on the exact ``cmp_pow`` test, which is monotone in
+    e.  A link has at most as many edges as the table has entries, so
+    ``most = len(zmasks)`` makes e(L_z) >= cutoff the density condition
+    exactly.
+    """
+    lo, hi = 1, most + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cmp_pow(Fraction(2 * mid) / C, n, 2 - delta) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 @dataclass(frozen=True)
 class LinkChoice:
     z: int
@@ -294,23 +312,27 @@ def pick_link_vertex(
 
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
-    B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  The first
-    is checked on ``index.link_size`` (one counter over the host's table
-    gives e(L_z) for every z; the index is shared with the later stages),
-    so the link graph is built only for a z that passes it.  The choice carries the count_forbidden pass of that link and
-    q = n**(-eps), realized from its density.
+    B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  Only the z
+    of some face are scanned: they are the set bits of the OR of the
+    bit-sliced counter's planes, in ascending order.  The first condition
+    is one integer cutoff on ``index.link_size`` (see ``min_dense_link``),
+    so the link graph is built only for a z that passes it.  The choice
+    carries the count_forbidden pass of that link and q = n**(-eps),
+    realized from its density.
     """
     if host.e == 0:
         raise NoQualifyingVertex("empty host")
     n = max(host.class_sizes)
     C = cfg.C
+    occupied = 0
+    for plane in index._size_planes:
+        occupied |= plane
+    e_min = min_dense_link(C, n, cfg.delta, len(index.zmasks))
     best_diag = []
-    for z in range(host.n_z):
+    for z in _bits(occupied):
         e_l = index.link_size(z)
-        if e_l == 0:
-            continue
         # (1): e(L_z) >= (C/2) n**(2 - delta)
-        if cmp_pow(Fraction(2 * e_l) / C, n, 2 - cfg.delta) < 0:
+        if e_l < e_min:
             best_diag.append((z, e_l, None))
             continue
         link = index.link(z)

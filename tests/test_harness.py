@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_host
 from homeofind import harness
 from homeofind.core import Config
 from homeofind.errors import NoQualifyingVertex
@@ -50,6 +52,84 @@ class TestGenRandomHost:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             gen_random_host(2, 2, 2, 1.5, seed=0)
+
+    def test_empty_class_leaves_n_z_unread(self):
+        # no potential face: nothing is drawn or sized by n_z, however large
+        assert gen_random_host(0, 1, 10 ** 12, 0.5, seed=0).e == 0
+        assert gen_random_host(1, 0, 10 ** 12, 0.5, seed=0).e == 0
+
+    @pytest.mark.parametrize("sizes", [(-1, 2, 2), (3, -2, -3), (2, 2, -1)])
+    def test_rejects_negative_sizes(self, sizes):
+        with pytest.raises(ValueError, match="class sizes"):
+            gen_random_host(*sizes, 0.5, seed=0)
+
+
+# The per-draw reference is conftest.random_host: one draw() < p per
+# potential face, in (x, y, z) order, from random.Random(seed).
+ORACLE_SIZES = [
+    (0, 4, 4), (4, 0, 4), (4, 4, 0), (0, 0, 0), (1, 1, 1), (3, 5, 7),
+    (2, 3, 64), (2, 2, 70), (5, 4, 33),
+]
+ORACLE_PS = [0.0, 1.0, 5e-324, 2 ** -30, 1 / 3, 1 - 2 ** -53]
+
+
+def tie_outcomes(draws: int, p: float, seed: int) -> list[bool]:
+    """``draw() < p`` for each of the first ``draws`` draws whose top 8 of
+    53 bits equal those of ceil(p * 2**53): the draws that the generator's
+    byte table leaves to the exact test."""
+    draw = random.Random(seed).random
+    top = math.ceil(p * 2.0 ** 53) >> 45
+    out = []
+    for _ in range(draws):
+        u = draw()
+        if int(u * 2.0 ** 53) >> 45 == top:
+            out.append(u < p)
+    return out
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("sizes", ORACLE_SIZES)
+    @pytest.mark.parametrize("p", ORACLE_PS)
+    def test_equals_per_draw_reference(self, sizes, p):
+        for seed in (0, 7, 2 ** 70 + 1):
+            want = random_host(random.Random(seed), *sizes, p)
+            assert gen_random_host(*sizes, p, seed) == want
+
+    def test_every_top_byte_bound(self):
+        # p = k/256 puts the bound ceil(p * 2**53) on a multiple of 2**45:
+        # a draw whose top byte is k ties, and is dropped by the exact test.
+        sizes, seed = (3, 4, 70), 5
+        ties = []
+        for k in range(257):
+            p = k / 256
+            assert gen_random_host(*sizes, p, seed) == random_host(
+                random.Random(seed), *sizes, p
+            ), k
+            ties += tie_outcomes(840, p, seed)
+        assert len(ties) > 500 and not any(ties)
+
+    def test_p_at_a_draw(self):
+        # p equal to one of the draws, or one float away from it: that draw
+        # is kept exactly when it is below p, which only the full 53 bits
+        # of the draw decide.
+        sizes = (2, 3, 5)
+        for seed in range(4):
+            draw = random.Random(seed).random
+            for u in [draw() for _ in range(30)][::6]:
+                for p in (math.nextafter(u, 0), u, math.nextafter(u, 1)):
+                    want = random_host(random.Random(seed), *sizes, p)
+                    assert gen_random_host(*sizes, p, seed) == want, (seed, p)
+
+    @pytest.mark.parametrize("p", [1 / 3, 0.9, 30 ** -0.2])
+    def test_ties_decided_both_ways(self, p):
+        sizes = (3, 4, 70)
+        ties = []
+        for seed in range(10):
+            assert gen_random_host(*sizes, p, seed) == random_host(
+                random.Random(seed), *sizes, p
+            )
+            ties += tie_outcomes(840, p, seed)
+        assert any(ties) and not all(ties)
 
 
 class TestDeriveSeed:

@@ -15,6 +15,7 @@ from homeofind.links import (
     count_disks,
     count_forbidden,
     iter_link_cycles,
+    min_dense_link,
     pick_link_vertex,
 )
 
@@ -275,6 +276,57 @@ class TestPickLinkVertex:
                 continue
             b = sum(1 for c in iter_link_cycles(link) if count_disks(host, c) <= K)
             assert cmp_pow(Fraction(b) * cfg.C / (2 * K * e_l), 15, Fraction(6, 5)) > 0
+
+    def test_scans_only_occupied_z(self, monkeypatch):
+        # n_Z = 10**12, faces only at z < 7: the scan reads e(L_z) for those
+        # seven z alone, where a scan of range(n_Z) would never finish.
+        faces = list(itertools.product(range(40), range(40), range(7)))
+        host = TripartiteHost((40, 40, 10 ** 12), faces)
+        seen = []
+        link_size = HostIndex.link_size
+
+        def counted(self, z):
+            seen.append(z)
+            if len(seen) > 7:
+                raise AssertionError(f"link_size read for z = {z}, which has no face")
+            return link_size(self, z)
+
+        monkeypatch.setattr(HostIndex, "link_size", counted)
+        with pytest.raises(NoQualifyingVertex, match=r"\(6, 1600, None\)\]$"):
+            pick_link_vertex(host, Config(C=1000), K=3, index=HostIndex(host))
+        assert seen == list(range(7))
+
+    def test_skips_empty_z_and_keeps_first_choice(self):
+        # faces at z = 2 (sparse) and z = 9 (complete) only.  With n = 12
+        # and delta = 1, condition (1) is e(L_z) >= 6C: the scan reports
+        # z = 2 and picks z = 9 at C = 1, and reports both at C = 10.
+        faces = [(0, 0, 2)] + list(itertools.product(range(4), range(4), [9]))
+        host = TripartiteHost((4, 4, 12), faces)
+        index = HostIndex(host)
+        choice = pick_link_vertex(host, Config(C=1, delta=1), K=3, index=index)
+        assert (choice.z, choice.link.e) == (9, 16)
+        with pytest.raises(NoQualifyingVertex, match=r"\[\(2, 1, None\), \(9, 16, None\)\]"):
+            pick_link_vertex(host, Config(C=10, delta=1), K=3, index=index)
+
+
+class TestMinDenseLink:
+    def test_cutoff_matches_per_value_check(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            C = Fraction(rng.randint(1, 100), rng.randint(1, 10))
+            delta = Fraction(rng.randint(1, 6), rng.choice([1, 6, 7]))
+            delta = min(delta, Fraction(1))
+            n = rng.choice([1, 2, rng.randint(3, 60)])
+            passes = [
+                cmp_pow(Fraction(2 * e) / C, n, 2 - delta) >= 0 for e in range(1, 2001)
+            ]
+            first = passes.index(True) + 1 if any(passes) else 2001
+            assert passes == [e >= first for e in range(1, 2001)], (C, n, delta)
+            for most in (1, first - 1, first, rng.randint(1, 2000), 2000):
+                if not 1 <= most <= 2000:
+                    continue
+                want = first if first <= most else most + 1
+                assert min_dense_link(C, n, delta, most) == want, (C, n, delta, most)
 
 
 class TestEpsScaleCutoffs:
