@@ -3,6 +3,8 @@
 from .core import (
     AuxGraph,
     Config,
+    Embedding,
+    HomeomorphCertificate,
     SubdividedComplex,
     ThreeGraph,
     TripartiteHost,
@@ -10,26 +12,21 @@ from .core import (
     build_triple_subdivision,
     covered_pairs,
     euler_characteristic,
-    tripartite_reduce,
 )
-from .embed import (
-    Embedding,
-    HomeomorphCertificate,
-    ProblemGraph,
-    find_complete_subgraph,
-    find_homeomorph,
-)
+from .embed import ProblemGraph, clique_oracle, find_complete_subgraph, find_homeomorph
 from .errors import PipelineError
 from .harness import SweepSpec, gen_random_host, run_sweep
 from .io import load_certificate, load_host, load_target, write_certificate
-from .links import FourCycle, LinkGraph, classify_cycles, count_disks, pick_link_vertex
-from .verify import (
-    canonical_glued_subdivision,
-    clique_oracle,
+from .links import (
+    FourCycle,
+    LinkGraph,
+    classify_cycles,
+    count_disks,
     expectation_oracle,
     forbidden_expectation_oracle,
-    verify_certificate,
+    pick_link_vertex,
 )
+from .verify import canonical_glued_subdivision, verify_certificate
 
 __all__ = [
     "AuxGraph",
@@ -62,7 +59,6 @@ __all__ = [
     "load_target",
     "pick_link_vertex",
     "run_sweep",
-    "tripartite_reduce",
     "verify_certificate",
     "write_certificate",
 ]

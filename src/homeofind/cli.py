@@ -2,7 +2,8 @@
 
 Verbs: find, verify, gen, sweep, inspect.  Exit codes: 0 on success or a
 passing verification, 1 on a pipeline failure or failing verification
-(stage tag on stderr), 2 on usage errors.
+(stage tag on stderr), 2 on usage errors, malformed input or a path that
+cannot be read or written (an ``error:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (FormatError, FileNotFoundError, ValueError) as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

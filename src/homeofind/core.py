@@ -2,10 +2,12 @@
 
 A 3-graph is a 3-uniform hypergraph; identifying each edge with a triangular
 face turns it into a two-dimensional simplicial complex.  This module holds
-the immutable value types shared by the whole pipeline together with the two
-target-side constructions: the 3-partite subdivision of a target and its
-bipartite auxiliary graph whose special 4-cycles mark where 4-disks must be
-glued.
+the immutable value types shared by the whole pipeline, the certificate
+types ``Embedding`` and ``HomeomorphCertificate`` among them, together with
+the two target-side constructions: the 3-partite subdivision of a target and
+its bipartite auxiliary graph whose special 4-cycles mark where 4-disks must
+be glued.  The certificate path (``io``, ``verify``) imports this module
+alone.
 
 It also defines the one storage format of a host's faces, its z-mask
 table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
@@ -21,7 +23,6 @@ one bit-sliced counter.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -223,6 +224,24 @@ class AuxGraph:
 
 
 @dataclass(frozen=True)
+class Embedding:
+    """Where a certificate puts the target's glued subdivision in the host."""
+
+    v1_map: dict[int, int]  # target vertex -> Y index
+    v2_map: dict[int, int]  # aux V2 vertex -> X index
+    center_map: dict[int, int]  # special-cycle index -> Z index
+
+
+@dataclass(frozen=True)
+class HomeomorphCertificate:
+    """A homeomorphic copy of ``target`` in a host: its faces and their map."""
+
+    target: ThreeGraph
+    host_faces: tuple[Face, ...]  # four per special cycle, in cycle order
+    embedding: Embedding
+
+
+@dataclass(frozen=True)
 class Config:
     """Pipeline knobs, and the one home of their defaults.
 
@@ -294,46 +313,6 @@ def euler_characteristic(h: ThreeGraph) -> int:
     toward V.
     """
     return h.vertex_count - len(covered_pairs(h)) + h.e
-
-
-def tripartite_reduce(h: ThreeGraph, seed: int, retry_limit: int = 1000) -> TripartiteHost:
-    """Pass to a balanced 3-partition keeping at least ceil(2m/9) faces.
-
-    A uniformly random balanced partition keeps each face with probability
-    > 2/9, so resampling (seeded) terminates quickly; if v(h) is not a
-    multiple of 3 up to two isolated vertices are padded on first.
-    """
-    v = h.vertex_count
-    pad = (-v) % 3
-    v += pad
-    n = v // 3
-    m = h.e
-    bound = -(-2 * m // 9)  # ceil(2m/9)
-    rng = random.Random(seed)
-    verts = list(range(v))
-    for attempt in range(retry_limit):
-        rng.shuffle(verts)
-        classes = [sorted(verts[:n]), sorted(verts[n:2 * n]), sorted(verts[2 * n:])]
-        cls_of = {}
-        local = {}
-        for ci, members in enumerate(classes):
-            for li, u in enumerate(members):
-                cls_of[u] = ci
-                local[u] = li
-        kept = []
-        for f in h.faces:
-            cs = {cls_of[u] for u in f}
-            if len(cs) == 3:
-                triple = [0, 0, 0]
-                for u in f:
-                    triple[cls_of[u]] = local[u]
-                kept.append(tuple(triple))
-        if len(kept) >= bound:
-            return TripartiteHost((n, n, n), frozenset(kept))
-    raise RuntimeError(
-        f"no balanced partition reached {bound} faces in {retry_limit} attempts "
-        "(this should be unreachable: a random partition achieves the bound in expectation)"
-    )
 
 
 def build_triple_subdivision(h: ThreeGraph) -> SubdividedComplex:

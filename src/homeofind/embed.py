@@ -14,6 +14,9 @@ derandomized by first-qualifying scans, and the V2 placement is an exact
 search; randomness remains only in the order in which that search tries
 candidates, and is fully seeded.
 
+``clique_oracle``, an exhaustive scan over t-subsets of Y', is the test
+oracle of ``find_complete_subgraph``.
+
 The Theta(n**3) triple layers make no object per triple: the bad triples
 of Y are one bitmask over y3 per pair (y1, y2), so the core-set scan counts
 them by popcount and D(Y') is built from masks; only the triples of D(Y')
@@ -30,14 +33,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import AuxGraph, Config, Face, Pair, ThreeGraph, TripartiteHost, build_aux_graph
-from .errors import (
-    CapacityExceeded,
-    CliqueNotFound,
-    EmptyCandidateSet,
-    NoQualifyingX,
-    RetriesExhausted,
+from .core import (
+    AuxGraph,
+    Config,
+    Embedding,
+    Face,
+    HomeomorphCertificate,
+    Pair,
+    ThreeGraph,
+    TripartiteHost,
+    build_aux_graph,
 )
+from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
 from .exact import EpsScale
 from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
 from .seeding import derive_seed
@@ -57,20 +64,6 @@ class ProblemGraph:
 
     ground_set: tuple[int, ...]
     bad_triples: frozenset[tuple[int, int, int]]
-
-
-@dataclass(frozen=True)
-class Embedding:
-    v1_map: dict[int, int]  # target vertex -> Y index
-    v2_map: dict[int, int]  # aux V2 vertex -> X index
-    center_map: dict[int, int]  # special-cycle index -> Z index
-
-
-@dataclass(frozen=True)
-class HomeomorphCertificate:
-    target: ThreeGraph
-    host_faces: tuple[Face, ...]  # four per special cycle, in cycle order
-    embedding: Embedding
 
 
 def classify_pairs_triples(
@@ -256,6 +249,22 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
     )
 
 
+def clique_oracle(p: ProblemGraph, t: int) -> bool:
+    """Ground truth for find_complete_subgraph by exhaustive t-subset scan."""
+    verts = p.ground_set
+    if len(verts) > 40:
+        raise ValueError("clique_oracle is exponential; |Y'| must be <= 40")
+    if t <= 0:
+        return True
+    if t > len(verts):
+        return False
+    bad = p.bad_triples
+    for subset in itertools.combinations(verts, t):
+        if all(tr not in bad for tr in itertools.combinations(subset, 3)):
+            return True
+    return False
+
+
 def embed_v2(
     aux: AuxGraph,
     v1_map: dict[int, int],
@@ -280,11 +289,11 @@ def embed_v2(
     pair-vertices are matched into the unused X-vertices; the leaf is taken
     only if ``assign_centers`` then finds distinct centers besides link.z.
 
-    Raises EmptyCandidateSet when a V2 vertex has no candidate at all, and
-    RetriesExhausted when no injective placement exists (Hall's condition
-    fails), when the exhaustive search finds no admissible one with distinct
-    centers (trying one matching per leaf), or when the search spends its
-    budget of ``cfg.retry_limit ** 2`` nodes.
+    Raises RetriesExhausted when no injective placement exists (Hall's
+    condition fails, as it does when a V2 vertex has no candidate at all),
+    when the exhaustive search finds no admissible one with distinct centers
+    (trying one matching per leaf), or when the search spends its budget of
+    ``cfg.retry_limit ** 2`` nodes.
     """
     ymasks = link.y_masks
     domain: dict[int, int] = {}  # V2 vertex -> bitmask of its candidates in X
@@ -293,11 +302,6 @@ def embed_v2(
         mask = (1 << link.n_x) - 1
         for a in aux.neighbors_of_v2(u):
             mask &= ymasks[v1_map[a]]
-        if not mask:
-            raise EmptyCandidateSet(
-                f"V2 vertex {u} has no candidates: common neighbourhood of "
-                f"{[v1_map[a] for a in aux.neighbors_of_v2(u)]} is empty"
-            )
         domain[u] = mask
         order[u] = _bits(mask)
         rng.shuffle(order[u])

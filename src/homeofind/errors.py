@@ -27,12 +27,6 @@ class CliqueNotFound(PipelineError):
     stage = "find_complete_subgraph"
 
 
-class EmptyCandidateSet(PipelineError):
-    """A V2 vertex had no image candidates; signals an upstream bug."""
-
-    stage = "embed_v2"
-
-
 class RetriesExhausted(PipelineError):
     """No V2 placement was found; the message says which of three reasons.
 

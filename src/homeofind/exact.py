@@ -12,7 +12,6 @@ realizes from the chosen link as the rational q = n**(-eps).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -85,9 +84,3 @@ class EpsScale:
         """Least integer m with ``m >= c * n**(a - b*eps)``, exact; c >= 0."""
         x = self._scaled(c, a, b)
         return -(-x.numerator // x.denominator)
-
-    def eps_float(self) -> float:
-        """The exponent as a float, for diagnostics only."""
-        if self.n <= 1 or self.q == 1:
-            return 0.0
-        return -math.log(float(self.q)) / math.log(self.n)

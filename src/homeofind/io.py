@@ -29,8 +29,13 @@ from __future__ import annotations
 from importlib import resources
 from itertools import compress, count
 
-from .core import ThreeGraph, TripartiteHost, build_aux_graph
-from .embed import Embedding, HomeomorphCertificate
+from .core import (
+    Embedding,
+    HomeomorphCertificate,
+    ThreeGraph,
+    TripartiteHost,
+    build_aux_graph,
+)
 
 
 class FormatError(ValueError):

@@ -17,7 +17,10 @@ walk skips, without an AND, cycles whose disk count is certainly above or
 certainly at most K by the sizes of its two column z-sets alone.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
 ``classify_cycles`` (that walk plus ``HostIndex.disk_count``) and
-``count_disks``, a face-membership scan independent of the index.
+``count_disks``, a face-membership scan independent of the index.  Two more
+oracles check the z-scan's expectation arguments in exact rational
+arithmetic: ``expectation_oracle`` (the mean of e(L_z) is e(G)/n_Z) and
+``forbidden_expectation_oracle`` (the double count behind the mean of B_z).
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .core import Config, TripartiteHost
 from .errors import NoQualifyingVertex
-from .exact import EpsScale, cmp_pow
+from .exact import cmp_pow
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,49 @@ def iter_link_cycles(link: LinkGraph):
                     yield FourCycle(x1, x2, y1, y2)
 
 
+def expectation_oracle(host: TripartiteHost) -> Fraction:
+    """Average link size over Z, exact; asserts it equals e(G)/n_Z."""
+    if host.n_z < 1:
+        raise ValueError("host has no Z vertices")
+    index = HostIndex(host)
+    avg = Fraction(sum(index.link(z).e for z in range(host.n_z)), host.n_z)
+    assert avg == Fraction(host.e, host.n_z), "link-size expectation identity violated"
+    return avg
+
+
+def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
+    """Average forbidden-cycle count over Z, with the double-count identity.
+
+    Asserts sum_z B_z = sum over forbidden cycles of their disk counts, and
+    that the average is at most (K/n_Z) times the global forbidden-cycle
+    count (the bound behind E[B_z] <= K_H * n**3).
+    """
+    if host.n_z < 1:
+        raise ValueError("host has no Z vertices")
+    index = HostIndex(host)
+
+    # disk counts of every cycle that appears in at least one link
+    counts: dict = {}
+    total_b = 0
+    for z in range(host.n_z):
+        for c in iter_link_cycles(index.link(z)):
+            if c not in counts:
+                counts[c] = index.disk_count(c)
+    sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
+    for z in range(host.n_z):
+        total_b += sum(1 for c in iter_link_cycles(index.link(z)) if counts[c] <= K)
+
+    assert total_b == sum_forbidden_disks, "forbidden double-count identity violated"
+    avg = Fraction(total_b, host.n_z)
+
+    admissible = sum(1 for d in counts.values() if d > K)
+    global_forbidden = comb(host.n_x, 2) * comb(host.n_y, 2) - admissible
+    assert avg <= Fraction(K * global_forbidden, host.n_z), (
+        "forbidden expectation bound violated"
+    )
+    return avg
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -301,8 +348,7 @@ class LinkChoice:
     link: LinkGraph
     forbidden_count: int  # B_z
     forbidden_by_pair: dict[tuple[int, int], int]  # see count_forbidden
-    q: Fraction  # n**(-eps_realized), clamped to (0, 1]
-    epsilon_realized: float
+    q: Fraction  # n**(-eps), eps realized from the link's density, clamped to (0, 1]
 
 
 def pick_link_vertex(
@@ -342,11 +388,7 @@ def pick_link_vertex(
             best_diag.append((z, e_l, b_z))
             continue
         q = min(Fraction(1), Fraction(2 * e_l) / (C * n * n))
-        scale = EpsScale(n=n, q=q)
-        return LinkChoice(
-            z=z, link=link, forbidden_count=b_z, forbidden_by_pair=by_pair, q=q,
-            epsilon_realized=scale.eps_float(),
-        )
+        return LinkChoice(z=z, link=link, forbidden_count=b_z, forbidden_by_pair=by_pair, q=q)
     raise NoQualifyingVertex(
         f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "
         f"per-z diagnostics: {best_diag[:10]}"

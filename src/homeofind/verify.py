@@ -1,22 +1,25 @@
-"""Search-free certificate validation and brute-force oracles.
+"""Search-free certificate validation.
 
 The verifier never trusts the pipeline: it re-derives the canonical glued
 subdivision of the target and demands that the certificate's faces, after
-relabeling through the recorded embedding, match it face for face.  The
-oracles back the search stages' exact expectation identities in rational
-arithmetic.
+relabeling through the recorded embedding, match it face for face.  It
+imports nothing of the package but ``core``, so no search code can enter a
+verdict.  The brute-force oracles of the search stages live beside the
+stages they check, in ``links`` and ``embed``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
-from .core import ThreeGraph, TripartiteHost, build_aux_graph, covered_pairs
-from .embed import HomeomorphCertificate, ProblemGraph
-from .links import HostIndex, iter_link_cycles
+from .core import (
+    HomeomorphCertificate,
+    ThreeGraph,
+    TripartiteHost,
+    build_aux_graph,
+    covered_pairs,
+)
 
 Label = tuple
 
@@ -165,62 +168,3 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
             return _fail(7, f"v1_map sends vertex {v} to {y}, outside Y = [0, {host.n_y})")
 
     return VerifyResult(passed=True)
-
-
-def expectation_oracle(host: TripartiteHost) -> Fraction:
-    """Average link size over Z, exact; asserts it equals e(G)/n_Z."""
-    if host.n_z < 1:
-        raise ValueError("host has no Z vertices")
-    index = HostIndex(host)
-    avg = Fraction(sum(index.link(z).e for z in range(host.n_z)), host.n_z)
-    assert avg == Fraction(host.e, host.n_z), "link-size expectation identity violated"
-    return avg
-
-
-def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
-    """Average forbidden-cycle count over Z, with the double-count identity.
-
-    Asserts sum_z B_z = sum over forbidden cycles of their disk counts, and
-    that the average is at most (K/n_Z) times the global forbidden-cycle
-    count (the bound behind E[B_z] <= K_H * n**3).
-    """
-    if host.n_z < 1:
-        raise ValueError("host has no Z vertices")
-    index = HostIndex(host)
-
-    # disk counts of every cycle that appears in at least one link
-    counts: dict = {}
-    total_b = 0
-    for z in range(host.n_z):
-        for c in iter_link_cycles(index.link(z)):
-            if c not in counts:
-                counts[c] = index.disk_count(c)
-    sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
-    for z in range(host.n_z):
-        total_b += sum(1 for c in iter_link_cycles(index.link(z)) if counts[c] <= K)
-
-    assert total_b == sum_forbidden_disks, "forbidden double-count identity violated"
-    avg = Fraction(total_b, host.n_z)
-
-    admissible = sum(1 for d in counts.values() if d > K)
-    global_forbidden = comb(host.n_x, 2) * comb(host.n_y, 2) - admissible
-    assert avg <= Fraction(K * global_forbidden, host.n_z), (
-        "forbidden expectation bound violated"
-    )
-    return avg
-
-
-def clique_oracle(p: ProblemGraph, t: int) -> bool:
-    """Ground truth for find_complete_subgraph by exhaustive t-subset scan."""
-    verts = p.ground_set
-    if len(verts) > 40:
-        raise ValueError("clique_oracle is exponential; |Y'| must be <= 40")
-    if t <= 0:
-        return True
-    if t > len(verts):
-        return False
-    bad = p.bad_triples
-    for subset in itertools.combinations(verts, t):
-        if all(tr not in bad for tr in itertools.combinations(subset, 3)):
-            return True
-    return False

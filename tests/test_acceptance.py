@@ -22,18 +22,19 @@ from homeofind.core import (
     covered_pairs,
     euler_characteristic,
 )
-from homeofind.embed import ProblemGraph, find_complete_subgraph, find_homeomorph
+from homeofind.embed import ProblemGraph, clique_oracle, find_complete_subgraph, find_homeomorph
 from homeofind.errors import CliqueNotFound, PipelineError
 from homeofind.harness import SweepSpec, run_sweep
 from homeofind.io import load_target, write_host
-from homeofind.links import FourCycle, HostIndex, classify_cycles, count_disks
-from homeofind.verify import (
-    canonical_glued_subdivision,
-    clique_oracle,
+from homeofind.links import (
+    FourCycle,
+    HostIndex,
+    classify_cycles,
+    count_disks,
     expectation_oracle,
     forbidden_expectation_oracle,
-    verify_certificate,
 )
+from homeofind.verify import canonical_glued_subdivision, verify_certificate
 
 from test_verify import (
     mutate_drop_face,

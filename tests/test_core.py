@@ -17,7 +17,6 @@ from homeofind.core import (
     build_triple_subdivision,
     covered_pairs,
     euler_characteristic,
-    tripartite_reduce,
 )
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
@@ -176,52 +175,6 @@ class TestAuxGraph:
             deg[u] += 1
         for u, tag in zip(aux.v2, aux.v2_tags):
             assert deg[u] == (2 if tag[0] == "pair" else 3)
-
-
-class TestTripartiteReduce:
-    def test_single_face_kept(self):
-        th = tripartite_reduce(TRIANGLE, seed=0)
-        assert th.class_sizes == (1, 1, 1)
-        assert th.e == 1
-
-    def test_nine_face_bound(self):
-        rng = random.Random(3)
-        faces = frozenset(rng.sample(list(itertools.combinations(range(6), 3)), 9))
-        h = ThreeGraph(6, faces)
-        th = tripartite_reduce(h, seed=1)
-        assert th.e >= 2  # at least 2m/9 faces survive
-
-    def test_against_exhaustive_maximum(self):
-        rng = random.Random(7)
-        faces = frozenset(rng.sample(list(itertools.combinations(range(9), 3)), 20))
-        h = ThreeGraph(9, faces)
-        th = tripartite_reduce(h, seed=1)
-        assert th.e >= -(-2 * 20 // 9)  # ceil(40/9) = 5
-
-        best = 0
-        verts = range(9)
-        for c1 in itertools.combinations(verts, 3):
-            rest = [v for v in verts if v not in c1]
-            for c2 in itertools.combinations(rest, 3):
-                cls = {v: 0 for v in c1}
-                cls.update({v: 1 for v in c2})
-                cls.update({v: 2 for v in rest if v not in c2})
-                best = max(best, sum(1 for f in faces if len({cls[v] for v in f}) == 3))
-        assert th.e <= best
-
-    def test_pads_to_multiple_of_three(self):
-        h = ThreeGraph(4, frozenset({(0, 1, 2)}))
-        th = tripartite_reduce(h, seed=0)
-        assert th.class_sizes == (2, 2, 2)
-
-    @given(threegraphs(max_v=8, max_e=10), st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_bound_always_holds(self, h, seed):
-        th = tripartite_reduce(h, seed=seed)
-        assert th.e >= -(-2 * h.e // 9)
-        # kept faces really are 3-partite by construction of the type
-        for x, y, z in th.faces:
-            assert 0 <= x < th.n_x and 0 <= y < th.n_y and 0 <= z < th.n_z
 
 
 class TestConfig:

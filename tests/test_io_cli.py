@@ -315,6 +315,19 @@ class TestCli:
         assert main(["verify", "--cert", str(tmp_path / "absent.cert"),
                      "--host", str(tmp_path / "absent.tph")]) == 2
 
+    def test_verify_directory_paths_exit_2(self, tmp_path, capsys):
+        assert main(["verify", "--cert", str(tmp_path), "--host", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_gen_directory_out_exit_2(self, tmp_path, capsys):
+        assert main(["gen", "--nx", "3", "--ny", "3", "--nz", "3", "--p", "1",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_tg_header_without_count_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.tg"
         bad.write_text("tg\nf 0 1 2\n")

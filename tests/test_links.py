@@ -213,7 +213,6 @@ class TestPickLinkVertex:
         assert choice.z == 0
         assert choice.link.e == 36
         assert choice.q == 1  # link denser than (C/2) n^2 clamps eps to 0
-        assert choice.epsilon_realized == 0.0
 
     def test_empty_host(self):
         host = TripartiteHost((3, 3, 3), frozenset())

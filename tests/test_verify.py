@@ -18,18 +18,14 @@ from homeofind.core import (
 )
 from homeofind.embed import (
     ProblemGraph,
+    clique_oracle,
     find_complete_subgraph,
     find_homeomorph,
 )
 from homeofind.errors import CliqueNotFound
 from homeofind.io import parse_certificate, write_certificate
-from homeofind.verify import (
-    canonical_glued_subdivision,
-    clique_oracle,
-    expectation_oracle,
-    forbidden_expectation_oracle,
-    verify_certificate,
-)
+from homeofind.links import expectation_oracle, forbidden_expectation_oracle
+from homeofind.verify import canonical_glued_subdivision, verify_certificate
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
