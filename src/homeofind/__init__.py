@@ -5,11 +5,9 @@ from .core import (
     Config,
     Embedding,
     HomeomorphCertificate,
-    SubdividedComplex,
     ThreeGraph,
     TripartiteHost,
     build_aux_graph,
-    build_triple_subdivision,
     covered_pairs,
     euler_characteristic,
 )
@@ -37,12 +35,10 @@ __all__ = [
     "LinkGraph",
     "PipelineError",
     "ProblemGraph",
-    "SubdividedComplex",
     "SweepSpec",
     "ThreeGraph",
     "TripartiteHost",
     "build_aux_graph",
-    "build_triple_subdivision",
     "canonical_glued_subdivision",
     "classify_cycles",
     "clique_oracle",

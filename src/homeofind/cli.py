@@ -4,6 +4,10 @@ Verbs: find, verify, gen, sweep, inspect.  Exit codes: 0 on success or a
 passing verification, 1 on a pipeline failure or failing verification
 (stage tag on stderr), 2 on usage errors, malformed input or a path that
 cannot be read or written (an ``error:`` line on stderr, no traceback).
+
+``find`` opens its ``--out`` file before it reads the host, so an unwritable
+path fails at once, before any parsing or search; a run that gets that far
+and then fails (exit 1 or 2) leaves the file empty.
 """
 
 from __future__ import annotations
@@ -73,16 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_find(args) -> int:
     target = load_target(args.target)
-    host = load_host(args.host)
     flags = {"C": args.C, "delta": args.delta, "k_threshold": args.k,
              "rng_seed": args.seed, "retry_limit": args.retries}
     cfg = Config.paper_defaults(target, **{k: v for k, v in flags.items() if v is not None})
-    try:
-        cert = find_homeomorph(host, target, cfg)
-    except PipelineError as exc:
-        print(f"not-found stage={exc.stage}: {exc}", file=sys.stderr)
-        return 1
     with open(args.out, "w") as fh:
+        host = load_host(args.host)
+        try:
+            cert = find_homeomorph(host, target, cfg)
+        except PipelineError as exc:
+            print(f"not-found stage={exc.stage}: {exc}", file=sys.stderr)
+            return 1
         fh.write(write_certificate(cert))
     print(f"found: {len(cert.host_faces)} host faces, certificate written to {args.out}")
     return 0
@@ -120,8 +124,8 @@ def _cmd_inspect(args) -> int:
     """Counts of the target, its auxiliary graph and its subdivision.
 
     The last two follow from v(H), e(H) and the covered pairs P (see
-    build_aux_graph and build_triple_subdivision): |V2| = P + e(H) with
-    2P + 3e(H) edges and 3e(H) special cycles, and v(H) + P + 4e(H)
+    build_aux_graph and verify.canonical_glued_subdivision): |V2| = P + e(H)
+    with 2P + 3e(H) edges and 3e(H) special cycles, and v(H) + P + 4e(H)
     vertices and 12e(H) faces with the target's chi.  Nothing is built, so
     the cost follows the file, not its tg count.
     """

@@ -4,10 +4,9 @@ A 3-graph is a 3-uniform hypergraph; identifying each edge with a triangular
 face turns it into a two-dimensional simplicial complex.  This module holds
 the immutable value types shared by the whole pipeline, the certificate
 types ``Embedding`` and ``HomeomorphCertificate`` among them, together with
-the two target-side constructions: the 3-partite subdivision of a target and
-its bipartite auxiliary graph whose special 4-cycles mark where 4-disks must
-be glued.  The certificate path (``io``, ``verify``) imports this module
-alone.
+the target-side construction the search embeds: a target's bipartite
+auxiliary graph, whose special 4-cycles mark where 4-disks must be glued.
+The certificate path (``io``, ``verify``) imports this module alone.
 
 It also defines the one storage format of a host's faces, its z-mask
 table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
@@ -166,27 +165,6 @@ class TripartiteHost:
         return frozenset(self.sorted_faces())
 
 
-# Colors of the 3-partition of a subdivided complex.
-RED = "red"
-BLUE = "blue"
-GREEN = "green"
-
-
-@dataclass(frozen=True)
-class SubdividedComplex:
-    """A 3-partite subdivision of a target, 12 faces per original face.
-
-    ``provenance`` tags every vertex with its origin: ``("orig", x)`` for an
-    original vertex, ``("pair", (a, b))`` for the midpoint of a covered pair,
-    ``("center", f)`` for the center of face f, and ``("corner", f, x)`` for
-    the corner vertex of face f at original vertex x.
-    """
-
-    underlying: ThreeGraph
-    color: dict[int, str]
-    provenance: dict[int, tuple]
-
-
 @dataclass(frozen=True)
 class SpecialCycle:
     """One of the three distinguished 4-cycles arising from a face.
@@ -313,64 +291,6 @@ def euler_characteristic(h: ThreeGraph) -> int:
     toward V.
     """
     return h.vertex_count - len(covered_pairs(h)) + h.e
-
-
-def build_triple_subdivision(h: ThreeGraph) -> SubdividedComplex:
-    """The 3-partite subdivision: each face becomes twelve.
-
-    Vertices: the originals (red), one shared midpoint per covered pair
-    (blue), one center per face (red) and one corner vertex per (face,
-    original-vertex) incidence (green).  For a face f and corner x with
-    incident pair midpoints m1, m2 and corner vertex g, the four faces are
-    {x, m1, g}, {x, g, m2}, {c_f, m1, g}, {c_f, g, m2}.
-    """
-    pairs = covered_pairs(h)
-    faces_sorted = h.sorted_faces()
-
-    idx = {}
-    color = {}
-    provenance = {}
-    nxt = 0
-    for x in range(h.vertex_count):
-        idx[("orig", x)] = nxt
-        color[nxt] = RED
-        provenance[nxt] = ("orig", x)
-        nxt += 1
-    for p in pairs:
-        idx[("pair", p)] = nxt
-        color[nxt] = BLUE
-        provenance[nxt] = ("pair", p)
-        nxt += 1
-    for f in faces_sorted:
-        idx[("center", f)] = nxt
-        color[nxt] = RED
-        provenance[nxt] = ("center", f)
-        nxt += 1
-    for f in faces_sorted:
-        for x in f:
-            idx[("corner", f, x)] = nxt
-            color[nxt] = GREEN
-            provenance[nxt] = ("corner", f, x)
-            nxt += 1
-
-    new_faces = set()
-    for f in faces_sorted:
-        c = idx[("center", f)]
-        for x in f:
-            p1, p2 = sorted(p for p in itertools.combinations(f, 2) if x in p)
-            m1, m2 = idx[("pair", p1)], idx[("pair", p2)]
-            g = idx[("corner", f, x)]
-            xv = idx[("orig", x)]
-            new_faces.add(_norm_face((xv, m1, g)))
-            new_faces.add(_norm_face((xv, g, m2)))
-            new_faces.add(_norm_face((c, m1, g)))
-            new_faces.add(_norm_face((c, g, m2)))
-
-    return SubdividedComplex(
-        underlying=ThreeGraph(nxt, frozenset(new_faces)),
-        color=color,
-        provenance=provenance,
-    )
 
 
 def build_aux_graph(h: ThreeGraph) -> AuxGraph:

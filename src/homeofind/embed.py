@@ -26,6 +26,7 @@ become tuples.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_right
 from collections.abc import Iterator
@@ -45,7 +46,6 @@ from .core import (
     build_aux_graph,
 )
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
-from .exact import EpsScale
 from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
 from .seeding import derive_seed
 
@@ -70,7 +70,8 @@ def classify_pairs_triples(
     link: LinkGraph,
     cfg: Config,
     K: int,
-    scale: EpsScale,
+    n: int,
+    q: Fraction,
     forbidden_by_pair: dict[Pair, int],
 ) -> tuple[list[PairStats], dict[Pair, int]]:
     """Good/bad statistics for every pair of Y, and the bad triples of Y.
@@ -95,9 +96,9 @@ def classify_pairs_triples(
     ymasks = link.y_masks
     bits = [1 << y for y in range(n_y)]
     full = (1 << n_y) - 1
-    pair_min = scale.ceil(1, 1, 2)
-    triple_min = scale.ceil(1, 1, 3)
-    k_over_c = Fraction(K) / cfg.C
+    pair_min = math.ceil(n * q ** 2)
+    triple_min = math.ceil(n * q ** 3)
+    forb_per_deg = K * n * q ** 3 / cfg.C
     forb_max: dict[int, int] = {}  # common degree -> largest good forbidden count
 
     pair_stats = []
@@ -112,7 +113,7 @@ def classify_pairs_triples(
             if good and forb:
                 limit = forb_max.get(deg)
                 if limit is None:
-                    limit = forb_max[deg] = scale.floor(k_over_c * deg, 1, 3)
+                    limit = forb_max[deg] = math.floor(forb_per_deg * deg)
                 good = forb <= limit
             pair_stats.append(PairStats((y1, y2), deg, forb, good))
 
@@ -144,7 +145,8 @@ def select_core_set(
     pair_stats: list[PairStats],
     bad_triples: dict[Pair, int],
     cfg: Config,
-    scale: EpsScale,
+    n: int,
+    q: Fraction,
 ) -> tuple[int, list[int]]:
     """Y' = Gamma(x) for the first x passing the three scan inequalities.
 
@@ -152,22 +154,26 @@ def select_core_set(
     bad pairs P_x; (C) |Gamma(x)| bounds the surviving bad triples T_x.
     ``bad_triples`` is as returned by ``classify_pairs_triples``, so T_x is
     the sum over the pairs inside Gamma(x) of popcount(mask & Gamma(x)).
-    Returns (x, sorted Y').
+    (A) is one integer cutoff; (B) and (C) compare P_x and T_x exactly with
+    a ``Fraction`` rate per element of Gamma(x).  All three are worked out
+    once per call.  Returns (x, sorted Y').
     """
     C = cfg.C
     bad_pair_mask = _bad_pair_masks(pair_stats)
+    nq = n * q  # n**(1-eps)
+    s_min = math.ceil(C * nq / 4)  # (A); at least 1, as C, n and q are positive
+    pairs_per_s = 12 * (1 + C) * nq / C  # (B): P_x <= pairs_per_s * |Gamma(x)|
+    triples_per_s = 6 * nq * nq / C  # (C): T_x <= triples_per_s * |Gamma(x)|
 
     xmasks = link.x_masks
     for x in range(link.n_x):
         gmask = xmasks[x]
         s = gmask.bit_count()
-        if s == 0:
-            continue
-        if scale.cmp(Fraction(4 * s) / C, 1, 1) < 0:
+        if s < s_min:
             continue
         ys = _bits(gmask)
         p_x = sum((bad_pair_mask.get(y, 0) & gmask).bit_count() for y in ys) // 2
-        if p_x and scale.cmp(C * p_x / Fraction(12 * (1 + C) * s), 1, 1) > 0:
+        if p_x and p_x > pairs_per_s * s:
             continue
         t_x = 0
         for i, a in enumerate(ys):
@@ -175,11 +181,11 @@ def select_core_set(
                 bad = bad_triples.get((a, b))
                 if bad:
                     t_x += (bad & gmask).bit_count()
-        if t_x and scale.cmp(C * t_x / Fraction(6 * s), 2, 2) > 0:
+        if t_x and t_x > triples_per_s * s:
             continue
         return x, ys
     raise NoQualifyingX(
-        f"no x in X satisfies the core-set inequalities (C={cfg.C}, n={scale.n})"
+        f"no x in X satisfies the core-set inequalities (C={cfg.C}, n={n})"
     )
 
 
@@ -607,12 +613,11 @@ def find_homeomorph(
 
     choice = pick_link_vertex(host, cfg, K, index)
     n = max(host.class_sizes)
-    scale = EpsScale(n=n, q=choice.q)
 
     pair_stats, bad_triples = classify_pairs_triples(
-        choice.link, cfg, K, scale, choice.forbidden_by_pair
+        choice.link, cfg, K, n, choice.q, choice.forbidden_by_pair
     )
-    _, yprime = select_core_set(choice.link, pair_stats, bad_triples, cfg, scale)
+    _, yprime = select_core_set(choice.link, pair_stats, bad_triples, cfg, n, choice.q)
     problem = build_problem_graph(yprime, pair_stats, bad_triples)
     core = find_complete_subgraph(problem, target.v)
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}

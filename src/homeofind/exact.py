@@ -1,86 +1,64 @@
-"""Exact comparisons against fractional powers of n.
+"""Exact integer cutoffs for thresholds with a fractional power of n.
 
-All density thresholds in this package have the shape  const * n**(a - b*eps)
-with rational constants.  Comparing integers against such thresholds with
-floats would introduce a tolerance exactly where the accept/reject rules are
-tight, so every comparison is done in exact rational arithmetic.
+The z-scan's density tests compare integer counts against c * n**(p/r),
+with c rational and p/r = 2 - delta or 1 + delta, which is irrational for
+most n.  Comparing with floats would introduce a tolerance exactly where
+the accept/reject rules are tight, so each threshold becomes one integer
+cutoff, worked out once: ``floor_pow`` is floor(c * n**(p/r)) and
+``ceil_pow`` its ceiling, and counts are compared against them as ints.
 
-``cmp_pow`` compares against n**expo for a rational exponent (the z-scan's
-delta).  ``EpsScale`` evaluates the thresholds in eps, which the pipeline
-realizes from the chosen link as the rational q = n**(-eps).
+For c >= 0 and an integer m >= 0, m <= c * n**(p/r) holds exactly when
+m**r <= c**r * n**p, and, m**r being an integer, exactly when
+m**r <= floor(c**r * n**p).  So ``floor_pow`` is the integer r-th root of
+that floor, found by Newton's iteration on integers from a power-of-two
+upper bound; no float enters.
+
+The thresholds in eps, n**(a - b*eps) = n**a * q**b with q = n**(-eps) a
+``Fraction``, are rational; ``embed`` cuts them with ``math.floor`` and
+``math.ceil`` or compares them as ``Fraction``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 Rat = Union[int, Fraction]
 
 
-def cmp_pow(value: Rat, n: int, expo: Fraction) -> int:
-    """Sign of ``value - n**expo``, computed exactly.
-
-    ``n`` must be a positive integer; ``expo`` may be any rational.
-    """
-    if n < 1:
-        raise ValueError("cmp_pow requires n >= 1")
-    value = Fraction(value)
-    expo = Fraction(expo)
-    if n == 1 or expo == 0:
-        rhs = Fraction(1)
-        return (value > rhs) - (value < rhs)
-    if value <= 0:
-        return -1  # n**expo > 0 always
-    # value ? n**(p/q)  <=>  value**q ? n**p   (all quantities positive)
-    p, q = expo.numerator, expo.denominator
-    lhs = value ** q
-    rhs = Fraction(n) ** p
-    return (lhs > rhs) - (lhs < rhs)
+def _iroot(N: int, r: int) -> int:
+    """Largest m with m**r <= N, for N >= 0 and r >= 1."""
+    if N < 2:
+        return N
+    x = 1 << -(-N.bit_length() // r)  # 2**ceil(bits / r) > N**(1/r)
+    while True:
+        # by AM-GM y >= floor(N**(1/r)), and y < x while x is above it
+        y = ((r - 1) * x + N // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
-@dataclass(frozen=True)
-class EpsScale:
-    """Threshold evaluator for quantities of the form n**(a - b*eps).
+def _floor_and_exact(c: Rat, n: int, expo: Rat) -> tuple[int, bool]:
+    """floor(c * n**expo), and whether c * n**expo is that integer."""
+    c, expo = Fraction(c), Fraction(expo)
+    if c < 0 or n < 1:
+        raise ValueError("power cutoffs need c >= 0 and n >= 1")
+    r = expo.denominator
+    power = c ** r * Fraction(n) ** expo.numerator
+    m = _iroot(power.numerator // power.denominator, r)
+    return m, m ** r == power
 
-    The exponent is carried as the rational value ``q = n**(-eps)``: the
-    pipeline realizes eps from a concrete link density, where the exponent
-    would be irrational but q is a ratio of integers.  Every threshold
-    n**(a - b*eps) = n**a * q**b is then an exact rational.
-    """
 
-    n: int
-    q: Fraction
+def floor_pow(c: Rat, n: int, expo: Rat) -> int:
+    """floor(c * n**expo), exact, for rational c >= 0, integer n >= 1 and
+    rational expo: an integer count passes ``count <= c * n**expo`` exactly
+    when it is at most this cutoff."""
+    return _floor_and_exact(c, n, expo)[0]
 
-    def __post_init__(self):
-        if not 0 < self.q <= 1:
-            raise ValueError("q = n**(-eps) must lie in (0, 1]")
 
-    def _scaled(self, c: Rat, a: int, b: int) -> Fraction:
-        """``c * n**(a - b*eps)``, exact; c >= 0."""
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("cutoffs need c >= 0")
-        return c * Fraction(self.n) ** a * self.q ** b
-
-    def cmp(self, value: Rat, a: int, b: int) -> int:
-        """Sign of ``value - n**(a - b*eps)``, exact."""
-        rhs = self._scaled(1, a, b)
-        value = Fraction(value)
-        return (value > rhs) - (value < rhs)
-
-    def floor(self, c: Rat, a: int, b: int) -> int:
-        """Largest integer m with ``m <= c * n**(a - b*eps)``, exact; c >= 0.
-
-        An integer passes ``count <= c * n**(a - b*eps)`` exactly when it is
-        at most this cutoff, so a threshold shared by many integer tests is
-        worked out once.
-        """
-        x = self._scaled(c, a, b)
-        return x.numerator // x.denominator
-
-    def ceil(self, c: Rat, a: int, b: int) -> int:
-        """Least integer m with ``m >= c * n**(a - b*eps)``, exact; c >= 0."""
-        x = self._scaled(c, a, b)
-        return -(-x.numerator // x.denominator)
+def ceil_pow(c: Rat, n: int, expo: Rat) -> int:
+    """ceil(c * n**expo), exact: an integer count passes
+    ``count >= c * n**expo`` exactly when it is at least this cutoff."""
+    m, exact = _floor_and_exact(c, n, expo)
+    return m if exact else m + 1

@@ -33,7 +33,7 @@ from math import comb
 
 from .core import Config, TripartiteHost
 from .errors import NoQualifyingVertex
-from .exact import cmp_pow
+from .exact import ceil_pow, floor_pow
 
 
 @dataclass(frozen=True)
@@ -324,24 +324,6 @@ def count_forbidden(
     return total, by_pair
 
 
-def min_dense_link(C: Fraction, n: int, delta: Fraction, most: int) -> int:
-    """Least e in [1, most] with e >= (C/2) n**(2 - delta), else most + 1.
-
-    Found by bisection on the exact ``cmp_pow`` test, which is monotone in
-    e.  A link has at most as many edges as the table has entries, so
-    ``most = len(zmasks)`` makes e(L_z) >= cutoff the density condition
-    exactly.
-    """
-    lo, hi = 1, most + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cmp_pow(Fraction(2 * mid) / C, n, 2 - delta) >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 @dataclass(frozen=True)
 class LinkChoice:
     z: int
@@ -360,9 +342,10 @@ def pick_link_vertex(
     conditions are e(L_z) >= (C/2) n**(2-delta) and
     B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  Only the z
     of some face are scanned: they are the set bits of the OR of the
-    bit-sliced counter's planes, in ascending order.  The first condition
-    is one integer cutoff on ``index.link_size`` (see ``min_dense_link``),
-    so the link graph is built only for a z that passes it.  The choice
+    bit-sliced counter's planes, in ascending order.  Each condition is
+    one exact integer cutoff (see ``exact``): the first is worked out once
+    and read against ``index.link_size``, so the link graph is built only
+    for a z that passes it; the second once per such z.  The choice
     carries the count_forbidden pass of that link and q = n**(-eps),
     realized from its density.
     """
@@ -373,7 +356,7 @@ def pick_link_vertex(
     occupied = 0
     for plane in index._size_planes:
         occupied |= plane
-    e_min = min_dense_link(C, n, cfg.delta, len(index.zmasks))
+    e_min = ceil_pow(C / 2, n, 2 - cfg.delta)
     best_diag = []
     for z in _bits(occupied):
         e_l = index.link_size(z)
@@ -384,7 +367,7 @@ def pick_link_vertex(
         link = index.link(z)
         b_z, by_pair = count_forbidden(link, K, index)
         # (2): B_z <= (2K/C) n**(1 + delta) e(L_z)
-        if b_z > 0 and cmp_pow(Fraction(b_z) * C / (2 * K * e_l), n, 1 + cfg.delta) > 0:
+        if b_z > floor_pow(2 * K * e_l / C, n, 1 + cfg.delta):
             best_diag.append((z, e_l, b_z))
             continue
         q = min(Fraction(1), Fraction(2 * e_l) / (C * n * n))

@@ -19,6 +19,7 @@ from .core import (
     TripartiteHost,
     build_aux_graph,
     covered_pairs,
+    euler_characteristic,
 )
 
 Label = tuple
@@ -153,7 +154,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
         for a, b in itertools.combinations((("x", x), ("y", y), ("z", z)), 2):
             cells.add((a, b))
     chi_cert = v_count - len(cells) + len(set(cert.host_faces))
-    chi_target = target.vertex_count - len(covered_pairs(target)) + target.e
+    chi_target = euler_characteristic(target)
     if chi_cert != chi_target:
         return _fail(
             6, f"certificate complex has chi = {chi_cert}, target has chi = {chi_target}"

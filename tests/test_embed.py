@@ -27,7 +27,6 @@ from homeofind.errors import (
     NoQualifyingX,
     RetriesExhausted,
 )
-from homeofind.exact import EpsScale
 from homeofind.harness import gen_random_host
 from homeofind.io import load_target, write_certificate
 from homeofind.links import FourCycle, HostIndex, LinkGraph, count_disks, count_forbidden
@@ -57,10 +56,10 @@ def only_link(link, target):
     return HostIndex(TripartiteHost((link.n_x, link.n_y, n_z), faces))
 
 
-def classify(link, index, cfg, K, scale):
+def classify(link, index, cfg, K, n, q):
     """classify_pairs_triples on the forbidden counts of the link's own pass."""
     _, by_pair = count_forbidden(link, K, index)
-    return classify_pairs_triples(link, cfg, K, scale, by_pair)
+    return classify_pairs_triples(link, cfg, K, n, q, by_pair)
 
 
 class TestClassifyPairsTriples:
@@ -73,8 +72,7 @@ class TestClassifyPairsTriples:
         cfg = Config(C=1)
         K = 2
         q = Fraction(2, 3)
-        scale = EpsScale(n=n, q=q)
-        pairs, bad_triples = classify(link, index, cfg, K, scale)
+        pairs, bad_triples = classify(link, index, cfg, K, n, q)
 
         edges = set(link.edges)
         for ps in pairs:
@@ -114,8 +112,8 @@ class TestClassifyPairsTriples:
         host = complete_host(6)
         index = HostIndex(host)
         link = index.link(0)
-        scale = EpsScale(n=6, q=Fraction(1))  # eps = 0
-        pairs, _ = classify(link, index, Config(C=10 ** 9), K=6, scale=scale)
+        # eps = 0: q = 1
+        pairs, _ = classify(link, index, Config(C=10 ** 9), K=6, n=6, q=Fraction(1))
         assert all(not ps.good for ps in pairs)
 
     def test_thresholds_at_exact_boundaries(self):
@@ -123,15 +121,15 @@ class TestClassifyPairsTriples:
         # complete 8-host every pair has degree 8 and, with K = 8 = n_Z,
         # C(8, 2) = 28 forbidden cycles; the pair bound (K/C) * 4 * 8 equals
         # 28 at C = 64/7.
-        scale = EpsScale(n=32, q=Fraction(1, 2))
+        n, q = 32, Fraction(1, 2)
         host = complete_host(8)
         index = HostIndex(host)
         link = index.link(0)
-        at, _ = classify(link, index, Config(C=Fraction(64, 7)), 8, scale)
+        at, _ = classify(link, index, Config(C=Fraction(64, 7)), 8, n, q)
         assert {(ps.common_degree, ps.forbidden_through) for ps in at} == {(8, 28)}
         assert all(ps.good for ps in at)
         over, bad_triples = classify(
-            link, index, Config(C=Fraction(64, 7) + Fraction(1, 10 ** 6)), 8, scale
+            link, index, Config(C=Fraction(64, 7) + Fraction(1, 10 ** 6)), 8, n, q
         )
         assert not any(ps.good for ps in over)
         assert bad_triples == {}  # every triple has degree 8 >= 4
@@ -146,7 +144,7 @@ class TestClassifyPairsTriples:
         index = HostIndex(TripartiteHost((8, 5, 1), faces))
         link = index.link(0)
         pairs, bad_triples = classify(
-            link, index, Config(C=1), K=1, scale=EpsScale(n=32, q=Fraction(1, 2))
+            link, index, Config(C=1), K=1, n=32, q=Fraction(1, 2)
         )
         degree = {ps.pair: ps.common_degree for ps in pairs}
         assert degree[(0, 1)] == 3 and degree[(0, 2)] == 4
@@ -162,8 +160,8 @@ class TestClassifyPairsTriples:
         index = HostIndex(
             TripartiteHost((3, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
         )
-        scale = EpsScale(n=3, q=Fraction(1, 2))  # pair cutoff ceil(3/4) = 1
-        pairs, _ = classify(link, index, Config(C=1), K=1, scale=scale)
+        # pair cutoff ceil(3/4) = 1
+        pairs, _ = classify(link, index, Config(C=1), K=1, n=3, q=Fraction(1, 2))
         assert len(pairs) == 1
         assert pairs[0].common_degree == 0
         assert not pairs[0].good
@@ -175,17 +173,16 @@ class TestSelectCoreSet:
         index = HostIndex(host)
         link = index.link(0)
         cfg = Config(C=1)
-        scale = EpsScale(n=8, q=Fraction(1))
-        pairs, bad_triples = classify(link, index, cfg, K=3, scale=scale)
-        x, yprime = select_core_set(link, pairs, bad_triples, cfg, scale)
+        n, q = 8, Fraction(1)
+        pairs, bad_triples = classify(link, index, cfg, K=3, n=n, q=q)
+        x, yprime = select_core_set(link, pairs, bad_triples, cfg, n, q)
         assert x == 0
         assert yprime == list(range(8))
 
     def test_empty_link(self):
         link = LinkGraph(z=0, n_x=4, n_y=4, edges=frozenset())
-        scale = EpsScale(n=4, q=Fraction(1, 2))
         with pytest.raises(NoQualifyingX):
-            select_core_set(link, [], {}, Config(C=1), scale)
+            select_core_set(link, [], {}, Config(C=1), 4, Fraction(1, 2))
 
     def test_scan_inequalities_hold_for_winner(self):
         rng = random.Random(31)
@@ -195,9 +192,8 @@ class TestSelectCoreSet:
         link = index.link(0)
         cfg = Config(C=2)
         q = Fraction(7, 12)
-        scale = EpsScale(n=n, q=q)
-        pairs, bad_triples = classify(link, index, cfg, K=2, scale=scale)
-        x, yprime = select_core_set(link, pairs, bad_triples, cfg, scale)
+        pairs, bad_triples = classify(link, index, cfg, K=2, n=n, q=q)
+        x, yprime = select_core_set(link, pairs, bad_triples, cfg, n, q)
 
         # recompute everything independently
         edges = set(link.edges)
@@ -249,7 +245,7 @@ class TestSelectCoreSet:
         # bad.  The winner must be the first x passing (A), (B) and (C) with
         # P_x and T_x counted over itertools' pairs and triples of Gamma(x).
         n, C, q = 12, 8, Fraction(1, 3)
-        cfg, scale = Config(C=C), EpsScale(n=n, q=q)
+        cfg = Config(C=C)
         decided_by_tx = 0
         for seed in range(40):
             rng = random.Random(seed)
@@ -285,9 +281,9 @@ class TestSelectCoreSet:
                 decided_by_tx += a_and_b
             if want is None:
                 with pytest.raises(NoQualifyingX):
-                    select_core_set(link, pairs, _triple_masks(bad_triples), cfg, scale)
+                    select_core_set(link, pairs, _triple_masks(bad_triples), cfg, n, q)
             else:
-                got = select_core_set(link, pairs, _triple_masks(bad_triples), cfg, scale)
+                got = select_core_set(link, pairs, _triple_masks(bad_triples), cfg, n, q)
                 assert got == want, seed
         assert decided_by_tx > 0
 

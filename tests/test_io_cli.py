@@ -14,7 +14,6 @@ from homeofind.core import (
     ThreeGraph,
     TripartiteHost,
     build_aux_graph,
-    build_triple_subdivision,
     covered_pairs,
     euler_characteristic,
 )
@@ -33,7 +32,7 @@ from homeofind.io import (
     write_host,
     write_threegraph,
 )
-from homeofind.verify import verify_certificate
+from homeofind.verify import canonical_glued_subdivision, verify_certificate
 from test_verify import isolated_vertex_certificate_text
 
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
@@ -282,6 +281,8 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "pick_link_vertex" in err
+        # --out is opened before the search, and a not-found run leaves it empty
+        assert (tmp_path / "x.cert").read_text() == ""
 
     def test_capacity_failure_exit_code(self, tmp_path, capsys):
         small = self._write_host(tmp_path, TripartiteHost((3, 5, 5), frozenset()))
@@ -324,6 +325,19 @@ class TestCli:
     def test_gen_directory_out_exit_2(self, tmp_path, capsys):
         assert main(["gen", "--nx", "3", "--ny", "3", "--nz", "3", "--p", "1",
                      "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_find_directory_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an unwritable --out fails before the host is read or searched
+        def never(*args):
+            raise AssertionError("called before --out was opened")
+
+        monkeypatch.setattr("homeofind.cli.load_host", never)
+        monkeypatch.setattr("homeofind.cli.find_homeomorph", never)
+        assert main(["find", "--target", "builtin:triangle", "--host", "h.tph",
+                     "--C", "1", "--k", "3", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -430,7 +444,7 @@ class TestCli:
     @staticmethod
     def _inspect_by_building(h):
         """inspect's report, read off the built auxiliary graph and subdivision."""
-        aux, sub = build_aux_graph(h), build_triple_subdivision(h)
+        aux, canon = build_aux_graph(h), canonical_glued_subdivision(h)
         return (
             f"vertices: {h.vertex_count}\n"
             f"faces: {h.e}\n"
@@ -438,8 +452,8 @@ class TestCli:
             f"euler characteristic: {euler_characteristic(h)}\n"
             f"aux graph: |V1|={len(aux.v1)} |V2|={len(aux.v2)} "
             f"edges={len(aux.edges)} special-cycles={len(aux.special_cycles)}\n"
-            f"subdivision: vertices={sub.underlying.vertex_count} "
-            f"faces={sub.underlying.e} chi={euler_characteristic(sub.underlying)}\n"
+            f"subdivision: vertices={canon.vertex_count} "
+            f"faces={canon.face_count} chi={canon.euler_characteristic()}\n"
         )
 
     def test_inspect_counts_match_built_objects(self, tmp_path, capsys):

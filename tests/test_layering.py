@@ -1,9 +1,13 @@
-"""The certificate path depends on ``core`` alone.
+"""The certificate path depends on ``core`` alone, and the thresholds are exact.
 
 ``verify`` decides whether a certificate holds and ``io`` reads and writes
 the files it is decided on; neither may import a search stage, so no search
 code can enter a verdict.  The check parses the two modules' source, so it
 sees every import, also one inside a function.
+
+``exact``, ``links`` and ``embed`` make every accept/reject decision of the
+search; no float may enter one, so their source holds no float literal, no
+``float`` and none of the float-valued ``math`` functions.
 """
 
 import ast
@@ -24,12 +28,10 @@ PUBLIC = [
     "LinkGraph",
     "PipelineError",
     "ProblemGraph",
-    "SubdividedComplex",
     "SweepSpec",
     "ThreeGraph",
     "TripartiteHost",
     "build_aux_graph",
-    "build_triple_subdivision",
     "canonical_glued_subdivision",
     "classify_cycles",
     "clique_oracle",
@@ -99,3 +101,47 @@ def test_public_names_resolve():
     assert sorted(homeofind.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(homeofind, name) is not None, name
+
+
+EXACT_MODULES = ["exact", "links", "embed"]
+FLOAT_MATH = {"pow", "sqrt", "log", "exp"}
+
+
+def float_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, what) for every float literal, use of the name ``float`` and
+    float-valued ``math`` function (pow, sqrt, log, exp) in the file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in FLOAT_MATH
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        ):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name in FLOAT_MATH]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_decisions_use_no_float(module):
+    assert float_uses(SRC / f"{module}.py") == []
+
+
+def test_float_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import math\nx = 0.5\ny = float(3)\n"
+        "z = math.sqrt(2) + math.log(3) + math.floor(2)\n"
+        "from math import exp, ceil\nw = 1e3 + 2j + math.pow(2, 3)\n"
+        "s = '0.5 float'\n"
+    )
+    assert float_uses(src) == [
+        (2, "0.5"), (3, "float"), (4, "math.log"), (4, "math.sqrt"),
+        (5, "math.exp"), (6, "1000.0"), (6, "2j"), (6, "math.pow"),
+    ]

@@ -7,7 +7,7 @@ import pytest
 from conftest import complete_host, random_host
 from homeofind.core import Config, TripartiteHost
 from homeofind.errors import NoQualifyingVertex
-from homeofind.exact import EpsScale, cmp_pow
+from homeofind.exact import ceil_pow, floor_pow
 from homeofind.links import (
     FourCycle,
     HostIndex,
@@ -15,7 +15,6 @@ from homeofind.links import (
     count_disks,
     count_forbidden,
     iter_link_cycles,
-    min_dense_link,
     pick_link_vertex,
 )
 
@@ -267,14 +266,17 @@ class TestPickLinkVertex:
         K = 2
         index = HostIndex(host)
         choice = pick_link_vertex(host, cfg, K=K, index=index)
+        a, d = cfg.C.numerator, cfg.C.denominator
         for z in range(choice.z):
             link = index.link(z)
             e_l = link.e
-            dense = e_l > 0 and cmp_pow(Fraction(2 * e_l) / cfg.C, 15, Fraction(9, 5)) >= 0
+            # (1): e_l >= (C/2) 15**(9/5), in integers
+            dense = e_l > 0 and (2 * e_l * d) ** 5 >= 15 ** 9 * a ** 5
             if not dense:
                 continue
             b = sum(1 for c in iter_link_cycles(link) if count_disks(host, c) <= K)
-            assert cmp_pow(Fraction(b) * cfg.C / (2 * K * e_l), 15, Fraction(6, 5)) > 0
+            # (2) fails: b > (2K/C) 15**(6/5) e_l, in integers
+            assert (b * a) ** 5 > (2 * K * e_l * d) ** 5 * 15 ** 6
 
     def test_scans_only_occupied_z(self, monkeypatch):
         # n_Z = 10**12, faces only at z < 7: the scan reads e(L_z) for those
@@ -308,78 +310,89 @@ class TestPickLinkVertex:
             pick_link_vertex(host, Config(C=10, delta=1), K=3, index=index)
 
 
-class TestMinDenseLink:
-    def test_cutoff_matches_per_value_check(self):
+def check_cutoffs(c, n, expo):
+    """floor_pow and ceil_pow against their definition, in ints.
+
+    With c = a/b and expo = p/r (p >= 0), m = floor(c n**expo) exactly when
+    (m b)**r <= a**r n**p < ((m + 1) b)**r, and M = ceil(c n**expo) exactly
+    when ((M - 1) b)**r < a**r n**p <= (M b)**r.
+    """
+    c, expo = Fraction(c), Fraction(expo)
+    a, b, p, r = c.numerator, c.denominator, expo.numerator, expo.denominator
+    power = a ** r * n ** p
+    lo, hi = floor_pow(c, n, expo), ceil_pow(c, n, expo)
+    assert (lo * b) ** r <= power < ((lo + 1) * b) ** r, (c, n, expo)
+    assert power <= (hi * b) ** r, (c, n, expo)
+    assert hi == 0 or ((hi - 1) * b) ** r < power, (c, n, expo)
+    return lo, hi
+
+
+class TestPowCutoffs:
+    def test_random_inputs_match_definition(self):
         rng = random.Random(17)
-        for _ in range(40):
-            C = Fraction(rng.randint(1, 100), rng.randint(1, 10))
-            delta = Fraction(rng.randint(1, 6), rng.choice([1, 6, 7]))
-            delta = min(delta, Fraction(1))
-            n = rng.choice([1, 2, rng.randint(3, 60)])
-            passes = [
-                cmp_pow(Fraction(2 * e) / C, n, 2 - delta) >= 0 for e in range(1, 2001)
-            ]
-            first = passes.index(True) + 1 if any(passes) else 2001
-            assert passes == [e >= first for e in range(1, 2001)], (C, n, delta)
-            for most in (1, first - 1, first, rng.randint(1, 2000), 2000):
-                if not 1 <= most <= 2000:
-                    continue
-                want = first if first <= most else most + 1
-                assert min_dense_link(C, n, delta, most) == want, (C, n, delta, most)
+        for _ in range(300):
+            c = Fraction(rng.randint(0, 100), rng.randint(1, 10))
+            n = rng.choice([1, 2, rng.randint(3, 1000), rng.randint(1, 10 ** 12)])
+            expo = Fraction(rng.randint(0, 12), rng.randint(1, 7))
+            check_cutoffs(c, n, expo)
 
+    def test_exact_powers(self):
+        # 32**(9/5) = 2**9 and (2**10)**(3/2) = 2**15: floor and ceil meet
+        assert check_cutoffs(1, 32, Fraction(9, 5)) == (512, 512)
+        assert check_cutoffs(1, 2 ** 10, Fraction(3, 2)) == (2 ** 15, 2 ** 15)
+        assert check_cutoffs(Fraction(3, 4), 32, Fraction(9, 5)) == (384, 384)
+        # just off an exact power, the two cutoffs part
+        below = Fraction(2 ** 16 - 1, 2 ** 16)  # times 2**15 is 2**15 - 1/2
+        assert check_cutoffs(below, 2 ** 10, Fraction(3, 2)) == (2 ** 15 - 1, 2 ** 15)
+        assert check_cutoffs(1, 31, Fraction(9, 5)) == (483, 484)
 
-class TestEpsScaleCutoffs:
-    @staticmethod
-    def check(scale, c, a, b):
-        """floor/ceil agree with cmp on both sides of the threshold."""
-        lo, hi = scale.floor(c, a, b), scale.ceil(c, a, b)
-        if c == 0:
-            assert lo == hi == 0
-            return
-        c = Fraction(c)
-        assert scale.cmp(lo / c, a, b) <= 0 < scale.cmp((lo + 1) / c, a, b)
-        assert scale.cmp(hi / c, a, b) >= 0 > scale.cmp((hi - 1) / c, a, b)
-        assert hi - lo == (scale.cmp(lo / c, a, b) != 0)
+    def test_fractional_exponent(self):
+        # 2**(3/2) = 2.828...
+        assert check_cutoffs(1, 2, Fraction(3, 2)) == (2, 3)
+        assert check_cutoffs(Fraction(1, 2), 2, Fraction(3, 2)) == (1, 2)
 
-    def test_exact_boundaries(self):
-        # n = 32, q = n**(-eps) = 1/2: n**(1-2eps) = 8, n**(1-3eps) = 4
-        cases = [  # (c, a, b, floor, ceil)
-            (1, 1, 2, 8, 8),
-            (1, 1, 3, 4, 4),
-            (Fraction(3, 4), 1, 3, 3, 3),
-            (Fraction(5, 4), 1, 3, 5, 5),
-            (Fraction(1, 3), 1, 3, 1, 2),
-            (0, 1, 2, 0, 0),
-        ]
-        scale = EpsScale(n=32, q=Fraction(1, 2))
-        for c, a, b, lo, hi in cases:
-            assert (scale.floor(c, a, b), scale.ceil(c, a, b)) == (lo, hi)
-            self.check(scale, c, a, b)
+    def test_integer_exponent(self):
+        # delta = 1 makes 2 - delta = 1 and 1 + delta = 2 (r = 1)
+        assert check_cutoffs(Fraction(7, 2), 10, 1) == (35, 35)
+        assert check_cutoffs(Fraction(7, 3), 10, 1) == (23, 24)
+        assert check_cutoffs(Fraction(1, 3), 10, 2) == (33, 34)
 
-    def test_agrees_with_cmp(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            scale = EpsScale(n=rng.randint(1, 60), q=Fraction(rng.randint(1, 9), 9))
-            c = Fraction(rng.randint(0, 40), rng.randint(1, 7))
-            self.check(scale, c, rng.randint(0, 2), rng.randint(0, 3))
+    def test_n_one(self):
+        for expo in (Fraction(9, 5), Fraction(6, 5), Fraction(1), Fraction(0)):
+            assert check_cutoffs(Fraction(7, 2), 1, expo) == (3, 4)
+            assert check_cutoffs(5, 1, expo) == (5, 5)
+
+    def test_zero_constant(self):
+        assert check_cutoffs(0, 5, Fraction(9, 5)) == (0, 0)
+        assert check_cutoffs(0, 10 ** 40, Fraction(6, 5)) == (0, 0)
+
+    def test_huge_n(self):
+        n = 10 ** 40
+        assert check_cutoffs(1, n, Fraction(9, 5)) == (10 ** 72, 10 ** 72)
+        half = 5 * 10 ** 47
+        assert check_cutoffs(Fraction(1, 2), n, Fraction(6, 5)) == (half, half)
+        lo, hi = check_cutoffs(Fraction(3, 7), n + 1, Fraction(9, 5))
+        assert hi == lo + 1
 
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
-            EpsScale(n=4, q=Fraction(1, 2)).floor(-1, 1, 2)
+            floor_pow(-1, 4, Fraction(9, 5))
+        with pytest.raises(ValueError):
+            ceil_pow(1, 0, Fraction(9, 5))
 
-
-class TestCmpPow:
-    def test_exact_integer_cases(self):
-        assert cmp_pow(8, 2, Fraction(3)) == 0
-        assert cmp_pow(9, 2, Fraction(3)) == 1
-        assert cmp_pow(7, 2, Fraction(3)) == -1
-
-    def test_fractional_exponent(self):
-        # 2^(3/2) = 2.828...
-        assert cmp_pow(3, 2, Fraction(3, 2)) == 1
-        assert cmp_pow(2, 2, Fraction(3, 2)) == -1
-        assert cmp_pow(Fraction(2 ** 15), 2 ** 10, Fraction(3, 2)) == 0
-
-    def test_nonpositive_value(self):
-        assert cmp_pow(0, 5, Fraction(1, 5)) == -1
-        assert cmp_pow(-3, 5, Fraction(2)) == -1
+    def test_density_cutoff_is_least_passing_link_size(self):
+        # the z-scan's cutoff ceil_pow(C/2, n, 2 - delta) is the least e
+        # with e >= (C/2) n**(2 - delta): (2e den C)**r >= n**p (num C)**r
+        rng = random.Random(17)
+        for _ in range(40):
+            C = Fraction(rng.randint(1, 100), rng.randint(1, 10))
+            delta = min(Fraction(rng.randint(1, 6), rng.choice([1, 6, 7])), Fraction(1))
+            n = rng.choice([1, 2, rng.randint(3, 60)])
+            expo = 2 - delta
+            p, r = expo.numerator, expo.denominator
+            passes = [
+                (2 * e * C.denominator) ** r >= n ** p * C.numerator ** r
+                for e in range(1, 2001)
+            ]
+            cutoff = ceil_pow(C / 2, n, expo)
+            assert passes == [e >= cutoff for e in range(1, 2001)], (C, n, delta)

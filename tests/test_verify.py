@@ -12,7 +12,6 @@ from homeofind.core import (
     Config,
     ThreeGraph,
     TripartiteHost,
-    build_triple_subdivision,
     covered_pairs,
     euler_characteristic,
 )
@@ -43,14 +42,31 @@ class TestCanonicalShape:
         assert canon.one_cell_count() == 21
         assert canon.euler_characteristic() == 1
 
-    @settings(max_examples=40, deadline=None)
+    def test_k4_counts(self):
+        canon = canonical_glued_subdivision(K4)
+        assert canon.vertex_count == 26  # 4 + 6 + 4 + 12
+        assert canon.face_count == 48
+        assert canon.one_cell_count() == 72
+        assert canon.euler_characteristic() == 2
+
+    def test_empty(self):
+        canon = canonical_glued_subdivision(ThreeGraph(0, frozenset()))
+        assert canon.vertex_count == 0
+        assert canon.face_count == 0
+
+    @settings(max_examples=60, deadline=None)
     @given(threegraphs)
     def test_counts_match_triple_subdivision(self, h):
         canon = canonical_glued_subdivision(h)
-        sub = build_triple_subdivision(h)
-        assert canon.vertex_count == sub.underlying.vertex_count
-        assert canon.face_count == sub.underlying.e
-        assert canon.one_cell_count() == len(covered_pairs(sub.underlying))
+        pairs = len(covered_pairs(h))
+        assert canon.face_count == 12 * h.e
+        assert canon.vertex_count == h.vertex_count + pairs + 4 * h.e
+        assert canon.one_cell_count() == 2 * pairs + 15 * h.e
+
+    @settings(max_examples=60, deadline=None)
+    @given(threegraphs)
+    def test_preserves_euler_characteristic(self, h):
+        canon = canonical_glued_subdivision(h)
         assert canon.euler_characteristic() == euler_characteristic(h)
 
     def test_every_face_has_a_corner_vertex(self):
