@@ -18,7 +18,6 @@ from .io import load_certificate, load_host, load_target, write_certificate
 from .links import (
     FourCycle,
     LinkGraph,
-    classify_cycles,
     count_disks,
     expectation_oracle,
     forbidden_expectation_oracle,
@@ -40,7 +39,6 @@ __all__ = [
     "TripartiteHost",
     "build_aux_graph",
     "canonical_glued_subdivision",
-    "classify_cycles",
     "clique_oracle",
     "count_disks",
     "covered_pairs",

@@ -193,7 +193,6 @@ class AuxGraph:
     v1: tuple[int, ...]
     v2: tuple[int, ...]
     v2_tags: tuple[tuple, ...]
-    edges: frozenset[tuple[int, int]]
     special_cycles: tuple[SpecialCycle, ...]
 
     def neighbors_of_v2(self, u: int) -> tuple[int, ...]:
@@ -305,44 +304,22 @@ def build_aux_graph(h: ThreeGraph) -> AuxGraph:
     faces_sorted = h.sorted_faces()
     v1 = tuple(range(h.vertex_count))
 
-    v2 = []
-    tags = []
-    pair_idx = {}
-    face_idx = {}
-    nxt = h.vertex_count
-    for p in pairs:
-        pair_idx[p] = nxt
-        v2.append(nxt)
-        tags.append(("pair", p))
-        nxt += 1
-    for f in faces_sorted:
-        face_idx[f] = nxt
-        v2.append(nxt)
-        tags.append(("face", f))
-        nxt += 1
-
-    edges = set()
-    for p in pairs:
-        u = pair_idx[p]
-        edges.add((p[0], u))
-        edges.add((p[1], u))
-    for f in faces_sorted:
-        u = face_idx[f]
-        for x in f:
-            edges.add((x, u))
+    tags = [("pair", p) for p in pairs] + [("face", f) for f in faces_sorted]
+    v2 = tuple(range(h.vertex_count, h.vertex_count + len(tags)))
+    # v2 vertex of each pair and face; pairs and faces differ in length
+    v2_of = {key: u for u, (_, key) in zip(v2, tags)}
 
     cycles = []
     for f in faces_sorted:
         x, y, z = f
-        w = face_idx[f]
+        w = v2_of[f]
         for a, b in ((x, y), (y, z), (z, x)):
             e = (min(a, b), max(a, b))
-            cycles.append(SpecialCycle(a=a, u=pair_idx[e], b=b, w=w, face=f, edge=e))
+            cycles.append(SpecialCycle(a=a, u=v2_of[e], b=b, w=w, face=f, edge=e))
 
     return AuxGraph(
         v1=v1,
-        v2=tuple(v2),
+        v2=v2,
         v2_tags=tuple(tags),
-        edges=frozenset(edges),
         special_cycles=tuple(cycles),
     )

@@ -280,7 +280,7 @@ def embed_v2(
     *,
     index: HostIndex,
     K: int,
-) -> dict[int, int]:
+) -> Embedding:
     """Injective placement of V2 into X by exact search, seeded by ``rng``.
 
     Each V2 vertex may go to the common link-neighbourhood of the images of
@@ -293,7 +293,8 @@ def embed_v2(
     Then candidates with no compatible partner are pruned (arc consistency),
     the face-vertices are placed depth first, and at each leaf the
     pair-vertices are matched into the unused X-vertices; the leaf is taken
-    only if ``assign_centers`` then finds distinct centers besides link.z.
+    only if ``assign_centers`` then finds distinct centers besides link.z,
+    and the returned ``Embedding`` carries those centers.
 
     Raises RetriesExhausted when no injective placement exists (Hall's
     condition fails, as it does when a V2 vertex has no candidate at all),
@@ -318,10 +319,10 @@ def embed_v2(
             f"no injective placement: the candidates of {len(short)} V2 "
             f"vertices cover only {len(short) - 1} X-vertices (Hall)"
         )
-    placed = _admissible_placement(
+    placed, centers = _admissible_placement(
         aux, v1_map, index, K, link.z, order, domain, cfg.retry_limit ** 2
     )
-    return {u: placed[u] for u in aux.v2}
+    return Embedding(v1_map=v1_map, v2_map={u: placed[u] for u in aux.v2}, center_map=centers)
 
 
 def _match(
@@ -367,9 +368,10 @@ def _admissible_placement(
     order: dict[int, list[int]],
     domain: dict[int, int],
     budget: int,
-) -> dict[int, int]:
+) -> tuple[dict[int, int], dict[int, int]]:
     """An injective V2 placement under which every special cycle is
-    admissible and has its own center, other than ``z``.
+    admissible and has its own center, other than ``z``; returned with
+    those centers.
 
     Every constraint joins a face-vertex to a pair-vertex, so once the
     face-vertices are placed the pair-vertices only have to be matched.  The
@@ -485,8 +487,9 @@ def _admissible_placement(
 
     # the leaves in search order; the first with distinct centers is taken
     for placed in search(dom, 0, list(arcs_of)):
-        if assign_centers(index, aux, v1_map, placed, z) is not None:
-            return placed
+        centers = assign_centers(index, aux, v1_map, placed, z)
+        if centers is not None:
+            return placed, centers
     raise no_placement(f"exhaustive search over {nodes} nodes")
 
 
@@ -623,9 +626,6 @@ def find_homeomorph(
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}
 
     rng = random.Random(derive_seed(cfg.rng_seed))
-    v2_map = embed_v2(aux, v1_map, choice.link, cfg, rng, index=index, K=K)
-    # embed_v2 accepted this placement only once these centers existed
-    center_map = assign_centers(index, aux, v1_map, v2_map, choice.z)
-    emb = Embedding(v1_map=v1_map, v2_map=v2_map, center_map=center_map)
+    emb = embed_v2(aux, v1_map, choice.link, cfg, rng, index=index, K=K)
     assert_valid_embedding(emb, aux, target, host)
     return _assemble_certificate(target, aux, emb)

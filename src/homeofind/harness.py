@@ -50,9 +50,9 @@ def gen_random_host(
     reversed, read through ``int(..., 2)`` as one integer whose bit
     y * n_z + z is the face (x, y, z).
     """
-    p = float(p)
-    if not 0 <= p <= 1:
+    if not 0 <= p <= 1:  # on the exact value: float() may overflow
         raise ValueError("p must lie in [0, 1]")
+    p = float(p)
     if min(n_x, n_y, n_z) <= 0:  # no potential face, no draw
         return TripartiteHost._from_table((n_x, n_y, n_z), {})
     rng = random.Random(seed)
@@ -108,7 +108,10 @@ class SweepSpec:
             )
 
     def p_for(self, n: int) -> float:
-        p = float(self.a) * n ** (-float(self.b))
+        try:
+            p = float(self.a) * n ** (-float(self.b))
+        except OverflowError:
+            raise ValueError(f"density rule overflows a float at n = {n}") from None
         if not 0 <= p <= 1:
             raise ValueError(f"density rule gives p = {p} outside [0, 1] at n = {n}")
         return p
@@ -125,14 +128,14 @@ class SweepSpec:
                 raise FormatError('sweep spec: "n_values" must be a list')
             # a key no sweep sets is passed on, for __post_init__ to name it
             cfg = {
-                k: Fraction(str(v)) if k in ("C", "delta") else _json_int(v, k) if k in _CFG_KEYS else v
+                k: _json_rat(v, k) if k in ("C", "delta") else _json_int(v, k) if k in _CFG_KEYS else v
                 for k, v in raw.get("cfg", {}).items()
             }
             return cls(
                 target=str(raw["target"]),
                 n_values=tuple(_json_int(n, "n_values") for n in raw["n_values"]),
-                a=Fraction(str(raw["a"])),
-                b=Fraction(str(raw.get("b", "1/5"))),
+                a=_json_rat(raw["a"], "a"),
+                b=_json_rat(raw.get("b", "1/5"), "b"),
                 trials=_json_int(raw["trials"], "trials"),
                 seed=_json_int(raw.get("seed", 0), "seed"),
                 cfg_overrides=cfg,
@@ -141,6 +144,14 @@ class SweepSpec:
             raise FormatError(f"sweep spec lacks the key {exc}") from None
         except (TypeError, AttributeError) as exc:  # a value of the wrong JSON type
             raise FormatError(f"malformed sweep spec: {exc}") from None
+
+
+def _json_rat(value, key: str) -> Fraction:
+    """``value`` as an exact rational, read from its decimal text."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f'sweep spec: "{key}" must be a rational, got {json.dumps(value)}') from None
 
 
 def _json_int(value, key: str) -> int:

@@ -1,4 +1,4 @@
-"""Link graphs of host vertices, 4-cycle enumeration and classification.
+"""Link graphs of host vertices and 4-cycle enumeration.
 
 The hot path here is counting, for every 4-cycle of a link, the number of
 host vertices z whose link also contains it (its 4-disks).  The host's
@@ -16,9 +16,8 @@ classification in ``embed`` reads instead of walking the cycles again.  The
 walk skips, without an AND, cycles whose disk count is certainly above or
 certainly at most K by the sizes of its two column z-sets alone.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
-``classify_cycles`` (that walk plus ``HostIndex.disk_count``) and
-``count_disks``, a face-membership scan independent of the index.  Two more
-oracles check the z-scan's expectation arguments in exact rational
+and ``count_disks``, a face-membership scan independent of the index.  Two
+more oracles check the z-scan's expectation arguments in exact rational
 arithmetic: ``expectation_oracle`` (the mean of e(L_z) is e(G)/n_Z) and
 ``forbidden_expectation_oracle`` (the double count behind the mean of B_z).
 """
@@ -55,48 +54,26 @@ class FourCycle:
 
 
 @dataclass(frozen=True)
-class CycleClassification:
-    cycle: FourCycle
-    disk_count: int
-    admissible: bool  # True: admissible, False: forbidden
-
-
-@dataclass(frozen=True, init=False)
 class LinkGraph:
     """The bipartite X-Y graph of faces through a fixed z, as neighbour masks.
 
     ``x_masks[x]`` is the bitmask over Y of the neighbours of x, and
-    ``y_masks[y]`` the bitmask over X of those of y.  ``LinkGraph(z, n_x,
-    n_y, edges)`` builds both from (x, y) edges; ``HostIndex.link`` builds
-    them straight from the host's table.  ``edges`` decodes them, for tests
+    ``y_masks[y]`` the bitmask over X of those of y; ``HostIndex.link``
+    builds both from the host's table.  ``edges`` decodes them, for tests
     and oracles.
     """
 
     z: int
-    n_x: int
-    n_y: int
     x_masks: tuple[int, ...]
     y_masks: tuple[int, ...]
 
-    def __init__(self, z: int, n_x: int, n_y: int, edges):
-        x_masks, y_masks = [0] * n_x, [0] * n_y
-        for x, y in edges:
-            x_masks[x] |= 1 << y
-            y_masks[y] |= 1 << x
-        self._set(z, n_x, n_y, x_masks, y_masks)
+    @property
+    def n_x(self) -> int:
+        return len(self.x_masks)
 
-    @classmethod
-    def _of_masks(cls, z: int, n_x: int, n_y: int, x_masks, y_masks) -> "LinkGraph":
-        link = object.__new__(cls)
-        link._set(z, n_x, n_y, x_masks, y_masks)
-        return link
-
-    def _set(self, z, n_x, n_y, x_masks, y_masks):
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "n_x", n_x)
-        object.__setattr__(self, "n_y", n_y)
-        object.__setattr__(self, "x_masks", tuple(x_masks))
-        object.__setattr__(self, "y_masks", tuple(y_masks))
+    @property
+    def n_y(self) -> int:
+        return len(self.y_masks)
 
     @cached_property
     def e(self) -> int:
@@ -153,10 +130,7 @@ class HostIndex:
                 x, y = divmod(i, n_y)
                 x_masks[x] |= 1 << y
                 y_masks[y] |= 1 << x
-        return LinkGraph._of_masks(z, n_x, n_y, x_masks, y_masks)
-
-    def disk_count(self, c: FourCycle) -> int:
-        return self.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
+        return LinkGraph(z, tuple(x_masks), tuple(y_masks))
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
         """Bitmask over Z of the centers completing the cycle to 4-disks."""
@@ -226,7 +200,7 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
     for z in range(host.n_z):
         for c in iter_link_cycles(index.link(z)):
             if c not in counts:
-                counts[c] = index.disk_count(c)
+                counts[c] = index.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
     sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
     for z in range(host.n_z):
         total_b += sum(1 for c in iter_link_cycles(index.link(z)) if counts[c] <= K)
@@ -248,22 +222,6 @@ def _bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def classify_cycles(
-    host: TripartiteHost, link: LinkGraph, K: int, index: HostIndex | None = None
-) -> list[CycleClassification]:
-    """Every 4-cycle of the link with its disk count and admissibility.
-
-    A cycle is admissible when it bounds more than K 4-disks, forbidden
-    otherwise.
-    """
-    index = index or HostIndex(host)
-    out = []
-    for c in iter_link_cycles(link):
-        d = index.disk_count(c)
-        out.append(CycleClassification(cycle=c, disk_count=d, admissible=d > K))
     return out
 
 
@@ -326,7 +284,6 @@ def count_forbidden(
 
 @dataclass(frozen=True)
 class LinkChoice:
-    z: int
     link: LinkGraph
     forbidden_count: int  # B_z
     forbidden_by_pair: dict[tuple[int, int], int]  # see count_forbidden
@@ -371,7 +328,7 @@ def pick_link_vertex(
             best_diag.append((z, e_l, b_z))
             continue
         q = min(Fraction(1), Fraction(2 * e_l) / (C * n * n))
-        return LinkChoice(z=z, link=link, forbidden_count=b_z, forbidden_by_pair=by_pair, q=q)
+        return LinkChoice(link=link, forbidden_count=b_z, forbidden_by_pair=by_pair, q=q)
     raise NoQualifyingVertex(
         f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "
         f"per-z diagnostics: {best_diag[:10]}"

@@ -98,7 +98,9 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     Runs seven checks in order and reports the first violation:
     (1) all faces exist in the host, (2) face count is 12 e(H),
     (3) embedding maps are injective, (4) centers are distinct,
-    (5) the relabeled face set equals the canonical glued subdivision,
+    (5) v2_map and center_map are keyed by exactly the auxiliary graph's V2
+    and special cycles, and the relabeled face set equals the canonical
+    glued subdivision,
     (6) the Euler characteristic of the certificate complex equals the
     target's, (7) v1_map maps exactly the target's vertices into Y (this
     reaches isolated vertices, which no face shows).
@@ -129,6 +131,10 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
 
     # (5) relabel through the embedding and compare with the canonical shape
     aux = build_aux_graph(target)
+    if set(emb.v2_map) != set(aux.v2):
+        return _fail(5, "v2_map keys are not the auxiliary graph's V2")
+    if set(emb.center_map) != set(range(3 * target.e)):
+        return _fail(5, "center_map keys are not the special-cycle indices 0 to 3e(H) - 1")
     v1_inv = {y: v for v, y in emb.v1_map.items()}
     v2_inv = {x: u for u, x in emb.v2_map.items()}
     center_inv = {z: ci for ci, z in emb.center_map.items()}

@@ -28,8 +28,8 @@ from homeofind.io import load_target, write_host
 from homeofind.links import (
     FourCycle,
     HostIndex,
-    classify_cycles,
     count_disks,
+    count_forbidden,
     expectation_oracle,
     forbidden_expectation_oracle,
 )
@@ -113,20 +113,20 @@ def test_criterion_3_oracle_equivalence(capfd):
         index = HostIndex(host)
         K = rng.randint(0, 3)
         for z in range(n):
+            # every 4-cycle of the link, its disk count by face scan; the
+            # shipping disk_mask and count_forbidden must agree with it
             link = index.link(z)
-            got = {
-                (c.cycle, c.disk_count, c.admissible)
-                for c in classify_cycles(host, link, K, index)
-            }
             edges = set(link.edges)
-            want = set()
+            by_pair = {}
             for x1, x2 in itertools.combinations(range(n), 2):
                 for y1, y2 in itertools.combinations(range(n), 2):
                     if {(x1, y1), (x1, y2), (x2, y1), (x2, y2)} <= edges:
-                        c = FourCycle.of(x1, x2, y1, y2)
-                        d = count_disks(host, c)
-                        want.add((c, d, d > K))
-            if got != want:
+                        d = count_disks(host, FourCycle.of(x1, x2, y1, y2))
+                        if index.disk_mask(x1, x2, y1, y2).bit_count() != d:
+                            mismatches += 1
+                        if d <= K:
+                            by_pair[(y1, y2)] = by_pair.get((y1, y2), 0) + 1
+            if count_forbidden(link, K, index) != (sum(by_pair.values()), by_pair):
                 mismatches += 1
 
     clique_disagreements = 0
@@ -155,7 +155,7 @@ def test_criterion_3_oracle_equivalence(capfd):
     _report(
         capfd, 3,
         passed,
-        f"cycle classification vs brute force: {mismatches} mismatches; "
+        f"disk masks and forbidden counts vs brute force: {mismatches} mismatches; "
         f"clique search vs exhaustive oracle: {clique_disagreements} disagreements",
     )
     assert passed

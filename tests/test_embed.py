@@ -29,18 +29,20 @@ from homeofind.errors import (
 )
 from homeofind.harness import gen_random_host
 from homeofind.io import load_target, write_certificate
-from homeofind.links import FourCycle, HostIndex, LinkGraph, count_disks, count_forbidden
+from homeofind.links import FourCycle, HostIndex, count_disks, count_forbidden
 from homeofind.verify import verify_certificate
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
 
 
+def link_of(n_x, n_y, edges):
+    """L_0 of the host whose faces are the (x, y, 0) of ``edges``."""
+    return HostIndex(TripartiteHost((n_x, n_y, 1), [(x, y, 0) for x, y in edges])).link(0)
+
+
 def complete_link(n_x, n_y):
-    return LinkGraph(
-        z=0, n_x=n_x, n_y=n_y,
-        edges=frozenset((x, y) for x in range(n_x) for y in range(n_y)),
-    )
+    return link_of(n_x, n_y, itertools.product(range(n_x), range(n_y)))
 
 
 def only_link(link, target):
@@ -156,7 +158,7 @@ class TestClassifyPairsTriples:
             assert (bad_triples.get(tr[:2], 0) >> tr[2]) & 1 == (deg < 4), tr
 
     def test_empty_common_neighbourhood_is_bad(self):
-        link = LinkGraph(z=0, n_x=3, n_y=2, edges=frozenset({(0, 0), (1, 1)}))
+        link = link_of(3, 2, {(0, 0), (1, 1)})
         index = HostIndex(
             TripartiteHost((3, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
         )
@@ -180,7 +182,7 @@ class TestSelectCoreSet:
         assert yprime == list(range(8))
 
     def test_empty_link(self):
-        link = LinkGraph(z=0, n_x=4, n_y=4, edges=frozenset())
+        link = link_of(4, 4, ())
         with pytest.raises(NoQualifyingX):
             select_core_set(link, [], {}, Config(C=1), 4, Fraction(1, 2))
 
@@ -249,11 +251,8 @@ class TestSelectCoreSet:
         decided_by_tx = 0
         for seed in range(40):
             rng = random.Random(seed)
-            link = LinkGraph(
-                z=0, n_x=6, n_y=n,
-                edges=frozenset(
-                    (x, y) for x in range(6) for y in range(n) if rng.random() < 0.92
-                ),
+            link = link_of(
+                6, n, [(x, y) for x in range(6) for y in range(n) if rng.random() < 0.92]
             )
             pairs = [
                 PairStats(pr, 1, 0, rng.random() > 0.1)
@@ -379,7 +378,7 @@ class TestEmbedV2:
             aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
             index=only_link(link, target), K=0,
         )
-        assert out == {}
+        assert out.v2_map == out.center_map == {}
 
     def test_injective_on_complete_link(self):
         aux = build_aux_graph(TRIANGLE)
@@ -389,12 +388,12 @@ class TestEmbedV2:
             aux, v1_map, link, Config(rng_seed=1), random.Random(1),
             index=only_link(link, TRIANGLE), K=0,
         )
-        assert sorted(out) == sorted(aux.v2)
-        assert len(set(out.values())) == len(out)
+        assert sorted(out.v2_map) == sorted(aux.v2)
+        assert len(set(out.v2_map.values())) == len(out.v2_map)
 
     def test_empty_candidate_set(self):
         aux = build_aux_graph(TRIANGLE)
-        link = LinkGraph(z=0, n_x=2, n_y=3, edges=frozenset({(0, 0), (0, 1)}))
+        link = link_of(2, 3, {(0, 0), (0, 1)})
         with pytest.raises(RetriesExhausted, match="no injective placement"):
             embed_v2(
                 aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
@@ -407,20 +406,17 @@ class TestEmbedV2:
         # Every seed must give a collision-free placement inside the common
         # neighbourhoods, and the seeds must not all give the same one.
         aux = build_aux_graph(K4)
-        link = LinkGraph(
-            z=0, n_x=100, n_y=4,
-            edges=frozenset((x, y) for x in range(100) for y in range(4) if x % 5 != y),
-        )
+        link = link_of(100, 4, [(x, y) for x in range(100) for y in range(4) if x % 5 != y])
         v1_map = {i: i for i in range(4)}
         index = only_link(link, K4)
         placements = set()
         for seed in range(400):
             out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), index=index, K=0)
-            assert sorted(out) == sorted(aux.v2)
-            assert len(set(out.values())) == len(out)
-            for u, x in out.items():
+            assert sorted(out.v2_map) == sorted(aux.v2)
+            assert len(set(out.v2_map.values())) == len(out.v2_map)
+            for u, x in out.v2_map.items():
                 assert all((x, v1_map[a]) in link.edges for a in aux.neighbors_of_v2(u))
-            placements.add(tuple(sorted(out.items())))
+            placements.add(tuple(sorted(out.v2_map.items())))
         assert len(placements) > 1
 
     def test_retries_exhausted_when_injectivity_impossible(self):
@@ -444,8 +440,8 @@ class TestEmbedV2:
         out = embed_v2(
             aux, v1_map, link, Config(), random.Random(0), index=only_link(link, torus7), K=0
         )
-        assert sorted(out) == sorted(aux.v2)
-        assert sorted(out.values()) == list(range(35))
+        assert sorted(out.v2_map) == sorted(aux.v2)
+        assert sorted(out.v2_map.values()) == list(range(35))
         # the same with admissibility enforced: 43 centers per cycle > K = 42
         host = TripartiteHost(
             (35, 7, 43),
@@ -455,9 +451,8 @@ class TestEmbedV2:
         out = embed_v2(
             aux, v1_map, index.link(0), Config(), random.Random(0), index=index, K=42
         )
-        assert sorted(out.values()) == list(range(35))
-        centers = assign_centers(index, aux, v1_map, out, exclude_z=0)
-        assert sorted(centers.values()) == list(range(1, 43))
+        assert sorted(out.v2_map.values()) == list(range(35))
+        assert sorted(out.center_map.values()) == list(range(1, 43))
 
     @staticmethod
     def _clashing_host():
@@ -506,7 +501,7 @@ class TestEmbedV2:
                 assert not found
                 assert "no admissible placement: exhaustive" in str(exc)
             else:
-                assert found and sorted(out.values()) == [0, 1, 2, 3]
+                assert found and sorted(out.v2_map.values()) == [0, 1, 2, 3]
 
     def test_budget_reason_when_search_is_cut(self):
         aux = build_aux_graph(TRIANGLE)
@@ -580,7 +575,13 @@ class TestEmbedV2:
                 outcomes.append(False)
                 continue
             assert want, seed
-            assert len(set(out.values())) == len(out) and admissible(out)
+            assert len(set(out.v2_map.values())) == len(out.v2_map) and admissible(out.v2_map)
+            # the centers the search found: one per cycle, distinct, not z = 0
+            centers = out.center_map
+            assert out.v1_map == v1_map and sorted(centers) == list(range(len(aux.special_cycles)))
+            assert 0 not in centers.values() and len(set(centers.values())) == len(centers)
+            for ci, sc in enumerate(aux.special_cycles):
+                assert index.disk_mask(out.v2_map[sc.u], out.v2_map[sc.w], sc.a, sc.b) >> centers[ci] & 1
             outcomes.append(True)
         assert any(outcomes) and not all(outcomes)
 

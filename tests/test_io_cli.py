@@ -410,6 +410,16 @@ class TestCli:
          '"n_values" must be an integer, got true'),
         ({"target": "builtin:triangle", "n_values": [12, 20.0], "a": 1, "trials": 1},
          '"n_values" must be an integer, got 20.0'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": "1/0", "trials": 1},
+         '"a" must be a rational, got "1/0"'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "b": "1/0", "trials": 1},
+         '"b" must be a rational, got "1/0"'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
+          "cfg": {"C": "1/0"}}, '"C" must be a rational, got "1/0"'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
+          "cfg": {"delta": "2/0"}}, '"delta" must be a rational, got "2/0"'),
+        ({"target": "builtin:triangle", "n_values": [12], "a": "1e999", "trials": 1},
+         "density rule overflows a float at n = 12"),
     ])
     def test_malformed_sweep_spec_exit_2(self, tmp_path, capsys, spec, message):
         specp = tmp_path / "sweep.json"
@@ -418,6 +428,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_gen_p_beyond_float_exit_2(self, tmp_path, capsys):
+        # 1e999 is an exact rational, but no float: the range check comes first
+        assert main(["gen", "--nx", "3", "--ny", "3", "--nz", "3", "--p", "1e999",
+                     "--out", str(tmp_path / "h.tph")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: p must lie in [0, 1]\n"
 
     def test_gen_is_seeded(self, tmp_path):
         out1 = str(tmp_path / "a.tph")
@@ -445,13 +462,14 @@ class TestCli:
     def _inspect_by_building(h):
         """inspect's report, read off the built auxiliary graph and subdivision."""
         aux, canon = build_aux_graph(h), canonical_glued_subdivision(h)
+        edges = {(a, u) for u, (_, ends) in zip(aux.v2, aux.v2_tags) for a in ends}
         return (
             f"vertices: {h.vertex_count}\n"
             f"faces: {h.e}\n"
             f"covered pairs: {len(covered_pairs(h))}\n"
             f"euler characteristic: {euler_characteristic(h)}\n"
             f"aux graph: |V1|={len(aux.v1)} |V2|={len(aux.v2)} "
-            f"edges={len(aux.edges)} special-cycles={len(aux.special_cycles)}\n"
+            f"edges={len(edges)} special-cycles={len(aux.special_cycles)}\n"
             f"subdivision: vertices={canon.vertex_count} "
             f"faces={canon.face_count} chi={canon.euler_characteristic()}\n"
         )

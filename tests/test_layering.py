@@ -8,6 +8,10 @@ sees every import, also one inside a function.
 ``exact``, ``links`` and ``embed`` make every accept/reject decision of the
 search; no float may enter one, so their source holds no float literal, no
 ``float`` and none of the float-valued ``math`` functions.
+
+The brute-force oracles in ``links`` and ``embed`` check the shipping code,
+so no shipping function or class may name one: a test comparing the two
+would then compare the shipping code with itself.
 """
 
 import ast
@@ -33,7 +37,6 @@ PUBLIC = [
     "TripartiteHost",
     "build_aux_graph",
     "canonical_glued_subdivision",
-    "classify_cycles",
     "clique_oracle",
     "count_disks",
     "covered_pairs",
@@ -144,4 +147,68 @@ def test_float_scan_finds_every_form(tmp_path):
     assert float_uses(src) == [
         (2, "0.5"), (3, "float"), (4, "math.log"), (4, "math.sqrt"),
         (5, "math.exp"), (6, "1000.0"), (6, "2j"), (6, "math.pow"),
+    ]
+
+
+ORACLES = {
+    "FourCycle",
+    "count_disks",
+    "iter_link_cycles",
+    "expectation_oracle",
+    "forbidden_expectation_oracle",
+    "clique_oracle",
+}
+
+
+def names_used(node: ast.AST) -> set[str]:
+    """Every name and attribute named in the node's code, annotations
+    included, also those written as strings."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        if isinstance(sub, (ast.arg, ast.AnnAssign)):
+            annotations = [sub.annotation]
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [sub.returns]
+        else:
+            continue
+        for ann in filter(None, annotations):
+            for const in ast.walk(ann):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    found |= names_used(ast.parse(const.value, mode="eval"))
+    return found
+
+
+def oracle_uses(path: Path) -> list[tuple[str, str]]:
+    """(definition, oracle) for every top-level function or class of the
+    file, other than an oracle, that names an oracle."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in ORACLES:
+            found += [(node.name, name) for name in sorted(names_used(node) & ORACLES)]
+    return found
+
+
+@pytest.mark.parametrize("module", ["links", "embed"])
+def test_shipping_code_names_no_oracle(module):
+    assert oracle_uses(SRC / f"{module}.py") == []
+
+
+def test_oracle_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def count_disks(h, c):\n    return FourCycle\n"
+        "def f(x: 'FourCycle') -> int:\n    return links.count_disks(x)\n"
+        "class C:\n    c: FourCycle\n"
+        "    def g(self) -> list['clique_oracle']:\n        pass\n"
+        "def h():\n    return iter_link_cycles\n"
+        "oracle = expectation_oracle\n"
+    )
+    assert oracle_uses(src) == [
+        ("f", "FourCycle"), ("f", "count_disks"),
+        ("C", "FourCycle"), ("C", "clique_oracle"),
+        ("h", "iter_link_cycles"),
     ]

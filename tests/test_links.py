@@ -11,7 +11,6 @@ from homeofind.exact import ceil_pow, floor_pow
 from homeofind.links import (
     FourCycle,
     HostIndex,
-    classify_cycles,
     count_disks,
     count_forbidden,
     iter_link_cycles,
@@ -73,23 +72,40 @@ class TestCountDisks:
         host = random_host(rng, 6, 6, 6, 0.4)
         index = HostIndex(host)
         for c in map(lambda q: FourCycle(*q), [(0, 1, 0, 1), (1, 3, 2, 4), (0, 5, 1, 2)]):
-            assert count_disks(host, c) == index.disk_count(c)
+            assert count_disks(host, c) == index.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
+
+
+def forbidden_by_pair(cycles, K):
+    """Per Y-pair, how many of ``cycles`` (cycle -> disk count) bound at
+    most K disks; pairs with none are left out, as in count_forbidden."""
+    by_pair = {}
+    for c, d in cycles.items():
+        if d <= K:
+            by_pair[(c.y1, c.y2)] = by_pair.get((c.y1, c.y2), 0) + 1
+    return by_pair
 
 
 class TestClassifyCycles:
+    """A cycle bounding more than K disks is admissible, otherwise forbidden:
+    ``disk_mask`` and ``count_forbidden``, the paths the search takes,
+    against the raw quadruple scan."""
+
     def test_threshold_boundary(self):
         host = complete_host(3)
-        link = HostIndex(host).link(0)
+        index = HostIndex(host)
+        link = index.link(0)
         d = 3  # every cycle bounds n_Z disks
-        at = {c.cycle: c for c in classify_cycles(host, link, K=d)}
-        below = {c.cycle: c for c in classify_cycles(host, link, K=d - 1)}
-        for cyc in at:
-            assert not at[cyc].admissible  # disk_count == K -> forbidden
-            assert below[cyc].admissible  # disk_count > K-1 -> admissible
+        cycles = brute_force_cycles(host, 0)
+        assert cycles and set(cycles.values()) == {d}
+        # disk count == K: forbidden; disk count > K - 1: admissible
+        assert count_forbidden(link, d, index) == (len(cycles), forbidden_by_pair(cycles, d))
+        assert count_forbidden(link, d - 1, index) == (0, {})
 
     def test_no_cycles(self):
         host = TripartiteHost((2, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
-        assert classify_cycles(host, HostIndex(host).link(0), K=1) == []
+        index = HostIndex(host)
+        assert brute_force_cycles(host, 0) == {}
+        assert count_forbidden(index.link(0), 1, index) == (0, {})
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_brute_force(self, seed):
@@ -98,21 +114,28 @@ class TestClassifyCycles:
         index = HostIndex(host)
         for z in range(host.n_z):
             link = index.link(z)
-            got = {c.cycle: c for c in classify_cycles(host, link, K=2)}
             expected = brute_force_cycles(host, z)
-            assert set(got) == set(expected)
-            for cyc, d in expected.items():
-                assert got[cyc].disk_count == d
-                assert got[cyc].admissible == (d > 2)
+            for c, d in expected.items():
+                assert index.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count() == d
+            # at K = n_Z every cycle of the link is forbidden
+            for K in (2, host.n_z):
+                by_pair = forbidden_by_pair(expected, K)
+                assert count_forbidden(link, K, index) == (sum(by_pair.values()), by_pair)
 
     def test_monotone_in_k(self):
         rng = random.Random(9)
         host = random_host(rng, 8, 8, 8, 0.5)
-        link = HostIndex(host).link(0)
+        index = HostIndex(host)
+        link = index.link(0)
+        cycles = brute_force_cycles(host, 0)
         for k in range(1, 6):
-            lo = {c.cycle for c in classify_cycles(host, link, K=k) if c.admissible}
-            hi = {c.cycle for c in classify_cycles(host, link, K=k + 1) if c.admissible}
-            assert hi <= lo  # raising K never creates admissible cycles
+            want = forbidden_by_pair(cycles, k)
+            lo, lo_pairs = count_forbidden(link, k, index)
+            assert (lo, lo_pairs) == (sum(want.values()), want)
+            hi, hi_pairs = count_forbidden(link, k + 1, index)
+            # raising K never creates admissible cycles
+            assert lo <= hi
+            assert all(n <= hi_pairs.get(pair, 0) for pair, n in lo_pairs.items())
 
 
 class TestExpectationIdentities:
@@ -139,11 +162,7 @@ class TestExpectationIdentities:
 
 def brute_force_forbidden(host, link, K):
     """Forbidden cycles per Y-pair via the oracle enumeration and face scan."""
-    by_pair = {}
-    for c in iter_link_cycles(link):
-        if count_disks(host, c) <= K:
-            by_pair[(c.y1, c.y2)] = by_pair.get((c.y1, c.y2), 0) + 1
-    return by_pair
+    return forbidden_by_pair({c: count_disks(host, c) for c in iter_link_cycles(link)}, K)
 
 
 class TestCountForbidden:
@@ -209,7 +228,7 @@ class TestPickLinkVertex:
     def test_complete_host_returns_first(self):
         host = complete_host(6)
         choice = pick_link_vertex(host, Config(C=1), K=3, index=HostIndex(host))
-        assert choice.z == 0
+        assert choice.link.z == 0
         assert choice.link.e == 36
         assert choice.q == 1  # link denser than (C/2) n^2 clamps eps to 0
 
@@ -255,7 +274,7 @@ class TestPickLinkVertex:
         link = index.link
         index.link = lambda z: built.append(z) or link(z)
         choice = pick_link_vertex(host, Config(C=2, delta=Fraction(1, 2)), K=3, index=index)
-        assert (choice.z, choice.link.e) == (1, 8)
+        assert (choice.link.z, choice.link.e) == (1, 8)
         assert built == [1]
 
     def test_earlier_z_really_fail(self):
@@ -267,7 +286,7 @@ class TestPickLinkVertex:
         index = HostIndex(host)
         choice = pick_link_vertex(host, cfg, K=K, index=index)
         a, d = cfg.C.numerator, cfg.C.denominator
-        for z in range(choice.z):
+        for z in range(choice.link.z):
             link = index.link(z)
             e_l = link.e
             # (1): e_l >= (C/2) 15**(9/5), in integers
@@ -305,7 +324,7 @@ class TestPickLinkVertex:
         host = TripartiteHost((4, 4, 12), faces)
         index = HostIndex(host)
         choice = pick_link_vertex(host, Config(C=1, delta=1), K=3, index=index)
-        assert (choice.z, choice.link.e) == (9, 16)
+        assert (choice.link.z, choice.link.e) == (9, 16)
         with pytest.raises(NoQualifyingVertex, match=r"\[\(2, 1, None\), \(9, 16, None\)\]"):
             pick_link_vertex(host, Config(C=10, delta=1), K=3, index=index)
 

@@ -203,6 +203,29 @@ class TestVerifierRejects:
         assert not res.passed and res.check == 1
 
 
+def rekey(cert, field, old, new):
+    """``cert`` with the key ``old`` of its embedding's ``field`` map renamed
+    ``new``, the value kept."""
+    m = dict(getattr(cert.embedding, field))
+    m[new] = m.pop(old)
+    return replace(cert, embedding=replace(cert.embedding, **{field: m}))
+
+
+class TestForeignMapKeys:
+    # Checks 1-4 read only the maps' values, so each rekeyed certificate
+    # reaches check 5.  Center key -1 would relabel through cycle 2.
+    @pytest.mark.parametrize("field, old, new", [
+        ("v2_map", 3, 999),
+        ("center_map", 0, 99),
+        ("center_map", 2, -1),
+    ])
+    def test_check5_foreign_key(self, field, old, new):
+        cert, host = _good_cert()
+        res = verify_certificate(rekey(cert, field, old, new), host)
+        assert not res.passed and res.check == 5
+        assert res.reason.startswith(f"{field} keys are not")
+
+
 def isolated_vertex_certificate_text(host, v1_line):
     """The text of a certificate for a target with an isolated vertex 3,
     with its ``v1 3 ...`` line replaced by ``v1_line``."""
