@@ -7,12 +7,14 @@ cannot be read or written (an ``error:`` line on stderr, no traceback).
 
 ``find`` opens its ``--out`` file before it reads the host, so an unwritable
 path fails at once, before any parsing or search; a run that gets that far
-and then fails (exit 1 or 2) leaves the file empty.
+and then fails (exit 1 or 2) leaves the file empty.  An ``--out`` naming
+the ``--host`` or ``--target`` file is refused (exit 2) before it is opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -76,6 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_find(args) -> int:
+    for flag, path in (("--host", args.host), ("--target", args.target)):
+        if os.path.exists(args.out) and os.path.exists(path) and os.path.samefile(args.out, path):
+            raise ValueError(f"--out {args.out} is the {flag} file; refusing to overwrite it")
     target = load_target(args.target)
     flags = {"C": args.C, "delta": args.delta, "k_threshold": args.k,
              "rng_seed": args.seed, "retry_limit": args.retries}

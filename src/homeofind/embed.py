@@ -7,7 +7,8 @@ target vertices on a completely-good subset of Y', place the added vertices
 injectively into their common neighbourhoods in X by an exact search that
 keeps every special cycle admissible and leaves each its own center, and
 finally glue one 4-disk with that center onto the image of every special
-cycle.
+cycle.  The assembled certificate goes to ``verify.verify_certificate``
+before ``find_homeomorph`` returns it; a refusal is a RuntimeError.
 
 Both expectation arguments (the choice of z and the choice of x) are
 derandomized by first-qualifying scans, and the V2 placement is an exact
@@ -48,6 +49,7 @@ from .core import (
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
 from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
 from .seeding import derive_seed
+from .verify import verify_certificate
 
 
 @dataclass(frozen=True)
@@ -526,35 +528,18 @@ def assign_centers(
     return _match(short, order, masks, owner)[0]
 
 
-def assert_valid_embedding(
-    emb: Embedding, aux: AuxGraph, target: ThreeGraph, host: TripartiteHost
-) -> None:
-    """Independent validity pass over a finished embedding.
+def assert_valid_embedding(cert: HomeomorphCertificate, host: TripartiteHost) -> None:
+    """Hand a finished certificate to ``verify_certificate``.
 
-    Checks injectivity and every adjacency/containment directly against the
-    host's faces (``host.has``, not the index); raises RuntimeError on any
-    violation (construction bugs, not expected input failures).
+    Raises RuntimeError naming the verifier's failed check and reason: a
+    refusal here is a construction bug, not an expected input failure.
     """
-    if len(set(emb.v1_map.values())) != len(emb.v1_map):
-        raise RuntimeError("v1_map not injective")
-    if len(set(emb.v2_map.values())) != len(emb.v2_map):
-        raise RuntimeError("v2_map not injective")
-    if len(set(emb.center_map.values())) != len(emb.center_map):
-        raise RuntimeError("centers not distinct")
-    if set(emb.v1_map) != set(aux.v1):
-        raise RuntimeError("v1_map domain mismatch")
-    if set(emb.v2_map) != set(aux.v2):
-        raise RuntimeError("v2_map domain mismatch")
-    for ci, sc in enumerate(aux.special_cycles):
-        c = emb.center_map[ci]
-        ya, yb = emb.v1_map[sc.a], emb.v1_map[sc.b]
-        xu, xw = emb.v2_map[sc.u], emb.v2_map[sc.w]
-        for x in (xu, xw):
-            for y in (ya, yb):
-                if not host.has(x, y, c):
-                    raise RuntimeError(
-                        f"4-disk face {(x, y, c)} of cycle {ci} missing from host"
-                    )
+    result = verify_certificate(cert, host)
+    if not result.passed:
+        raise RuntimeError(
+            f"verify_certificate refused the assembled certificate: "
+            f"check {result.check}: {result.reason}"
+        )
 
 
 def _assemble_certificate(
@@ -609,6 +594,8 @@ def find_homeomorph(
     sparse for the configured constants or, at ``embed_v2``, when no
     admissible injective placement of the added vertices with distinct
     centers exists for the chosen core or the search spends its budget.
+    The certificate returned is the one ``verify_certificate`` passed; a
+    refusal raises RuntimeError (a construction bug, not a PipelineError).
     """
     K = cfg.k_for(target)
     aux = _aux_graph_within_capacity(host, target, K)
@@ -627,5 +614,6 @@ def find_homeomorph(
 
     rng = random.Random(derive_seed(cfg.rng_seed))
     emb = embed_v2(aux, v1_map, choice.link, cfg, rng, index=index, K=K)
-    assert_valid_embedding(emb, aux, target, host)
-    return _assemble_certificate(target, aux, emb)
+    cert = _assemble_certificate(target, aux, emb)
+    assert_valid_embedding(cert, host)
+    return cert

@@ -194,16 +194,16 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
         raise ValueError("host has no Z vertices")
     index = HostIndex(host)
 
-    # disk counts of every cycle that appears in at least one link
+    # one walk per link, counting its forbidden cycles into B_z; a cycle's
+    # disk count is worked out on its first appearance
     counts: dict = {}
     total_b = 0
     for z in range(host.n_z):
         for c in iter_link_cycles(index.link(z)):
             if c not in counts:
                 counts[c] = index.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
+            total_b += counts[c] <= K
     sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
-    for z in range(host.n_z):
-        total_b += sum(1 for c in iter_link_cycles(index.link(z)) if counts[c] <= K)
 
     assert total_b == sum_forbidden_disks, "forbidden double-count identity violated"
     avg = Fraction(total_b, host.n_z)

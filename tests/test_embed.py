@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import complete_host, random_host
-from homeofind.core import Config, ThreeGraph, TripartiteHost, build_aux_graph
+from homeofind import embed
+from homeofind.core import (
+    Config,
+    HomeomorphCertificate,
+    ThreeGraph,
+    TripartiteHost,
+    build_aux_graph,
+)
 from homeofind.embed import (
     Embedding,
     PairStats,
@@ -747,13 +754,33 @@ class TestFindHomeomorph:
 
     def test_embedding_invariants_checked_independently(self, complete30):
         cert = find_homeomorph(complete30, TRIANGLE, Config(C=1, k_threshold=3, rng_seed=0))
-        aux = build_aux_graph(TRIANGLE)
-        assert_valid_embedding(cert.embedding, aux, TRIANGLE, complete30)
-        # a corrupted embedding must be rejected
-        bad = Embedding(
-            v1_map=dict(cert.embedding.v1_map),
-            v2_map={u: 0 for u in cert.embedding.v2_map},
-            center_map=dict(cert.embedding.center_map),
+        assert_valid_embedding(cert, complete30)
+        # a copy whose v2_map collapses every vertex onto X-vertex 0 must be
+        # refused by the verifier's injectivity check
+        bad = HomeomorphCertificate(
+            target=cert.target,
+            host_faces=cert.host_faces,
+            embedding=Embedding(
+                v1_map=dict(cert.embedding.v1_map),
+                v2_map={u: 0 for u in cert.embedding.v2_map},
+                center_map=dict(cert.embedding.center_map),
+            ),
         )
-        with pytest.raises(RuntimeError):
-            assert_valid_embedding(bad, aux, TRIANGLE, complete30)
+        with pytest.raises(RuntimeError, match="check 3"):
+            assert_valid_embedding(bad, complete30)
+
+    def test_find_refuses_a_certificate_the_verifier_refuses(self, complete30, monkeypatch):
+        # An assembly fault that moves the first face onto cycle 1's center
+        # leaves every face in the complete host, so only the verifier's
+        # comparison with the canonical subdivision can see it.
+        assemble = embed._assemble_certificate
+
+        def faulty(target, aux, emb):
+            cert = assemble(target, aux, emb)
+            x, y, _ = cert.host_faces[0]
+            faces = ((x, y, emb.center_map[1]),) + cert.host_faces[1:]
+            return HomeomorphCertificate(target=target, host_faces=faces, embedding=emb)
+
+        monkeypatch.setattr(embed, "_assemble_certificate", faulty)
+        with pytest.raises(RuntimeError, match="check 5"):
+            find_homeomorph(complete30, TRIANGLE, Config(C=1, k_threshold=3, rng_seed=0))

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +329,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("victim", ["host", "target"])
+    def test_find_out_naming_an_input_exit_2(self, tmp_path, capsys, victim):
+        # --out may not truncate the file it is about to read, also when it
+        # is spelled differently from the input path
+        hostp = self._write_host(tmp_path, complete_host(10))
+        targetp = tmp_path / "t.tg"
+        targetp.write_text(write_threegraph(ThreeGraph(3, frozenset({(0, 1, 2)}))))
+        victim_path = hostp if victim == "host" else str(targetp)
+        before = Path(victim_path).read_bytes()
+        out = f"{tmp_path}/./{Path(victim_path).name}"
+        rc = main(["find", "--target", str(targetp), "--host", hostp,
+                   "--C", "1", "--k", "3", "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"--{victim}" in err
+        assert Path(victim_path).read_bytes() == before
 
     def test_find_directory_out_exit_2(self, tmp_path, capsys, monkeypatch):
         # an unwritable --out fails before the host is read or searched
