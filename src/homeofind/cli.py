@@ -48,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--target", required=True, help="path or builtin:NAME")
     p_find.add_argument("--host", required=True)
     # Defaults live in Config (paper_defaults; k_for for K); the help texts only state them.
-    p_find.add_argument("--C", type=_rat, help="density constant (default: 2000 v(H)^6)")
+    p_find.add_argument("--C", type=_rat, help="density constant (default: 2000 max(1, v(H))^6)")
     p_find.add_argument("--delta", type=_rat, help="density exponent (default: 1/5)")
-    p_find.add_argument("--k", type=int, help="admissibility cutoff K (default: 3 v(H)^3)")
+    p_find.add_argument("--k", type=int, help="admissibility cutoff K (default: 3 max(1, v(H))^3)")
     p_find.add_argument("--seed", type=int, help="seed of the V2 candidate order (default: 0)")
     p_find.add_argument("--retries", type=int, help="V2 placement search budget: RETRIES**2 nodes (default: 64)")
     p_find.add_argument("--out", required=True)

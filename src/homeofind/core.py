@@ -226,8 +226,9 @@ class Config:
     exact; eps is no knob, as the pipeline realizes it (q = n**-eps) from the
     chosen link's density.  ``k_threshold`` is the admissibility cutoff K (a
     4-cycle is admissible when it bounds more than K 4-disks); when None it
-    defaults to 3*v(H)**3 for the target at hand.  Any positive K is valid:
-    the V2 placement search itself secures distinct disk centers.
+    defaults to 3*v**3 for the target at hand, with v = max(1, v(H)) as in
+    ``paper_defaults``.  Any positive K is valid: the V2 placement search
+    itself secures distinct disk centers.
     ``retry_limit`` bounds that search: it visits at most
     ``retry_limit ** 2`` nodes before giving up undecided.
     """
@@ -254,12 +255,16 @@ class Config:
     def k_for(self, target: ThreeGraph) -> int:
         if self.k_threshold is not None:
             return self.k_threshold
-        return 3 * target.v ** 3
+        return 3 * max(1, target.v) ** 3
 
     @classmethod
     def paper_defaults(cls, target: ThreeGraph, **overrides) -> "Config":
-        """The asymptotic constants: C = 2000 v(H)**6; K is left to k_for (3 v(H)**3)."""
-        kw = dict(C=Fraction(2000) * target.v ** 6)
+        """The asymptotic constants: C = 2000 v**6; K is left to k_for (3 v**3).
+
+        v = max(1, v(H)), so that a target without vertices gets positive
+        constants, as ``desk_scale`` takes K = max(1, 3 e(H)).
+        """
+        kw = dict(C=Fraction(2000) * max(1, target.v) ** 6)
         kw.update(overrides)
         return cls(**kw)
 

@@ -7,8 +7,10 @@ target vertices on a completely-good subset of Y', place the added vertices
 injectively into their common neighbourhoods in X by an exact search that
 keeps every special cycle admissible and leaves each its own center, and
 finally glue one 4-disk with that center onto the image of every special
-cycle.  The assembled certificate goes to ``verify.verify_certificate``
-before ``find_homeomorph`` returns it; a refusal is a RuntimeError.
+cycle.  That search is one function, ``embed_v2``, and its admissibility
+arcs are plain ANDs of per-X-vertex column center sets.  The assembled
+certificate goes to ``verify.verify_certificate`` before
+``find_homeomorph`` returns it; a refusal is a RuntimeError.
 
 Both expectation arguments (the choice of z and the choice of x) are
 derandomized by first-qualifying scans, and the V2 placement is an exact
@@ -29,11 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .core import (
     AuxGraph,
@@ -91,8 +91,9 @@ def classify_pairs_triples(
 
     ``forbidden_by_pair`` holds the per-pair forbidden counts of the link's
     ``count_forbidden`` pass (as carried by ``LinkChoice``), so no cycle is
-    walked here.  Each threshold is an exact integer cutoff, worked out once
-    per call (per distinct common degree for the forbidden count).
+    walked here.  Each threshold is exact: the degree cutoffs are integers
+    worked out once per call, and the forbidden count is compared with its
+    rational bound by one integer cross-multiplication.
     """
     n_y = link.n_y
     ymasks = link.y_masks
@@ -100,8 +101,9 @@ def classify_pairs_triples(
     full = (1 << n_y) - 1
     pair_min = math.ceil(n * q ** 2)
     triple_min = math.ceil(n * q ** 3)
-    forb_per_deg = K * n * q ** 3 / cfg.C
-    forb_max: dict[int, int] = {}  # common degree -> largest good forbidden count
+    # a good pair has forb <= (K/C) n q**3 deg = (num/den) deg forbidden cycles
+    forb_rate = K * n * q ** 3 / cfg.C
+    num, den = forb_rate.numerator, forb_rate.denominator
 
     pair_stats = []
     bad_triples: dict[Pair, int] = {}
@@ -111,12 +113,7 @@ def classify_pairs_triples(
             m12 = m1 & ymasks[y2]
             deg = m12.bit_count()
             forb = forbidden_by_pair.get((y1, y2), 0)
-            good = deg >= pair_min
-            if good and forb:
-                limit = forb_max.get(deg)
-                if limit is None:
-                    limit = forb_max[deg] = math.floor(forb_per_deg * deg)
-                good = forb <= limit
+            good = deg >= pair_min and forb * den <= num * deg
             pair_stats.append(PairStats((y1, y2), deg, forb, good))
 
             if deg < triple_min:  # every triple through the pair is bad
@@ -292,11 +289,14 @@ def embed_v2(
     pair-vertex u and face-vertex w, decided as
     ``index.disk_mask(...).bit_count() > K``.  One bipartite matching
     (augmenting paths) first checks Hall's condition on the candidates.
-    Then candidates with no compatible partner are pruned (arc consistency),
-    the face-vertices are placed depth first, and at each leaf the
-    pair-vertices are matched into the unused X-vertices; the leaf is taken
-    only if ``assign_centers`` then finds distinct centers besides link.z,
-    and the returned ``Embedding`` carries those centers.
+    Then candidates with no compatible partner are pruned (arc consistency)
+    and Hall's condition is checked again.  Every constraint joins a
+    face-vertex to a pair-vertex, so the search is depth first over the
+    face-vertices (fewer than the pair-vertices on a surface), with forward
+    checking of the pair-vertices, and at each leaf the pair-vertices are
+    matched into the unused X-vertices; the leaf is taken only if
+    ``assign_centers`` then finds distinct centers besides link.z, and the
+    returned ``Embedding`` carries those centers.
 
     Raises RetriesExhausted when no injective placement exists (Hall's
     condition fails, as it does when a V2 vertex has no candidate at all),
@@ -305,91 +305,28 @@ def embed_v2(
     ``cfg.retry_limit ** 2`` nodes.
     """
     ymasks = link.y_masks
-    domain: dict[int, int] = {}  # V2 vertex -> bitmask of its candidates in X
+    dom: dict[int, int] = {}  # V2 vertex -> bitmask of its candidates in X
     order: dict[int, list[int]] = {}  # V2 vertex -> its candidates, shuffled
     for u in aux.v2:
         mask = (1 << link.n_x) - 1
         for a in aux.neighbors_of_v2(u):
             mask &= ymasks[v1_map[a]]
-        domain[u] = mask
+        dom[u] = mask
         order[u] = _bits(mask)
         rng.shuffle(order[u])
 
-    _, short = _match(aux.v2, order, domain)
+    _, short = _match(aux.v2, order, dom)
     if short:
         raise RetriesExhausted(
             f"no injective placement: the candidates of {len(short)} V2 "
             f"vertices cover only {len(short) - 1} X-vertices (Hall)"
         )
-    placed, centers = _admissible_placement(
-        aux, v1_map, index, K, link.z, order, domain, cfg.retry_limit ** 2
-    )
-    return Embedding(v1_map=v1_map, v2_map={u: placed[u] for u in aux.v2}, center_map=centers)
 
-
-def _match(
-    verts,
-    order: dict[int, list[int]],
-    allowed: dict[int, int],
-    owner: dict[int, int] | None = None,
-) -> tuple[dict[int, int] | None, list[int]]:
-    """An injective map of ``verts`` into their ``allowed`` masks (Kuhn).
-
-    Candidates are tried in ``order``, starting from the partial map
-    ``owner`` (X-vertex -> vertex placed on it), which is updated in place.
-    Returns ``(map, [])``, or ``(None, S)`` for a set S of vertices whose
-    allowed sets together hold only |S| - 1 X-vertices, which shows that no
-    such map exists.
-    """
-    owner = {} if owner is None else owner
-
-    def augment(v: int, seen: set[int]) -> bool:
-        for x in order[v]:
-            if (allowed[v] >> x) & 1 and x not in seen:
-                seen.add(x)
-                if x not in owner or augment(owner[x], seen):
-                    owner[x] = v
-                    return True
-        return False
-
-    for v in verts:
-        seen: set[int] = set()
-        if not augment(v, seen):
-            # every X-vertex the failed search reached is taken, and together
-            # they are all the candidates of v and of the vertices on them
-            return None, [v] + [owner[x] for x in seen]
-    return {v: x for x, v in owner.items()}, []
-
-
-def _admissible_placement(
-    aux: AuxGraph,
-    v1_map: dict[int, int],
-    index: HostIndex,
-    K: int,
-    z: int,
-    order: dict[int, list[int]],
-    domain: dict[int, int],
-    budget: int,
-) -> tuple[dict[int, int], dict[int, int]]:
-    """An injective V2 placement under which every special cycle is
-    admissible and has its own center, other than ``z``; returned with
-    those centers.
-
-    Every constraint joins a face-vertex to a pair-vertex, so once the
-    face-vertices are placed the pair-vertices only have to be matched.  The
-    search is depth first over the face-vertices (fewer than the
-    pair-vertices on a surface), with forward checking of the pair-vertices,
-    and is stopped after ``budget`` nodes.  A leaf tries one matching only.
-    """
-    dom = dict(domain)
     # One arc per special cycle: (w, u, compat), where compat[xw] is the
     # bitmask of the images of u that make the cycle admissible with w on
     # xw.  disk_mask(xu, xw, ya, yb) is the AND of the column masks
     # disk_mask(x, x, ya, yb) of xu and xw, which are worked out once per
-    # Y-pair and X-vertex.  As in count_forbidden, the column sizes c settle
-    # most pairs without an AND: the AND has at most min(c_u, c_w) and at
-    # least c_u + c_w - n_Z bits.
-    cap = K + index.host.n_z
+    # Y-pair and X-vertex.
     columns: dict[tuple[int, int], dict[int, int]] = {}
     arcs: list[tuple[int, int, dict[int, int]]] = []
     for sc in aux.special_cycles:
@@ -398,27 +335,12 @@ def _admissible_placement(
         for x in _bits(dom[sc.u] | dom[sc.w]):
             if x not in col:
                 col[x] = index.disk_mask(x, x, ya, yb)
-        # the images of u by column size; above[i] is the mask of us[i:]
-        us = sorted(
-            ((col[xu].bit_count(), xu, col[xu]) for xu in _bits(dom[sc.u])),
-            key=itemgetter(0),
-        )
-        sizes = [c for c, _, _ in us]
-        above = [0] * (len(us) + 1)
-        for i in range(len(us) - 1, -1, -1):
-            above[i] = above[i + 1] | 1 << us[i][1]
-        low = bisect_right(sizes, K)  # us[:low] are forbidden with every xw
+        us = _bits(dom[sc.u])
         compat = {}
         for xw in _bits(dom[sc.w]):
-            cw = col[xw]
-            c = cw.bit_count()
-            if c <= K:
-                compat[xw] = 0
-                continue
-            sure = bisect_right(sizes, cap - c, low)  # us[sure:] admissible
-            m = above[sure]
-            for _, xu, cu in us[low:sure]:
-                if (cw & cu).bit_count() > K:
+            cw, m = col[xw], 0
+            for xu in us:
+                if (cw & col[xu]).bit_count() > K:
                     m |= 1 << xu
             compat[xw] = m & ~(1 << xw)
         arcs.append((sc.w, sc.u, compat))
@@ -454,6 +376,7 @@ def _admissible_placement(
     for w, u, compat in arcs:
         arcs_of.setdefault(w, []).append((u, compat))
     rest = [v for v in aux.v2 if v not in arcs_of]
+    budget = cfg.retry_limit ** 2
     nodes = 0
 
     def search(dom: dict[int, int], used: int, left: list[int]) -> Iterator[dict[int, int]]:
@@ -489,10 +412,45 @@ def _admissible_placement(
 
     # the leaves in search order; the first with distinct centers is taken
     for placed in search(dom, 0, list(arcs_of)):
-        centers = assign_centers(index, aux, v1_map, placed, z)
+        centers = assign_centers(index, aux, v1_map, placed, link.z)
         if centers is not None:
-            return placed, centers
+            v2_map = {u: placed[u] for u in aux.v2}
+            return Embedding(v1_map=v1_map, v2_map=v2_map, center_map=centers)
     raise no_placement(f"exhaustive search over {nodes} nodes")
+
+
+def _match(
+    verts,
+    order: dict[int, list[int]],
+    allowed: dict[int, int],
+    owner: dict[int, int] | None = None,
+) -> tuple[dict[int, int] | None, list[int]]:
+    """An injective map of ``verts`` into their ``allowed`` masks (Kuhn).
+
+    Candidates are tried in ``order``, starting from the partial map
+    ``owner`` (X-vertex -> vertex placed on it), which is updated in place.
+    Returns ``(map, [])``, or ``(None, S)`` for a set S of vertices whose
+    allowed sets together hold only |S| - 1 X-vertices, which shows that no
+    such map exists.
+    """
+    owner = {} if owner is None else owner
+
+    def augment(v: int, seen: set[int]) -> bool:
+        for x in order[v]:
+            if (allowed[v] >> x) & 1 and x not in seen:
+                seen.add(x)
+                if x not in owner or augment(owner[x], seen):
+                    owner[x] = v
+                    return True
+        return False
+
+    for v in verts:
+        seen: set[int] = set()
+        if not augment(v, seen):
+            # every X-vertex the failed search reached is taken, and together
+            # they are all the candidates of v and of the vertices on them
+            return None, [v] + [owner[x] for x in seen]
+    return {v: x for x, v in owner.items()}, []
 
 
 def assign_centers(

@@ -59,8 +59,8 @@ class LinkGraph:
 
     ``x_masks[x]`` is the bitmask over Y of the neighbours of x, and
     ``y_masks[y]`` the bitmask over X of those of y; ``HostIndex.link``
-    builds both from the host's table.  ``edges`` decodes them, for tests
-    and oracles.
+    builds both from the host's table.  Edge xy is present when
+    ``x_masks[x] >> y & 1``.
     """
 
     z: int
@@ -78,10 +78,6 @@ class LinkGraph:
     @cached_property
     def e(self) -> int:
         return sum(map(int.bit_count, self.x_masks))
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((x, y) for x, m in enumerate(self.x_masks) for y in _bits(m))
 
 
 class HostIndex:

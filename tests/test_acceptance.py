@@ -116,11 +116,11 @@ def test_criterion_3_oracle_equivalence(capfd):
             # every 4-cycle of the link, its disk count by face scan; the
             # shipping disk_mask and count_forbidden must agree with it
             link = index.link(z)
-            edges = set(link.edges)
             by_pair = {}
             for x1, x2 in itertools.combinations(range(n), 2):
+                common = link.x_masks[x1] & link.x_masks[x2]
                 for y1, y2 in itertools.combinations(range(n), 2):
-                    if {(x1, y1), (x1, y2), (x2, y1), (x2, y2)} <= edges:
+                    if common >> y1 & common >> y2 & 1:
                         d = count_disks(host, FourCycle.of(x1, x2, y1, y2))
                         if index.disk_mask(x1, x2, y1, y2).bit_count() != d:
                             mismatches += 1

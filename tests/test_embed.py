@@ -61,7 +61,11 @@ def only_link(link, target):
     every cycle its own center, so embed_v2 has only injectivity to meet.
     """
     n_z = 1 + 3 * target.e
-    faces = frozenset((x, y, z) for x, y in link.edges for z in range(n_z))
+    faces = frozenset(
+        (x, y, z)
+        for x, m in enumerate(link.x_masks) for y in range(link.n_y) if m >> y & 1
+        for z in range(n_z)
+    )
     return HostIndex(TripartiteHost((link.n_x, link.n_y, n_z), faces))
 
 
@@ -83,10 +87,10 @@ class TestClassifyPairsTriples:
         q = Fraction(2, 3)
         pairs, bad_triples = classify(link, index, cfg, K, n, q)
 
-        edges = set(link.edges)
+        xm = link.x_masks
         for ps in pairs:
             y1, y2 = ps.pair
-            gamma = [x for x in range(n) if (x, y1) in edges and (x, y2) in edges]
+            gamma = [x for x in range(n) if xm[x] >> y1 & xm[x] >> y2 & 1]
             assert ps.common_degree == len(gamma)
             forb = sum(
                 1
@@ -106,11 +110,7 @@ class TestClassifyPairsTriples:
             if (bad_triples.get((y1, y2), 0) >> y3) & 1
         )
         for y1, y2, y3 in itertools.combinations(range(n), 3):
-            deg = sum(
-                1
-                for x in range(n)
-                if (x, y1) in edges and (x, y2) in edges and (x, y3) in edges
-            )
+            deg = sum(1 for x in range(n) if xm[x] >> y1 & xm[x] >> y2 & xm[x] >> y3 & 1)
             # bad: deg < n^(1-3eps) = n q^3
             bit = (bad_triples.get((y1, y2), 0) >> y3) & 1
             assert bit == (deg < n * q ** 3), (y1, y2, y3)
@@ -205,15 +205,15 @@ class TestSelectCoreSet:
         x, yprime = select_core_set(link, pairs, bad_triples, cfg, n, q)
 
         # recompute everything independently
-        edges = set(link.edges)
-        gamma = [y for y in range(n) if (x, y) in edges]
+        xm = link.x_masks
+        gamma = [y for y in range(n) if xm[x] >> y & 1]
         assert sorted(yprime) == gamma
         s = len(gamma)
         bad_pairs = {ps.pair for ps in pairs if not ps.good}
 
         def triple_bad(tr):
             # common degree below n^(1-3eps) = n q^3
-            deg = sum(1 for x2 in range(n) if all((x2, y) in edges for y in tr))
+            deg = sum(1 for x2 in range(n) if all(xm[x2] >> y & 1 for y in tr))
             return deg < n * q ** 3
 
         p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
@@ -233,7 +233,7 @@ class TestSelectCoreSet:
         assert passes(s, p_x, t_x)
         # and every x scanned before the winner fails one of the inequalities
         for x2 in range(x):
-            g2 = [y for y in range(n) if (x2, y) in edges]
+            g2 = [y for y in range(n) if xm[x2] >> y & 1]
             assert not passes(
                 len(g2),
                 sum(1 for pr in itertools.combinations(g2, 2) if pr in bad_pairs),
@@ -272,7 +272,7 @@ class TestSelectCoreSet:
             bad_pairs = {ps.pair for ps in pairs if not ps.good}
             want = None
             for x in range(6):
-                gamma = [y for y in range(n) if (x, y) in link.edges]
+                gamma = [y for y in range(n) if link.x_masks[x] >> y & 1]
                 s = len(gamma)
                 p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
                 t_x = sum(1 for tr in itertools.combinations(gamma, 3) if tr in bad_triples)
@@ -422,7 +422,7 @@ class TestEmbedV2:
             assert sorted(out.v2_map) == sorted(aux.v2)
             assert len(set(out.v2_map.values())) == len(out.v2_map)
             for u, x in out.v2_map.items():
-                assert all((x, v1_map[a]) in link.edges for a in aux.neighbors_of_v2(u))
+                assert all(link.x_masks[x] >> v1_map[a] & 1 for a in aux.neighbors_of_v2(u))
             placements.add(tuple(sorted(out.v2_map.items())))
         assert len(placements) > 1
 
@@ -557,7 +557,7 @@ class TestEmbedV2:
                 )
 
             cands = [
-                [x for x in range(n_x) if all((x, y) in link.edges for y in aux.neighbors_of_v2(u))]
+                [x for x in range(n_x) if all(link.x_masks[x] >> y & 1 for y in aux.neighbors_of_v2(u))]
                 for u in aux.v2
             ]
 
@@ -591,6 +591,36 @@ class TestEmbedV2:
                 assert index.disk_mask(out.v2_map[sc.u], out.v2_map[sc.w], sc.a, sc.b) >> centers[ci] & 1
             outcomes.append(True)
         assert any(outcomes) and not all(outcomes)
+
+    def test_search_outcomes_pinned(self):
+        # What the search decides on a seeded family of small hosts: the
+        # placement and centers it returns, or its failure message.  The
+        # family reaches every failure reason (Hall, pruning, the second
+        # Hall check, exhaustive search and, with retry_limit 1 or 2, the
+        # budget) and every kind of arc pair: a face-vertex column of at
+        # most K centers, and pairs of columns that share more than K
+        # centers or not.
+        targets = (TRIANGLE, ThreeGraph(4, frozenset({(0, 1, 2), (0, 1, 3)})))
+        rng = random.Random(2024)
+        record = []
+        for case in range(200):
+            target = targets[case % 2]
+            host = random_host(rng, rng.randint(5, 9), 4, rng.randint(4, 8), rng.uniform(0.6, 1.0))
+            K = rng.randint(0, 4)
+            cfg = Config(retry_limit=rng.choice((1, 2, 100)))
+            aux = build_aux_graph(target)
+            index = HostIndex(host)
+            try:
+                out = embed_v2(
+                    aux, {v: v for v in aux.v1}, index.link(0), cfg, random.Random(case),
+                    index=index, K=K,
+                )
+            except RetriesExhausted as exc:
+                record.append(str(exc))
+            else:
+                record.append((sorted(out.v2_map.items()), sorted(out.center_map.items())))
+        digest = hashlib.sha256(repr(record).encode()).hexdigest()
+        assert digest == "b0b7e6d1606268a4c16a4db8f4e15da6772050f35d02b8c11312d739433e9cf4"
 
 
 def disks_host(aux, v1_map, v2_map, centers):

@@ -294,6 +294,24 @@ class TestCli:
         assert rc == 1
         assert "stage=capacity" in capsys.readouterr().err
 
+    def test_empty_target_gets_valid_defaults(self, tmp_path, capsys):
+        # v(H) = 0 must not give C = 0 or K = 0: with no flags the search
+        # runs (and fails at the z-scan under the paper's C), and with desk
+        # constants the empty copy is found and verified
+        hostp = self._write_host(tmp_path, complete_host(5))
+        targetp = tmp_path / "e.tg"
+        targetp.write_text("tg 0\n")
+        certp = str(tmp_path / "x.cert")
+        rc = main(["find", "--target", str(targetp), "--host", hostp, "--out", certp])
+        assert rc == 1
+        assert "stage=pick_link_vertex" in capsys.readouterr().err
+        rc = main([
+            "find", "--target", str(targetp), "--host", hostp,
+            "--C", "2", "--k", "1", "--out", certp,
+        ])
+        assert rc == 0 and "found: 0 host faces" in capsys.readouterr().out
+        assert main(["verify", "--cert", certp, "--host", hostp]) == 0
+
     def test_huge_target_stops_at_capacity(self, tmp_path, capsys, monkeypatch):
         # v(H) <= n_y is checked before the auxiliary graph (with its
         # v(H)-long V1) is built

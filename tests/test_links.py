@@ -39,7 +39,7 @@ def brute_force_cycles(host, z):
 class TestLinkGraph:
     def test_complete_two_by_two(self):
         link = HostIndex(SMALL).link(0)
-        assert link.edges == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+        assert link.x_masks == link.y_masks == (0b11, 0b11)
         assert link.e == 4
 
     def test_empty_link(self):
@@ -56,7 +56,9 @@ class TestLinkGraph:
         for z in range(host.n_z):
             link = index.link(z)
             expected = {(x, y) for (x, y, zz) in host.faces if zz == z}
-            assert set(link.edges) == expected
+            assert {
+                (x, y) for x, m in enumerate(link.x_masks) for y in range(host.n_y) if m >> y & 1
+            } == expected
 
 
 class TestCountDisks:
