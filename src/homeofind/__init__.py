@@ -16,7 +16,6 @@ from .errors import PipelineError
 from .harness import SweepSpec, gen_random_host, run_sweep
 from .io import load_certificate, load_host, load_target, write_certificate
 from .links import (
-    FourCycle,
     LinkGraph,
     count_disks,
     expectation_oracle,
@@ -29,7 +28,6 @@ __all__ = [
     "AuxGraph",
     "Config",
     "Embedding",
-    "FourCycle",
     "HomeomorphCertificate",
     "LinkGraph",
     "PipelineError",

@@ -322,28 +322,31 @@ def embed_v2(
             f"vertices cover only {len(short) - 1} X-vertices (Hall)"
         )
 
-    # One arc per special cycle: (w, u, compat), where compat[xw] is the
-    # bitmask of the images of u that make the cycle admissible with w on
-    # xw.  disk_mask(xu, xw, ya, yb) is the AND of the column masks
-    # disk_mask(x, x, ya, yb) of xu and xw, which are worked out once per
-    # Y-pair and X-vertex.
-    columns: dict[tuple[int, int], dict[int, int]] = {}
-    arcs: list[tuple[int, int, dict[int, int]]] = []
+    # One arc (w, u) per special cycle.  compat[u][xw] is the bitmask of the
+    # images of u that make a cycle through u admissible with its
+    # face-vertex on xw: u fixes the cycle's Y-pair, so the row depends on u
+    # and xw alone and is built once.  disk_mask(xu, xw, ya, yb) is the AND
+    # of the column masks disk_mask(x, x, ya, yb) of xu and xw, which are
+    # worked out once per pair-vertex and X-vertex.
+    columns: dict[int, dict[int, int]] = {}
+    compat: dict[int, dict[int, int]] = {}
+    arcs: list[tuple[int, int]] = []
     for sc in aux.special_cycles:
-        ya, yb = sorted((v1_map[sc.a], v1_map[sc.b]))
-        col = columns.setdefault((ya, yb), {})
+        ya, yb = v1_map[sc.a], v1_map[sc.b]
+        col = columns.setdefault(sc.u, {})
         for x in _bits(dom[sc.u] | dom[sc.w]):
             if x not in col:
                 col[x] = index.disk_mask(x, x, ya, yb)
         us = _bits(dom[sc.u])
-        compat = {}
+        rows = compat.setdefault(sc.u, {})
         for xw in _bits(dom[sc.w]):
-            cw, m = col[xw], 0
-            for xu in us:
-                if (cw & col[xu]).bit_count() > K:
-                    m |= 1 << xu
-            compat[xw] = m & ~(1 << xw)
-        arcs.append((sc.w, sc.u, compat))
+            if xw not in rows:
+                cw, m = col[xw], 0
+                for xu in us:
+                    if (cw & col[xu]).bit_count() > K:
+                        m |= 1 << xu
+                rows[xw] = m & ~(1 << xw)
+        arcs.append((sc.w, sc.u))
 
     def no_placement(why: str) -> RetriesExhausted:
         return RetriesExhausted(
@@ -356,11 +359,11 @@ def embed_v2(
     changed = True
     while changed:
         changed = False
-        for w, u, compat in arcs:
+        for w, u in arcs:
             keep_w = keep_u = 0
-            du = dom[u]
+            du, rows = dom[u], compat[u]
             for xw in _bits(dom[w]):
-                m = compat[xw] & du
+                m = rows[xw] & du
                 if m:
                     keep_w |= 1 << xw
                     keep_u |= m
@@ -372,9 +375,9 @@ def embed_v2(
     if _match(aux.v2, order, dom)[0] is None:
         raise no_placement("the admissible candidates admit no injective placement")
 
-    arcs_of: dict[int, list[tuple[int, dict[int, int]]]] = {}
-    for w, u, compat in arcs:
-        arcs_of.setdefault(w, []).append((u, compat))
+    arcs_of: dict[int, list[int]] = {}
+    for w, u in arcs:
+        arcs_of.setdefault(w, []).append(u)
     rest = [v for v in aux.v2 if v not in arcs_of]
     budget = cfg.retry_limit ** 2
     nodes = 0
@@ -401,10 +404,10 @@ def embed_v2(
                 )
             taken = used | 1 << x
             child = dict(dom)
-            for u, compat in arcs_of[w]:
-                child[u] &= compat[x]
+            for u in arcs_of[w]:
+                child[u] &= compat[u][x]
             if all(child[v] & ~taken for v in others) and all(
-                child[u] & ~taken for u, _ in arcs_of[w]
+                child[u] & ~taken for u in arcs_of[w]
             ):
                 for placed in search(child, taken, others):
                     placed[w] = x

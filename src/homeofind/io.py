@@ -52,28 +52,29 @@ def _content_lines(text: str):
 
 def _target_line(lineno: int, tok: list[str], header: int | None, faces: list) -> int:
     """One ``tg`` or ``f`` line of a target or certificate file: adds a face
-    to ``faces`` or reads the header, and returns the header."""
+    to ``faces`` or reads the header, and returns the header.  ``ThreeGraph``
+    checks the count and each face as its line is read; its ``ValueError``
+    reaches the caller's ``line N:`` handler."""
     if tok[0] == "tg":
         if header is not None:
             raise FormatError(f"line {lineno}: duplicate tg header")
         if len(tok) != 2:
             raise FormatError(f"line {lineno}: expected 'tg n'")
-        return int(tok[1])
+        return ThreeGraph(int(tok[1]), frozenset()).vertex_count
     if header is None:
         raise FormatError(f"line {lineno}: face before tg header")
     if len(tok) != 4:
         raise FormatError(f"line {lineno}: expected 'f a b c'")
-    faces.append((int(tok[1]), int(tok[2]), int(tok[3])))
+    face = (int(tok[1]), int(tok[2]), int(tok[3]))
+    ThreeGraph(header, frozenset([face]))
+    faces.append(face)
     return header
 
 
 def _target(header: int | None, faces: list) -> ThreeGraph:
     if header is None:
         raise FormatError("missing tg header")
-    try:
-        return ThreeGraph(header, frozenset(faces))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return ThreeGraph(header, frozenset(faces))
 
 
 def parse_threegraph(text: str) -> ThreeGraph:
@@ -86,7 +87,7 @@ def parse_threegraph(text: str) -> ThreeGraph:
             header = _target_line(lineno, tok, header, faces)
     except FormatError:
         raise
-    except ValueError as exc:  # a token that is not an integer
+    except ValueError as exc:  # a token that is not an integer, or a bad target
         raise FormatError(f"line {lineno}: {exc}") from exc
     return _target(header, faces)
 
@@ -308,6 +309,7 @@ def write_certificate(cert: HomeomorphCertificate) -> str:
 
 
 def parse_certificate(text: str) -> HomeomorphCertificate:
+    versioned = False
     header = None
     tg_faces: list = []
     v1_lines = []
@@ -316,8 +318,11 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
     try:
         for lineno, tok in _content_lines(text):
             if tok[0] == "cert":
+                if versioned:
+                    raise FormatError(f"line {lineno}: duplicate cert header")
                 if tok[1:] != ["v1"]:
                     raise FormatError(f"line {lineno}: unsupported certificate version")
+                versioned = True
             elif tok[0] in ("tg", "f"):
                 if tok[0] == "tg":
                     tg_lineno = lineno
@@ -341,8 +346,10 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
     except FormatError:
         raise
-    except ValueError as exc:  # a token that is not an integer
+    except ValueError as exc:  # a token that is not an integer, or a bad target
         raise FormatError(f"line {lineno}: {exc}") from exc
+    if not versioned:
+        raise FormatError("missing 'cert v1' header")
 
     # every target vertex is in a face or on a v1 line, so this bounds what
     # build_aux_graph allocates by the size of the text

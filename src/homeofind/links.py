@@ -16,7 +16,9 @@ classification in ``embed`` reads instead of walking the cycles again.  The
 walk skips, without an AND, cycles whose disk count is certainly above or
 certainly at most K by the sizes of its two column z-sets alone.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
-and ``count_disks``, a face-membership scan independent of the index.  Two
+and ``count_disks``, a face-membership scan independent of the index; the
+first yields and the second takes a cycle as a plain tuple
+``(x1, x2, y1, y2)`` with x1 < x2 and y1 < y2.  Two
 more oracles check the z-scan's expectation arguments in exact rational
 arithmetic: ``expectation_oracle`` (the mean of e(L_z) is e(G)/n_Z) and
 ``forbidden_expectation_oracle`` (the double count behind the mean of B_z).
@@ -33,24 +35,6 @@ from math import comb
 from .core import Config, TripartiteHost
 from .errors import NoQualifyingVertex
 from .exact import ceil_pow, floor_pow
-
-
-@dataclass(frozen=True)
-class FourCycle:
-    """A 4-cycle between X and Y in canonical form (x1 < x2, y1 < y2)."""
-
-    x1: int
-    x2: int
-    y1: int
-    y2: int
-
-    def __post_init__(self):
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError("FourCycle must be canonical: x1 < x2, y1 < y2")
-
-    @classmethod
-    def of(cls, xa, xb, ya, yb) -> "FourCycle":
-        return cls(min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb))
 
 
 @dataclass(frozen=True)
@@ -135,26 +119,32 @@ class HostIndex:
         return get(ra + ya, 0) & get(ra + yb, 0) & get(rb + ya, 0) & get(rb + yb, 0)
 
 
-def count_disks(host: TripartiteHost, c: FourCycle) -> int:
-    """Number of z whose link contains the cycle; direct membership scan.
+def count_disks(host: TripartiteHost, c: tuple[int, int, int, int]) -> int:
+    """Number of z whose link contains the cycle ``(x1, x2, y1, y2)``; direct
+    membership scan.
 
     Deliberately independent of the bitmask index so the two code paths can
     be checked against each other.
     """
+    x1, x2, y1, y2 = c
     count = 0
     for z in range(host.n_z):
         if (
-            host.has(c.x1, c.y1, z)
-            and host.has(c.x1, c.y2, z)
-            and host.has(c.x2, c.y1, z)
-            and host.has(c.x2, c.y2, z)
+            host.has(x1, y1, z)
+            and host.has(x1, y2, z)
+            and host.has(x2, y1, z)
+            and host.has(x2, y2, z)
         ):
             count += 1
     return count
 
 
 def iter_link_cycles(link: LinkGraph):
-    """All 4-cycles of a link, via common neighbourhoods of X-pairs."""
+    """All 4-cycles of a link, via common neighbourhoods of X-pairs.
+
+    Each cycle is yielded once, as the tuple ``(x1, x2, y1, y2)`` with
+    x1 < x2 and y1 < y2.
+    """
     masks = link.x_masks
     xs = [x for x in range(link.n_x) if masks[x]]
     for i, x1 in enumerate(xs):
@@ -166,7 +156,7 @@ def iter_link_cycles(link: LinkGraph):
             ys = _bits(common)
             for j, y1 in enumerate(ys):
                 for y2 in ys[j + 1:]:
-                    yield FourCycle(x1, x2, y1, y2)
+                    yield x1, x2, y1, y2
 
 
 def expectation_oracle(host: TripartiteHost) -> Fraction:
@@ -192,12 +182,12 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
 
     # one walk per link, counting its forbidden cycles into B_z; a cycle's
     # disk count is worked out on its first appearance
-    counts: dict = {}
+    counts: dict[tuple[int, int, int, int], int] = {}
     total_b = 0
     for z in range(host.n_z):
         for c in iter_link_cycles(index.link(z)):
             if c not in counts:
-                counts[c] = index.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
+                counts[c] = index.disk_mask(*c).bit_count()
             total_b += counts[c] <= K
     sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
 

@@ -26,7 +26,6 @@ from homeofind.errors import CliqueNotFound, PipelineError
 from homeofind.harness import SweepSpec, run_sweep
 from homeofind.io import load_target, write_host
 from homeofind.links import (
-    FourCycle,
     HostIndex,
     count_disks,
     count_forbidden,
@@ -121,7 +120,7 @@ def test_criterion_3_oracle_equivalence(capfd):
                 common = link.x_masks[x1] & link.x_masks[x2]
                 for y1, y2 in itertools.combinations(range(n), 2):
                     if common >> y1 & common >> y2 & 1:
-                        d = count_disks(host, FourCycle.of(x1, x2, y1, y2))
+                        d = count_disks(host, (x1, x2, y1, y2))
                         if index.disk_mask(x1, x2, y1, y2).bit_count() != d:
                             mismatches += 1
                         if d <= K:

@@ -36,7 +36,7 @@ from homeofind.errors import (
 )
 from homeofind.harness import gen_random_host
 from homeofind.io import load_target, write_certificate
-from homeofind.links import FourCycle, HostIndex, count_disks, count_forbidden
+from homeofind.links import HostIndex, count_disks, count_forbidden
 from homeofind.verify import verify_certificate
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
@@ -95,7 +95,7 @@ class TestClassifyPairsTriples:
             forb = sum(
                 1
                 for x1, x2 in itertools.combinations(gamma, 2)
-                if count_disks(host, FourCycle.of(x1, x2, y1, y2)) <= K
+                if count_disks(host, (x1, x2, y1, y2)) <= K
             )
             assert ps.forbidden_through == forb
             # deg >= n^(1-2eps) = n q^2 and forb <= (K/C) n^(1-3eps) deg = K n q^3 deg

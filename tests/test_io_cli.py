@@ -61,6 +61,17 @@ class TestThreeGraphFormat:
         with pytest.raises(FormatError):
             parse_threegraph("tg 3\nf 0 1 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("tg 3\nf 0 1 9\n", "line 2: face (0, 1, 9) out of range"),
+        ("tg 3\n# c\nf 0 0 1\n", "line 3: face (0, 0, 1) has repeated vertices"),
+        ("tg 3\nf 0 1 2\nf -1 0 1\n", "line 3: face (-1, 0, 1) out of range"),
+        ("\ntg -1\n", "line 2: vertex_count must be non-negative"),
+    ])
+    def test_bad_target_names_its_line(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_threegraph(text)
+        assert str(info.value) == message
+
     def test_non_integer_token(self):
         with pytest.raises(FormatError, match=r"^line 3: .*'b'"):
             parse_threegraph("tg 3\n\nf 0 b 2\n")
@@ -198,8 +209,20 @@ class TestCertificateFormat:
             parse_certificate("\n".join(lines) + "\n")
 
     def test_missing_header(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as info:
             parse_certificate("tg 3\nf 0 1 2\n")
+        assert str(info.value) == "missing 'cert v1' header"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n", "missing 'cert v1' header"),
+        ("cert v1\ntg 3\n# c\ncert v1\n", "line 4: duplicate cert header"),
+        ("cert v1\ncert v2\n", "line 2: duplicate cert header"),
+        ("cert v2\n", "line 1: unsupported certificate version"),
+    ])
+    def test_cert_header_errors(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_certificate(text)
+        assert str(info.value) == message
 
     def test_non_integer_token(self):
         text = "cert v1\ntg 3\nf 0 1 2\ndisk a 0 3 1 4 5\n"
@@ -209,6 +232,9 @@ class TestCertificateFormat:
     @pytest.mark.parametrize("text, message", [
         ("cert v1\n\n# c\ntg 3\nf 0 1 x\n", r"^line 5: .*'x'"),
         ("cert v1\ntg 3\nf 0 1 2\ntg 3\n", r"^line 4: duplicate tg header$"),
+        ("cert v1\ntg 3\nf 0 1 9\n", r"^line 3: face \(0, 1, 9\) out of range$"),
+        ("cert v1\ntg 3\n\nf 0 0 1\n", r"^line 4: face \(0, 0, 1\) has repeated vertices$"),
+        ("cert v1\ntg -1\n", r"^line 2: vertex_count must be non-negative$"),
     ])
     def test_target_block_errors_name_certificate_line(self, text, message):
         with pytest.raises(FormatError, match=message):

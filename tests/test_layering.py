@@ -27,7 +27,6 @@ PUBLIC = [
     "AuxGraph",
     "Config",
     "Embedding",
-    "FourCycle",
     "HomeomorphCertificate",
     "LinkGraph",
     "PipelineError",
@@ -151,7 +150,6 @@ def test_float_scan_finds_every_form(tmp_path):
 
 
 ORACLES = {
-    "FourCycle",
     "count_disks",
     "iter_link_cycles",
     "expectation_oracle",
@@ -200,15 +198,15 @@ def test_shipping_code_names_no_oracle(module):
 def test_oracle_scan_finds_every_form(tmp_path):
     src = tmp_path / "m.py"
     src.write_text(
-        "def count_disks(h, c):\n    return FourCycle\n"
-        "def f(x: 'FourCycle') -> int:\n    return links.count_disks(x)\n"
-        "class C:\n    c: FourCycle\n"
+        "def count_disks(h, c):\n    return expectation_oracle\n"
+        "def f(x: 'expectation_oracle') -> int:\n    return links.count_disks(x)\n"
+        "class C:\n    c: iter_link_cycles\n"
         "    def g(self) -> list['clique_oracle']:\n        pass\n"
         "def h():\n    return iter_link_cycles\n"
         "oracle = expectation_oracle\n"
     )
     assert oracle_uses(src) == [
-        ("f", "FourCycle"), ("f", "count_disks"),
-        ("C", "FourCycle"), ("C", "clique_oracle"),
+        ("f", "count_disks"), ("f", "expectation_oracle"),
+        ("C", "clique_oracle"), ("C", "iter_link_cycles"),
         ("h", "iter_link_cycles"),
     ]

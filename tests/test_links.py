@@ -9,7 +9,6 @@ from homeofind.core import Config, TripartiteHost
 from homeofind.errors import NoQualifyingVertex
 from homeofind.exact import ceil_pow, floor_pow
 from homeofind.links import (
-    FourCycle,
     HostIndex,
     count_disks,
     count_forbidden,
@@ -31,7 +30,7 @@ def brute_force_cycles(host, z):
                 (x, y, z) in host.faces for x in (x1, x2) for y in (y1, y2)
             )
             if in_link:
-                c = FourCycle(x1, x2, y1, y2)
+                c = (x1, x2, y1, y2)
                 out[c] = count_disks(host, c)
     return out
 
@@ -63,18 +62,18 @@ class TestLinkGraph:
 
 class TestCountDisks:
     def test_single_center(self):
-        assert count_disks(SMALL, FourCycle(0, 1, 0, 1)) == 1
+        assert count_disks(SMALL, (0, 1, 0, 1)) == 1
 
     def test_complete_host_every_z(self):
         host = complete_host(5)
-        assert count_disks(host, FourCycle(0, 1, 0, 1)) == 5
+        assert count_disks(host, (0, 1, 0, 1)) == 5
 
     def test_two_paths_agree(self):
         rng = random.Random(5)
         host = random_host(rng, 6, 6, 6, 0.4)
         index = HostIndex(host)
-        for c in map(lambda q: FourCycle(*q), [(0, 1, 0, 1), (1, 3, 2, 4), (0, 5, 1, 2)]):
-            assert count_disks(host, c) == index.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count()
+        for c in [(0, 1, 0, 1), (1, 3, 2, 4), (0, 5, 1, 2)]:
+            assert count_disks(host, c) == index.disk_mask(*c).bit_count()
 
 
 def forbidden_by_pair(cycles, K):
@@ -83,7 +82,7 @@ def forbidden_by_pair(cycles, K):
     by_pair = {}
     for c, d in cycles.items():
         if d <= K:
-            by_pair[(c.y1, c.y2)] = by_pair.get((c.y1, c.y2), 0) + 1
+            by_pair[c[2:]] = by_pair.get(c[2:], 0) + 1
     return by_pair
 
 
@@ -118,7 +117,7 @@ class TestClassifyCycles:
             link = index.link(z)
             expected = brute_force_cycles(host, z)
             for c, d in expected.items():
-                assert index.disk_mask(c.x1, c.x2, c.y1, c.y2).bit_count() == d
+                assert index.disk_mask(*c).bit_count() == d
             # at K = n_Z every cycle of the link is forbidden
             for K in (2, host.n_z):
                 by_pair = forbidden_by_pair(expected, K)
@@ -160,6 +159,22 @@ class TestExpectationIdentities:
                 per_link_total += 1
                 seen.setdefault(c, count_disks(host, c))
         assert per_link_total == sum(seen.values())
+
+
+class TestIterLinkCycles:
+    """``iter_link_cycles`` yields each 4-cycle of the link once, as
+    ``(x1, x2, y1, y2)`` with x1 < x2 and y1 < y2: the cycles of the raw
+    quadruple scan, which builds exactly those tuples."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_quadruple_scan(self, seed):
+        rng = random.Random(seed)
+        host = random_host(rng, *(rng.randint(2, 8) for _ in range(3)), rng.uniform(0.3, 0.8))
+        index = HostIndex(host)
+        for z in range(host.n_z):
+            cycles = list(iter_link_cycles(index.link(z)))
+            assert len(set(cycles)) == len(cycles)
+            assert set(cycles) == set(brute_force_cycles(host, z))
 
 
 def brute_force_forbidden(host, link, K):
@@ -212,7 +227,7 @@ class TestCountForbidden:
         faces = frozenset((x, y, z) for (x, y), zs in sets.items() for z in zs)
         host = TripartiteHost((2, 2, 4), faces)
         index = HostIndex(host)
-        assert count_disks(host, FourCycle(0, 1, 0, 1)) == 2
+        assert count_disks(host, (0, 1, 0, 1)) == 2
         assert count_forbidden(index.link(0), 2, index) == (1, {(0, 1): 1})
         assert count_forbidden(index.link(0), 1, index) == (0, {})
 
