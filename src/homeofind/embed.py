@@ -47,7 +47,7 @@ from .core import (
     build_aux_graph,
 )
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
-from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
+from .links import HostIndex, LinkGraph, _bits, good_pair_rule, pick_link_vertex
 from .seeding import derive_seed
 from .verify import verify_certificate
 
@@ -56,7 +56,6 @@ from .verify import verify_certificate
 class PairStats:
     pair: Pair
     common_degree: int
-    forbidden_through: int
     good: bool
 
 
@@ -91,19 +90,18 @@ def classify_pairs_triples(
 
     ``forbidden_by_pair`` holds the per-pair forbidden counts of the link's
     ``count_forbidden`` pass (as carried by ``LinkChoice``), so no cycle is
-    walked here.  Each threshold is exact: the degree cutoffs are integers
-    worked out once per call, and the forbidden count is compared with its
-    rational bound by one integer cross-multiplication.
+    walked here; a pair left out counts 0.  The pair test is
+    ``links.good_pair_rule``, the same test that picked the pairs the pass
+    walked, so a pair it left out is good or bad whatever its count.
+    Each threshold is exact: the triple cutoff is an integer worked out
+    once per call.
     """
     n_y = link.n_y
     ymasks = link.y_masks
     bits = [1 << y for y in range(n_y)]
     full = (1 << n_y) - 1
-    pair_min = math.ceil(n * q ** 2)
+    good_pair = good_pair_rule(K, cfg.C, n, q)
     triple_min = math.ceil(n * q ** 3)
-    # a good pair has forb <= (K/C) n q**3 deg = (num/den) deg forbidden cycles
-    forb_rate = K * n * q ** 3 / cfg.C
-    num, den = forb_rate.numerator, forb_rate.denominator
 
     pair_stats = []
     bad_triples: dict[Pair, int] = {}
@@ -112,9 +110,8 @@ def classify_pairs_triples(
         for y2 in range(y1 + 1, n_y):
             m12 = m1 & ymasks[y2]
             deg = m12.bit_count()
-            forb = forbidden_by_pair.get((y1, y2), 0)
-            good = deg >= pair_min and forb * den <= num * deg
-            pair_stats.append(PairStats((y1, y2), deg, forb, good))
+            good = good_pair(deg, forbidden_by_pair.get((y1, y2), 0))
+            pair_stats.append(PairStats((y1, y2), deg, good))
 
             if deg < triple_min:  # every triple through the pair is bad
                 bad = full >> (y2 + 1) << (y2 + 1)

@@ -10,11 +10,16 @@ one bit-sliced counter over the table's masks (``HostIndex.link_size``)
 and builds a ``LinkGraph`` only for a z that passes the density condition.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
-makes: it yields B_z (the number of forbidden cycles) and, in the same pass,
-the number of forbidden cycles through every Y-pair, which the good/bad pair
-classification in ``embed`` reads instead of walking the cycles again.  The
-walk skips, without an AND, cycles whose disk count is certainly above or
-certainly at most K by the sizes of its two column z-sets alone.
+makes: it counts the forbidden cycles through each Y-pair it is given, and
+their total, B_z when it is given every pair.  The walk skips, without an
+AND, cycles whose disk count is certainly above or certainly at most K by
+the sizes of its two column z-sets alone.  Both uses of those counts, the
+z-scan's condition (2) and the good/bad pair test (``good_pair_rule``,
+which ``embed`` classifies with), have an exact upper bound in the common
+degrees d of the Y-pairs, as a pair carries at most C(d, 2) forbidden
+cycles.  So ``pick_link_vertex`` walks a whole link only when the bound
+leaves (2) open, and otherwise only the pairs whose goodness turns on their
+count; the choice carries the counts that pass made.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
 and ``count_disks``, a face-membership scan independent of the index; the
 first yields and the second takes a cycle as a plain tuple
@@ -27,10 +32,12 @@ arithmetic: ``expectation_oracle`` (the mean of e(L_z) is e(G)/n_Z) and
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from itertools import combinations
+from math import ceil, comb
 
 from .core import Config, TripartiteHost
 from .errors import NoQualifyingVertex
@@ -212,14 +219,19 @@ def _bits(mask: int) -> list[int]:
 
 
 def count_forbidden(
-    link: LinkGraph, K: int, index: HostIndex
+    link: LinkGraph,
+    K: int,
+    index: HostIndex,
+    pairs: Iterable[tuple[int, int]] | None = None,
 ) -> tuple[int, dict[tuple[int, int], int]]:
-    """B_z and the forbidden-cycle count of every Y-pair, in one walk.
+    """The forbidden-cycle count of each Y-pair in ``pairs``, in one walk.
 
-    Returns ``(total, by_pair)``: ``by_pair[(y1, y2)]`` (y1 < y2) is the
-    number of forbidden 4-cycles of the link through y1 and y2, and pairs
-    with none are left out.  Every cycle passes through exactly one Y-pair,
-    so ``total`` is the sum of the values.
+    ``pairs`` holds Y-pairs (y1, y2) with y1 < y2; by default it is every
+    pair of the link, and ``total`` is then B_z.  Returns
+    ``(total, by_pair)``: ``by_pair[(y1, y2)]`` is the number of forbidden
+    4-cycles of the link through y1 and y2, and pairs with none are left
+    out.  Every cycle passes through exactly one Y-pair, so ``total``, the
+    sum of the values, counts the forbidden cycles through the walked pairs.
 
     For a Y-pair, each common neighbour x contributes the column z-set
     Z(x) = zmasks[x * n_y + y1] & zmasks[x * n_y + y2], and the cycle on columns x, x' bounds
@@ -234,45 +246,71 @@ def count_forbidden(
     zb, ny = index.zmasks, index.n_y
     cap = K + index.host.n_z
     ymasks = link.y_masks
-    ys = [y for y in range(link.n_y) if ymasks[y]]
+    if pairs is None:
+        pairs = combinations([y for y in range(link.n_y) if ymasks[y]], 2)
     total = 0
     by_pair: dict[tuple[int, int], int] = {}
-    for i, y1 in enumerate(ys):
-        m1 = ymasks[y1]
-        for y2 in ys[i + 1:]:
-            common = m1 & ymasks[y2]
-            if common & (common - 1) == 0:  # fewer than two common neighbours
+    for y1, y2 in pairs:
+        common = ymasks[y1] & ymasks[y2]
+        if common & (common - 1) == 0:  # fewer than two common neighbours
+            continue
+        cols = sorted(
+            (zb[x * ny + y1] & zb[x * ny + y2] for x in _bits(common)),
+            key=int.bit_count,
+        )
+        sizes = [c.bit_count() for c in cols]
+        forb = 0
+        for j in range(1, len(cols)):
+            cj = sizes[j]
+            if cj <= K:
+                forb += j
                 continue
-            cols = sorted(
-                (zb[x * ny + y1] & zb[x * ny + y2] for x in _bits(common)),
-                key=int.bit_count,
-            )
-            sizes = [c.bit_count() for c in cols]
-            forb = 0
-            for j in range(1, len(cols)):
-                cj = sizes[j]
-                if cj <= K:
-                    forb += j
-                    continue
-                # partners that may share at most K centers: c <= cap - cj
-                p = bisect_right(sizes, cap - cj, 0, j)
-                if p == 0:
-                    break  # sizes ascend, so no later column has partners
-                zj = cols[j]
-                for k in range(p):
-                    if (zj & cols[k]).bit_count() <= K:
-                        forb += 1
-            if forb:
-                by_pair[(y1, y2)] = forb
-                total += forb
+            # partners that may share at most K centers: c <= cap - cj
+            p = bisect_right(sizes, cap - cj, 0, j)
+            if p == 0:
+                break  # sizes ascend, so no later column has partners
+            zj = cols[j]
+            for k in range(p):
+                if (zj & cols[k]).bit_count() <= K:
+                    forb += 1
+        if forb:
+            by_pair[(y1, y2)] = forb
+            total += forb
     return total, by_pair
+
+
+def good_pair_rule(K: int, C: Fraction, n: int, q: Fraction) -> Callable[[int, int], bool]:
+    """The good-pair test of a link of density q = n**(-eps), as
+    ``good(d, forb)`` for a Y-pair with common degree d and forb forbidden
+    cycles through it.
+
+    A pair is good when d >= n**(1-2*eps) = n q**2 and
+    forb <= (K/C) n**(1-3*eps) d = (K/C) n q**3 d.  Both cutoffs are exact:
+    the first is the integer ceil(n q**2), and the second is one integer
+    cross-multiplication with the numerator and denominator of (K/C) n q**3.
+    The test falls as forb grows, and 0 <= forb <= C(d, 2), so a pair whose
+    test gives the same answer at 0 and at C(d, 2) is decided before any
+    cycle through it is counted.
+    """
+    d_min = ceil(n * q ** 2)
+    rate = K * n * q ** 3 / C
+    num, den = rate.numerator, rate.denominator
+
+    def good(d: int, forb: int) -> bool:
+        return d >= d_min and forb * den <= num * d
+
+    return good
 
 
 @dataclass(frozen=True)
 class LinkChoice:
     link: LinkGraph
-    forbidden_count: int  # B_z
-    forbidden_by_pair: dict[tuple[int, int], int]  # see count_forbidden
+    # B_z when forbidden_exact, else the bound T_z >= B_z that settled (2)
+    forbidden_count: int
+    forbidden_exact: bool  # whether the link was walked whole
+    # count_forbidden of every pair whose count decides its goodness, or of
+    # every pair when forbidden_exact
+    forbidden_by_pair: dict[tuple[int, int], int]
     q: Fraction  # n**(-eps), eps realized from the link's density, clamped to (0, 1]
 
 
@@ -288,9 +326,16 @@ def pick_link_vertex(
     bit-sliced counter's planes, in ascending order.  Each condition is
     one exact integer cutoff (see ``exact``): the first is worked out once
     and read against ``index.link_size``, so the link graph is built only
-    for a z that passes it; the second once per such z.  The choice
-    carries the count_forbidden pass of that link and q = n**(-eps),
-    realized from its density.
+    for a z that passes it; the second once per such z.
+
+    A Y-pair of common degree d carries at most C(d, 2) forbidden cycles,
+    so B_z <= T_z, the sum of C(d, 2) over the Y-pairs (the link's 4-cycle
+    count), which costs one popcount per pair.  When T_z meets the cutoff,
+    (2) holds, and ``count_forbidden`` walks only the open pairs: those
+    whose goodness (``good_pair_rule``, read with the q that e(L_z) fixes)
+    turns on their count.  Otherwise it walks the whole link, and B_z is
+    exact.  The choice carries that pass, the number (2) was decided on
+    and q = n**(-eps), realized from the link's density.
     """
     if host.e == 0:
         raise NoQualifyingVertex("empty host")
@@ -308,13 +353,30 @@ def pick_link_vertex(
             best_diag.append((z, e_l, None))
             continue
         link = index.link(z)
-        b_z, by_pair = count_forbidden(link, K, index)
+        q = min(Fraction(1), Fraction(2 * e_l) / (C * n * n))
         # (2): B_z <= (2K/C) n**(1 + delta) e(L_z)
-        if b_z > floor_pow(2 * K * e_l / C, n, 1 + cfg.delta):
+        b_max = floor_pow(2 * K * e_l / C, n, 1 + cfg.delta)
+        ymasks = link.y_masks
+        pairs = list(combinations([y for y in range(link.n_y) if ymasks[y]], 2))
+        degrees = [(ymasks[y1] & ymasks[y2]).bit_count() for y1, y2 in pairs]
+        t_z = sum(d * (d - 1) for d in degrees) // 2
+        if t_z <= b_max:  # (2) holds; walk the pairs whose count decides
+            good = good_pair_rule(K, C, n, q)
+            decides = {d for d in set(degrees) if good(d, 0) and not good(d, comb(d, 2))}
+            open_pairs = [pr for pr, d in zip(pairs, degrees) if d in decides]
+            _, by_pair = count_forbidden(link, K, index, open_pairs)
+            return LinkChoice(
+                link=link, forbidden_count=t_z, forbidden_exact=False,
+                forbidden_by_pair=by_pair, q=q,
+            )
+        b_z, by_pair = count_forbidden(link, K, index)
+        if b_z > b_max:
             best_diag.append((z, e_l, b_z))
             continue
-        q = min(Fraction(1), Fraction(2 * e_l) / (C * n * n))
-        return LinkChoice(link=link, forbidden_count=b_z, forbidden_by_pair=by_pair, q=q)
+        return LinkChoice(
+            link=link, forbidden_count=b_z, forbidden_exact=True,
+            forbidden_by_pair=by_pair, q=q,
+        )
     raise NoQualifyingVertex(
         f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "
         f"per-z diagnostics: {best_diag[:10]}"

@@ -97,7 +97,6 @@ class TestClassifyPairsTriples:
                 for x1, x2 in itertools.combinations(gamma, 2)
                 if count_disks(host, (x1, x2, y1, y2)) <= K
             )
-            assert ps.forbidden_through == forb
             # deg >= n^(1-2eps) = n q^2 and forb <= (K/C) n^(1-3eps) deg = K n q^3 deg
             good = len(gamma) >= n * q ** 2 and forb <= K * n * q ** 3 * len(gamma)
             assert ps.good == good
@@ -134,8 +133,10 @@ class TestClassifyPairsTriples:
         host = complete_host(8)
         index = HostIndex(host)
         link = index.link(0)
+        _, by_pair = count_forbidden(link, 8, index)
+        assert set(by_pair.values()) == {28} and len(by_pair) == 28
         at, _ = classify(link, index, Config(C=Fraction(64, 7)), 8, n, q)
-        assert {(ps.common_degree, ps.forbidden_through) for ps in at} == {(8, 28)}
+        assert {ps.common_degree for ps in at} == {8}
         assert all(ps.good for ps in at)
         over, bad_triples = classify(
             link, index, Config(C=Fraction(64, 7) + Fraction(1, 10 ** 6)), 8, n, q
@@ -262,7 +263,7 @@ class TestSelectCoreSet:
                 6, n, [(x, y) for x in range(6) for y in range(n) if rng.random() < 0.92]
             )
             pairs = [
-                PairStats(pr, 1, 0, rng.random() > 0.1)
+                PairStats(pr, 1, rng.random() > 0.1)
                 for pr in itertools.combinations(range(n), 2)
             ]
             density = rng.uniform(0.4, 0.9)
@@ -304,7 +305,7 @@ def _triple_masks(triples):
 
 class TestProblemGraph:
     def test_no_bad_gives_empty(self):
-        pairs = [PairStats((0, 1), 5, 0, True)]
+        pairs = [PairStats((0, 1), 5, True)]
         pg = build_problem_graph([0, 1, 2], pairs, {})
         assert pg.bad_triples == frozenset()
         assert pg.ground_set == (0, 1, 2)
@@ -313,7 +314,7 @@ class TestProblemGraph:
         s = 6
         yprime = list(range(s))
         pairs = [
-            PairStats(pr, 5, 0, pr != (0, 1))
+            PairStats(pr, 5, pr != (0, 1))
             for pr in itertools.combinations(yprime, 2)
         ]
         pg = build_problem_graph(yprime, pairs, {})
@@ -329,7 +330,7 @@ class TestProblemGraph:
             yprime = sorted(rng.sample(range(n), rng.randint(0, n)))
             rng.shuffle(yprime)
             pairs = [
-                PairStats(pr, 1, 0, rng.random() > 0.3)
+                PairStats(pr, 1, rng.random() > 0.3)
                 for pr in itertools.combinations(range(n), 2)
             ]
             bad_triples = {

@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import complete_host, random_host
 from homeofind.core import Config, TripartiteHost
+from homeofind.embed import classify_pairs_triples
 from homeofind.errors import NoQualifyingVertex
 from homeofind.exact import ceil_pow, floor_pow
 from homeofind.links import (
@@ -232,13 +235,115 @@ class TestCountForbidden:
         assert count_forbidden(index.link(0), 1, index) == (0, {})
 
     def test_choice_carries_the_pass(self):
-        rng = random.Random(6)
-        host = random_host(rng, 10, 10, 10, 0.7)
-        index = HostIndex(host)
-        choice = pick_link_vertex(host, Config(C=1), K=3, index=index)
-        assert (choice.forbidden_count, choice.forbidden_by_pair) == count_forbidden(
-            choice.link, 3, index
-        )
+        # settled with no open pair, settled with open pairs, walked whole
+        for n_z, p, K, C, exact in [
+            (10, 0.7, 3, 1, False), (3, 0.7, 1, 2, False), (2, 0.95, 1, 3, True)
+        ]:
+            host = random_host(random.Random(6), 10, 10, n_z, p)
+            index = HostIndex(host)
+            cfg = Config(C=C)
+            choice = pick_link_vertex(host, cfg, K=K, index=index)
+            b_z, full = count_forbidden(choice.link, K, index)
+            assert choice.forbidden_exact == exact
+            opened = open_pairs(choice.link, K, cfg.C, 10, choice.q)
+            assert {pr: choice.forbidden_by_pair.get(pr, 0) for pr in opened} == {
+                pr: full.get(pr, 0) for pr in opened
+            }
+            if exact:
+                assert choice.forbidden_count == b_z
+            else:
+                b_max = floor_pow(2 * K * choice.link.e / cfg.C, 10, 1 + cfg.delta)
+                assert b_z <= choice.forbidden_count <= b_max
+
+
+def open_pairs(link, K, C, n, q):
+    """The Y-pairs whose forbidden count decides their goodness: common
+    degree d >= n q**2, and C(d, 2) above the pair bound (K/C) n q**3 d."""
+    ym = link.y_masks
+    out = set()
+    for pr in itertools.combinations(range(link.n_y), 2):
+        d = (ym[pr[0]] & ym[pr[1]]).bit_count()
+        if d >= n * q ** 2 and comb(d, 2) > K * n * q ** 3 * d / C:
+            out.add(pr)
+    return out
+
+
+def cycle_count(link):
+    """T_z, the number of 4-cycles of the link, counted over X-pairs."""
+    xm = link.x_masks
+    return sum(
+        comb((a & b).bit_count(), 2) for a, b in itertools.combinations(xm, 2)
+    )
+
+
+def full_walk_scan(host, cfg, K, index, walks):
+    """The z-scan with every link that passes (1) walked whole: the first z
+    meeting (1) and (2), or None, and how many z met (1) but not (2).
+    ``walks`` caches ``count_forbidden`` by z (it depends on K alone)."""
+    n = max(host.class_sizes)
+    e_min = ceil_pow(cfg.C / 2, n, 2 - cfg.delta)
+    failed = 0
+    for z in range(host.n_z):
+        e_l = index.link_size(z)
+        if e_l < e_min:
+            continue
+        if z not in walks:
+            walks[z] = count_forbidden(index.link(z), K, index)
+        if walks[z][0] <= floor_pow(2 * K * e_l / cfg.C, n, 1 + cfg.delta):
+            return z, failed
+        failed += 1
+    return None, failed
+
+
+class TestSameDecisions:
+    """The bounded z-scan decides as the scan that walks every link whole."""
+
+    def test_matches_full_walk_scan(self):
+        seen = Counter()
+        # dense hosts with two Z-vertices walk links whole; K from 1 to
+        # past n_Z, and C from a loose (2) to a tight one
+        for seed in range(24):
+            rng = random.Random(700 + seed)
+            n = rng.randint(12, 18)
+            host = random_host(rng, n, n, rng.choice([2, 2, 3, n]), rng.uniform(0.6, 1))
+            index = HostIndex(host)
+            for K in (1, 2, 3, 14):
+                walks = {}
+                for C in (Fraction(1, 2), 1, 2, 3):
+                    cfg = Config(C=C)
+                    z, failed = full_walk_scan(host, cfg, K, index, walks)
+                    seen["walked and failed (2)"] += failed
+                    if z is None:
+                        with pytest.raises(NoQualifyingVertex):
+                            pick_link_vertex(host, cfg, K, index)
+                        continue
+                    choice = pick_link_vertex(host, cfg, K, index)
+                    link, q = choice.link, choice.q
+                    assert link.z == z, (seed, K, C)
+                    b_z, full = walks[z]
+                    t_z = cycle_count(link)
+                    b_max = floor_pow(2 * K * link.e / cfg.C, n, 1 + cfg.delta)
+                    assert choice.forbidden_exact == (t_z > b_max)
+                    if choice.forbidden_exact:
+                        seen["walked whole"] += 1
+                        assert (choice.forbidden_count, choice.forbidden_by_pair) == (b_z, full)
+                    else:
+                        seen["settled"] += 1
+                        opened = open_pairs(link, K, cfg.C, n, q)
+                        assert choice.forbidden_count == t_z
+                        assert choice.forbidden_by_pair == {
+                            pr: f for pr, f in full.items() if pr in opened
+                        }
+                    classified = classify_pairs_triples(link, cfg, K, n, q, full)
+                    assert classify_pairs_triples(
+                        link, cfg, K, n, q, choice.forbidden_by_pair
+                    ) == classified
+                    # a walked count that decides a pair's goodness
+                    seen["count decides"] += classify_pairs_triples(
+                        link, cfg, K, n, q, {}
+                    ) != classified
+        cases = ("settled", "walked whole", "walked and failed (2)", "count decides")
+        assert all(seen[k] for k in cases), seen
 
 
 class TestPickLinkVertex:
@@ -274,7 +379,10 @@ class TestPickLinkVertex:
         brute_b = sum(
             1 for c in iter_link_cycles(choice.link) if count_disks(host, c) <= K
         )
-        assert b == brute_b
+        if choice.forbidden_exact:
+            assert b == brute_b
+        else:  # the 4-cycle count of the link, which settled (2)
+            assert brute_b <= b
         assert (Fraction(b) * cfg.C) ** 5 <= (2 * K) ** 5 * n ** 6 * e_l ** 5
 
     def test_density_condition_at_exact_boundary(self):
@@ -293,6 +401,22 @@ class TestPickLinkVertex:
         choice = pick_link_vertex(host, Config(C=2, delta=Fraction(1, 2)), K=3, index=index)
         assert (choice.link.z, choice.link.e) == (1, 8)
         assert built == [1]
+
+    def test_bound_settles_at_exact_cutoff(self):
+        # complete 6-host, K = 1, delta = 1: each link has T_z = C(6, 2)**2
+        # = 225 4-cycles, and (2) is B_z <= (2K e / C) n**2 = 93312 / C.
+        # At C = 288/25 the cutoff is exactly 225, so T_z settles (2) with
+        # no whole walk; one step above it, the link is walked whole and
+        # every cycle, bounding 6 > K disks, is admissible.
+        host = complete_host(6)
+        index = HostIndex(host)
+        at = Fraction(288, 25)
+        choice = pick_link_vertex(host, Config(C=at, delta=1), K=1, index=index)
+        assert (choice.link.z, choice.forbidden_count, choice.forbidden_exact) == (0, 225, False)
+        over = pick_link_vertex(
+            host, Config(C=at + Fraction(1, 10 ** 6), delta=1), K=1, index=index
+        )
+        assert (over.link.z, over.forbidden_count, over.forbidden_exact) == (0, 0, True)
 
     def test_earlier_z_really_fail(self):
         # the scan must return the first qualifying z in index order
