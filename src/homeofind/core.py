@@ -33,6 +33,8 @@ Pair = tuple[int, int]
 
 def _norm_face(face: Iterable[int]) -> Face:
     a, b, c = sorted(face)
+    if not (type(a) is int and type(b) is int and type(c) is int):
+        raise ValueError(f"face {face!r} has a non-integer vertex")
     if a == b or b == c:
         raise ValueError(f"face {face!r} has repeated vertices")
     return (a, b, c)
@@ -46,6 +48,9 @@ class ThreeGraph:
     faces: frozenset[Face]
 
     def __post_init__(self):
+        # ints, not floats or bools, as in TripartiteHost and Config
+        if type(self.vertex_count) is not int:
+            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         object.__setattr__(self, "faces", frozenset(_norm_face(f) for f in self.faces))

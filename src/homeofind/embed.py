@@ -1,16 +1,18 @@
 """Dependent-random-choice core set selection, embedding and disk gluing.
 
-The pipeline: pick a dense link L_z with few forbidden 4-cycles, classify
-pairs and triples of Y as good or bad, pass (via an exhaustive scan over X)
-to a core set Y' in which bad pairs and triples are rare, place the original
-target vertices on a completely-good subset of Y', place the added vertices
-injectively into their common neighbourhoods in X by an exact search that
-keeps every special cycle admissible and leaves each its own center, and
-finally glue one 4-disk with that center onto the image of every special
-cycle.  That search is one function, ``embed_v2``, and its admissibility
-arcs are plain ANDs of per-X-vertex column center sets.  The assembled
-certificate goes to ``verify.verify_certificate`` before
-``find_homeomorph`` returns it; a refusal is a RuntimeError.
+The pipeline: pick a dense link L_z with few forbidden 4-cycles, which
+also settles every pair of Y as good or bad (``links.pick_link_vertex``
+hands the verdicts on as per-y bad-pair masks), classify the triples of Y,
+pass (via an exhaustive scan over X) to a core set Y' in which bad pairs
+and triples are rare, place the original target vertices on a
+completely-good subset of Y', place the added vertices injectively into
+their common neighbourhoods in X by an exact search that keeps every
+special cycle admissible and leaves each its own center, and finally glue
+one 4-disk with that center onto the image of every special cycle.  That
+search is one function, ``embed_v2``, and its admissibility arcs are plain
+ANDs of per-X-vertex column center sets.  The assembled certificate goes
+to ``verify.verify_certificate`` before ``find_homeomorph`` returns it; a
+refusal is a RuntimeError.
 
 Both expectation arguments (the choice of z and the choice of x) are
 derandomized by first-qualifying scans, and the V2 placement is an exact
@@ -31,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,15 +49,16 @@ from .core import (
     build_aux_graph,
 )
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
-from .links import HostIndex, LinkGraph, _bits, good_pair_rule, pick_link_vertex
+from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
 from .seeding import derive_seed
 from .verify import verify_certificate
 
 
+# One per Y-pair, as classify_pairs_triples returns them: the search reads
+# the bad-pair masks, but a run's trace counts classified and bad pairs here.
 @dataclass(frozen=True)
 class PairStats:
     pair: Pair
-    common_degree: int
     good: bool
 
 
@@ -69,51 +72,37 @@ class ProblemGraph:
 
 def classify_pairs_triples(
     link: LinkGraph,
-    cfg: Config,
-    K: int,
+    bad_pairs: Sequence[int],
     n: int,
     q: Fraction,
-    forbidden_by_pair: dict[Pair, int],
 ) -> tuple[list[PairStats], dict[Pair, int]]:
-    """Good/bad statistics for every pair of Y, and the bad triples of Y.
+    """The bad triples of Y, with the pair verdicts that the z-scan made.
 
-    A pair is good when its common neighbourhood has size at least
-    n**(1-2*eps) and at most (K/C) n**(1-3*eps) |Gamma(y1,y2)| forbidden
-    4-cycles pass through it; a triple is good when its common neighbourhood
-    has size at least n**(1-3*eps).
+    ``bad_pairs`` is ``LinkChoice.bad_pairs``: per y, the bitmask of the y'
+    with {y, y'} a bad pair, as ``pick_link_vertex`` decided them.  A triple
+    is good when its common neighbourhood has size at least n**(1-3*eps) =
+    n q**3, an integer cutoff worked out once per call.
 
     Returns ``(pair_stats, bad_triples)``: one ``PairStats`` per pair
-    (y1 < y2), and ``bad_triples[(y1, y2)]``, the bitmask over the y3 > y2
-    for which (y1, y2, y3) is bad; pairs with no bad triple are left out.
-    When |Gamma(y1, y2)| is itself below the triple cutoff, every y3 is bad
-    and no triple of that pair is looked at.
-
-    ``forbidden_by_pair`` holds the per-pair forbidden counts of the link's
-    ``count_forbidden`` pass (as carried by ``LinkChoice``), so no cycle is
-    walked here; a pair left out counts 0.  The pair test is
-    ``links.good_pair_rule``, the same test that picked the pairs the pass
-    walked, so a pair it left out is good or bad whatever its count.
-    Each threshold is exact: the triple cutoff is an integer worked out
-    once per call.
+    (y1 < y2), read off ``bad_pairs``, and ``bad_triples[(y1, y2)]``, the
+    bitmask over the y3 > y2 for which (y1, y2, y3) is bad; pairs with no
+    bad triple are left out.  When |Gamma(y1, y2)| is itself below the
+    triple cutoff, every y3 is bad and no triple of that pair is looked at.
     """
     n_y = link.n_y
     ymasks = link.y_masks
     bits = [1 << y for y in range(n_y)]
     full = (1 << n_y) - 1
-    good_pair = good_pair_rule(K, cfg.C, n, q)
     triple_min = math.ceil(n * q ** 3)
 
     pair_stats = []
     bad_triples: dict[Pair, int] = {}
     for y1 in range(n_y):
-        m1 = ymasks[y1]
+        m1, bad1 = ymasks[y1], bad_pairs[y1]
         for y2 in range(y1 + 1, n_y):
+            pair_stats.append(PairStats((y1, y2), not bad1 >> y2 & 1))
             m12 = m1 & ymasks[y2]
-            deg = m12.bit_count()
-            good = good_pair(deg, forbidden_by_pair.get((y1, y2), 0))
-            pair_stats.append(PairStats((y1, y2), deg, good))
-
-            if deg < triple_min:  # every triple through the pair is bad
+            if m12.bit_count() < triple_min:  # every triple through the pair is bad
                 bad = full >> (y2 + 1) << (y2 + 1)
             else:
                 bad = 0
@@ -125,20 +114,9 @@ def classify_pairs_triples(
     return pair_stats, bad_triples
 
 
-def _bad_pair_masks(pair_stats: list[PairStats]) -> dict[int, int]:
-    """Per y, the bitmask of the y' with {y, y'} a bad pair (none: left out)."""
-    masks: dict[int, int] = {}
-    for ps in pair_stats:
-        if not ps.good:
-            a, b = ps.pair
-            masks[a] = masks.get(a, 0) | 1 << b
-            masks[b] = masks.get(b, 0) | 1 << a
-    return masks
-
-
 def select_core_set(
     link: LinkGraph,
-    pair_stats: list[PairStats],
+    bad_pairs: Sequence[int],
     bad_triples: dict[Pair, int],
     cfg: Config,
     n: int,
@@ -148,14 +126,16 @@ def select_core_set(
 
     (A) |Gamma(x)| >= (C/4) n**(1-eps); (B) |Gamma(x)| bounds the surviving
     bad pairs P_x; (C) |Gamma(x)| bounds the surviving bad triples T_x.
-    ``bad_triples`` is as returned by ``classify_pairs_triples``, so T_x is
-    the sum over the pairs inside Gamma(x) of popcount(mask & Gamma(x)).
+    ``bad_pairs`` holds per y the mask of its bad partners (as carried by
+    ``LinkChoice``) and ``bad_triples`` is as returned by
+    ``classify_pairs_triples``, so P_x is half the sum over y in Gamma(x) of
+    popcount(bad_pairs[y] & Gamma(x)), and T_x the sum over the pairs inside
+    Gamma(x) of popcount(mask & Gamma(x)).
     (A) is one integer cutoff; (B) and (C) compare P_x and T_x exactly with
     a ``Fraction`` rate per element of Gamma(x).  All three are worked out
     once per call.  Returns (x, sorted Y').
     """
     C = cfg.C
-    bad_pair_mask = _bad_pair_masks(pair_stats)
     nq = n * q  # n**(1-eps)
     s_min = math.ceil(C * nq / 4)  # (A); at least 1, as C, n and q are positive
     pairs_per_s = 12 * (1 + C) * nq / C  # (B): P_x <= pairs_per_s * |Gamma(x)|
@@ -168,7 +148,7 @@ def select_core_set(
         if s < s_min:
             continue
         ys = _bits(gmask)
-        p_x = sum((bad_pair_mask.get(y, 0) & gmask).bit_count() for y in ys) // 2
+        p_x = sum((bad_pairs[y] & gmask).bit_count() for y in ys) // 2
         if p_x and p_x > pairs_per_s * s:
             continue
         t_x = 0
@@ -187,7 +167,7 @@ def select_core_set(
 
 def build_problem_graph(
     yprime: list[int],
-    pair_stats: list[PairStats],
+    bad_pairs: Sequence[int],
     bad_triples: dict[Pair, int],
 ) -> ProblemGraph:
     """D(Y'): triples of Y' that are bad or contain a bad pair.
@@ -198,18 +178,15 @@ def build_problem_graph(
     """
     ground = sorted(set(yprime))
     ymask = sum(1 << y for y in ground)
-    bad_pair_mask = _bad_pair_masks(pair_stats)
     bad = []
     for i, a in enumerate(ground):
-        ma = bad_pair_mask.get(a, 0)
+        ma = bad_pairs[a]
         for b in ground[i + 1:]:
             above = ymask & (-1 << (b + 1))
             if (ma >> b) & 1:
                 cs = above
             else:
-                cs = above & (
-                    bad_triples.get((a, b), 0) | ma | bad_pair_mask.get(b, 0)
-                )
+                cs = above & (bad_triples.get((a, b), 0) | ma | bad_pairs[b])
             bad.extend((a, b, c) for c in _bits(cs))
     return ProblemGraph(ground_set=tuple(ground), bad_triples=frozenset(bad))
 
@@ -562,11 +539,9 @@ def find_homeomorph(
     choice = pick_link_vertex(host, cfg, K, index)
     n = max(host.class_sizes)
 
-    pair_stats, bad_triples = classify_pairs_triples(
-        choice.link, cfg, K, n, choice.q, choice.forbidden_by_pair
-    )
-    _, yprime = select_core_set(choice.link, pair_stats, bad_triples, cfg, n, choice.q)
-    problem = build_problem_graph(yprime, pair_stats, bad_triples)
+    _, bad_triples = classify_pairs_triples(choice.link, choice.bad_pairs, n, choice.q)
+    _, yprime = select_core_set(choice.link, choice.bad_pairs, bad_triples, cfg, n, choice.q)
+    problem = build_problem_graph(yprime, choice.bad_pairs, bad_triples)
     core = find_complete_subgraph(problem, target.v)
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}
 

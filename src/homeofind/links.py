@@ -14,12 +14,13 @@ makes: it counts the forbidden cycles through each Y-pair it is given, and
 their total, B_z when it is given every pair.  The walk skips, without an
 AND, cycles whose disk count is certainly above or certainly at most K by
 the sizes of its two column z-sets alone.  Both uses of those counts, the
-z-scan's condition (2) and the good/bad pair test (``good_pair_rule``,
-which ``embed`` classifies with), have an exact upper bound in the common
-degrees d of the Y-pairs, as a pair carries at most C(d, 2) forbidden
-cycles.  So ``pick_link_vertex`` walks a whole link only when the bound
-leaves (2) open, and otherwise only the pairs whose goodness turns on their
-count; the choice carries the counts that pass made.
+z-scan's condition (2) and the good/bad pair test (``good_pair_rule``),
+have an exact upper bound in the common degrees d of the Y-pairs, as a
+pair carries at most C(d, 2) forbidden cycles.  So ``pick_link_vertex``
+walks a whole link only when the bound leaves (2) open, and otherwise only
+the pairs whose goodness turns on their count.  It decides every Y-pair of
+the chosen link from the counts of that one pass, and the choice carries
+the verdicts as per-y bad-pair masks: no other module sees a count.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
 and ``count_disks``, a face-membership scan independent of the index; the
 first yields and the second takes a cycle as a plain tuple
@@ -308,16 +309,16 @@ class LinkChoice:
     # B_z when forbidden_exact, else the bound T_z >= B_z that settled (2)
     forbidden_count: int
     forbidden_exact: bool  # whether the link was walked whole
-    # count_forbidden of every pair whose count decides its goodness, or of
-    # every pair when forbidden_exact
-    forbidden_by_pair: dict[tuple[int, int], int]
+    # per y of the link, the bitmask of the y' with {y, y'} a bad pair
+    bad_pairs: tuple[int, ...]
     q: Fraction  # n**(-eps), eps realized from the link's density, clamped to (0, 1]
 
 
 def pick_link_vertex(
     host: TripartiteHost, cfg: Config, K: int, index: HostIndex
 ) -> LinkChoice:
-    """First z (in index order) whose link is dense with few forbidden cycles.
+    """First z (in index order) whose link is dense with few forbidden cycles,
+    with the verdict of every Y-pair of that link.
 
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
@@ -334,8 +335,11 @@ def pick_link_vertex(
     (2) holds, and ``count_forbidden`` walks only the open pairs: those
     whose goodness (``good_pair_rule``, read with the q that e(L_z) fixes)
     turns on their count.  Otherwise it walks the whole link, and B_z is
-    exact.  The choice carries that pass, the number (2) was decided on
-    and q = n**(-eps), realized from the link's density.
+    exact.  Either way the one pass settles every Y-pair of the chosen
+    link, a pair it did not walk counting 0, and the choice carries those
+    verdicts as ``bad_pairs``, the number (2) was decided on and
+    q = n**(-eps), realized from the link's density.  A y with no
+    neighbour is in a bad pair with every other y, as ceil(n q**2) >= 1.
     """
     if host.e == 0:
         raise NoQualifyingVertex("empty host")
@@ -357,25 +361,27 @@ def pick_link_vertex(
         # (2): B_z <= (2K/C) n**(1 + delta) e(L_z)
         b_max = floor_pow(2 * K * e_l / C, n, 1 + cfg.delta)
         ymasks = link.y_masks
-        pairs = list(combinations([y for y in range(link.n_y) if ymasks[y]], 2))
+        pairs = list(combinations(range(link.n_y), 2))
         degrees = [(ymasks[y1] & ymasks[y2]).bit_count() for y1, y2 in pairs]
         t_z = sum(d * (d - 1) for d in degrees) // 2
-        if t_z <= b_max:  # (2) holds; walk the pairs whose count decides
-            good = good_pair_rule(K, C, n, q)
+        good = good_pair_rule(K, C, n, q)
+        settled = t_z <= b_max  # (2) holds; walk the pairs whose count decides
+        walked = None  # every pair
+        if settled:
             decides = {d for d in set(degrees) if good(d, 0) and not good(d, comb(d, 2))}
-            open_pairs = [pr for pr, d in zip(pairs, degrees) if d in decides]
-            _, by_pair = count_forbidden(link, K, index, open_pairs)
-            return LinkChoice(
-                link=link, forbidden_count=t_z, forbidden_exact=False,
-                forbidden_by_pair=by_pair, q=q,
-            )
-        b_z, by_pair = count_forbidden(link, K, index)
-        if b_z > b_max:
+            walked = [pr for pr, d in zip(pairs, degrees) if d in decides]
+        b_z, by_pair = count_forbidden(link, K, index, walked)
+        if not settled and b_z > b_max:
             best_diag.append((z, e_l, b_z))
             continue
+        bad = [0] * link.n_y
+        for (y1, y2), d in zip(pairs, degrees):
+            if not good(d, by_pair.get((y1, y2), 0)):
+                bad[y1] |= 1 << y2
+                bad[y2] |= 1 << y1
         return LinkChoice(
-            link=link, forbidden_count=b_z, forbidden_exact=True,
-            forbidden_by_pair=by_pair, q=q,
+            link=link, forbidden_count=t_z if settled else b_z,
+            forbidden_exact=not settled, bad_pairs=tuple(bad), q=q,
         )
     raise NoQualifyingVertex(
         f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "

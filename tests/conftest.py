@@ -33,6 +33,19 @@ def complete_host(n: int) -> TripartiteHost:
     return TripartiteHost((n, n, n), faces)
 
 
+def pair_verdicts(link, good, by_pair) -> tuple[int, ...]:
+    """Per y, the bitmask of the y' with {y, y'} bad: ``good(d, forb)`` fails
+    on the pair's common degree d and its count in ``by_pair`` (a pair left
+    out counts 0).  The reference form of ``LinkChoice.bad_pairs``."""
+    ym = link.y_masks
+    bad = [0] * link.n_y
+    for y1, y2 in itertools.combinations(range(link.n_y), 2):
+        if not good((ym[y1] & ym[y2]).bit_count(), by_pair.get((y1, y2), 0)):
+            bad[y1] |= 1 << y2
+            bad[y2] |= 1 << y1
+    return tuple(bad)
+
+
 @pytest.fixture(scope="session")
 def complete30() -> TripartiteHost:
     return complete_host(30)

@@ -61,5 +61,6 @@ def test_every_span_resolves_records_and_restores():
     recorded = {name for name, *_ in tracer.spans}
     assert recorded == {name for name, _, _ in spans.SPANS}
     assert all(tracer.counts[name] > 0 for name in ("links.link_edges", "embed.core_size"))
+    assert tracer.counts["embed.pairs_classified"] == 28  # one PairStats per pair of n_y = 8
     for (owner, attr), fn in originals.items():
         assert getattr(getattr(prog, owner), attr) is fn, (owner, attr)

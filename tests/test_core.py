@@ -46,6 +46,24 @@ class TestThreeGraph:
         with pytest.raises(ValueError):
             ThreeGraph(3, frozenset({(0, 1, 3)}))
 
+    @pytest.mark.parametrize(
+        "vertex_count, faces",
+        [
+            (2.5, ()),
+            (3.0, ()),
+            (True, ()),
+            (Fraction(3), ()),
+            (3, [(0, 1, 2.0)]),
+            (3, [(0, True, 2)]),
+            (3, [(0, 1, Fraction(2))]),
+        ],
+    )
+    def test_rejects_non_int(self, vertex_count, faces):
+        # ints only, as TripartiteHost and Config take them; a float or bool
+        # that slipped through would surface later as a TypeError in the search
+        with pytest.raises(ValueError):
+            ThreeGraph(vertex_count, frozenset(faces))
+
 
 class TestCoveredPairs:
     def test_single_face(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete_host, random_host
+from conftest import complete_host, pair_verdicts, random_host
 from homeofind import embed
 from homeofind.core import (
     Config,
@@ -16,7 +16,6 @@ from homeofind.core import (
 )
 from homeofind.embed import (
     Embedding,
-    PairStats,
     ProblemGraph,
     assert_valid_embedding,
     assign_centers,
@@ -36,7 +35,13 @@ from homeofind.errors import (
 )
 from homeofind.harness import gen_random_host
 from homeofind.io import load_target, write_certificate
-from homeofind.links import HostIndex, count_disks, count_forbidden
+from homeofind.links import (
+    HostIndex,
+    count_disks,
+    count_forbidden,
+    good_pair_rule,
+    pick_link_vertex,
+)
 from homeofind.verify import verify_certificate
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
@@ -69,37 +74,51 @@ def only_link(link, target):
     return HostIndex(TripartiteHost((link.n_x, link.n_y, n_z), faces))
 
 
-def classify(link, index, cfg, K, n, q):
-    """classify_pairs_triples on the forbidden counts of the link's own pass."""
-    _, by_pair = count_forbidden(link, K, index)
-    return classify_pairs_triples(link, cfg, K, n, q, by_pair)
+def pair_masks(bad_pairs, n_y):
+    """Per y, the bitmask of the y' with {y, y'} in ``bad_pairs``: the form
+    of ``LinkChoice.bad_pairs``."""
+    masks = [0] * n_y
+    for a, b in bad_pairs:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return tuple(masks)
 
 
 class TestClassifyPairsTriples:
     def test_matches_brute_force(self):
-        rng = random.Random(13)
-        n = 9
-        host = random_host(rng, n, n, n, 0.5)
+        # the pair verdicts of the z-scan and the triples of classification
+        # against their definitions, on a host where the count decides 9
+        # pairs, 28 of 36 pairs are bad and 40 of 84 triples
+        n, K = 9, 1
+        host = random_host(random.Random(13), n, n, 3, 0.6)
         index = HostIndex(host)
-        link = index.link(0)
-        cfg = Config(C=1)
-        K = 2
-        q = Fraction(2, 3)
-        pairs, bad_triples = classify(link, index, cfg, K, n, q)
+        choice = pick_link_vertex(host, Config(C=2), K, index)
+        link, q = choice.link, choice.q
+        pairs, bad_triples = classify_pairs_triples(link, choice.bad_pairs, n, q)
+        assert [ps.pair for ps in pairs] == list(itertools.combinations(range(n), 2))
+
+        def good_at(deg, forb):
+            # deg >= n^(1-2eps) = n q^2 and forb <= (K/C) n^(1-3eps) deg, C = 2
+            return deg >= n * q ** 2 and forb <= K * n * q ** 3 * deg / 2
 
         xm = link.x_masks
+        decided_by_count = 0
         for ps in pairs:
             y1, y2 = ps.pair
             gamma = [x for x in range(n) if xm[x] >> y1 & xm[x] >> y2 & 1]
-            assert ps.common_degree == len(gamma)
             forb = sum(
                 1
                 for x1, x2 in itertools.combinations(gamma, 2)
                 if count_disks(host, (x1, x2, y1, y2)) <= K
             )
-            # deg >= n^(1-2eps) = n q^2 and forb <= (K/C) n^(1-3eps) deg = K n q^3 deg
-            good = len(gamma) >= n * q ** 2 and forb <= K * n * q ** 3 * len(gamma)
+            good = good_at(len(gamma), forb)
+            decided_by_count += good != good_at(len(gamma), 0)
             assert ps.good == good
+            assert (choice.bad_pairs[y1] >> y2 & 1, choice.bad_pairs[y2] >> y1 & 1) == (
+                not good, not good
+            ), ps.pair
+        assert decided_by_count == 9
+        assert sum(not ps.good for ps in pairs) == 28
 
         # bad_triples[(y1, y2)] has bit y3 exactly for the bad (y1, y2, y3),
         # y1 < y2 < y3, and holds no other bit and no empty mask
@@ -107,7 +126,7 @@ class TestClassifyPairsTriples:
         assert sum(bad.bit_count() for bad in bad_triples.values()) == sum(
             1 for y1, y2, y3 in itertools.combinations(range(n), 3)
             if (bad_triples.get((y1, y2), 0) >> y3) & 1
-        )
+        ) == 40
         for y1, y2, y3 in itertools.combinations(range(n), 3):
             deg = sum(1 for x in range(n) if xm[x] >> y1 & xm[x] >> y2 & xm[x] >> y3 & 1)
             # bad: deg < n^(1-3eps) = n q^3
@@ -115,34 +134,49 @@ class TestClassifyPairsTriples:
             assert bit == (deg < n * q ** 3), (y1, y2, y3)
 
     def test_all_forbidden_makes_pairs_bad(self):
-        # with K >= n every cycle is forbidden, and a huge C makes the
-        # forbidden-count condition impossible to satisfy
-        host = complete_host(6)
+        # complete 6-host, K = 6 = n_Z: every cycle is forbidden, so each
+        # pair carries C(6, 2) = 15.  At C = 4 (delta = 1) the link passes
+        # (1) with q = 1/2, and the pair bound (K/C) n q**3 d = 27/4 < 15
+        n, K = 6, 6
+        host = complete_host(n)
         index = HostIndex(host)
-        link = index.link(0)
-        # eps = 0: q = 1
-        pairs, _ = classify(link, index, Config(C=10 ** 9), K=6, n=6, q=Fraction(1))
-        assert all(not ps.good for ps in pairs)
+        choice = pick_link_vertex(host, Config(C=4, delta=1), K, index)
+        assert choice.q == Fraction(1, 2)
+        assert count_forbidden(choice.link, K, index) == (
+            15 * 15, dict.fromkeys(itertools.combinations(range(n), 2), 15)
+        )
+        full = (1 << n) - 1
+        assert choice.bad_pairs == tuple(full & ~(1 << y) for y in range(n))
+        pairs, _ = classify_pairs_triples(choice.link, choice.bad_pairs, n, choice.q)
+        assert len(pairs) == 15 and not any(ps.good for ps in pairs)
 
     def test_thresholds_at_exact_boundaries(self):
-        # n = 32, q = 1/2: n**(1-2eps) = 8 and n**(1-3eps) = 4.  In the
-        # complete 8-host every pair has degree 8 and, with K = 8 = n_Z,
-        # C(8, 2) = 28 forbidden cycles; the pair bound (K/C) * 4 * 8 equals
-        # 28 at C = 64/7.
-        n, q = 32, Fraction(1, 2)
+        # complete 8-host at C = 4, delta = 1: q = 2/C = 1/2, and with
+        # K = 14 >= n_Z every pair has degree 8 and C(8, 2) = 28 forbidden
+        # cycles.  n**(1-2eps) = n q**2 = 2, and the pair bound
+        # (K/C) n q**3 d = (14/4) * 8 * (1/8) * 8 = 28: the count sits on it.
+        n, q = 8, Fraction(1, 2)
+        good = good_pair_rule(14, Fraction(4), n, q)
+        assert good(8, 28) and not good(8, 29)
+        assert good(2, 0) and not good(1, 0)
+        assert not good_pair_rule(14, Fraction(4) + Fraction(1, 10 ** 6), n, q)(8, 28)
+        at_k13 = good_pair_rule(13, Fraction(4), n, q)  # bound 26
+        assert at_k13(8, 26) and not at_k13(8, 27)
+
         host = complete_host(8)
         index = HostIndex(host)
-        link = index.link(0)
-        _, by_pair = count_forbidden(link, 8, index)
-        assert set(by_pair.values()) == {28} and len(by_pair) == 28
-        at, _ = classify(link, index, Config(C=Fraction(64, 7)), 8, n, q)
-        assert {ps.common_degree for ps in at} == {8}
-        assert all(ps.good for ps in at)
-        over, bad_triples = classify(
-            link, index, Config(C=Fraction(64, 7) + Fraction(1, 10 ** 6)), 8, n, q
-        )
-        assert not any(ps.good for ps in over)
-        assert bad_triples == {}  # every triple has degree 8 >= 4
+        at = pick_link_vertex(host, Config(C=4, delta=1), 14, index)
+        assert at.q == q and at.bad_pairs == (0,) * 8
+        pairs, bad_triples = classify_pairs_triples(at.link, at.bad_pairs, n, at.q)
+        assert len(pairs) == 28 and all(ps.good for ps in pairs)
+        assert bad_triples == {}  # every triple has degree 8 >= n q**3 = 1
+        full = (1 << 8) - 1
+        for cfg, K in [
+            (Config(C=Fraction(4) + Fraction(1, 10 ** 6), delta=1), 14),
+            (Config(C=4, delta=1), 13),
+        ]:
+            over = pick_link_vertex(host, cfg, K, index)
+            assert over.bad_pairs == tuple(full & ~(1 << y) for y in range(8))
 
     def test_triple_cutoff_at_pair_degree_boundary(self):
         # n = 32, q = 1/2: n**(1-3eps) = 4.  Pair (0, 1) has |Gamma| = 3, one below the cutoff,
@@ -151,13 +185,10 @@ class TestClassifyPairsTriples:
         # common neighbours and is good, (0, 2, 4) keeps three and is bad.
         nbrs = {0: range(8), 1: range(3), 2: range(4), 3: range(8), 4: range(3)}
         faces = frozenset((x, y, 0) for y, xs in nbrs.items() for x in xs)
-        index = HostIndex(TripartiteHost((8, 5, 1), faces))
-        link = index.link(0)
-        pairs, bad_triples = classify(
-            link, index, Config(C=1), K=1, n=32, q=Fraction(1, 2)
-        )
-        degree = {ps.pair: ps.common_degree for ps in pairs}
-        assert degree[(0, 1)] == 3 and degree[(0, 2)] == 4
+        link = HostIndex(TripartiteHost((8, 5, 1), faces)).link(0)
+        _, bad_triples = classify_pairs_triples(link, (0,) * 5, n=32, q=Fraction(1, 2))
+        ym = link.y_masks
+        assert (ym[0] & ym[1]).bit_count() == 3 and (ym[0] & ym[2]).bit_count() == 4
         assert bad_triples[(0, 1)] == 1 << 2 | 1 << 3 | 1 << 4
         assert bad_triples[(0, 2)] == 1 << 4
         # brute force over all ten triples
@@ -166,15 +197,18 @@ class TestClassifyPairsTriples:
             assert (bad_triples.get(tr[:2], 0) >> tr[2]) & 1 == (deg < 4), tr
 
     def test_empty_common_neighbourhood_is_bad(self):
-        link = link_of(3, 2, {(0, 0), (1, 1)})
-        index = HostIndex(
-            TripartiteHost((3, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
-        )
-        # pair cutoff ceil(3/4) = 1
-        pairs, _ = classify(link, index, Config(C=1), K=1, n=3, q=Fraction(1, 2))
-        assert len(pairs) == 1
-        assert pairs[0].common_degree == 0
-        assert not pairs[0].good
+        # y0 and y1 share x0 and x1 in both links, so their one cycle bounds
+        # two disks and is admissible at K = 1; y2 has no neighbour, and a
+        # pair of common degree 0 is bad, as ceil(n q**2) >= 1
+        faces = frozenset(itertools.product((0, 1), (0, 1), (0, 1)))
+        host = TripartiteHost((3, 3, 2), faces)
+        choice = pick_link_vertex(host, Config(C=2, delta=1), 1, HostIndex(host))
+        assert choice.link.y_masks[2] == 0
+        assert choice.bad_pairs == (0b100, 0b100, 0b011)
+        pairs, _ = classify_pairs_triples(choice.link, choice.bad_pairs, 3, choice.q)
+        assert [(ps.pair, ps.good) for ps in pairs] == [
+            ((0, 1), True), ((0, 2), False), ((1, 2), False)
+        ]
 
 
 class TestSelectCoreSet:
@@ -183,16 +217,18 @@ class TestSelectCoreSet:
         index = HostIndex(host)
         link = index.link(0)
         cfg = Config(C=1)
-        n, q = 8, Fraction(1)
-        pairs, bad_triples = classify(link, index, cfg, K=3, n=n, q=q)
-        x, yprime = select_core_set(link, pairs, bad_triples, cfg, n, q)
+        choice = pick_link_vertex(host, cfg, 3, index)
+        n, q = 8, choice.q
+        assert choice.link == link and q == 1
+        _, bad_triples = classify_pairs_triples(link, choice.bad_pairs, n, q)
+        x, yprime = select_core_set(link, choice.bad_pairs, bad_triples, cfg, n, q)
         assert x == 0
         assert yprime == list(range(8))
 
     def test_empty_link(self):
         link = link_of(4, 4, ())
         with pytest.raises(NoQualifyingX):
-            select_core_set(link, [], {}, Config(C=1), 4, Fraction(1, 2))
+            select_core_set(link, (0,) * 4, {}, Config(C=1), 4, Fraction(1, 2))
 
     def test_scan_inequalities_hold_for_winner(self):
         rng = random.Random(31)
@@ -202,15 +238,23 @@ class TestSelectCoreSet:
         link = index.link(0)
         cfg = Config(C=2)
         q = Fraction(7, 12)
-        pairs, bad_triples = classify(link, index, cfg, K=2, n=n, q=q)
-        x, yprime = select_core_set(link, pairs, bad_triples, cfg, n, q)
+        # the verdicts of the pair test on a whole-link walk, at a q set by hand
+        bad_pair_masks = pair_verdicts(
+            link, good_pair_rule(2, cfg.C, n, q), count_forbidden(link, 2, index)[1]
+        )
+        _, bad_triples = classify_pairs_triples(link, bad_pair_masks, n, q)
+        x, yprime = select_core_set(link, bad_pair_masks, bad_triples, cfg, n, q)
 
         # recompute everything independently
         xm = link.x_masks
         gamma = [y for y in range(n) if xm[x] >> y & 1]
         assert sorted(yprime) == gamma
         s = len(gamma)
-        bad_pairs = {ps.pair for ps in pairs if not ps.good}
+        bad_pairs = {
+            pr for pr in itertools.combinations(range(n), 2)
+            if bad_pair_masks[pr[0]] >> pr[1] & 1
+        }
+        assert bad_pairs  # the P_x inequality sees bad pairs
 
         def triple_bad(tr):
             # common degree below n^(1-3eps) = n q^3
@@ -262,15 +306,14 @@ class TestSelectCoreSet:
             link = link_of(
                 6, n, [(x, y) for x in range(6) for y in range(n) if rng.random() < 0.92]
             )
-            pairs = [
-                PairStats(pr, 1, rng.random() > 0.1)
-                for pr in itertools.combinations(range(n), 2)
-            ]
+            bad_pairs = {
+                pr for pr in itertools.combinations(range(n), 2) if rng.random() < 0.1
+            }
             density = rng.uniform(0.4, 0.9)
             bad_triples = {
                 tr for tr in itertools.combinations(range(n), 3) if rng.random() < density
             }
-            bad_pairs = {ps.pair for ps in pairs if not ps.good}
+            masks = pair_masks(bad_pairs, n)
             want = None
             for x in range(6):
                 gamma = [y for y in range(n) if link.x_masks[x] >> y & 1]
@@ -288,9 +331,9 @@ class TestSelectCoreSet:
                 decided_by_tx += a_and_b
             if want is None:
                 with pytest.raises(NoQualifyingX):
-                    select_core_set(link, pairs, _triple_masks(bad_triples), cfg, n, q)
+                    select_core_set(link, masks, _triple_masks(bad_triples), cfg, n, q)
             else:
-                got = select_core_set(link, pairs, _triple_masks(bad_triples), cfg, n, q)
+                got = select_core_set(link, masks, _triple_masks(bad_triples), cfg, n, q)
                 assert got == want, seed
         assert decided_by_tx > 0
 
@@ -305,19 +348,14 @@ def _triple_masks(triples):
 
 class TestProblemGraph:
     def test_no_bad_gives_empty(self):
-        pairs = [PairStats((0, 1), 5, True)]
-        pg = build_problem_graph([0, 1, 2], pairs, {})
+        pg = build_problem_graph([0, 1, 2], (0, 0, 0), {})
         assert pg.bad_triples == frozenset()
         assert pg.ground_set == (0, 1, 2)
 
     def test_bad_pair_spreads_to_triples(self):
         s = 6
         yprime = list(range(s))
-        pairs = [
-            PairStats(pr, 5, pr != (0, 1))
-            for pr in itertools.combinations(yprime, 2)
-        ]
-        pg = build_problem_graph(yprime, pairs, {})
+        pg = build_problem_graph(yprime, pair_masks([(0, 1)], s), {})
         assert len(pg.bad_triples) == s - 2
         assert all(0 in tr and 1 in tr for tr in pg.bad_triples)
 
@@ -329,16 +367,16 @@ class TestProblemGraph:
             n = rng.randint(3, 12)
             yprime = sorted(rng.sample(range(n), rng.randint(0, n)))
             rng.shuffle(yprime)
-            pairs = [
-                PairStats(pr, 1, rng.random() > 0.3)
-                for pr in itertools.combinations(range(n), 2)
-            ]
+            bad_pairs = {
+                pr for pr in itertools.combinations(range(n), 2) if rng.random() < 0.3
+            }
             bad_triples = {
                 tr for tr in itertools.combinations(range(n), 3) if rng.random() < 0.2
             }
-            pg = build_problem_graph(yprime, pairs, _triple_masks(bad_triples))
+            pg = build_problem_graph(
+                yprime, pair_masks(bad_pairs, n), _triple_masks(bad_triples)
+            )
             assert pg.ground_set == tuple(sorted(yprime))
-            bad_pairs = {ps.pair for ps in pairs if not ps.good}
             expect = {
                 tr
                 for tr in itertools.combinations(sorted(yprime), 3)

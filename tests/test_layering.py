@@ -12,6 +12,10 @@ search; no float may enter one, so their source holds no float literal, no
 The brute-force oracles in ``links`` and ``embed`` check the shipping code,
 so no shipping function or class may name one: a test comparing the two
 would then compare the shipping code with itself.
+
+The z-scan in ``links`` decides every Y-pair of the chosen link, and
+``embed`` reads only its bad-pair masks: no function or class of ``embed``
+names the pair test or a forbidden count.
 """
 
 import ast
@@ -210,3 +214,16 @@ def test_oracle_scan_finds_every_form(tmp_path):
         ("C", "clique_oracle"), ("C", "iter_link_cycles"),
         ("h", "iter_link_cycles"),
     ]
+
+
+PAIR_VERDICT = {"good_pair_rule", "count_forbidden", "forbidden_by_pair"}
+
+
+def test_embed_leaves_pair_verdicts_to_links():
+    found = [
+        (node.name, name)
+        for node in ast.parse((SRC / "embed.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for name in sorted(names_used(node) & PAIR_VERDICT)
+    ]
+    assert found == []

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from conftest import complete_host, random_host
+from conftest import complete_host, pair_verdicts, random_host
 from homeofind.core import Config, TripartiteHost
 from homeofind.embed import classify_pairs_triples
 from homeofind.errors import NoQualifyingVertex
@@ -15,6 +15,7 @@ from homeofind.links import (
     HostIndex,
     count_disks,
     count_forbidden,
+    good_pair_rule,
     iter_link_cycles,
     pick_link_vertex,
 )
@@ -243,12 +244,14 @@ class TestCountForbidden:
             index = HostIndex(host)
             cfg = Config(C=C)
             choice = pick_link_vertex(host, cfg, K=K, index=index)
-            b_z, full = count_forbidden(choice.link, K, index)
+            link, q = choice.link, choice.q
+            b_z, full = count_forbidden(link, K, index)
             assert choice.forbidden_exact == exact
-            opened = open_pairs(choice.link, K, cfg.C, 10, choice.q)
-            assert {pr: choice.forbidden_by_pair.get(pr, 0) for pr in opened} == {
-                pr: full.get(pr, 0) for pr in opened
-            }
+            want = full_walk_verdicts(link, K, cfg.C, 10, q, full)
+            assert choice.bad_pairs == want
+            assert classify_pairs_triples(link, choice.bad_pairs, 10, q) == (
+                classify_pairs_triples(link, want, 10, q)
+            )
             if exact:
                 assert choice.forbidden_count == b_z
             else:
@@ -256,16 +259,10 @@ class TestCountForbidden:
                 assert b_z <= choice.forbidden_count <= b_max
 
 
-def open_pairs(link, K, C, n, q):
-    """The Y-pairs whose forbidden count decides their goodness: common
-    degree d >= n q**2, and C(d, 2) above the pair bound (K/C) n q**3 d."""
-    ym = link.y_masks
-    out = set()
-    for pr in itertools.combinations(range(link.n_y), 2):
-        d = (ym[pr[0]] & ym[pr[1]]).bit_count()
-        if d >= n * q ** 2 and comb(d, 2) > K * n * q ** 3 * d / C:
-            out.add(pr)
-    return out
+def full_walk_verdicts(link, K, C, n, q, full):
+    """The pair verdicts of ``good_pair_rule`` on the counts ``full`` of a
+    whole-link walk."""
+    return pair_verdicts(link, good_pair_rule(K, C, n, q), full)
 
 
 def cycle_count(link):
@@ -326,22 +323,17 @@ class TestSameDecisions:
                     assert choice.forbidden_exact == (t_z > b_max)
                     if choice.forbidden_exact:
                         seen["walked whole"] += 1
-                        assert (choice.forbidden_count, choice.forbidden_by_pair) == (b_z, full)
+                        assert choice.forbidden_count == b_z
                     else:
                         seen["settled"] += 1
-                        opened = open_pairs(link, K, cfg.C, n, q)
                         assert choice.forbidden_count == t_z
-                        assert choice.forbidden_by_pair == {
-                            pr: f for pr, f in full.items() if pr in opened
-                        }
-                    classified = classify_pairs_triples(link, cfg, K, n, q, full)
-                    assert classify_pairs_triples(
-                        link, cfg, K, n, q, choice.forbidden_by_pair
-                    ) == classified
+                    want = full_walk_verdicts(link, K, cfg.C, n, q, full)
+                    assert choice.bad_pairs == want, (seed, K, C)
+                    assert classify_pairs_triples(link, choice.bad_pairs, n, q) == (
+                        classify_pairs_triples(link, want, n, q)
+                    )
                     # a walked count that decides a pair's goodness
-                    seen["count decides"] += classify_pairs_triples(
-                        link, cfg, K, n, q, {}
-                    ) != classified
+                    seen["count decides"] += full_walk_verdicts(link, K, cfg.C, n, q, {}) != want
         cases = ("settled", "walked whole", "walked and failed (2)", "count decides")
         assert all(seen[k] for k in cases), seen
 
