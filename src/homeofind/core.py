@@ -17,18 +17,32 @@ per occupied (x, y) and nothing per face or per header-sized class.  Every
 stage reads the host through it: ``io`` writes and parses it, and ``links``
 views it as ``HostIndex`` and counts every link size e(L_z) from it with
 one bit-sliced counter.
+
+Every set the pipeline handles is an int bitmask like those z-sets: a link's
+neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
+is the one function that lists a mask's set bits, for every module.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations, compress, count
 from typing import Iterable
 
 Face = tuple[int, int, int]
 Pair = tuple[int, int]
+
+# a binary digit of a mask, as the byte 0 or 1
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of the non-negative ``mask``, ascending,
+    found in C: its binary digits, reversed, select from the counter
+    0, 1, 2, ..."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)))
 
 
 def _norm_face(face: Iterable[int]) -> Face:
@@ -157,12 +171,7 @@ class TripartiteHost:
     def sorted_faces(self) -> list[Face]:
         """The faces in lexicographic order: the sorted table, decoded."""
         ny = self.n_y
-        return [
-            (i // ny, i % ny, z)
-            for i, m in sorted(self.zmasks.items())
-            for z in range(m.bit_length())
-            if m >> z & 1
-        ]
+        return [(i // ny, i % ny, z) for i, m in sorted(self.zmasks.items()) for z in bits(m)]
 
     @cached_property
     def faces(self) -> frozenset[Face]:
@@ -289,7 +298,7 @@ def covered_pairs(h: ThreeGraph) -> list[Pair]:
     """Pairs of vertices contained in at least one face, lexicographic."""
     pairs = set()
     for f in h.faces:
-        pairs.update(itertools.combinations(f, 2))
+        pairs.update(combinations(f, 2))
     return sorted(pairs)
 
 

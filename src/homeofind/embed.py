@@ -10,7 +10,9 @@ their common neighbourhoods in X by an exact search that keeps every
 special cycle admissible and leaves each its own center, and finally glue
 one 4-disk with that center onto the image of every special cycle.  That
 search is one function, ``embed_v2``, and its admissibility arcs are plain
-ANDs of per-X-vertex column center sets.  The assembled certificate goes
+ANDs of per-X-vertex column center sets; at each leaf it ANDs the same
+columns into the special cycles' center sets, which ``assign_centers``
+matches to distinct centers.  The assembled certificate goes
 to ``verify.verify_certificate`` before ``find_homeomorph`` returns it; a
 refusal is a RuntimeError.
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,10 +48,11 @@ from .core import (
     Pair,
     ThreeGraph,
     TripartiteHost,
+    bits,
     build_aux_graph,
 )
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
-from .links import HostIndex, LinkGraph, _bits, pick_link_vertex
+from .links import HostIndex, LinkGraph, pick_link_vertex
 from .seeding import derive_seed
 from .verify import verify_certificate
 
@@ -91,7 +94,7 @@ def classify_pairs_triples(
     """
     n_y = link.n_y
     ymasks = link.y_masks
-    bits = [1 << y for y in range(n_y)]
+    ones = [1 << y for y in range(n_y)]
     full = (1 << n_y) - 1
     triple_min = math.ceil(n * q ** 3)
 
@@ -106,7 +109,7 @@ def classify_pairs_triples(
                 bad = full >> (y2 + 1) << (y2 + 1)
             else:
                 bad = 0
-                for m3, bit in zip(ymasks[y2 + 1:], bits[y2 + 1:]):
+                for m3, bit in zip(ymasks[y2 + 1:], ones[y2 + 1:]):
                     if (m12 & m3).bit_count() < triple_min:
                         bad |= bit
             if bad:
@@ -147,7 +150,7 @@ def select_core_set(
         s = gmask.bit_count()
         if s < s_min:
             continue
-        ys = _bits(gmask)
+        ys = bits(gmask)
         p_x = sum((bad_pairs[y] & gmask).bit_count() for y in ys) // 2
         if p_x and p_x > pairs_per_s * s:
             continue
@@ -187,7 +190,7 @@ def build_problem_graph(
                 cs = above
             else:
                 cs = above & (bad_triples.get((a, b), 0) | ma | bad_pairs[b])
-            bad.extend((a, b, c) for c in _bits(cs))
+            bad.extend((a, b, c) for c in bits(cs))
     return ProblemGraph(ground_set=tuple(ground), bad_triples=frozenset(bad))
 
 
@@ -268,9 +271,11 @@ def embed_v2(
     face-vertex to a pair-vertex, so the search is depth first over the
     face-vertices (fewer than the pair-vertices on a surface), with forward
     checking of the pair-vertices, and at each leaf the pair-vertices are
-    matched into the unused X-vertices; the leaf is taken only if
-    ``assign_centers`` then finds distinct centers besides link.z, and the
-    returned ``Embedding`` carries those centers.
+    matched into the unused X-vertices.  A special cycle's center set is
+    then the AND of its two images' columns (the same masks the arcs are
+    built from) without link.z; the leaf is taken only if
+    ``assign_centers`` finds distinct centers in those sets, and the
+    returned ``Embedding`` carries them.
 
     Raises RetriesExhausted when no injective placement exists (Hall's
     condition fails, as it does when a V2 vertex has no candidate at all),
@@ -286,7 +291,7 @@ def embed_v2(
         for a in aux.neighbors_of_v2(u):
             mask &= ymasks[v1_map[a]]
         dom[u] = mask
-        order[u] = _bits(mask)
+        order[u] = bits(mask)
         rng.shuffle(order[u])
 
     _, short = _match(aux.v2, order, dom)
@@ -296,31 +301,32 @@ def embed_v2(
             f"vertices cover only {len(short) - 1} X-vertices (Hall)"
         )
 
-    # One arc (w, u) per special cycle.  compat[u][xw] is the bitmask of the
-    # images of u that make a cycle through u admissible with its
-    # face-vertex on xw: u fixes the cycle's Y-pair, so the row depends on u
-    # and xw alone and is built once.  disk_mask(xu, xw, ya, yb) is the AND
-    # of the column masks disk_mask(x, x, ya, yb) of xu and xw, which are
-    # worked out once per pair-vertex and X-vertex.
+    # One arc (w, u) per special cycle, kept as arcs_of[w].  compat[u][xw]
+    # is the bitmask of the images of u that make a cycle through u
+    # admissible with its face-vertex on xw: u fixes the cycle's Y-pair, so
+    # the row depends on u and xw alone and is built once.
+    # disk_mask(xu, xw, ya, yb) is the AND of the column masks
+    # disk_mask(x, x, ya, yb) of xu and xw, which are worked out once per
+    # pair-vertex and X-vertex; a leaf reads its center sets from them too.
     columns: dict[int, dict[int, int]] = {}
     compat: dict[int, dict[int, int]] = {}
-    arcs: list[tuple[int, int]] = []
+    arcs_of: dict[int, list[int]] = {}
     for sc in aux.special_cycles:
         ya, yb = v1_map[sc.a], v1_map[sc.b]
         col = columns.setdefault(sc.u, {})
-        for x in _bits(dom[sc.u] | dom[sc.w]):
+        for x in bits(dom[sc.u] | dom[sc.w]):
             if x not in col:
                 col[x] = index.disk_mask(x, x, ya, yb)
-        us = _bits(dom[sc.u])
+        us = bits(dom[sc.u])
         rows = compat.setdefault(sc.u, {})
-        for xw in _bits(dom[sc.w]):
+        for xw in bits(dom[sc.w]):
             if xw not in rows:
                 cw, m = col[xw], 0
                 for xu in us:
                     if (cw & col[xu]).bit_count() > K:
                         m |= 1 << xu
                 rows[xw] = m & ~(1 << xw)
-        arcs.append((sc.w, sc.u))
+        arcs_of.setdefault(sc.w, []).append(sc.u)
 
     def no_placement(why: str) -> RetriesExhausted:
         return RetriesExhausted(
@@ -330,13 +336,14 @@ def embed_v2(
 
     # Arc consistency: keep a candidate only while every arc through its
     # vertex offers it a compatible partner; repeat until nothing changes.
+    # A face-vertex's cycles are consecutive, so the arcs go in cycle order.
     changed = True
     while changed:
         changed = False
-        for w, u in arcs:
+        for w, u in ((w, u) for w, us in arcs_of.items() for u in us):
             keep_w = keep_u = 0
             du, rows = dom[u], compat[u]
-            for xw in _bits(dom[w]):
+            for xw in bits(dom[w]):
                 m = rows[xw] & du
                 if m:
                     keep_w |= 1 << xw
@@ -349,9 +356,6 @@ def embed_v2(
     if _match(aux.v2, order, dom)[0] is None:
         raise no_placement("the admissible candidates admit no injective placement")
 
-    arcs_of: dict[int, list[int]] = {}
-    for w, u in arcs:
-        arcs_of.setdefault(w, []).append(u)
     rest = [v for v in aux.v2 if v not in arcs_of]
     budget = cfg.retry_limit ** 2
     nodes = 0
@@ -388,8 +392,12 @@ def embed_v2(
                     yield placed
 
     # the leaves in search order; the first with distinct centers is taken
+    keep = ~(1 << link.z)
     for placed in search(dom, 0, list(arcs_of)):
-        centers = assign_centers(index, aux, v1_map, placed, link.z)
+        centers = assign_centers([
+            columns[sc.u][placed[sc.u]] & columns[sc.u][placed[sc.w]] & keep
+            for sc in aux.special_cycles
+        ])
         if centers is not None:
             v2_map = {u: placed[u] for u in aux.v2}
             return Embedding(v1_map=v1_map, v2_map=v2_map, center_map=centers)
@@ -398,13 +406,14 @@ def embed_v2(
 
 def _match(
     verts,
-    order: dict[int, list[int]],
-    allowed: dict[int, int],
+    order: Mapping[int, list[int]] | Sequence[list[int]],
+    allowed: Mapping[int, int] | Sequence[int],
     owner: dict[int, int] | None = None,
 ) -> tuple[dict[int, int] | None, list[int]]:
     """An injective map of ``verts`` into their ``allowed`` masks (Kuhn).
 
-    Candidates are tried in ``order``, starting from the partial map
+    ``order`` and ``allowed`` are indexed by vertex.  Candidates are tried
+    in ``order``, starting from the partial map
     ``owner`` (X-vertex -> vertex placed on it), which is updated in place.
     Returns ``(map, [])``, or ``(None, S)`` for a set S of vertices whose
     allowed sets together hold only |S| - 1 X-vertices, which shows that no
@@ -430,37 +439,27 @@ def _match(
     return {v: x for x, v in owner.items()}, []
 
 
-def assign_centers(
-    index: HostIndex,
-    aux: AuxGraph,
-    v1_map: dict[int, int],
-    v2_map: dict[int, int],
-    exclude_z: int,
-) -> dict[int, int] | None:
+def assign_centers(center_sets: Sequence[int]) -> dict[int, int] | None:
     """Distinct centers for the special cycles, or None when none exist.
 
-    A cycle's centers are the Z-vertices that complete its image to 4-disks,
-    the link vertex ``exclude_z`` left out.  Each cycle takes its first free
-    center in cycle order; any cycle left without one is then placed by an
-    augmenting path (``_match``), so the result is a system of distinct
-    representatives whenever one exists.
+    ``center_sets[ci]`` is the bitmask over Z of the centers open to cycle
+    ci: those completing its image to 4-disks, other than the link vertex
+    (``embed_v2`` works them out).  Each cycle takes its first free center
+    in cycle order; any cycle left without one is then placed by an
+    augmenting path (``_match``), so the result, cycle index -> center, is
+    a system of distinct representatives whenever one exists.
     """
-    keep = ~(1 << exclude_z)
-    masks = {
-        ci: index.disk_mask(v2_map[sc.u], v2_map[sc.w], v1_map[sc.a], v1_map[sc.b]) & keep
-        for ci, sc in enumerate(aux.special_cycles)
-    }
     owner: dict[int, int] = {}  # center -> cycle index
     taken, short = 0, []
-    for ci, mask in masks.items():
+    for ci, mask in enumerate(center_sets):
         free = mask & ~taken
         if free:
             taken |= free & -free
             owner[(free & -free).bit_length() - 1] = ci
         else:
             short.append(ci)
-    order = {ci: _bits(mask) for ci, mask in masks.items()} if short else {}
-    return _match(short, order, masks, owner)[0]
+    order = [bits(mask) for mask in center_sets] if short else []
+    return _match(short, order, center_sets, owner)[0]
 
 
 def assert_valid_embedding(cert: HomeomorphCertificate, host: TripartiteHost) -> None:

@@ -9,11 +9,12 @@ raises ``FormatError`` naming the line where one applies.
 
 A host file's face lines are ORed into the host's z-mask table (see
 ``core``) as they are read, and ``write_host`` writes the table back in
-sorted order; the coordinates are checked against the ``tph`` sizes once
-per distinct value, after the last line.  Nothing is allocated in
-proportion to a header's count: not from a host's ``tph`` sizes, and not
-from a certificate's ``tg`` count, which is bounded by the lines that can
-place its vertices before anything is built from it.
+sorted order, listing each mask's z with ``core.bits``; the coordinates
+are checked against the ``tph`` sizes once per distinct value, after the
+last line.  Nothing is allocated in proportion to a header's count: not
+from a host's ``tph`` sizes, and not from a certificate's ``tg`` count,
+which is bounded by the lines that can place its vertices before anything
+is built from it.
 
 A host's table is bounded by its text: with k (x, y) entries and largest
 z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
@@ -27,13 +28,13 @@ per character.
 from __future__ import annotations
 
 from importlib import resources
-from itertools import compress, count
 
 from .core import (
     Embedding,
     HomeomorphCertificate,
     ThreeGraph,
     TripartiteHost,
+    bits,
     build_aux_graph,
 )
 
@@ -228,16 +229,6 @@ def parse_host(text: str) -> TripartiteHost:
         raise FormatError(str(exc)) from exc
 
 
-# a binary digit of a z-mask, as the byte 0 or 1
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_positions(mask: int):
-    """The positions of the set bits of ``mask``, ascending, found in C:
-    its binary digits, reversed, select from the counter 0, 1, 2, ..."""
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS))
-
-
 def write_host(host: TripartiteHost) -> str:
     """The face lines in lexicographic order, from the sorted table: each
     (x, y) makes one ``f x y`` prefix, joined to the text of each z in its
@@ -247,10 +238,10 @@ def write_host(host: TripartiteHost) -> str:
     union = 0
     for _, m in table:
         union |= m
-    z_text = {z: str(z) for z in _bit_positions(union)}.__getitem__
+    z_text = {z: str(z) for z in bits(union)}.__getitem__
     lines = [f"tph {host.n_x} {ny} {host.n_z}"]
     for i, m in table:
-        lines += map(f"f {i // ny} {i % ny} ".__add__, map(z_text, _bit_positions(m)))
+        lines += map(f"f {i // ny} {i % ny} ".__add__, map(z_text, bits(m)))
     return "\n".join(lines) + "\n"
 
 

@@ -6,8 +6,9 @@ z-mask table (see ``core``) already holds, per (x, y), the bitmask of the
 z completing it to a face; ``HostIndex`` is a view of that table, so a
 cycle's disk count is a popcount of an AND of four of its entries, looked
 up by flat index ``x * n_y + y``.  The z-scan reads e(L_z) for every z off
-one bit-sliced counter over the table's masks (``HostIndex.link_size``)
-and builds a ``LinkGraph`` only for a z that passes the density condition.
+one bit-sliced counter over the table's masks (``HostIndex.link_size``),
+listing the z that occur with ``core.bits``, and builds a ``LinkGraph``
+only for a z that passes the density condition.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it counts the forbidden cycles through each Y-pair it is given, and
@@ -40,7 +41,7 @@ from functools import cached_property
 from itertools import combinations
 from math import ceil, comb
 
-from .core import Config, TripartiteHost
+from .core import Config, TripartiteHost, bits
 from .errors import NoQualifyingVertex
 from .exact import ceil_pow, floor_pow
 
@@ -161,7 +162,7 @@ def iter_link_cycles(link: LinkGraph):
             common = m1 & masks[x2]
             if common.bit_count() < 2:
                 continue
-            ys = _bits(common)
+            ys = bits(common)
             for j, y1 in enumerate(ys):
                 for y2 in ys[j + 1:]:
                     yield x1, x2, y1, y2
@@ -210,15 +211,6 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
     return avg
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def count_forbidden(
     link: LinkGraph,
     K: int,
@@ -256,7 +248,7 @@ def count_forbidden(
         if common & (common - 1) == 0:  # fewer than two common neighbours
             continue
         cols = sorted(
-            (zb[x * ny + y1] & zb[x * ny + y2] for x in _bits(common)),
+            (zb[x * ny + y1] & zb[x * ny + y2] for x in bits(common)),
             key=int.bit_count,
         )
         sizes = [c.bit_count() for c in cols]
@@ -350,7 +342,7 @@ def pick_link_vertex(
         occupied |= plane
     e_min = ceil_pow(C / 2, n, 2 - cfg.delta)
     best_diag = []
-    for z in _bits(occupied):
+    for z in bits(occupied):
         e_l = index.link_size(z)
         # (1): e(L_z) >= (C/2) n**(2 - delta)
         if e_l < e_min:

@@ -10,6 +10,7 @@ from conftest import random_threegraph
 from homeofind.core import (
     Config,
     ThreeGraph,
+    bits,
     build_aux_graph,
     covered_pairs,
     euler_characteristic,
@@ -31,6 +32,19 @@ def one_cells_by_enumeration(h: ThreeGraph) -> set:
     for f in h.faces:
         cells.update(itertools.combinations(f, 2))
     return cells
+
+
+class TestBits:
+    @given(
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=999).map(lambda i: 1 << i),
+            st.integers(min_value=0, max_value=2 ** 1000 - 1),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lists_the_set_bits_ascending(self, mask):
+        assert bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class TestThreeGraph:

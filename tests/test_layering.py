@@ -16,6 +16,9 @@ would then compare the shipping code with itself.
 The z-scan in ``links`` decides every Y-pair of the chosen link, and
 ``embed`` reads only its bad-pair masks: no function or class of ``embed``
 names the pair test or a forbidden count.
+
+A name starting with ``_`` is private to its module: no package module
+imports one from another.
 """
 
 import ast
@@ -59,16 +62,19 @@ PUBLIC = [
 ]
 
 
-def package_imports(path: Path) -> list[str]:
-    """The package modules imported by the file, as dotted names under
-    ``homeofind`` (a relative import resolved against the package)."""
+def package_import_names(path: Path) -> list[tuple[str, list[str]]]:
+    """(module, names) for every import of a package module in the file:
+    the module as a dotted name under ``homeofind`` (a relative import
+    resolved against the package) and the names taken from it, none for a
+    module imported whole."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.split(".")[0] == "homeofind"]
+            found += [(a.name, []) for a in node.names if a.name.split(".")[0] == "homeofind"]
         elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
             if node.level > 1:  # above the package
-                found.append("." * node.level + (node.module or ""))
+                found.append(("." * node.level + (node.module or ""), names))
                 continue
             if node.level == 1:
                 base = "homeofind" + (f".{node.module}" if node.module else "")
@@ -77,10 +83,15 @@ def package_imports(path: Path) -> list[str]:
             else:
                 continue
             if base == "homeofind":  # from homeofind import a, b
-                found += [f"homeofind.{a.name}" for a in node.names]
+                found += [(f"homeofind.{name}", []) for name in names]
             else:
-                found.append(base)
+                found.append((base, names))
     return found
+
+
+def package_imports(path: Path) -> list[str]:
+    """The package modules imported by the file (see ``package_import_names``)."""
+    return [module for module, _ in package_import_names(path)]
 
 
 @pytest.mark.parametrize("module", ["verify", "io"])
@@ -100,6 +111,36 @@ def test_import_scan_resolves_every_form(tmp_path):
     assert package_imports(src) == [
         "homeofind.links", "homeofind.embed", "homeofind.core", "homeofind.core",
         "homeofind.errors", "homeofind.io", "..other", "homeofind.harness",
+    ]
+
+
+def private_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for every name starting with ``_`` that the file
+    imports from a package module."""
+    return [
+        (module, name)
+        for module, names in package_import_names(path)
+        if module.startswith("homeofind.")
+        for name in names
+        if name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_private_name_crosses_modules(module):
+    assert private_imports(SRC / f"{module}.py") == []
+
+
+def test_private_import_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from __future__ import annotations\nfrom .links import HostIndex, _bits\n"
+        "from homeofind.io import _DIGITS\nimport homeofind._x\n"
+        "def f():\n    from .core import _norm_face as nf\n"
+    )
+    assert private_imports(src) == [
+        ("homeofind.links", "_bits"), ("homeofind.io", "_DIGITS"),
+        ("homeofind.core", "_norm_face"),
     ]
 
 
