@@ -236,9 +236,10 @@ class HomeomorphCertificate:
 class Config:
     """Pipeline knobs, and the one home of their defaults.
 
-    C and delta are exact rationals so that every threshold comparison stays
-    exact; eps is no knob, as the pipeline realizes it (q = n**-eps) from the
-    chosen link's density.  ``k_threshold`` is the admissibility cutoff K (a
+    C and delta are exact rationals, an int or a ``Fraction`` and never a
+    float, bool or str, so that every threshold comparison stays exact; eps
+    is no knob, as the pipeline realizes it (q = n**-eps) from the chosen
+    link's density.  ``k_threshold`` is the admissibility cutoff K (a
     4-cycle is admissible when it bounds more than K 4-disks); when None it
     defaults to 3*v**3 for the target at hand, with v = max(1, v(H)) as in
     ``paper_defaults``.  Any positive K is valid: the V2 placement search
@@ -254,8 +255,10 @@ class Config:
     retry_limit: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "C", Fraction(self.C))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        for name, value in (("C", self.C), ("delta", self.delta)):
+            if type(value) not in (int, Fraction):
+                raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         if self.C <= 0:
             raise ValueError("C must be positive")
         if not 0 < self.delta <= 1:

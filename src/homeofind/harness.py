@@ -106,6 +106,11 @@ class SweepSpec:
             raise ValueError(
                 f"unknown sweep cfg key(s) {unknown}; allowed: {', '.join(_CFG_KEYS)}"
             )
+        # the cfg values are read as in a JSON spec, however the spec is built
+        object.__setattr__(self, "cfg_overrides", {
+            k: _json_rat(v, k) if k in ("C", "delta") else _json_int(v, k)
+            for k, v in self.cfg_overrides.items()
+        })
 
     def p_for(self, n: int) -> float:
         try:
@@ -126,11 +131,6 @@ class SweepSpec:
         try:
             if not isinstance(raw["n_values"], list):
                 raise FormatError('sweep spec: "n_values" must be a list')
-            # a key no sweep sets is passed on, for __post_init__ to name it
-            cfg = {
-                k: _json_rat(v, k) if k in ("C", "delta") else _json_int(v, k) if k in _CFG_KEYS else v
-                for k, v in raw.get("cfg", {}).items()
-            }
             return cls(
                 target=str(raw["target"]),
                 n_values=tuple(_json_int(n, "n_values") for n in raw["n_values"]),
@@ -138,7 +138,7 @@ class SweepSpec:
                 b=_json_rat(raw.get("b", "1/5"), "b"),
                 trials=_json_int(raw["trials"], "trials"),
                 seed=_json_int(raw.get("seed", 0), "seed"),
-                cfg_overrides=cfg,
+                cfg_overrides={**raw.get("cfg", {})},  # must be a JSON object
             )
         except KeyError as exc:
             raise FormatError(f"sweep spec lacks the key {exc}") from None

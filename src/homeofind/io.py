@@ -1,11 +1,12 @@
 """Flat-file formats: 3-graphs, tripartite hosts, certificates.
 
-Every serializer writes in a fixed sorted order so that identical inputs
-produce byte-identical files.  Lines whose first token starts with ``#``
-are comments; blank lines are skipped and tokens may be separated by any
-run of whitespace.  Faces are sets, so a repeated ``f`` line is accepted
-and counted once.  Every malformed input, a non-integer token included,
-raises ``FormatError`` naming the line where one applies.
+The builtin targets are the ``.tg`` files in ``homeofind/data``.  Every
+serializer writes in a fixed sorted order so that identical inputs produce
+byte-identical files.  Lines whose first token starts with ``#`` are
+comments; blank lines are skipped and tokens may be separated by any run
+of whitespace.  Faces are sets, so a repeated ``f`` line is accepted and
+counted once.  Every malformed input, a non-integer token included, raises
+``FormatError`` naming the line where one applies.
 
 A host file's face lines are ORed into the host's z-mask table (see
 ``core``) as they are read, and ``write_host`` writes the table back in
@@ -245,22 +246,16 @@ def write_host(host: TripartiteHost) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BUILTINS = {
-    "triangle": lambda: ThreeGraph(3, frozenset({(0, 1, 2)})),
-    "k4": lambda: ThreeGraph(4, frozenset({(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)})),
-}
-
-
 def load_target(spec: str) -> ThreeGraph:
-    """Load a target from ``builtin:NAME`` or a file path."""
+    """Load a target from a file path, or from ``builtin:NAME`` where ``NAME``
+    must be the stem of a ``.tg`` file listed in ``homeofind/data``."""
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
-        if name in _BUILTINS:
-            return _BUILTINS[name]()
-        if name == "torus7":
-            text = resources.files("homeofind.data").joinpath("torus7.tg").read_text()
-            return parse_threegraph(text)
-        raise FormatError(f"unknown builtin target {name!r}")
+        data = resources.files("homeofind") / "data"
+        shipped = sorted(p.name[:-3] for p in data.iterdir() if p.name.endswith(".tg"))
+        if name not in shipped:
+            raise FormatError(f"unknown builtin target {name!r}; shipped: {', '.join(shipped)}")
+        return parse_threegraph((data / f"{name}.tg").read_text())
     with open(spec) as fh:
         return parse_threegraph(fh.read())
 

@@ -205,6 +205,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be a positive integer"):
             Config(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        dict(C=float("inf")), dict(C=0.1), dict(C=2.0), dict(C=True), dict(C="2"),
+        dict(delta=True), dict(delta=0.2), dict(delta="1/5"),
+    ])
+    def test_rationals_reject_floats_bools_and_strings(self, kw):
+        # a float would convert silently (0.1 is not 1/10) or overflow
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            Config(**kw)
+
     def test_paper_defaults(self):
         cfg = Config.paper_defaults(K4)
         assert cfg.C == 2000 * 4 ** 6

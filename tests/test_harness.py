@@ -12,7 +12,7 @@ from homeofind import harness
 from homeofind.core import Config
 from homeofind.errors import NoQualifyingVertex
 from homeofind.harness import SweepSpec, gen_random_host, run_sweep
-from homeofind.io import load_certificate, load_target, write_host
+from homeofind.io import FormatError, load_certificate, load_target, write_host
 from homeofind.seeding import derive_seed
 from homeofind.verify import verify_certificate
 
@@ -195,6 +195,15 @@ class TestSweepSpec:
         }))
         assert spec.cfg_overrides == {"C": Fraction(1, 10), "delta": Fraction(1, 3)}
 
+    def test_cfg_rationals_on_direct_construction(self):
+        # Config takes only ints and Fractions; the spec reads C and delta
+        # from their decimal text however it is built
+        spec = SweepSpec("builtin:triangle", (4,), Fraction(1), Fraction(0), 1, 0,
+                         {"C": "1/2", "delta": 0.25, "k_threshold": 3})
+        assert spec.cfg_overrides == {"C": Fraction(1, 2), "delta": Fraction(1, 4), "k_threshold": 3}
+        with pytest.raises(FormatError, match='"C" must be a rational'):
+            SweepSpec("builtin:triangle", (4,), Fraction(1), Fraction(0), 1, 0, {"C": "x"})
+
 
 class TestRunSweep:
     def _spec(self, a, b="0", trials=3, n=12, seed=11):
@@ -240,7 +249,7 @@ class TestRunSweep:
             )
             assert verify_certificate(cert, host).passed
 
-    @pytest.mark.parametrize("cfg", [{}, {"C": "1", "k_threshold": 3}, {"delta": "1/3", "retry_limit": 7}])
+    @pytest.mark.parametrize("cfg", [{}, {"C": 1, "k_threshold": 3}, {"delta": Fraction(1, 3), "retry_limit": 7}])
     def test_trial_config_is_desk_scale(self, monkeypatch, cfg):
         seen = []
 

@@ -82,16 +82,22 @@ class TestThreeGraphFormat:
         tri = load_target("builtin:triangle")
         assert tri == TRIANGLE
         k4 = load_target("builtin:k4")
-        assert k4.v == 4 and k4.e == 4
+        assert k4 == ThreeGraph(4, frozenset({(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}))
         torus = load_target("builtin:torus7")
-        assert torus.v == 7 and torus.e == 14
-        from homeofind.core import euler_characteristic
-
+        # faces {i, i+1, i+3} and {i, i+2, i+3} mod 7
+        assert torus == ThreeGraph(7, frozenset(
+            tuple(sorted({i, (i + a) % 7, (i + 3) % 7})) for i in range(7) for a in (1, 2)
+        ))
         assert euler_characteristic(torus) == 0
 
     def test_unknown_builtin(self):
         with pytest.raises(FormatError):
             load_target("builtin:klein")
+
+    @pytest.mark.parametrize("name", ["", "nope", "torus7.tg", "../data/torus7"])
+    def test_builtin_must_be_a_shipped_stem(self, name):
+        with pytest.raises(FormatError, match=r"shipped: .*\btorus7\b"):
+            load_target(f"builtin:{name}")
 
     def test_load_target_from_file(self, tmp_path):
         p = tmp_path / "t.tg"
@@ -520,6 +526,13 @@ class TestCli:
         assert main(["inspect", "--target", "builtin:torus7"]) == 0
         out = capsys.readouterr().out
         assert "chi" in out and "0" in out
+
+    def test_inspect_builtin_path_exits_2(self, capsys):
+        assert main(["inspect", "--target", "builtin:../data/torus7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown builtin target")
+        assert captured.err.count("\n") == 1
 
     @staticmethod
     def _inspect_by_building(h):

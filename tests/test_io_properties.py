@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from homeofind.core import ThreeGraph, TripartiteHost
 from homeofind.io import (
     FormatError,
+    load_target,
     parse_certificate,
     parse_host,
     parse_threegraph,
@@ -169,3 +170,16 @@ class TestFuzz:
                 parse(text)
             except FormatError:
                 pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(["/", "..", ".tg", "", "data", "torus7", "k4", "\\", "\0"]))
+        .map("".join),
+    ))
+    def test_builtin_lookup_or_format_error(self, text):
+        # a name is looked up in the listing of shipped files, never as a path
+        try:
+            assert isinstance(load_target("builtin:" + text), ThreeGraph)
+        except FormatError:
+            pass

@@ -19,6 +19,9 @@ names the pair test or a forbidden count.
 
 A name starting with ``_`` is private to its module: no package module
 imports one from another.
+
+The builtin targets are the ``.tg`` files in ``homeofind/data``: no package
+module writes a face (a tuple of three integer literals) into its code.
 """
 
 import ast
@@ -268,3 +271,30 @@ def test_embed_leaves_pair_verdicts_to_links():
         for name in sorted(names_used(node) & PAIR_VERDICT)
     ]
     assert found == []
+
+
+def literal_faces(path: Path) -> list[tuple[int, str]]:
+    """(line, text) for every tuple of three integer literals in the file:
+    a face written into the code."""
+    return sorted(
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 3
+        and all(isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts)
+    )
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_target_is_built_from_literal_faces(module):
+    # the builtin targets are the data files; no module writes a face
+    assert literal_faces(SRC / f"{module}.py") == []
+
+
+def test_literal_face_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "t = ThreeGraph(3, frozenset({(0, 1, 2)}))\n"
+        "faces = [(0, 1, 3), (0, 2, 'x'), (1, 2), (True, 1, 2)]\n"
+    )
+    assert literal_faces(src) == [(1, "(0, 1, 2)"), (2, "(0, 1, 3)")]
