@@ -10,9 +10,10 @@ counted once.  Every malformed input, a non-integer token included, raises
 
 A host file's face lines are ORed into the host's z-mask table (see
 ``core``) as they are read, and ``write_host`` writes the table back in
-sorted order, listing each mask's z with ``core.bits``; the coordinates
-are checked against the ``tph`` sizes once per distinct value, after the
-last line.  Nothing is allocated in proportion to a header's count: not
+sorted order, listing each mask's z with ``core.bits``.  Each line is
+checked as it is read, its coordinates against the ``tph`` sizes once per
+distinct token, so the error names the first malformed line in file
+order.  Nothing is allocated in proportion to a header's count: not
 from a host's ``tph`` sizes, and not from a certificate's ``tg`` count,
 which is bounded by the lines that can place its vertices before anything
 is built from it.
@@ -101,10 +102,22 @@ def write_threegraph(h: ThreeGraph) -> str:
 
 
 class _TokenInts(dict):
-    """Token text -> ``int(text)``, converted the first time it is looked up."""
+    """Token text -> ``int(text)`` for coordinate ``name`` of a class of
+    size ``n``: converted the first time it is looked up, and refused, not
+    stored, outside [0, n)."""
+
+    def __init__(self, name: str, n: int):
+        super().__init__()
+        self.name, self.n = name, n
+
+    def _checked(self, tok: str) -> int:
+        val = int(tok)
+        if not 0 <= val < self.n:
+            raise ValueError(f"{self.name} = {val} is outside [0, {self.n})")
+        return val
 
     def __missing__(self, tok: str) -> int:
-        val = self[tok] = int(tok)
+        val = self[tok] = self._checked(tok)
         return val
 
 
@@ -121,54 +134,48 @@ def _over_budget(keys: int, top: int, budget: int) -> str:
     )
 
 
-class _ZBits(dict):
-    """Token text -> the bit ``1 << z`` of ``z = int(text)``, or 0 for a z
-    outside [0, n_z), which ``parse_host`` reports after the last line.
+class _ZBits(_TokenInts):
+    """Token text -> the bit ``1 << z`` of a checked ``z = int(text)``.
 
-    ``top`` is the largest z + 1 seen in range.  A new largest z is checked
-    against the table budget, counting one more (x, y) entry than the table
-    has, before its bit is made.
+    ``top`` is the largest z + 1 seen.  A new largest z is checked against
+    the table budget, counting one more (x, y) entry than the table has,
+    before its bit is made.
     """
 
     def __init__(self, nz: int, table: dict[int, int], budget: int):
-        super().__init__()
-        self.nz, self.table, self.budget = nz, table, budget
+        super().__init__("z", nz)
+        self.table, self.budget = table, budget
         self.top = 0
 
     def __missing__(self, tok: str) -> int:
-        z = int(tok)
-        if not 0 <= z < self.nz:
-            val = 0
-        else:
-            if z >= self.top:
-                if (len(self.table) + 1) * (z + 1) > self.budget:
-                    raise ValueError(_over_budget(len(self.table) + 1, z + 1, self.budget))
-                self.top = z + 1
-            val = 1 << z
-        self[tok] = val
+        z = self._checked(tok)
+        if z >= self.top:
+            if (len(self.table) + 1) * (z + 1) > self.budget:
+                raise ValueError(_over_budget(len(self.table) + 1, z + 1, self.budget))
+            self.top = z + 1
+        val = self[tok] = 1 << z
         return val
 
 
 def parse_host(text: str) -> TripartiteHost:
-    """Parse a ``.tph`` host.
+    """Parse a ``.tph`` host in one pass over its lines, checking each line
+    as it is read: a ``FormatError`` names the first malformed line.
 
     Each well-formed face line ORs its z-bit into the table entry of its
     (x, y).  A host repeats a few distinct tokens on many face lines, so
     each distinct token text is converted once per class, through a memo
     that grows only with the tokens read (not with the ``tph`` sizes);
-    every coordinate is still ``int(token)``, so spellings, errors and line
-    numbers are those of a plain per-token ``int()``.  The z memo holds
-    bits, made only for a z inside its class.  A coordinate outside its
-    class would alias another face's entry, so the memos' values are
-    checked against the sizes before the table is used.  A line that opens
-    a new entry or a new largest z checks the table's bound (see the module
-    docstring) first.
+    every coordinate is still ``int(token)``, so spellings and non-integer
+    errors are those of a plain per-token ``int()``.  A memo checks a value
+    against its class when it converts it, x then y then z, and keeps no
+    value outside it, so no face aliases another's entry and the z memo
+    makes no bit for a z outside its class.  A line that opens a new entry
+    or a new largest z checks the table's bound (see the module docstring)
+    first.
     """
     sizes = None
-    ny = 0
     table: dict[int, int] = {}
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
-    xs, ys, zs = _TokenInts(), _TokenInts(), None
     # A written host gives each (x, y) one run of consecutive lines: the run
     # ORs its z-bits into ``run``, kept out of the table until the run ends.
     xt = yt = key = None  # the run's x and y tokens and its table key
@@ -185,9 +192,7 @@ def parse_host(text: str) -> TripartiteHost:
                     run = table.get(key)
                     if run is None:  # a new entry, counted with the table
                         if (len(table) + 1) * zs.top > budget:
-                            raise FormatError(
-                                f"line {lineno}: {_over_budget(len(table) + 1, zs.top, budget)}"
-                            )
+                            raise ValueError(_over_budget(len(table) + 1, zs.top, budget))
                         run = 0
                 run |= zs[tok[3]]
             elif not tok or tok[0].startswith("#"):
@@ -197,9 +202,8 @@ def parse_host(text: str) -> TripartiteHost:
                     raise FormatError(f"line {lineno}: duplicate tph header")
                 if len(tok) != 4:
                     raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
-                sizes = (int(tok[1]), int(tok[2]), int(tok[3]))
-                ny = sizes[1]
-                zs = _ZBits(sizes[2], table, budget)
+                nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
+                xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZBits(nz, table, budget)
             elif tok[0] != "f":
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
             elif sizes is None:
@@ -208,26 +212,13 @@ def parse_host(text: str) -> TripartiteHost:
                 raise FormatError(f"line {lineno}: expected 'f x y z'")
     except FormatError:
         raise
-    except ValueError as exc:  # a token that is not an integer, or over budget
+    except ValueError as exc:  # a bad token, header size or coordinate, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
     if key is not None:
         table[key] = run
-    in_range = all(0 <= v < n for memo, n in zip((xs, ys), sizes) for v in memo.values())
-    if not (in_range and all(zs.values())):
-        # error path only: every well-formed face line set one bit, in
-        # order; the first whose face TripartiteHost rejects is named
-        for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
-            if len(tok) == 4 and tok[0] == "f":
-                try:
-                    TripartiteHost(sizes, [(xs[tok[1]], ys[tok[2]], int(tok[3]))])
-                except ValueError as exc:
-                    raise FormatError(f"line {lineno}: {exc}") from exc
-    try:
-        return TripartiteHost._from_table(sizes, table)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return TripartiteHost._from_table(sizes, table)
 
 
 def write_host(host: TripartiteHost) -> str:
@@ -316,18 +307,18 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
             elif tok[0] == "v1":
                 if len(tok) != 3:
                     raise FormatError(f"line {lineno}: expected 'v1 v y'")
-                v1_lines.append((int(tok[1]), int(tok[2])))
+                v1_lines.append((lineno, int(tok[1]), int(tok[2])))
             elif tok[0] == "disk":
                 if len(tok) != 7:
                     raise FormatError(f"line {lineno}: expected 'disk ci a u b w center'")
-                current = {"head": tuple(int(t) for t in tok[1:]), "faces": []}
+                current = (lineno, tuple(int(t) for t in tok[1:]), [])
                 disk_blocks.append(current)
             elif tok[0] == "hf":
                 if current is None:
                     raise FormatError(f"line {lineno}: hf before any disk line")
                 if len(tok) != 4:
                     raise FormatError(f"line {lineno}: expected 'hf x y z'")
-                current["faces"].append((int(tok[1]), int(tok[2]), int(tok[3])))
+                current[2].append((int(tok[1]), int(tok[2]), int(tok[3])))
             else:
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
     except FormatError:
@@ -357,28 +348,29 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
     v2_map: dict[int, int] = {}
     center_map: dict[int, int] = {}
 
-    def put(mapping, key, val, what):
+    def put(lineno, mapping, key, val, what):
         if key in mapping and mapping[key] != val:
-            raise FormatError(f"inconsistent {what} for {key}: {mapping[key]} vs {val}")
+            raise FormatError(
+                f"line {lineno}: inconsistent {what} for {key}: {mapping[key]} vs {val}"
+            )
         mapping[key] = val
 
     seen = set()
-    for block in disk_blocks:
-        ci, a, u, b, w, center = block["head"]
+    for lineno, (ci, a, u, b, w, center), hfs in disk_blocks:
         if not 0 <= ci < len(aux.special_cycles) or ci in seen:
-            raise FormatError(f"bad or duplicate cycle index {ci}")
+            raise FormatError(f"line {lineno}: bad or duplicate cycle index {ci}")
         seen.add(ci)
-        if len(block["faces"]) != 4:
-            raise FormatError(f"disk {ci} must carry exactly four 'hf x y z' faces")
+        if len(hfs) != 4:
+            raise FormatError(f"line {lineno}: disk {ci} must carry exactly four 'hf x y z' faces")
         sc = aux.special_cycles[ci]
-        put(v1_map, sc.a, a, "v1 image")
-        put(v1_map, sc.b, b, "v1 image")
-        put(v2_map, sc.u, u, "v2 image")
-        put(v2_map, sc.w, w, "v2 image")
-        put(center_map, ci, center, "center")
-    faces = [f for bl in sorted(disk_blocks, key=lambda bl: bl["head"][0]) for f in bl["faces"]]
-    for v, y in v1_lines:
-        put(v1_map, v, y, "v1 image")
+        put(lineno, v1_map, sc.a, a, "v1 image")
+        put(lineno, v1_map, sc.b, b, "v1 image")
+        put(lineno, v2_map, sc.u, u, "v2 image")
+        put(lineno, v2_map, sc.w, w, "v2 image")
+        put(lineno, center_map, ci, center, "center")
+    faces = [f for _, _, hfs in sorted(disk_blocks, key=lambda bl: bl[1][0]) for f in hfs]
+    for lineno, v, y in v1_lines:
+        put(lineno, v1_map, v, y, "v1 image")
 
     emb = Embedding(v1_map=v1_map, v2_map=v2_map, center_map=center_map)
     return HomeomorphCertificate(target=target, host_faces=tuple(faces), embedding=emb)

@@ -84,9 +84,6 @@ class VerifyResult:
     check: int | None = None
     reason: str = ""
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def _fail(check: int, reason: str) -> VerifyResult:
     return VerifyResult(passed=False, check=check, reason=reason)

@@ -195,6 +195,13 @@ class TestSweepSpec:
         }))
         assert spec.cfg_overrides == {"C": Fraction(1, 10), "delta": Fraction(1, 3)}
 
+    def test_cfg_must_be_an_object(self):
+        with pytest.raises(FormatError) as info:
+            SweepSpec.from_json(json.dumps({
+                "target": "builtin:triangle", "n_values": [10], "a": 1, "trials": 1, "cfg": [],
+            }))
+        assert str(info.value) == "malformed sweep spec: 'list' object is not a mapping"
+
     def test_cfg_rationals_on_direct_construction(self):
         # Config takes only ints and Fractions; the spec reads C and delta
         # from their decimal text however it is built

@@ -38,6 +38,36 @@ from test_verify import isolated_vertex_certificate_text
 
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
 
+# a triangle certificate as written on complete_host(10): three disk blocks
+TRIANGLE_CERT = """\
+cert v1
+tg 3
+f 0 1 2
+disk 0 0 0 1 8 1
+hf 0 0 1
+hf 0 1 1
+hf 8 1 1
+hf 8 0 1
+disk 1 1 7 2 8 2
+hf 7 1 2
+hf 7 2 2
+hf 8 2 2
+hf 8 1 2
+disk 2 2 6 0 8 3
+hf 6 2 3
+hf 6 0 3
+hf 8 0 3
+hf 8 2 3
+"""
+
+
+def _triangle_cert_with(lineno, line):
+    """``TRIANGLE_CERT`` with line ``lineno`` replaced by ``line``: dropped
+    when ``line`` is None, appended when ``lineno`` is one past the end."""
+    lines = TRIANGLE_CERT.splitlines()
+    lines[lineno - 1:lineno] = [] if line is None else [line]
+    return "\n".join(lines) + "\n"
+
 
 class TestThreeGraphFormat:
     def test_round_trip(self):
@@ -125,8 +155,15 @@ class TestHostFormat:
         ("tph 1 1 1\nf 0 0\n", "line 2: expected 'f x y z'"),
         ("tph 1 1 1\n\n g 0 0 0\n", "line 3: unknown directive 'g'"),
         ("# only a comment\n", "missing tph header"),
-        # the first bad face in file order, with its line
-        ("tph 2 2 2\nf 0 0 0\nf 5 0 0\nf 0 9 0\n", "line 3: face (5, 0, 0) out of class bounds"),
+        # the first malformed line in file order, whatever is wrong with it
+        ("tph 2 2 2\nf 0 0 0\nf 5 0 0\nf 0 9 0\n", "line 3: x = 5 is outside [0, 2)"),
+        ("tph 2 2 2\nf 0 9 0\n", "line 2: y = 9 is outside [0, 2)"),
+        ("tph 2 2 2\nf 0 0 5\nf 0 0\n", "line 2: z = 5 is outside [0, 2)"),
+        ("tph 2 2 2\nf 0 0 -1\nf 0 0 a\n", "line 2: z = -1 is outside [0, 2)"),
+        # a header's sizes are checked on the header line
+        ("tph 2 -1 2\nf 0 0 0\n",
+         "line 1: class sizes must be three non-negative integers, got (2, -1, 2)"),
+        ("tph -1 2 2\n", "line 1: class sizes must be three non-negative integers, got (-1, 2, 2)"),
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(FormatError) as info:
@@ -158,7 +195,7 @@ class TestHostFormat:
             with pytest.raises(FormatError, match=r"^line 2: a host table .* budget"):
                 parse_host(f"tph 1 1 {10**12}\nf 0 0 {10**12 - 1}\n")
             # a z outside its class gets no bit either
-            with pytest.raises(FormatError, match=rf"^line 3: face \(0, 0, {10**12}\) out of class"):
+            with pytest.raises(FormatError, match=rf"^line 3: z = {10**12} is outside \[0, 2\)$"):
                 parse_host(f"tph 1 1 2\nf 0 0 1\nf 0 0 {10**12}\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -255,6 +292,26 @@ class TestCertificateFormat:
             parse_certificate(text)
         assert str(info.value) == f"line {lineno}: expected 'hf x y z'"
 
+    def test_triangle_cert_parses(self):
+        host = complete_host(10)
+        cert = find_homeomorph(host, TRIANGLE, Config(C=1, k_threshold=3, rng_seed=2))
+        assert parse_certificate(TRIANGLE_CERT) == cert
+
+    @pytest.mark.parametrize("lineno, line, message", [
+        (3, "f 0 1", "line 3: expected 'f a b c'"),
+        (4, "disk 0 0 0 1 8", "line 4: expected 'disk ci a u b w center'"),
+        (9, "disk 0 1 7 2 8 2", "line 9: bad or duplicate cycle index 0"),
+        (14, "disk 3 2 6 0 8 3", "line 14: bad or duplicate cycle index 3"),
+        (12, None, "line 9: disk 1 must carry exactly four 'hf x y z' faces"),
+        (9, "disk 1 1 7 2 9 2", "line 9: inconsistent v2 image for 6: 8 vs 9"),
+        (14, "disk 2 2 6 1 8 3", "line 14: inconsistent v1 image for 0: 0 vs 1"),
+        (19, "v1 0 9", "line 19: inconsistent v1 image for 0: 0 vs 9"),
+    ])
+    def test_block_errors_name_their_line(self, lineno, line, message):
+        with pytest.raises(FormatError) as info:
+            parse_certificate(_triangle_cert_with(lineno, line))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("count", [4_000_000, 10**9])
     def test_oversized_tg_count_rejected_before_building(self, monkeypatch, count):
         def never(target):
@@ -316,6 +373,16 @@ class TestCli:
         assert "pick_link_vertex" in err
         # --out is opened before the search, and a not-found run leaves it empty
         assert (tmp_path / "x.cert").read_text() == ""
+
+    @pytest.mark.parametrize("flag, text", [("--C", "abc"), ("--delta", "1/0")])
+    def test_non_rational_flag_exit_2(self, tmp_path, capsys, flag, text):
+        # argparse refuses the value before any file is opened
+        with pytest.raises(SystemExit) as info:
+            main(["find", "--target", "builtin:triangle", "--host", str(tmp_path / "h.tph"),
+                  flag, text, "--out", str(tmp_path / "x.cert")])
+        assert info.value.code == 2
+        assert f"not a rational: {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.cert").exists()
 
     def test_capacity_failure_exit_code(self, tmp_path, capsys):
         small = self._write_host(tmp_path, TripartiteHost((3, 5, 5), frozenset()))

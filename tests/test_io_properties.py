@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,10 +73,12 @@ class TestRoundTrip:
 
 
 def reference_parse_host(text):
-    """``parse_host`` written plainly, with one ``int()`` per token read."""
+    """``parse_host`` written plainly: one pass, one ``int()`` per token read,
+    each line checked as it is read (header sizes on the header line; x,
+    then y, then z on a face line, each first with ``int()`` and then
+    against its class)."""
     sizes = None
     faces = []
-    lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         tok = raw.split()
         if not tok or tok[0].startswith("#"):
@@ -90,23 +93,25 @@ def reference_parse_host(text):
             shape = "tph nx ny nz" if tok[0] == "tph" else "f x y z"
             raise FormatError(f"line {lineno}: expected '{shape}'")
         try:
-            ints = (int(tok[1]), int(tok[2]), int(tok[3]))
+            if tok[0] == "tph":
+                sizes = tuple(int(t) for t in tok[1:])
+                if min(sizes) < 0:
+                    raise ValueError(
+                        f"class sizes must be three non-negative integers, got {sizes}"
+                    )
+                continue
+            face = []
+            for name, t, n in zip("xyz", tok[1:], sizes):
+                c = int(t)
+                if not 0 <= c < n:
+                    raise ValueError(f"{name} = {c} is outside [0, {n})")
+                face.append(c)
+            faces.append(tuple(face))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        if tok[0] == "tph":
-            sizes = ints
-        else:
-            faces.append(ints)
-            lines.append(lineno)
     if sizes is None:
         raise FormatError("missing tph header")
-    try:
-        return TripartiteHost(sizes, faces)
-    except ValueError as exc:
-        for lineno, face in zip(lines, faces):
-            if not all(0 <= c < n for c, n in zip(face, sizes)):
-                raise FormatError(f"line {lineno}: {exc}") from exc
-        raise FormatError(str(exc)) from exc
+    return TripartiteHost(sizes, faces)
 
 
 def outcome(parse, text):
@@ -124,11 +129,12 @@ SPELLINGS = INTS + ["-1", "1.0", "0x1", "_1", "1__0", "f", "#"]
 
 @st.composite
 def host_texts(draw):
-    """Host-like texts: a header, face lines over ``SPELLINGS`` (mostly of
-    the right length), a stray directive or noise, the header mostly on the
-    first line."""
+    """Host-like texts: a header (its sizes now and then -1 or 0), face lines
+    over ``SPELLINGS`` (mostly of the right length), a stray directive or
+    noise, the header mostly on the first line."""
     cell = st.one_of(st.sampled_from(INTS), st.sampled_from(SPELLINGS))
-    header = "tph " + " ".join(draw(st.lists(st.sampled_from(INTS[1:]), min_size=3, max_size=3)))
+    size = st.sampled_from(["-1", "0", *INTS[1:]])
+    header = "tph " + " ".join(draw(st.lists(size, min_size=3, max_size=3)))
     arity = st.sampled_from([3] * 10 + [2, 4])
     face = arity.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k))
     faces = draw(st.lists(face.map(lambda t: "f " + " ".join(t)), max_size=10))
@@ -145,6 +151,46 @@ class TestParseHostMatchesReference:
     @given(host_texts())
     def test_same_host_or_same_error(self, text):
         assert outcome(parse_host, text) == outcome(reference_parse_host, text)
+
+
+@st.composite
+def one_bad_line(draw):
+    """A written host's text with one malformed line inserted after its
+    header, now and then followed by a second malformed line at the end;
+    returns the text and the inserted line's number."""
+    host = draw(hosts())
+    nx, ny, nz = host.class_sizes
+    bad = draw(st.sampled_from([
+        f"f {nx} 0 0", f"f 0 {ny} 0", f"f 0 0 {nz}", "f -1 0 0", "f 0 -1 0",  # out of class
+        "f 0 0 z", "f x 0 0", "f 0 1.0 0", "f 0 0 0x1",  # not an integer
+        "f 0 0", "f 0 0 0 0", "f",  # wrong length
+        "g 0 0 0", "tph 1 1 1",  # unknown directive, second header
+    ]))
+    lines = write_host(host).splitlines()
+    at = draw(st.integers(1, len(lines)))
+    lines.insert(at, bad)
+    lines += draw(st.sampled_from([[], ["f 0 0"], ["f 0 0 -1"]]))
+    return "\n".join(lines) + "\n", at + 1
+
+
+class TestFirstBadLine:
+    # the error names the first malformed line in file order, whatever is
+    # wrong with it or with any later line
+    @settings(max_examples=300, deadline=None)
+    @given(one_bad_line())
+    def test_names_the_inserted_line(self, case):
+        text, lineno = case
+        with pytest.raises(FormatError, match=rf"^line {lineno}: "):
+            parse_host(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hosts(), st.sampled_from(["-1", "-2", "x", "1.5"]), st.integers(0, 2))
+    def test_bad_header_size_names_the_header(self, host, size, i):
+        header, *body = write_host(host).splitlines()
+        toks = header.split()
+        toks[1 + i] = size
+        with pytest.raises(FormatError, match=r"^line 1: "):
+            parse_host("\n".join([" ".join(toks), *body, "f 0 0"]) + "\n")
 
 
 # Directives of all three formats, comment markers, non-numeric garbage,

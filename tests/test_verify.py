@@ -190,6 +190,17 @@ class TestVerifierRejects:
         res = verify_certificate(bad, host)
         assert not res.passed and res.check == 5
 
+    def test_check5_face_outside_embedding_image(self):
+        # a face moved to an X-vertex no V2 vertex maps to: still a host
+        # face, with the count, maps and centers untouched
+        cert, host = _good_cert()
+        x = min(set(range(host.n_x)) - set(cert.embedding.v2_map.values()))
+        _, y, z = cert.host_faces[0]
+        bad = replace(cert, host_faces=((x, y, z), *cert.host_faces[1:]))
+        res = verify_certificate(bad, host)
+        assert (res.passed, res.check) == (False, 5)
+        assert res.reason == f"face {(x, y, z)} has a vertex outside the embedding image"
+
     def test_check6_dropped_isolated_vertex(self):
         host = complete_host(10)
         bad, host = mutate_drop_isolated_vertex(host)
