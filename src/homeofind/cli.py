@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Verbs: find, verify, gen, sweep, inspect.  Exit codes: 0 on success or a
-passing verification, 1 on a pipeline failure or failing verification
-(stage tag on stderr), 2 on usage errors, malformed input or a path that
-cannot be read or written (an ``error:`` line on stderr, no traceback).
+Verbs: find, verify, gen, sweep, inspect.  ``main`` returns the exit code,
+argparse's too: 0 on success, ``--help`` or a passing verification, 1 on a
+pipeline failure or failing verification (stage tag on stderr), 2 on usage
+errors, malformed input or a path that cannot be read or written (an
+``error:`` line on stderr, no traceback).
 
 ``find`` opens its ``--out`` file before it reads the host, so an unwritable
 path fails at once, before any parsing or search; a run that gets that far
@@ -159,8 +160,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its help, or a usage error
+        return exc.code
     try:
         return _COMMANDS[args.verb](args)
     except (FormatError, OSError, ValueError) as exc:

@@ -2,13 +2,13 @@
 
 The pipeline: pick a dense link L_z with few forbidden 4-cycles, which
 also settles every pair of Y as good or bad (``links.pick_link_vertex``
-hands the verdicts on as per-y bad-pair masks), classify the triples of Y,
-pass (via an exhaustive scan over X) to a core set Y' in which bad pairs
-and triples are rare, place the original target vertices on a
-completely-good subset of Y', place the added vertices injectively into
-their common neighbourhoods in X by an exact search that keeps every
-special cycle admissible and leaves each its own center, and finally glue
-one 4-disk with that center onto the image of every special cycle.  That
+hands the verdicts on as per-y bad-pair masks), pass (via an exhaustive
+scan over X) to a core set Y' = Gamma(x) in which bad pairs and triples
+are rare, place the original target vertices on a completely-good subset
+of Y', place the added vertices injectively into their common
+neighbourhoods in X by an exact search that keeps every special cycle
+admissible and leaves each its own center, and finally glue one 4-disk
+with that center onto the image of every special cycle.  That
 search is one function, ``embed_v2``, and its admissibility arcs are plain
 ANDs of per-X-vertex column center sets; at each leaf it ANDs the same
 columns into the special cycles' center sets, which ``assign_centers``
@@ -24,10 +24,10 @@ candidates, and is fully seeded.
 ``clique_oracle``, an exhaustive scan over t-subsets of Y', is the test
 oracle of ``find_complete_subgraph``.
 
-The Theta(n**3) triple layers make no object per triple: the bad triples
-of Y are one bitmask over y3 per pair (y1, y2), so the core-set scan counts
-them by popcount and D(Y') is built from masks; only the triples of D(Y')
-become tuples.
+Triples are classified only inside a Gamma(x) that the scan tests, with
+no object per triple: one bitmask over y3 per pair (y1, y2) of Gamma(x),
+so the scan counts them by popcount and D(Y') is built from the same
+masks; only the triples of D(Y') become tuples.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from .seeding import derive_seed
 from .verify import verify_certificate
 
 
-# One per Y-pair, as classify_pairs_triples returns them: the search reads
-# the bad-pair masks, but a run's trace counts classified and bad pairs here.
+# One per pair of a tested Gamma(x), as classify_pairs_triples returns them:
+# the search reads bad-pair masks, but a run's trace counts the pairs here.
 @dataclass(frozen=True)
 class PairStats:
     pair: Pair
@@ -76,10 +76,12 @@ class ProblemGraph:
 def classify_pairs_triples(
     link: LinkGraph,
     bad_pairs: Sequence[int],
+    ys: Sequence[int],
     n: int,
     q: Fraction,
 ) -> tuple[list[PairStats], dict[Pair, int]]:
-    """The bad triples of Y, with the pair verdicts that the z-scan made.
+    """The bad triples inside ``ys``, the ascending Gamma(x) that
+    ``select_core_set`` tests, with the pair verdicts that the z-scan made.
 
     ``bad_pairs`` is ``LinkChoice.bad_pairs``: per y, the bitmask of the y'
     with {y, y'} a bad pair, as ``pick_link_vertex`` decided them.  A triple
@@ -87,29 +89,29 @@ def classify_pairs_triples(
     n q**3, an integer cutoff worked out once per call.
 
     Returns ``(pair_stats, bad_triples)``: one ``PairStats`` per pair
-    (y1 < y2), read off ``bad_pairs``, and ``bad_triples[(y1, y2)]``, the
-    bitmask over the y3 > y2 for which (y1, y2, y3) is bad; pairs with no
-    bad triple are left out.  When |Gamma(y1, y2)| is itself below the
-    triple cutoff, every y3 is bad and no triple of that pair is looked at.
+    y1 < y2 of ``ys``, read off ``bad_pairs``, and ``bad_triples[(y1, y2)]``,
+    the bitmask over the y3 > y2 in ``ys`` for which (y1, y2, y3) is bad;
+    pairs with no bad triple are left out.  When |Gamma(y1, y2)| is itself
+    below the triple cutoff, every y3 is bad and no triple is looked at.
     """
-    n_y = link.n_y
     ymasks = link.y_masks
-    ones = [1 << y for y in range(n_y)]
-    full = (1 << n_y) - 1
+    masks = [ymasks[y] for y in ys]
+    ones = [1 << y for y in ys]
+    gmask = sum(ones)
     triple_min = math.ceil(n * q ** 3)
 
     pair_stats = []
     bad_triples: dict[Pair, int] = {}
-    for y1 in range(n_y):
-        m1, bad1 = ymasks[y1], bad_pairs[y1]
-        for y2 in range(y1 + 1, n_y):
+    for i, y1 in enumerate(ys):
+        m1, bad1 = masks[i], bad_pairs[y1]
+        for j, y2 in enumerate(ys[i + 1:], i + 1):
             pair_stats.append(PairStats((y1, y2), not bad1 >> y2 & 1))
-            m12 = m1 & ymasks[y2]
+            m12 = m1 & masks[j]
             if m12.bit_count() < triple_min:  # every triple through the pair is bad
-                bad = full >> (y2 + 1) << (y2 + 1)
+                bad = gmask >> (y2 + 1) << (y2 + 1)
             else:
                 bad = 0
-                for m3, bit in zip(ymasks[y2 + 1:], ones[y2 + 1:]):
+                for m3, bit in zip(masks[j + 1:], ones[j + 1:]):
                     if (m12 & m3).bit_count() < triple_min:
                         bad |= bit
             if bad:
@@ -120,23 +122,22 @@ def classify_pairs_triples(
 def select_core_set(
     link: LinkGraph,
     bad_pairs: Sequence[int],
-    bad_triples: dict[Pair, int],
     cfg: Config,
     n: int,
     q: Fraction,
-) -> tuple[int, list[int]]:
+) -> tuple[int, list[int], dict[Pair, int]]:
     """Y' = Gamma(x) for the first x passing the three scan inequalities.
 
     (A) |Gamma(x)| >= (C/4) n**(1-eps); (B) |Gamma(x)| bounds the surviving
     bad pairs P_x; (C) |Gamma(x)| bounds the surviving bad triples T_x.
     ``bad_pairs`` holds per y the mask of its bad partners (as carried by
-    ``LinkChoice``) and ``bad_triples`` is as returned by
-    ``classify_pairs_triples``, so P_x is half the sum over y in Gamma(x) of
-    popcount(bad_pairs[y] & Gamma(x)), and T_x the sum over the pairs inside
-    Gamma(x) of popcount(mask & Gamma(x)).
+    ``LinkChoice``), so P_x is half the sum over y in Gamma(x) of
+    popcount(bad_pairs[y] & Gamma(x)).  Only an x passing (A) and (B) has
+    the triples of its Gamma(x) classified, and T_x is the sum of the
+    popcounts of the masks ``classify_pairs_triples`` returns.
     (A) is one integer cutoff; (B) and (C) compare P_x and T_x exactly with
     a ``Fraction`` rate per element of Gamma(x).  All three are worked out
-    once per call.  Returns (x, sorted Y').
+    once per call.  Returns (x, sorted Y', the bad-triple masks of Y').
     """
     C = cfg.C
     nq = n * q  # n**(1-eps)
@@ -154,15 +155,11 @@ def select_core_set(
         p_x = sum((bad_pairs[y] & gmask).bit_count() for y in ys) // 2
         if p_x and p_x > pairs_per_s * s:
             continue
-        t_x = 0
-        for i, a in enumerate(ys):
-            for b in ys[i + 1:]:
-                bad = bad_triples.get((a, b))
-                if bad:
-                    t_x += (bad & gmask).bit_count()
+        _, bad_triples = classify_pairs_triples(link, bad_pairs, ys, n, q)
+        t_x = sum(bad.bit_count() for bad in bad_triples.values())
         if t_x and t_x > triples_per_s * s:
             continue
-        return x, ys
+        return x, ys, bad_triples
     raise NoQualifyingX(
         f"no x in X satisfies the core-set inequalities (C={cfg.C}, n={n})"
     )
@@ -175,9 +172,10 @@ def build_problem_graph(
 ) -> ProblemGraph:
     """D(Y'): triples of Y' that are bad or contain a bad pair.
 
-    For each pair a < b of Y', the c > b that close a triple of D(Y') are
-    read off one mask: every c when {a, b} is a bad pair, and otherwise the
-    c of a bad triple (a, b, c) or of a bad pair {a, c} or {b, c}.
+    ``bad_triples`` is as ``select_core_set`` returns it for Y'.  For each
+    pair a < b of Y', the c > b that close a triple of D(Y') are read off
+    one mask: every c when {a, b} is a bad pair, and otherwise the c of a
+    bad triple (a, b, c) or of a bad pair {a, c} or {b, c}.
     """
     ground = sorted(set(yprime))
     ymask = sum(1 << y for y in ground)
@@ -538,8 +536,7 @@ def find_homeomorph(
     choice = pick_link_vertex(host, cfg, K, index)
     n = max(host.class_sizes)
 
-    _, bad_triples = classify_pairs_triples(choice.link, choice.bad_pairs, n, choice.q)
-    _, yprime = select_core_set(choice.link, choice.bad_pairs, bad_triples, cfg, n, choice.q)
+    _, yprime, bad_triples = select_core_set(choice.link, choice.bad_pairs, cfg, n, choice.q)
     problem = build_problem_graph(yprime, choice.bad_pairs, bad_triples)
     core = find_complete_subgraph(problem, target.v)
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}

@@ -267,8 +267,7 @@ def write_certificate(cert: HomeomorphCertificate) -> str:
     """
     aux = build_aux_graph(cert.target)
     emb = cert.embedding
-    lines = ["cert v1", f"tg {cert.target.vertex_count}"]
-    lines += [f"f {a} {b} {c}" for a, b, c in cert.target.sorted_faces()]
+    lines = ["cert v1", *write_threegraph(cert.target).splitlines()]
 
     in_cycle = set()
     for sc in aux.special_cycles:

@@ -62,5 +62,12 @@ def test_every_span_resolves_records_and_restores():
     assert recorded == {name for name, _, _ in spans.SPANS}
     assert all(tracer.counts[name] > 0 for name in ("links.link_edges", "embed.core_size"))
     assert tracer.counts["embed.pairs_classified"] == 28  # one PairStats per pair of n_y = 8
+    # triples are classified only inside the core-set scan
+    parents = [
+        tracer.spans[parent][0] if parent >= 0 else None
+        for name, _, _, parent, _ in tracer.spans
+        if name == "embed.classify_pairs_triples"
+    ]
+    assert parents and set(parents) == {"embed.select_core_set"}
     for (owner, attr), fn in originals.items():
         assert getattr(getattr(prog, owner), attr) is fn, (owner, attr)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from homeofind.core import (
     HomeomorphCertificate,
     ThreeGraph,
     TripartiteHost,
+    bits,
     build_aux_graph,
 )
 from homeofind.embed import (
@@ -94,7 +96,7 @@ class TestClassifyPairsTriples:
         index = HostIndex(host)
         choice = pick_link_vertex(host, Config(C=2), K, index)
         link, q = choice.link, choice.q
-        pairs, bad_triples = classify_pairs_triples(link, choice.bad_pairs, n, q)
+        pairs, bad_triples = classify_pairs_triples(link, choice.bad_pairs, range(n), n, q)
         assert [ps.pair for ps in pairs] == list(itertools.combinations(range(n), 2))
 
         def good_at(deg, forb):
@@ -147,7 +149,7 @@ class TestClassifyPairsTriples:
         )
         full = (1 << n) - 1
         assert choice.bad_pairs == tuple(full & ~(1 << y) for y in range(n))
-        pairs, _ = classify_pairs_triples(choice.link, choice.bad_pairs, n, choice.q)
+        pairs, _ = classify_pairs_triples(choice.link, choice.bad_pairs, range(n), n, choice.q)
         assert len(pairs) == 15 and not any(ps.good for ps in pairs)
 
     def test_thresholds_at_exact_boundaries(self):
@@ -167,7 +169,7 @@ class TestClassifyPairsTriples:
         index = HostIndex(host)
         at = pick_link_vertex(host, Config(C=4, delta=1), 14, index)
         assert at.q == q and at.bad_pairs == (0,) * 8
-        pairs, bad_triples = classify_pairs_triples(at.link, at.bad_pairs, n, at.q)
+        pairs, bad_triples = classify_pairs_triples(at.link, at.bad_pairs, range(n), n, at.q)
         assert len(pairs) == 28 and all(ps.good for ps in pairs)
         assert bad_triples == {}  # every triple has degree 8 >= n q**3 = 1
         full = (1 << 8) - 1
@@ -186,7 +188,7 @@ class TestClassifyPairsTriples:
         nbrs = {0: range(8), 1: range(3), 2: range(4), 3: range(8), 4: range(3)}
         faces = frozenset((x, y, 0) for y, xs in nbrs.items() for x in xs)
         link = HostIndex(TripartiteHost((8, 5, 1), faces)).link(0)
-        _, bad_triples = classify_pairs_triples(link, (0,) * 5, n=32, q=Fraction(1, 2))
+        _, bad_triples = classify_pairs_triples(link, (0,) * 5, range(5), n=32, q=Fraction(1, 2))
         ym = link.y_masks
         assert (ym[0] & ym[1]).bit_count() == 3 and (ym[0] & ym[2]).bit_count() == 4
         assert bad_triples[(0, 1)] == 1 << 2 | 1 << 3 | 1 << 4
@@ -205,10 +207,27 @@ class TestClassifyPairsTriples:
         choice = pick_link_vertex(host, Config(C=2, delta=1), 1, HostIndex(host))
         assert choice.link.y_masks[2] == 0
         assert choice.bad_pairs == (0b100, 0b100, 0b011)
-        pairs, _ = classify_pairs_triples(choice.link, choice.bad_pairs, 3, choice.q)
+        pairs, _ = classify_pairs_triples(choice.link, choice.bad_pairs, range(3), 3, choice.q)
         assert [(ps.pair, ps.good) for ps in pairs] == [
             ((0, 1), True), ((0, 2), False), ((1, 2), False)
         ]
+
+
+HUB_ROWS, HUB_N = 8, 27
+
+
+def hub_link(rng):
+    """A link of 8 X-rows over 27 Y-vertices in which one to three "hub"
+    rows have density 0.95 and the rest 0.3, and a random set of bad pairs
+    (rate 0.1).  At C = 10 and q = 10/27 only hubs pass (A), and a hub
+    with no other hub beside it fails (C)."""
+    hubs = rng.sample(range(HUB_ROWS), rng.randint(1, 3))
+    link = link_of(HUB_ROWS, HUB_N, [
+        (x, y) for x in range(HUB_ROWS) for y in range(HUB_N)
+        if rng.random() < (0.95 if x in hubs else 0.3)
+    ])
+    bad_pairs = {pr for pr in itertools.combinations(range(HUB_N), 2) if rng.random() < 0.1}
+    return link, bad_pairs
 
 
 class TestSelectCoreSet:
@@ -220,15 +239,15 @@ class TestSelectCoreSet:
         choice = pick_link_vertex(host, cfg, 3, index)
         n, q = 8, choice.q
         assert choice.link == link and q == 1
-        _, bad_triples = classify_pairs_triples(link, choice.bad_pairs, n, q)
-        x, yprime = select_core_set(link, choice.bad_pairs, bad_triples, cfg, n, q)
+        x, yprime, bad_triples = select_core_set(link, choice.bad_pairs, cfg, n, q)
         assert x == 0
         assert yprime == list(range(8))
+        assert bad_triples == {}
 
     def test_empty_link(self):
         link = link_of(4, 4, ())
         with pytest.raises(NoQualifyingX):
-            select_core_set(link, (0,) * 4, {}, Config(C=1), 4, Fraction(1, 2))
+            select_core_set(link, (0,) * 4, Config(C=1), 4, Fraction(1, 2))
 
     def test_scan_inequalities_hold_for_winner(self):
         rng = random.Random(31)
@@ -242,8 +261,7 @@ class TestSelectCoreSet:
         bad_pair_masks = pair_verdicts(
             link, good_pair_rule(2, cfg.C, n, q), count_forbidden(link, 2, index)[1]
         )
-        _, bad_triples = classify_pairs_triples(link, bad_pair_masks, n, q)
-        x, yprime = select_core_set(link, bad_pair_masks, bad_triples, cfg, n, q)
+        x, yprime, bad_triples = select_core_set(link, bad_pair_masks, cfg, n, q)
 
         # recompute everything independently
         xm = link.x_masks
@@ -264,6 +282,10 @@ class TestSelectCoreSet:
         p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
         t_x = sum(1 for tr in itertools.combinations(gamma, 3) if triple_bad(tr))
         assert t_x > 0  # the T_x inequality is exercised
+        # the returned masks are the bad triples of Gamma(x)
+        assert bad_triples == _triple_masks(
+            tr for tr in itertools.combinations(gamma, 3) if triple_bad(tr)
+        )
         C = cfg.C
 
         def passes(s, p_x, t_x):
@@ -291,51 +313,63 @@ class TestSelectCoreSet:
             assert Fraction(t_x) <= Fraction(600, 1) / C * (s * (s - 1) * (s - 2) // 6)
 
 
-    def test_first_x_by_brute_force(self):
-        # Random links with random bad pairs and triples, on a scale where
-        # the T_x inequality decides: q = 1/3, C = 8 and n = 12 give
-        # (A) 4s/C >= nq, i.e. s >= 8, and (C) C T_x/(6s) <= (nq)**2, i.e.
-        # T_x <= 12 s, which fails once most triples of an 11- or 12-set are
-        # bad.  The winner must be the first x passing (A), (B) and (C) with
-        # P_x and T_x counted over itertools' pairs and triples of Gamma(x).
-        n, C, q = 12, 8, Fraction(1, 3)
+    def test_first_x_by_brute_force(self, monkeypatch):
+        # Links of 8 X-rows over n = 27 Y-vertices, on a scale where the
+        # T_x inequality decides: C = 10 and q = 10/27 give (A) s >= 25,
+        # (B) P_x <= 132 s, which no pair count reaches, and (C)
+        # T_x <= 60 s.  A triple is bad when fewer than n q**3 ~ 1.37 rows
+        # hold it; one inside Gamma(x) always has x, so it is good just
+        # when another row holds it too.  One to three "hub" rows of
+        # density 0.95 can pass (A); a hub with no other hub beside it
+        # keeps most of its triples bad and fails (C).  The winner must be
+        # the first x passing (A), (B) and (C) with P_x and T_x counted over
+        # itertools' pairs and triples of Gamma(x), and the triples must be
+        # classified once per x passing (A) and (B), inside its Gamma(x).
+        n_x, n, C, q = HUB_ROWS, HUB_N, 10, Fraction(10, 27)
         cfg = Config(C=C)
-        decided_by_tx = 0
-        for seed in range(40):
-            rng = random.Random(seed)
-            link = link_of(
-                6, n, [(x, y) for x in range(6) for y in range(n) if rng.random() < 0.92]
-            )
-            bad_pairs = {
-                pr for pr in itertools.combinations(range(n), 2) if rng.random() < 0.1
-            }
-            density = rng.uniform(0.4, 0.9)
+        classified = []
+
+        def counting(link, bad_pairs, ys, n, q):
+            classified.append(list(ys))
+            return classify_pairs_triples(link, bad_pairs, ys, n, q)
+
+        monkeypatch.setattr(embed, "classify_pairs_triples", counting)
+        seen = {"decided by T_x": 0, "no x": 0, "found at x > 0": 0}
+        for seed in range(30):
+            link, bad_pairs = hub_link(random.Random(seed))
+            rows = [{y for y in range(n) if link.x_masks[x] >> y & 1} for x in range(n_x)]
             bad_triples = {
-                tr for tr in itertools.combinations(range(n), 3) if rng.random() < density
+                tr for tr in itertools.combinations(range(n), 3)
+                if sum(1 for r in rows if r.issuperset(tr)) < n * q ** 3
             }
-            masks = pair_masks(bad_pairs, n)
-            want = None
-            for x in range(6):
-                gamma = [y for y in range(n) if link.x_masks[x] >> y & 1]
+            want, tested = None, []
+            for x in range(n_x):
+                gamma = sorted(rows[x])
                 s = len(gamma)
                 p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
-                t_x = sum(1 for tr in itertools.combinations(gamma, 3) if tr in bad_triples)
-                a_and_b = (
+                if not (
                     s > 0
                     and Fraction(4 * s, C) >= n * q
                     and Fraction(C * p_x, 12 * (1 + C) * s) <= n * q
-                )
-                if a_and_b and Fraction(C * t_x, 6 * s) <= (n * q) ** 2:
-                    want = (x, gamma)
+                ):
+                    continue
+                tested.append(gamma)
+                inside = [tr for tr in itertools.combinations(gamma, 3) if tr in bad_triples]
+                if Fraction(C * len(inside), 6 * s) <= (n * q) ** 2:
+                    want = (x, gamma, _triple_masks(inside))
                     break
-                decided_by_tx += a_and_b
+                seen["decided by T_x"] += 1
+            classified.clear()
+            masks = pair_masks(bad_pairs, n)
             if want is None:
+                seen["no x"] += 1
                 with pytest.raises(NoQualifyingX):
-                    select_core_set(link, masks, _triple_masks(bad_triples), cfg, n, q)
+                    select_core_set(link, masks, cfg, n, q)
             else:
-                got = select_core_set(link, masks, _triple_masks(bad_triples), cfg, n, q)
-                assert got == want, seed
-        assert decided_by_tx > 0
+                seen["found at x > 0"] += want[0] > 0
+                assert select_core_set(link, masks, cfg, n, q) == want, seed
+            assert classified == tested, seed
+        assert all(seen.values()), seen
 
 
 def _triple_masks(triples):
@@ -344,6 +378,109 @@ def _triple_masks(triples):
     for a, b, c in triples:
         masks[(a, b)] = masks.get((a, b), 0) | 1 << c
     return masks
+
+
+def ywide_core_set(link, bad_pairs, cfg, n, q):
+    """x, Y' and D(Y') as the Y-wide pipeline made them: every triple of Y
+    classified into one table first, which the x-scan and D(Y') then mask
+    down to Gamma(x).  The oracle of the one-pass ``select_core_set`` and
+    ``build_problem_graph``; raises NoQualifyingX where the scan finds no x.
+    """
+    n_y, ymasks = link.n_y, link.y_masks
+    triple_min = math.ceil(n * q ** 3)
+    table = {}
+    for y1, y2 in itertools.combinations(range(n_y), 2):
+        m12 = ymasks[y1] & ymasks[y2]
+        bad = sum(
+            1 << y3 for y3 in range(y2 + 1, n_y)
+            if (m12 & ymasks[y3]).bit_count() < triple_min
+        )
+        if bad:
+            table[(y1, y2)] = bad
+
+    C, nq = cfg.C, n * q
+    for x in range(link.n_x):
+        gmask = link.x_masks[x]
+        s = gmask.bit_count()
+        ys = bits(gmask)
+        p_x = sum((bad_pairs[y] & gmask).bit_count() for y in ys) // 2
+        t_x = sum(
+            (table.get((a, b), 0) & gmask).bit_count()
+            for a, b in itertools.combinations(ys, 2)
+        )
+        if (
+            s >= math.ceil(C * nq / 4)
+            and not (p_x and p_x > 12 * (1 + C) * nq / C * s)
+            and not (t_x and t_x > 6 * nq * nq / C * s)
+        ):
+            break
+    else:
+        raise NoQualifyingX("no x")
+
+    d = set()
+    for a, b in itertools.combinations(ys, 2):
+        above = gmask & (-1 << (b + 1))
+        if bad_pairs[a] >> b & 1:
+            cs = above
+        else:
+            cs = above & (table.get((a, b), 0) | bad_pairs[a] | bad_pairs[b])
+        d.update((a, b, c) for c in bits(cs))
+    return x, ys, frozenset(d)
+
+
+def one_pass_core_set(link, bad_pairs, cfg, n, q):
+    """x, Y' and D(Y') from the shipped ``select_core_set`` and
+    ``build_problem_graph``."""
+    x, yprime, bad_triples = select_core_set(link, bad_pairs, cfg, n, q)
+    return x, yprime, build_problem_graph(yprime, bad_pairs, bad_triples).bad_triples
+
+
+def same_core_set(link, bad_pairs, cfg, n, q):
+    """Assert that both pipelines choose the same x, Y' and D(Y'), or both
+    find no x; returns the choice, or None."""
+    try:
+        want = ywide_core_set(link, bad_pairs, cfg, n, q)
+    except NoQualifyingX:
+        with pytest.raises(NoQualifyingX):
+            one_pass_core_set(link, bad_pairs, cfg, n, q)
+        return None
+    assert one_pass_core_set(link, bad_pairs, cfg, n, q) == want
+    return want
+
+
+class TestSameCoreSetAsYWide:
+    """Classifying only inside each scanned Gamma(x) decides as the Y-wide
+    triple table did."""
+
+    @pytest.mark.parametrize("target", [TRIANGLE, K4], ids=["triangle", "k4"])
+    def test_random_hosts(self, target):
+        # desk constants C = 2, K = 3 e(H); a host whose z-scan fails never
+        # reaches the core set, so both pipelines fail there alike
+        cfg = Config(C=2, k_threshold=3 * target.e)
+        K = cfg.k_for(target)
+        hosts = [(40, p, s) for p in (0.45, 0.55, 0.65, 0.8) for s in range(3)]
+        seen = {"found": 0, "fails before the core set": 0, "non-empty D": 0}
+        for n, p, seed in hosts + [(128, 0.5, 0)]:
+            host = gen_random_host(n, n, n, p, seed)
+            try:
+                choice = pick_link_vertex(host, cfg, K, HostIndex(host))
+            except NoQualifyingVertex:
+                seen["fails before the core set"] += 1
+                continue
+            got = same_core_set(choice.link, choice.bad_pairs, cfg, n, choice.q)
+            seen["found"] += got is not None
+            seen["non-empty D"] += bool(got and got[2])
+        assert all(seen.values()), seen
+
+    def test_hub_links(self):
+        # the links of test_first_x_by_brute_force, where (C) rejects a hub
+        # and some links have no x at all
+        cfg, q = Config(C=10), Fraction(10, 27)
+        found = [
+            same_core_set(link, pair_masks(bad_pairs, HUB_N), cfg, HUB_N, q)
+            for link, bad_pairs in (hub_link(random.Random(seed)) for seed in range(30))
+        ]
+        assert None in found and any(got and got[0] > 0 for got in found)
 
 
 class TestProblemGraph:

@@ -376,13 +376,25 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, text", [("--C", "abc"), ("--delta", "1/0")])
     def test_non_rational_flag_exit_2(self, tmp_path, capsys, flag, text):
-        # argparse refuses the value before any file is opened
-        with pytest.raises(SystemExit) as info:
-            main(["find", "--target", "builtin:triangle", "--host", str(tmp_path / "h.tph"),
-                  flag, text, "--out", str(tmp_path / "x.cert")])
-        assert info.value.code == 2
+        # argparse refuses the value before any file is opened, and main
+        # returns its exit code rather than raising SystemExit
+        rc = main(["find", "--target", "builtin:triangle", "--host", str(tmp_path / "h.tph"),
+                   flag, text, "--out", str(tmp_path / "x.cert")])
+        assert rc == 2
         assert f"not a rational: {text!r}" in capsys.readouterr().err
         assert not (tmp_path / "x.cert").exists()
+
+    def test_non_integer_flag_exit_2(self, tmp_path, capsys):
+        rc = main(["find", "--target", "builtin:triangle", "--host", str(tmp_path / "h.tph"),
+                   "--k", "abc", "--out", str(tmp_path / "x.cert")])
+        assert rc == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "x.cert").exists()
+
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["find", "--help"]) == 0
+        assert "--target" in capsys.readouterr().out
 
     def test_capacity_failure_exit_code(self, tmp_path, capsys):
         small = self._write_host(tmp_path, TripartiteHost((3, 5, 5), frozenset()))
@@ -700,10 +712,9 @@ class TestFindConfig:
         defaults = Config.paper_defaults(load_target("builtin:k4"))
         assert cfg == dataclasses.replace(defaults, **{field: expected})
 
-    def test_eps_flag_is_gone(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main([
-                "find", "--target", "builtin:k4", "--host", "h.tph",
-                "--out", str(tmp_path / "x.cert"), "--eps", "1/5",
-            ])
-        assert info.value.code == 2
+    def test_eps_flag_is_gone(self, tmp_path, capsys):
+        assert main([
+            "find", "--target", "builtin:k4", "--host", "h.tph",
+            "--out", str(tmp_path / "x.cert"), "--eps", "1/5",
+        ]) == 2
+        assert "unrecognized arguments: --eps 1/5" in capsys.readouterr().err

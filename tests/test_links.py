@@ -249,8 +249,8 @@ class TestCountForbidden:
             assert choice.forbidden_exact == exact
             want = full_walk_verdicts(link, K, cfg.C, 10, q, full)
             assert choice.bad_pairs == want
-            assert classify_pairs_triples(link, choice.bad_pairs, 10, q) == (
-                classify_pairs_triples(link, want, 10, q)
+            assert classify_pairs_triples(link, choice.bad_pairs, range(10), 10, q) == (
+                classify_pairs_triples(link, want, range(10), 10, q)
             )
             if exact:
                 assert choice.forbidden_count == b_z
@@ -329,8 +329,9 @@ class TestSameDecisions:
                         assert choice.forbidden_count == t_z
                     want = full_walk_verdicts(link, K, cfg.C, n, q, full)
                     assert choice.bad_pairs == want, (seed, K, C)
-                    assert classify_pairs_triples(link, choice.bad_pairs, n, q) == (
-                        classify_pairs_triples(link, want, n, q)
+                    ys = range(n)
+                    assert classify_pairs_triples(link, choice.bad_pairs, ys, n, q) == (
+                        classify_pairs_triples(link, want, ys, n, q)
                     )
                     # a walked count that decides a pair's goodness
                     seen["count decides"] += full_walk_verdicts(link, K, cfg.C, n, q, {}) != want
