@@ -297,12 +297,14 @@ def _positive_int(value) -> bool:
     return type(value) is int and value > 0
 
 
+def one_cells(faces: Iterable[Iterable]) -> set[tuple]:
+    """The 1-cells of the complex with these faces: the sorted vertex pairs inside some face."""
+    return {pair for f in faces for pair in combinations(sorted(f), 2)}
+
+
 def covered_pairs(h: ThreeGraph) -> list[Pair]:
     """Pairs of vertices contained in at least one face, lexicographic."""
-    pairs = set()
-    for f in h.faces:
-        pairs.update(combinations(f, 2))
-    return sorted(pairs)
+    return sorted(one_cells(h.faces))
 
 
 def euler_characteristic(h: ThreeGraph) -> int:

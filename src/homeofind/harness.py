@@ -12,7 +12,7 @@ import json
 import math
 import random
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,15 +179,17 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None) -> list[SweepRow]:
-    """Run every (n, trial) cell; per-trial failures never abort the sweep."""
+    """Run every (n, trial) cell; per-trial failures never abort the sweep.
+    Every density and the config are checked before anything is written or drawn."""
     target = load_target(spec.target)
+    ps = [spec.p_for(n) for n in spec.n_values]
+    cfg = Config.desk_scale(target, **spec.cfg_overrides)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for n in spec.n_values:
-        p = spec.p_for(n)
+    for n, p in zip(spec.n_values, ps):
         successes = 0
         total_faces = 0
         failures: dict[str, int] = {}
@@ -195,9 +197,8 @@ def run_sweep(spec: SweepSpec, out_dir: str | Path | None = None) -> list[SweepR
             trial_seed = derive_seed(spec.seed, n, trial)
             host = gen_random_host(n, n, n, p, trial_seed)
             total_faces += host.e
-            cfg = Config.desk_scale(target, **spec.cfg_overrides, rng_seed=trial_seed)
             try:
-                cert = find_homeomorph(host, target, cfg)
+                cert = find_homeomorph(host, target, replace(cfg, rng_seed=trial_seed))
             except PipelineError as exc:
                 failures[exc.stage] = failures.get(exc.stage, 0) + 1
             else:

@@ -375,7 +375,9 @@ def pick_link_vertex(
             link=link, forbidden_count=t_z if settled else b_z,
             forbidden_exact=not settled, bad_pairs=tuple(bad), q=q,
         )
+    cap = host.n_x * host.n_y  # the most edges a link can have
+    beyond = f" > n_x n_y = {cap}, so no link can pass (1)" if e_min > cap else ""
     raise NoQualifyingVertex(
         f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "
-        f"per-z diagnostics: {best_diag[:10]}"
+        f"(1) needs e(L_z) >= {e_min}{beyond}; per-z diagnostics: {best_diag[:10]}"
     )

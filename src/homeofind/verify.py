@@ -10,7 +10,6 @@ stages they check, in ``links`` and ``embed``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     build_aux_graph,
     covered_pairs,
     euler_characteristic,
+    one_cells,
 )
 
 Label = tuple
@@ -46,11 +46,7 @@ class CanonicalGluedSubdivision:
         return len(self.faces)
 
     def one_cell_count(self) -> int:
-        cells = set()
-        for f in self.faces:
-            for a, b in itertools.combinations(sorted(f), 2):
-                cells.add((a, b))
-        return len(cells)
+        return len(one_cells(self.faces))
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.one_cell_count() + self.face_count
@@ -61,11 +57,11 @@ def canonical_glued_subdivision(h: ThreeGraph) -> CanonicalGluedSubdivision:
     hfaces = h.sorted_faces()
     labels: list[Label] = [("orig", x) for x in range(h.vertex_count)]
     labels += [("pair", p) for p in pairs]
-    labels += [("facevtx", f) for f in hfaces]
+    labels += [("face", f) for f in hfaces]
     faces: set[frozenset[Label]] = set()
     for f in hfaces:
         x, y, z = f
-        uf = ("facevtx", f)
+        uf = ("face", f)
         for a, b in ((x, y), (y, z), (z, x)):
             e = (min(a, b), max(a, b))
             w = ("corner", f, e)
@@ -132,19 +128,19 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
         return _fail(5, "v2_map keys are not the auxiliary graph's V2")
     if set(emb.center_map) != set(range(3 * target.e)):
         return _fail(5, "center_map keys are not the special-cycle indices 0 to 3e(H) - 1")
-    v1_inv = {y: v for v, y in emb.v1_map.items()}
-    v2_inv = {x: u for u, x in emb.v2_map.items()}
-    center_inv = {z: ci for ci, z in emb.center_map.items()}
-    tag_of_v2 = {u: tag for u, tag in zip(aux.v2, aux.v2_tags)}
+    # one map per host class, from an image to its canonical label
+    x_label = {emb.v2_map[u]: tag for u, tag in zip(aux.v2, aux.v2_tags)}
+    y_label = {y: ("orig", v) for v, y in emb.v1_map.items()}
+    z_label = {
+        emb.center_map[ci]: ("corner", sc.face, sc.edge)
+        for ci, sc in enumerate(aux.special_cycles)
+    }
 
     relabeled: set[frozenset[Label]] = set()
     for x, y, z in cert.host_faces:
-        if x not in v2_inv or y not in v1_inv or z not in center_inv:
+        if x not in x_label or y not in y_label or z not in z_label:
             return _fail(5, f"face {(x, y, z)} has a vertex outside the embedding image")
-        tag = tag_of_v2[v2_inv[x]]
-        xl: Label = ("pair", tag[1]) if tag[0] == "pair" else ("facevtx", tag[1])
-        sc = aux.special_cycles[center_inv[z]]
-        relabeled.add(frozenset({xl, ("orig", v1_inv[y]), ("corner", sc.face, sc.edge)}))
+        relabeled.add(frozenset({x_label[x], y_label[y], z_label[z]}))
 
     canon = canonical_glued_subdivision(target)
     if relabeled != canon.faces:
@@ -152,11 +148,9 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
 
     # (6) Euler characteristic of the certificate complex
     v_count = len(emb.v1_map) + len(emb.v2_map) + len(emb.center_map)
-    cells = set()
-    for x, y, z in set(cert.host_faces):
-        for a, b in itertools.combinations((("x", x), ("y", y), ("z", z)), 2):
-            cells.add((a, b))
-    chi_cert = v_count - len(cells) + len(set(cert.host_faces))
+    faces = set(cert.host_faces)
+    cells = one_cells((("x", x), ("y", y), ("z", z)) for x, y, z in faces)
+    chi_cert = v_count - len(cells) + len(faces)
     chi_target = euler_characteristic(target)
     if chi_cert != chi_target:
         return _fail(

@@ -14,6 +14,7 @@ from homeofind.core import (
     build_aux_graph,
     covered_pairs,
     euler_characteristic,
+    one_cells,
 )
 from homeofind.verify import canonical_glued_subdivision
 
@@ -94,6 +95,26 @@ class TestCoveredPairs:
     @settings(max_examples=50, deadline=None)
     def test_matches_enumeration(self, h):
         assert set(covered_pairs(h)) == one_cells_by_enumeration(h)
+
+
+def one_cells_brute(faces) -> set:
+    """Every (a, b) with a < b and both a and b in one face."""
+    return {(a, b) for f in faces for a in f for b in f if a < b}
+
+
+class TestOneCells:
+    @given(threegraphs())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_brute_enumeration(self, h):
+        # the same complex as ints, as canonical-style labels and as the
+        # class-tagged vertices of a host face (x, y, z)
+        labelled = [[("orig", v) if v % 2 else ("pair", (v, v + 1)) for v in f] for f in h.faces]
+        tagged = [(("x", x), ("y", y), ("z", z)) for x, y, z in h.faces]
+        for faces in (h.faces, labelled, tagged):
+            assert one_cells(faces) == one_cells_brute(faces)
+
+    def test_empty(self):
+        assert one_cells([]) == set()
 
 
 class TestEulerCharacteristic:

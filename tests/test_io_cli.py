@@ -568,6 +568,11 @@ class TestCli:
           "cfg": {"delta": "2/0"}}, '"delta" must be a rational, got "2/0"'),
         ({"target": "builtin:triangle", "n_values": [12], "a": "1e999", "trials": 1},
          "density rule overflows a float at n = 12"),
+        ({"target": "builtin:triangle", "n_values": [12], "a": 1, "trials": 1,
+          "cfg": {"C": 0}}, "C must be positive"),
+        # p = (3/5) n**(1/5) is below 1 at n = 12, above it at n = 1000
+        ({"target": "builtin:triangle", "n_values": [12, 1000], "a": "3/5", "b": "-1/5",
+          "trials": 2}, "outside [0, 1] at n = 1000"),
     ])
     def test_malformed_sweep_spec_exit_2(self, tmp_path, capsys, spec, message):
         specp = tmp_path / "sweep.json"
@@ -576,6 +581,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        # the whole spec is checked before the out dir is made
+        assert not (tmp_path / "r").exists()
 
     def test_gen_p_beyond_float_exit_2(self, tmp_path, capsys):
         # 1e999 is an exact rational, but no float: the range check comes first

@@ -11,6 +11,8 @@ from homeofind.core import Config, TripartiteHost
 from homeofind.embed import classify_pairs_triples
 from homeofind.errors import NoQualifyingVertex
 from homeofind.exact import ceil_pow, floor_pow
+from homeofind.harness import gen_random_host
+from homeofind.io import load_target
 from homeofind.links import (
     HostIndex,
     count_disks,
@@ -461,6 +463,28 @@ class TestPickLinkVertex:
         assert (choice.link.z, choice.link.e) == (9, 16)
         with pytest.raises(NoQualifyingVertex, match=r"\[\(2, 1, None\), \(9, 16, None\)\]"):
             pick_link_vertex(host, Config(C=10, delta=1), K=3, index=index)
+
+    def test_refusal_names_the_density_cutoff(self):
+        # paper constants at n = 90: (1) needs (C/2) 90**(9/5) edges, with
+        # C = 2000 * 3**6, where a link has at most 90 * 90
+        host = gen_random_host(90, 90, 90, 1, 0)
+        cfg = Config.paper_defaults(load_target("builtin:triangle"))
+        with pytest.raises(NoQualifyingVertex) as info:
+            pick_link_vertex(host, cfg, K=81, index=HostIndex(host))
+        assert (
+            "; (1) needs e(L_z) >= 2400844573 > n_x n_y = 8100, so no link can pass (1); "
+            "per-z diagnostics: [(0, 8100, None), (1, 8100, None)"
+        ) in str(info.value)
+
+    def test_refusal_within_reach_names_only_the_cutoff(self):
+        # n = 4, C = 1, delta = 1: (1) needs 2 edges, and each link has 1
+        host = TripartiteHost((4, 4, 4), {(z, z, z) for z in range(4)})
+        with pytest.raises(NoQualifyingVertex) as info:
+            pick_link_vertex(host, Config(C=1, delta=1), K=3, index=HostIndex(host))
+        assert str(info.value).endswith(
+            "; (1) needs e(L_z) >= 2; per-z diagnostics: "
+            "[(0, 1, None), (1, 1, None), (2, 1, None), (3, 1, None)]"
+        )
 
 
 def check_cutoffs(c, n, expo):

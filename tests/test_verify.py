@@ -12,6 +12,7 @@ from homeofind.core import (
     Config,
     ThreeGraph,
     TripartiteHost,
+    build_aux_graph,
     covered_pairs,
     euler_characteristic,
 )
@@ -68,6 +69,17 @@ class TestCanonicalShape:
     def test_preserves_euler_characteristic(self, h):
         canon = canonical_glued_subdivision(h)
         assert canon.euler_characteristic() == euler_characteristic(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(threegraphs)
+    def test_added_vertices_carry_the_aux_tags(self, h):
+        # pair- and face-vertices are named by the auxiliary graph's own
+        # tags, in its V2 order; the disk centers follow
+        canon = canonical_glued_subdivision(h)
+        aux = build_aux_graph(h)
+        added = canon.labels[h.vertex_count:]
+        assert added[:len(aux.v2)] == aux.v2_tags
+        assert all(label[0] == "corner" for label in added[len(aux.v2):])
 
     def test_every_face_has_a_corner_vertex(self):
         canon = canonical_glued_subdivision(K4)
@@ -145,6 +157,23 @@ def mutate_swap_centers(cert, host, target):
     return replace(cert, embedding=emb), host
 
 
+def mutate_swap_pair_and_face_images(cert, host, target):
+    """Swap the X images of a pair-vertex and a face-vertex."""
+    aux = build_aux_graph(target)
+    u = next(u for u, (kind, _) in zip(aux.v2, aux.v2_tags) if kind == "pair")
+    w = next(u for u, (kind, _) in zip(aux.v2, aux.v2_tags) if kind == "face")
+    v2 = dict(cert.embedding.v2_map)
+    v2[u], v2[w] = v2[w], v2[u]
+    return replace(cert, embedding=replace(cert.embedding, v2_map=v2)), host
+
+
+def mutate_swap_y_images(cert, host, target):
+    """Swap the Y images of target vertices 0 and 1."""
+    v1 = dict(cert.embedding.v1_map)
+    v1[0], v1[1] = v1[1], v1[0]
+    return replace(cert, embedding=replace(cert.embedding, v1_map=v1)), host
+
+
 def mutate_drop_isolated_vertex(host):
     """A target with an isolated vertex, minus that vertex's image.
 
@@ -189,6 +218,17 @@ class TestVerifierRejects:
         bad, host = mutate_swap_centers(cert, host, K4)
         res = verify_certificate(bad, host)
         assert not res.passed and res.check == 5
+
+    # Swapped images keep the faces, counts and injectivity, so checks 1-4
+    # pass; only the relabeling sees that the maps no longer fit the faces.
+    @pytest.mark.parametrize("mutate", [mutate_swap_pair_and_face_images, mutate_swap_y_images])
+    @pytest.mark.parametrize("target", [TRIANGLE, K4], ids=["triangle", "k4"])
+    def test_check5_swapped_images(self, mutate, target):
+        cert, host = _good_cert(complete_host(16), target)
+        bad, host = mutate(cert, host, target)
+        res = verify_certificate(bad, host)
+        assert (res.passed, res.check) == (False, 5)
+        assert res.reason == "relabeled faces differ from the canonical glued subdivision"
 
     def test_check5_face_outside_embedding_image(self):
         # a face moved to an X-vertex no V2 vertex maps to: still a host
