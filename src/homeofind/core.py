@@ -15,8 +15,8 @@ complete (x, y) to a face, keyed by the flat index ``x * n_y + y``.  The
 table is sparse (an (x, y) with no face has no entry), so it holds one int
 per occupied (x, y) and nothing per face or per header-sized class.  Every
 stage reads the host through it: ``io`` writes and parses it, and ``links``
-views it as ``HostIndex`` and counts every link size e(L_z) from it with
-one bit-sliced counter.
+views it as ``HostIndex`` and counts every link size e(L_z) from byte
+columns of its masks.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``

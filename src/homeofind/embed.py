@@ -27,7 +27,9 @@ oracle of ``find_complete_subgraph``.
 Triples are classified only inside a Gamma(x) that the scan tests, with
 no object per triple: one bitmask over y3 per pair (y1, y2) of Gamma(x),
 so the scan counts them by popcount and D(Y') is built from the same
-masks; only the triples of D(Y') become tuples.
+masks.  D(Y') stays masks, one per pair of Y' over the third vertices that
+close a triple of it, and ``find_complete_subgraph`` narrows one candidate
+mask with them; no triple becomes a tuple on the search path.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import random
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     AuxGraph,
@@ -65,12 +68,39 @@ class PairStats:
     good: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProblemGraph:
-    """D(Y'): the triples of the core set that the embedding must avoid."""
+    """D(Y'): the triples of the core set that the embedding must avoid.
+
+    ``masks[(a, b)]`` is the bitmask of the c with (a, b, c) in D(Y'); a
+    pair closing no triple has no entry.  ``ProblemGraph(ground_set,
+    bad_triples)`` takes the triples as tuples (a, b, c), which count for
+    the search when a < b < c; the pipeline builds the masks directly
+    (``build_problem_graph``), and ``bad_triples`` is derived from them.
+    """
 
     ground_set: tuple[int, ...]
-    bad_triples: frozenset[tuple[int, int, int]]
+    masks: dict[Pair, int]
+
+    def __init__(self, ground_set, bad_triples):
+        masks: dict[Pair, int] = {}
+        for a, b, c in bad_triples:
+            masks[(a, b)] = masks.get((a, b), 0) | 1 << c
+        object.__setattr__(self, "ground_set", tuple(ground_set))
+        object.__setattr__(self, "masks", masks)
+
+    @classmethod
+    def _from_masks(cls, ground_set: tuple[int, ...], masks: dict[Pair, int]) -> ProblemGraph:
+        """A problem graph that takes over ``masks``: the caller vouches for
+        non-zero masks over the ground set."""
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "ground_set", ground_set)
+        object.__setattr__(problem, "masks", masks)
+        return problem
+
+    @cached_property
+    def bad_triples(self) -> frozenset[tuple[int, int, int]]:
+        return frozenset((a, b, c) for (a, b), m in self.masks.items() for c in bits(m))
 
 
 def classify_pairs_triples(
@@ -179,7 +209,7 @@ def build_problem_graph(
     """
     ground = sorted(set(yprime))
     ymask = sum(1 << y for y in ground)
-    bad = []
+    masks: dict[Pair, int] = {}
     for i, a in enumerate(ground):
         ma = bad_pairs[a]
         for b in ground[i + 1:]:
@@ -188,44 +218,48 @@ def build_problem_graph(
                 cs = above
             else:
                 cs = above & (bad_triples.get((a, b), 0) | ma | bad_pairs[b])
-            bad.extend((a, b, c) for c in bits(cs))
-    return ProblemGraph(ground_set=tuple(ground), bad_triples=frozenset(bad))
+            if cs:
+                masks[(a, b)] = cs
+    return ProblemGraph._from_masks(tuple(ground), masks)
 
 
 def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
-    """A t-subset of Y' containing no bad triple, by lexicographic backtracking."""
-    verts = list(p.ground_set)
+    """A t-subset of Y' containing no triple of D(Y'), the lexicographically
+    first, by backtracking over one candidate mask.
+
+    The candidates of a partial set S are the vertices after its last that
+    close no triple of D(Y') with a pair of S; adding v keeps those after
+    v and drops, for each a in S, the c in ``masks[(a, v)]``.
+    """
+    verts = p.ground_set
     if t <= 0:
         return []
     if t > len(verts):
         raise CliqueNotFound(f"|Y'| = {len(verts)} < t = {t}")
-    bad = p.bad_triples
+    masks = p.masks
     chosen: list[int] = []
 
-    def extend(start: int) -> bool:
-        if len(chosen) == t:
-            return True
+    def extend(cands: int) -> bool:
         need = t - len(chosen)
-        for i in range(start, len(verts) - need + 1):
-            v = verts[i]
-            ok = True
-            for a, b in itertools.combinations(chosen, 2):
-                if (a, b, v) in bad:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        if need == 0:
+            return True
+        for v in bits(cands):
+            after = cands >> (v + 1) << (v + 1)
+            if after.bit_count() < need - 1:
+                return False  # fewer still after any later v
+            for a in chosen:
+                after &= ~masks.get((a, v), 0)
             chosen.append(v)
-            if extend(i + 1):
+            if extend(after):
                 return True
             chosen.pop()
         return False
 
-    if extend(0):
+    if extend(sum(1 << v for v in verts)):
         return chosen
     raise CliqueNotFound(
         f"no complete {t}-set in the complement of D(Y') "
-        f"(|Y'|={len(verts)}, |D|={len(bad)})"
+        f"(|Y'|={len(verts)}, |D|={sum(map(int.bit_count, masks.values()))})"
     )
 
 

@@ -5,10 +5,11 @@ host vertices z whose link also contains it (its 4-disks).  The host's
 z-mask table (see ``core``) already holds, per (x, y), the bitmask of the
 z completing it to a face; ``HostIndex`` is a view of that table, so a
 cycle's disk count is a popcount of an AND of four of its entries, looked
-up by flat index ``x * n_y + y``.  The z-scan reads e(L_z) for every z off
-one bit-sliced counter over the table's masks (``HostIndex.link_size``),
-listing the z that occur with ``core.bits``, and builds a ``LinkGraph``
-only for a z that passes the density condition.
+up by flat index ``x * n_y + y``.  The z-scan visits only the z on some
+face, the set bits of the OR of the table's masks, and reads e(L_z) for
+each as one count over a byte column of those masks
+(``HostIndex.link_size``); it builds a ``LinkGraph`` only for a z that
+passes the density condition, from the table entries that column selects.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it counts the forbidden cycles through each Y-pair it is given, and
@@ -37,13 +38,17 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import combinations, compress
 from math import ceil, comb
+from operator import or_
 
 from .core import Config, TripartiteHost, bits
 from .errors import NoQualifyingVertex
 from .exact import ceil_pow, floor_pow
+
+# _BIT_OF_BYTE[k] maps a byte to 1 if its bit k is set, else to 0
+_BIT_OF_BYTE = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,12 @@ class HostIndex:
 
     ``zmasks`` is the host's table itself: nothing is copied, and nothing
     is built per face.  ``disk_mask`` ANDs table entries found by flat
-    index.  ``link_size(z)`` is e(L_z), read off a bit-sliced counter over
-    the table's masks that is built on first use; ``link(z)`` builds the
-    link of z from the table.
+    index.  ``occupied`` is the mask of the z that lie on some face.  The
+    table's masks are cut, on first use, into byte columns: column j holds
+    byte j of every mask, in table order, so bit z of the masks is one
+    byte-wise ``translate`` of column z // 8.  ``link_size(z)`` counts
+    those bits, e(L_z), and ``link(z)`` selects with them the table
+    entries that hold z and builds the link of z from those alone.
     """
 
     def __init__(self, host: TripartiteHost):
@@ -89,36 +97,41 @@ class HostIndex:
         self.n_y = host.n_y
 
     @cached_property
-    def _size_planes(self) -> list[int]:
-        """Bit z of ``planes[j]`` is bit j of e(L_z), the number of masks
-        holding z: each mask is added to the planes with a ripple carry."""
-        planes: list[int] = []
-        for carry in self.zmasks.values():
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
-        return planes
+    def occupied(self) -> int:
+        """The OR of the table's masks: bit z is set when z is on a face."""
+        return reduce(or_, self.zmasks.values(), 0)
+
+    @cached_property
+    def _columns(self) -> list[bytes]:
+        # Each mask as nb little-endian bytes, nb fixed by the highest z on
+        # a face (never by n_z): the join holds entries * nb bytes, which
+        # parse_host's table budget (entries times highest z + 1 bits)
+        # bounds up to one byte per entry.  Column j is every nb-th byte.
+        nb = (self.occupied.bit_length() + 7) // 8
+        joined = b"".join(m.to_bytes(nb, "little") for m in self.zmasks.values())
+        return [joined[j::nb] for j in range(nb)]
+
+    def _holds(self, z: int) -> bytes:
+        """Per table entry, in table order, the byte 1 if its mask holds z,
+        else 0."""
+        if not 0 <= z < self.host.n_z:
+            raise IndexError(f"z = {z} out of range")
+        columns = self._columns
+        if z >> 3 >= len(columns):
+            return bytes(len(self.zmasks))
+        return columns[z >> 3].translate(_BIT_OF_BYTE[z & 7])
 
     def link_size(self, z: int) -> int:
         """e(L_z), the number of faces through z."""
-        if not 0 <= z < self.host.n_z:
-            raise IndexError(f"z = {z} out of range")
-        return sum((plane >> z & 1) << j for j, plane in enumerate(self._size_planes))
+        return self._holds(z).count(1)
 
     def link(self, z: int) -> LinkGraph:
-        if not 0 <= z < self.host.n_z:
-            raise IndexError(f"z = {z} out of range")
-        n_x, n_y = self.host.n_x, self.n_y
-        x_masks, y_masks = [0] * n_x, [0] * n_y
-        for i, m in self.zmasks.items():
-            if m >> z & 1:
-                x, y = divmod(i, n_y)
-                x_masks[x] |= 1 << y
-                y_masks[y] |= 1 << x
+        n_y = self.n_y
+        x_masks, y_masks = [0] * self.host.n_x, [0] * n_y
+        for i in compress(self.zmasks, self._holds(z)):
+            x, y = divmod(i, n_y)
+            x_masks[x] |= 1 << y
+            y_masks[y] |= 1 << x
         return LinkGraph(z, tuple(x_masks), tuple(y_masks))
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
@@ -315,8 +328,8 @@ def pick_link_vertex(
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
     B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  Only the z
-    of some face are scanned: they are the set bits of the OR of the
-    bit-sliced counter's planes, in ascending order.  Each condition is
+    of some face are scanned: they are the set bits of ``index.occupied``,
+    in ascending order.  Each condition is
     one exact integer cutoff (see ``exact``): the first is worked out once
     and read against ``index.link_size``, so the link graph is built only
     for a z that passes it; the second once per such z.
@@ -337,12 +350,9 @@ def pick_link_vertex(
         raise NoQualifyingVertex("empty host")
     n = max(host.class_sizes)
     C = cfg.C
-    occupied = 0
-    for plane in index._size_planes:
-        occupied |= plane
     e_min = ceil_pow(C / 2, n, 2 - cfg.delta)
     best_diag = []
-    for z in bits(occupied):
+    for z in bits(index.occupied):
         e_l = index.link_size(z)
         # (1): e(L_z) >= (C/2) n**(2 - delta)
         if e_l < e_min:

@@ -23,6 +23,7 @@ from homeofind.embed import (
     assign_centers,
     build_problem_graph,
     classify_pairs_triples,
+    clique_oracle,
     embed_v2,
     find_complete_subgraph,
     find_homeomorph,
@@ -500,19 +501,7 @@ class TestProblemGraph:
         # D(Y') against its set-based definition, on random bad pairs and
         # triples of range(n) and a random core set Y' inside it
         for seed in range(30):
-            rng = random.Random(seed)
-            n = rng.randint(3, 12)
-            yprime = sorted(rng.sample(range(n), rng.randint(0, n)))
-            rng.shuffle(yprime)
-            bad_pairs = {
-                pr for pr in itertools.combinations(range(n), 2) if rng.random() < 0.3
-            }
-            bad_triples = {
-                tr for tr in itertools.combinations(range(n), 3) if rng.random() < 0.2
-            }
-            pg = build_problem_graph(
-                yprime, pair_masks(bad_pairs, n), _triple_masks(bad_triples)
-            )
+            yprime, bad_pairs, bad_triples, pg = _random_problem(seed)
             assert pg.ground_set == tuple(sorted(yprime))
             expect = {
                 tr
@@ -521,6 +510,53 @@ class TestProblemGraph:
                 or any(pr in bad_pairs for pr in itertools.combinations(tr, 2))
             }
             assert pg.bad_triples == expect, seed
+            # the public constructor takes sorted triples back unchanged
+            assert ProblemGraph(pg.ground_set, expect).bad_triples == expect, seed
+            assert ProblemGraph(pg.ground_set, expect) == pg, seed
+
+    def test_clique_search_matches_oracle(self):
+        # find_complete_subgraph on the masks build_problem_graph makes,
+        # against clique_oracle on the same graph, on the family above
+        found_some = refused_some = False
+        for seed in range(30):
+            pg = _random_problem(seed)[3]
+            for t in range(1, 6):
+                expect = clique_oracle(pg, t)
+                try:
+                    found = find_complete_subgraph(pg, t)
+                except CliqueNotFound as exc:
+                    assert not expect, (seed, t)
+                    if t <= len(pg.ground_set):
+                        # |D| as the tuple set counts it
+                        assert f"|D|={len(pg.bad_triples)})" in str(exc), (seed, t)
+                    refused_some = True
+                else:
+                    assert expect, (seed, t)
+                    # the lexicographically first t-set that avoids D(Y')
+                    assert found == next(
+                        list(c)
+                        for c in itertools.combinations(pg.ground_set, t)
+                        if not any(tr in pg.bad_triples for tr in itertools.combinations(c, 3))
+                    ), (seed, t)
+                    found_some = True
+        assert found_some and refused_some
+
+
+def _random_problem(seed):
+    """Random bad pairs and triples of range(n), n <= 12, a shuffled core
+    set Y' inside it, and D(Y') as ``build_problem_graph`` makes it."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    yprime = sorted(rng.sample(range(n), rng.randint(0, n)))
+    rng.shuffle(yprime)
+    bad_pairs = {
+        pr for pr in itertools.combinations(range(n), 2) if rng.random() < 0.3
+    }
+    bad_triples = {
+        tr for tr in itertools.combinations(range(n), 3) if rng.random() < 0.2
+    }
+    pg = build_problem_graph(yprime, pair_masks(bad_pairs, n), _triple_masks(bad_triples))
+    return yprime, bad_pairs, bad_triples, pg
 
 
 class TestFindCompleteSubgraph:

@@ -112,11 +112,15 @@ class TestNonCubicEncoding:
             assert host.has(x, y, z) == ((x, y, z) in faces), (x, y, z)
 
 
-@pytest.mark.parametrize("sizes", NON_CUBIC + [(3, 4, 0), (3, 4, 1), (0, 4, 5), (2, 0, 3), (9, 8, 70)])
+@pytest.mark.parametrize(
+    "sizes",
+    NON_CUBIC + [(3, 4, 0), (3, 4, 1), (0, 4, 5), (2, 0, 3), (9, 8, 70), (5, 3, 9), (3, 2, 129)],
+)
 @pytest.mark.parametrize("p", [0, 0.05, 0.5, 1])
 def test_link_sizes_match_brute_force(sizes, p):
-    """e(L_z) off the bit-sliced counter, on hosts with empty (x, y) and
-    with no Z or no faces at all."""
+    """e(L_z) off the byte columns of the table's masks, on hosts with
+    empty (x, y), with no Z or no faces at all, and with n_z = 9 and 129,
+    one z past a byte boundary."""
     host = gen_random_host(*sizes, p, 7)
     index = HostIndex(host)
     want = [sum(1 for f in host.faces if f[2] == z) for z in range(host.n_z)]
@@ -124,6 +128,38 @@ def test_link_sizes_match_brute_force(sizes, p):
     for z in (-1, host.n_z):
         with pytest.raises(IndexError):
             index.link_size(z)
+
+
+def test_link_sizes_and_links_across_byte_columns():
+    """Faces only at z in {7, 8, 64, 1000}, the last and first bits of
+    byte columns, with n_z = 10**12: e(L_z) and the link of every z up to
+    one byte past the highest match brute force, and z beyond are empty."""
+    rng = random.Random(11)
+    sizes = (6, 5, 10 ** 12)
+    faces = [
+        (x, y, z)
+        for z in (7, 8, 64, 1000)
+        for x, y in itertools.product(range(6), range(5))
+        if rng.random() < 0.5
+    ]
+    host = TripartiteHost(sizes, faces)
+    index = HostIndex(host)
+    assert index.occupied == sum(1 << z for z in (7, 8, 64, 1000))
+    for z in list(range(1010)) + [10 ** 12 - 1]:
+        edges = {(x, y) for x, y, zz in faces if zz == z}
+        assert index.link_size(z) == len(edges), z
+        link = index.link(z)
+        assert link.x_masks == tuple(
+            sum(1 << y for y in range(5) if (x, y) in edges) for x in range(6)
+        ), z
+        assert link.y_masks == tuple(
+            sum(1 << x for x in range(6) if (x, y) in edges) for y in range(5)
+        ), z
+    for z in (-1, 10 ** 12):
+        with pytest.raises(IndexError):
+            index.link_size(z)
+        with pytest.raises(IndexError):
+            index.link(z)
 
 
 def test_generated_host_retains_under_a_megabyte():
