@@ -245,7 +245,8 @@ class Config:
     ``paper_defaults``.  Any positive K is valid: the V2 placement search
     itself secures distinct disk centers.
     ``retry_limit`` bounds that search: it visits at most
-    ``retry_limit ** 2`` nodes before giving up undecided.
+    ``retry_limit ** 2`` nodes before giving up undecided.  ``rng_seed`` is
+    an int, any sign, and never a bool.
     """
 
     C: Fraction = Fraction(1)
@@ -268,6 +269,8 @@ class Config:
             raise ValueError(f"k_threshold must be a positive integer, got {self.k_threshold!r}")
         if not _positive_int(self.retry_limit):
             raise ValueError(f"retry_limit must be a positive integer, got {self.retry_limit!r}")
+        if type(self.rng_seed) is not int:
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
 
     def k_for(self, target: ThreeGraph) -> int:
         if self.k_threshold is not None:

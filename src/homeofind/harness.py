@@ -14,6 +14,7 @@ import random
 import struct
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .core import Config, TripartiteHost
@@ -81,36 +82,38 @@ def gen_random_host(
     return TripartiteHost._from_table((n_x, n_y, n_z), table)
 
 
-# A sweep's cfg may set every Config field but rng_seed, which it derives
-# per trial.
 _CFG_KEYS = tuple(f.name for f in fields(Config) if f.name != "rng_seed")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A density sweep p = a * n**(-b), every field checked where the spec is
+    built, in Python or by ``from_json``: ``n_values`` is a list or tuple,
+    kept as a tuple, and ``_read`` reads each value.  ``cfg_overrides`` sets
+    Config fields but rng_seed, the int each trial derives from ``seed``."""
+
     target: str  # path or builtin:NAME
     n_values: tuple[int, ...]
-    a: Fraction  # density rule p = a * n**(-b)
+    a: Fraction
     b: Fraction
     trials: int
     seed: int
     cfg_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if type(self.trials) is not int or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not all(type(n) is int and n >= 1 for n in self.n_values):
-            raise ValueError(f"n_values must be positive integers, got {list(self.n_values)}")
-        unknown = sorted(set(self.cfg_overrides) - set(_CFG_KEYS), key=str)
-        if unknown:
-            raise ValueError(
-                f"unknown sweep cfg key(s) {unknown}; allowed: {', '.join(_CFG_KEYS)}"
-            )
-        # the cfg values are read as in a JSON spec, however the spec is built
-        object.__setattr__(self, "cfg_overrides", {
-            k: _json_rat(v, k) if k in ("C", "delta") else _json_int(v, k)
-            for k, v in self.cfg_overrides.items()
-        })
+        put = partial(object.__setattr__, self)
+        for key in ("target", "a", "b", "trials", "seed"):
+            put(key, _read(getattr(self, key), key))
+        if not isinstance(self.n_values, (list, tuple)):
+            raise FormatError('sweep spec: "n_values" must be a list')
+        put("n_values", tuple(_read(n, "n_values") for n in self.n_values))
+        try:
+            cfg = {**self.cfg_overrides}
+        except TypeError as exc:  # not a mapping
+            raise FormatError(f"malformed sweep spec: {exc}") from None
+        if unknown := sorted(set(cfg) - set(_CFG_KEYS), key=str):
+            raise FormatError(f"unknown sweep cfg key(s) {unknown}; allowed: {', '.join(_CFG_KEYS)}")
+        put("cfg_overrides", {k: _read(v, k) for k, v in cfg.items()})
 
     def p_for(self, n: int) -> float:
         try:
@@ -123,42 +126,39 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        """Parse a JSON spec; ``a``, ``b`` and the C and delta of ``cfg`` are
-        read as exact rationals from their decimal text (0.1 is 1/10), and
-        ``trials``, ``seed``, every entry of ``n_values`` and the other keys
-        of ``cfg`` as JSON integers."""
+        """The spec of a JSON object keyed by field name, with ``cfg`` for
+        ``cfg_overrides`` (no rng_seed: each trial derives that int); ``b``
+        defaults to 1/5 and ``seed`` to 0."""
         raw = json.loads(text)
         try:
-            if not isinstance(raw["n_values"], list):
-                raise FormatError('sweep spec: "n_values" must be a list')
-            return cls(
-                target=str(raw["target"]),
-                n_values=tuple(_json_int(n, "n_values") for n in raw["n_values"]),
-                a=_json_rat(raw["a"], "a"),
-                b=_json_rat(raw.get("b", "1/5"), "b"),
-                trials=_json_int(raw["trials"], "trials"),
-                seed=_json_int(raw.get("seed", 0), "seed"),
-                cfg_overrides={**raw.get("cfg", {})},  # must be a JSON object
-            )
+            return cls(raw["target"], raw["n_values"], raw["a"], raw.get("b", "1/5"),
+                       raw["trials"], raw.get("seed", 0), raw.get("cfg", {}))
         except KeyError as exc:
             raise FormatError(f"sweep spec lacks the key {exc}") from None
-        except (TypeError, AttributeError) as exc:  # a value of the wrong JSON type
+        except TypeError as exc:  # the spec is no JSON object
             raise FormatError(f"malformed sweep spec: {exc}") from None
 
 
-def _json_rat(value, key: str) -> Fraction:
-    """``value`` as an exact rational, read from its decimal text."""
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f'sweep spec: "{key}" must be a rational, got {json.dumps(value)}') from None
-
-
-def _json_int(value, key: str) -> int:
-    """``value`` if it is a JSON integer (not a float, string or bool)."""
-    if type(value) is not int:
-        raise FormatError(f'sweep spec: "{key}" must be an integer, got {json.dumps(value)}')
-    return value
+def _read(value, key: str):
+    """A sweep spec's ``value`` for ``key``: target is a string; a, b, C and
+    delta are rationals read from their decimal text (0.1 is 1/10); the rest
+    are JSON integers (no float, string or bool), n_values and trials >= 1."""
+    if key in ("a", "b", "C", "delta"):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            kind = "a rational"
+    elif key == "target":
+        if type(value) is str:
+            return value
+        kind = "a string"
+    elif type(value) is not int:
+        kind = "an integer"
+    elif value < 1 and key in ("n_values", "trials"):
+        kind = "at least 1"
+    else:
+        return value
+    raise FormatError(f'sweep spec: "{key}" must be {kind}, got {json.dumps(value, default=repr)}')
 
 
 @dataclass

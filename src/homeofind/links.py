@@ -332,7 +332,9 @@ def pick_link_vertex(
     in ascending order.  Each condition is
     one exact integer cutoff (see ``exact``): the first is worked out once
     and read against ``index.link_size``, so the link graph is built only
-    for a z that passes it; the second once per such z.
+    for a z that passes it; the second once per such z.  A cutoff (1) above
+    n_x n_y, the most edges a link can have, refuses before any e(L_z) is
+    counted.
 
     A Y-pair of common degree d carries at most C(d, 2) forbidden cycles,
     so B_z <= T_z, the sum of C(d, 2) over the Y-pairs (the link's 4-cycle
@@ -351,6 +353,13 @@ def pick_link_vertex(
     n = max(host.class_sizes)
     C = cfg.C
     e_min = ceil_pow(C / 2, n, 2 - cfg.delta)
+    refusal = (
+        f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "
+        f"(1) needs e(L_z) >= {e_min}"
+    )
+    cap = host.n_x * host.n_y  # the most edges a link can have
+    if e_min > cap:
+        raise NoQualifyingVertex(f"{refusal} > n_x n_y = {cap}, so no link can pass (1)")
     best_diag = []
     for z in bits(index.occupied):
         e_l = index.link_size(z)
@@ -385,9 +394,4 @@ def pick_link_vertex(
             link=link, forbidden_count=t_z if settled else b_z,
             forbidden_exact=not settled, bad_pairs=tuple(bad), q=q,
         )
-    cap = host.n_x * host.n_y  # the most edges a link can have
-    beyond = f" > n_x n_y = {cap}, so no link can pass (1)" if e_min > cap else ""
-    raise NoQualifyingVertex(
-        f"no z in Z satisfies the density conditions (n={n}, C={C}, K={K}); "
-        f"(1) needs e(L_z) >= {e_min}{beyond}; per-z diagnostics: {best_diag[:10]}"
-    )
+    raise NoQualifyingVertex(f"{refusal}; per-z diagnostics: {best_diag[:10]}")

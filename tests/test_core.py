@@ -235,6 +235,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an int or a Fraction"):
             Config(**kw)
 
+    @pytest.mark.parametrize("seed", [1.5, "1", True, None])
+    def test_rng_seed_rejects_all_but_ints(self, seed):
+        # a bool would run as seed 0 or 1, the others fail only after the search
+        with pytest.raises(ValueError, match="^rng_seed must be an integer, got "):
+            Config(rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, -9, 2 ** 70])
+    def test_rng_seed_takes_every_int(self, seed):
+        assert Config(rng_seed=seed).rng_seed == seed
+
     def test_paper_defaults(self):
         cfg = Config.paper_defaults(K4)
         assert cfg.C == 2000 * 4 ** 6

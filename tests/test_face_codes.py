@@ -71,6 +71,7 @@ class TestConstruction:
         if faces[1:]:
             assert a != TripartiteHost(sizes, faces[1:])
         assert a != TripartiteHost(sizes[::-1], [])
+        assert (a == (a.class_sizes, a.zmasks)) is False  # no host, no equality
 
 
 class TestNonCubicEncoding:

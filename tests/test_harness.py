@@ -211,6 +211,55 @@ class TestSweepSpec:
         with pytest.raises(FormatError, match='"C" must be a rational'):
             SweepSpec("builtin:triangle", (4,), Fraction(1), Fraction(0), 1, 0, {"C": "x"})
 
+    # a spec every check passes, as keyword arguments to SweepSpec
+    GOOD = dict(target="builtin:triangle", n_values=[12], a="1", b="1/5", trials=2, seed=0,
+                cfg_overrides={"C": "2", "k_threshold": 3})
+
+    def test_python_spec_equals_its_json_form(self):
+        spec = SweepSpec(**{**self.GOOD, "n_values": [10, 20], "b": 0.2, "seed": -9})
+        raw = {**self.GOOD, "n_values": [10, 20], "b": 0.2, "seed": -9}
+        raw["cfg"] = raw.pop("cfg_overrides")
+        assert spec == SweepSpec.from_json(json.dumps(raw))
+        assert (spec.n_values, spec.a, spec.b) == ((10, 20), Fraction(1), Fraction(1, 5))
+        assert spec.cfg_overrides == {"C": Fraction(2), "k_threshold": 3}
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("target", 5, 'sweep spec: "target" must be a string, got 5'),
+        ("target", None, 'sweep spec: "target" must be a string, got null'),
+        ("n_values", 8, 'sweep spec: "n_values" must be a list'),
+        ("n_values", [12, 0], 'sweep spec: "n_values" must be at least 1, got 0'),
+        ("n_values", [12.0], 'sweep spec: "n_values" must be an integer, got 12.0'),
+        ("a", "1/0", 'sweep spec: "a" must be a rational, got "1/0"'),
+        ("a", True, 'sweep spec: "a" must be a rational, got true'),
+        ("b", None, 'sweep spec: "b" must be a rational, got null'),
+        ("trials", 0, 'sweep spec: "trials" must be at least 1, got 0'),
+        ("trials", "2", 'sweep spec: "trials" must be an integer, got "2"'),
+        ("seed", 1.5, 'sweep spec: "seed" must be an integer, got 1.5'),
+        ("seed", False, 'sweep spec: "seed" must be an integer, got false'),
+        ("cfg_overrides", ["C"], "malformed sweep spec: 'list' object is not a mapping"),
+        ("cfg_overrides", {"rng_seed": 1}, "unknown sweep cfg key(s) ['rng_seed']; allowed: "),
+        ("cfg_overrides", {"retry_limit": 1.5}, 'sweep spec: "retry_limit" must be an integer, got 1.5'),
+    ])
+    def test_each_field_checked_alike_in_python_and_json(self, key, value, message):
+        fields = {**self.GOOD, key: value}
+        with pytest.raises(FormatError) as built:
+            SweepSpec(**fields)
+        fields["cfg"] = fields.pop("cfg_overrides")
+        with pytest.raises(FormatError) as read:
+            SweepSpec.from_json(json.dumps(fields))
+        assert str(built.value) == str(read.value)
+        assert str(built.value).startswith(message)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"spec"', "null"])
+    def test_spec_must_be_a_json_object(self, text):
+        with pytest.raises(FormatError, match="^malformed sweep spec: "):
+            SweepSpec.from_json(text)
+
+    def test_value_without_json_text_shown_by_repr(self):
+        with pytest.raises(FormatError) as info:
+            SweepSpec(**{**self.GOOD, "seed": Fraction(3, 2)})
+        assert str(info.value) == 'sweep spec: "seed" must be an integer, got "Fraction(3, 2)"'
+
 
 class TestRunSweep:
     def _spec(self, a, b="0", trials=3, n=12, seed=11):

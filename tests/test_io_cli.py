@@ -292,6 +292,13 @@ class TestCertificateFormat:
             parse_certificate(text)
         assert str(info.value) == f"line {lineno}: expected 'hf x y z'"
 
+    def test_missing_disk_block(self):
+        # the last disk line and its four hf lines dropped
+        text = "".join(TRIANGLE_CERT.splitlines(keepends=True)[:-5])
+        with pytest.raises(FormatError) as info:
+            parse_certificate(text)
+        assert str(info.value) == "certificate has 2 disk blocks, target requires 3"
+
     def test_triangle_cert_parses(self):
         host = complete_host(10)
         cert = find_homeomorph(host, TRIANGLE, Config(C=1, k_threshold=3, rng_seed=2))
@@ -340,6 +347,15 @@ class TestCli:
             "--C", "1", "--k", "3", "--seed", "0", "--out", certp,
         ])
         assert rc == 0
+        assert main(["verify", "--cert", certp, "--host", hostp]) == 0
+
+    def test_find_takes_a_negative_seed(self, tmp_path):
+        hostp = self._write_host(tmp_path, complete_host(10))
+        certp = str(tmp_path / "out.cert")
+        assert main([
+            "find", "--target", "builtin:triangle", "--host", hostp,
+            "--C", "1", "--k", "3", "--seed", "-9", "--out", certp,
+        ]) == 0
         assert main(["verify", "--cert", certp, "--host", hostp]) == 0
 
     def test_verify_rejects_wrong_host(self, tmp_path):
@@ -497,6 +513,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: expected 'tg n'")
         assert "Traceback" not in err
+
+    def test_missing_disk_block_exit_2(self, tmp_path, capsys):
+        hostp = self._write_host(tmp_path, complete_host(10))
+        certp = tmp_path / "short.cert"
+        certp.write_text("".join(TRIANGLE_CERT.splitlines(keepends=True)[:-5]))
+        assert main(["verify", "--cert", str(certp), "--host", hostp]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: certificate has 2 disk blocks, target requires 3\n"
 
     def test_truncated_v1_line_exit_2(self, tmp_path, capsys):
         hostp = self._write_host(tmp_path, complete_host(10))

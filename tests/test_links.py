@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -17,6 +18,8 @@ from homeofind.links import (
     HostIndex,
     count_disks,
     count_forbidden,
+    expectation_oracle,
+    forbidden_expectation_oracle,
     good_pair_rule,
     iter_link_cycles,
     pick_link_vertex,
@@ -165,6 +168,12 @@ class TestExpectationIdentities:
                 per_link_total += 1
                 seen.setdefault(c, count_disks(host, c))
         assert per_link_total == sum(seen.values())
+
+    @pytest.mark.parametrize("oracle", [expectation_oracle, partial(forbidden_expectation_oracle, K=3)])
+    def test_oracles_refuse_a_host_without_z(self, oracle):
+        # an average over Z needs some z
+        with pytest.raises(ValueError, match="^host has no Z vertices$"):
+            oracle(TripartiteHost((3, 3, 0), []))
 
 
 class TestIterLinkCycles:
@@ -435,8 +444,10 @@ class TestPickLinkVertex:
 
     def test_scans_only_occupied_z(self, monkeypatch):
         # n_Z = 10**12, faces only at z < 7: the scan reads e(L_z) for those
-        # seven z alone, where a scan of range(n_Z) would never finish.
-        faces = list(itertools.product(range(40), range(40), range(7)))
+        # seven z alone, where a scan of range(n_Z) would never finish.  With
+        # delta = 1, (1) needs (C/2) 10**12 = 1600 = n_x n_y edges, within
+        # reach of a link, and each link misses the face (0, 0, z).
+        faces = [f for f in itertools.product(range(40), range(40), range(7)) if f[:2] != (0, 0)]
         host = TripartiteHost((40, 40, 10 ** 12), faces)
         seen = []
         link_size = HostIndex.link_size
@@ -448,33 +459,38 @@ class TestPickLinkVertex:
             return link_size(self, z)
 
         monkeypatch.setattr(HostIndex, "link_size", counted)
-        with pytest.raises(NoQualifyingVertex, match=r"\(6, 1600, None\)\]$"):
-            pick_link_vertex(host, Config(C=1000), K=3, index=HostIndex(host))
+        cfg = Config(C=Fraction(3200, 10 ** 12), delta=1)
+        with pytest.raises(NoQualifyingVertex, match=r"\(6, 1599, None\)\]$"):
+            pick_link_vertex(host, cfg, K=3, index=HostIndex(host))
         assert seen == list(range(7))
 
     def test_skips_empty_z_and_keeps_first_choice(self):
-        # faces at z = 2 (sparse) and z = 9 (complete) only.  With n = 12
-        # and delta = 1, condition (1) is e(L_z) >= 6C: the scan reports
-        # z = 2 and picks z = 9 at C = 1, and reports both at C = 10.
+        # faces at z = 2 (sparse) and z = 9 (complete on 4 x 4) only.  With
+        # n = 12 and delta = 1, condition (1) is e(L_z) >= 6C, within the 25
+        # edges a link can have up to C = 4: the scan reports z = 2 and picks
+        # z = 9 at C = 1, and reports both at C = 3.
         faces = [(0, 0, 2)] + list(itertools.product(range(4), range(4), [9]))
-        host = TripartiteHost((4, 4, 12), faces)
+        host = TripartiteHost((5, 5, 12), faces)
         index = HostIndex(host)
         choice = pick_link_vertex(host, Config(C=1, delta=1), K=3, index=index)
         assert (choice.link.z, choice.link.e) == (9, 16)
         with pytest.raises(NoQualifyingVertex, match=r"\[\(2, 1, None\), \(9, 16, None\)\]"):
-            pick_link_vertex(host, Config(C=10, delta=1), K=3, index=index)
+            pick_link_vertex(host, Config(C=3, delta=1), K=3, index=index)
 
     def test_refusal_names_the_density_cutoff(self):
         # paper constants at n = 90: (1) needs (C/2) 90**(9/5) edges, with
         # C = 2000 * 3**6, where a link has at most 90 * 90
         host = gen_random_host(90, 90, 90, 1, 0)
         cfg = Config.paper_defaults(load_target("builtin:triangle"))
+        index = HostIndex(host)
         with pytest.raises(NoQualifyingVertex) as info:
-            pick_link_vertex(host, cfg, K=81, index=HostIndex(host))
-        assert (
-            "; (1) needs e(L_z) >= 2400844573 > n_x n_y = 8100, so no link can pass (1); "
-            "per-z diagnostics: [(0, 8100, None), (1, 8100, None)"
-        ) in str(info.value)
+            pick_link_vertex(host, cfg, K=81, index=index)
+        assert str(info.value).endswith(
+            "; (1) needs e(L_z) >= 2400844573 > n_x n_y = 8100, so no link can pass (1)"
+        )
+        # refused on the cutoff alone: no e(L_z) read, no byte column cut
+        assert "per-z" not in str(info.value)
+        assert "_columns" not in vars(index)
 
     def test_refusal_within_reach_names_only_the_cutoff(self):
         # n = 4, C = 1, delta = 1: (1) needs 2 edges, and each link has 1
