@@ -13,10 +13,10 @@ table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
 each (x, y) with at least one face, the bitmask over Z of the z that
 complete (x, y) to a face, keyed by the flat index ``x * n_y + y``.  The
 table is sparse (an (x, y) with no face has no entry), so it holds one int
-per occupied (x, y) and nothing per face or per header-sized class.  Every
-stage reads the host through it: ``io`` writes and parses it, and ``links``
-views it as ``HostIndex`` and counts every link size e(L_z) from byte
-columns of its masks.
+per occupied (x, y) and nothing per face or per header-sized class.  Facts
+of the table alone, ``e`` and ``occupied`` (the OR of its masks), live on
+the host.  Every stage reads the host through it: ``io`` writes and
+parses it, and ``links`` counts link sizes e(L_z) from its byte columns.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -26,9 +26,10 @@ is the one function that lists a mask's set bits, for every module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations, compress, count
+from operator import or_
 from typing import Iterable
 
 Face = tuple[int, int, int]
@@ -91,7 +92,7 @@ def _class_sizes(class_sizes) -> tuple[int, int, int]:
     return sizes
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False)
 class TripartiteHost:
     """A 3-partite 3-graph with classes X, Y, Z and per-class 0-based indices.
 
@@ -102,7 +103,8 @@ class TripartiteHost:
     triples of ints and names the first bad face in input order; a face's
     mask takes z + 1 bits, so memory grows with the largest z given.
     ``has`` tests one face, and ``sorted_faces`` and ``faces`` decode the
-    table, for tests and oracles.  Equality and hashing are by value.
+    table, for tests and oracles.  ``e`` and ``occupied`` (the OR of the
+    masks) are worked out here alone.  Equality and hashing are by value.
     """
 
     class_sizes: tuple[int, int, int]
@@ -131,16 +133,7 @@ class TripartiteHost:
         object.__setattr__(host, "zmasks", zmasks)
         return host
 
-    def __eq__(self, other):
-        if not isinstance(other, TripartiteHost):
-            return NotImplemented
-        return self.class_sizes == other.class_sizes and self.zmasks == other.zmasks
-
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
         return hash((self.class_sizes, frozenset(self.zmasks.items())))
 
     @property
@@ -158,6 +151,11 @@ class TripartiteHost:
     @cached_property
     def e(self) -> int:
         return sum(map(int.bit_count, self.zmasks.values()))
+
+    @cached_property
+    def occupied(self) -> int:
+        """The OR of the table's masks: bit z is set when z is on a face."""
+        return reduce(or_, self.zmasks.values(), 0)
 
     def has(self, x: int, y: int, z: int) -> bool:
         """Whether (x, y, z) is a face.  Each coordinate is checked against

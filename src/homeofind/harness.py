@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 
 from .core import Config, TripartiteHost
 from .embed import find_homeomorph
@@ -89,8 +90,9 @@ _CFG_KEYS = tuple(f.name for f in fields(Config) if f.name != "rng_seed")
 class SweepSpec:
     """A density sweep p = a * n**(-b), every field checked where the spec is
     built, in Python or by ``from_json``: ``n_values`` is a list or tuple,
-    kept as a tuple, and ``_read`` reads each value.  ``cfg_overrides`` sets
-    Config fields but rng_seed, the int each trial derives from ``seed``."""
+    kept as a tuple, and ``_read`` reads each value.  ``cfg_overrides``,
+    read-only once checked, sets Config fields but rng_seed, which each
+    trial derives from ``seed``."""
 
     target: str  # path or builtin:NAME
     n_values: tuple[int, ...]
@@ -98,7 +100,7 @@ class SweepSpec:
     b: Fraction
     trials: int
     seed: int
-    cfg_overrides: dict = field(default_factory=dict)
+    cfg_overrides: MappingProxyType = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)
@@ -113,7 +115,7 @@ class SweepSpec:
             raise FormatError(f"malformed sweep spec: {exc}") from None
         if unknown := sorted(set(cfg) - set(_CFG_KEYS), key=str):
             raise FormatError(f"unknown sweep cfg key(s) {unknown}; allowed: {', '.join(_CFG_KEYS)}")
-        put("cfg_overrides", {k: _read(v, k) for k, v in cfg.items()})
+        put("cfg_overrides", MappingProxyType({k: _read(v, k) for k, v in cfg.items()}))
 
     def p_for(self, n: int) -> float:
         try:

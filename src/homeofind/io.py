@@ -226,13 +226,9 @@ def write_host(host: TripartiteHost) -> str:
     (x, y) makes one ``f x y`` prefix, joined to the text of each z in its
     mask.  That text is made once per z that occurs in the host."""
     ny = host.n_y
-    table = sorted(host.zmasks.items())
-    union = 0
-    for _, m in table:
-        union |= m
-    z_text = {z: str(z) for z in bits(union)}.__getitem__
+    z_text = {z: str(z) for z in bits(host.occupied)}.__getitem__
     lines = [f"tph {host.n_x} {ny} {host.n_z}"]
-    for i, m in table:
+    for i, m in sorted(host.zmasks.items()):
         lines += map(f"f {i // ny} {i % ny} ".__add__, map(z_text, bits(m)))
     return "\n".join(lines) + "\n"
 

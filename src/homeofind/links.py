@@ -3,11 +3,11 @@
 The hot path here is counting, for every 4-cycle of a link, the number of
 host vertices z whose link also contains it (its 4-disks).  The host's
 z-mask table (see ``core``) already holds, per (x, y), the bitmask of the
-z completing it to a face; ``HostIndex`` is a view of that table, so a
-cycle's disk count is a popcount of an AND of four of its entries, looked
-up by flat index ``x * n_y + y``.  The z-scan visits only the z on some
-face, the set bits of the OR of the table's masks, and reads e(L_z) for
-each as one count over a byte column of those masks
+z completing it to a face; ``HostIndex`` holds the host and byte columns
+cut from that table, so a cycle's disk count is a popcount of an AND of
+four of its entries, looked up by flat index ``x * n_y + y``.  The z-scan
+visits only the z on some face, the set bits of ``TripartiteHost.occupied``,
+and reads e(L_z) for each as one count over a byte column of the masks
 (``HostIndex.link_size``); it builds a ``LinkGraph`` only for a z that
 passes the density condition, from the table entries that column selects.
 
@@ -38,10 +38,9 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, compress
 from math import ceil, comb
-from operator import or_
 
 from .core import Config, TripartiteHost, bits
 from .errors import NoQualifyingVertex
@@ -79,27 +78,19 @@ class LinkGraph:
 
 
 class HostIndex:
-    """A view of one host's z-mask table, shared by every stage of a run.
+    """A host and the byte columns of its table, shared by a run's stages.
 
-    ``zmasks`` is the host's table itself: nothing is copied, and nothing
-    is built per face.  ``disk_mask`` ANDs table entries found by flat
-    index.  ``occupied`` is the mask of the z that lie on some face.  The
-    table's masks are cut, on first use, into byte columns: column j holds
-    byte j of every mask, in table order, so bit z of the masks is one
-    byte-wise ``translate`` of column z // 8.  ``link_size(z)`` counts
-    those bits, e(L_z), and ``link(z)`` selects with them the table
-    entries that hold z and builds the link of z from those alone.
+    It holds ``host`` alone until it cuts the columns, reading the table,
+    its sizes and ``occupied`` from the host.  ``disk_mask`` ANDs table
+    entries found by flat index.  On first use the table's masks are cut
+    into byte columns: column j holds byte j of every mask, in table order,
+    so bit z of the masks is one byte-wise ``translate`` of column z // 8.
+    ``link_size(z)`` counts those bits, e(L_z), and ``link(z)`` selects
+    with them the table entries that hold z and builds its link from them.
     """
 
     def __init__(self, host: TripartiteHost):
         self.host = host
-        self.zmasks = host.zmasks
-        self.n_y = host.n_y
-
-    @cached_property
-    def occupied(self) -> int:
-        """The OR of the table's masks: bit z is set when z is on a face."""
-        return reduce(or_, self.zmasks.values(), 0)
 
     @cached_property
     def _columns(self) -> list[bytes]:
@@ -107,8 +98,8 @@ class HostIndex:
         # a face (never by n_z): the join holds entries * nb bytes, which
         # parse_host's table budget (entries times highest z + 1 bits)
         # bounds up to one byte per entry.  Column j is every nb-th byte.
-        nb = (self.occupied.bit_length() + 7) // 8
-        joined = b"".join(m.to_bytes(nb, "little") for m in self.zmasks.values())
+        nb = (self.host.occupied.bit_length() + 7) // 8
+        joined = b"".join(m.to_bytes(nb, "little") for m in self.host.zmasks.values())
         return [joined[j::nb] for j in range(nb)]
 
     def _holds(self, z: int) -> bytes:
@@ -118,7 +109,7 @@ class HostIndex:
             raise IndexError(f"z = {z} out of range")
         columns = self._columns
         if z >> 3 >= len(columns):
-            return bytes(len(self.zmasks))
+            return bytes(len(self.host.zmasks))
         return columns[z >> 3].translate(_BIT_OF_BYTE[z & 7])
 
     def link_size(self, z: int) -> int:
@@ -126,9 +117,9 @@ class HostIndex:
         return self._holds(z).count(1)
 
     def link(self, z: int) -> LinkGraph:
-        n_y = self.n_y
+        n_y = self.host.n_y
         x_masks, y_masks = [0] * self.host.n_x, [0] * n_y
-        for i in compress(self.zmasks, self._holds(z)):
+        for i in compress(self.host.zmasks, self._holds(z)):
             x, y = divmod(i, n_y)
             x_masks[x] |= 1 << y
             y_masks[y] |= 1 << x
@@ -136,8 +127,8 @@ class HostIndex:
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
         """Bitmask over Z of the centers completing the cycle to 4-disks."""
-        get = self.zmasks.get
-        ra, rb = xa * self.n_y, xb * self.n_y
+        get, ny = self.host.zmasks.get, self.host.n_y
+        ra, rb = xa * ny, xb * ny
         return get(ra + ya, 0) & get(ra + yb, 0) & get(rb + ya, 0) & get(rb + yb, 0)
 
 
@@ -249,8 +240,8 @@ def count_forbidden(
     - |Z(x) & Z(x')| >= c + c' - n_Z (inclusion-exclusion), so a column pair
       with c + c' > K + n_Z is admissible.
     """
-    zb, ny = index.zmasks, index.n_y
-    cap = K + index.host.n_z
+    host = index.host
+    zb, ny, cap = host.zmasks, host.n_y, K + host.n_z
     ymasks = link.y_masks
     if pairs is None:
         pairs = combinations([y for y in range(link.n_y) if ymasks[y]], 2)
@@ -328,7 +319,7 @@ def pick_link_vertex(
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
     B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  Only the z
-    of some face are scanned: they are the set bits of ``index.occupied``,
+    of some face are scanned: they are the set bits of ``host.occupied``,
     in ascending order.  Each condition is
     one exact integer cutoff (see ``exact``): the first is worked out once
     and read against ``index.link_size``, so the link graph is built only
@@ -361,7 +352,7 @@ def pick_link_vertex(
     if e_min > cap:
         raise NoQualifyingVertex(f"{refusal} > n_x n_y = {cap}, so no link can pass (1)")
     best_diag = []
-    for z in bits(index.occupied):
+    for z in bits(host.occupied):
         e_l = index.link_size(z)
         # (1): e(L_z) >= (C/2) n**(2 - delta)
         if e_l < e_min:

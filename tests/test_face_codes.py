@@ -72,6 +72,7 @@ class TestConstruction:
             assert a != TripartiteHost(sizes, faces[1:])
         assert a != TripartiteHost(sizes[::-1], [])
         assert (a == (a.class_sizes, a.zmasks)) is False  # no host, no equality
+        assert "_hash" not in vars(a)  # hashed by value, nothing cached
 
 
 class TestNonCubicEncoding:
@@ -92,7 +93,7 @@ class TestNonCubicEncoding:
     def test_index_matches_brute_force(self, sizes):
         host = gen_random_host(*sizes, 0.5, 5)
         index = HostIndex(host)
-        assert index.zmasks == brute_table(sizes, host.faces)
+        assert index.host.zmasks == brute_table(sizes, host.faces)
         for z in range(host.n_z):
             link = index.link(z)
             edges = {(x, y) for x, y, zz in host.faces if zz == z}
@@ -103,6 +104,21 @@ class TestNonCubicEncoding:
                 sum(1 << x for x in range(host.n_x) if (x, y) in edges) for y in range(host.n_y)
             )
             assert link.e == len(edges)
+
+    @pytest.mark.parametrize("sizes", NON_CUBIC)
+    @pytest.mark.parametrize("p", [0, 0.05, 0.5, 1])
+    def test_occupied_is_the_or_of_the_face_zs(self, sizes, p):
+        host = gen_random_host(*sizes, p, 8)
+        assert host.occupied == sum({1 << z for _, _, z in host.faces})
+        if p == 0:  # the empty host
+            assert host.occupied == 0
+
+    def test_index_holds_only_its_host_and_byte_columns(self):
+        host = gen_random_host(3, 5, 7, 0.5, 9)
+        index = HostIndex(host)
+        assert vars(index) == {"host": host}
+        index.link_size(0)
+        assert vars(index).keys() == {"host", "_columns"}
 
     @pytest.mark.parametrize("sizes", NON_CUBIC)
     def test_has_matches_tuple_membership(self, sizes):
@@ -145,7 +161,7 @@ def test_link_sizes_and_links_across_byte_columns():
     ]
     host = TripartiteHost(sizes, faces)
     index = HostIndex(host)
-    assert index.occupied == sum(1 << z for z in (7, 8, 64, 1000))
+    assert host.occupied == sum(1 << z for z in (7, 8, 64, 1000))
     for z in list(range(1010)) + [10 ** 12 - 1]:
         edges = {(x, y) for x, y, zz in faces if zz == z}
         assert index.link_size(z) == len(edges), z

@@ -250,6 +250,22 @@ class TestSweepSpec:
         assert str(built.value) == str(read.value)
         assert str(built.value).startswith(message)
 
+    def test_checked_overrides_are_read_only(self):
+        spec = SweepSpec(**self.GOOD)
+        with pytest.raises(TypeError):
+            spec.cfg_overrides["C"] = 0.5
+        assert spec.cfg_overrides == {"C": Fraction(2), "k_threshold": 3}
+        # replace runs every check again, on the proxy as on a dict
+        assert dataclasses.replace(spec, trials=3).cfg_overrides == spec.cfg_overrides
+        with pytest.raises(FormatError, match='"C" must be a rational'):
+            dataclasses.replace(spec, cfg_overrides={"C": "x"})
+
+    def test_spec_hashes_by_value(self):
+        a = SweepSpec(**{**self.GOOD, "n_values": [8]})
+        b = SweepSpec(**{**self.GOOD, "n_values": (8,)})
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(b, cfg_overrides={"C": "3", "k_threshold": 3})
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"spec"', "null"])
     def test_spec_must_be_a_json_object(self, text):
         with pytest.raises(FormatError, match="^malformed sweep spec: "):

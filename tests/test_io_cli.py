@@ -622,15 +622,15 @@ class TestCli:
                 "--seed", "9"]
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
-        assert open(out1).read() == open(out2).read()
-        host = parse_host(open(out1).read())
+        assert Path(out1).read_text() == Path(out2).read_text()
+        host = parse_host(Path(out1).read_text())
         assert host.class_sizes == (6, 6, 6)
 
     def test_gen_p_one_is_complete(self, tmp_path):
         out = str(tmp_path / "c.tph")
         assert main(["gen", "--nx", "3", "--ny", "3", "--nz", "3", "--p", "1",
                      "--out", out]) == 0
-        assert parse_host(open(out).read()).e == 27
+        assert parse_host(Path(out).read_text()).e == 27
 
     def test_inspect(self, capsys):
         assert main(["inspect", "--target", "builtin:torus7"]) == 0
