@@ -117,6 +117,12 @@ class SweepSpec:
             raise FormatError(f"unknown sweep cfg key(s) {unknown}; allowed: {', '.join(_CFG_KEYS)}")
         put("cfg_overrides", MappingProxyType({k: _read(v, k) for k, v in cfg.items()}))
 
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled: rebuild from the fields, through
+        # every check again, with a plain dict of the overrides
+        return type(self), (self.target, self.n_values, self.a, self.b, self.trials, self.seed,
+                            dict(self.cfg_overrides))
+
     def p_for(self, n: int) -> float:
         try:
             p = float(self.a) * n ** (-float(self.b))

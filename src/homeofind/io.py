@@ -10,26 +10,33 @@ counted once.  Every malformed input, a non-integer token included, raises
 
 A host file's face lines are ORed into the host's z-mask table (see
 ``core``) as they are read, and ``write_host`` writes the table back in
-sorted order, listing each mask's z with ``core.bits``.  Each line is
-checked as it is read, its coordinates against the ``tph`` sizes once per
-distinct token, so the error names the first malformed line in file
-order.  Nothing is allocated in proportion to a header's count: not
-from a host's ``tph`` sizes, and not from a certificate's ``tg`` count,
-which is bounded by the lines that can place its vertices before anything
-is built from it.
+sorted order, listing each mask's z with ``core.bits``, so the lines of
+one (x, y) form one run that differs only after its last space.
+``parse_host`` reads such a run in one step, checking its x and y once;
+every other line, whatever its spacing or place, is read on its own with
+the same checks.  Each line is checked as it is read, its coordinates
+against the ``tph`` sizes once per distinct token, so the error names the
+first malformed line in file order.  Nothing is allocated in proportion
+to a header's count: not from a host's ``tph`` sizes, and not from a
+certificate's ``tg`` count, which is bounded by the lines that can place
+its vertices before anything is built from it.
 
 A host's table is bounded by its text: with k (x, y) entries and largest
 z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
 the line that would pass it, a text whose table would exceed
 ``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
-``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists.  A
+``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists.
+Each z gets one bit, however many spellings of it the text holds.  A
 written host stays far inside: a dense n = 60 host holds about 0.1 bit
 per character.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from importlib import resources
+from itertools import groupby, repeat
+from operator import itemgetter, or_
 
 from .core import (
     Embedding,
@@ -135,89 +142,118 @@ def _over_budget(keys: int, top: int, budget: int) -> str:
 
 
 class _ZBits(_TokenInts):
-    """Token text -> the bit ``1 << z`` of a checked ``z = int(text)``.
+    """A face line's last text (its tail) -> the bit ``1 << z`` of a checked
+    ``z = int(tail)``.
 
-    ``top`` is the largest z + 1 seen.  A new largest z is checked against
-    the table budget, counting one more (x, y) entry than the table has,
-    before its bit is made.
+    A tail that is not exactly one token is refused as a malformed face
+    line.  Every spelling of one z shares one bit, made when that z is first
+    read.  ``top`` is the largest z + 1 seen; a new largest z is checked
+    against the table budget first, counting the entries in ``table`` (the
+    entry being read is already there).
     """
 
     def __init__(self, nz: int, table: dict[int, int], budget: int):
         super().__init__("z", nz)
         self.table, self.budget = table, budget
         self.top = 0
+        self.bits: dict[int, int] = {}
 
-    def __missing__(self, tok: str) -> int:
-        z = self._checked(tok)
-        if z >= self.top:
-            if (len(self.table) + 1) * (z + 1) > self.budget:
-                raise ValueError(_over_budget(len(self.table) + 1, z + 1, self.budget))
-            self.top = z + 1
-        val = self[tok] = 1 << z
-        return val
+    def __missing__(self, tail: str) -> int:
+        tok = tail.split()
+        if len(tok) != 1:
+            raise ValueError("expected 'f x y z'")
+        z = self._checked(tok[0])
+        bit = self.bits.get(z)
+        if bit is None:
+            if z >= self.top:
+                if len(self.table) * (z + 1) > self.budget:
+                    raise ValueError(_over_budget(len(self.table), z + 1, self.budget))
+                self.top = z + 1
+            bit = self.bits[z] = 1 << z
+        self[tail] = bit
+        return bit
 
 
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host in one pass over its lines, checking each line
     as it is read: a ``FormatError`` names the first malformed line.
 
-    Each well-formed face line ORs its z-bit into the table entry of its
-    (x, y).  A host repeats a few distinct tokens on many face lines, so
-    each distinct token text is converted once per class, through a memo
-    that grows only with the tokens read (not with the ``tph`` sizes);
-    every coordinate is still ``int(token)``, so spellings and non-integer
-    errors are those of a plain per-token ``int()``.  A memo checks a value
+    The text is read one run at a time: a run is the consecutive lines
+    that share their text before the last space, as the lines of one
+    (x, y) do in a written host.  A run of well-formed face lines after
+    the header is one face commit: its x and y are checked once, and the
+    z-bits of its tails (the text after each line's last space) are ORed
+    into the table entry of its (x, y).  Every other line is read on its
+    own; a face line among them is a run of one and goes through the same
+    commit.
+
+    A host repeats a few distinct tokens on many face lines, so each
+    distinct token text is converted once per class, through a memo that
+    grows only with the tokens read (not with the ``tph`` sizes); every
+    coordinate is still ``int(token)``, so spellings and non-integer errors
+    are those of a plain per-token ``int()``.  A memo checks a value
     against its class when it converts it, x then y then z, and keeps no
     value outside it, so no face aliases another's entry and the z memo
-    makes no bit for a z outside its class.  A line that opens a new entry
-    or a new largest z checks the table's bound (see the module docstring)
-    first.
+    makes no bit for a z outside its class.  A bad z in a run names its own
+    line.  A face that opens a new entry or a new largest z checks the
+    table's bound (see the module docstring) first.
     """
     sizes = None
     table: dict[int, int] = {}
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
-    # A written host gives each (x, y) one run of consecutive lines: the run
-    # ORs its z-bits into ``run``, kept out of the table until the run ends.
-    xt = yt = key = None  # the run's x and y tokens and its table key
-    run = 0
+
+    def commit(xt: str, yt: str, tails: list[str]) -> None:
+        """ORs the faces (x, y, z) of one run into the table, one z per
+        tail; a bad z moves ``lineno`` from the run's first line to its own."""
+        nonlocal lineno
+        key = xs[xt] * ny + ys[yt]
+        run = table.get(key)
+        if run is None:  # a new entry, counted from here on
+            if (len(table) + 1) * zs.top > budget:
+                raise ValueError(_over_budget(len(table) + 1, zs.top, budget))
+            table[key] = run = 0
+        try:
+            table[key] = reduce(or_, map(zs.__getitem__, tails), run)
+        except ValueError:  # the memo keeps every tail read before the bad one
+            lineno += next(i for i, tail in enumerate(tails) if tail not in zs)
+            raise
+
+    runs = groupby(map(str.rpartition, text.splitlines(), repeat(" ")), itemgetter(0))
+    lineno = after = 1
     try:
-        for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
-            # the well-formed face line comes first: it is nearly every line
-            if len(tok) == 4 and tok[0] == "f" and sizes is not None:
-                if tok[2] != yt or tok[1] != xt:  # a new run
-                    if key is not None:
-                        table[key] = run
-                    xt, yt = tok[1], tok[2]
-                    key = xs[xt] * ny + ys[yt]
-                    run = table.get(key)
-                    if run is None:  # a new entry, counted with the table
-                        if (len(table) + 1) * zs.top > budget:
-                            raise ValueError(_over_budget(len(table) + 1, zs.top, budget))
-                        run = 0
-                run |= zs[tok[3]]
-            elif not tok or tok[0].startswith("#"):
+        for head, group in runs:
+            tails = list(map(itemgetter(2), group))
+            lineno, after = after, after + len(tails)
+            tok = head.split()
+            # the run of face lines comes first: it is nearly every line
+            if sizes is not None and len(tok) == 3 and tok[0] == "f" and len(tails[0].split()) == 1:
+                commit(tok[1], tok[2], tails)
                 continue
-            elif tok[0] == "tph":
-                if sizes is not None:
-                    raise FormatError(f"line {lineno}: duplicate tph header")
-                if len(tok) != 4:
-                    raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
-                nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
-                xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZBits(nz, table, budget)
-            elif tok[0] != "f":
-                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
-            elif sizes is None:
-                raise FormatError(f"line {lineno}: face before tph header")
-            else:
-                raise FormatError(f"line {lineno}: expected 'f x y z'")
+            for lineno, tail in enumerate(tails, lineno):
+                line = tok + tail.split()
+                if not line or line[0].startswith("#"):
+                    continue
+                elif line[0] == "tph":
+                    if sizes is not None:
+                        raise FormatError(f"line {lineno}: duplicate tph header")
+                    if len(line) != 4:
+                        raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
+                    nx, ny, nz = sizes = TripartiteHost(map(int, line[1:]), ()).class_sizes
+                    xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZBits(nz, table, budget)
+                elif line[0] != "f":
+                    raise FormatError(f"line {lineno}: unknown directive {line[0]!r}")
+                elif sizes is None:
+                    raise FormatError(f"line {lineno}: face before tph header")
+                elif len(line) != 4:
+                    raise FormatError(f"line {lineno}: expected 'f x y z'")
+                else:
+                    commit(line[1], line[2], line[3:])
     except FormatError:
         raise
     except ValueError as exc:  # a bad token, header size or coordinate, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
-    if key is not None:
-        table[key] = run
     return TripartiteHost._from_table(sizes, table)
 
 

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -265,6 +268,12 @@ class TestSweepSpec:
         b = SweepSpec(**{**self.GOOD, "n_values": (8,)})
         assert a == b and hash(a) == hash(b)
         assert a != dataclasses.replace(b, cfg_overrides={"C": "3", "k_threshold": 3})
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        spec = SweepSpec(**self.GOOD)
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec and hash(copied) == hash(spec)
+            assert isinstance(copied.cfg_overrides, MappingProxyType)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"spec"', "null"])
     def test_spec_must_be_a_json_object(self, text):

@@ -202,6 +202,22 @@ class TestHostFormat:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_spellings_of_one_z_share_one_bit(self):
+        # 53 spellings of z = 8 000 000, one face: its 1 MB bit is made once
+        # (a bit per spelling would take 53 MB)
+        z = 8_000_000
+        arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+        spellings = ["0" * k + str(z) for k in range(50)] + [f"+{z}", f"{z:_}", str(z).translate(arabic)]
+        text = f"tph 1 1 {10**9}\n" + "".join(f"f 0 0 {s}\n" for s in spellings)
+        tracemalloc.start()
+        try:
+            host = parse_host(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert host.zmasks == {0: 1 << z}
+        assert peak < 6 << 20
+
     def test_table_bound_counts_entries(self):
         # each new (x, y) entry may hold up to the largest z + 1 bits; the
         # line that opens the entry passing the budget is named
@@ -215,6 +231,17 @@ class TestHostFormat:
         # the floor alone admits this many entries, whatever the text
         fits = TABLE_BITS_FLOOR // top
         assert parse_host("".join(text.splitlines(keepends=True)[:1 + fits])).e == fits
+
+    def test_table_bound_counts_a_revisited_entry_once(self):
+        # a new largest z on an entry the table already holds counts that
+        # entry once: two entries of z + 1 bits fill the budget exactly
+        head = "tph 2 1 10000000\nf 0 0 0\nf 1 0 0\nf 0 0 "
+        budget = TABLE_BITS_PER_CHAR * (len(head) + 8) + TABLE_BITS_FLOOR
+        text = f"{head}{budget // 2 - 1}\n"
+        assert len(text) == len(head) + 8
+        assert parse_host(text).e == 3
+        with pytest.raises(FormatError, match=r"^line 4: a host table of 2 \(x, y\) masks"):
+            parse_host(f"{head}{budget // 2}\n")
 
     def test_written_hosts_stay_inside_the_bound(self):
         for host in (complete_host(12), random_host(random.Random(3), 7, 9, 70, 0.05)):

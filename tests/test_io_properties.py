@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homeofind.core import ThreeGraph, TripartiteHost
@@ -144,12 +144,103 @@ def host_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
+@st.composite
+def long_run_hosts(draw):
+    """Hosts of up to 3 x 3 (x, y) entries of up to 24 z each, so that their
+    written text has runs of many lines."""
+    nx, ny, nz = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 24))
+    holes = st.sets(st.integers(0, nz - 1), max_size=nz // 2)
+    faces = [(x, y, z) for x in range(nx) for y in range(ny) for z in set(range(nz)) - draw(holes)]
+    return TripartiteHost((nx, ny, nz), faces)
+
+
+ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+RESPELL = ["0{}", "00{}", "+{}", "{}"]
+SEP = [" ", " ", "\t", "  ", " \t", "\t "]
+PAD = ["", "", " ", "\t", "  "]
+
+
+def respaced(draw, toks):
+    """``toks`` joined by drawn runs of blanks, with drawn blanks around."""
+    line = "".join(t + draw(st.sampled_from(SEP)) for t in toks[:-1]) + toks[-1]
+    return draw(st.sampled_from(PAD)) + line + draw(st.sampled_from(PAD))
+
+
+@st.composite
+def benign_edit(draw, lines):
+    """Edits ``lines`` (a written host, header first) in place without
+    changing the host it parses to: a run broken by a comment or a blank
+    line; a coordinate of one line spelled another way (``7`` and ``07``,
+    Arabic-Indic digits); or tabs, double spaces and trailing blanks."""
+    at = draw(st.integers(1, max(1, len(lines) - 1)))
+    kind = draw(st.sampled_from(["break", "respell", "space"]))
+    if kind == "break":
+        lines.insert(at, draw(st.sampled_from(FILLER)))
+        return
+    toks = lines[at].split() if at < len(lines) else []
+    if len(toks) != 4 or toks[0] != "f":
+        return
+    if kind == "respell":
+        i = draw(st.integers(1, 3))
+        spelled = draw(st.sampled_from(RESPELL)).format(int(toks[i]))
+        toks[i] = spelled.translate(ARABIC) if draw(st.booleans()) else spelled
+        lines[at] = " ".join(toks)
+    else:
+        lines[at] = respaced(draw, toks)
+
+
+@st.composite
+def bad_edit(draw, lines, nz):
+    """Makes one face line of ``lines`` malformed, mostly one inside a run:
+    by its z or its shape, and now and then its x as well; or copies a run
+    of face lines before the header.  Returns the number of the first
+    malformed line."""
+    faces = [i for i, line in enumerate(lines) if line.split()[:1] == ["f"]]
+    if not faces or draw(st.integers(0, 5)) == 0:
+        j = draw(st.integers(0, max(0, len(faces) - 1)))
+        lines[0:0] = [lines[i] for i in faces[j:j + draw(st.integers(1, 4))]] or ["f 0 0 0"]
+        return 1
+    inside = [i for i in faces if lines[i - 1].rpartition(" ")[0] == lines[i].rpartition(" ")[0]]
+    at = draw(st.sampled_from(inside or faces))
+    toks = lines[at].split()
+    bad = draw(st.sampled_from([
+        [str(nz)], ["-1"], ["z"], ["1.0"], ["0x1"],  # z out of class or not an integer
+        [toks[3], "0"], [toks[3], "#"], [], [""], [f"{toks[3]}\t0"],  # an extra token, no z
+    ]))
+    x = draw(st.sampled_from([toks[1]] * 3 + ["-1", "q"]))
+    lines[at] = " ".join(["f", x, toks[2], *bad])
+    return at + 1
+
+
+@st.composite
+def run_shaped_texts(draw):
+    """A written host with long runs, benign edits inside its runs and, most
+    of the time, one malformed line among them; CRLF line ends now and then.
+    Returns the text and the first malformed line's number, or None."""
+    host = draw(long_run_hosts())
+    lines = write_host(host).splitlines()
+    for _ in range(draw(st.integers(0, 6))):
+        draw(benign_edit(lines))
+    first = draw(bad_edit(lines, host.n_z)) if draw(st.integers(0, 3)) else None
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end, first
+
+
 class TestParseHostMatchesReference:
     # parse_host converts each distinct token once; every value, spelling,
     # message and line number must be those of one int() per token.
     @settings(max_examples=300, deadline=None)
     @given(host_texts())
     def test_same_host_or_same_error(self, text):
+        assert outcome(parse_host, text) == outcome(reference_parse_host, text)
+
+    # parse_host reads a run of lines that share their text before the last
+    # space in one step; a broken, respelled, respaced or malformed run must
+    # read as its lines one by one do
+    @settings(max_examples=300, deadline=None)
+    @given(run_shaped_texts())
+    def test_run_shaped_text(self, case):
+        text, _ = case
         assert outcome(parse_host, text) == outcome(reference_parse_host, text)
 
 
@@ -180,6 +271,14 @@ class TestFirstBadLine:
     @given(one_bad_line())
     def test_names_the_inserted_line(self, case):
         text, lineno = case
+        with pytest.raises(FormatError, match=rf"^line {lineno}: "):
+            parse_host(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_shaped_texts())
+    def test_names_the_bad_line_of_a_run(self, case):
+        text, lineno = case
+        assume(lineno is not None)
         with pytest.raises(FormatError, match=rf"^line {lineno}: "):
             parse_host(text)
 
