@@ -11,32 +11,35 @@ counted once.  Every malformed input, a non-integer token included, raises
 A host file's face lines are ORed into the host's z-mask table (see
 ``core``) as they are read, and ``write_host`` writes the table back in
 sorted order, listing each mask's z with ``core.bits``, so the lines of
-one (x, y) form one run that differs only after its last space.
-``parse_host`` reads such a run in one step, checking its x and y once;
-every other line, whatever its spacing or place, is read on its own with
-the same checks.  Each line is checked as it is read, its coordinates
-against the ``tph`` sizes once per distinct token, so the error names the
-first malformed line in file order.  Nothing is allocated in proportion
-to a header's count: not from a host's ``tph`` sizes, and not from a
-certificate's ``tg`` count, which is bounded by the lines that can place
-its vertices before anything is built from it.
+one (x, y) form one run: lines ``f x y z`` of one head ``f x y ``, with
+single spaces, ASCII digits and one line end, ``\\n`` or ``\\r\\n``.
+``parse_host`` matches such a run with one regular expression, checks its
+x and y once and sums the bits of its z; every other line (the header,
+comments, other spacing, digits, spellings or line ends) is read on its
+own with the same checks.  Each line is checked as it is read, its
+coordinates against the ``tph`` sizes once per distinct token, so the
+error names the first malformed line in file order.  Nothing is allocated
+in proportion to a header's count: not from a host's ``tph`` sizes, and
+not from a certificate's ``tg`` count, which is bounded by the lines that
+can place its vertices before anything is built from it.
 
 A host's table is bounded by its text: with k (x, y) entries and largest
 z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
 the line that would pass it, a text whose table would exceed
 ``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
 ``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists.
-Each z gets one bit, however many spellings of it the text holds.  A
-written host stays far inside: a dense n = 60 host holds about 0.1 bit
-per character.
+The parse's own memory beside the table also follows the text: the z
+memo keeps a bit only for a z below 1024, and a match spans at most 1024
+lines.  A written host stays far inside the bound: a dense n = 60 host
+holds about 0.1 bit per character.
 """
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from importlib import resources
-from itertools import groupby, repeat
-from operator import itemgetter, or_
+from operator import or_
 
 from .core import (
     Embedding,
@@ -142,15 +145,18 @@ def _over_budget(keys: int, top: int, budget: int) -> str:
 
 
 class _ZBits(_TokenInts):
-    """A face line's last text (its tail) -> the bit ``1 << z`` of a checked
-    ``z = int(tail)``.
+    """A face line's z token -> the bit ``1 << z`` of a checked ``z = int(tok)``.
 
-    A tail that is not exactly one token is refused as a malformed face
-    line.  Every spelling of one z shares one bit, made when that z is first
-    read.  ``top`` is the largest z + 1 seen; a new largest z is checked
-    against the table budget first, counting the entries in ``table`` (the
-    entry being read is already there).
+    ``top`` is the largest z + 1 seen; a new largest z is checked against
+    the table budget first, counting the entries in ``table`` (the entry
+    being read is already there).  Only a z below ``MEMO_BELOW`` is
+    memoized, every spelling of it sharing one bit, so the bits the memo
+    keeps come to under 2**19.  A larger z is converted again on each line
+    and its bit made there, which costs no more than ORing that bit into
+    its entry.
     """
+
+    MEMO_BELOW = 1 << 10
 
     def __init__(self, nz: int, table: dict[int, int], budget: int):
         super().__init__("z", nz)
@@ -158,34 +164,44 @@ class _ZBits(_TokenInts):
         self.top = 0
         self.bits: dict[int, int] = {}
 
-    def __missing__(self, tail: str) -> int:
-        tok = tail.split()
-        if len(tok) != 1:
-            raise ValueError("expected 'f x y z'")
-        z = self._checked(tok[0])
-        bit = self.bits.get(z)
-        if bit is None:
-            if z >= self.top:
-                if len(self.table) * (z + 1) > self.budget:
-                    raise ValueError(_over_budget(len(self.table), z + 1, self.budget))
-                self.top = z + 1
-            bit = self.bits[z] = 1 << z
-        self[tail] = bit
+    def __missing__(self, tok: str) -> int:
+        z = self._checked(tok)
+        if z >= self.top:
+            if len(self.table) * (z + 1) > self.budget:
+                raise ValueError(_over_budget(len(self.table), z + 1, self.budget))
+            self.top = z + 1
+        if z >= self.MEMO_BELOW:
+            return 1 << z
+        bit = self[tok] = self.bits.setdefault(z, 1 << z)
         return bit
 
 
+# A run of face lines as write_host writes them (group 1 its head "f x y ",
+# group 4 its tails joined by their line ends and heads): single spaces,
+# ASCII digits, and on every line the first line's own end, "\n" or "\r\n"
+# (group 5).  A match takes at most 1024 lines of a run, since the matcher
+# keeps some 300 bytes of backtracking state per line until it returns.
+# Anything else is one "\n"-delimited segment of the text.
+_RUN_OR_SEGMENT = re.compile(
+    r"(f ([0-9]+) ([0-9]+) )([0-9]+(?=(\r?\n))(?:\5\1[0-9]+){0,1023})\5|[^\n]*\n?"
+)
+
+
 def parse_host(text: str) -> TripartiteHost:
-    """Parse a ``.tph`` host in one pass over its lines, checking each line
+    """Parse a ``.tph`` host in one pass over its text, checking each line
     as it is read: a ``FormatError`` names the first malformed line.
 
-    The text is read one run at a time: a run is the consecutive lines
-    that share their text before the last space, as the lines of one
-    (x, y) do in a written host.  A run of well-formed face lines after
-    the header is one face commit: its x and y are checked once, and the
-    z-bits of its tails (the text after each line's last space) are ORed
-    into the table entry of its (x, y).  Every other line is read on its
-    own; a face line among them is a run of one and goes through the same
-    commit.
+    After the header, a run of face lines as ``write_host`` writes it is
+    read in one step: the consecutive lines ``f x y z`` of one head
+    ``f x y ``, single spaces, ASCII digits, each line ended by the run's
+    own line end, ``\\n`` or ``\\r\\n``.  Its x and y are checked once and
+    the z-bits of its tails are summed into the table entry of its (x, y):
+    a sum of distinct bits is their OR, and a sum with fewer set bits than
+    tails, where a z repeats, is redone as an OR.  Every other line (the
+    header, comments, blank lines, tabs or extra spaces, other digits or
+    spellings, other line boundaries of ``str.splitlines``, malformed
+    lines) is read on its own, one ``\\n``-delimited segment at a time; a
+    face line among them goes through the same commit as a run of one.
 
     A host repeats a few distinct tokens on many face lines, so each
     distinct token text is converted once per class, through a memo that
@@ -212,25 +228,28 @@ def parse_host(text: str) -> TripartiteHost:
             if (len(table) + 1) * zs.top > budget:
                 raise ValueError(_over_budget(len(table) + 1, zs.top, budget))
             table[key] = run = 0
-        try:
-            table[key] = reduce(or_, map(zs.__getitem__, tails), run)
-        except ValueError:  # the memo keeps every tail read before the bad one
-            lineno += next(i for i, tail in enumerate(tails) if tail not in zs)
+        try:  # a run of one line, as is every line off the written layout, needs no sum
+            mask = sum(map(zs.__getitem__, tails)) if len(tails) > 1 else zs[tails[0]]
+        except ValueError:  # read the tails again: the first to raise is the bad one
+            for lineno, tail in enumerate(tails, lineno):
+                zs[tail]
             raise
+        if mask.bit_count() != len(tails):  # a z repeats, and the sum carried
+            mask = reduce(or_, map(zs.__getitem__, tails))
+        table[key] = run | mask
 
-    runs = groupby(map(str.rpartition, text.splitlines(), repeat(" ")), itemgetter(0))
     lineno = after = 1
     try:
-        for head, group in runs:
-            tails = list(map(itemgetter(2), group))
-            lineno, after = after, after + len(tails)
-            tok = head.split()
-            # the run of face lines comes first: it is nearly every line
-            if sizes is not None and len(tok) == 3 and tok[0] == "f" and len(tails[0].split()) == 1:
-                commit(tok[1], tok[2], tails)
+        for m in _RUN_OR_SEGMENT.finditer(text):
+            head, xt, yt, body, end = m.groups()
+            if head and sizes is not None:
+                tails = body.split(end + head)
+                lineno, after = after, after + len(tails)
+                commit(xt, yt, tails)
                 continue
-            for lineno, tail in enumerate(tails, lineno):
-                line = tok + tail.split()
+            lines = m.group().splitlines()
+            for lineno, raw in enumerate(lines, after):
+                line = raw.split()
                 if not line or line[0].startswith("#"):
                     continue
                 elif line[0] == "tph":
@@ -248,6 +267,7 @@ def parse_host(text: str) -> TripartiteHost:
                     raise FormatError(f"line {lineno}: expected 'f x y z'")
                 else:
                     commit(line[1], line[2], line[3:])
+            after += len(lines)
     except FormatError:
         raise
     except ValueError as exc:  # a bad token, header size or coordinate, or over budget

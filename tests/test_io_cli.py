@@ -218,6 +218,20 @@ class TestHostFormat:
         assert host.zmasks == {0: 1 << z}
         assert peak < 6 << 20
 
+    def test_z_memo_stays_small(self):
+        # 50 000 distinct z on one entry: a bit kept per distinct z would
+        # hold 50 000**2 / 2 bits, some 150 MB
+        nz = 50_000
+        text = f"tph 1 1 {nz}\n" + "".join(f"f 0 0 {z}\n" for z in range(nz))
+        tracemalloc.start()
+        try:
+            host = parse_host(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert host.e == nz
+        assert peak < 32 << 20
+
     def test_table_bound_counts_entries(self):
         # each new (x, y) entry may hold up to the largest z + 1 bits; the
         # line that opens the entry passing the budget is named

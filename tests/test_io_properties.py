@@ -212,18 +212,33 @@ def bad_edit(draw, lines, nz):
     return at + 1
 
 
+# Line ends that str.splitlines honours besides "\n" and "\r\n"
+ODD_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @st.composite
 def run_shaped_texts(draw):
     """A written host with long runs, benign edits inside its runs and, most
     of the time, one malformed line among them; CRLF line ends now and then.
-    Returns the text and the first malformed line's number, or None."""
+    A few lines, inside a run or at its end, end otherwise: in an end that
+    ``str.splitlines`` honours besides ``\\n`` and ``\\r\\n``, or in a lone
+    ``\\n`` in a CRLF text; now and then the last line has no end.  Returns
+    the text and the first malformed line's number, or None."""
     host = draw(long_run_hosts())
     lines = write_host(host).splitlines()
     for _ in range(draw(st.integers(0, 6))):
         draw(benign_edit(lines))
     first = draw(bad_edit(lines, host.n_z)) if draw(st.integers(0, 3)) else None
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + end, first
+    ends = [end] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(["\n", *ODD_ENDS]))
+    if draw(st.integers(0, 3)) == 0:
+        ends[-1] = ""
+    text = "".join(map(str.__add__, lines, ends))
+    if first is not None:  # a "\r" end before an empty line merges with its "\n"
+        first = len("".join(map(str.__add__, lines[:first - 1], ends)).splitlines()) + 1
+    return text, first
 
 
 class TestParseHostMatchesReference:
@@ -234,9 +249,9 @@ class TestParseHostMatchesReference:
     def test_same_host_or_same_error(self, text):
         assert outcome(parse_host, text) == outcome(reference_parse_host, text)
 
-    # parse_host reads a run of lines that share their text before the last
-    # space in one step; a broken, respelled, respaced or malformed run must
-    # read as its lines one by one do
+    # parse_host reads a run of face lines as write_host writes them in one
+    # step; a broken, respelled, respaced, otherwise ended or malformed run
+    # must read as its lines one by one do
     @settings(max_examples=300, deadline=None)
     @given(run_shaped_texts())
     def test_run_shaped_text(self, case):
