@@ -15,14 +15,18 @@ passes the density condition, from the table entries that column selects.
 makes: it counts the forbidden cycles through each Y-pair it is given, and
 their total, B_z when it is given every pair.  The walk skips, without an
 AND, cycles whose disk count is certainly above or certainly at most K by
-the sizes of its two column z-sets alone.  Both uses of those counts, the
-z-scan's condition (2) and the good/bad pair test (``good_pair_rule``),
-have an exact upper bound in the common degrees d of the Y-pairs, as a
-pair carries at most C(d, 2) forbidden cycles.  So ``pick_link_vertex``
-walks a whole link only when the bound leaves (2) open, and otherwise only
-the pairs whose goodness turns on their count.  It decides every Y-pair of
-the chosen link from the counts of that one pass, and the choice carries
-the verdicts as per-y bad-pair masks: no other module sees a count.
+the sizes of its two column z-sets alone, and before building any column
+it skips a whole Y-pair when a per-y floor, the smallest table entry on an
+edge of the link at each of its two y, shows by inclusion-exclusion that
+every cycle through the pair bounds more than K disks.  Both uses of those
+counts, the z-scan's condition (2) and the good/bad pair test
+(``good_pair_rule``), have an exact upper bound in the common degrees d of
+the Y-pairs, as a pair carries at most C(d, 2) forbidden cycles.  So
+``pick_link_vertex`` walks a whole link only when the bound leaves (2)
+open, and otherwise only the pairs whose goodness turns on their count.
+It decides every Y-pair of the chosen link from the counts of that one
+pass, and the choice carries the verdicts as per-y bad-pair masks: no
+other module sees a count.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
 and ``count_disks``, a face-membership scan independent of the index; the
 first yields and the second takes a cycle as a plain tuple
@@ -239,18 +243,36 @@ def count_forbidden(
       with every column sorted before it;
     - |Z(x) & Z(x')| >= c + c' - n_Z (inclusion-exclusion), so a column pair
       with c + c' > K + n_Z is admissible.
+
+    A third, per-y fact settles a whole Y-pair before any column is built.
+    Let f(y) be the least |zmasks[x * n_y + y]| over the link neighbours x
+    of y.  The disks of a cycle through (y1, y2) are the AND of four table
+    entries, two of size >= f(y1) and two of size >= f(y2), so by
+    inclusion-exclusion it bounds at least 2 (f(y1) + f(y2)) - 3 n_Z disks:
+    when that is above K, no cycle through the pair is forbidden.  f(y) is
+    worked out once, for the first pair through y that reaches this test.
     """
     host = index.host
     zb, ny, cap = host.zmasks, host.n_y, K + host.n_z
     ymasks = link.y_masks
     if pairs is None:
         pairs = combinations([y for y in range(link.n_y) if ymasks[y]], 2)
+    # f(y) once worked out, else 0: an entry of the link holds z, so f(y) >= 1
+    least = [0] * link.n_y
+
+    def f(y: int) -> int:
+        least[y] = min([zb[x * ny + y].bit_count() for x in bits(ymasks[y])])
+        return least[y]
+
+    pair_cap = K + 3 * host.n_z
     total = 0
     by_pair: dict[tuple[int, int], int] = {}
     for y1, y2 in pairs:
         common = ymasks[y1] & ymasks[y2]
         if common & (common - 1) == 0:  # fewer than two common neighbours
             continue
+        if 2 * ((least[y1] or f(y1)) + (least[y2] or f(y2))) > pair_cap:
+            continue  # every cycle through the pair bounds more than K disks
         cols = sorted(
             (zb[x * ny + y1] & zb[x * ny + y2] for x in bits(common)),
             key=int.bit_count,

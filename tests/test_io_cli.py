@@ -203,8 +203,9 @@ class TestHostFormat:
         assert peak < 1 << 20
 
     def test_spellings_of_one_z_share_one_bit(self):
-        # 53 spellings of z = 8 000 000, one face: its 1 MB bit is made once
-        # (a bit per spelling would take 53 MB)
+        # 53 spellings of z = 8 000 000 are one face.  Above MEMO_BELOW each
+        # line makes its own 1 MB bit, which lives only until it joins the
+        # entry's mask (53 bits held at once would take 53 MB)
         z = 8_000_000
         arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
         spellings = ["0" * k + str(z) for k in range(50)] + [f"+{z}", f"{z:_}", str(z).translate(arabic)]

@@ -246,6 +246,51 @@ class TestCountForbidden:
         assert count_forbidden(index.link(0), 2, index) == (1, {(0, 1): 1})
         assert count_forbidden(index.link(0), 1, index) == (0, {})
 
+    def test_pair_floor_is_strict(self):
+        # n_Z = 5.  Every entry of the one cycle x0 x1 / y0 y1 of L_0 has 4
+        # centers, so f(y0) = f(y1) = 4 and inclusion-exclusion over the four
+        # entries says it bounds >= 2 (4 + 4) - 3 * 5 = 1 disk.  It bounds
+        # exactly 1 (center 0): forbidden at K = 1, admissible at K = 0.
+        sets = {
+            (0, 0): (0, 2, 3, 4), (0, 1): (0, 1, 3, 4), (1, 0): (0, 1, 2, 4), (1, 1): (0, 1, 2, 3),
+        }
+        faces = frozenset((x, y, z) for (x, y), zs in sets.items() for z in zs)
+        host = TripartiteHost((2, 2, 5), faces)
+        index = HostIndex(host)
+        assert count_disks(host, (0, 1, 0, 1)) == 1
+        assert count_forbidden(index.link(0), 1, index) == (1, {(0, 1): 1})
+        assert count_forbidden(index.link(0), 0, index) == (0, {})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_on_dense_hosts(self, seed):
+        # dense hosts, where the per-y floor 2 (f(y1) + f(y2)) - 3 n_Z often
+        # exceeds K; the split between the Y-pairs it settles and those
+        # walked is recomputed from the faces, and both must occur
+        seen = Counter()
+        for trial in range(2):
+            rng = random.Random(900 + 10 * seed + trial)
+            n = rng.randint(8, 16)
+            host = random_host(rng, n, n, n, rng.uniform(0.85, 1))
+            index = HostIndex(host)
+            size = Counter((x, y) for x, y, _ in host.faces)
+            link = index.link(rng.randrange(n))
+            # brute_force_forbidden, with the disk counts shared by every K
+            disks = {c: count_disks(host, c) for c in iter_link_cycles(link)}
+            ym = link.y_masks
+            f = {y: min(size[x, y] for x in range(n) if ym[y] >> x & 1) for y in range(n) if ym[y]}
+            for K in (0, 1, 3, host.n_z - 1):
+                want = forbidden_by_pair(disks, K)
+                assert count_forbidden(link, K, index) == (sum(want.values()), want)
+                for y1, y2 in itertools.combinations(sorted(f), 2):
+                    if (ym[y1] & ym[y2]).bit_count() < 2:
+                        continue
+                    if 2 * (f[y1] + f[y2]) - 3 * host.n_z > K:
+                        seen["settled"] += 1
+                        assert (y1, y2) not in want
+                    else:
+                        seen["walked"] += 1
+        assert seen["settled"] and seen["walked"], seen
+
     def test_choice_carries_the_pass(self):
         # settled with no open pair, settled with open pairs, walked whole
         for n_z, p, K, C, exact in [
