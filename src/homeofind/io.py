@@ -8,45 +8,41 @@ of whitespace.  Faces are sets, so a repeated ``f`` line is accepted and
 counted once.  Every malformed input, a non-integer token included, raises
 ``FormatError`` naming the line where one applies.
 
-A host file's face lines are ORed into the host's z-mask table (see
-``core``) as they are read, and ``write_host`` writes the table back in
-sorted order, listing each mask's z with ``core.bits``, so the lines of
-one (x, y) form one run: lines ``f x y z`` of one head ``f x y ``, with
-single spaces, ASCII digits and one line end, ``\\n`` or ``\\r\\n``.
-``parse_host`` matches such a run with one regular expression, checks its
-x and y once and sums the bits of its z; every other line (the header,
-comments, other spacing, digits, spellings or line ends) is read on its
-own with the same checks.  Each line is checked as it is read, its
-coordinates against the ``tph`` sizes once per distinct token, so the
-error names the first malformed line in file order.  Nothing is allocated
-in proportion to a header's count: not from a host's ``tph`` sizes, and
-not from a certificate's ``tg`` count, which is bounded by the lines that
-can place its vertices before anything is built from it.
+A host's text holds its z-mask table (see ``core``): ``write_host``
+writes, in sorted order, one line ``m x y HEX`` per (x, y) entry, HEX
+being the entry's mask in hexadecimal, bit z set for the face (x, y, z).
+``parse_host`` reads these lines and ``f x y z`` face lines, in any order
+and mix, ORing each into the entry of its (x, y).  HEX is read as
+``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
+mask too; a mask that is negative, 0, or has a bit at or above n_z is
+refused.  Each line is checked as it is read, its coordinates against the
+``tph`` sizes once per distinct token, so the error names the first
+malformed line in file order.  Nothing is allocated in proportion to a
+header's count: not from a host's ``tph`` sizes, and not from a
+certificate's ``tg`` count, which is bounded by the lines that can place
+its vertices before anything is built from it.
 
 A host's table is bounded by its text: with k (x, y) entries and largest
 z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
 the line that would pass it, a text whose table would exceed
 ``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
-``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists.
-The parse's own memory beside the table also follows the text: the z
-memo keeps a bit only for a z below 1024, and a match spans at most 1024
-lines.  A written host stays far inside the bound: a dense n = 60 host
-holds about 0.1 bit per character.
+``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists: a
+HEX token holds at most 4 bits per character of its own text, and a z's
+bit is made only after its check.  The parse's own memory beside the
+table also follows the text: the z memo keeps a bit only for a z below
+1024.  A written host stays far inside the bound: a dense n = 60 host
+holds about 2.5 bits per character.
 """
 
 from __future__ import annotations
 
-import re
-from functools import reduce
 from importlib import resources
-from operator import or_
 
 from .core import (
     Embedding,
     HomeomorphCertificate,
     ThreeGraph,
     TripartiteHost,
-    bits,
     build_aux_graph,
 )
 
@@ -145,15 +141,16 @@ def _over_budget(keys: int, top: int, budget: int) -> str:
 
 
 class _ZBits(_TokenInts):
-    """A face line's z token -> the bit ``1 << z`` of a checked ``z = int(tok)``.
+    """An ``f`` line's z token -> the bit ``1 << z`` of a checked
+    ``z = int(tok)``, and an ``m`` line's HEX token -> its checked mask.
 
-    ``top`` is the largest z + 1 seen; a new largest z is checked against
-    the table budget first, counting the entries in ``table`` (the entry
-    being read is already there).  Only a z below ``MEMO_BELOW`` is
-    memoized, every spelling of it sharing one bit, so the bits the memo
-    keeps come to under 2**19.  A larger z is converted again on each line
-    and its bit made there, which costs no more than ORing that bit into
-    its entry.
+    ``top`` is the largest bit length of any mask read so far; a wider
+    mask is checked against the table budget first, counting the entries
+    in ``table`` (the entry being read is already there).  Only a z below
+    ``MEMO_BELOW`` is memoized, every spelling of it sharing one bit, so
+    the bits the memo keeps come to under 2**19.  A larger z is converted
+    again on each line and its bit made there, which costs no more than
+    ORing that bit into its entry.
     """
 
     MEMO_BELOW = 1 << 10
@@ -164,110 +161,79 @@ class _ZBits(_TokenInts):
         self.top = 0
         self.bits: dict[int, int] = {}
 
+    def _widen(self, width: int) -> None:
+        if width > self.top:
+            if width > self.n:
+                raise ValueError(f"z = {width - 1} is outside [0, {self.n})")
+            if len(self.table) * width > self.budget:
+                raise ValueError(_over_budget(len(self.table), width, self.budget))
+            self.top = width
+
     def __missing__(self, tok: str) -> int:
         z = self._checked(tok)
-        if z >= self.top:
-            if len(self.table) * (z + 1) > self.budget:
-                raise ValueError(_over_budget(len(self.table), z + 1, self.budget))
-            self.top = z + 1
+        self._widen(z + 1)
         if z >= self.MEMO_BELOW:
             return 1 << z
         bit = self[tok] = self.bits.setdefault(z, 1 << z)
         return bit
 
-
-# A run of face lines as write_host writes them (group 1 its head "f x y ",
-# group 4 its tails joined by their line ends and heads): single spaces,
-# ASCII digits, and on every line the first line's own end, "\n" or "\r\n"
-# (group 5).  A match takes at most 1024 lines of a run, since the matcher
-# keeps some 300 bytes of backtracking state per line until it returns.
-# Anything else is one "\n"-delimited segment of the text.
-_RUN_OR_SEGMENT = re.compile(
-    r"(f ([0-9]+) ([0-9]+) )([0-9]+(?=(\r?\n))(?:\5\1[0-9]+){0,1023})\5|[^\n]*\n?"
-)
+    def mask(self, tok: str) -> int:
+        mask = int(tok, 16)  # at most 4 bits per character of its own token
+        if mask <= 0:
+            raise ValueError("mask is negative" if mask else "mask 0 names no face")
+        self._widen(mask.bit_length())
+        return mask
 
 
 def parse_host(text: str) -> TripartiteHost:
-    """Parse a ``.tph`` host in one pass over its text, checking each line
+    """Parse a ``.tph`` host in one pass over its lines, checking each line
     as it is read: a ``FormatError`` names the first malformed line.
 
-    After the header, a run of face lines as ``write_host`` writes it is
-    read in one step: the consecutive lines ``f x y z`` of one head
-    ``f x y ``, single spaces, ASCII digits, each line ended by the run's
-    own line end, ``\\n`` or ``\\r\\n``.  Its x and y are checked once and
-    the z-bits of its tails are summed into the table entry of its (x, y):
-    a sum of distinct bits is their OR, and a sum with fewer set bits than
-    tails, where a z repeats, is redone as an OR.  Every other line (the
-    header, comments, blank lines, tabs or extra spaces, other digits or
-    spellings, other line boundaries of ``str.splitlines``, malformed
-    lines) is read on its own, one ``\\n``-delimited segment at a time; a
-    face line among them goes through the same commit as a run of one.
-
-    A host repeats a few distinct tokens on many face lines, so each
-    distinct token text is converted once per class, through a memo that
-    grows only with the tokens read (not with the ``tph`` sizes); every
-    coordinate is still ``int(token)``, so spellings and non-integer errors
-    are those of a plain per-token ``int()``.  A memo checks a value
-    against its class when it converts it, x then y then z, and keeps no
-    value outside it, so no face aliases another's entry and the z memo
-    makes no bit for a z outside its class.  A bad z in a run names its own
-    line.  A face that opens a new entry or a new largest z checks the
-    table's bound (see the module docstring) first.
+    After the header, an ``f x y z`` line ORs the bit of z, and an
+    ``m x y HEX`` line the mask ``int(HEX, 16)``, into the table entry of
+    its (x, y); the two may name the same entry.  A mask that is not
+    positive, or has a bit at or above n_z, is refused.  A host repeats a
+    few distinct tokens on many lines, so each distinct x, y or z token
+    text is converted once per class, through a memo that grows only with
+    the tokens read (not with the ``tph`` sizes); every coordinate is still
+    ``int(token)``, so spellings and non-integer errors are those of a
+    plain per-token ``int()``.  A memo checks a value against its class
+    when it converts it, x then y then z, and keeps no value outside it, so
+    no line aliases another's entry and no bit outside the z class is made.
+    A line that opens a new entry, or makes a mask wider than any before,
+    checks the table's bound (see the module docstring) first.
     """
     sizes = None
     table: dict[int, int] = {}
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
-
-    def commit(xt: str, yt: str, tails: list[str]) -> None:
-        """ORs the faces (x, y, z) of one run into the table, one z per
-        tail; a bad z moves ``lineno`` from the run's first line to its own."""
-        nonlocal lineno
-        key = xs[xt] * ny + ys[yt]
-        run = table.get(key)
-        if run is None:  # a new entry, counted from here on
-            if (len(table) + 1) * zs.top > budget:
-                raise ValueError(_over_budget(len(table) + 1, zs.top, budget))
-            table[key] = run = 0
-        try:  # a run of one line, as is every line off the written layout, needs no sum
-            mask = sum(map(zs.__getitem__, tails)) if len(tails) > 1 else zs[tails[0]]
-        except ValueError:  # read the tails again: the first to raise is the bad one
-            for lineno, tail in enumerate(tails, lineno):
-                zs[tail]
-            raise
-        if mask.bit_count() != len(tails):  # a z repeats, and the sum carried
-            mask = reduce(or_, map(zs.__getitem__, tails))
-        table[key] = run | mask
-
-    lineno = after = 1
     try:
-        for m in _RUN_OR_SEGMENT.finditer(text):
-            head, xt, yt, body, end = m.groups()
-            if head and sizes is not None:
-                tails = body.split(end + head)
-                lineno, after = after, after + len(tails)
-                commit(xt, yt, tails)
+        for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
+            # a well-formed f or m line comes first: it is nearly every line
+            if len(tok) == 4 and tok[0] in ("f", "m") and sizes is not None:
+                key = xs[tok[1]] * ny + ys[tok[2]]
+                entry = table.get(key)
+                if entry is None:  # a new entry, counted from here on
+                    if (len(table) + 1) * zs.top > budget:
+                        raise ValueError(_over_budget(len(table) + 1, zs.top, budget))
+                    table[key] = entry = 0
+                table[key] = entry | (zs[tok[3]] if tok[0] == "f" else zs.mask(tok[3]))
+            elif not tok or tok[0].startswith("#"):
                 continue
-            lines = m.group().splitlines()
-            for lineno, raw in enumerate(lines, after):
-                line = raw.split()
-                if not line or line[0].startswith("#"):
-                    continue
-                elif line[0] == "tph":
-                    if sizes is not None:
-                        raise FormatError(f"line {lineno}: duplicate tph header")
-                    if len(line) != 4:
-                        raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
-                    nx, ny, nz = sizes = TripartiteHost(map(int, line[1:]), ()).class_sizes
-                    xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZBits(nz, table, budget)
-                elif line[0] != "f":
-                    raise FormatError(f"line {lineno}: unknown directive {line[0]!r}")
-                elif sizes is None:
-                    raise FormatError(f"line {lineno}: face before tph header")
-                elif len(line) != 4:
-                    raise FormatError(f"line {lineno}: expected 'f x y z'")
-                else:
-                    commit(line[1], line[2], line[3:])
-            after += len(lines)
+            elif tok[0] == "tph":
+                if sizes is not None:
+                    raise FormatError(f"line {lineno}: duplicate tph header")
+                if len(tok) != 4:
+                    raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
+                nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
+                xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZBits(nz, table, budget)
+            elif tok[0] not in ("f", "m"):
+                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+            elif sizes is None:
+                what = "face" if tok[0] == "f" else "mask"
+                raise FormatError(f"line {lineno}: {what} before tph header")
+            else:
+                shape = "f x y z" if tok[0] == "f" else "m x y HEX"
+                raise FormatError(f"line {lineno}: expected '{shape}'")
     except FormatError:
         raise
     except ValueError as exc:  # a bad token, header size or coordinate, or over budget
@@ -278,14 +244,11 @@ def parse_host(text: str) -> TripartiteHost:
 
 
 def write_host(host: TripartiteHost) -> str:
-    """The face lines in lexicographic order, from the sorted table: each
-    (x, y) makes one ``f x y`` prefix, joined to the text of each z in its
-    mask.  That text is made once per z that occurs in the host."""
+    """One ``m x y HEX`` line per table entry, in sorted order: HEX is the
+    entry's z-mask in lower-case hexadecimal."""
     ny = host.n_y
-    z_text = {z: str(z) for z in bits(host.occupied)}.__getitem__
     lines = [f"tph {host.n_x} {ny} {host.n_z}"]
-    for i, m in sorted(host.zmasks.items()):
-        lines += map(f"f {i // ny} {i % ny} ".__add__, map(z_text, bits(m)))
+    lines += [f"m {i // ny} {i % ny} {m:x}" for i, m in sorted(host.zmasks.items())]
     return "\n".join(lines) + "\n"
 
 

@@ -33,6 +33,15 @@ def complete_host(n: int) -> TripartiteHost:
     return TripartiteHost((n, n, n), faces)
 
 
+def face_text(host: TripartiteHost) -> str:
+    """``host`` as a ``.tph`` text of one ``f x y z`` line per face, in
+    sorted order: the face-line form, which ``parse_host`` reads beside
+    the mask lines that ``write_host`` writes."""
+    lines = [f"tph {host.n_x} {host.n_y} {host.n_z}"]
+    lines += [f"f {x} {y} {z}" for x, y, z in host.sorted_faces()]
+    return "\n".join(lines) + "\n"
+
+
 def pair_verdicts(link, good, by_pair) -> tuple[int, ...]:
     """Per y, the bitmask of the y' with {y, y'} bad: ``good(d, forb)`` fails
     on the pair's common degree d and its count in ``by_pair`` (a pair left

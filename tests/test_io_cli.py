@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import complete_host, random_host, random_threegraph
+from conftest import complete_host, face_text, random_host, random_threegraph
 from homeofind import cli
 from homeofind.cli import main
 from homeofind.core import (
@@ -140,6 +141,17 @@ class TestHostFormat:
         rng = random.Random(7)
         host = random_host(rng, 4, 5, 6, 0.5)
         assert parse_host(write_host(host)) == host
+        assert parse_host(face_text(host)) == host
+
+    def test_written_as_one_mask_line_per_entry(self):
+        host = TripartiteHost((2, 3, 9), {(0, 2, 0), (0, 2, 8), (1, 0, 4)})
+        assert write_host(host) == "tph 2 3 9\nm 0 2 101\nm 1 0 10\n"
+
+    def test_face_and_mask_lines_of_one_entry_or_together(self):
+        text = "tph 2 2 8\nf 1 0 0\nm 1 0 0x0C\nm 0 1 1\nf 1 0 2\nm 1 0 +8_0\n"
+        host = parse_host(text)
+        assert host.zmasks == {2: 0b10001101, 1: 1}
+        assert host == TripartiteHost((2, 2, 8), {(1, 0, 0), (1, 0, 2), (1, 0, 3), (1, 0, 7), (0, 1, 0)})
 
     def test_face_out_of_class(self):
         with pytest.raises(FormatError):
@@ -164,6 +176,15 @@ class TestHostFormat:
         ("tph 2 -1 2\nf 0 0 0\n",
          "line 1: class sizes must be three non-negative integers, got (2, -1, 2)"),
         ("tph -1 2 2\n", "line 1: class sizes must be three non-negative integers, got (-1, 2, 2)"),
+        # a mask line: its x and y as a face line's, then its mask
+        ("m 0 0 1\ntph 1 1 1\n", "line 1: mask before tph header"),
+        ("tph 1 1 1\nm 0 0\n", "line 2: expected 'm x y HEX'"),
+        ("tph 1 1 4\nm 0 0 1 1\n", "line 2: expected 'm x y HEX'"),
+        ("tph 1 1 4\nm 0 0 f\nm 0 0 10\n", "line 3: z = 4 is outside [0, 4)"),
+        ("tph 1 1 4\nm 0 0 0\n", "line 2: mask 0 names no face"),
+        ("tph 1 1 4\nm 0 0 -1\n", "line 2: mask is negative"),
+        ("tph 1 1 4\nm 0 0 g\n", "line 2: invalid literal for int() with base 16: 'g'"),
+        ("tph 1 1 4\nm 1 0 g\n", "line 2: x = 1 is outside [0, 1)"),
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(FormatError) as info:
@@ -246,6 +267,33 @@ class TestHostFormat:
         # the floor alone admits this many entries, whatever the text
         fits = TABLE_BITS_FLOOR // top
         assert parse_host("".join(text.splitlines(keepends=True)[:1 + fits])).e == fits
+
+    def test_table_bound_counts_entries_of_mask_lines(self):
+        # a mask line's own text pays 16 bits per bit of its mask, but each
+        # later entry, however short its mask, may hold as many bits as the
+        # widest mask read
+        top = 10**5
+        text = f"tph 1000 1 {top}\nm 0 0 {1 << top - 1:x}\n" + "".join(f"m {x} 0 1\n" for x in range(1, 200))
+        budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
+        first_over = budget // top + 1
+        assert first_over <= 200
+        with pytest.raises(FormatError, match=rf"^line {1 + first_over}: .* {first_over} \(x, y\) masks"):
+            parse_host(text)
+        # the same masks in the other order: the wide mask is the line refused
+        text = f"tph 1000 1 {top}\n" + "".join(f"m {x} 0 1\n" for x in range(1, 200)) + f"m 0 0 {1 << top - 1:x}\n"
+        assert (TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR) // top < 200
+        with pytest.raises(FormatError, match=r"^line 201: a host table of 200 \(x, y\) masks"):
+            parse_host(text)
+
+    def test_a_wide_mask_parses_in_linear_time(self):
+        # one entry of 10**6 faces: 12.9 MB of face lines, whose parse ORs
+        # each bit into a mask up to 10**6 bits wide, or one 250 kB mask line
+        nz = 10**6
+        text = f"tph 1 1 {nz}\nm 0 0 {(1 << nz) - 1:x}\n"
+        start = time.perf_counter()
+        host = parse_host(text)
+        assert time.perf_counter() - start < 1
+        assert host.e == nz
 
     def test_table_bound_counts_a_revisited_entry_once(self):
         # a new largest z on an entry the table already holds counts that
