@@ -24,12 +24,13 @@ candidates, and is fully seeded.
 ``clique_oracle``, an exhaustive scan over t-subsets of Y', is the test
 oracle of ``find_complete_subgraph``.
 
-Triples are classified only inside a Gamma(x) that the scan tests, with
-no object per triple: one bitmask over y3 per pair (y1, y2) of Gamma(x),
-so the scan counts them by popcount and D(Y') is built from the same
-masks.  D(Y') stays masks, one per pair of Y' over the third vertices that
-close a triple of it, and ``find_complete_subgraph`` narrows one candidate
-mask with them; no triple becomes a tuple on the search path.
+Nothing is classified that no decision reads.  The scan settles (C) by
+the bound T_x <= C(s, 3) where it can, and classifies the triples of a
+Gamma(x) only where that bound leaves (C) open.  D(Y') is a memo of
+masks, one per pair of Y' over the third vertices that close a triple of
+it, each worked out from the link's masks the first time
+``find_complete_subgraph`` reads it; no triple becomes a tuple on the
+search path.
 """
 
 from __future__ import annotations
@@ -68,31 +69,34 @@ class PairStats:
     good: bool
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ProblemGraph:
     """D(Y'): the triples of the core set that the embedding must avoid.
 
-    ``masks[(a, b)]`` is the bitmask of the c with (a, b, c) in D(Y'); a
-    pair closing no triple has no entry.  ``ProblemGraph(ground_set,
-    bad_triples)`` takes the triples as tuples (a, b, c), which count for
-    the search when a < b < c; the pipeline builds the masks directly
-    (``build_problem_graph``), and ``bad_triples`` is derived from them.
+    ``masks[(a, b)]``, for a pair a < b of the ground set, is the bitmask
+    of the c with (a, b, c) in D(Y'), 0 when the pair closes none.
+    ``ProblemGraph(ground_set, bad_triples)`` takes the triples as tuples
+    (a, b, c), which count for the search when a < b < c; the pipeline's
+    masks (``build_problem_graph``) are worked out pair by pair as the
+    search reads them.  ``bad_triples`` is the whole of D(Y'), and two
+    problem graphs are equal when their ground sets and ``bad_triples``
+    are, whichever pairs have been read.
     """
 
     ground_set: tuple[int, ...]
     masks: dict[Pair, int]
 
     def __init__(self, ground_set, bad_triples):
-        masks: dict[Pair, int] = {}
+        masks = _GivenMasks()
         for a, b, c in bad_triples:
-            masks[(a, b)] = masks.get((a, b), 0) | 1 << c
+            masks[(a, b)] |= 1 << c
         object.__setattr__(self, "ground_set", tuple(ground_set))
         object.__setattr__(self, "masks", masks)
 
     @classmethod
-    def _from_masks(cls, ground_set: tuple[int, ...], masks: dict[Pair, int]) -> ProblemGraph:
-        """A problem graph that takes over ``masks``: the caller vouches for
-        non-zero masks over the ground set."""
+    def _from_masks(cls, ground_set: tuple[int, ...], masks: _CoreMasks) -> ProblemGraph:
+        """A problem graph that takes over ``masks``: the caller vouches
+        that they answer every pair of the ground set."""
         problem = object.__new__(cls)
         object.__setattr__(problem, "ground_set", ground_set)
         object.__setattr__(problem, "masks", masks)
@@ -100,7 +104,100 @@ class ProblemGraph:
 
     @cached_property
     def bad_triples(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset((a, b, c) for (a, b), m in self.masks.items() for c in bits(m))
+        return frozenset(
+            (a, b, c) for (a, b), m in self.masks.whole().items() for c in bits(m)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, ProblemGraph):
+            return NotImplemented
+        return self.ground_set == other.ground_set and self.bad_triples == other.bad_triples
+
+
+class _GivenMasks(dict):
+    """The masks of triples given as tuples: a pair with no entry closes
+    none."""
+
+    def __missing__(self, pair: Pair) -> int:
+        return 0
+
+    def whole(self) -> dict[Pair, int]:
+        return self
+
+
+class _CoreMasks(dict):
+    """D(Y') by pair, each mask worked out on its first read
+    (``__missing__``, the memo of ``io._TokenInts``): ``self[(a, b)]``, for
+    a < b in ``ground``, is the bitmask of the c > b in ``ground`` for which
+    (a, b, c) is bad or holds a bad pair, 0 for none.
+
+    ``bad_pairs`` is ``LinkChoice.bad_pairs``, and ``bad_triples.get``
+    gives a pair's bad-triple mask in the form ``classify_pairs_triples``
+    returns.  A pair's mask holds every c when {a, b} is a bad pair, and
+    otherwise the c of a bad triple (a, b, c) or of a bad pair {a, c} or
+    {b, c}.
+    """
+
+    def __init__(
+        self, ground: tuple[int, ...], bad_pairs: Sequence[int], bad_triples: Mapping[Pair, int]
+    ):
+        super().__init__()
+        self.ground, self.bad_pairs, self.bad_triples = ground, bad_pairs, bad_triples
+        self.gmask = sum(1 << y for y in ground)
+
+    def __missing__(self, pair: Pair) -> int:
+        a, b = pair
+        above = self.gmask >> (b + 1) << (b + 1)
+        ma = self.bad_pairs[a]
+        if (ma >> b) & 1:
+            cs = above
+        else:
+            cs = above & (ma | self.bad_pairs[b] | self.bad_triples.get(pair, 0))
+        self[pair] = cs
+        return cs
+
+    def whole(self) -> dict[Pair, int]:
+        """Every pair of ``ground`` read: all of D(Y')."""
+        return {pair: self[pair] for pair in itertools.combinations(self.ground, 2)}
+
+
+class _CoreTriples(Mapping):
+    """The bad triples inside ``ys``, each pair classified when it is read:
+    the one triple rule, which ``classify_pairs_triples`` and D(Y') share.
+
+    ``self[(y1, y2)]``, for y1 < y2 in ``ys``, is the bitmask of the
+    y3 > y2 in ``ys`` for which (y1, y2, y3) is bad: its common link
+    neighbourhood has fewer than ``triple_min`` vertices.  When
+    |Gamma(y1, y2)| is itself below the cutoff, every y3 is bad and no
+    triple is looked at.  A pair closing no bad triple is not a key.
+    Nothing is kept, since ``build_problem_graph``'s memo reads each pair
+    once; iterating classifies every pair.
+    """
+
+    def __init__(self, ymasks: Sequence[int], ys: Sequence[int], triple_min: int):
+        self.ymasks, self.ys, self.triple_min = ymasks, ys, triple_min
+        self.gmask = sum(1 << y for y in ys)
+
+    def get(self, pair: Pair, default=None):
+        y1, y2 = pair
+        ym, triple_min = self.ymasks, self.triple_min
+        m12 = ym[y1] & ym[y2]
+        bad = self.gmask >> (y2 + 1) << (y2 + 1)
+        if m12.bit_count() >= triple_min:
+            bad = sum(1 << y3 for y3 in bits(bad) if (m12 & ym[y3]).bit_count() < triple_min)
+        return bad or default
+
+    def __getitem__(self, pair: Pair) -> int:
+        bad = self.get(pair)
+        if bad is None:
+            raise KeyError(pair)
+        return bad
+
+    def __iter__(self) -> Iterator[Pair]:
+        return (pair for pair in itertools.combinations(self.ys, 2) if self.get(pair))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def classify_pairs_triples(
@@ -111,7 +208,7 @@ def classify_pairs_triples(
     q: Fraction,
 ) -> tuple[list[PairStats], dict[Pair, int]]:
     """The bad triples inside ``ys``, the ascending Gamma(x) that
-    ``select_core_set`` tests, with the pair verdicts that the z-scan made.
+    ``select_core_set`` counts, with the pair verdicts that the z-scan made.
 
     ``bad_pairs`` is ``LinkChoice.bad_pairs``: per y, the bitmask of the y'
     with {y, y'} a bad pair, as ``pick_link_vertex`` decided them.  A triple
@@ -120,32 +217,17 @@ def classify_pairs_triples(
 
     Returns ``(pair_stats, bad_triples)``: one ``PairStats`` per pair
     y1 < y2 of ``ys``, read off ``bad_pairs``, and ``bad_triples[(y1, y2)]``,
-    the bitmask over the y3 > y2 in ``ys`` for which (y1, y2, y3) is bad;
-    pairs with no bad triple are left out.  When |Gamma(y1, y2)| is itself
-    below the triple cutoff, every y3 is bad and no triple is looked at.
+    the bitmask over the y3 > y2 in ``ys`` for which (y1, y2, y3) is bad, by
+    the rule of ``_CoreTriples``; pairs with no bad triple are left out.
     """
-    ymasks = link.y_masks
-    masks = [ymasks[y] for y in ys]
-    ones = [1 << y for y in ys]
-    gmask = sum(ones)
-    triple_min = math.ceil(n * q ** 3)
-
+    triples = _CoreTriples(link.y_masks, ys, math.ceil(n * q ** 3))
     pair_stats = []
     bad_triples: dict[Pair, int] = {}
-    for i, y1 in enumerate(ys):
-        m1, bad1 = masks[i], bad_pairs[y1]
-        for j, y2 in enumerate(ys[i + 1:], i + 1):
-            pair_stats.append(PairStats((y1, y2), not bad1 >> y2 & 1))
-            m12 = m1 & masks[j]
-            if m12.bit_count() < triple_min:  # every triple through the pair is bad
-                bad = gmask >> (y2 + 1) << (y2 + 1)
-            else:
-                bad = 0
-                for m3, bit in zip(masks[j + 1:], ones[j + 1:]):
-                    if (m12 & m3).bit_count() < triple_min:
-                        bad |= bit
-            if bad:
-                bad_triples[(y1, y2)] = bad
+    for y1, y2 in itertools.combinations(ys, 2):
+        pair_stats.append(PairStats((y1, y2), not bad_pairs[y1] >> y2 & 1))
+        bad = triples.get((y1, y2))
+        if bad:
+            bad_triples[(y1, y2)] = bad
     return pair_stats, bad_triples
 
 
@@ -155,25 +237,31 @@ def select_core_set(
     cfg: Config,
     n: int,
     q: Fraction,
-) -> tuple[int, list[int], dict[Pair, int]]:
+) -> tuple[int, list[int], Mapping[Pair, int]]:
     """Y' = Gamma(x) for the first x passing the three scan inequalities.
 
     (A) |Gamma(x)| >= (C/4) n**(1-eps); (B) |Gamma(x)| bounds the surviving
     bad pairs P_x; (C) |Gamma(x)| bounds the surviving bad triples T_x.
     ``bad_pairs`` holds per y the mask of its bad partners (as carried by
     ``LinkChoice``), so P_x is half the sum over y in Gamma(x) of
-    popcount(bad_pairs[y] & Gamma(x)).  Only an x passing (A) and (B) has
-    the triples of its Gamma(x) classified, and T_x is the sum of the
-    popcounts of the masks ``classify_pairs_triples`` returns.
-    (A) is one integer cutoff; (B) and (C) compare P_x and T_x exactly with
-    a ``Fraction`` rate per element of Gamma(x).  All three are worked out
-    once per call.  Returns (x, sorted Y', the bad-triple masks of Y').
+    popcount(bad_pairs[y] & Gamma(x)).  For an x passing (A) and (B), the
+    exact bound T_x <= C(s, 3), s = |Gamma(x)|, settles (C) where it can;
+    only where it cannot are the triples of Gamma(x) classified, and T_x is
+    the sum of the popcounts of the masks ``classify_pairs_triples``
+    returns.  (A) is one integer cutoff; (B) and (C) compare P_x, C(s, 3)
+    and T_x exactly with a ``Fraction`` rate per element of Gamma(x).  All
+    three, and the triple cutoff n q**3, are worked out once per call.
+
+    Returns (x, sorted Y', the bad-triple masks of Y'): those counted for
+    (C), or, where the bound settled it, a ``_CoreTriples`` that classifies
+    a pair when it is read.
     """
     C = cfg.C
     nq = n * q  # n**(1-eps)
     s_min = math.ceil(C * nq / 4)  # (A); at least 1, as C, n and q are positive
     pairs_per_s = 12 * (1 + C) * nq / C  # (B): P_x <= pairs_per_s * |Gamma(x)|
     triples_per_s = 6 * nq * nq / C  # (C): T_x <= triples_per_s * |Gamma(x)|
+    triple_min = math.ceil(n * q ** 3)
 
     xmasks = link.x_masks
     for x in range(link.n_x):
@@ -185,6 +273,8 @@ def select_core_set(
         p_x = sum((bad_pairs[y] & gmask).bit_count() for y in ys) // 2
         if p_x and p_x > pairs_per_s * s:
             continue
+        if math.comb(s, 3) <= triples_per_s * s:  # T_x <= C(s, 3) meets (C)
+            return x, ys, _CoreTriples(link.y_masks, ys, triple_min)
         _, bad_triples = classify_pairs_triples(link, bad_pairs, ys, n, q)
         t_x = sum(bad.bit_count() for bad in bad_triples.values())
         if t_x and t_x > triples_per_s * s:
@@ -198,29 +288,17 @@ def select_core_set(
 def build_problem_graph(
     yprime: list[int],
     bad_pairs: Sequence[int],
-    bad_triples: dict[Pair, int],
+    bad_triples: Mapping[Pair, int],
 ) -> ProblemGraph:
     """D(Y'): triples of Y' that are bad or contain a bad pair.
 
-    ``bad_triples`` is as ``select_core_set`` returns it for Y'.  For each
-    pair a < b of Y', the c > b that close a triple of D(Y') are read off
-    one mask: every c when {a, b} is a bad pair, and otherwise the c of a
-    bad triple (a, b, c) or of a bad pair {a, c} or {b, c}.
+    ``bad_triples`` is as ``select_core_set`` returns it for Y'.  Nothing
+    is worked out here: the masks are a ``_CoreMasks`` memo, and each pair
+    a < b of Y' gets its mask the first time ``find_complete_subgraph``
+    reads it, from ``bad_pairs`` and that pair's bad-triple mask alone.
     """
-    ground = sorted(set(yprime))
-    ymask = sum(1 << y for y in ground)
-    masks: dict[Pair, int] = {}
-    for i, a in enumerate(ground):
-        ma = bad_pairs[a]
-        for b in ground[i + 1:]:
-            above = ymask & (-1 << (b + 1))
-            if (ma >> b) & 1:
-                cs = above
-            else:
-                cs = above & (bad_triples.get((a, b), 0) | ma | bad_pairs[b])
-            if cs:
-                masks[(a, b)] = cs
-    return ProblemGraph._from_masks(tuple(ground), masks)
+    ground = tuple(sorted(set(yprime)))
+    return ProblemGraph._from_masks(ground, _CoreMasks(ground, bad_pairs, bad_triples))
 
 
 def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
@@ -229,7 +307,9 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
 
     The candidates of a partial set S are the vertices after its last that
     close no triple of D(Y') with a pair of S; adding v keeps those after
-    v and drops, for each a in S, the c in ``masks[(a, v)]``.
+    v and drops, for each a in S, the c in ``masks[(a, v)]``, so only the
+    pairs inside the sets tried are ever read.  A refusal counts the whole
+    of D(Y').
     """
     verts = p.ground_set
     if t <= 0:
@@ -248,7 +328,7 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
             if after.bit_count() < need - 1:
                 return False  # fewer still after any later v
             for a in chosen:
-                after &= ~masks.get((a, v), 0)
+                after &= ~masks[(a, v)]
             chosen.append(v)
             if extend(after):
                 return True
@@ -259,7 +339,7 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
         return chosen
     raise CliqueNotFound(
         f"no complete {t}-set in the complement of D(Y') "
-        f"(|Y'|={len(verts)}, |D|={sum(map(int.bit_count, masks.values()))})"
+        f"(|Y'|={len(verts)}, |D|={sum(map(int.bit_count, masks.whole().values()))})"
     )
 
 

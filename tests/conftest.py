@@ -4,6 +4,7 @@ import random
 import pytest
 
 from homeofind.core import ThreeGraph, TripartiteHost
+from homeofind.links import HostIndex
 
 
 def random_threegraph(rng: random.Random, max_v: int = 9, max_e: int = 12) -> ThreeGraph:
@@ -53,6 +54,39 @@ def pair_verdicts(link, good, by_pair) -> tuple[int, ...]:
             bad[y1] |= 1 << y2
             bad[y2] |= 1 << y1
     return tuple(bad)
+
+
+def link_of(n_x, n_y, edges):
+    """L_0 of the host whose faces are the (x, y, 0) of ``edges``."""
+    return HostIndex(TripartiteHost((n_x, n_y, 1), [(x, y, 0) for x, y in edges])).link(0)
+
+
+def pair_masks(bad_pairs, n_y):
+    """Per y, the bitmask of the y' with {y, y'} in ``bad_pairs``: the form
+    of ``LinkChoice.bad_pairs``."""
+    masks = [0] * n_y
+    for a, b in bad_pairs:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return tuple(masks)
+
+
+HUB_ROWS, HUB_N = 8, 27
+
+
+def hub_link(rng):
+    """A link of 8 X-rows over 27 Y-vertices in which one to three "hub"
+    rows have density 0.95 and the rest 0.3, and a random set of bad pairs
+    (rate 0.1).  At C = 10 and q = 10/27 only hubs pass (A), and a hub
+    with no other hub beside it fails (C).  The bound T_x <= C(s, 3) never
+    settles (C) there (it needs s <= 20), so the triples are counted."""
+    hubs = rng.sample(range(HUB_ROWS), rng.randint(1, 3))
+    link = link_of(HUB_ROWS, HUB_N, [
+        (x, y) for x in range(HUB_ROWS) for y in range(HUB_N)
+        if rng.random() < (0.95 if x in hubs else 0.3)
+    ])
+    bad_pairs = {pr for pr in itertools.combinations(range(HUB_N), 2) if rng.random() < 0.1}
+    return link, bad_pairs
 
 
 @pytest.fixture(scope="session")

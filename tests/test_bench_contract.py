@@ -4,15 +4,19 @@
 attributes listed in its ``SPANS``.  A rename or deletion of one of those
 functions would break ``bench/run.py --trace 1`` without failing any other
 test; this one instruments the program the way ``bench/run.py`` does, runs
-one find/verify round trip and checks that every span was recorded and
-every original put back.
+one find/verify round trip, and one core-set scan where the triples are
+counted, and checks that every span was recorded and every original put
+back.
 """
 
 import importlib.util
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+from conftest import HUB_N, hub_link, pair_masks
 from homeofind.core import Config
 from homeofind.io import load_target
 
@@ -55,13 +59,22 @@ def test_every_span_resolves_records_and_restores():
         cert = prog.embed.find_homeomorph(host, target, cfg)
         cert = prog.io.parse_certificate(prog.io.write_certificate(cert))
         assert prog.verify.verify_certificate(cert, host).passed
+        # the bound C(s, 3) settles (C) on that host, so the triples are
+        # classified only on a hub link, where it cannot: x = 0 passes
+        # after its 25 Y-vertices are classified
+        link, bad_pairs = hub_link(random.Random(0))
+        x, yprime, _ = prog.embed.select_core_set(
+            link, pair_masks(bad_pairs, HUB_N), Config(C=10), HUB_N, Fraction(10, 27)
+        )
+        assert (x, len(yprime)) == (0, 25)
     finally:
         tracer.patches.restore()
 
     recorded = {name for name, *_ in tracer.spans}
     assert recorded == {name for name, _, _ in spans.SPANS}
     assert all(tracer.counts[name] > 0 for name in ("links.link_edges", "embed.core_size"))
-    assert tracer.counts["embed.pairs_classified"] == 28  # one PairStats per pair of n_y = 8
+    # one PairStats per pair of the hub link's Gamma(0), and none on the host
+    assert tracer.counts["embed.pairs_classified"] == 300
     # triples are classified only inside the core-set scan
     parents = [
         tracer.spans[parent][0] if parent >= 0 else None

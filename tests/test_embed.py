@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete_host, pair_verdicts, random_host
+from conftest import (
+    HUB_N,
+    HUB_ROWS,
+    complete_host,
+    hub_link,
+    link_of,
+    pair_masks,
+    pair_verdicts,
+    random_host,
+)
 from homeofind import embed
 from homeofind.core import (
     Config,
@@ -51,11 +60,6 @@ K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
 
 
-def link_of(n_x, n_y, edges):
-    """L_0 of the host whose faces are the (x, y, 0) of ``edges``."""
-    return HostIndex(TripartiteHost((n_x, n_y, 1), [(x, y, 0) for x, y in edges])).link(0)
-
-
 def complete_link(n_x, n_y):
     return link_of(n_x, n_y, itertools.product(range(n_x), range(n_y)))
 
@@ -75,16 +79,6 @@ def only_link(link, target):
         for z in range(n_z)
     )
     return HostIndex(TripartiteHost((link.n_x, link.n_y, n_z), faces))
-
-
-def pair_masks(bad_pairs, n_y):
-    """Per y, the bitmask of the y' with {y, y'} in ``bad_pairs``: the form
-    of ``LinkChoice.bad_pairs``."""
-    masks = [0] * n_y
-    for a, b in bad_pairs:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return tuple(masks)
 
 
 class TestClassifyPairsTriples:
@@ -214,23 +208,6 @@ class TestClassifyPairsTriples:
         ]
 
 
-HUB_ROWS, HUB_N = 8, 27
-
-
-def hub_link(rng):
-    """A link of 8 X-rows over 27 Y-vertices in which one to three "hub"
-    rows have density 0.95 and the rest 0.3, and a random set of bad pairs
-    (rate 0.1).  At C = 10 and q = 10/27 only hubs pass (A), and a hub
-    with no other hub beside it fails (C)."""
-    hubs = rng.sample(range(HUB_ROWS), rng.randint(1, 3))
-    link = link_of(HUB_ROWS, HUB_N, [
-        (x, y) for x in range(HUB_ROWS) for y in range(HUB_N)
-        if rng.random() < (0.95 if x in hubs else 0.3)
-    ])
-    bad_pairs = {pr for pr in itertools.combinations(range(HUB_N), 2) if rng.random() < 0.1}
-    return link, bad_pairs
-
-
 class TestSelectCoreSet:
     def test_complete_link_takes_first_x(self):
         host = complete_host(8)
@@ -283,10 +260,10 @@ class TestSelectCoreSet:
         p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
         t_x = sum(1 for tr in itertools.combinations(gamma, 3) if triple_bad(tr))
         assert t_x > 0  # the T_x inequality is exercised
-        # the returned masks are the bad triples of Gamma(x)
-        assert bad_triples == _triple_masks(
-            tr for tr in itertools.combinations(gamma, 3) if triple_bad(tr)
-        )
+        # the returned masks, read pair by pair, are the bad triples of Gamma(x)
+        assert {
+            pr: bad_triples[pr] for pr in itertools.combinations(gamma, 2) if pr in bad_triples
+        } == _triple_masks(tr for tr in itertools.combinations(gamma, 3) if triple_bad(tr))
         C = cfg.C
 
         def passes(s, p_x, t_x):
@@ -484,6 +461,107 @@ class TestSameCoreSetAsYWide:
         assert None in found and any(got and got[0] > 0 for got in found)
 
 
+class TestLazyCore:
+    """(C) is settled by T_x <= C(s, 3) where that bound can, and D(Y') is
+    worked out only for the pairs the clique search reads."""
+
+    @pytest.mark.parametrize(
+        "host",
+        [complete_host(8), gen_random_host(60, 60, 60, 0.9, 3)],
+        ids=["complete8", "n60-p0.9"],
+    )
+    def test_find_classifies_nothing_and_reads_few_pairs(self, host, monkeypatch):
+        classified, problems = [], []
+        classify, build = embed.classify_pairs_triples, embed.build_problem_graph
+
+        def counting(*args):
+            classified.append(args)
+            return classify(*args)
+
+        def keeping(*args):
+            problems.append(build(*args))
+            return problems[-1]
+
+        monkeypatch.setattr(embed, "classify_pairs_triples", counting)
+        monkeypatch.setattr(embed, "build_problem_graph", keeping)
+        cert = find_homeomorph(host, TRIANGLE, Config(C=2, k_threshold=3))
+        assert verify_certificate(cert, host).passed
+        assert classified == []
+        (pg,) = problems
+        pairs = math.comb(len(pg.ground_set), 2)
+        assert 0 < len(pg.masks) < pairs
+        # reading D(Y') whole fills the memo, one entry per pair of Y'
+        assert len(pg.bad_triples) == sum(map(int.bit_count, pg.masks.values()))
+        assert len(pg.masks) == pairs
+
+    def check_against(self, link, bad_pairs, cfg, n, q):
+        """The memo's masks, pair by pair, and the clique search on it,
+        against D(Y') from ``ywide_core_set``; False when no x passes."""
+        try:
+            x, yprime, want = ywide_core_set(link, bad_pairs, cfg, n, q)
+        except NoQualifyingX:
+            return False
+        got_x, got_yprime, bad_triples = select_core_set(link, bad_pairs, cfg, n, q)
+        assert (got_x, got_yprime) == (x, yprime)
+        whole = ProblemGraph(yprime, want)
+        for t in range(1, 6):
+            pg = build_problem_graph(yprime, bad_pairs, bad_triples)
+            try:
+                got = find_complete_subgraph(pg, t)
+            except CliqueNotFound as exc:
+                with pytest.raises(CliqueNotFound) as again:
+                    find_complete_subgraph(whole, t)
+                assert str(exc) == str(again.value)
+            else:
+                assert got == find_complete_subgraph(whole, t)
+        pg = build_problem_graph(yprime, bad_pairs, bad_triples)
+        masks = _triple_masks(want)
+        assert all(
+            pg.masks[pr] == masks.get(pr, 0) for pr in itertools.combinations(yprime, 2)
+        )
+        assert pg == whole
+        return True
+
+    def test_memo_matches_ywide_on_hub_links(self):
+        # (C) counted: the masks classify_pairs_triples returned feed the memo
+        cfg, q = Config(C=10), Fraction(10, 27)
+        found = [
+            self.check_against(link, pair_masks(bad_pairs, HUB_N), cfg, HUB_N, q)
+            for link, bad_pairs in (hub_link(random.Random(seed)) for seed in range(30))
+        ]
+        assert any(found)
+
+    def test_memo_matches_ywide_on_random_hosts(self):
+        # (C) settled by the bound: the triples are classified as read
+        cfg = Config(C=2, k_threshold=3)
+        found = 0
+        for p, seed in itertools.product((0.45, 0.55, 0.65, 0.8), range(3)):
+            host = gen_random_host(40, 40, 40, p, seed)
+            try:
+                choice = pick_link_vertex(host, cfg, 3, HostIndex(host))
+            except NoQualifyingVertex:
+                continue
+            found += self.check_against(choice.link, choice.bad_pairs, cfg, 40, choice.q)
+        assert found
+
+    def test_search_on_fresh_memo_matches_whole_on_random_problems(self):
+        # the _random_problem family, whose masks test_matches_brute_force
+        # reads pair by pair: the search on a memo it fills itself finds
+        # what it finds on the whole D(Y')
+        for seed in range(30):
+            whole = _random_problem(seed)[3]
+            whole = ProblemGraph(whole.ground_set, whole.bad_triples)
+            for t in range(1, min(len(whole.ground_set), 5) + 1):
+                fresh = _random_problem(seed)[3]
+                try:
+                    got = find_complete_subgraph(fresh, t)
+                except CliqueNotFound:
+                    with pytest.raises(CliqueNotFound):
+                        find_complete_subgraph(whole, t)
+                else:
+                    assert got == find_complete_subgraph(whole, t), (seed, t)
+
+
 class TestProblemGraph:
     def test_no_bad_gives_empty(self):
         pg = build_problem_graph([0, 1, 2], (0, 0, 0), {})
@@ -512,7 +590,12 @@ class TestProblemGraph:
             assert pg.bad_triples == expect, seed
             # the public constructor takes sorted triples back unchanged
             assert ProblemGraph(pg.ground_set, expect).bad_triples == expect, seed
-            assert ProblemGraph(pg.ground_set, expect) == pg, seed
+            # and its masks agree with the memo's on every pair
+            given = ProblemGraph(pg.ground_set, expect)
+            assert all(
+                given.masks[pr] == pg.masks[pr]
+                for pr in itertools.combinations(pg.ground_set, 2)
+            ), seed
 
     def test_clique_search_matches_oracle(self):
         # find_complete_subgraph on the masks build_problem_graph makes,
