@@ -9,10 +9,12 @@ of Y', place the added vertices injectively into their common
 neighbourhoods in X by an exact search that keeps every special cycle
 admissible and leaves each its own center, and finally glue one 4-disk
 with that center onto the image of every special cycle.  That
-search is one function, ``embed_v2``, and its admissibility arcs are plain
-ANDs of per-X-vertex column center sets; at each leaf it ANDs the same
-columns into the special cycles' center sets, which ``assign_centers``
-matches to distinct centers.  The assembled certificate goes
+search is one function, ``embed_v2``.  Its admissibility arcs are read
+off per-X-vertex column center sets: settled by the two sets' sizes
+where ``links.open_partners`` can, and ANDed only where the sizes leave
+them open.  At each leaf it ANDs the same columns into the special
+cycles' center sets, which ``assign_centers`` matches to distinct
+centers.  The assembled certificate goes
 to ``verify.verify_certificate`` before ``find_homeomorph`` returns it; a
 refusal is a RuntimeError.
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -56,7 +59,7 @@ from .core import (
     build_aux_graph,
 )
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
-from .links import HostIndex, LinkGraph, pick_link_vertex
+from .links import HostIndex, LinkGraph, open_partners, pick_link_vertex
 from .seeding import derive_seed
 from .verify import verify_certificate
 
@@ -376,7 +379,11 @@ def embed_v2(
     tried.  The placement must be injective and make the image of every
     special cycle admissible: a constraint between the images of its
     pair-vertex u and face-vertex w, decided as
-    ``index.disk_mask(...).bit_count() > K``.  One bipartite matching
+    ``index.disk_mask(...).bit_count() > K``.  That count is the size of
+    the AND of the two images' column center sets, so each arc is first
+    settled by the two column sizes (``links.open_partners``, with u's
+    candidates ranked once by column size), and ANDed only where the sizes
+    leave it open.  One bipartite matching
     (augmenting paths) first checks Hall's condition on the candidates.
     Then candidates with no compatible partner are pruned (arc consistency)
     and Hall's condition is checked again.  Every constraint joins a
@@ -420,8 +427,13 @@ def embed_v2(
     # disk_mask(xu, xw, ya, yb) is the AND of the column masks
     # disk_mask(x, x, ya, yb) of xu and xw, which are worked out once per
     # pair-vertex and X-vertex; a leaf reads its center sets from them too.
+    # The candidates of u are ranked once by column size, and a row takes
+    # the partners that open_partners settles as admissible as one suffix
+    # of that ranking, ANDing only the partners it leaves open.
+    n_z = index.host.n_z
     columns: dict[int, dict[int, int]] = {}
     compat: dict[int, dict[int, int]] = {}
+    ranks: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
     arcs_of: dict[int, list[int]] = {}
     for sc in aux.special_cycles:
         ya, yb = v1_map[sc.a], v1_map[sc.b]
@@ -429,14 +441,22 @@ def embed_v2(
         for x in bits(dom[sc.u] | dom[sc.w]):
             if x not in col:
                 col[x] = index.disk_mask(x, x, ya, yb)
-        us = bits(dom[sc.u])
+        if sc.u not in ranks:
+            xs = sorted(bits(dom[sc.u]), key=lambda x: col[x].bit_count())
+            cols, xbits = [col[x] for x in xs], [1 << x for x in xs]
+            # suffix[i]: the candidates ranked i and on
+            suffix = [*itertools.accumulate(reversed(xbits), operator.or_, initial=0)][::-1]
+            ranks[sc.u] = ([c.bit_count() for c in cols], cols, xbits, suffix)
+        sizes, cols, xbits, suffix = ranks[sc.u]
         rows = compat.setdefault(sc.u, {})
         for xw in bits(dom[sc.w]):
             if xw not in rows:
-                cw, m = col[xw], 0
-                for xu in us:
-                    if (cw & col[xu]).bit_count() > K:
-                        m |= 1 << xu
+                cw = col[xw]
+                lo, hi = open_partners(cw.bit_count(), sizes, K, n_z, len(sizes))
+                m = suffix[hi]
+                for i in range(lo, hi):
+                    if (cw & cols[i]).bit_count() > K:
+                        m |= xbits[i]
                 rows[xw] = m & ~(1 << xw)
         arcs_of.setdefault(sc.w, []).append(sc.u)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from types import MappingProxyType
 
 from .core import Config, TripartiteHost
 from .embed import find_homeomorph
@@ -86,6 +85,22 @@ def gen_random_host(
 _CFG_KEYS = tuple(f.name for f in fields(Config) if f.name != "rng_seed")
 
 
+class _Overrides(dict):
+    """A sweep spec's checked ``cfg_overrides``: a dict that refuses every
+    change once built, so the check cannot be undone.  A copy is built
+    again from its items: ``dataclasses.asdict`` calls the type with them,
+    and ``copy`` and ``pickle`` through ``__reduce__``."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a sweep spec's checked cfg_overrides are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A density sweep p = a * n**(-b), every field checked where the spec is
@@ -100,7 +115,7 @@ class SweepSpec:
     b: Fraction
     trials: int
     seed: int
-    cfg_overrides: MappingProxyType = field(default_factory=dict, hash=False)
+    cfg_overrides: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)
@@ -115,13 +130,7 @@ class SweepSpec:
             raise FormatError(f"malformed sweep spec: {exc}") from None
         if unknown := sorted(set(cfg) - set(_CFG_KEYS), key=str):
             raise FormatError(f"unknown sweep cfg key(s) {unknown}; allowed: {', '.join(_CFG_KEYS)}")
-        put("cfg_overrides", MappingProxyType({k: _read(v, k) for k, v in cfg.items()}))
-
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled: rebuild from the fields, through
-        # every check again, with a plain dict of the overrides
-        return type(self), (self.target, self.n_values, self.a, self.b, self.trials, self.seed,
-                            dict(self.cfg_overrides))
+        put("cfg_overrides", _Overrides({k: _read(v, k) for k, v in cfg.items()}))
 
     def p_for(self, n: int) -> float:
         try:

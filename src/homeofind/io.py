@@ -28,10 +28,16 @@ the line that would pass it, a text whose table would exceed
 ``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
 ``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists: a
 HEX token holds at most 4 bits per character of its own text, and a z's
-bit is made only after its check.  The parse's own memory beside the
-table also follows the text: the z memo keeps a bit only for a z below
-1024.  A written host stays far inside the bound: a dense n = 60 host
-holds about 2.5 bits per character.
+bit is made only after its check.  A mask wider than any before is
+checked against the bound on its line.  A line that opens a new entry is
+checked too, but only when the text's lines times n_z exceed the bound:
+a table has no more entries than the text has lines, and no mask reaches
+2**n_z, so otherwise no table the text spells can pass it.  The parse's
+own memory beside the table also follows the text: the z memo keeps a
+value only for a z below 1024, and the z of an entry's ``f`` lines wait
+as one int per line until the entry's bits are made, once.  A written
+host stays far inside the bound: a dense n = 60 host holds about 2.5
+bits per character.
 """
 
 from __future__ import annotations
@@ -140,17 +146,16 @@ def _over_budget(keys: int, top: int, budget: int) -> str:
     )
 
 
-class _ZBits(_TokenInts):
-    """An ``f`` line's z token -> the bit ``1 << z`` of a checked
-    ``z = int(tok)``, and an ``m`` line's HEX token -> its checked mask.
+class _ZInts(_TokenInts):
+    """An ``f`` line's z token -> its checked ``z = int(tok)``, and the
+    checks of a host table's size as its lines are read.
 
-    ``top`` is the largest bit length of any mask read so far; a wider
-    mask is checked against the table budget first, counting the entries
-    in ``table`` (the entry being read is already there).  Only a z below
-    ``MEMO_BELOW`` is memoized, every spelling of it sharing one bit, so
-    the bits the memo keeps come to under 2**19.  A larger z is converted
-    again on each line and its bit made there, which costs no more than
-    ORing that bit into its entry.
+    ``top`` is the largest bit length of any mask read so far, counting
+    the bit z of every z read; a wider mask is checked against the table
+    budget first, counting ``keys`` entries (the entry being read among
+    them).  Only a z below ``MEMO_BELOW`` is memoized, so the memo keeps
+    under 1024 values however many spellings share them; a larger z is
+    converted again on each line, which costs no more than reading it.
     """
 
     MEMO_BELOW = 1 << 10
@@ -159,64 +164,99 @@ class _ZBits(_TokenInts):
         super().__init__("z", nz)
         self.table, self.budget = table, budget
         self.top = 0
-        self.bits: dict[int, int] = {}
 
-    def _widen(self, width: int) -> None:
+    def widen(self, width: int, keys: int) -> None:
         if width > self.top:
             if width > self.n:
                 raise ValueError(f"z = {width - 1} is outside [0, {self.n})")
-            if len(self.table) * width > self.budget:
-                raise ValueError(_over_budget(len(self.table), width, self.budget))
+            self.fits(keys, width)
             self.top = width
+
+    def fits(self, keys: int, width: int) -> None:
+        """Refuse a table of ``keys`` entries of up to ``width`` bits that
+        would exceed the budget."""
+        if keys * width > self.budget:
+            raise ValueError(_over_budget(keys, width, self.budget))
 
     def __missing__(self, tok: str) -> int:
         z = self._checked(tok)
-        self._widen(z + 1)
-        if z >= self.MEMO_BELOW:
-            return 1 << z
-        bit = self[tok] = self.bits.setdefault(z, 1 << z)
-        return bit
+        self.widen(z + 1, len(self.table))  # the line's entry is in the table
+        if z < self.MEMO_BELOW:
+            self[tok] = z
+        return z
 
-    def mask(self, tok: str) -> int:
-        mask = int(tok, 16)  # at most 4 bits per character of its own token
+    def mask(self, mask: int, keys: int) -> int:
+        """A mask read from an ``m`` line's HEX token (``int(HEX, 16)``, at
+        most 4 bits per character of the token), checked."""
         if mask <= 0:
             raise ValueError("mask is negative" if mask else "mask 0 names no face")
-        self._widen(mask.bit_length())
+        self.widen(mask.bit_length(), keys)
         return mask
+
+
+def _mask_of(zs: list[int]) -> int:
+    """The mask with bit z set for each z of ``zs``, built once from a byte
+    per 8 bits: its time is linear in the list and the largest z."""
+    buf = bytearray(max(zs) // 8 + 1)
+    for z in zs:
+        buf[z >> 3] |= 1 << (z & 7)
+    return int.from_bytes(buf, "little")
 
 
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host in one pass over its lines, checking each line
     as it is read: a ``FormatError`` names the first malformed line.
 
-    After the header, an ``f x y z`` line ORs the bit of z, and an
-    ``m x y HEX`` line the mask ``int(HEX, 16)``, into the table entry of
-    its (x, y); the two may name the same entry.  A mask that is not
-    positive, or has a bit at or above n_z, is refused.  A host repeats a
-    few distinct tokens on many lines, so each distinct x, y or z token
-    text is converted once per class, through a memo that grows only with
-    the tokens read (not with the ``tph`` sizes); every coordinate is still
+    After the header, an ``m x y HEX`` line ORs the mask ``int(HEX, 16)``,
+    and an ``f x y z`` line the bit of z, into the table entry of its
+    (x, y); the two may name the same entry.  A mask that is not positive,
+    or has a bit at or above n_z, is refused.  A host repeats a few
+    distinct tokens on many lines, so each distinct x, y or z token text is
+    converted once per class, through a memo that grows only with the
+    tokens read (not with the ``tph`` sizes); every coordinate is still
     ``int(token)``, so spellings and non-integer errors are those of a
     plain per-token ``int()``.  A memo checks a value against its class
     when it converts it, x then y then z, and keeps no value outside it, so
     no line aliases another's entry and no bit outside the z class is made.
-    A line that opens a new entry, or makes a mask wider than any before,
-    checks the table's bound (see the module docstring) first.
+
+    A well-formed ``m`` line is a straight path: its mask is checked only
+    when it is not positive or wider than any before.  The z of an entry's
+    ``f`` lines are kept in a list and its bits made once, after the last
+    line, so a wide entry costs time linear in its lines and width.  A
+    mask wider than any before is checked against the table's bound (see
+    the module docstring), and so is a line that opens a new entry, unless
+    (lines of the text) * n_z is within the bound: there are no more
+    entries than lines, and no mask is wider than n_z, so no table the text
+    can spell exceeds it.
     """
     sizes = None
     table: dict[int, int] = {}
+    zlists: dict[int, list[int]] = {}  # per entry, the z of its f lines
+    lines = text.splitlines()
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
     try:
-        for lineno, tok in enumerate(map(str.split, text.splitlines()), 1):
-            # a well-formed f or m line comes first: it is nearly every line
-            if len(tok) == 4 and tok[0] in ("f", "m") and sizes is not None:
+        for lineno, tok in enumerate(map(str.split, lines), 1):
+            # a well-formed m or f line comes first: it is nearly every line
+            if len(tok) == 4 and tok[0] == "m" and sizes is not None:
                 key = xs[tok[1]] * ny + ys[tok[2]]
-                entry = table.get(key)
-                if entry is None:  # a new entry, counted from here on
-                    if (len(table) + 1) * zs.top > budget:
-                        raise ValueError(_over_budget(len(table) + 1, zs.top, budget))
-                    table[key] = entry = 0
-                table[key] = entry | (zs[tok[3]] if tok[0] == "f" else zs.mask(tok[3]))
+                entry = get(key)
+                if entry is None and checked:
+                    zs.fits(len(table) + 1, zs.top)
+                mask = int(tok[3], 16)
+                if mask <= 0 or mask.bit_length() > top:
+                    mask = zs.mask(mask, len(table) + (entry is None))
+                    top = zs.top
+                table[key] = mask if entry is None else entry | mask
+            elif len(tok) == 4 and tok[0] == "f" and sizes is not None:
+                key = xs[tok[1]] * ny + ys[tok[2]]
+                zl = zlists.get(key)
+                if zl is None:
+                    if key not in table:  # a new entry, counted from here on
+                        if checked:
+                            zs.fits(len(table) + 1, zs.top)
+                        table[key] = 0
+                    zl = zlists[key] = []
+                zl.append(zs[tok[3]])
             elif not tok or tok[0].startswith("#"):
                 continue
             elif tok[0] == "tph":
@@ -225,7 +265,8 @@ def parse_host(text: str) -> TripartiteHost:
                 if len(tok) != 4:
                     raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
                 nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
-                xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZBits(nz, table, budget)
+                xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZInts(nz, table, budget)
+                get, top, checked = table.get, 0, len(lines) * nz > budget
             elif tok[0] not in ("f", "m"):
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
             elif sizes is None:
@@ -240,6 +281,8 @@ def parse_host(text: str) -> TripartiteHost:
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
+    for key, zl in zlists.items():
+        table[key] |= _mask_of(zl)
     return TripartiteHost._from_table(sizes, table)
 
 

@@ -15,15 +15,17 @@ passes the density condition, from the table entries that column selects.
 makes: it counts the forbidden cycles through each Y-pair it is given, and
 their total, B_z when it is given every pair.  The walk skips, without an
 AND, cycles whose disk count is certainly above or certainly at most K by
-the sizes of its two column z-sets alone, and before building any column
-it skips a whole Y-pair when a per-y floor, the smallest table entry on an
-edge of the link at each of its two y, shows by inclusion-exclusion that
-every cycle through the pair bounds more than K disks.  Both uses of those
-counts, the z-scan's condition (2) and the good/bad pair test
-(``good_pair_rule``), have an exact upper bound in the common degrees d of
-the Y-pairs, as a pair carries at most C(d, 2) forbidden cycles.  So
-``pick_link_vertex`` walks a whole link only when the bound leaves (2)
-open, and otherwise only the pairs whose goodness turns on their count.
+the sizes of its two column z-sets alone (``open_partners``, the one
+statement of that rule, which ``embed.embed_v2`` reads its arcs by too),
+and before building any column it skips a whole Y-pair when a per-y
+floor, the smallest table entry on an edge of the link at each of its two
+y, shows by inclusion-exclusion that every cycle through the pair bounds
+more than K disks.  Both uses of those counts, the z-scan's condition (2)
+and the good/bad pair test (``good_pair_rule``), have an exact upper bound
+in the common degrees d of the Y-pairs, as a pair carries at most C(d, 2)
+forbidden cycles.  So ``pick_link_vertex`` walks a whole link only when
+the bound leaves (2) open, and otherwise only the pairs whose goodness
+turns on their count.
 It decides every Y-pair of the chosen link from the counts of that one
 pass, and the choice carries the verdicts as per-y bad-pair masks: no
 other module sees a count.
@@ -39,7 +41,7 @@ arithmetic: ``expectation_oracle`` (the mean of e(L_z) is e(G)/n_Z) and
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -219,6 +221,28 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
     return avg
 
 
+def open_partners(c: int, sizes: Sequence[int], K: int, n_z: int, end: int) -> tuple[int, int]:
+    """The partners of a column z-set of size c whose shared-center count
+    their sizes leave open, as the index range ``[lo, hi)`` of ``sizes``.
+
+    ``sizes[:end]`` are the sizes c' of the partner column z-sets, in
+    ascending order.  Two facts bound the number of centers a column Z and
+    a partner Z' share by their sizes alone, both exact:
+
+    - |Z & Z'| <= min(c, c'), so it is at most K when c <= K or c' <= K;
+    - |Z & Z'| >= c + c' - n_Z (inclusion-exclusion), so it is above K when
+      c' > K + n_Z - c.
+
+    So the partners before ``lo`` share at most K centers with the column
+    (a cycle on the two columns is forbidden), those from ``hi`` to ``end``
+    share more than K (it is admissible), and only the partners in between
+    need an AND.  When c <= K, lo = hi = end.
+    """
+    if c <= K:
+        return end, end
+    return bisect_right(sizes, K, 0, end), bisect_right(sizes, K + n_z - c, 0, end)
+
+
 def count_forbidden(
     link: LinkGraph,
     K: int,
@@ -236,13 +260,11 @@ def count_forbidden(
 
     For a Y-pair, each common neighbour x contributes the column z-set
     Z(x) = zmasks[x * n_y + y1] & zmasks[x * n_y + y2], and the cycle on columns x, x' bounds
-    |Z(x) & Z(x')| disks.  With the columns sorted by c = |Z(x)|, two facts
-    settle most cycles without an AND, both exact:
-
-    - |Z(x) & Z(x')| <= min(c, c'), so a column with c <= K is forbidden
-      with every column sorted before it;
-    - |Z(x) & Z(x')| >= c + c' - n_Z (inclusion-exclusion), so a column pair
-      with c + c' > K + n_Z is admissible.
+    |Z(x) & Z(x')| disks.  With the columns sorted by c = |Z(x)|, each
+    column's cycles with the columns before it are settled by the two sizes
+    where ``open_partners`` can (forbidden when c <= K or c' <= K,
+    admissible when c + c' > K + n_Z), and ANDed only where the sizes leave
+    them open.
 
     A third, per-y fact settles a whole Y-pair before any column is built.
     Let f(y) be the least |zmasks[x * n_y + y]| over the link neighbours x
@@ -253,7 +275,7 @@ def count_forbidden(
     worked out once, for the first pair through y that reaches this test.
     """
     host = index.host
-    zb, ny, cap = host.zmasks, host.n_y, K + host.n_z
+    zb, ny, nz = host.zmasks, host.n_y, host.n_z
     ymasks = link.y_masks
     if pairs is None:
         pairs = combinations([y for y in range(link.n_y) if ymasks[y]], 2)
@@ -264,7 +286,7 @@ def count_forbidden(
         least[y] = min([zb[x * ny + y].bit_count() for x in bits(ymasks[y])])
         return least[y]
 
-    pair_cap = K + 3 * host.n_z
+    pair_cap = K + 3 * nz
     total = 0
     by_pair: dict[tuple[int, int], int] = {}
     for y1, y2 in pairs:
@@ -280,16 +302,12 @@ def count_forbidden(
         sizes = [c.bit_count() for c in cols]
         forb = 0
         for j in range(1, len(cols)):
-            cj = sizes[j]
-            if cj <= K:
-                forb += j
-                continue
-            # partners that may share at most K centers: c <= cap - cj
-            p = bisect_right(sizes, cap - cj, 0, j)
-            if p == 0:
-                break  # sizes ascend, so no later column has partners
+            lo, hi = open_partners(sizes[j], sizes, K, nz, j)
+            if hi == 0:
+                break  # sizes ascend, so every later column is admissible too
+            forb += lo
             zj = cols[j]
-            for k in range(p):
+            for k in range(lo, hi):
                 if (zj & cols[k]).bit_count() <= K:
                     forb += 1
         if forb:

@@ -6,7 +6,6 @@ import math
 import pickle
 import random
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 
@@ -275,7 +274,26 @@ class TestSweepSpec:
         spec = SweepSpec(**self.GOOD)
         for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
             assert copied == spec and hash(copied) == hash(spec)
-            assert isinstance(copied.cfg_overrides, MappingProxyType)
+            with pytest.raises(TypeError, match="read-only"):
+                copied.cfg_overrides["C"] = 0.5
+
+    def test_asdict_round_trips_the_overrides(self):
+        spec = SweepSpec(**self.GOOD)
+        fields = dataclasses.asdict(spec)
+        assert fields["cfg_overrides"] == {"C": Fraction(2), "k_threshold": 3}
+        assert SweepSpec(**fields) == spec and hash(SweepSpec(**fields)) == hash(spec)
+        with pytest.raises(TypeError, match="read-only"):
+            fields["cfg_overrides"]["C"] = 0.5
+
+    @pytest.mark.parametrize("change", [
+        lambda m: m.update(C=1), lambda m: m.pop("C"), lambda m: m.popitem(), lambda m: m.clear(),
+        lambda m: m.setdefault("delta", 1), lambda m: m.__delitem__("C"), lambda m: m.__ior__({"C": 1}),
+    ])
+    def test_every_change_to_the_overrides_is_refused(self, change):
+        spec = SweepSpec(**self.GOOD)
+        with pytest.raises(TypeError, match="read-only"):
+            change(spec.cfg_overrides)
+        assert spec.cfg_overrides == {"C": Fraction(2), "k_threshold": 3}
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"spec"', "null"])
     def test_spec_must_be_a_json_object(self, text):

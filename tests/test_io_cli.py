@@ -225,8 +225,8 @@ class TestHostFormat:
 
     def test_spellings_of_one_z_share_one_bit(self):
         # 53 spellings of z = 8 000 000 are one face.  Above MEMO_BELOW each
-        # line makes its own 1 MB bit, which lives only until it joins the
-        # entry's mask (53 bits held at once would take 53 MB)
+        # line converts its z again, and the entry's 1 MB mask is made once
+        # (53 bits of 1 MB held at once would take 53 MB)
         z = 8_000_000
         arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
         spellings = ["0" * k + str(z) for k in range(50)] + [f"+{z}", f"{z:_}", str(z).translate(arabic)]
@@ -294,6 +294,26 @@ class TestHostFormat:
         host = parse_host(text)
         assert time.perf_counter() - start < 1
         assert host.e == nz
+
+    def test_wide_face_lines_parse_in_linear_time(self):
+        # 4000 f lines of one entry, each z near 8 000 000: a bit made and
+        # ORed into the entry per line would move some 2 MB a line; the
+        # entry's bits are made once.  Timed against as many lines whose z
+        # are small.
+        k, z0 = 4000, 8_000_000
+        wide = f"tph 1 1 {10**9}\n" + "".join(f"f 0 0 {z0 + i}\n" for i in range(k))
+        narrow = f"tph 1 1 {10**9}\n" + "".join(f"f 0 0 {i}\n" for i in range(k))
+
+        def best(text):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                parse_host(text)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert parse_host(wide).zmasks == {0: ((1 << k) - 1) << z0}
+        assert best(wide) < 10 * best(narrow) + 0.05
 
     def test_table_bound_counts_a_revisited_entry_once(self):
         # a new largest z on an entry the table already holds counts that

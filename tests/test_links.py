@@ -22,6 +22,7 @@ from homeofind.links import (
     forbidden_expectation_oracle,
     good_pair_rule,
     iter_link_cycles,
+    open_partners,
     pick_link_vertex,
 )
 
@@ -313,6 +314,48 @@ class TestCountForbidden:
             else:
                 b_max = floor_pow(2 * K * choice.link.e / cfg.C, 10, 1 + cfg.delta)
                 assert b_z <= choice.forbidden_count <= b_max
+
+
+def random_column(rng, n_z):
+    """A random z-set over n_z centers, of a random density."""
+    p = rng.random()
+    return sum(1 << z for z in range(n_z) if rng.random() < p)
+
+
+class TestOpenPartners:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_plain_rule_on_random_columns(self, seed):
+        # A partner before lo must be forbidden, (a & b).bit_count() <= K,
+        # and one from hi on admissible, on the columns drawn.  A partner in
+        # [lo, hi) must be open by its size: of two columns of its size, one
+        # sharing all it can with a (min(c, c') centers) and one as little
+        # (max(0, c + c' - n_Z)), the plain rule admits the first and not
+        # the second.  So every partner the sizes settle is settled.
+        rng = random.Random(seed)
+        seen = Counter()
+        for _ in range(300):
+            n_z = rng.randint(1, 8)
+            K = rng.randrange(n_z)
+            cols = sorted((random_column(rng, n_z) for _ in range(rng.randint(1, 8))), key=int.bit_count)
+            sizes = [b.bit_count() for b in cols]
+            a = random_column(rng, n_z)
+            c = a.bit_count()
+            end = rng.randint(0, len(cols))
+            lo, hi = open_partners(c, sizes, K, n_z, end)
+            assert 0 <= lo <= hi <= end
+            assert (lo, hi) == open_partners(c, sizes[:end], K, n_z, end)
+            inside = (1 << c) - 1  # a as the lowest c centers
+            for i, b in enumerate(cols[:end]):
+                c2 = sizes[i]
+                most = ((1 << c2) - 1 & inside).bit_count() > K
+                least = (((1 << c2) - 1) << (n_z - c2) & inside).bit_count() > K
+                assert (i < lo) == (not most)
+                assert (i >= hi) == least
+                if i < lo or i >= hi:
+                    assert ((a & b).bit_count() > K) == (i >= hi)
+                seen["c = K"] += c == K
+                seen["c + c' - n_Z = K"] += c + c2 - n_z == K and min(c, c2) > K
+        assert seen["c = K"] and seen["c + c' - n_Z = K"], seen
 
 
 def full_walk_verdicts(link, K, C, n, q, full):
