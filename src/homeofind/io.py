@@ -4,40 +4,37 @@ The builtin targets are the ``.tg`` files in ``homeofind/data``.  Every
 serializer writes in a fixed sorted order so that identical inputs produce
 byte-identical files.  Lines whose first token starts with ``#`` are
 comments; blank lines are skipped and tokens may be separated by any run
-of whitespace.  Faces are sets, so a repeated ``f`` line is accepted and
-counted once.  Every malformed input, a non-integer token included, raises
-``FormatError`` naming the line where one applies.
+of whitespace.  A target's faces are sets, so a repeated ``f`` line is
+accepted and counted once.  Every malformed input, a non-integer token
+included, raises ``FormatError`` naming the line where one applies.
 
 A host's text holds its z-mask table (see ``core``): ``write_host``
 writes, in sorted order, one line ``m x y HEX`` per (x, y) entry, HEX
 being the entry's mask in hexadecimal, bit z set for the face (x, y, z).
-``parse_host`` reads these lines and ``f x y z`` face lines, in any order
-and mix, ORing each into the entry of its (x, y).  HEX is read as
-``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
-mask too; a mask that is negative, 0, or has a bit at or above n_z is
-refused.  Each line is checked as it is read, its coordinates against the
-``tph`` sizes once per distinct token, so the error names the first
-malformed line in file order.  Nothing is allocated in proportion to a
-header's count: not from a host's ``tph`` sizes, and not from a
-certificate's ``tg`` count, which is bounded by the lines that can place
-its vertices before anything is built from it.
+``parse_host`` reads these lines in any order, ORing each into the entry
+of its (x, y); they are a host's only face lines, and an ``f`` line is
+refused on its line.  HEX is read as ``int(HEX, 16)`` reads it, so
+``0x``, ``+``, ``_`` and upper case spell a mask too; a mask that is
+negative, 0, or has a bit at or above n_z is refused.  Each line is
+checked as it is read, its coordinates against the ``tph`` sizes once per
+distinct token, so the error names the first malformed line in file
+order.  Nothing is allocated in proportion to a header's count: not from
+a host's ``tph`` sizes, and not from a certificate's ``tg`` count, which
+is bounded by the lines that can place its vertices before anything is
+built from it.
 
 A host's table is bounded by its text: with k (x, y) entries and largest
 z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
 the line that would pass it, a text whose table would exceed
 ``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
 ``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists: a
-HEX token holds at most 4 bits per character of its own text, and a z's
-bit is made only after its check.  A mask wider than any before is
-checked against the bound on its line.  A line that opens a new entry is
-checked too, but only when the text's lines times n_z exceed the bound:
-a table has no more entries than the text has lines, and no mask reaches
-2**n_z, so otherwise no table the text spells can pass it.  The parse's
-own memory beside the table also follows the text: the z memo keeps a
-value only for a z below 1024, and the z of an entry's ``f`` lines wait
-as one int per line until the entry's bits are made, once.  A written
-host stays far inside the bound: a dense n = 60 host holds about 2.5
-bits per character.
+HEX token holds at most 4 bits per character of its own text.  A mask
+wider than any before is checked against the bound on its line.  A line
+that opens a new entry is checked too, but only when the text's lines
+times n_z exceed the bound: a table has no more entries than the text has
+lines, and no mask reaches 2**n_z, so otherwise no table the text spells
+can pass it.  A written host stays far inside the bound: a dense n = 60
+host holds about 2.5 bits per character.
 """
 
 from __future__ import annotations
@@ -122,14 +119,11 @@ class _TokenInts(dict):
         super().__init__()
         self.name, self.n = name, n
 
-    def _checked(self, tok: str) -> int:
+    def __missing__(self, tok: str) -> int:
         val = int(tok)
         if not 0 <= val < self.n:
             raise ValueError(f"{self.name} = {val} is outside [0, {self.n})")
-        return val
-
-    def __missing__(self, tok: str) -> int:
-        val = self[tok] = self._checked(tok)
+        self[tok] = val
         return val
 
 
@@ -138,125 +132,65 @@ TABLE_BITS_PER_CHAR = 64
 TABLE_BITS_FLOOR = 1 << 23
 
 
-def _over_budget(keys: int, top: int, budget: int) -> str:
-    return (
-        f"a host table of {keys} (x, y) masks of up to {top} bits would exceed "
-        f"its budget of {budget} bits ({TABLE_BITS_PER_CHAR} per character of "
-        f"text plus {TABLE_BITS_FLOOR})"
-    )
+def _fits(keys: int, width: int, budget: int) -> int:
+    """``width``, once a table of ``keys`` entries of up to ``width`` bits
+    is found within ``budget``."""
+    if keys * width > budget:
+        raise ValueError(
+            f"a host table of {keys} (x, y) masks of up to {width} bits would exceed "
+            f"its budget of {budget} bits ({TABLE_BITS_PER_CHAR} per character of "
+            f"text plus {TABLE_BITS_FLOOR})"
+        )
+    return width
 
 
-class _ZInts(_TokenInts):
-    """An ``f`` line's z token -> its checked ``z = int(tok)``, and the
-    checks of a host table's size as its lines are read.
-
-    ``top`` is the largest bit length of any mask read so far, counting
-    the bit z of every z read; a wider mask is checked against the table
-    budget first, counting ``keys`` entries (the entry being read among
-    them).  Only a z below ``MEMO_BELOW`` is memoized, so the memo keeps
-    under 1024 values however many spellings share them; a larger z is
-    converted again on each line, which costs no more than reading it.
-    """
-
-    MEMO_BELOW = 1 << 10
-
-    def __init__(self, nz: int, table: dict[int, int], budget: int):
-        super().__init__("z", nz)
-        self.table, self.budget = table, budget
-        self.top = 0
-
-    def widen(self, width: int, keys: int) -> None:
-        if width > self.top:
-            if width > self.n:
-                raise ValueError(f"z = {width - 1} is outside [0, {self.n})")
-            self.fits(keys, width)
-            self.top = width
-
-    def fits(self, keys: int, width: int) -> None:
-        """Refuse a table of ``keys`` entries of up to ``width`` bits that
-        would exceed the budget."""
-        if keys * width > self.budget:
-            raise ValueError(_over_budget(keys, width, self.budget))
-
-    def __missing__(self, tok: str) -> int:
-        z = self._checked(tok)
-        self.widen(z + 1, len(self.table))  # the line's entry is in the table
-        if z < self.MEMO_BELOW:
-            self[tok] = z
-        return z
-
-    def mask(self, mask: int, keys: int) -> int:
-        """A mask read from an ``m`` line's HEX token (``int(HEX, 16)``, at
-        most 4 bits per character of the token), checked."""
-        if mask <= 0:
-            raise ValueError("mask is negative" if mask else "mask 0 names no face")
-        self.widen(mask.bit_length(), keys)
-        return mask
-
-
-def _mask_of(zs: list[int]) -> int:
-    """The mask with bit z set for each z of ``zs``, built once from a byte
-    per 8 bits: its time is linear in the list and the largest z."""
-    buf = bytearray(max(zs) // 8 + 1)
-    for z in zs:
-        buf[z >> 3] |= 1 << (z & 7)
-    return int.from_bytes(buf, "little")
+def _width(mask: int, nz: int) -> int:
+    """The bit length of an ``m`` line's mask, refused unless it is positive
+    and below ``2**nz``."""
+    if mask <= 0:
+        raise ValueError("mask is negative" if mask else "mask 0 names no face")
+    if mask.bit_length() > nz:
+        raise ValueError(f"z = {mask.bit_length() - 1} is outside [0, {nz})")
+    return mask.bit_length()
 
 
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host in one pass over its lines, checking each line
     as it is read: a ``FormatError`` names the first malformed line.
 
-    After the header, an ``m x y HEX`` line ORs the mask ``int(HEX, 16)``,
-    and an ``f x y z`` line the bit of z, into the table entry of its
-    (x, y); the two may name the same entry.  A mask that is not positive,
-    or has a bit at or above n_z, is refused.  A host repeats a few
-    distinct tokens on many lines, so each distinct x, y or z token text is
-    converted once per class, through a memo that grows only with the
-    tokens read (not with the ``tph`` sizes); every coordinate is still
-    ``int(token)``, so spellings and non-integer errors are those of a
-    plain per-token ``int()``.  A memo checks a value against its class
-    when it converts it, x then y then z, and keeps no value outside it, so
-    no line aliases another's entry and no bit outside the z class is made.
+    After the header, an ``m x y HEX`` line ORs the mask ``int(HEX, 16)``
+    into the table entry of its (x, y).  A mask that is not positive, or
+    has a bit at or above n_z, is refused, and so is an ``f`` line, which
+    only a target's text holds.  A host repeats a few distinct tokens on
+    many lines, so each distinct x or y token text is converted once per
+    class, through a memo that grows only with the tokens read (not with
+    the ``tph`` sizes); every coordinate is still ``int(token)``, so
+    spellings and non-integer errors are those of a plain per-token
+    ``int()``.  A memo checks a value against its class when it converts
+    it, x then y, and keeps no value outside it, so no line aliases
+    another's entry.
 
     A well-formed ``m`` line is a straight path: its mask is checked only
-    when it is not positive or wider than any before.  The z of an entry's
-    ``f`` lines are kept in a list and its bits made once, after the last
-    line, so a wide entry costs time linear in its lines and width.  A
-    mask wider than any before is checked against the table's bound (see
-    the module docstring), and so is a line that opens a new entry, unless
-    (lines of the text) * n_z is within the bound: there are no more
-    entries than lines, and no mask is wider than n_z, so no table the text
-    can spell exceeds it.
+    when it is not positive or wider than any before, and a line opening a
+    new entry is checked against the table's bound (see the module
+    docstring) only when (lines of the text) * n_z exceeds it.
     """
     sizes = None
     table: dict[int, int] = {}
-    zlists: dict[int, list[int]] = {}  # per entry, the z of its f lines
     lines = text.splitlines()
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
     try:
         for lineno, tok in enumerate(map(str.split, lines), 1):
-            # a well-formed m or f line comes first: it is nearly every line
+            # a well-formed m line comes first: it is nearly every line
             if len(tok) == 4 and tok[0] == "m" and sizes is not None:
                 key = xs[tok[1]] * ny + ys[tok[2]]
                 entry = get(key)
-                if entry is None and checked:
-                    zs.fits(len(table) + 1, zs.top)
+                if entry is None and checked:  # a new entry may grow as wide as any mask
+                    _fits(len(table) + 1, top, budget)
                 mask = int(tok[3], 16)
                 if mask <= 0 or mask.bit_length() > top:
-                    mask = zs.mask(mask, len(table) + (entry is None))
-                    top = zs.top
+                    top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
                 table[key] = mask if entry is None else entry | mask
-            elif len(tok) == 4 and tok[0] == "f" and sizes is not None:
-                key = xs[tok[1]] * ny + ys[tok[2]]
-                zl = zlists.get(key)
-                if zl is None:
-                    if key not in table:  # a new entry, counted from here on
-                        if checked:
-                            zs.fits(len(table) + 1, zs.top)
-                        table[key] = 0
-                    zl = zlists[key] = []
-                zl.append(zs[tok[3]])
             elif not tok or tok[0].startswith("#"):
                 continue
             elif tok[0] == "tph":
@@ -265,24 +199,24 @@ def parse_host(text: str) -> TripartiteHost:
                 if len(tok) != 4:
                     raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
                 nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
-                xs, ys, zs = _TokenInts("x", nx), _TokenInts("y", ny), _ZInts(nz, table, budget)
+                xs, ys = _TokenInts("x", nx), _TokenInts("y", ny)
                 get, top, checked = table.get, 0, len(lines) * nz > budget
-            elif tok[0] not in ("f", "m"):
+            elif tok[0] == "f":
+                raise FormatError(
+                    f"line {lineno}: 'f' lines belong to targets; a host's faces are 'm x y HEX' lines"
+                )
+            elif tok[0] != "m":
                 raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
             elif sizes is None:
-                what = "face" if tok[0] == "f" else "mask"
-                raise FormatError(f"line {lineno}: {what} before tph header")
+                raise FormatError(f"line {lineno}: mask before tph header")
             else:
-                shape = "f x y z" if tok[0] == "f" else "m x y HEX"
-                raise FormatError(f"line {lineno}: expected '{shape}'")
+                raise FormatError(f"line {lineno}: expected 'm x y HEX'")
     except FormatError:
         raise
     except ValueError as exc:  # a bad token, header size or coordinate, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
-    for key, zl in zlists.items():
-        table[key] |= _mask_of(zl)
     return TripartiteHost._from_table(sizes, table)
 
 

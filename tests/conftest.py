@@ -34,10 +34,15 @@ def complete_host(n: int) -> TripartiteHost:
     return TripartiteHost((n, n, n), faces)
 
 
+# parse_host's message for an f line, which a host text may not hold
+F_LINE_REFUSED = "'f' lines belong to targets; a host's faces are 'm x y HEX' lines"
+
+
 def face_text(host: TripartiteHost) -> str:
-    """``host`` as a ``.tph`` text of one ``f x y z`` line per face, in
-    sorted order: the face-line form, which ``parse_host`` reads beside
-    the mask lines that ``write_host`` writes."""
+    """``host`` as a ``.tph``-like text of one ``f x y z`` line per face, in
+    sorted order.  It is only the test-side rendering that the
+    ``gen_random_host`` digests hash: ``parse_host`` refuses its first
+    face line, and a host's text is ``write_host``'s ``m`` lines."""
     lines = [f"tph {host.n_x} {host.n_y} {host.n_z}"]
     lines += [f"f {x} {y} {z}" for x, y, z in host.sorted_faces()]
     return "\n".join(lines) + "\n"

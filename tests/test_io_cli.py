@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_host, face_text, random_host, random_threegraph
+from conftest import F_LINE_REFUSED, complete_host, face_text, random_host, random_threegraph
 from homeofind import cli
 from homeofind.cli import main
 from homeofind.core import (
@@ -141,42 +141,44 @@ class TestHostFormat:
         rng = random.Random(7)
         host = random_host(rng, 4, 5, 6, 0.5)
         assert parse_host(write_host(host)) == host
-        assert parse_host(face_text(host)) == host
+        # the face-line rendering that the gen_random_host digests hash is
+        # no host text: its first face line is refused
+        with pytest.raises(FormatError) as info:
+            parse_host(face_text(host))
+        assert str(info.value) == f"line 2: {F_LINE_REFUSED}"
 
     def test_written_as_one_mask_line_per_entry(self):
         host = TripartiteHost((2, 3, 9), {(0, 2, 0), (0, 2, 8), (1, 0, 4)})
         assert write_host(host) == "tph 2 3 9\nm 0 2 101\nm 1 0 10\n"
 
-    def test_face_and_mask_lines_of_one_entry_or_together(self):
-        text = "tph 2 2 8\nf 1 0 0\nm 1 0 0x0C\nm 0 1 1\nf 1 0 2\nm 1 0 +8_0\n"
+    def test_mask_lines_of_one_entry_or_together(self):
+        text = "tph 2 2 8\nm 1 0 1\nm 1 0 0x0C\nm 0 1 1\nm 1 0 4\nm 1 0 +8_0\n"
         host = parse_host(text)
         assert host.zmasks == {2: 0b10001101, 1: 1}
         assert host == TripartiteHost((2, 2, 8), {(1, 0, 0), (1, 0, 2), (1, 0, 3), (1, 0, 7), (0, 1, 0)})
 
     def test_face_out_of_class(self):
         with pytest.raises(FormatError):
-            parse_host("tph 2 2 2\nf 0 0 2\n")
+            parse_host("tph 2 2 2\nm 0 0 4\n")
 
     def test_header_shape(self):
         with pytest.raises(FormatError):
-            parse_host("tph 2 2\nf 0 0 0\n")
+            parse_host("tph 2 2\nm 0 0 1\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("f 0 0 0\ntph 1 1 1\n", "line 1: face before tph header"),
         ("tph 1 1 1\n#\ntph 1 1 1\n", "line 3: duplicate tph header"),
-        ("tph 1 1 1\nf 0 0\n", "line 2: expected 'f x y z'"),
         ("tph 1 1 1\n\n g 0 0 0\n", "line 3: unknown directive 'g'"),
         ("# only a comment\n", "missing tph header"),
         # the first malformed line in file order, whatever is wrong with it
-        ("tph 2 2 2\nf 0 0 0\nf 5 0 0\nf 0 9 0\n", "line 3: x = 5 is outside [0, 2)"),
-        ("tph 2 2 2\nf 0 9 0\n", "line 2: y = 9 is outside [0, 2)"),
-        ("tph 2 2 2\nf 0 0 5\nf 0 0\n", "line 2: z = 5 is outside [0, 2)"),
-        ("tph 2 2 2\nf 0 0 -1\nf 0 0 a\n", "line 2: z = -1 is outside [0, 2)"),
+        ("tph 2 2 2\nm 0 0 1\nm 5 0 1\nm 0 9 1\n", "line 3: x = 5 is outside [0, 2)"),
+        ("tph 2 2 2\nm 0 9 1\n", "line 2: y = 9 is outside [0, 2)"),
+        ("tph 2 2 2\nm 0 0 20\nm 0 0\n", "line 2: z = 5 is outside [0, 2)"),
+        ("tph 2 2 2\nm 0 0 -1\nm 0 0 a\n", "line 2: mask is negative"),
         # a header's sizes are checked on the header line
         ("tph 2 -1 2\nf 0 0 0\n",
          "line 1: class sizes must be three non-negative integers, got (2, -1, 2)"),
         ("tph -1 2 2\n", "line 1: class sizes must be three non-negative integers, got (-1, 2, 2)"),
-        # a mask line: its x and y as a face line's, then its mask
+        # a mask line: its x and y, then its mask
         ("m 0 0 1\ntph 1 1 1\n", "line 1: mask before tph header"),
         ("tph 1 1 1\nm 0 0\n", "line 2: expected 'm x y HEX'"),
         ("tph 1 1 4\nm 0 0 1 1\n", "line 2: expected 'm x y HEX'"),
@@ -185,6 +187,11 @@ class TestHostFormat:
         ("tph 1 1 4\nm 0 0 -1\n", "line 2: mask is negative"),
         ("tph 1 1 4\nm 0 0 g\n", "line 2: invalid literal for int() with base 16: 'g'"),
         ("tph 1 1 4\nm 1 0 g\n", "line 2: x = 1 is outside [0, 1)"),
+        # an f line, a target's face line, is refused on its line, whatever
+        # its shape and wherever it stands
+        ("f 0 0 0\ntph 1 1 1\n", f"line 1: {F_LINE_REFUSED}"),
+        ("tph 1 1 1\nf 0 0\n", f"line 2: {F_LINE_REFUSED}"),
+        ("tph 1 1 1\nm 0 0 1\n# c\nf 0 0 0\nm 0 0 g\n", f"line 4: {F_LINE_REFUSED}"),
     ])
     def test_error_messages(self, text, message):
         with pytest.raises(FormatError) as info:
@@ -193,7 +200,7 @@ class TestHostFormat:
 
     def test_non_integer_token(self):
         with pytest.raises(FormatError, match=r"^line 2: .*'a'"):
-            parse_host("tph 2 2 2\nf 0 a 1\n")
+            parse_host("tph 2 2 2\nm 0 a 1\n")
         with pytest.raises(FormatError, match=r"^line 2: .*'x'"):
             parse_host("# host\ntph 2 x 2\n")
 
@@ -202,7 +209,7 @@ class TestHostFormat:
         # no table is sized from the header
         tracemalloc.start()
         try:
-            host = parse_host(f"tph {10**12} {10**12} {10**12}\nf 0 0 0\n")
+            host = parse_host(f"tph {10**12} {10**12} {10**12}\nm 0 0 1\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -210,63 +217,24 @@ class TestHostFormat:
         assert peak < 1 << 20
 
     def test_table_bounded_by_text(self):
-        # one line asks for a 10**12-bit mask: refused before the mask exists
+        # one 2**17-bit mask, then one-face entries that may each grow as
+        # wide: refused on the line that passes the budget, in memory that
+        # follows the text
+        top = 1 << 17
+        text = f"tph 300 1 {10**12}\nm 0 0 {1 << top - 1:x}\n" + "".join(f"m {x} 0 1\n" for x in range(1, 300))
+        first_over = (TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR) // top + 1
+        assert first_over < 300
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match=r"^line 2: a host table .* budget"):
-                parse_host(f"tph 1 1 {10**12}\nf 0 0 {10**12 - 1}\n")
-            # a z outside its class gets no bit either
-            with pytest.raises(FormatError, match=rf"^line 3: z = {10**12} is outside \[0, 2\)$"):
-                parse_host(f"tph 1 1 2\nf 0 0 1\nf 0 0 {10**12}\n")
+            with pytest.raises(FormatError, match=rf"^line {1 + first_over}: a host table .* budget"):
+                parse_host(text)
+            # a mask with a bit outside its class is refused on its line
+            with pytest.raises(FormatError, match=rf"^line 3: z = {10**5} is outside \[0, 2\)$"):
+                parse_host(f"tph 1 1 2\nm 0 0 1\nm 0 0 {1 << 10**5:x}\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-    def test_spellings_of_one_z_share_one_bit(self):
-        # 53 spellings of z = 8 000 000 are one face.  Above MEMO_BELOW each
-        # line converts its z again, and the entry's 1 MB mask is made once
-        # (53 bits of 1 MB held at once would take 53 MB)
-        z = 8_000_000
-        arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
-        spellings = ["0" * k + str(z) for k in range(50)] + [f"+{z}", f"{z:_}", str(z).translate(arabic)]
-        text = f"tph 1 1 {10**9}\n" + "".join(f"f 0 0 {s}\n" for s in spellings)
-        tracemalloc.start()
-        try:
-            host = parse_host(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert host.zmasks == {0: 1 << z}
-        assert peak < 6 << 20
-
-    def test_z_memo_stays_small(self):
-        # 50 000 distinct z on one entry: a bit kept per distinct z would
-        # hold 50 000**2 / 2 bits, some 150 MB
-        nz = 50_000
-        text = f"tph 1 1 {nz}\n" + "".join(f"f 0 0 {z}\n" for z in range(nz))
-        tracemalloc.start()
-        try:
-            host = parse_host(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert host.e == nz
-        assert peak < 32 << 20
-
-    def test_table_bound_counts_entries(self):
-        # each new (x, y) entry may hold up to the largest z + 1 bits; the
-        # line that opens the entry passing the budget is named
-        top = 10**5
-        text = f"tph 1000 1 {top}\n" + "".join(f"f {x} 0 {top - 1}\n" for x in range(200))
-        budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
-        first_over = budget // top + 1
-        assert first_over <= 200
-        with pytest.raises(FormatError, match=rf"^line {1 + first_over}: .* {first_over} \(x, y\) masks"):
-            parse_host(text)
-        # the floor alone admits this many entries, whatever the text
-        fits = TABLE_BITS_FLOOR // top
-        assert parse_host("".join(text.splitlines(keepends=True)[:1 + fits])).e == fits
 
     def test_table_bound_counts_entries_of_mask_lines(self):
         # a mask line's own text pays 16 bits per bit of its mask, but each
@@ -286,8 +254,7 @@ class TestHostFormat:
             parse_host(text)
 
     def test_a_wide_mask_parses_in_linear_time(self):
-        # one entry of 10**6 faces: 12.9 MB of face lines, whose parse ORs
-        # each bit into a mask up to 10**6 bits wide, or one 250 kB mask line
+        # one entry of 10**6 faces as one 250 kB mask line
         nz = 10**6
         text = f"tph 1 1 {nz}\nm 0 0 {(1 << nz) - 1:x}\n"
         start = time.perf_counter()
@@ -295,36 +262,21 @@ class TestHostFormat:
         assert time.perf_counter() - start < 1
         assert host.e == nz
 
-    def test_wide_face_lines_parse_in_linear_time(self):
-        # 4000 f lines of one entry, each z near 8 000 000: a bit made and
-        # ORed into the entry per line would move some 2 MB a line; the
-        # entry's bits are made once.  Timed against as many lines whose z
-        # are small.
-        k, z0 = 4000, 8_000_000
-        wide = f"tph 1 1 {10**9}\n" + "".join(f"f 0 0 {z0 + i}\n" for i in range(k))
-        narrow = f"tph 1 1 {10**9}\n" + "".join(f"f 0 0 {i}\n" for i in range(k))
-
-        def best(text):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                parse_host(text)
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        assert parse_host(wide).zmasks == {0: ((1 << k) - 1) << z0}
-        assert best(wide) < 10 * best(narrow) + 0.05
-
     def test_table_bound_counts_a_revisited_entry_once(self):
-        # a new largest z on an entry the table already holds counts that
-        # entry once: two entries of z + 1 bits fill the budget exactly
-        head = "tph 2 1 10000000\nf 0 0 0\nf 1 0 0\nf 0 0 "
-        budget = TABLE_BITS_PER_CHAR * (len(head) + 8) + TABLE_BITS_FLOOR
-        text = f"{head}{budget // 2 - 1}\n"
-        assert len(text) == len(head) + 8
-        assert parse_host(text).e == 3
-        with pytest.raises(FormatError, match=r"^line 4: a host table of 2 \(x, y\) masks"):
-            parse_host(f"{head}{budget // 2}\n")
+        # a new widest mask on an entry the table already holds counts that
+        # entry once: 32 entries of w bits fill the budget exactly, the HEX
+        # token padded with zeros to the length that makes it so
+        k, w = 32, 1 << 20
+        head = f"tph {k} 1 {1 << 21}\n" + "".join(f"m {x} 0 1\n" for x in range(k)) + "m 0 0 "
+        width = (k * w - TABLE_BITS_FLOOR) // TABLE_BITS_PER_CHAR - len(head) - 1
+        assert k * w == TABLE_BITS_PER_CHAR * (len(head) + width + 1) + TABLE_BITS_FLOOR
+
+        def text(bits):
+            return f"{head}{1 << bits - 1:0{width}x}\n"
+
+        assert parse_host(text(w)).e == k + 1
+        with pytest.raises(FormatError, match=rf"^line {k + 2}: a host table of {k} \(x, y\) masks"):
+            parse_host(text(w + 1))
 
     def test_written_hosts_stay_inside_the_bound(self):
         for host in (complete_host(12), random_host(random.Random(3), 7, 9, 70, 0.05)):
@@ -648,16 +600,20 @@ class TestCli:
             "find", "--target", "builtin:triangle", "--host", hostp,
             "--C", "1", "--k", "3", "--out", certp,
         ]) == 0
+        # a 2**17-bit mask, then one-face entries that may each grow as wide
+        top = 1 << 17
+        text = f"tph 300 1 {10**12}\nm 0 0 {1 << top - 1:x}\n" + "".join(f"m {x} 0 1\n" for x in range(1, 300))
+        first_over = (TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR) // top + 1
         hostile = tmp_path / "hostile.tph"
-        hostile.write_text(f"tph 1 1 {10**12}\nf 0 0 {10**12 - 1}\n")
+        hostile.write_text(text)
         assert main(["verify", "--cert", certp, "--host", str(hostile)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 2: a host table")
+        assert err.startswith(f"error: line {1 + first_over}: a host table")
         assert "Traceback" not in err
 
     def test_non_integer_host_token_exit_2(self, tmp_path, capsys):
         hostp = tmp_path / "bad.tph"
-        hostp.write_text("tph 3 3 3\nf 0 0 0\nf 0 1 z\n")
+        hostp.write_text("tph 3 3 3\nm 0 0 1\nm 0 1 z\n")
         assert main([
             "find", "--target", "builtin:triangle", "--host", str(hostp),
             "--C", "1", "--k", "3", "--out", str(tmp_path / "x.cert"),
@@ -665,6 +621,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ")
         assert "Traceback" not in err
+
+    def test_face_line_host_exit_2(self, tmp_path, capsys):
+        # a host written as f lines is refused on its first face line, by
+        # find (whose --out is left empty) and by verify alike
+        hostp = tmp_path / "faces.tph"
+        hostp.write_text("tph 1 1 1\nf 0 0 0\n")
+        certp = tmp_path / "triangle.cert"
+        certp.write_text(TRIANGLE_CERT)
+        outp = tmp_path / "out.cert"
+        runs = [
+            ["find", "--target", "builtin:triangle", "--host", str(hostp),
+             "--C", "1", "--k", "3", "--out", str(outp)],
+            ["verify", "--cert", str(certp), "--host", str(hostp)],
+        ]
+        for args in runs:
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: line 2: {F_LINE_REFUSED}\n"
+            assert captured.out == ""
+        assert outp.read_text() == ""
 
     @pytest.mark.parametrize("spec, message", [
         ({"n_values": [12], "a": 1, "trials": 1}, "lacks the key 'target'"),

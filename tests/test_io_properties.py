@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import face_text
+from conftest import F_LINE_REFUSED
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -40,28 +40,25 @@ FILLER = ["", " ", "\t", "# a comment", "  #indented 1 2 3", "#"]
 
 @st.composite
 def host_lines(draw, host):
-    """The lines of a text of ``host``, header first: its ``face_text``,
-    its ``write_host`` text, or a mix in which each (x, y) entry is drawn
-    as its ``f`` lines, its ``m`` line, or both."""
-    form = draw(st.sampled_from([face_text, write_host, None]))
-    if form is not None:
-        return form(host).splitlines()
+    """The lines of a text of ``host``, header first: its ``write_host``
+    text, or one in which each (x, y) entry is drawn as its ``m`` line or
+    as two ``m`` lines that OR to its mask (its lowest bit and the rest)."""
+    if draw(st.booleans()):
+        return write_host(host).splitlines()
     ny = host.n_y
     lines = [f"tph {host.n_x} {ny} {host.n_z}"]
     for key, mask in sorted(host.zmasks.items()):
         x, y = divmod(key, ny)
-        for kind in draw(st.sampled_from(["f", "m", "fm", "mf"])):
-            if kind == "f":
-                lines += [f"f {x} {y} {z}" for z in range(mask.bit_length()) if mask >> z & 1]
-            else:
-                lines.append(f"m {x} {y} {mask:x}")
+        low = mask & -mask
+        parts = draw(st.sampled_from([[mask], [low, mask], [mask ^ low or mask, low]]))
+        lines += [f"m {x} {y} {part:x}" for part in parts]
     return lines
 
 
 @st.composite
 def noisy(draw, text):
     """``text`` with comments, blank lines, mixed whitespace, CRLF line
-    ends, shuffled face lines and repeated face lines mixed in."""
+    ends, shuffled mask lines and repeated mask lines mixed in."""
     header, *body = text.splitlines()
     if body:
         body += draw(st.lists(st.sampled_from(body), max_size=4))
@@ -95,10 +92,10 @@ class TestRoundTrip:
 
 def reference_parse_host(text):
     """``parse_host`` written plainly: one pass, one ``int()`` per token read,
-    each line checked as it is read (header sizes on the header line; x,
-    then y, then z on a face line, each first with ``int()`` and then
-    against its class; x, then y, then the mask on an ``m`` line, the mask
-    with ``int(tok, 16)`` and then for being positive and below
+    each line checked as it is read (header sizes on the header line; an
+    ``f`` line refused whatever it holds; x, then y, then the mask on an
+    ``m`` line, x and y first with ``int()`` and then against their class,
+    the mask with ``int(tok, 16)`` and then for being positive and below
     ``1 << n_z``)."""
     sizes = None
     faces = []
@@ -106,15 +103,16 @@ def reference_parse_host(text):
         tok = raw.split()
         if not tok or tok[0].startswith("#"):
             continue
-        if tok[0] not in ("tph", "f", "m"):
+        if tok[0] == "f":
+            raise FormatError(f"line {lineno}: {F_LINE_REFUSED}")
+        if tok[0] not in ("tph", "m"):
             raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
         if tok[0] == "tph" and sizes is not None:
             raise FormatError(f"line {lineno}: duplicate tph header")
-        if tok[0] != "tph" and sizes is None:
-            what = "face" if tok[0] == "f" else "mask"
-            raise FormatError(f"line {lineno}: {what} before tph header")
+        if tok[0] == "m" and sizes is None:
+            raise FormatError(f"line {lineno}: mask before tph header")
         if len(tok) != 4:
-            shape = {"tph": "tph nx ny nz", "f": "f x y z", "m": "m x y HEX"}[tok[0]]
+            shape = {"tph": "tph nx ny nz", "m": "m x y HEX"}[tok[0]]
             raise FormatError(f"line {lineno}: expected '{shape}'")
         try:
             if tok[0] == "tph":
@@ -125,14 +123,11 @@ def reference_parse_host(text):
                     )
                 continue
             face = []
-            for name, t, n in zip("xy" if tok[0] == "m" else "xyz", tok[1:], sizes):
+            for name, t, n in zip("xy", tok[1:], sizes):
                 c = int(t)
                 if not 0 <= c < n:
                     raise ValueError(f"{name} = {c} is outside [0, {n})")
                 face.append(c)
-            if tok[0] == "f":
-                faces.append(tuple(face))
-                continue
             mask = int(tok[3], 16)
             if mask < 0:
                 raise ValueError("mask is negative")
@@ -167,10 +162,10 @@ BAD_HEXES = ["0", "-0", "00", "-1", "-f", "g", "0x", "_1", "1__0", "1.0", "#"]
 
 @st.composite
 def host_texts(draw):
-    """Host-like texts: a header (its sizes now and then -1 or 0), face
-    lines, mask lines or both over ``SPELLINGS`` and ``HEXES`` (mostly of
-    the right length), a stray directive or noise, the header mostly on the
-    first line."""
+    """Host-like texts: a header (its sizes now and then -1 or 0), mask
+    lines over ``SPELLINGS`` and ``HEXES`` (mostly of the right length),
+    now and then a face line among them, a stray directive or noise, the
+    header mostly on the first line."""
     cell = st.one_of(st.sampled_from(INTS), st.sampled_from(SPELLINGS))
     hexes = st.one_of(st.sampled_from(HEXES), st.sampled_from(HEXES + BAD_HEXES))
     size = st.sampled_from(["-1", "0", *INTS[1:]])
@@ -178,9 +173,11 @@ def host_texts(draw):
     arity = st.sampled_from([3] * 10 + [2, 4])
     face = arity.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)).map(lambda t: "f " + " ".join(t))
     mask = st.tuples(arity, st.tuples(cell, cell, hexes, cell)).map(lambda t: "m " + " ".join(t[1][:t[0]]))
-    faces = draw(st.lists(draw(st.sampled_from([face, mask, st.one_of(face, mask)])), max_size=10))
+    body = draw(st.lists(mask, max_size=10))
+    if draw(st.integers(0, 3)) == 0:
+        body.insert(draw(st.integers(0, len(body))), draw(face))
     odd = st.sampled_from(["tph 9 9 9", "tph 1 2", "g 0 0 0", "f", "f 0 0 0", "m", "m 0 0 1"] + FILLER)
-    lines = draw(st.permutations([*faces, *draw(st.lists(odd, max_size=1))]))
+    lines = draw(st.permutations([*body, *draw(st.lists(odd, max_size=1))]))
     lines.insert(draw(st.sampled_from([0, 0, 0, min(1, len(lines))])), header)
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
@@ -189,7 +186,7 @@ def host_texts(draw):
 def mask_texts(draw):
     """A header of sizes 1 to 9, then a few mask lines and now and then a
     face line, their x and y in class: texts whose first bad line, if any,
-    is bad by its mask (``HEXES`` and ``BAD_HEXES``) or its z."""
+    is bad by its mask (``HEXES`` and ``BAD_HEXES``) or is a face line."""
     nx, ny, nz = (draw(st.integers(1, 9)) for _ in range(3))
     cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
     line = st.one_of(
@@ -197,16 +194,6 @@ def mask_texts(draw):
         st.tuples(cell, st.integers(0, nz)).map(lambda t: "f %d %d %d" % (*t[0], t[1])),
     )
     return "\n".join([f"tph {nx} {ny} {nz}", *draw(st.lists(line, min_size=1, max_size=6))]) + "\n"
-
-
-@st.composite
-def long_run_hosts(draw):
-    """Hosts of up to 3 x 3 (x, y) entries of up to 24 z each, so that their
-    written text has runs of many lines."""
-    nx, ny, nz = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 24))
-    holes = st.sets(st.integers(0, nz - 1), max_size=nz // 2)
-    faces = [(x, y, z) for x in range(nx) for y in range(ny) for z in set(range(nz)) - draw(holes)]
-    return TripartiteHost((nx, ny, nz), faces)
 
 
 ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
@@ -225,9 +212,9 @@ def respaced(draw, toks):
 @st.composite
 def benign_edit(draw, lines):
     """Edits ``lines`` (a host's text, header first) in place without
-    changing the host it parses to: a run broken by a comment or a blank
-    line; a coordinate or mask of one line spelled another way (``7`` and
-    ``07``, Arabic-Indic digits, ``ff`` and ``0xFF``); or tabs, double
+    changing the host it parses to: a comment or a blank line put between
+    two lines; a coordinate or mask of one line spelled another way (``7``
+    and ``07``, Arabic-Indic digits, ``ff`` and ``0xFF``); or tabs, double
     spaces and trailing blanks."""
     at = draw(st.integers(1, max(1, len(lines) - 1)))
     kind = draw(st.sampled_from(["break", "respell", "space"]))
@@ -235,11 +222,11 @@ def benign_edit(draw, lines):
         lines.insert(at, draw(st.sampled_from(FILLER)))
         return
     toks = lines[at].split() if at < len(lines) else []
-    if len(toks) != 4 or toks[0] not in ("f", "m"):
+    if len(toks) != 4 or toks[0] != "m":
         return
     if kind == "respell":
         i = draw(st.integers(1, 3))
-        if toks[0] == "m" and i == 3:
+        if i == 3:
             spelled = draw(st.sampled_from(HEX_RESPELL)).format(int(toks[3], 16))
         else:
             spelled = draw(st.sampled_from(RESPELL)).format(int(toks[i]))
@@ -251,28 +238,25 @@ def benign_edit(draw, lines):
 
 @st.composite
 def bad_edit(draw, lines, nz):
-    """Makes one ``f`` or ``m`` line of ``lines`` malformed, mostly a mask
-    line or a face line inside a run: by its z or mask or its shape, and
-    now and then its x as well; or copies a few such lines before the
-    header.  Returns the number of the first malformed line."""
-    entries = [i for i, line in enumerate(lines) if line.split()[:1] in (["f"], ["m"])]
+    """Makes one ``m`` line of ``lines`` malformed: by its mask or its
+    shape, now and then its x as well, or by turning it into an ``f`` line;
+    or copies a few such lines before the header.  Returns the number of the
+    first malformed line."""
+    entries = [i for i, line in enumerate(lines) if line.split()[:1] == ["m"]]
     if not entries or draw(st.integers(0, 5)) == 0:
         j = draw(st.integers(0, max(0, len(entries) - 1)))
-        lines[0:0] = [lines[i] for i in entries[j:j + draw(st.integers(1, 4))]] or ["f 0 0 0"]
+        lines[0:0] = [lines[i] for i in entries[j:j + draw(st.integers(1, 4))]] or ["m 0 0 1"]
         return 1
-    inside = [
-        i for i in entries
-        if lines[i][0] == "m" or lines[i - 1].rpartition(" ")[0] == lines[i].rpartition(" ")[0]
-    ]
-    at = draw(st.sampled_from(inside or entries))
+    at = draw(st.sampled_from(entries))
     toks = lines[at].split()
     last = [  # an extra token, or none
         [toks[3], "0"], [toks[3], "#"], [], [""], [f"{toks[3]}\t0"],
+        # a bit out of class, a mask not positive, or not hexadecimal
+        [f"{1 << nz:x}"], ["0"], ["-1"], ["-" + toks[3]], ["g"], ["0x"], ["1.0"],
     ]
-    if toks[0] == "f":  # z out of class or not an integer
-        last += [[str(nz)], ["-1"], ["z"], ["1.0"], ["0x1"]]
-    else:  # a bit out of class, a mask not positive, or not hexadecimal
-        last += [[f"{1 << nz:x}"], ["0"], ["-1"], ["-" + toks[3]], ["g"], ["0x"], ["1.0"]]
+    if draw(st.integers(0, 5)) == 0:  # a well-formed mask on an f line
+        lines[at] = " ".join(["f", *toks[1:]])
+        return at + 1
     x = draw(st.sampled_from([toks[1]] * 3 + ["-1", "q"]))
     lines[at] = " ".join([toks[0], x, toks[2], *draw(st.sampled_from(last))])
     return at + 1
@@ -284,14 +268,13 @@ ODD_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2
 
 @st.composite
 def run_shaped_texts(draw):
-    """A host's text, often with long runs of face lines, with benign edits
-    and, most of the time, one malformed line among them; CRLF line ends
-    now and then.
-    A few lines, inside a run or at its end, end otherwise: in an end that
+    """A host's text with benign edits and, most of the time, one malformed
+    line among them; CRLF line ends now and then.
+    A few lines end otherwise: in an end that
     ``str.splitlines`` honours besides ``\\n`` and ``\\r\\n``, or in a lone
     ``\\n`` in a CRLF text; now and then the last line has no end.  Returns
     the text and the first malformed line's number, or None."""
-    host = draw(long_run_hosts())
+    host = draw(hosts())
     lines = draw(host_lines(host))
     for _ in range(draw(st.integers(0, 6))):
         draw(benign_edit(lines))
@@ -321,8 +304,8 @@ class TestParseHostMatchesReference:
     def test_mask_lines_same_host_or_same_error(self, text):
         assert outcome(parse_host, text) == outcome(reference_parse_host, text)
 
-    # runs of face lines and mask lines, broken, respelled, respaced,
-    # otherwise ended or malformed, read as the reference reads them
+    # written texts broken, respelled, respaced, otherwise ended or
+    # malformed, read as the reference reads them
     @settings(max_examples=300, deadline=None)
     @given(run_shaped_texts())
     def test_run_shaped_text(self, case):
@@ -338,12 +321,12 @@ def one_bad_line(draw):
     host = draw(hosts())
     nx, ny, nz = host.class_sizes
     bad = draw(st.sampled_from([
-        f"f {nx} 0 0", f"f 0 {ny} 0", f"f 0 0 {nz}", "f -1 0 0", "f 0 -1 0",  # out of class
-        f"m {nx} 0 1", f"m 0 {ny} 1", f"m 0 0 {1 << nz:x}", f"m 0 0 {(1 << nz) * 7:X}",
-        "f 0 0 z", "f x 0 0", "f 0 1.0 0", "f 0 0 0x1",  # not an integer
-        "m 0 0 g", "m 0 0 0x", "m 0 0 1.0", "m x 0 1",  # not hexadecimal, or x not an integer
+        f"m {nx} 0 1", f"m 0 {ny} 1", "m -1 0 1", "m 0 -1 1",  # out of class
+        f"m 0 0 {1 << nz:x}", f"m 0 0 {(1 << nz) * 7:X}",
+        "m 0 0 g", "m 0 0 0x", "m 0 0 1.0", "m x 0 1", "m 0 1.0 1",  # not hexadecimal, or not an integer
         "m 0 0 0", "m 0 0 -0", "m 0 0 -1", "m 0 0 -0x10",  # a mask not positive
-        "f 0 0", "f 0 0 0 0", "f", "m 0 0", "m 0 0 1 1", "m",  # wrong length
+        "m 0 0", "m 0 0 1 1", "m",  # wrong length
+        "f 0 0 0", "f 0 0", "f",  # a face line, whatever its shape
         "g 0 0 0", "tph 1 1 1",  # unknown directive, second header
     ]))
     lines = draw(host_lines(host))
