@@ -72,43 +72,29 @@ class PairStats:
     good: bool
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class ProblemGraph:
     """D(Y'): the triples of the core set that the embedding must avoid.
 
-    ``masks[(a, b)]``, for a pair a < b of the ground set, is the bitmask
-    of the c with (a, b, c) in D(Y'), 0 when the pair closes none.
-    ``ProblemGraph(ground_set, bad_triples)`` takes the triples as tuples
-    (a, b, c), which count for the search when a < b < c; the pipeline's
-    masks (``build_problem_graph``) are worked out pair by pair as the
-    search reads them.  ``bad_triples`` is the whole of D(Y'), and two
-    problem graphs are equal when their ground sets and ``bad_triples``
-    are, whichever pairs have been read.
+    ``ground_set`` is Y', ascending, and ``masks`` answers every pair
+    a < b of it: ``masks[(a, b)]`` is the bitmask of the c > b in Y' with
+    (a, b, c) in D(Y'), 0 when the pair closes none.  The pipeline's masks
+    (``build_problem_graph``) are worked out pair by pair as the search
+    reads them.  ``bad_triples`` is all of D(Y'), and two problem
+    graphs are equal when their ground sets and ``bad_triples`` are,
+    whichever pairs have been read.
     """
 
     ground_set: tuple[int, ...]
-    masks: dict[Pair, int]
-
-    def __init__(self, ground_set, bad_triples):
-        masks = _GivenMasks()
-        for a, b, c in bad_triples:
-            masks[(a, b)] |= 1 << c
-        object.__setattr__(self, "ground_set", tuple(ground_set))
-        object.__setattr__(self, "masks", masks)
-
-    @classmethod
-    def _from_masks(cls, ground_set: tuple[int, ...], masks: _CoreMasks) -> ProblemGraph:
-        """A problem graph that takes over ``masks``: the caller vouches
-        that they answer every pair of the ground set."""
-        problem = object.__new__(cls)
-        object.__setattr__(problem, "ground_set", ground_set)
-        object.__setattr__(problem, "masks", masks)
-        return problem
+    masks: Mapping[Pair, int]
 
     @cached_property
     def bad_triples(self) -> frozenset[tuple[int, int, int]]:
+        masks = self.masks
         return frozenset(
-            (a, b, c) for (a, b), m in self.masks.whole().items() for c in bits(m)
+            (a, b, c)
+            for a, b in itertools.combinations(self.ground_set, 2)
+            for c in bits(masks[(a, b)])
         )
 
     def __eq__(self, other):
@@ -117,22 +103,11 @@ class ProblemGraph:
         return self.ground_set == other.ground_set and self.bad_triples == other.bad_triples
 
 
-class _GivenMasks(dict):
-    """The masks of triples given as tuples: a pair with no entry closes
-    none."""
-
-    def __missing__(self, pair: Pair) -> int:
-        return 0
-
-    def whole(self) -> dict[Pair, int]:
-        return self
-
-
 class _CoreMasks(dict):
     """D(Y') by pair, each mask worked out on its first read
-    (``__missing__``, the memo of ``io._TokenInts``): ``self[(a, b)]``, for
-    a < b in ``ground``, is the bitmask of the c > b in ``ground`` for which
-    (a, b, c) is bad or holds a bad pair, 0 for none.
+    (``__missing__``): ``self[(a, b)]``, for a < b in ``ground``, is the
+    bitmask of the c > b in ``ground`` for which (a, b, c) is bad or holds
+    a bad pair, 0 for none.
 
     ``bad_pairs`` is ``LinkChoice.bad_pairs``, and ``bad_triples.get``
     gives a pair's bad-triple mask in the form ``classify_pairs_triples``
@@ -145,7 +120,7 @@ class _CoreMasks(dict):
         self, ground: tuple[int, ...], bad_pairs: Sequence[int], bad_triples: Mapping[Pair, int]
     ):
         super().__init__()
-        self.ground, self.bad_pairs, self.bad_triples = ground, bad_pairs, bad_triples
+        self.bad_pairs, self.bad_triples = bad_pairs, bad_triples
         self.gmask = sum(1 << y for y in ground)
 
     def __missing__(self, pair: Pair) -> int:
@@ -158,10 +133,6 @@ class _CoreMasks(dict):
             cs = above & (ma | self.bad_pairs[b] | self.bad_triples.get(pair, 0))
         self[pair] = cs
         return cs
-
-    def whole(self) -> dict[Pair, int]:
-        """Every pair of ``ground`` read: all of D(Y')."""
-        return {pair: self[pair] for pair in itertools.combinations(self.ground, 2)}
 
 
 class _CoreTriples(Mapping):
@@ -301,7 +272,7 @@ def build_problem_graph(
     reads it, from ``bad_pairs`` and that pair's bad-triple mask alone.
     """
     ground = tuple(sorted(set(yprime)))
-    return ProblemGraph._from_masks(ground, _CoreMasks(ground, bad_pairs, bad_triples))
+    return ProblemGraph(ground, _CoreMasks(ground, bad_pairs, bad_triples))
 
 
 def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
@@ -311,7 +282,7 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
     The candidates of a partial set S are the vertices after its last that
     close no triple of D(Y') with a pair of S; adding v keeps those after
     v and drops, for each a in S, the c in ``masks[(a, v)]``, so only the
-    pairs inside the sets tried are ever read.  A refusal counts the whole
+    pairs inside the sets tried are ever read.  A refusal counts all
     of D(Y').
     """
     verts = p.ground_set
@@ -342,7 +313,7 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
         return chosen
     raise CliqueNotFound(
         f"no complete {t}-set in the complement of D(Y') "
-        f"(|Y'|={len(verts)}, |D|={sum(map(int.bit_count, masks.whole().values()))})"
+        f"(|Y'|={len(verts)}, |D|={len(p.bad_triples)})"
     )
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from homeofind.core import ThreeGraph, TripartiteHost
+from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex
 
 
@@ -59,6 +60,17 @@ def pair_verdicts(link, good, by_pair) -> tuple[int, ...]:
             bad[y1] |= 1 << y2
             bad[y2] |= 1 << y1
     return tuple(bad)
+
+
+def problem_of(ground, triples) -> ProblemGraph:
+    """D(Y') over ``ground`` given as sorted triples (a < b < c), expanded
+    here into one mask per pair a < b of ``ground`` over the c it closes a
+    triple with; no ``build_problem_graph`` memo is involved."""
+    ground = tuple(ground)
+    masks = dict.fromkeys(itertools.combinations(ground, 2), 0)
+    for a, b, c in triples:
+        masks[(a, b)] |= 1 << c
+    return ProblemGraph(ground, masks)
 
 
 def link_of(n_x, n_y, edges):

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import complete_host, random_host, random_threegraph
+from conftest import complete_host, problem_of, random_host, random_threegraph
 import homeofind
 from homeofind.core import (
     Config,
@@ -21,7 +21,7 @@ from homeofind.core import (
     covered_pairs,
     euler_characteristic,
 )
-from homeofind.embed import ProblemGraph, clique_oracle, find_complete_subgraph, find_homeomorph
+from homeofind.embed import clique_oracle, find_complete_subgraph, find_homeomorph
 from homeofind.errors import CliqueNotFound, PipelineError
 from homeofind.harness import SweepSpec, run_sweep
 from homeofind.io import load_target, write_host
@@ -137,7 +137,7 @@ def test_criterion_3_oracle_equivalence(capfd):
         badset = frozenset(
             tr for tr in itertools.combinations(verts, 3) if rng.random() < 0.25
         )
-        pg = ProblemGraph(verts, badset)
+        pg = problem_of(verts, badset)
         expect = clique_oracle(pg, t)
         try:
             found = find_complete_subgraph(pg, t)

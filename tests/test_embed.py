@@ -14,6 +14,7 @@ from conftest import (
     link_of,
     pair_masks,
     pair_verdicts,
+    problem_of,
     random_host,
 )
 from homeofind import embed
@@ -503,7 +504,7 @@ class TestLazyCore:
             return False
         got_x, got_yprime, bad_triples = select_core_set(link, bad_pairs, cfg, n, q)
         assert (got_x, got_yprime) == (x, yprime)
-        whole = ProblemGraph(yprime, want)
+        whole = problem_of(yprime, want)
         for t in range(1, 6):
             pg = build_problem_graph(yprime, bad_pairs, bad_triples)
             try:
@@ -550,7 +551,7 @@ class TestLazyCore:
         # what it finds on the whole D(Y')
         for seed in range(30):
             whole = _random_problem(seed)[3]
-            whole = ProblemGraph(whole.ground_set, whole.bad_triples)
+            whole = problem_of(whole.ground_set, whole.bad_triples)
             for t in range(1, min(len(whole.ground_set), 5) + 1):
                 fresh = _random_problem(seed)[3]
                 try:
@@ -588,14 +589,15 @@ class TestProblemGraph:
                 or any(pr in bad_pairs for pr in itertools.combinations(tr, 2))
             }
             assert pg.bad_triples == expect, seed
-            # the public constructor takes sorted triples back unchanged
-            assert ProblemGraph(pg.ground_set, expect).bad_triples == expect, seed
-            # and its masks agree with the memo's on every pair
-            given = ProblemGraph(pg.ground_set, expect)
-            assert all(
-                given.masks[pr] == pg.masks[pr]
-                for pr in itertools.combinations(pg.ground_set, 2)
-            ), seed
+
+    def test_built_from_a_mask_dict(self):
+        # the dataclass constructor takes the masks as given: one per pair
+        pg = ProblemGraph((0, 1, 2), {(0, 1): 0b100, (0, 2): 0, (1, 2): 0})
+        assert pg.bad_triples == {(0, 1, 2)}
+        assert pg == build_problem_graph([0, 1, 2], (0, 0, 0), {(0, 1): 0b100})
+        assert find_complete_subgraph(pg, 2) == [0, 1]
+        with pytest.raises(CliqueNotFound, match=r"\|D\|=1\)"):
+            find_complete_subgraph(pg, 3)
 
     def test_clique_search_matches_oracle(self):
         # find_complete_subgraph on the masks build_problem_graph makes,
@@ -644,18 +646,18 @@ def _random_problem(seed):
 
 class TestFindCompleteSubgraph:
     def test_empty_problem_takes_prefix(self):
-        pg = ProblemGraph(tuple(range(10)), frozenset())
+        pg = problem_of(tuple(range(10)), frozenset())
         assert find_complete_subgraph(pg, 4) == [0, 1, 2, 3]
 
     def test_complete_problem_has_no_triangle(self):
         verts = tuple(range(6))
-        pg = ProblemGraph(verts, frozenset(itertools.combinations(verts, 3)))
+        pg = problem_of(verts, frozenset(itertools.combinations(verts, 3)))
         with pytest.raises(CliqueNotFound):
             find_complete_subgraph(pg, 3)
 
     def test_too_small_ground_set(self):
         with pytest.raises(CliqueNotFound):
-            find_complete_subgraph(ProblemGraph((0, 1), frozenset()), 3)
+            find_complete_subgraph(problem_of((0, 1), frozenset()), 3)
 
     def test_output_is_independent(self):
         rng = random.Random(23)
@@ -663,7 +665,7 @@ class TestFindCompleteSubgraph:
         bad = frozenset(
             tr for tr in itertools.combinations(verts, 3) if rng.random() < 0.05
         )
-        pg = ProblemGraph(verts, bad)
+        pg = problem_of(verts, bad)
         found = find_complete_subgraph(pg, 4)
         assert len(found) == 4
         for tr in itertools.combinations(found, 3):

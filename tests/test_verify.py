@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_host, random_host, random_threegraph
+from conftest import complete_host, problem_of, random_host, random_threegraph
 from homeofind.core import (
     Config,
     ThreeGraph,
@@ -17,7 +17,6 @@ from homeofind.core import (
     euler_characteristic,
 )
 from homeofind.embed import (
-    ProblemGraph,
     clique_oracle,
     find_complete_subgraph,
     find_homeomorph,
@@ -355,14 +354,14 @@ class TestExpectationOracles:
 
 class TestCliqueOracle:
     def test_trivial_cases(self):
-        pg = ProblemGraph((0, 1, 2), frozenset())
+        pg = problem_of((0, 1, 2), frozenset())
         assert clique_oracle(pg, 0)
         assert clique_oracle(pg, 3)
         assert not clique_oracle(pg, 4)
 
     def test_rejects_large_ground_set(self):
         with pytest.raises(ValueError):
-            clique_oracle(ProblemGraph(tuple(range(41)), frozenset()), 2)
+            clique_oracle(problem_of(tuple(range(41)), frozenset()), 2)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9), st.integers(3, 5))
@@ -372,7 +371,7 @@ class TestCliqueOracle:
         bad = frozenset(
             tr for tr in itertools.combinations(verts, 3) if rng.random() < 0.3
         )
-        pg = ProblemGraph(verts, bad)
+        pg = problem_of(verts, bad)
         expect = clique_oracle(pg, t)
         try:
             found = find_complete_subgraph(pg, t)
