@@ -14,9 +14,12 @@ each (x, y) with at least one face, the bitmask over Z of the z that
 complete (x, y) to a face, keyed by the flat index ``x * n_y + y``.  The
 table is sparse (an (x, y) with no face has no entry), so it holds one int
 per occupied (x, y) and nothing per face or per header-sized class.  Facts
-of the table alone, ``e`` and ``occupied`` (the OR of its masks), live on
-the host.  Every stage reads the host through it: ``io`` writes and
-parses it, and ``links`` counts link sizes e(L_z) from its byte columns.
+of the table live on the host, each worked out once when first read: ``e``,
+``occupied`` (the OR of its masks), its byte columns (``byte_columns``) and
+the Y side of each link built from them (``link_y_masks``), so that every
+search of one host shares them.  Every stage reads the host through it:
+``io`` writes and parses it, and ``links`` counts link sizes e(L_z) from
+its byte columns and builds links from them.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, repeat
 from operator import or_
 from typing import Iterable
 
@@ -103,8 +106,10 @@ class TripartiteHost:
     triples of ints and names the first bad face in input order; a face's
     mask takes z + 1 bits, so memory grows with the largest z given.
     ``has`` tests one face, and ``sorted_faces`` and ``faces`` decode the
-    table, for tests and oracles.  ``e`` and ``occupied`` (the OR of the
-    masks) are worked out here alone.  Equality and hashing are by value.
+    table, for tests and oracles.  ``e``, ``occupied`` (the OR of the
+    masks), ``byte_columns`` and ``link_y_masks`` are worked out here alone
+    and kept as plain bytes and int tuples.  Equality and hashing are by
+    value, whatever has been worked out.
     """
 
     class_sizes: tuple[int, int, int]
@@ -156,6 +161,26 @@ class TripartiteHost:
     def occupied(self) -> int:
         """The OR of the table's masks: bit z is set when z is on a face."""
         return reduce(or_, self.zmasks.values(), 0)
+
+    @cached_property
+    def byte_columns(self) -> list[bytes]:
+        """The masks cut into byte columns: column j holds byte j of every
+        mask, in table order, so bit z of the masks is one byte-wise
+        ``translate`` of column z // 8."""
+        # Each mask as nb little-endian bytes, nb fixed by the highest z on
+        # a face (never by n_z): the join holds entries * nb bytes, which
+        # parse_host's table budget (entries times highest z + 1 bits)
+        # bounds up to one byte per entry.  Column j is every nb-th byte.
+        nb = (self.occupied.bit_length() + 7) // 8
+        joined = b"".join(map(int.to_bytes, self.zmasks.values(), repeat(nb), repeat("little")))
+        return [joined[j::nb] for j in range(nb)]
+
+    @cached_property
+    def link_y_masks(self) -> dict[int, tuple[int, ...]]:
+        """Per z whose link has been built, its Y side: entry y is the
+        bitmask over X of the x with (x, y, z) a face.  ``links.HostIndex.link``
+        fills it, once per z."""
+        return {}
 
     def has(self, x: int, y: int, z: int) -> bool:
         """Whether (x, y, z) is a face.  Each coordinate is checked against

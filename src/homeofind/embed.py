@@ -237,9 +237,8 @@ def select_core_set(
     triples_per_s = 6 * nq * nq / C  # (C): T_x <= triples_per_s * |Gamma(x)|
     triple_min = math.ceil(n * q ** 3)
 
-    xmasks = link.x_masks
     for x in range(link.n_x):
-        gmask = xmasks[x]
+        gmask = link.gamma(x)
         s = gmask.bit_count()
         if s < s_min:
             continue

@@ -3,13 +3,16 @@
 The hot path here is counting, for every 4-cycle of a link, the number of
 host vertices z whose link also contains it (its 4-disks).  The host's
 z-mask table (see ``core``) already holds, per (x, y), the bitmask of the
-z completing it to a face; ``HostIndex`` holds the host and byte columns
-cut from that table, so a cycle's disk count is a popcount of an AND of
-four of its entries, looked up by flat index ``x * n_y + y``.  The z-scan
-visits only the z on some face, the set bits of ``TripartiteHost.occupied``,
-and reads e(L_z) for each as one count over a byte column of the masks
+z completing it to a face; ``HostIndex`` holds the host alone and reads
+it, so a cycle's disk count is a popcount of an AND of four of its
+entries, looked up by flat index ``x * n_y + y``.  The z-scan visits only
+the z on some face, the set bits of ``TripartiteHost.occupied``, and reads
+e(L_z) for each as one count over a byte column of the masks
 (``HostIndex.link_size``); it builds a ``LinkGraph`` only for a z that
-passes the density condition, from the table entries that column selects.
+passes the density condition, and only its Y side, from the table entries
+that column selects.  The host keeps its byte columns and the Y side of
+every link built, so a second search of the same host cuts no column and
+builds no link again.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it counts the forbidden cycles through each Y-pair it is given, and
@@ -23,12 +26,13 @@ y, shows by inclusion-exclusion that every cycle through the pair bounds
 more than K disks.  Both uses of those counts, the z-scan's condition (2)
 and the good/bad pair test (``good_pair_rule``), have an exact upper bound
 in the common degrees d of the Y-pairs, as a pair carries at most C(d, 2)
-forbidden cycles.  So ``pick_link_vertex`` walks a whole link only when
-the bound leaves (2) open, and otherwise only the pairs whose goodness
-turns on their count.
-It decides every Y-pair of the chosen link from the counts of that one
-pass, and the choice carries the verdicts as per-y bad-pair masks: no
-other module sees a count.
+forbidden cycles.  So ``pick_link_vertex``, which works the degrees out
+one row of Y-pairs at a time, walks a whole link only when the bound
+leaves (2) open, and otherwise only the pairs whose goodness turns on
+their count.
+It decides every Y-pair of the chosen link from its degree and the counts
+of that one pass, and the choice carries the verdicts as per-y bad-pair
+masks: no other module sees a count.
 Its oracles are ``iter_link_cycles``, the one other walk (over X-pairs),
 and ``count_disks``, a face-membership scan independent of the index; the
 first yields and the second takes a cycle as a plain tuple
@@ -54,25 +58,24 @@ from .exact import ceil_pow, floor_pow
 
 # _BIT_OF_BYTE[k] maps a byte to 1 if its bit k is set, else to 0
 _BIT_OF_BYTE = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
+# a flag byte 0 or 1, as the binary digit of a mask
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
 class LinkGraph:
     """The bipartite X-Y graph of faces through a fixed z, as neighbour masks.
 
-    ``x_masks[x]`` is the bitmask over Y of the neighbours of x, and
-    ``y_masks[y]`` the bitmask over X of those of y; ``HostIndex.link``
-    builds both from the host's table.  Edge xy is present when
-    ``x_masks[x] >> y & 1``.
+    ``y_masks[y]`` is the bitmask over X of the neighbours of y, the side
+    ``HostIndex.link`` builds from the host's table; edge xy is present
+    when ``y_masks[y] >> x & 1``.  ``gamma(x)``, the bitmask over Y of the
+    neighbours of x, is read off the Y side for one x, and ``x_masks``, all
+    of them, is worked out when first read.
     """
 
     z: int
-    x_masks: tuple[int, ...]
+    n_x: int
     y_masks: tuple[int, ...]
-
-    @property
-    def n_x(self) -> int:
-        return len(self.x_masks)
 
     @property
     def n_y(self) -> int:
@@ -80,40 +83,39 @@ class LinkGraph:
 
     @cached_property
     def e(self) -> int:
-        return sum(map(int.bit_count, self.x_masks))
+        return sum(map(int.bit_count, self.y_masks))
+
+    def gamma(self, x: int) -> int:
+        """Gamma(x), the bitmask over Y of the neighbours of x."""
+        return sum(1 << y for y, m in enumerate(self.y_masks) if m >> x & 1)
+
+    @cached_property
+    def x_masks(self) -> tuple[int, ...]:
+        """``x_masks[x]`` is Gamma(x): the transpose of ``y_masks``."""
+        return tuple(map(self.gamma, range(self.n_x)))
 
 
 class HostIndex:
-    """A host and the byte columns of its table, shared by a run's stages.
+    """The readers of a host's link facts, shared by a run's stages.
 
-    It holds ``host`` alone until it cuts the columns, reading the table,
-    its sizes and ``occupied`` from the host.  ``disk_mask`` ANDs table
-    entries found by flat index.  On first use the table's masks are cut
-    into byte columns: column j holds byte j of every mask, in table order,
-    so bit z of the masks is one byte-wise ``translate`` of column z // 8.
-    ``link_size(z)`` counts those bits, e(L_z), and ``link(z)`` selects
-    with them the table entries that hold z and builds its link from them.
+    It holds ``host`` alone; the byte columns (``byte_columns``) and the
+    Y sides of built links (``link_y_masks``) live on the host, so every
+    index of one host shares them.  ``disk_mask`` ANDs table entries found
+    by flat index.  Bit z of the masks is one byte-wise ``translate`` of
+    byte column z // 8: ``link_size(z)`` counts those bits, e(L_z), and
+    ``link(z)`` selects with them the table entries that hold z and builds
+    the Y side of its link from them, once per host.
     """
 
     def __init__(self, host: TripartiteHost):
         self.host = host
-
-    @cached_property
-    def _columns(self) -> list[bytes]:
-        # Each mask as nb little-endian bytes, nb fixed by the highest z on
-        # a face (never by n_z): the join holds entries * nb bytes, which
-        # parse_host's table budget (entries times highest z + 1 bits)
-        # bounds up to one byte per entry.  Column j is every nb-th byte.
-        nb = (self.host.occupied.bit_length() + 7) // 8
-        joined = b"".join(m.to_bytes(nb, "little") for m in self.host.zmasks.values())
-        return [joined[j::nb] for j in range(nb)]
 
     def _holds(self, z: int) -> bytes:
         """Per table entry, in table order, the byte 1 if its mask holds z,
         else 0."""
         if not 0 <= z < self.host.n_z:
             raise IndexError(f"z = {z} out of range")
-        columns = self._columns
+        columns = self.host.byte_columns
         if z >> 3 >= len(columns):
             return bytes(len(self.host.zmasks))
         return columns[z >> 3].translate(_BIT_OF_BYTE[z & 7])
@@ -123,13 +125,15 @@ class HostIndex:
         return self._holds(z).count(1)
 
     def link(self, z: int) -> LinkGraph:
-        n_y = self.host.n_y
-        x_masks, y_masks = [0] * self.host.n_x, [0] * n_y
-        for i in compress(self.host.zmasks, self._holds(z)):
-            x, y = divmod(i, n_y)
-            x_masks[x] |= 1 << y
-            y_masks[y] |= 1 << x
-        return LinkGraph(z, tuple(x_masks), tuple(y_masks))
+        host = self.host
+        y_masks = host.link_y_masks.get(z)
+        if y_masks is None:
+            n_y = host.n_y
+            masks = [0] * n_y
+            for i in compress(host.zmasks, self._holds(z)):
+                masks[i % n_y] |= 1 << (i // n_y)
+            y_masks = host.link_y_masks[z] = tuple(masks)
+        return LinkGraph(z, host.n_x, y_masks)
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
         """Bitmask over Z of the centers completing the cycle to 4-disks."""
@@ -369,15 +373,19 @@ def pick_link_vertex(
 
     A Y-pair of common degree d carries at most C(d, 2) forbidden cycles,
     so B_z <= T_z, the sum of C(d, 2) over the Y-pairs (the link's 4-cycle
-    count), which costs one popcount per pair.  When T_z meets the cutoff,
-    (2) holds, and ``count_forbidden`` walks only the open pairs: those
-    whose goodness (``good_pair_rule``, read with the q that e(L_z) fixes)
-    turns on their count.  Otherwise it walks the whole link, and B_z is
-    exact.  Either way the one pass settles every Y-pair of the chosen
-    link, a pair it did not walk counting 0, and the choice carries those
-    verdicts as ``bad_pairs``, the number (2) was decided on and
-    q = n**(-eps), realized from the link's density.  A y with no
-    neighbour is in a bad pair with every other y, as ceil(n q**2) >= 1.
+    count).  The degrees are worked out one row of pairs (y1, y2 > y1) at a
+    time, one popcount per pair, and T_z is the sum of the rows' sums.
+    When T_z meets the cutoff, (2) holds, and ``count_forbidden`` walks
+    only the open pairs: those whose goodness (``good_pair_rule``, read
+    with the q that e(L_z) fixes) turns on their count.  Otherwise it walks
+    the whole link, and B_z is exact.  Either way the one pass settles
+    every Y-pair of the chosen link, and the choice carries those verdicts
+    as ``bad_pairs``, the number (2) was decided on and q = n**(-eps),
+    realized from the link's density.  A pair's degree class decides it
+    unless its degree is open: below ceil(n q**2) it is bad whatever its
+    count, and otherwise good unless its walked count makes it bad.  A y
+    with no neighbour is in a bad pair with every other y, as
+    ceil(n q**2) >= 1.
     """
     if host.e == 0:
         raise NoQualifyingVertex("empty host")
@@ -403,26 +411,62 @@ def pick_link_vertex(
         # (2): B_z <= (2K/C) n**(1 + delta) e(L_z)
         b_max = floor_pow(2 * K * e_l / C, n, 1 + cfg.delta)
         ymasks = link.y_masks
-        pairs = list(combinations(range(link.n_y), 2))
-        degrees = [(ymasks[y1] & ymasks[y2]).bit_count() for y1, y2 in pairs]
-        t_z = sum(d * (d - 1) for d in degrees) // 2
+        # rows[y1][j], the common degree of the Y-pair (y1, y1 + 1 + j)
+        rows = [[(m & m2).bit_count() for m2 in ymasks[y1 + 1:]] for y1, m in enumerate(ymasks)]
+        top = max(map(int.bit_count, ymasks))  # no Y-pair has a higher degree
+        cycles = [d * (d - 1) // 2 for d in range(top + 1)]  # C(d, 2)
+        t_z = sum(sum(map(cycles.__getitem__, row)) for row in rows)
         good = good_pair_rule(K, C, n, q)
         settled = t_z <= b_max  # (2) holds; walk the pairs whose count decides
         walked = None  # every pair
         if settled:
-            decides = {d for d in set(degrees) if good(d, 0) and not good(d, comb(d, 2))}
-            walked = [pr for pr, d in zip(pairs, degrees) if d in decides]
+            opens = [good(d, 0) and not good(d, cycles[d]) for d in range(top + 1)]
+            walked = [
+                (y1, y2)
+                for y1, row in enumerate(rows)
+                for y2 in compress(range(y1 + 1, link.n_y), map(opens.__getitem__, row))
+            ] if any(opens) else []
         b_z, by_pair = count_forbidden(link, K, index, walked)
         if not settled and b_z > b_max:
             best_diag.append((z, e_l, b_z))
             continue
-        bad = [0] * link.n_y
-        for (y1, y2), d in zip(pairs, degrees):
-            if not good(d, by_pair.get((y1, y2), 0)):
-                bad[y1] |= 1 << y2
-                bad[y2] |= 1 << y1
         return LinkChoice(
             link=link, forbidden_count=t_z if settled else b_z,
-            forbidden_exact=not settled, bad_pairs=tuple(bad), q=q,
+            forbidden_exact=not settled, bad_pairs=_pair_verdicts(rows, by_pair, good, top), q=q,
         )
     raise NoQualifyingVertex(f"{refusal}; per-z diagnostics: {best_diag[:10]}")
+
+
+def _pair_verdicts(
+    rows: list[list[int]],
+    by_pair: dict[tuple[int, int], int],
+    good: Callable[[int, int], bool],
+    top: int,
+) -> tuple[int, ...]:
+    """Per y, the bitmask of the y' with {y, y'} a bad pair, from the
+    degree rows of ``pick_link_vertex`` (no degree above ``top``) and the
+    counts of its walk.
+
+    ``good(d, 0)`` fails exactly when d < ceil(n q**2), whatever the
+    count, so those pairs are read off the rows by degree, as a flag
+    matrix: byte y1 * n_y + y2 is 1 when y1 < y2 and the pair's degree is
+    that low.  Row y of the matrix holds the y' above y of such pairs, and
+    column y those below it.  Any other pair is bad only if its count
+    makes it so, and a pair that the walk counted no forbidden cycle for
+    is good; so only the pairs in ``by_pair`` are tested with ``good``.
+    """
+    n_y = len(rows)
+    short = [not good(d, 0) for d in range(top + 1)]
+    flags = b"".join([bytes(y1 + 1) + bytes(map(short.__getitem__, row)) for y1, row in enumerate(rows)])
+    bad = [_mask_of(flags[y * n_y:(y + 1) * n_y]) | _mask_of(flags[y::n_y]) for y in range(n_y)]
+    for (y1, y2), forb in by_pair.items():
+        if not good(rows[y1][y2 - y1 - 1], forb):
+            bad[y1] |= 1 << y2
+            bad[y2] |= 1 << y1
+    return tuple(bad)
+
+
+def _mask_of(flags: bytes) -> int:
+    """The bitmask with bit i set where byte i of ``flags`` is 1 (the others
+    0): the bytes as binary digits, reversed, read in C."""
+    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)

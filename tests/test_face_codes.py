@@ -14,6 +14,7 @@ import pytest
 
 from homeofind.core import Config, TripartiteHost
 from homeofind.embed import find_homeomorph
+from homeofind.errors import PipelineError
 from homeofind.harness import gen_random_host
 from homeofind.io import (
     load_target,
@@ -118,7 +119,11 @@ class TestNonCubicEncoding:
         index = HostIndex(host)
         assert vars(index) == {"host": host}
         index.link_size(0)
-        assert vars(index).keys() == {"host", "_columns"}
+        assert vars(index) == {"host": host}
+        # the byte columns are the host's: a second index reads the same list
+        columns = vars(host)["byte_columns"]
+        HostIndex(host).link_size(1)
+        assert host.byte_columns is columns
 
     @pytest.mark.parametrize("sizes", NON_CUBIC)
     def test_has_matches_tuple_membership(self, sizes):
@@ -203,3 +208,62 @@ def test_shipping_path_reads_no_face_tuples(monkeypatch):
     cert = find_homeomorph(host, target, Config.desk_scale(target, C=2))
     cert = parse_certificate(write_certificate(cert))
     assert verify_certificate(cert, host).passed
+
+
+class TestHostCaches:
+    """The host keeps its byte columns and the Y side of every link built,
+    so that each search of one host reuses them; none of that may change
+    an answer, the host's value or its hash."""
+
+    # at n = 36, between them: certificates, and refusals at the z-scan and
+    # at the V2 placement
+    HOSTS = [(0.45, 4), (0.5, 1), (0.7, 3)]
+    TARGETS = ("triangle", "k4", "rp2")
+
+    @staticmethod
+    def answer(host, target):
+        """A find's certificate text, or its refusal's stage and message."""
+        cfg = Config(C=2, k_threshold=3 * target.e, rng_seed=7)
+        try:
+            return write_certificate(find_homeomorph(host, target, cfg))
+        except PipelineError as exc:
+            return exc.stage, str(exc)
+
+    def test_warm_host_answers_as_a_fresh_one(self):
+        targets = [load_target(f"builtin:{t}") for t in self.TARGETS]
+        stages, built = set(), 0
+        for p, seed in self.HOSTS:
+            host = gen_random_host(36, 36, 36, p, seed)
+            # each target twice, in alternating order, on the one host
+            for target in targets + targets[::-1]:
+                want = self.answer(parse_host(write_host(host)), target)
+                assert self.answer(host, target) == want, (p, seed, target)
+                stages.add(want[0] if isinstance(want, tuple) else "found")
+            # the finds did fill the host's caches
+            assert "byte_columns" in vars(host)
+            built += len(host.link_y_masks)
+            # warm caches are no part of the host's value
+            fresh = parse_host(write_host(host))
+            assert host == fresh and hash(host) == hash(fresh)
+            # and they are plain bytes and int tuples, with no index in them
+            assert all(type(c) is bytes for c in host.byte_columns)
+            for z, y_masks in host.link_y_masks.items():
+                assert type(z) is int and type(y_masks) is tuple
+                assert all(type(m) is int for m in y_masks)
+            assert not any(isinstance(v, HostIndex) for v in vars(host).values())
+        assert stages == {"found", "embed_v2", "pick_link_vertex"}
+        assert built
+
+    @pytest.mark.parametrize("sizes", NON_CUBIC)
+    def test_x_side_is_the_transpose_of_the_y_side(self, sizes):
+        host = gen_random_host(*sizes, 0.5, 10)
+        index = HostIndex(host)
+        for z in range(host.n_z):
+            link = index.link(z)
+            assert len(link.x_masks) == link.n_x == host.n_x
+            assert all(
+                (link.x_masks[x] >> y & 1) == (link.y_masks[y] >> x & 1)
+                for x in range(host.n_x)
+                for y in range(host.n_y)
+            )
+            assert link.e == sum(map(int.bit_count, link.x_masks))

@@ -391,51 +391,89 @@ def full_walk_scan(host, cfg, K, index, walks):
     return None, failed
 
 
+def check_full_walk_decisions(host, seen):
+    """``pick_link_vertex`` against ``full_walk_scan`` on one host, for K
+    from 1 to past n_Z and C from a loose (2) to a tight one: the same z,
+    the same number (2) was decided on, and the pair verdicts of a whole
+    walk.  Returns the links chosen; ``seen`` counts the cases met."""
+    n = max(host.class_sizes)
+    index = HostIndex(host)
+    chosen = []
+    for K in (1, 2, 3, 14):
+        walks = {}
+        for C in (Fraction(1, 2), 1, 2, 3):
+            cfg = Config(C=C)
+            z, failed = full_walk_scan(host, cfg, K, index, walks)
+            seen["walked and failed (2)"] += failed
+            if z is None:
+                with pytest.raises(NoQualifyingVertex):
+                    pick_link_vertex(host, cfg, K, index)
+                continue
+            choice = pick_link_vertex(host, cfg, K, index)
+            link, q = choice.link, choice.q
+            chosen.append(choice)
+            assert link.z == z, (K, C)
+            b_z, full = walks[z]
+            t_z = cycle_count(link)
+            b_max = floor_pow(2 * K * link.e / cfg.C, n, 1 + cfg.delta)
+            assert choice.forbidden_exact == (t_z > b_max)
+            if choice.forbidden_exact:
+                seen["walked whole"] += 1
+                assert choice.forbidden_count == b_z
+            else:
+                seen["settled"] += 1
+                assert choice.forbidden_count == t_z
+            want = full_walk_verdicts(link, K, cfg.C, n, q, full)
+            assert choice.bad_pairs == want, (K, C)
+            ys = range(host.n_y)
+            assert classify_pairs_triples(link, choice.bad_pairs, ys, n, q) == (
+                classify_pairs_triples(link, want, ys, n, q)
+            )
+            # a walked count that decides a pair's goodness
+            seen["count decides"] += full_walk_verdicts(link, K, cfg.C, n, q, {}) != want
+    return chosen
+
+
 class TestSameDecisions:
     """The bounded z-scan decides as the scan that walks every link whole."""
 
+    CASES = ("settled", "walked whole", "walked and failed (2)", "count decides")
+
     def test_matches_full_walk_scan(self):
         seen = Counter()
-        # dense hosts with two Z-vertices walk links whole; K from 1 to
-        # past n_Z, and C from a loose (2) to a tight one
+        # dense hosts with two Z-vertices walk links whole
         for seed in range(24):
             rng = random.Random(700 + seed)
             n = rng.randint(12, 18)
             host = random_host(rng, n, n, rng.choice([2, 2, 3, n]), rng.uniform(0.6, 1))
-            index = HostIndex(host)
-            for K in (1, 2, 3, 14):
-                walks = {}
-                for C in (Fraction(1, 2), 1, 2, 3):
-                    cfg = Config(C=C)
-                    z, failed = full_walk_scan(host, cfg, K, index, walks)
-                    seen["walked and failed (2)"] += failed
-                    if z is None:
-                        with pytest.raises(NoQualifyingVertex):
-                            pick_link_vertex(host, cfg, K, index)
-                        continue
-                    choice = pick_link_vertex(host, cfg, K, index)
-                    link, q = choice.link, choice.q
-                    assert link.z == z, (seed, K, C)
-                    b_z, full = walks[z]
-                    t_z = cycle_count(link)
-                    b_max = floor_pow(2 * K * link.e / cfg.C, n, 1 + cfg.delta)
-                    assert choice.forbidden_exact == (t_z > b_max)
-                    if choice.forbidden_exact:
-                        seen["walked whole"] += 1
-                        assert choice.forbidden_count == b_z
-                    else:
-                        seen["settled"] += 1
-                        assert choice.forbidden_count == t_z
-                    want = full_walk_verdicts(link, K, cfg.C, n, q, full)
-                    assert choice.bad_pairs == want, (seed, K, C)
-                    ys = range(n)
-                    assert classify_pairs_triples(link, choice.bad_pairs, ys, n, q) == (
-                        classify_pairs_triples(link, want, ys, n, q)
-                    )
-                    # a walked count that decides a pair's goodness
-                    seen["count decides"] += full_walk_verdicts(link, K, cfg.C, n, q, {}) != want
-        cases = ("settled", "walked whole", "walked and failed (2)", "count decides")
-        assert all(seen[k] for k in cases), seen
+            check_full_walk_decisions(host, seen)
+        assert all(seen[k] for k in self.CASES), seen
+
+    def test_matches_full_walk_scan_off_square_with_lonely_y(self):
+        # n_x != n_y, either way round, so that a row of Y-pairs and the X
+        # side worked out from the Y side differ in length; in every other
+        # host one y has no face at all, so it has no neighbour in any link
+        seen = Counter()
+        for seed in range(16):
+            rng = random.Random(1200 + seed)
+            n_x, n_y = rng.sample(range(10, 19), 2)
+            host = random_host(rng, n_x, n_y, rng.choice([2, 2, 3, n_y]), rng.uniform(0.6, 1))
+            lonely = None
+            if seed % 2:
+                lonely = rng.randrange(n_y)
+                host = TripartiteHost(host.class_sizes, [f for f in host.faces if f[1] != lonely])
+            for choice in check_full_walk_decisions(host, seen):
+                link = choice.link
+                seen["n_x < n_y" if n_x < n_y else "n_x > n_y"] += 1
+                assert link.x_masks == tuple(
+                    sum(1 << y for y in range(n_y) if host.has(x, y, link.z)) for x in range(n_x)
+                )
+                if lonely is not None:
+                    # bad with every other y, as ceil(n q**2) >= 1
+                    assert link.y_masks[lonely] == 0
+                    assert choice.bad_pairs[lonely] == (1 << n_y) - 1 - (1 << lonely)
+                    seen["lonely y"] += 1
+        assert all(seen[k] for k in self.CASES + ("n_x < n_y", "n_x > n_y", "lonely y")), seen
 
 
 class TestPickLinkVertex:
@@ -578,7 +616,7 @@ class TestPickLinkVertex:
         )
         # refused on the cutoff alone: no e(L_z) read, no byte column cut
         assert "per-z" not in str(info.value)
-        assert "_columns" not in vars(index)
+        assert "byte_columns" not in vars(host)
 
     def test_refusal_within_reach_names_only_the_cutoff(self):
         # n = 4, C = 1, delta = 1: (1) needs 2 edges, and each link has 1
