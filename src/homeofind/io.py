@@ -8,20 +8,24 @@ of whitespace.  A target's faces are sets, so a repeated ``f`` line is
 accepted and counted once.  Every malformed input, a non-integer token
 included, raises ``FormatError`` naming the line where one applies.
 
-A host's text holds its z-mask table (see ``core``): ``write_host``
-writes, in sorted order, one line ``m x y HEX`` per (x, y) entry, HEX
-being the entry's mask in hexadecimal, bit z set for the face (x, y, z).
-``parse_host`` reads these lines in any order, ORing each into the entry
-of its (x, y); they are a host's only face lines, and an ``f`` line is
-refused on its line.  HEX is read as ``int(HEX, 16)`` reads it, so
-``0x``, ``+``, ``_`` and upper case spell a mask too; a mask that is
-negative, 0, or has a bit at or above n_z is refused.  Each line is
-checked as it is read, its coordinates against the ``tph`` sizes once per
-distinct token, so the error names the first malformed line in file
-order.  Nothing is allocated in proportion to a header's count: not from
-a host's ``tph`` sizes, and not from a certificate's ``tg`` count, which
-is bounded by the lines that can place its vertices before anything is
-built from it.
+A host's text holds its z-mask table (see ``core``) on ``m`` lines: ``m x
+y HEX`` sets the faces of one (x, y) entry, HEX being its mask in
+hexadecimal, bit z set for the face (x, y, z), and a run ``m x y HEX0
+HEX1 ... HEXk-1`` means exactly the k lines ``m x y+i HEXi``, read in order
+on its own line number.  ``write_host`` writes, in sorted order, one line
+per maximal run of entries (x, y), (x, y + 1), ... of an x row, so a
+dense host takes one line per x.  ``parse_host`` reads these lines in any
+order, ORing each mask into the entry of its (x, y); they are a host's
+only face lines, and an ``f`` line is refused on its line.  HEX is read as
+``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
+mask too; a mask that is negative, 0, or has a bit at or above n_z is
+refused.  Each line is checked as it is read, its coordinates against the
+``tph`` sizes once per distinct token, so the error names the first
+malformed line in file order, and a run's error is that of the first of
+its one-mask lines that would fail.  Nothing is allocated in proportion to
+a header's count: not from a host's ``tph`` sizes, and not from a
+certificate's ``tg`` count, which is bounded by the lines that can place
+its vertices before anything is built from it.
 
 A host's table is bounded by its text: with k (x, y) entries and largest
 z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
@@ -29,17 +33,19 @@ the line that would pass it, a text whose table would exceed
 ``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
 ``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists: a
 HEX token holds at most 4 bits per character of its own text.  A mask
-wider than any before is checked against the bound on its line.  A line
-that opens a new entry is checked too, but only when the text's lines
-times n_z exceed the bound: a table has no more entries than the text has
-lines, and no mask reaches 2**n_z, so otherwise no table the text spells
-can pass it.  A written host stays far inside the bound: a dense n = 60
-host holds about 2.5 bits per character.
+wider than any before is checked against the bound where it is read.  An
+entry that a mask opens is checked too, but only when (text length // 2)
+times n_z exceeds the bound: a table has no more entries than the text has
+mask tokens, each a character and the blank before it, and no mask
+reaches 2**n_z, so otherwise no table the text spells can pass it.  A
+written host stays far inside the bound: a dense n = 60 host holds about
+3.7 bits per character.
 """
 
 from __future__ import annotations
 
 from importlib import resources
+from itertools import count, pairwise, repeat
 
 from .core import (
     Embedding,
@@ -159,21 +165,27 @@ def parse_host(text: str) -> TripartiteHost:
     as it is read: a ``FormatError`` names the first malformed line.
 
     After the header, an ``m x y HEX`` line ORs the mask ``int(HEX, 16)``
-    into the table entry of its (x, y).  A mask that is not positive, or
-    has a bit at or above n_z, is refused, and so is an ``f`` line, which
-    only a target's text holds.  A host repeats a few distinct tokens on
-    many lines, so each distinct x or y token text is converted once per
-    class, through a memo that grows only with the tokens read (not with
-    the ``tph`` sizes); every coordinate is still ``int(token)``, so
-    spellings and non-integer errors are those of a plain per-token
-    ``int()``.  A memo checks a value against its class when it converts
-    it, x then y, and keeps no value outside it, so no line aliases
-    another's entry.
+    into the table entry of its (x, y), and a run ``m x y HEX0 ... HEXk-1``
+    reads as the k lines ``m x y+i HEXi`` on its line's number.  A mask
+    that is not positive, or has a bit at or above n_z, is refused, and so
+    is an ``f`` line, which only a target's text holds.  A host repeats a
+    few distinct tokens on many lines, so each distinct x or y token text
+    is converted once per class, through a memo that grows only with the
+    tokens read (not with the ``tph`` sizes); every coordinate is still
+    ``int(token)``, so spellings and non-integer errors are those of a
+    plain per-token ``int()``.  A memo checks a value against its class
+    when it converts it, x then y, and keeps no value outside it, so no
+    line aliases another's entry.
 
-    A well-formed ``m`` line is a straight path: its mask is checked only
-    when it is not positive or wider than any before, and a line opening a
-    new entry is checked against the table's bound (see the module
-    docstring) only when (lines of the text) * n_z exceeds it.
+    A well-formed one-mask line is a straight path: its mask is checked
+    only when it is not positive or wider than any before, and a line
+    opening a new entry is checked against the table's bound (see the
+    module docstring) only when (mask tokens the text can hold) * n_z
+    exceeds it.  A run whose entries are all new, inside the row, positive,
+    below ``2**nz`` and within the bound is read in bulk: its masks in one
+    ``map``, checked with ``min`` and ``max``, and added with one
+    ``dict.update``.  Any other run is read entry by entry as its one-mask
+    lines would be, so it gives the same table or the same error.
     """
     sizes = None
     table: dict[int, int] = {}
@@ -181,7 +193,8 @@ def parse_host(text: str) -> TripartiteHost:
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
     try:
         for lineno, tok in enumerate(map(str.split, lines), 1):
-            # a well-formed m line comes first: it is nearly every line
+            # a well-formed one-mask m line comes first: in a text written
+            # one mask per line it is nearly every line
             if len(tok) == 4 and tok[0] == "m" and sizes is not None:
                 key = xs[tok[1]] * ny + ys[tok[2]]
                 entry = get(key)
@@ -191,6 +204,26 @@ def parse_host(text: str) -> TripartiteHost:
                 if mask <= 0 or mask.bit_length() > top:
                     top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
                 table[key] = mask if entry is None else entry | mask
+            elif len(tok) > 4 and tok[0] == "m" and sizes is not None:
+                # a run: in bulk when its entries are new and inside the row
+                # and its masks fit, else as its one-mask lines
+                x, y = xs[tok[1]], ys[tok[2]]
+                keys = range(x * ny + y, x * ny + y + len(tok) - 3)
+                masks = _bulk_masks(tok, nz) if y + len(keys) <= ny and table.keys().isdisjoint(keys) else None
+                if masks and (len(table) + len(keys)) * (width := max(top, max(masks).bit_length())) <= budget:
+                    top = width
+                    table.update(zip(keys, masks))
+                    continue
+                for y, key, hexed in zip(count(y), keys, tok[3:]):
+                    if y >= ny:
+                        raise ValueError(f"y = {y} is outside [0, {ny})")
+                    entry = get(key)
+                    if entry is None and checked:
+                        _fits(len(table) + 1, top, budget)
+                    mask = int(hexed, 16)
+                    if mask <= 0 or mask.bit_length() > top:
+                        top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
+                    table[key] = mask if entry is None else entry | mask
             elif not tok or tok[0].startswith("#"):
                 continue
             elif tok[0] == "tph":
@@ -200,7 +233,8 @@ def parse_host(text: str) -> TripartiteHost:
                     raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
                 nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
                 xs, ys = _TokenInts("x", nx), _TokenInts("y", ny)
-                get, top, checked = table.get, 0, len(lines) * nz > budget
+                # a mask token takes a character and the blank before it
+                get, top, checked = table.get, 0, len(text) // 2 * nz > budget
             elif tok[0] == "f":
                 raise FormatError(
                     f"line {lineno}: 'f' lines belong to targets; a host's faces are 'm x y HEX' lines"
@@ -220,12 +254,30 @@ def parse_host(text: str) -> TripartiteHost:
     return TripartiteHost._from_table(sizes, table)
 
 
+def _bulk_masks(tok: list[str], nz: int) -> list[int] | None:
+    """The masks of run line ``tok`` if each is a hexadecimal mask in
+    [1, 2**nz), else None."""
+    try:
+        masks = list(map(int, tok[3:], repeat(16)))
+    except ValueError:
+        return None
+    return masks if min(masks) > 0 and max(masks).bit_length() <= nz else None
+
+
 def write_host(host: TripartiteHost) -> str:
-    """One ``m x y HEX`` line per table entry, in sorted order: HEX is the
-    entry's z-mask in lower-case hexadecimal."""
-    ny = host.n_y
+    """One ``m x y HEX0 HEX1 ...`` line per maximal run of table entries
+    (x, y), (x, y + 1), ... of an x row, in sorted order: HEXi is the
+    z-mask of (x, y + i) in lower-case hexadecimal."""
+    ny, masks = host.n_y, host.zmasks
+    keys = sorted(masks)
+    hexed = [f"{masks[key]:x}" for key in keys]
+    # a run starts at a key that does not follow the one before, or opens a row
+    starts = [i for i, (prev, key) in enumerate(zip([-2, *keys], keys)) if key != prev + 1 or key % ny == 0]
     lines = [f"tph {host.n_x} {ny} {host.n_z}"]
-    lines += [f"m {i // ny} {i % ny} {m:x}" for i, m in sorted(host.zmasks.items())]
+    lines += [
+        f"m {keys[i] // ny} {keys[i] % ny} {' '.join(hexed[i:j])}"
+        for i, j in pairwise([*starts, len(keys)])
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -147,15 +147,32 @@ class TestHostFormat:
             parse_host(face_text(host))
         assert str(info.value) == f"line 2: {F_LINE_REFUSED}"
 
-    def test_written_as_one_mask_line_per_entry(self):
+    def test_entries_apart_written_on_lines_of_their_own(self):
         host = TripartiteHost((2, 3, 9), {(0, 2, 0), (0, 2, 8), (1, 0, 4)})
         assert write_host(host) == "tph 2 3 9\nm 0 2 101\nm 1 0 10\n"
+
+    def test_a_complete_row_written_as_one_line(self):
+        # (0, 2) and (1, 0) are consecutive entries of two rows
+        host = TripartiteHost((2, 3, 9), {(0, 2, 0), (1, 0, 0), (1, 1, 8), (1, 1, 1), (1, 2, 4)})
+        assert write_host(host) == "tph 2 3 9\nm 0 2 1\nm 1 0 1 102 10\n"
+        assert parse_host(write_host(host)) == host
+
+    def test_a_row_with_a_gap_written_as_two_lines(self):
+        host = TripartiteHost((1, 5, 4), {(0, 0, 0), (0, 1, 3), (0, 3, 1), (0, 4, 2)})
+        assert write_host(host) == "tph 1 5 4\nm 0 0 1 8\nm 0 3 2 4\n"
+        assert parse_host(write_host(host)) == host
 
     def test_mask_lines_of_one_entry_or_together(self):
         text = "tph 2 2 8\nm 1 0 1\nm 1 0 0x0C\nm 0 1 1\nm 1 0 4\nm 1 0 +8_0\n"
         host = parse_host(text)
         assert host.zmasks == {2: 0b10001101, 1: 1}
         assert host == TripartiteHost((2, 2, 8), {(1, 0, 0), (1, 0, 2), (1, 0, 3), (1, 0, 7), (0, 1, 0)})
+
+    def test_a_run_reads_as_its_one_mask_lines(self):
+        # m x y A B C is m x y A, m x y+1 B, m x y+2 C, each ORed into its entry
+        text = "tph 2 3 8\nm 1 0 3 7 +2_0\nm 1 1 8 0x1\nm 0 2 4\n"
+        assert parse_host(text).zmasks == {3: 3, 4: 15, 5: 33, 2: 4}
+        assert parse_host(text) == parse_host("tph 2 3 8\nm 1 0 3\nm 1 1 7\nm 1 2 20\nm 1 1 8\nm 1 2 1\nm 0 2 4\n")
 
     def test_face_out_of_class(self):
         with pytest.raises(FormatError):
@@ -181,7 +198,8 @@ class TestHostFormat:
         # a mask line: its x and y, then its mask
         ("m 0 0 1\ntph 1 1 1\n", "line 1: mask before tph header"),
         ("tph 1 1 1\nm 0 0\n", "line 2: expected 'm x y HEX'"),
-        ("tph 1 1 4\nm 0 0 1 1\n", "line 2: expected 'm x y HEX'"),
+        ("tph 1 1 4\nm 0 0 1 1\n", "line 2: y = 1 is outside [0, 1)"),
+        ("tph 1 3 4\nm 0 0 1 10 g\n", "line 2: z = 4 is outside [0, 4)"),
         ("tph 1 1 4\nm 0 0 f\nm 0 0 10\n", "line 3: z = 4 is outside [0, 4)"),
         ("tph 1 1 4\nm 0 0 0\n", "line 2: mask 0 names no face"),
         ("tph 1 1 4\nm 0 0 -1\n", "line 2: mask is negative"),
@@ -277,6 +295,21 @@ class TestHostFormat:
         assert parse_host(text(w)).e == k + 1
         with pytest.raises(FormatError, match=rf"^line {k + 2}: a host table of {k} \(x, y\) masks"):
             parse_host(text(w + 1))
+
+    def test_a_run_line_over_the_bound_is_refused_on_its_line(self):
+        # a two-line text whose one run holds k entries: a table has no more
+        # entries than the text has mask tokens, not lines, so each new entry
+        # is tested, and the run is refused on its own line, at the entry
+        # that passes the budget
+        k, w = 1 << 12, 1 << 13
+        wide = f"{1 << w - 1:x}"
+        for masks, first_over in (([wide] + ["1"] * (k - 1), None), (["1"] * (k - 1) + [wide], k)):
+            text = f"tph 1 {k} {w}\nm 0 0 {' '.join(masks)}\n"
+            budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
+            assert k * w > budget
+            first_over = first_over or budget // w + 1
+            with pytest.raises(FormatError, match=rf"^line 2: a host table of {first_over} \(x, y\) masks of up to {w} bits"):
+                parse_host(text)
 
     def test_written_hosts_stay_inside_the_bound(self):
         for host in (complete_host(12), random_host(random.Random(3), 7, 9, 70, 0.05)):

@@ -28,6 +28,16 @@ def hosts(draw):
 
 
 @st.composite
+def dense_hosts(draw):
+    """Hosts of sizes 1 to 4 in which each (x, y, z) is a face or not by a
+    drawn coin: long runs of masks of several bits."""
+    sizes = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    cells = list(itertools.product(*map(range, sizes)))
+    coins = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return TripartiteHost(sizes, itertools.compress(cells, coins))
+
+
+@st.composite
 def threegraphs(draw):
     v = draw(st.integers(0, 7))
     triples = list(itertools.combinations(range(v), 3))
@@ -41,17 +51,36 @@ FILLER = ["", " ", "\t", "# a comment", "  #indented 1 2 3", "#"]
 @st.composite
 def host_lines(draw, host):
     """The lines of a text of ``host``, header first: its ``write_host``
-    text, or one in which each (x, y) entry is drawn as its ``m`` line or
-    as two ``m`` lines that OR to its mask (its lowest bit and the rest)."""
-    if draw(st.booleans()):
-        return write_host(host).splitlines()
-    ny = host.n_y
-    lines = [f"tph {host.n_x} {ny} {host.n_z}"]
-    for key, mask in sorted(host.zmasks.items()):
-        x, y = divmod(key, ny)
-        low = mask & -mask
-        parts = draw(st.sampled_from([[mask], [low, mask], [mask ^ low or mask, low]]))
-        lines += [f"m {x} {y} {part:x}" for part in parts]
+    text; one in which each (x, y) entry is drawn as its ``m`` line or as
+    two ``m`` lines that OR to its mask (its lowest bit and the rest); or
+    one in which each run that ``write_host`` writes is split into runs at
+    drawn points, now and then followed by a run over its entries from a
+    drawn one on, which holds their lowest bits while the split runs hold
+    the rest."""
+    kind = draw(st.sampled_from(["written", "entries", "runs"]))
+    written = write_host(host).splitlines()
+    if kind == "written":
+        return written
+    lines = written[:1]
+    if kind == "entries":
+        for key, mask in sorted(host.zmasks.items()):
+            x, y = divmod(key, host.n_y)
+            low = mask & -mask
+            parts = draw(st.sampled_from([[mask], [low, mask], [mask ^ low or mask, low]]))
+            lines += [f"m {x} {y} {part:x}" for part in parts]
+        return lines
+    for line in written[1:]:
+        _, x, y, *hexes = line.split()
+        masks = [int(h, 16) for h in hexes]
+        lows = []
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(masks) - 1))
+            lows = [(i, [m & -m for m in masks[i:]])]
+            for t, low in enumerate(lows[0][1], i):
+                masks[t] = masks[t] ^ low or masks[t]
+        cuts = sorted(draw(st.sets(st.integers(1, len(masks) - 1), max_size=3)) if len(masks) > 1 else [])
+        for i, part in [(i, masks[i:j]) for i, j in itertools.pairwise([0, *cuts, len(masks)])] + lows:
+            lines.append(" ".join(["m", x, str(int(y) + i), *(f"{m:x}" for m in part)]))
     return lines
 
 
@@ -90,6 +119,20 @@ class TestRoundTrip:
         assert parse_threegraph(text) == h
 
 
+def one_mask_lines(text):
+    """The number and tokens of each line of ``text``, a run line
+    ``m x y HEX0 ... HEXk-1`` as its k lines ``m x y+i HEXi`` on its
+    number, each made once the one before it has been read."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tok = raw.split()
+        if tok[:1] != ["m"] or len(tok) <= 4:
+            yield lineno, tok
+            continue
+        yield lineno, tok[:4]
+        for i, hexed in enumerate(tok[4:], 1):
+            yield lineno, ["m", tok[1], str(int(tok[2]) + i), hexed]
+
+
 def reference_parse_host(text):
     """``parse_host`` written plainly: one pass, one ``int()`` per token read,
     each line checked as it is read (header sizes on the header line; an
@@ -99,8 +142,7 @@ def reference_parse_host(text):
     ``1 << n_z``)."""
     sizes = None
     faces = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tok = raw.split()
+    for lineno, tok in one_mask_lines(text):
         if not tok or tok[0].startswith("#"):
             continue
         if tok[0] == "f":
@@ -222,12 +264,12 @@ def benign_edit(draw, lines):
         lines.insert(at, draw(st.sampled_from(FILLER)))
         return
     toks = lines[at].split() if at < len(lines) else []
-    if len(toks) != 4 or toks[0] != "m":
+    if len(toks) < 4 or toks[0] != "m":
         return
     if kind == "respell":
-        i = draw(st.integers(1, 3))
-        if i == 3:
-            spelled = draw(st.sampled_from(HEX_RESPELL)).format(int(toks[3], 16))
+        i = draw(st.integers(1, len(toks) - 1))
+        if i >= 3:
+            spelled = draw(st.sampled_from(HEX_RESPELL)).format(int(toks[i], 16))
         else:
             spelled = draw(st.sampled_from(RESPELL)).format(int(toks[i]))
         toks[i] = spelled.translate(ARABIC) if draw(st.booleans()) else spelled
@@ -237,7 +279,7 @@ def benign_edit(draw, lines):
 
 
 @st.composite
-def bad_edit(draw, lines, nz):
+def bad_edit(draw, lines, ny, nz):
     """Makes one ``m`` line of ``lines`` malformed: by its mask or its
     shape, now and then its x as well, or by turning it into an ``f`` line;
     or copies a few such lines before the header.  Returns the number of the
@@ -249,8 +291,9 @@ def bad_edit(draw, lines, nz):
         return 1
     at = draw(st.sampled_from(entries))
     toks = lines[at].split()
-    last = [  # an extra token, or none
-        [toks[3], "0"], [toks[3], "#"], [], [""], [f"{toks[3]}\t0"],
+    last = [  # an extra mask that is 0, not hexadecimal or out of class, a run past its row, or no mask
+        [toks[3], "0"], [toks[3], "#"], [*toks[3:], "g"], [toks[3], f"{1 << nz:x}"], [toks[3]] * (ny + 1),
+        [], [""], [f"{toks[3]}\t0"],
         # a bit out of class, a mask not positive, or not hexadecimal
         [f"{1 << nz:x}"], ["0"], ["-1"], ["-" + toks[3]], ["g"], ["0x"], ["1.0"],
     ]
@@ -278,7 +321,7 @@ def run_shaped_texts(draw):
     lines = draw(host_lines(host))
     for _ in range(draw(st.integers(0, 6))):
         draw(benign_edit(lines))
-    first = draw(bad_edit(lines, host.n_z)) if draw(st.integers(0, 3)) else None
+    first = draw(bad_edit(lines, host.n_y, host.n_z)) if draw(st.integers(0, 3)) else None
     end = draw(st.sampled_from(["\n", "\r\n"]))
     ends = [end] * len(lines)
     for _ in range(draw(st.integers(0, 3))):
@@ -304,6 +347,14 @@ class TestParseHostMatchesReference:
     def test_mask_lines_same_host_or_same_error(self, text):
         assert outcome(parse_host, text) == outcome(reference_parse_host, text)
 
+    # runs split and overlapping over rows that are mostly full, read as
+    # their one-mask lines are
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), dense_hosts())
+    def test_runs_of_dense_rows(self, data, host):
+        text = "\n".join(data.draw(host_lines(host))) + "\n"
+        assert parse_host(text) == reference_parse_host(text) == host
+
     # written texts broken, respelled, respaced, otherwise ended or
     # malformed, read as the reference reads them
     @settings(max_examples=300, deadline=None)
@@ -325,7 +376,9 @@ def one_bad_line(draw):
         f"m 0 0 {1 << nz:x}", f"m 0 0 {(1 << nz) * 7:X}",
         "m 0 0 g", "m 0 0 0x", "m 0 0 1.0", "m x 0 1", "m 0 1.0 1",  # not hexadecimal, or not an integer
         "m 0 0 0", "m 0 0 -0", "m 0 0 -1", "m 0 0 -0x10",  # a mask not positive
-        "m 0 0", "m 0 0 1 1", "m",  # wrong length
+        "m 0 0", "m",  # too short
+        # a run with a mask not hexadecimal or out of class, or past its row
+        "m 0 0 1 g", f"m 0 0 1 {1 << nz:x}", f"m 0 {ny - 1} 1 1",
         "f 0 0 0", "f 0 0", "f",  # a face line, whatever its shape
         "g 0 0 0", "tph 1 1 1",  # unknown directive, second header
     ]))
