@@ -27,12 +27,10 @@ candidates, and is fully seeded.
 oracle of ``find_complete_subgraph``.
 
 Nothing is classified that no decision reads.  The scan settles (C) by
-the bound T_x <= C(s, 3) where it can, and classifies the triples of a
-Gamma(x) only where that bound leaves (C) open.  D(Y') is a memo of
-masks, one per pair of Y' over the third vertices that close a triple of
-it, each worked out from the link's masks the first time
-``find_complete_subgraph`` reads it; no triple becomes a tuple on the
-search path.
+the bound T_x <= C(s, 3) where it can, and counts the bad triples of a
+Gamma(x) only where that bound leaves (C) open.  D(Y') is worked out from
+the link by the same one triple rule, into a memo of masks, one per pair
+of Y', each filled the first time ``find_complete_subgraph`` reads it.
 """
 
 from __future__ import annotations
@@ -103,24 +101,28 @@ class ProblemGraph:
         return self.ground_set == other.ground_set and self.bad_triples == other.bad_triples
 
 
-class _CoreMasks(dict):
-    """D(Y') by pair, each mask worked out on its first read
-    (``__missing__``): ``self[(a, b)]``, for a < b in ``ground``, is the
-    bitmask of the c > b in ``ground`` for which (a, b, c) is bad or holds
-    a bad pair, 0 for none.
+def _bad_thirds(ymasks: Sequence[int], triple_min: int, y1: int, y2: int, thirds: int) -> int:
+    """The y3 in the bitmask ``thirds`` for which (y1, y2, y3) is bad: its
+    common link neighbourhood has fewer than ``triple_min`` vertices, as
+    it has for every y3 when Gamma(y1, y2) has.  The one triple rule, which
+    the T_x count and D(Y') share.
+    """
+    m12 = ymasks[y1] & ymasks[y2]
+    if m12.bit_count() < triple_min:
+        return thirds
+    return sum(1 << y3 for y3 in bits(thirds) if (m12 & ymasks[y3]).bit_count() < triple_min)
 
-    ``bad_pairs`` is ``LinkChoice.bad_pairs``, and ``bad_triples.get``
-    gives a pair's bad-triple mask in the form ``classify_pairs_triples``
-    returns.  A pair's mask holds every c when {a, b} is a bad pair, and
-    otherwise the c of a bad triple (a, b, c) or of a bad pair {a, c} or
-    {b, c}.
+
+class _CoreMasks(dict):
+    """D(Y') by pair, each mask worked out from the link on its first read
+    (``__missing__``): ``self[(a, b)]``, for a < b in ``ground``, is the
+    bitmask of the c > b in ``ground`` for which (a, b, c) holds a bad pair
+    (``bad_pairs`` is ``LinkChoice.bad_pairs``) or is bad by ``_bad_thirds``.
     """
 
-    def __init__(
-        self, ground: tuple[int, ...], bad_pairs: Sequence[int], bad_triples: Mapping[Pair, int]
-    ):
+    def __init__(self, ground: tuple[int, ...], bad_pairs, ymasks, triple_min: int):
         super().__init__()
-        self.bad_pairs, self.bad_triples = bad_pairs, bad_triples
+        self.bad_pairs, self.ymasks, self.triple_min = bad_pairs, ymasks, triple_min
         self.gmask = sum(1 << y for y in ground)
 
     def __missing__(self, pair: Pair) -> int:
@@ -130,48 +132,10 @@ class _CoreMasks(dict):
         if (ma >> b) & 1:
             cs = above
         else:
-            cs = above & (ma | self.bad_pairs[b] | self.bad_triples.get(pair, 0))
+            cs = above & (ma | self.bad_pairs[b])
+            cs |= _bad_thirds(self.ymasks, self.triple_min, a, b, above & ~cs)
         self[pair] = cs
         return cs
-
-
-class _CoreTriples(Mapping):
-    """The bad triples inside ``ys``, each pair classified when it is read:
-    the one triple rule, which ``classify_pairs_triples`` and D(Y') share.
-
-    ``self[(y1, y2)]``, for y1 < y2 in ``ys``, is the bitmask of the
-    y3 > y2 in ``ys`` for which (y1, y2, y3) is bad: its common link
-    neighbourhood has fewer than ``triple_min`` vertices.  When
-    |Gamma(y1, y2)| is itself below the cutoff, every y3 is bad and no
-    triple is looked at.  A pair closing no bad triple is not a key.
-    Nothing is kept, since ``build_problem_graph``'s memo reads each pair
-    once; iterating classifies every pair.
-    """
-
-    def __init__(self, ymasks: Sequence[int], ys: Sequence[int], triple_min: int):
-        self.ymasks, self.ys, self.triple_min = ymasks, ys, triple_min
-        self.gmask = sum(1 << y for y in ys)
-
-    def get(self, pair: Pair, default=None):
-        y1, y2 = pair
-        ym, triple_min = self.ymasks, self.triple_min
-        m12 = ym[y1] & ym[y2]
-        bad = self.gmask >> (y2 + 1) << (y2 + 1)
-        if m12.bit_count() >= triple_min:
-            bad = sum(1 << y3 for y3 in bits(bad) if (m12 & ym[y3]).bit_count() < triple_min)
-        return bad or default
-
-    def __getitem__(self, pair: Pair) -> int:
-        bad = self.get(pair)
-        if bad is None:
-            raise KeyError(pair)
-        return bad
-
-    def __iter__(self) -> Iterator[Pair]:
-        return (pair for pair in itertools.combinations(self.ys, 2) if self.get(pair))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def classify_pairs_triples(
@@ -192,14 +156,15 @@ def classify_pairs_triples(
     Returns ``(pair_stats, bad_triples)``: one ``PairStats`` per pair
     y1 < y2 of ``ys``, read off ``bad_pairs``, and ``bad_triples[(y1, y2)]``,
     the bitmask over the y3 > y2 in ``ys`` for which (y1, y2, y3) is bad, by
-    the rule of ``_CoreTriples``; pairs with no bad triple are left out.
+    ``_bad_thirds``; pairs with no bad triple are left out.
     """
-    triples = _CoreTriples(link.y_masks, ys, math.ceil(n * q ** 3))
+    ymasks, triple_min = link.y_masks, math.ceil(n * q ** 3)
+    gmask = sum(1 << y for y in ys)
     pair_stats = []
     bad_triples: dict[Pair, int] = {}
     for y1, y2 in itertools.combinations(ys, 2):
         pair_stats.append(PairStats((y1, y2), not bad_pairs[y1] >> y2 & 1))
-        bad = triples.get((y1, y2))
+        bad = _bad_thirds(ymasks, triple_min, y1, y2, gmask >> (y2 + 1) << (y2 + 1))
         if bad:
             bad_triples[(y1, y2)] = bad
     return pair_stats, bad_triples
@@ -211,7 +176,7 @@ def select_core_set(
     cfg: Config,
     n: int,
     q: Fraction,
-) -> tuple[int, list[int], Mapping[Pair, int]]:
+) -> tuple[int, list[int]]:
     """Y' = Gamma(x) for the first x passing the three scan inequalities.
 
     (A) |Gamma(x)| >= (C/4) n**(1-eps); (B) |Gamma(x)| bounds the surviving
@@ -224,18 +189,16 @@ def select_core_set(
     the sum of the popcounts of the masks ``classify_pairs_triples``
     returns.  (A) is one integer cutoff; (B) and (C) compare P_x, C(s, 3)
     and T_x exactly with a ``Fraction`` rate per element of Gamma(x).  All
-    three, and the triple cutoff n q**3, are worked out once per call.
+    three are worked out once per call.
 
-    Returns (x, sorted Y', the bad-triple masks of Y'): those counted for
-    (C), or, where the bound settled it, a ``_CoreTriples`` that classifies
-    a pair when it is read.
+    Returns (x, sorted Y').  The counted masks are dropped: D(Y') is worked
+    out from the link by ``build_problem_graph``.
     """
     C = cfg.C
     nq = n * q  # n**(1-eps)
     s_min = math.ceil(C * nq / 4)  # (A); at least 1, as C, n and q are positive
     pairs_per_s = 12 * (1 + C) * nq / C  # (B): P_x <= pairs_per_s * |Gamma(x)|
     triples_per_s = 6 * nq * nq / C  # (C): T_x <= triples_per_s * |Gamma(x)|
-    triple_min = math.ceil(n * q ** 3)
 
     for x in range(link.n_x):
         gmask = link.gamma(x)
@@ -246,32 +209,31 @@ def select_core_set(
         p_x = sum((bad_pairs[y] & gmask).bit_count() for y in ys) // 2
         if p_x and p_x > pairs_per_s * s:
             continue
-        if math.comb(s, 3) <= triples_per_s * s:  # T_x <= C(s, 3) meets (C)
-            return x, ys, _CoreTriples(link.y_masks, ys, triple_min)
-        _, bad_triples = classify_pairs_triples(link, bad_pairs, ys, n, q)
-        t_x = sum(bad.bit_count() for bad in bad_triples.values())
-        if t_x and t_x > triples_per_s * s:
-            continue
-        return x, ys, bad_triples
+        if math.comb(s, 3) > triples_per_s * s:  # T_x <= C(s, 3) leaves (C) open
+            _, bad_triples = classify_pairs_triples(link, bad_pairs, ys, n, q)
+            t_x = sum(bad.bit_count() for bad in bad_triples.values())
+            if t_x and t_x > triples_per_s * s:
+                continue
+        return x, ys
     raise NoQualifyingX(
         f"no x in X satisfies the core-set inequalities (C={cfg.C}, n={n})"
     )
 
 
 def build_problem_graph(
-    yprime: list[int],
+    link: LinkGraph,
     bad_pairs: Sequence[int],
-    bad_triples: Mapping[Pair, int],
+    yprime: Sequence[int],
+    n: int,
+    q: Fraction,
 ) -> ProblemGraph:
-    """D(Y'): triples of Y' that are bad or contain a bad pair.
-
-    ``bad_triples`` is as ``select_core_set`` returns it for Y'.  Nothing
-    is worked out here: the masks are a ``_CoreMasks`` memo, and each pair
-    a < b of Y' gets its mask the first time ``find_complete_subgraph``
-    reads it, from ``bad_pairs`` and that pair's bad-triple mask alone.
+    """D(Y'): triples of Y' that are bad or contain a bad pair, read off
+    the link with the arguments of ``classify_pairs_triples``.  Nothing is
+    worked out here: each pair a < b of Y' gets its mask in a ``_CoreMasks``
+    memo the first time ``find_complete_subgraph`` reads it.
     """
     ground = tuple(sorted(set(yprime)))
-    return ProblemGraph(ground, _CoreMasks(ground, bad_pairs, bad_triples))
+    return ProblemGraph(ground, _CoreMasks(ground, bad_pairs, link.y_masks, math.ceil(n * q ** 3)))
 
 
 def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
@@ -310,9 +272,9 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
 
     if extend(sum(1 << v for v in verts)):
         return chosen
+    d = sum(masks[pr].bit_count() for pr in itertools.combinations(verts, 2))
     raise CliqueNotFound(
-        f"no complete {t}-set in the complement of D(Y') "
-        f"(|Y'|={len(verts)}, |D|={len(p.bad_triples)})"
+        f"no complete {t}-set in the complement of D(Y') (|Y'|={len(verts)}, |D|={d})"
     )
 
 
@@ -640,8 +602,8 @@ def find_homeomorph(
     choice = pick_link_vertex(host, cfg, K, index)
     n = max(host.class_sizes)
 
-    _, yprime, bad_triples = select_core_set(choice.link, choice.bad_pairs, cfg, n, choice.q)
-    problem = build_problem_graph(yprime, choice.bad_pairs, bad_triples)
+    _, yprime = select_core_set(choice.link, choice.bad_pairs, cfg, n, choice.q)
+    problem = build_problem_graph(choice.link, choice.bad_pairs, yprime, n, choice.q)
     core = find_complete_subgraph(problem, target.v)
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}
 

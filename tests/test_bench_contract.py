@@ -63,7 +63,7 @@ def test_every_span_resolves_records_and_restores():
         # classified only on a hub link, where it cannot: x = 0 passes
         # after its 25 Y-vertices are classified
         link, bad_pairs = hub_link(random.Random(0))
-        x, yprime, _ = prog.embed.select_core_set(
+        x, yprime = prog.embed.select_core_set(
             link, pair_masks(bad_pairs, HUB_N), Config(C=10), HUB_N, Fraction(10, 27)
         )
         assert (x, len(yprime)) == (0, 25)

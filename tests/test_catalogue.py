@@ -5,10 +5,12 @@ without a test edit: its name resolves through ``load_target``, it is found
 and verified on one seeded dense host, and it is refused by capacity on a
 host one X-vertex too narrow for its glued subdivision.  What each shipped
 file claims to be (its vertex and face counts, Euler characteristic, and
-for the surfaces that every covered pair lies in two faces) is pinned, and
-each file is kept in the canonical form that ``write_threegraph`` writes.
+for the surfaces that every covered pair lies in two faces) is pinned, as
+is README's table of builtin targets, and each file is kept in the
+canonical form that ``write_threegraph`` writes.
 """
 
+import re
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -29,6 +31,7 @@ from homeofind.io import FormatError, load_target, write_threegraph
 from homeofind.verify import verify_certificate
 
 DATA = Path(homeofind.__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 NAMES = sorted(p.stem for p in DATA.glob("*.tg"))
 
 # (v, e, chi) of each shipped file
@@ -65,6 +68,19 @@ def test_data_file_is_canonical(name):
 def test_shipped_counts(name):
     h = load_target(f"builtin:{name}")
     assert (h.vertex_count, h.e, euler_characteristic(h)) == PINNED[name]
+
+
+def test_readme_table_lists_the_shipped_files():
+    # one row `builtin:NAME` | complex | v, e, chi per shipped file
+    rows = re.findall(
+        r"^\| `builtin:(\w+)` \|[^|\n]*\| (-?\d+), (-?\d+), (-?\d+) \|$",
+        README.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    )
+    table = {name: tuple(map(int, counts)) for name, *counts in rows}
+    assert len(table) == len(rows), "one README row per target"
+    assert sorted(table) == NAMES
+    assert table == PINNED
 
 
 @pytest.mark.parametrize("name", CLOSED_SURFACES)

@@ -218,10 +218,10 @@ class TestSelectCoreSet:
         choice = pick_link_vertex(host, cfg, 3, index)
         n, q = 8, choice.q
         assert choice.link == link and q == 1
-        x, yprime, bad_triples = select_core_set(link, choice.bad_pairs, cfg, n, q)
+        x, yprime = select_core_set(link, choice.bad_pairs, cfg, n, q)
         assert x == 0
         assert yprime == list(range(8))
-        assert bad_triples == {}
+        assert build_problem_graph(link, choice.bad_pairs, yprime, n, q).bad_triples == set()
 
     def test_empty_link(self):
         link = link_of(4, 4, ())
@@ -240,7 +240,7 @@ class TestSelectCoreSet:
         bad_pair_masks = pair_verdicts(
             link, good_pair_rule(2, cfg.C, n, q), count_forbidden(link, 2, index)[1]
         )
-        x, yprime, bad_triples = select_core_set(link, bad_pair_masks, cfg, n, q)
+        x, yprime = select_core_set(link, bad_pair_masks, cfg, n, q)
 
         # recompute everything independently
         xm = link.x_masks
@@ -261,10 +261,12 @@ class TestSelectCoreSet:
         p_x = sum(1 for pr in itertools.combinations(gamma, 2) if pr in bad_pairs)
         t_x = sum(1 for tr in itertools.combinations(gamma, 3) if triple_bad(tr))
         assert t_x > 0  # the T_x inequality is exercised
-        # the returned masks, read pair by pair, are the bad triples of Gamma(x)
-        assert {
-            pr: bad_triples[pr] for pr in itertools.combinations(gamma, 2) if pr in bad_triples
-        } == _triple_masks(tr for tr in itertools.combinations(gamma, 3) if triple_bad(tr))
+        # D(Y') read off the link: the triples of Gamma(x) that are bad or
+        # hold a bad pair
+        assert build_problem_graph(link, bad_pair_masks, yprime, n, q).bad_triples == {
+            tr for tr in itertools.combinations(gamma, 3)
+            if triple_bad(tr) or any(pr in bad_pairs for pr in itertools.combinations(tr, 2))
+        }
         C = cfg.C
 
         def passes(s, p_x, t_x):
@@ -335,7 +337,7 @@ class TestSelectCoreSet:
                 tested.append(gamma)
                 inside = [tr for tr in itertools.combinations(gamma, 3) if tr in bad_triples]
                 if Fraction(C * len(inside), 6 * s) <= (n * q) ** 2:
-                    want = (x, gamma, _triple_masks(inside))
+                    want = (x, gamma)
                     break
                 seen["decided by T_x"] += 1
             classified.clear()
@@ -349,14 +351,6 @@ class TestSelectCoreSet:
                 assert select_core_set(link, masks, cfg, n, q) == want, seed
             assert classified == tested, seed
         assert all(seen.values()), seen
-
-
-def _triple_masks(triples):
-    """classify_pairs_triples' form of a set of bad triples (a < b < c)."""
-    masks = {}
-    for a, b, c in triples:
-        masks[(a, b)] = masks.get((a, b), 0) | 1 << c
-    return masks
 
 
 def ywide_core_set(link, bad_pairs, cfg, n, q):
@@ -410,8 +404,8 @@ def ywide_core_set(link, bad_pairs, cfg, n, q):
 def one_pass_core_set(link, bad_pairs, cfg, n, q):
     """x, Y' and D(Y') from the shipped ``select_core_set`` and
     ``build_problem_graph``."""
-    x, yprime, bad_triples = select_core_set(link, bad_pairs, cfg, n, q)
-    return x, yprime, build_problem_graph(yprime, bad_pairs, bad_triples).bad_triples
+    x, yprime = select_core_set(link, bad_pairs, cfg, n, q)
+    return x, yprime, build_problem_graph(link, bad_pairs, yprime, n, q).bad_triples
 
 
 def same_core_set(link, bad_pairs, cfg, n, q):
@@ -502,11 +496,10 @@ class TestLazyCore:
             x, yprime, want = ywide_core_set(link, bad_pairs, cfg, n, q)
         except NoQualifyingX:
             return False
-        got_x, got_yprime, bad_triples = select_core_set(link, bad_pairs, cfg, n, q)
-        assert (got_x, got_yprime) == (x, yprime)
+        assert select_core_set(link, bad_pairs, cfg, n, q) == (x, yprime)
         whole = problem_of(yprime, want)
         for t in range(1, 6):
-            pg = build_problem_graph(yprime, bad_pairs, bad_triples)
+            pg = build_problem_graph(link, bad_pairs, yprime, n, q)
             try:
                 got = find_complete_subgraph(pg, t)
             except CliqueNotFound as exc:
@@ -515,16 +508,14 @@ class TestLazyCore:
                 assert str(exc) == str(again.value)
             else:
                 assert got == find_complete_subgraph(whole, t)
-        pg = build_problem_graph(yprime, bad_pairs, bad_triples)
-        masks = _triple_masks(want)
-        assert all(
-            pg.masks[pr] == masks.get(pr, 0) for pr in itertools.combinations(yprime, 2)
-        )
+        pg = build_problem_graph(link, bad_pairs, yprime, n, q)
+        assert all(pg.masks[pr] == whole.masks[pr] for pr in itertools.combinations(yprime, 2))
         assert pg == whole
         return True
 
     def test_memo_matches_ywide_on_hub_links(self):
-        # (C) counted: the masks classify_pairs_triples returned feed the memo
+        # (C) counted: the scan classified the triples that the memo reads
+        # off the link again
         cfg, q = Config(C=10), Fraction(10, 27)
         found = [
             self.check_against(link, pair_masks(bad_pairs, HUB_N), cfg, HUB_N, q)
@@ -533,7 +524,7 @@ class TestLazyCore:
         assert any(found)
 
     def test_memo_matches_ywide_on_random_hosts(self):
-        # (C) settled by the bound: the triples are classified as read
+        # (C) settled by the bound: the memo alone reads the triples
         cfg = Config(C=2, k_threshold=3)
         found = 0
         for p, seed in itertools.product((0.45, 0.55, 0.65, 0.8), range(3)):
@@ -565,20 +556,23 @@ class TestLazyCore:
 
 class TestProblemGraph:
     def test_no_bad_gives_empty(self):
-        pg = build_problem_graph([0, 1, 2], (0, 0, 0), {})
+        # every triple of a complete 3 x 3 link has n q**3 = 3 common
+        # neighbours
+        pg = build_problem_graph(complete_link(3, 3), (0, 0, 0), [2, 0, 1], 3, Fraction(1))
         assert pg.bad_triples == frozenset()
         assert pg.ground_set == (0, 1, 2)
 
     def test_bad_pair_spreads_to_triples(self):
         s = 6
         yprime = list(range(s))
-        pg = build_problem_graph(yprime, pair_masks([(0, 1)], s), {})
+        bad_pairs = pair_masks([(0, 1)], s)
+        pg = build_problem_graph(complete_link(s, s), bad_pairs, yprime, s, Fraction(1))
         assert len(pg.bad_triples) == s - 2
         assert all(0 in tr and 1 in tr for tr in pg.bad_triples)
 
     def test_matches_brute_force(self):
-        # D(Y') against its set-based definition, on random bad pairs and
-        # triples of range(n) and a random core set Y' inside it
+        # D(Y') against its set-based definition, on random links and bad
+        # pairs and a random core set Y' inside their Y
         for seed in range(30):
             yprime, bad_pairs, bad_triples, pg = _random_problem(seed)
             assert pg.ground_set == tuple(sorted(yprime))
@@ -591,10 +585,12 @@ class TestProblemGraph:
             assert pg.bad_triples == expect, seed
 
     def test_built_from_a_mask_dict(self):
-        # the dataclass constructor takes the masks as given: one per pair
+        # the dataclass constructor takes the masks as given: one per pair.
+        # In the link, only x = 0 holds all of (0, 1, 2), below n q**3 = 2
         pg = ProblemGraph((0, 1, 2), {(0, 1): 0b100, (0, 2): 0, (1, 2): 0})
         assert pg.bad_triples == {(0, 1, 2)}
-        assert pg == build_problem_graph([0, 1, 2], (0, 0, 0), {(0, 1): 0b100})
+        link = link_of(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
+        assert pg == build_problem_graph(link, (0, 0, 0), [0, 1, 2], 2, Fraction(1))
         assert find_complete_subgraph(pg, 2) == [0, 1]
         with pytest.raises(CliqueNotFound, match=r"\|D\|=1\)"):
             find_complete_subgraph(pg, 3)
@@ -626,21 +622,55 @@ class TestProblemGraph:
                     found_some = True
         assert found_some and refused_some
 
+    def test_memo_masks_are_the_classified_masks(self):
+        # one triple rule: with no bad pair, the memo's mask of every pair of
+        # a Gamma(x) is the mask classify_pairs_triples counts for (C)
+        # (link, n, q, the x whose Gamma(x) is read)
+        links = [
+            (hub_link(random.Random(seed))[0], HUB_N, Fraction(10, 27), range(HUB_ROWS))
+            for seed in range(10)
+        ]
+        for p, seed in itertools.product((0.45, 0.65), range(3)):
+            link = HostIndex(gen_random_host(40, 40, 40, p, seed)).link(0)
+            links.append((link, 40, Fraction(1, 2), range(0, 40, 8)))
+        bad = good = 0
+        for link, n, q, xs in links:
+            none = (0,) * link.n_y
+            for x in xs:
+                ys = bits(link.gamma(x))
+                _, triples = classify_pairs_triples(link, none, ys, n, q)
+                pg = build_problem_graph(link, none, ys, n, q)
+                for pr in itertools.combinations(ys, 2):
+                    assert pg.masks[pr] == triples.get(pr, 0), (pr, n)
+                    bad += pr in triples
+                    good += pr not in triples
+        assert bad and good
+
 
 def _random_problem(seed):
-    """Random bad pairs and triples of range(n), n <= 12, a shuffled core
-    set Y' inside it, and D(Y') as ``build_problem_graph`` makes it."""
+    """A random link over Y = range(n_y), n_y <= 12, random bad pairs of Y,
+    a shuffled core set Y' inside it, and D(Y') as ``build_problem_graph``
+    reads it off the link at n, q with n q**3 in (1, 3].  Also returns the
+    bad triples of Y: those with fewer than ceil(n q**3) common neighbours,
+    counted over the link's rows as sets."""
     rng = random.Random(seed)
-    n = rng.randint(3, 12)
-    yprime = sorted(rng.sample(range(n), rng.randint(0, n)))
+    n_x, n_y = rng.randint(2, 8), rng.randint(3, 12)
+    density = rng.choice((0.5, 0.7, 0.9))
+    link = link_of(n_x, n_y, [
+        (x, y) for x in range(n_x) for y in range(n_y) if rng.random() < density
+    ])
+    n, q = rng.randint(9, 24), Fraction(1, 2)
+    yprime = sorted(rng.sample(range(n_y), rng.randint(0, n_y)))
     rng.shuffle(yprime)
     bad_pairs = {
-        pr for pr in itertools.combinations(range(n), 2) if rng.random() < 0.3
+        pr for pr in itertools.combinations(range(n_y), 2) if rng.random() < 0.3
     }
+    rows = [{y for y in range(n_y) if link.x_masks[x] >> y & 1} for x in range(n_x)]
     bad_triples = {
-        tr for tr in itertools.combinations(range(n), 3) if rng.random() < 0.2
+        tr for tr in itertools.combinations(range(n_y), 3)
+        if sum(1 for r in rows if r.issuperset(tr)) < math.ceil(n * q ** 3)
     }
-    pg = build_problem_graph(yprime, pair_masks(bad_pairs, n), _triple_masks(bad_triples))
+    pg = build_problem_graph(link, pair_masks(bad_pairs, n_y), yprime, n, q)
     return yprime, bad_pairs, bad_triples, pg
 
 
