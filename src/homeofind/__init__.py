@@ -11,17 +11,11 @@ from .core import (
     covered_pairs,
     euler_characteristic,
 )
-from .embed import ProblemGraph, clique_oracle, find_complete_subgraph, find_homeomorph
+from .embed import ProblemGraph, find_complete_subgraph, find_homeomorph
 from .errors import PipelineError
 from .harness import SweepSpec, gen_random_host, run_sweep
 from .io import load_certificate, load_host, load_target, write_certificate
-from .links import (
-    LinkGraph,
-    count_disks,
-    expectation_oracle,
-    forbidden_expectation_oracle,
-    pick_link_vertex,
-)
+from .links import LinkGraph, pick_link_vertex
 from .verify import canonical_glued_subdivision, verify_certificate
 
 __all__ = [
@@ -37,14 +31,10 @@ __all__ = [
     "TripartiteHost",
     "build_aux_graph",
     "canonical_glued_subdivision",
-    "clique_oracle",
-    "count_disks",
     "covered_pairs",
     "euler_characteristic",
-    "expectation_oracle",
     "find_complete_subgraph",
     "find_homeomorph",
-    "forbidden_expectation_oracle",
     "gen_random_host",
     "load_certificate",
     "load_host",

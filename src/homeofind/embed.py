@@ -23,9 +23,6 @@ derandomized by first-qualifying scans, and the V2 placement is an exact
 search; randomness remains only in the order in which that search tries
 candidates, and is fully seeded.
 
-``clique_oracle``, an exhaustive scan over t-subsets of Y', is the test
-oracle of ``find_complete_subgraph``.
-
 Nothing is classified that no decision reads.  The scan settles (C) by
 the bound T_x <= C(s, 3) where it can, and counts the bad triples of a
 Gamma(x) only where that bound leaves (C) open.  D(Y') is worked out from
@@ -101,6 +98,11 @@ class ProblemGraph:
         return self.ground_set == other.ground_set and self.bad_triples == other.bad_triples
 
 
+def _triple_min(n: int, q: Fraction) -> int:
+    """ceil(n q**3): a triple is good when it has this many common link neighbours."""
+    return math.ceil(n * q ** 3)
+
+
 def _bad_thirds(ymasks: Sequence[int], triple_min: int, y1: int, y2: int, thirds: int) -> int:
     """The y3 in the bitmask ``thirds`` for which (y1, y2, y3) is bad: its
     common link neighbourhood has fewer than ``triple_min`` vertices, as
@@ -151,14 +153,14 @@ def classify_pairs_triples(
     ``bad_pairs`` is ``LinkChoice.bad_pairs``: per y, the bitmask of the y'
     with {y, y'} a bad pair, as ``pick_link_vertex`` decided them.  A triple
     is good when its common neighbourhood has size at least n**(1-3*eps) =
-    n q**3, an integer cutoff worked out once per call.
+    n q**3, the integer cutoff ``_triple_min``, worked out once per call.
 
     Returns ``(pair_stats, bad_triples)``: one ``PairStats`` per pair
     y1 < y2 of ``ys``, read off ``bad_pairs``, and ``bad_triples[(y1, y2)]``,
     the bitmask over the y3 > y2 in ``ys`` for which (y1, y2, y3) is bad, by
     ``_bad_thirds``; pairs with no bad triple are left out.
     """
-    ymasks, triple_min = link.y_masks, math.ceil(n * q ** 3)
+    ymasks, triple_min = link.y_masks, _triple_min(n, q)
     gmask = sum(1 << y for y in ys)
     pair_stats = []
     bad_triples: dict[Pair, int] = {}
@@ -233,7 +235,7 @@ def build_problem_graph(
     memo the first time ``find_complete_subgraph`` reads it.
     """
     ground = tuple(sorted(set(yprime)))
-    return ProblemGraph(ground, _CoreMasks(ground, bad_pairs, link.y_masks, math.ceil(n * q ** 3)))
+    return ProblemGraph(ground, _CoreMasks(ground, bad_pairs, link.y_masks, _triple_min(n, q)))
 
 
 def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
@@ -276,22 +278,6 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
     raise CliqueNotFound(
         f"no complete {t}-set in the complement of D(Y') (|Y'|={len(verts)}, |D|={d})"
     )
-
-
-def clique_oracle(p: ProblemGraph, t: int) -> bool:
-    """Ground truth for find_complete_subgraph by exhaustive t-subset scan."""
-    verts = p.ground_set
-    if len(verts) > 40:
-        raise ValueError("clique_oracle is exponential; |Y'| must be <= 40")
-    if t <= 0:
-        return True
-    if t > len(verts):
-        return False
-    bad = p.bad_triples
-    for subset in itertools.combinations(verts, t):
-        if all(tr not in bad for tr in itertools.combinations(subset, 3)):
-            return True
-    return False
 
 
 def embed_v2(

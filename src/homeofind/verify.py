@@ -4,8 +4,8 @@ The verifier never trusts the pipeline: it re-derives the canonical glued
 subdivision of the target and demands that the certificate's faces, after
 relabeling through the recorded embedding, match it face for face.  It
 imports nothing of the package but ``core``, so no search code can enter a
-verdict.  The brute-force oracles of the search stages live beside the
-stages they check, in ``links`` and ``embed``.
+verdict.  The brute-force oracles of the search stages are test code
+(``tests/oracles.py``), so no shipping path can call them.
 """
 
 from __future__ import annotations

@@ -1,0 +1,125 @@
+"""Brute-force oracles: independent ground truth for the search stages.
+
+They live with the tests, so no shipping code can call them, and a test
+that compares one with the code that ships compares two paths.
+
+For ``links``: ``iter_link_cycles``, the one other walk over a link's
+4-cycles (over X-pairs), and ``count_disks``, a face-membership scan
+independent of the index; the first yields and the second takes a cycle
+as a plain tuple ``(x1, x2, y1, y2)`` with x1 < x2 and y1 < y2.  Two more
+check the z-scan's expectation arguments in exact rational arithmetic:
+``expectation_oracle`` (the mean of e(L_z) is e(G)/n_Z) and
+``forbidden_expectation_oracle`` (the double count behind the mean of B_z).
+
+For ``embed``: ``clique_oracle``, an exhaustive scan over t-subsets of Y',
+checks ``find_complete_subgraph``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import comb
+
+from homeofind.core import TripartiteHost, bits
+from homeofind.embed import ProblemGraph
+from homeofind.links import HostIndex, LinkGraph
+
+
+def count_disks(host: TripartiteHost, c: tuple[int, int, int, int]) -> int:
+    """Number of z whose link contains the cycle ``(x1, x2, y1, y2)``; direct
+    membership scan.
+
+    Deliberately independent of the bitmask index so the two code paths can
+    be checked against each other.
+    """
+    x1, x2, y1, y2 = c
+    count = 0
+    for z in range(host.n_z):
+        if (
+            host.has(x1, y1, z)
+            and host.has(x1, y2, z)
+            and host.has(x2, y1, z)
+            and host.has(x2, y2, z)
+        ):
+            count += 1
+    return count
+
+
+def iter_link_cycles(link: LinkGraph):
+    """All 4-cycles of a link, via common neighbourhoods of X-pairs.
+
+    Each cycle is yielded once, as the tuple ``(x1, x2, y1, y2)`` with
+    x1 < x2 and y1 < y2.
+    """
+    masks = link.x_masks
+    xs = [x for x in range(link.n_x) if masks[x]]
+    for i, x1 in enumerate(xs):
+        m1 = masks[x1]
+        for x2 in xs[i + 1:]:
+            common = m1 & masks[x2]
+            if common.bit_count() < 2:
+                continue
+            ys = bits(common)
+            for j, y1 in enumerate(ys):
+                for y2 in ys[j + 1:]:
+                    yield x1, x2, y1, y2
+
+
+def expectation_oracle(host: TripartiteHost) -> Fraction:
+    """Average link size over Z, exact; asserts it equals e(G)/n_Z."""
+    if host.n_z < 1:
+        raise ValueError("host has no Z vertices")
+    index = HostIndex(host)
+    avg = Fraction(sum(index.link(z).e for z in range(host.n_z)), host.n_z)
+    assert avg == Fraction(host.e, host.n_z), "link-size expectation identity violated"
+    return avg
+
+
+def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
+    """Average forbidden-cycle count over Z, with the double-count identity.
+
+    Asserts sum_z B_z = sum over forbidden cycles of their disk counts, and
+    that the average is at most (K/n_Z) times the global forbidden-cycle
+    count (the bound behind E[B_z] <= K_H * n**3).
+    """
+    if host.n_z < 1:
+        raise ValueError("host has no Z vertices")
+    index = HostIndex(host)
+
+    # one walk per link, counting its forbidden cycles into B_z; a cycle's
+    # disk count is worked out on its first appearance
+    counts: dict[tuple[int, int, int, int], int] = {}
+    total_b = 0
+    for z in range(host.n_z):
+        for c in iter_link_cycles(index.link(z)):
+            if c not in counts:
+                counts[c] = index.disk_mask(*c).bit_count()
+            total_b += counts[c] <= K
+    sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
+
+    assert total_b == sum_forbidden_disks, "forbidden double-count identity violated"
+    avg = Fraction(total_b, host.n_z)
+
+    admissible = sum(1 for d in counts.values() if d > K)
+    global_forbidden = comb(host.n_x, 2) * comb(host.n_y, 2) - admissible
+    assert avg <= Fraction(K * global_forbidden, host.n_z), (
+        "forbidden expectation bound violated"
+    )
+    return avg
+
+
+def clique_oracle(p: ProblemGraph, t: int) -> bool:
+    """Ground truth for find_complete_subgraph by exhaustive t-subset scan."""
+    verts = p.ground_set
+    if len(verts) > 40:
+        raise ValueError("clique_oracle is exponential; |Y'| must be <= 40")
+    if t <= 0:
+        return True
+    if t > len(verts):
+        return False
+    bad = p.bad_triples
+    for subset in itertools.combinations(verts, t):
+        if all(tr not in bad for tr in itertools.combinations(subset, 3)):
+            return True
+    return False

@@ -21,18 +21,18 @@ from homeofind.core import (
     covered_pairs,
     euler_characteristic,
 )
-from homeofind.embed import clique_oracle, find_complete_subgraph, find_homeomorph
+from homeofind.embed import find_complete_subgraph, find_homeomorph
 from homeofind.errors import CliqueNotFound, PipelineError
 from homeofind.harness import SweepSpec, run_sweep
 from homeofind.io import load_target, write_host
-from homeofind.links import (
-    HostIndex,
+from homeofind.links import HostIndex, count_forbidden
+from homeofind.verify import canonical_glued_subdivision, verify_certificate
+from oracles import (
+    clique_oracle,
     count_disks,
-    count_forbidden,
     expectation_oracle,
     forbidden_expectation_oracle,
 )
-from homeofind.verify import canonical_glued_subdivision, verify_certificate
 
 from test_verify import (
     mutate_drop_face,

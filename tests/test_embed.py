@@ -33,7 +33,6 @@ from homeofind.embed import (
     assign_centers,
     build_problem_graph,
     classify_pairs_triples,
-    clique_oracle,
     embed_v2,
     find_complete_subgraph,
     find_homeomorph,
@@ -50,12 +49,12 @@ from homeofind.harness import gen_random_host
 from homeofind.io import load_target, write_certificate
 from homeofind.links import (
     HostIndex,
-    count_disks,
     count_forbidden,
     good_pair_rule,
     pick_link_vertex,
 )
 from homeofind.verify import verify_certificate
+from oracles import clique_oracle, count_disks
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))

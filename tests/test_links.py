@@ -16,14 +16,16 @@ from homeofind.harness import gen_random_host
 from homeofind.io import load_target
 from homeofind.links import (
     HostIndex,
-    count_disks,
     count_forbidden,
-    expectation_oracle,
-    forbidden_expectation_oracle,
     good_pair_rule,
-    iter_link_cycles,
     open_partners,
     pick_link_vertex,
+)
+from oracles import (
+    count_disks,
+    expectation_oracle,
+    forbidden_expectation_oracle,
+    iter_link_cycles,
 )
 
 SMALL = TripartiteHost(

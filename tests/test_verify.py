@@ -17,14 +17,13 @@ from homeofind.core import (
     euler_characteristic,
 )
 from homeofind.embed import (
-    clique_oracle,
     find_complete_subgraph,
     find_homeomorph,
 )
 from homeofind.errors import CliqueNotFound
 from homeofind.io import parse_certificate, write_certificate
-from homeofind.links import expectation_oracle, forbidden_expectation_oracle
 from homeofind.verify import canonical_glued_subdivision, verify_certificate
+from oracles import clique_oracle, expectation_oracle, forbidden_expectation_oracle
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
