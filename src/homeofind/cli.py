@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import Config, covered_pairs, euler_characteristic
+from .core import Config, covered_pairs
 from .embed import find_homeomorph
 from .errors import PipelineError
 from .harness import SweepSpec, gen_random_host, run_sweep
@@ -130,14 +130,16 @@ def _cmd_inspect(args) -> int:
     """Counts of the target, its auxiliary graph and its subdivision.
 
     The last two follow from v(H), e(H) and the covered pairs P (see
-    build_aux_graph and verify.canonical_glued_subdivision): |V2| = P + e(H)
-    with 2P + 3e(H) edges and 3e(H) special cycles, and v(H) + P + 4e(H)
-    vertices and 12e(H) faces with the target's chi.  Nothing is built, so
-    the cost follows the file, not its tg count.
+    core.build_aux_graph and core.canonical_glued_subdivision; the verifier
+    reads that shape once per target object, as the target's cached
+    ``canonical_subdivision``): |V2| = P + e(H) with 2P + 3e(H) edges and
+    3e(H) special cycles, and v(H) + P + 4e(H) vertices and 12e(H) faces
+    with the target's chi.  Neither is built, so the cost follows the file,
+    not its tg count.
     """
     h = load_target(args.target)
     v, e, pairs = h.vertex_count, h.e, len(covered_pairs(h))
-    chi = euler_characteristic(h)
+    chi = h.chi
     print(f"vertices: {v}")
     print(f"faces: {e}")
     print(f"covered pairs: {pairs}")

@@ -4,8 +4,13 @@ A 3-graph is a 3-uniform hypergraph; identifying each edge with a triangular
 face turns it into a two-dimensional simplicial complex.  This module holds
 the immutable value types shared by the whole pipeline, the certificate
 types ``Embedding`` and ``HomeomorphCertificate`` among them, together with
-the target-side construction the search embeds: a target's bipartite
-auxiliary graph, whose special 4-cycles mark where 4-disks must be glued.
+the target-side construction: a target's bipartite auxiliary graph, whose
+special 4-cycles mark where 4-disks must be glued and which the search
+embeds, the canonical glued subdivision every certificate must realize,
+and chi.  Each has one builder here, and each is a fact of the target,
+worked out once when first read and kept on the ``ThreeGraph``
+(``aux_graph``, ``canonical_subdivision``, ``chi``), so that a find, its
+certificate's I/O and every verify of one target object share one copy.
 The certificate path (``io``, ``verify``) imports this module alone.
 
 It also defines the one storage format of a host's faces, its z-mask
@@ -60,7 +65,13 @@ def _norm_face(face: Iterable[int]) -> Face:
 
 @dataclass(frozen=True)
 class ThreeGraph:
-    """A finite 3-uniform hypergraph on vertices 0..vertex_count-1."""
+    """A finite 3-uniform hypergraph on vertices 0..vertex_count-1.
+
+    ``aux_graph``, ``canonical_subdivision`` and ``chi`` are worked out on
+    first read by their builders below and kept on the object (see the
+    module docstring).  Equality and hashing are by value, whatever has
+    been worked out.
+    """
 
     vertex_count: int
     faces: frozenset[Face]
@@ -86,6 +97,18 @@ class ThreeGraph:
 
     def sorted_faces(self) -> list[Face]:
         return sorted(self.faces)
+
+    @cached_property
+    def aux_graph(self) -> AuxGraph:
+        return build_aux_graph(self)
+
+    @cached_property
+    def canonical_subdivision(self) -> CanonicalGluedSubdivision:
+        return canonical_glued_subdivision(self)
+
+    @cached_property
+    def chi(self) -> int:
+        return euler_characteristic(self)
 
 
 def _class_sizes(class_sizes) -> tuple[int, int, int]:
@@ -373,3 +396,58 @@ def build_aux_graph(h: ThreeGraph) -> AuxGraph:
         v2_tags=tuple(tags),
         special_cycles=tuple(cycles),
     )
+
+
+Label = tuple
+
+
+@dataclass(frozen=True)
+class CanonicalGluedSubdivision:
+    """The abstract complex every certificate must realize.
+
+    For each face f = xyz of the target and each edge e = ab of f there is a
+    disk vertex w = w_{f,e} carrying the four faces {a, u_e, w}, {u_e, b, w},
+    {b, u_f, w} and {u_f, a, w}.
+    """
+
+    labels: tuple[Label, ...]
+    faces: frozenset[frozenset[Label]]
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.labels)
+
+    @property
+    def face_count(self) -> int:
+        return len(self.faces)
+
+    def one_cell_count(self) -> int:
+        return len(one_cells(self.faces))
+
+    def euler_characteristic(self) -> int:
+        return self.vertex_count - self.one_cell_count() + self.face_count
+
+
+def canonical_glued_subdivision(h: ThreeGraph) -> CanonicalGluedSubdivision:
+    """The shape a certificate of ``h`` must realize, built from the covered
+    pairs and the faces, never from the auxiliary graph, so that the
+    verifier checks the graph's tags and cycles against it."""
+    pairs = covered_pairs(h)
+    hfaces = h.sorted_faces()
+    labels: list[Label] = [("orig", x) for x in range(h.vertex_count)]
+    labels += [("pair", p) for p in pairs]
+    labels += [("face", f) for f in hfaces]
+    faces: set[frozenset[Label]] = set()
+    for f in hfaces:
+        x, y, z = f
+        uf = ("face", f)
+        for a, b in ((x, y), (y, z), (z, x)):
+            e = (min(a, b), max(a, b))
+            w = ("corner", f, e)
+            labels.append(w)
+            ue = ("pair", e)
+            faces.add(frozenset({("orig", a), ue, w}))
+            faces.add(frozenset({ue, ("orig", b), w}))
+            faces.add(frozenset({("orig", b), uf, w}))
+            faces.add(frozenset({uf, ("orig", a), w}))
+    return CanonicalGluedSubdivision(labels=tuple(labels), faces=frozenset(faces))

@@ -51,7 +51,6 @@ from .core import (
     ThreeGraph,
     TripartiteHost,
     bits,
-    build_aux_graph,
 )
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
 from .links import HostIndex, LinkGraph, open_partners, pick_link_vertex
@@ -550,7 +549,7 @@ def _aux_graph_within_capacity(host: TripartiteHost, target: ThreeGraph, K: int)
     """
     if target.v > host.n_y:
         raise CapacityExceeded(f"v(H) = {target.v} exceeds n_y = {host.n_y}")
-    aux = build_aux_graph(target)
+    aux = target.aux_graph
     if len(aux.v2) > host.n_x:
         raise CapacityExceeded(
             f"|V2| = {len(aux.v2)} added vertices exceed n_x = {host.n_x}"

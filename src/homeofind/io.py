@@ -27,6 +27,11 @@ a header's count: not from a host's ``tph`` sizes, and not from a
 certificate's ``tg`` count, which is bounded by the lines that can place
 its vertices before anything is built from it.
 
+A certificate's disk lines are laid out by the target's auxiliary graph,
+which ``write_certificate`` and ``parse_certificate`` read from the target
+(``ThreeGraph.aux_graph``, built once per target object), so a parsed
+certificate hands the verifier a target whose graph is already built.
+
 A host's table is bounded by its text: with k (x, y) entries and largest
 z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
 the line that would pass it, a text whose table would exceed
@@ -52,7 +57,6 @@ from .core import (
     HomeomorphCertificate,
     ThreeGraph,
     TripartiteHost,
-    build_aux_graph,
 )
 
 
@@ -309,7 +313,7 @@ def write_certificate(cert: HomeomorphCertificate) -> str:
     cycle a ``disk`` line with the host-local images (a u b w center)
     followed by its four ``hf`` host faces.
     """
-    aux = build_aux_graph(cert.target)
+    aux = cert.target.aux_graph
     emb = cert.embedding
     lines = ["cert v1", *write_threegraph(cert.target).splitlines()]
 
@@ -372,7 +376,7 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         raise FormatError("missing 'cert v1' header")
 
     # every target vertex is in a face or on a v1 line, so this bounds what
-    # build_aux_graph allocates by the size of the text
+    # the auxiliary graph allocates by the size of the text
     placeable = 3 * len(tg_faces) + len(v1_lines)
     if header is not None and header > placeable:
         raise FormatError(
@@ -380,7 +384,7 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
             f"{len(tg_faces)} face lines and {len(v1_lines)} v1 lines can place"
         )
     target = _target(header, tg_faces)
-    aux = build_aux_graph(target)
+    aux = target.aux_graph
     if len(disk_blocks) != len(aux.special_cycles):
         raise FormatError(
             f"certificate has {len(disk_blocks)} disk blocks, target requires "

@@ -1,8 +1,12 @@
 """Search-free certificate validation.
 
-The verifier never trusts the pipeline: it re-derives the canonical glued
+The verifier never trusts the pipeline: it derives the canonical glued
 subdivision of the target and demands that the certificate's faces, after
-relabeling through the recorded embedding, match it face for face.  It
+relabeling through the recorded embedding, match it face for face.  The
+shape, the auxiliary graph and chi are facts of the target, built in
+``core`` from the target alone and kept on the ``ThreeGraph``, so the
+verifier reads each once per target object, however many certificates of
+it are checked; every check on the certificate itself runs every time.  It
 imports nothing of the package but ``core``, so no search code can enter a
 verdict.  The brute-force oracles of the search stages are test code
 (``tests/oracles.py``), so no shipping path can call them.
@@ -12,66 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# the canonical shape and its builder live in core, so that a target keeps
+# its shape; both names are imported back here, where certificates are judged
 from .core import (
+    CanonicalGluedSubdivision,
     HomeomorphCertificate,
-    ThreeGraph,
+    Label,
     TripartiteHost,
-    build_aux_graph,
-    covered_pairs,
-    euler_characteristic,
+    canonical_glued_subdivision,
     one_cells,
 )
-
-Label = tuple
-
-
-@dataclass(frozen=True)
-class CanonicalGluedSubdivision:
-    """The abstract complex every certificate must realize.
-
-    For each face f = xyz of the target and each edge e = ab of f there is a
-    disk vertex w = w_{f,e} carrying the four faces {a, u_e, w}, {u_e, b, w},
-    {b, u_f, w} and {u_f, a, w}.
-    """
-
-    labels: tuple[Label, ...]
-    faces: frozenset[frozenset[Label]]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.labels)
-
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
-
-    def one_cell_count(self) -> int:
-        return len(one_cells(self.faces))
-
-    def euler_characteristic(self) -> int:
-        return self.vertex_count - self.one_cell_count() + self.face_count
-
-
-def canonical_glued_subdivision(h: ThreeGraph) -> CanonicalGluedSubdivision:
-    pairs = covered_pairs(h)
-    hfaces = h.sorted_faces()
-    labels: list[Label] = [("orig", x) for x in range(h.vertex_count)]
-    labels += [("pair", p) for p in pairs]
-    labels += [("face", f) for f in hfaces]
-    faces: set[frozenset[Label]] = set()
-    for f in hfaces:
-        x, y, z = f
-        uf = ("face", f)
-        for a, b in ((x, y), (y, z), (z, x)):
-            e = (min(a, b), max(a, b))
-            w = ("corner", f, e)
-            labels.append(w)
-            ue = ("pair", e)
-            faces.add(frozenset({("orig", a), ue, w}))
-            faces.add(frozenset({ue, ("orig", b), w}))
-            faces.add(frozenset({("orig", b), uf, w}))
-            faces.add(frozenset({uf, ("orig", a), w}))
-    return CanonicalGluedSubdivision(labels=tuple(labels), faces=frozenset(faces))
 
 
 @dataclass(frozen=True)
@@ -123,7 +77,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
         return _fail(4, "4-disk centers are not pairwise distinct")
 
     # (5) relabel through the embedding and compare with the canonical shape
-    aux = build_aux_graph(target)
+    aux = target.aux_graph
     if set(emb.v2_map) != set(aux.v2):
         return _fail(5, "v2_map keys are not the auxiliary graph's V2")
     if set(emb.center_map) != set(range(3 * target.e)):
@@ -142,8 +96,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
             return _fail(5, f"face {(x, y, z)} has a vertex outside the embedding image")
         relabeled.add(frozenset({x_label[x], y_label[y], z_label[z]}))
 
-    canon = canonical_glued_subdivision(target)
-    if relabeled != canon.faces:
+    if relabeled != target.canonical_subdivision.faces:
         return _fail(5, "relabeled faces differ from the canonical glued subdivision")
 
     # (6) Euler characteristic of the certificate complex
@@ -151,7 +104,7 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     faces = set(cert.host_faces)
     cells = one_cells((("x", x), ("y", y), ("z", z)) for x, y, z in faces)
     chi_cert = v_count - len(cells) + len(faces)
-    chi_target = euler_characteristic(target)
+    chi_target = target.chi
     if chi_cert != chi_target:
         return _fail(
             6, f"certificate complex has chi = {chi_cert}, target has chi = {chi_target}"

@@ -419,7 +419,7 @@ class TestCertificateFormat:
         def never(target):
             raise AssertionError("build_aux_graph called on an unbounded target")
 
-        monkeypatch.setattr("homeofind.io.build_aux_graph", never)
+        monkeypatch.setattr("homeofind.core.build_aux_graph", never)
         with pytest.raises(FormatError) as info:
             parse_certificate(f"cert v1\n# c\ntg {count}\nf 0 1 2\nv1 3 7\n")
         assert str(info.value) == (
@@ -540,7 +540,7 @@ class TestCli:
         def never(target):
             raise AssertionError("build_aux_graph called on a target that cannot fit")
 
-        monkeypatch.setattr("homeofind.embed.build_aux_graph", never)
+        monkeypatch.setattr("homeofind.core.build_aux_graph", never)
         hostp = self._write_host(tmp_path, complete_host(5))
         targetp = tmp_path / "huge.tg"
         targetp.write_text(f"tg {10**9}\nf 0 1 2\n")
