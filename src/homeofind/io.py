@@ -6,7 +6,9 @@ byte-identical files.  Lines whose first token starts with ``#`` are
 comments; blank lines are skipped and tokens may be separated by any run
 of whitespace.  A target's faces are sets, so a repeated ``f`` line is
 accepted and counted once.  Every malformed input, a non-integer token
-included, raises ``FormatError`` naming the line where one applies.
+included, raises ``FormatError`` naming the line where one applies: in a
+reader's loop over its lines each check raises a plain ``ValueError``, and
+the reader's one handler names the line.
 
 A host's text holds its z-mask table (see ``core``) on ``m`` lines: ``m x
 y HEX`` sets the faces of one (x, y) entry, HEX being its mask in
@@ -72,21 +74,21 @@ def _content_lines(text: str):
         yield lineno, line.split()
 
 
-def _target_line(lineno: int, tok: list[str], header: int | None, faces: list) -> int:
+def _target_line(tok: list[str], header: int | None, faces: list) -> int:
     """One ``tg`` or ``f`` line of a target or certificate file: adds a face
-    to ``faces`` or reads the header, and returns the header.  ``ThreeGraph``
-    checks the count and each face as its line is read; its ``ValueError``
-    reaches the caller's ``line N:`` handler."""
+    to ``faces`` or reads the header, and returns the header.  A bad line,
+    count or face (``ThreeGraph`` checks each as its line is read) raises a
+    ``ValueError``, which the caller's handler names the line of."""
     if tok[0] == "tg":
         if header is not None:
-            raise FormatError(f"line {lineno}: duplicate tg header")
+            raise ValueError("duplicate tg header")
         if len(tok) != 2:
-            raise FormatError(f"line {lineno}: expected 'tg n'")
+            raise ValueError("expected 'tg n'")
         return ThreeGraph(int(tok[1]), frozenset()).vertex_count
     if header is None:
-        raise FormatError(f"line {lineno}: face before tg header")
+        raise ValueError("face before tg header")
     if len(tok) != 4:
-        raise FormatError(f"line {lineno}: expected 'f a b c'")
+        raise ValueError("expected 'f a b c'")
     face = (int(tok[1]), int(tok[2]), int(tok[3]))
     ThreeGraph(header, frozenset([face]))
     faces.append(face)
@@ -105,11 +107,9 @@ def parse_threegraph(text: str) -> ThreeGraph:
     try:
         for lineno, tok in _content_lines(text):
             if tok[0] not in ("tg", "f"):
-                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
-            header = _target_line(lineno, tok, header, faces)
-    except FormatError:
-        raise
-    except ValueError as exc:  # a token that is not an integer, or a bad target
+                raise ValueError(f"unknown directive {tok[0]!r}")
+            header = _target_line(tok, header, faces)
+    except ValueError as exc:  # a malformed line, a token that is not an integer, or a bad target
         raise FormatError(f"line {lineno}: {exc}") from exc
     return _target(header, faces)
 
@@ -232,26 +232,22 @@ def parse_host(text: str) -> TripartiteHost:
                 continue
             elif tok[0] == "tph":
                 if sizes is not None:
-                    raise FormatError(f"line {lineno}: duplicate tph header")
+                    raise ValueError("duplicate tph header")
                 if len(tok) != 4:
-                    raise FormatError(f"line {lineno}: expected 'tph nx ny nz'")
+                    raise ValueError("expected 'tph nx ny nz'")
                 nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
                 xs, ys = _TokenInts("x", nx), _TokenInts("y", ny)
                 # a mask token takes a character and the blank before it
                 get, top, checked = table.get, 0, len(text) // 2 * nz > budget
             elif tok[0] == "f":
-                raise FormatError(
-                    f"line {lineno}: 'f' lines belong to targets; a host's faces are 'm x y HEX' lines"
-                )
+                raise ValueError("'f' lines belong to targets; a host's faces are 'm x y HEX' lines")
             elif tok[0] != "m":
-                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
+                raise ValueError(f"unknown directive {tok[0]!r}")
             elif sizes is None:
-                raise FormatError(f"line {lineno}: mask before tph header")
+                raise ValueError("mask before tph header")
             else:
-                raise FormatError(f"line {lineno}: expected 'm x y HEX'")
-    except FormatError:
-        raise
-    except ValueError as exc:  # a bad token, header size or coordinate, or over budget
+                raise ValueError("expected 'm x y HEX'")
+    except ValueError as exc:  # a malformed line, token, header size or coordinate, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
@@ -343,34 +339,32 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         for lineno, tok in _content_lines(text):
             if tok[0] == "cert":
                 if versioned:
-                    raise FormatError(f"line {lineno}: duplicate cert header")
+                    raise ValueError("duplicate cert header")
                 if tok[1:] != ["v1"]:
-                    raise FormatError(f"line {lineno}: unsupported certificate version")
+                    raise ValueError("unsupported certificate version")
                 versioned = True
             elif tok[0] in ("tg", "f"):
                 if tok[0] == "tg":
                     tg_lineno = lineno
-                header = _target_line(lineno, tok, header, tg_faces)
+                header = _target_line(tok, header, tg_faces)
             elif tok[0] == "v1":
                 if len(tok) != 3:
-                    raise FormatError(f"line {lineno}: expected 'v1 v y'")
+                    raise ValueError("expected 'v1 v y'")
                 v1_lines.append((lineno, int(tok[1]), int(tok[2])))
             elif tok[0] == "disk":
                 if len(tok) != 7:
-                    raise FormatError(f"line {lineno}: expected 'disk ci a u b w center'")
+                    raise ValueError("expected 'disk ci a u b w center'")
                 current = (lineno, tuple(int(t) for t in tok[1:]), [])
                 disk_blocks.append(current)
             elif tok[0] == "hf":
                 if current is None:
-                    raise FormatError(f"line {lineno}: hf before any disk line")
+                    raise ValueError("hf before any disk line")
                 if len(tok) != 4:
-                    raise FormatError(f"line {lineno}: expected 'hf x y z'")
+                    raise ValueError("expected 'hf x y z'")
                 current[2].append((int(tok[1]), int(tok[2]), int(tok[3])))
             else:
-                raise FormatError(f"line {lineno}: unknown directive {tok[0]!r}")
-    except FormatError:
-        raise
-    except ValueError as exc:  # a token that is not an integer, or a bad target
+                raise ValueError(f"unknown directive {tok[0]!r}")
+    except ValueError as exc:  # a malformed line, a token that is not an integer, or a bad target
         raise FormatError(f"line {lineno}: {exc}") from exc
     if not versioned:
         raise FormatError("missing 'cert v1' header")
@@ -397,9 +391,7 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
 
     def put(lineno, mapping, key, val, what):
         if key in mapping and mapping[key] != val:
-            raise FormatError(
-                f"line {lineno}: inconsistent {what} for {key}: {mapping[key]} vs {val}"
-            )
+            raise FormatError(f"line {lineno}: inconsistent {what} for {key}: {mapping[key]} vs {val}")
         mapping[key] = val
 
     seen = set()

@@ -590,6 +590,9 @@ class TestProblemGraph:
         assert pg.bad_triples == {(0, 1, 2)}
         link = link_of(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
         assert pg == build_problem_graph(link, (0, 0, 0), [0, 1, 2], 2, Fraction(1))
+        # a problem graph is not its own (ground_set, masks) fields
+        assert pg != (pg.ground_set, pg.masks)
+        assert pg.__eq__(object()) is NotImplemented
         assert find_complete_subgraph(pg, 2) == [0, 1]
         with pytest.raises(CliqueNotFound, match=r"\|D\|=1\)"):
             find_complete_subgraph(pg, 3)

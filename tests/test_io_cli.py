@@ -97,6 +97,7 @@ class TestThreeGraphFormat:
         ("tg 3\n# c\nf 0 0 1\n", "line 3: face (0, 0, 1) has repeated vertices"),
         ("tg 3\nf 0 1 2\nf -1 0 1\n", "line 3: face (-1, 0, 1) out of range"),
         ("\ntg -1\n", "line 2: vertex_count must be non-negative"),
+        ("f 0 1 2\n", "line 1: face before tg header"),
     ])
     def test_bad_target_names_its_line(self, text, message):
         with pytest.raises(FormatError) as info:
@@ -184,6 +185,7 @@ class TestHostFormat:
 
     @pytest.mark.parametrize("text, message", [
         ("tph 1 1 1\n#\ntph 1 1 1\n", "line 3: duplicate tph header"),
+        ("tph 1 1\n", "line 1: expected 'tph nx ny nz'"),
         ("tph 1 1 1\n\n g 0 0 0\n", "line 3: unknown directive 'g'"),
         ("# only a comment\n", "missing tph header"),
         # the first malformed line in file order, whatever is wrong with it
@@ -356,6 +358,7 @@ class TestCertificateFormat:
         ("cert v1\ntg 3\n# c\ncert v1\n", "line 4: duplicate cert header"),
         ("cert v1\ncert v2\n", "line 2: duplicate cert header"),
         ("cert v2\n", "line 1: unsupported certificate version"),
+        ("cert v1\ntg 3\nf 0 1 2\nhf 0 0 0\n", "line 4: hf before any disk line"),
     ])
     def test_cert_header_errors(self, text, message):
         with pytest.raises(FormatError) as info:

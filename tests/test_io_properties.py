@@ -1,6 +1,7 @@
 """Property tests of the flat-file parsers: round-trips and token fuzzing."""
 
 import itertools
+import re
 
 import pytest
 from conftest import F_LINE_REFUSED
@@ -438,8 +439,11 @@ class TestFuzz:
         for parse in (parse_host, parse_threegraph, parse_certificate):
             try:
                 parse(text)
-            except FormatError:
-                pass
+            except FormatError as exc:
+                # a reader names a line once, and only a line of its text
+                assert not re.match(r"line \d+: line \d+: ", str(exc))
+                if named := re.match(r"line (\d+): ", str(exc)):
+                    assert 1 <= int(named[1]) <= len(text.splitlines())
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
