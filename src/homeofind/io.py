@@ -22,12 +22,12 @@ only face lines, and an ``f`` line is refused on its line.  HEX is read as
 ``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
 mask too; a mask that is negative, 0, or has a bit at or above n_z is
 refused.  Each line is checked as it is read, its coordinates against the
-``tph`` sizes once per distinct token, so the error names the first
-malformed line in file order, and a run's error is that of the first of
-its one-mask lines that would fail.  Nothing is allocated in proportion to
-a header's count: not from a host's ``tph`` sizes, and not from a
-certificate's ``tg`` count, which is bounded by the lines that can place
-its vertices before anything is built from it.
+``tph`` sizes, so the error names the first malformed line in file order,
+and a run's error is that of the first of its one-mask lines that would
+fail.  Nothing is allocated in proportion to a header's count: not from a
+host's ``tph`` sizes, and not from a certificate's ``tg`` count, which is
+bounded by the lines that can place its vertices before anything is built
+from it.
 
 A certificate's disk lines are laid out by the target's auxiliary graph,
 which ``write_certificate`` and ``parse_certificate`` read from the target
@@ -120,23 +120,6 @@ def write_threegraph(h: ThreeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _TokenInts(dict):
-    """Token text -> ``int(text)`` for coordinate ``name`` of a class of
-    size ``n``: converted the first time it is looked up, and refused, not
-    stored, outside [0, n)."""
-
-    def __init__(self, name: str, n: int):
-        super().__init__()
-        self.name, self.n = name, n
-
-    def __missing__(self, tok: str) -> int:
-        val = int(tok)
-        if not 0 <= val < self.n:
-            raise ValueError(f"{self.name} = {val} is outside [0, {self.n})")
-        self[tok] = val
-        return val
-
-
 # parse_host's bound on a host table: bits per character of text, and a floor
 TABLE_BITS_PER_CHAR = 64
 TABLE_BITS_FLOOR = 1 << 23
@@ -164,54 +147,60 @@ def _width(mask: int, nz: int) -> int:
     return mask.bit_length()
 
 
+def _coordinate(name: str, tok: str, n: int) -> int:
+    """``int(tok)``, refused outside [0, n) as coordinate ``name``."""
+    val = int(tok)
+    if not 0 <= val < n:
+        raise ValueError(f"{name} = {val} is outside [0, {n})")
+    return val
+
+
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host in one pass over its lines, checking each line
     as it is read: a ``FormatError`` names the first malformed line.
 
-    After the header, an ``m x y HEX`` line ORs the mask ``int(HEX, 16)``
-    into the table entry of its (x, y), and a run ``m x y HEX0 ... HEXk-1``
-    reads as the k lines ``m x y+i HEXi`` on its line's number.  A mask
-    that is not positive, or has a bit at or above n_z, is refused, and so
-    is an ``f`` line, which only a target's text holds.  A host repeats a
-    few distinct tokens on many lines, so each distinct x or y token text
-    is converted once per class, through a memo that grows only with the
-    tokens read (not with the ``tph`` sizes); every coordinate is still
-    ``int(token)``, so spellings and non-integer errors are those of a
-    plain per-token ``int()``.  A memo checks a value against its class
-    when it converts it, x then y, and keeps no value outside it, so no
-    line aliases another's entry.
+    After the header, an ``m x y HEX0 ... HEXk-1`` line (k >= 1) reads as
+    the k lines ``m x y+i HEXi`` on its line's number, each ORing the mask
+    ``int(HEXi, 16)`` into the table entry of its (x, y + i).  x and y are
+    each ``int(token)``, checked against its class, x then y, so no line
+    aliases another's entry.  A mask that is not positive, or has a bit at
+    or above n_z, is refused, and so is an ``f`` line, which only a
+    target's text holds.
 
-    A well-formed one-mask line is a straight path: its mask is checked
-    only when it is not positive or wider than any before, and a line
-    opening a new entry is checked against the table's bound (see the
-    module docstring) only when (mask tokens the text can hold) * n_z
-    exceeds it.  A run whose entries are all new, inside the row, positive,
-    below ``2**nz`` and within the bound is read in bulk: its masks in one
-    ``map``, checked with ``min`` and ``max``, and added with one
-    ``dict.update``.  Any other run is read entry by entry as its one-mask
-    lines would be, so it gives the same table or the same error.
+    A line whose entries are all new, inside the row, positive, below
+    ``2**nz`` and within the table's bound (see the module docstring) is
+    read in bulk: its masks in one ``map``, checked with ``min`` and
+    ``max``, and added with one ``dict.update``.  Any other line is read
+    entry by entry: a mask is checked only when it is not positive or
+    wider than any before, and an entry it opens is checked against the
+    bound only when (mask tokens the text can hold) * n_z exceeds it, so
+    it gives the same table or the same error as its one-mask lines.
     """
     sizes = None
     table: dict[int, int] = {}
-    lines = text.splitlines()
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
     try:
-        for lineno, tok in enumerate(map(str.split, lines), 1):
-            # a well-formed one-mask m line comes first: in a text written
-            # one mask per line it is nearly every line
-            if len(tok) == 4 and tok[0] == "m" and sizes is not None:
-                key = xs[tok[1]] * ny + ys[tok[2]]
-                entry = get(key)
-                if entry is None and checked:  # a new entry may grow as wide as any mask
-                    _fits(len(table) + 1, top, budget)
-                mask = int(tok[3], 16)
-                if mask <= 0 or mask.bit_length() > top:
-                    top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
-                table[key] = mask if entry is None else entry | mask
-            elif len(tok) > 4 and tok[0] == "m" and sizes is not None:
-                # a run: in bulk when its entries are new and inside the row
-                # and its masks fit, else as its one-mask lines
-                x, y = xs[tok[1]], ys[tok[2]]
+        for lineno, tok in _content_lines(text):
+            if tok[0] == "tph":
+                if sizes is not None:
+                    raise ValueError("duplicate tph header")
+                if len(tok) != 4:
+                    raise ValueError("expected 'tph nx ny nz'")
+                nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
+                # a mask token takes a character and the blank before it
+                get, top, checked = table.get, 0, len(text) // 2 * nz > budget
+            elif tok[0] == "f":
+                raise ValueError("'f' lines belong to targets; a host's faces are 'm x y HEX' lines")
+            elif tok[0] != "m":
+                raise ValueError(f"unknown directive {tok[0]!r}")
+            elif sizes is None:
+                raise ValueError("mask before tph header")
+            elif len(tok) < 4:
+                raise ValueError("expected 'm x y HEX'")
+            else:
+                # in bulk when its entries are new and inside the row and its
+                # masks fit, else as its one-mask lines
+                x, y = _coordinate("x", tok[1], nx), _coordinate("y", tok[2], ny)
                 keys = range(x * ny + y, x * ny + y + len(tok) - 3)
                 masks = _bulk_masks(tok, nz) if y + len(keys) <= ny and table.keys().isdisjoint(keys) else None
                 if masks and (len(table) + len(keys)) * (width := max(top, max(masks).bit_length())) <= budget:
@@ -222,31 +211,12 @@ def parse_host(text: str) -> TripartiteHost:
                     if y >= ny:
                         raise ValueError(f"y = {y} is outside [0, {ny})")
                     entry = get(key)
-                    if entry is None and checked:
+                    if entry is None and checked:  # a new entry may grow as wide as any mask
                         _fits(len(table) + 1, top, budget)
                     mask = int(hexed, 16)
                     if mask <= 0 or mask.bit_length() > top:
                         top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
                     table[key] = mask if entry is None else entry | mask
-            elif not tok or tok[0].startswith("#"):
-                continue
-            elif tok[0] == "tph":
-                if sizes is not None:
-                    raise ValueError("duplicate tph header")
-                if len(tok) != 4:
-                    raise ValueError("expected 'tph nx ny nz'")
-                nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
-                xs, ys = _TokenInts("x", nx), _TokenInts("y", ny)
-                # a mask token takes a character and the blank before it
-                get, top, checked = table.get, 0, len(text) // 2 * nz > budget
-            elif tok[0] == "f":
-                raise ValueError("'f' lines belong to targets; a host's faces are 'm x y HEX' lines")
-            elif tok[0] != "m":
-                raise ValueError(f"unknown directive {tok[0]!r}")
-            elif sizes is None:
-                raise ValueError("mask before tph header")
-            else:
-                raise ValueError("expected 'm x y HEX'")
     except ValueError as exc:  # a malformed line, token, header size or coordinate, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:

@@ -201,6 +201,8 @@ class TestHostFormat:
         ("m 0 0 1\ntph 1 1 1\n", "line 1: mask before tph header"),
         ("tph 1 1 1\nm 0 0\n", "line 2: expected 'm x y HEX'"),
         ("tph 1 1 4\nm 0 0 1 1\n", "line 2: y = 1 is outside [0, 1)"),
+        ("tph 1 2 4\nm 1 0 1 1\n", "line 2: x = 1 is outside [0, 1)"),
+        ("tph 1 2 4\nm 0 -1 1 1\n", "line 2: y = -1 is outside [0, 2)"),
         ("tph 1 3 4\nm 0 0 1 10 g\n", "line 2: z = 4 is outside [0, 4)"),
         ("tph 1 1 4\nm 0 0 f\nm 0 0 10\n", "line 3: z = 4 is outside [0, 4)"),
         ("tph 1 1 4\nm 0 0 0\n", "line 2: mask 0 names no face"),
@@ -225,8 +227,8 @@ class TestHostFormat:
             parse_host("# host\ntph 2 x 2\n")
 
     def test_huge_header_allocates_nothing_in_proportion(self):
-        # coordinates are checked against the sizes once per distinct value;
-        # no table is sized from the header
+        # no table is sized from the header: memory follows the text, not
+        # the tph sizes
         tracemalloc.start()
         try:
             host = parse_host(f"tph {10**12} {10**12} {10**12}\nm 0 0 1\n")

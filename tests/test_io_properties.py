@@ -336,8 +336,8 @@ def run_shaped_texts(draw):
 
 
 class TestParseHostMatchesReference:
-    # parse_host converts each distinct token once; every value, spelling,
-    # message and line number must be those of one int() per token.
+    # parse_host must give the outcome of one int() per token: every value,
+    # spelling, message and line number.
     @settings(max_examples=300, deadline=None)
     @given(host_texts())
     def test_same_host_or_same_error(self, text):
