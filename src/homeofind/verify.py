@@ -24,7 +24,6 @@ from .core import (
     Label,
     TripartiteHost,
     canonical_glued_subdivision,
-    one_cells,
 )
 
 
@@ -48,9 +47,10 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     (5) v2_map and center_map are keyed by exactly the auxiliary graph's V2
     and special cycles, and the relabeled face set equals the canonical
     glued subdivision,
-    (6) the Euler characteristic of the certificate complex equals the
-    target's, (7) v1_map maps exactly the target's vertices into Y (this
-    reaches isolated vertices, which no face shows).
+    (6) the Euler characteristic of the certificate complex, counted from
+    the shape's after (3)-(5), equals the target's, (7) v1_map maps exactly
+    the target's vertices into Y (this reaches isolated vertices, which no
+    face shows).
     """
     target = cert.target
     emb = cert.embedding
@@ -99,12 +99,12 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     if relabeled != target.canonical_subdivision.faces:
         return _fail(5, "relabeled faces differ from the canonical glued subdivision")
 
-    # (6) Euler characteristic of the certificate complex
+    # (6) Euler characteristic, from counts: checks 3-5 made the relabeling a
+    # bijection onto the shape's faces, so the certificate complex differs from
+    # the shape only in the vertices it lists, and chi(shape) = chi(H)
     v_count = len(emb.v1_map) + len(emb.v2_map) + len(emb.center_map)
-    faces = set(cert.host_faces)
-    cells = one_cells((("x", x), ("y", y), ("z", z)) for x, y, z in faces)
-    chi_cert = v_count - len(cells) + len(faces)
     chi_target = target.chi
+    chi_cert = chi_target + v_count - target.canonical_subdivision.vertex_count
     if chi_cert != chi_target:
         return _fail(
             6, f"certificate complex has chi = {chi_cert}, target has chi = {chi_target}"

@@ -13,6 +13,10 @@ check the z-scan's expectation arguments in exact rational arithmetic:
 
 For ``embed``: ``clique_oracle``, an exhaustive scan over t-subsets of Y',
 checks ``find_complete_subgraph``.
+
+For ``verify``: ``certificate_chi_oracle`` counts the 1-cells of a
+certificate complex with ``one_cells`` over its faces, where check 6 reads
+chi from the canonical shape's counts.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from homeofind.core import TripartiteHost, bits
+from homeofind.core import HomeomorphCertificate, TripartiteHost, bits, one_cells
 from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex, LinkGraph
 
@@ -107,6 +111,16 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
         "forbidden expectation bound violated"
     )
     return avg
+
+
+def certificate_chi_oracle(cert: HomeomorphCertificate) -> int:
+    """chi of the certificate complex: the vertices its maps list, less the
+    1-cells and plus the faces of its class-tagged host faces."""
+    emb = cert.embedding
+    v_count = len(emb.v1_map) + len(emb.v2_map) + len(emb.center_map)
+    faces = set(cert.host_faces)
+    cells = one_cells((("x", x), ("y", y), ("z", z)) for x, y, z in faces)
+    return v_count - len(cells) + len(faces)
 
 
 def clique_oracle(p: ProblemGraph, t: int) -> bool:

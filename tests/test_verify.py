@@ -2,11 +2,13 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homeofind
 from conftest import complete_host, problem_of, random_host, random_threegraph
 from homeofind.core import (
     Config,
@@ -21,12 +23,19 @@ from homeofind.embed import (
     find_homeomorph,
 )
 from homeofind.errors import CliqueNotFound
-from homeofind.io import parse_certificate, write_certificate
-from homeofind.verify import canonical_glued_subdivision, verify_certificate
-from oracles import clique_oracle, expectation_oracle, forbidden_expectation_oracle
+from homeofind.harness import gen_random_host
+from homeofind.io import load_target, parse_certificate, write_certificate
+from homeofind.verify import VerifyResult, canonical_glued_subdivision, verify_certificate
+from oracles import (
+    certificate_chi_oracle,
+    clique_oracle,
+    expectation_oracle,
+    forbidden_expectation_oracle,
+)
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
+BUILTINS = sorted(p.stem for p in (Path(homeofind.__file__).parent / "data").glob("*.tg"))
 
 threegraphs = st.integers(min_value=0, max_value=10 ** 9).map(
     lambda s: random_threegraph(random.Random(s))
@@ -67,6 +76,23 @@ class TestCanonicalShape:
     def test_preserves_euler_characteristic(self, h):
         canon = canonical_glued_subdivision(h)
         assert canon.euler_characteristic() == euler_characteristic(h)
+
+    # check 6 reads chi as target.chi plus the vertices a certificate lists,
+    # less the kept shape's vertex count: these are the two facts it rests on
+    @staticmethod
+    def assert_check6_counts(h):
+        shape = h.canonical_subdivision
+        assert shape.euler_characteristic() == h.chi
+        assert shape.vertex_count == h.v + len(h.aux_graph.v2) + 3 * h.e
+
+    @settings(max_examples=60, deadline=None)
+    @given(threegraphs)
+    def test_check6_counts_on_random_targets(self, h):
+        self.assert_check6_counts(h)
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_check6_counts_on_builtins(self, name):
+        self.assert_check6_counts(load_target(f"builtin:{name}"))
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
@@ -284,6 +310,96 @@ def isolated_vertex_certificate_text(host, v1_line):
     (i,) = [i for i, line in enumerate(lines) if line.startswith("v1 3 ")]
     lines[i] = v1_line
     return "\n".join(lines) + "\n"
+
+
+class TestIsolatedVertexCount:
+    # Vertices 3 and 4 are isolated, so no face shows their images and
+    # checks 1-5 pass: check 6 counts v1_map's entries, check 7 reads its keys.
+    LONELY = ThreeGraph(5, frozenset({(0, 1, 2)}))
+
+    @pytest.mark.parametrize("mutate, check, reason", [
+        (lambda v1, free: {**v1, 9: free}, 6,
+         "certificate complex has chi = 4, target has chi = 3"),
+        (lambda v1, free: {9 if v == 4 else v: y for v, y in v1.items()}, 7,
+         "v1_map does not map exactly the target vertices 0..4"),
+        (lambda v1, free: {v: y for v, y in v1.items() if v != 4}, 6,
+         "certificate complex has chi = 2, target has chi = 3"),
+    ], ids=["added", "renamed", "dropped"])
+    def test_v1_map_mutant(self, mutate, check, reason):
+        host = complete_host(16)
+        cert = find_homeomorph(host, self.LONELY, Config(C=1, k_threshold=3, rng_seed=1))
+        v1 = cert.embedding.v1_map
+        free = min(set(range(host.n_y)) - set(v1.values()))
+        bad = replace(cert, embedding=replace(cert.embedding, v1_map=mutate(v1, free)))
+        assert verify_certificate(bad, host) == VerifyResult(False, check, reason)
+
+
+def map_corruptions(cert, host):
+    """``cert`` with one entry of one embedding map dropped, re-keyed to a
+    fresh key, or added at a fresh key with an image no entry uses."""
+    for field, n in (("v1_map", host.n_y), ("v2_map", host.n_x), ("center_map", host.n_z)):
+        m = getattr(cert.embedding, field)
+        fresh = max(m) + 1
+        free = min(set(range(n)) - set(m.values()))
+        yield replace(cert, embedding=replace(cert.embedding, **{field: {**m, fresh: free}}))
+        for key in m:
+            rest = {k: v for k, v in m.items() if k != key}
+            yield replace(cert, embedding=replace(cert.embedding, **{field: rest}))
+            yield rekey(cert, field, key, fresh)
+
+
+class TestCheck6AgainstOracle:
+    # Found certificates: triangle, k4 and rp2 on two seeded hosts, and
+    # targets with isolated vertices, whose v1_map mutants reach check 6
+    LONELY = {
+        "lonely4": ThreeGraph(4, frozenset({(0, 1, 2)})),
+        "lonely5": TestIsolatedVertexCount.LONELY,
+    }
+    FAMILY = [
+        (name, seed) for name in ("triangle", "k4", "rp2") for seed in (0, 1)
+    ] + [(name, 1) for name in LONELY]
+
+    @classmethod
+    def found(cls, name, seed):
+        if name in cls.LONELY:
+            target = cls.LONELY[name]
+            host, cfg = complete_host(16), Config(C=1, k_threshold=3, rng_seed=seed)
+        else:
+            target = load_target(f"builtin:{name}")
+            host = gen_random_host(32, 32, 32, 0.9, seed)
+            cfg = Config(C=2, k_threshold=3, rng_seed=seed)
+        return find_homeomorph(host, target, cfg), host
+
+    @pytest.mark.parametrize("name, seed", FAMILY)
+    def test_count_agrees_with_the_one_cell_walk(self, name, seed):
+        # wherever checks 1-5 pass, check 6 refuses exactly the certificates
+        # whose complex the oracle counts to another chi, and reports that chi
+        cert, host = self.found(name, seed)
+        target = cert.target
+        mutants = [
+            (cert, host),
+            mutate_face_outside_host(cert, host),
+            mutate_drop_face(cert, host),
+            mutate_duplicate_v2_image(cert, host),
+            mutate_duplicate_centers(cert, host),
+            mutate_swap_centers(cert, host, target),
+            mutate_drop_isolated_vertex(complete_host(16)),
+        ] + [(bad, host) for bad in map_corruptions(cert, host)]
+        reached = set()
+        for bad, bad_host in mutants:
+            res = verify_certificate(bad, bad_host)
+            if not res.passed and res.check < 6:
+                continue
+            reached.add(res.check)
+            chi = certificate_chi_oracle(bad)
+            assert (res.check == 6) == (chi != bad.target.chi)
+            if res.check == 6:
+                assert res.reason == (
+                    f"certificate complex has chi = {chi}, target has chi = {bad.target.chi}"
+                )
+        assert {None, 6} <= reached
+        if name in self.LONELY:
+            assert 7 in reached
 
 
 class TestIsolatedVertexImage:
