@@ -12,11 +12,11 @@ with that center onto the image of every special cycle.  That
 search is one function, ``embed_v2``.  Its admissibility arcs are read
 off per-X-vertex column center sets: settled by the two sets' sizes
 where ``links.open_partners`` can, and ANDed only where the sizes leave
-them open.  At each leaf it ANDs the same columns into the special
-cycles' center sets, which ``assign_centers`` matches to distinct
-centers.  The assembled certificate goes
-to ``verify.verify_certificate`` before ``find_homeomorph`` returns it; a
-refusal is a RuntimeError.
+them open.  It returns the embedding of the first leaf, in search order,
+whose one matching of the pair-vertices leaves distinct centers in the
+AND of the same columns (``assign_centers``).  The assembled certificate
+goes to ``verify.verify_certificate`` before ``find_homeomorph`` returns
+it; a refusal is a RuntimeError.
 
 Both expectation arguments (the choice of z and the choice of x) are
 derandomized by first-qualifying scans, and the V2 placement is an exact
@@ -36,7 +36,7 @@ import itertools
 import math
 import operator
 import random
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -300,18 +300,16 @@ def embed_v2(
     the AND of the two images' column center sets, so each arc is first
     settled by the two column sizes (``links.open_partners``, with u's
     candidates ranked once by column size), and ANDed only where the sizes
-    leave it open.  One bipartite matching
-    (augmenting paths) first checks Hall's condition on the candidates.
-    Then candidates with no compatible partner are pruned (arc consistency)
-    and Hall's condition is checked again.  Every constraint joins a
-    face-vertex to a pair-vertex, so the search is depth first over the
-    face-vertices (fewer than the pair-vertices on a surface), with forward
-    checking of the pair-vertices, and at each leaf the pair-vertices are
-    matched into the unused X-vertices.  A special cycle's center set is
-    then the AND of its two images' columns (the same masks the arcs are
-    built from) without link.z; the leaf is taken only if
-    ``assign_centers`` finds distinct centers in those sets, and the
-    returned ``Embedding`` carries them.
+    leave it open.  One bipartite matching (augmenting paths) first checks
+    Hall's condition on the candidates.  Then candidates with no compatible
+    partner are pruned (arc consistency) and Hall's condition is checked
+    again.  Every constraint joins a face-vertex to a pair-vertex, so the
+    search is depth first over the face-vertices (fewer than the
+    pair-vertices on a surface), with forward checking of the
+    pair-vertices.  A leaf matches the pair-vertices into the unused
+    X-vertices and ANDs each special cycle's image columns, less link.z,
+    into its center set; the search returns the ``Embedding`` of the first
+    leaf, in search order, whose one matching leaves distinct centers.
 
     Raises RetriesExhausted when no injective placement exists (Hall's
     condition fails, as it does when a V2 vertex has no candidate at all),
@@ -408,14 +406,23 @@ def embed_v2(
     rest = [v for v in aux.v2 if v not in arcs_of]
     budget = cfg.retry_limit ** 2
     nodes = 0
+    placed: dict[int, int] = {}  # face-vertex -> its image on the current path
+    keep = ~(1 << link.z)
 
-    def search(dom: dict[int, int], used: int, left: list[int]) -> Iterator[dict[int, int]]:
+    def search(dom: dict[int, int], used: int, left: list[int]) -> Embedding | None:
         nonlocal nodes
-        if not left:
-            placed, _ = _match(rest, order, {v: dom[v] & ~used for v in rest})
-            if placed is not None:
-                yield placed
-            return
+        if not left:  # a leaf: match the pair-vertices, then find distinct centers
+            matched, _ = _match(rest, order, {v: dom[v] & ~used for v in rest})
+            if matched is None:
+                return None
+            img = placed | matched
+            centers = assign_centers([
+                columns[sc.u][img[sc.u]] & columns[sc.u][img[sc.w]] & keep
+                for sc in aux.special_cycles
+            ])
+            if centers is None:
+                return None
+            return Embedding(v1_map=v1_map, v2_map={u: img[u] for u in aux.v2}, center_map=centers)
         # the face-vertex with the fewest free candidates goes next
         w = min(left, key=lambda v: (dom[v] & ~used).bit_count())
         others = [v for v in left if v != w]
@@ -436,20 +443,13 @@ def embed_v2(
             if all(child[v] & ~taken for v in others) and all(
                 child[u] & ~taken for u in arcs_of[w]
             ):
-                for placed in search(child, taken, others):
-                    placed[w] = x
-                    yield placed
+                placed[w] = x
+                if emb := search(child, taken, others):
+                    return emb
+        return None
 
-    # the leaves in search order; the first with distinct centers is taken
-    keep = ~(1 << link.z)
-    for placed in search(dom, 0, list(arcs_of)):
-        centers = assign_centers([
-            columns[sc.u][placed[sc.u]] & columns[sc.u][placed[sc.w]] & keep
-            for sc in aux.special_cycles
-        ])
-        if centers is not None:
-            v2_map = {u: placed[u] for u in aux.v2}
-            return Embedding(v1_map=v1_map, v2_map=v2_map, center_map=centers)
+    if emb := search(dom, 0, list(arcs_of)):
+        return emb
     raise no_placement(f"exhaustive search over {nodes} nodes")
 
 

@@ -949,6 +949,41 @@ class TestEmbedV2:
             found.append(verify_certificate(cert, host).passed)
         assert found == [True] * 20
 
+    def test_search_goes_on_past_a_leaf_without_centers(self, monkeypatch):
+        # On the host above, under these search seeds, the first leaf's one
+        # matching leaves no distinct centers, and the search must go on to
+        # the next leaf, which has them.
+        target = ThreeGraph(4, frozenset({(0, 1, 2), (0, 1, 3)}))
+        aux = build_aux_graph(target)
+        rng = random.Random(133)
+        host = random_host(rng, 7, 4, 7, rng.uniform(0.5, 1.0))
+        K = rng.randint(2, 4)
+        assert K == 2
+        index = HostIndex(host)
+        v1_map = {v: v for v in aux.v1}
+        answers = []
+
+        def recorded(center_sets):
+            answers.append(assign_centers(center_sets))
+            return answers[-1]
+
+        monkeypatch.setattr(embed, "assign_centers", recorded)
+        for seed in (5, 7, 10, 16):
+            answers.clear()
+            out = embed_v2(
+                aux, v1_map, index.link(0), Config(), random.Random(seed), index=index, K=K
+            )
+            assert answers == [None, out.center_map], seed
+            cert = embed._assemble_certificate(target, aux, out)
+            assert verify_certificate(cert, host).passed, seed
+            if seed == 5:
+                assert sorted(out.v2_map.items()) == [
+                    (4, 1), (5, 0), (6, 3), (7, 4), (8, 2), (9, 5), (10, 6),
+                ]
+                assert sorted(out.center_map.items()) == [
+                    (0, 6), (1, 2), (2, 4), (3, 5), (4, 3), (5, 1),
+                ]
+
     def test_search_outcomes_pinned(self):
         # What the search decides on a seeded family of small hosts: the
         # placement and centers it returns, or its failure message.  The

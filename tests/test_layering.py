@@ -22,7 +22,8 @@ The z-scan in ``links`` decides every Y-pair of the chosen link, and
 names the pair test or a forbidden count.
 
 A name starting with ``_`` is private to its module: no package module
-imports one from another.
+imports one from another.  Every name a package module imports is used
+there, unless the package's ``__init__`` imports it from that module.
 
 The builtin targets are the ``.tg`` files in ``homeofind/data``: no package
 module writes a face (a tuple of three integer literals) into its code.
@@ -145,6 +146,46 @@ def test_private_import_scan_finds_every_form(tmp_path):
         ("homeofind.links", "_bits"), ("homeofind.io", "_DIGITS"),
         ("homeofind.core", "_norm_face"),
     ]
+
+
+def unused_imports(path: Path, exported: set[str]) -> list[str]:
+    """The names the file binds by an import (``__future__`` aside) that
+    neither its code (``names_used``, where an attribute of the same name
+    counts) nor its ``__all__`` names, other than those in ``exported``."""
+    tree = ast.parse(path.read_text())
+    bound, kept = [], names_used(tree) | exported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            kept |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [name for name in bound if name not in kept]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_every_import_is_used(module):
+    reexported = {
+        name
+        for imported, names in package_import_names(SRC / "__init__.py")
+        if imported == f"homeofind.{module}"
+        for name in names
+    }
+    assert unused_imports(SRC / f"{module}.py", reexported) == []
+
+
+def test_unused_import_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from __future__ import annotations\nimport os, os.path as osp\nimport json.decoder\n"
+        "from .core import Face, Pair as P, bits, Config\nfrom . import errors\n"
+        "__all__ = ['bits']\n"
+        "def f(x: 'Face') -> None:\n    from .io import load_host\n    raise errors.E\n"
+    )
+    assert unused_imports(src, {"P"}) == ["os", "osp", "json", "Config", "load_host"]
 
 
 def test_public_names_resolve():
