@@ -19,12 +19,14 @@ each (x, y) with at least one face, the bitmask over Z of the z that
 complete (x, y) to a face, keyed by the flat index ``x * n_y + y``.  The
 table is sparse (an (x, y) with no face has no entry), so it holds one int
 per occupied (x, y) and nothing per face or per header-sized class.  Facts
-of the table live on the host, each worked out once when first read: ``e``,
-``occupied`` (the OR of its masks), its byte columns (``byte_columns``) and
-the Y side of each link built from them (``link_y_masks``), so that every
-search of one host shares them.  Every stage reads the host through it:
-``io`` writes and parses it, and ``links`` counts link sizes e(L_z) from
-its byte columns and builds links from them.
+of the table live on the host and are worked out here alone, each kept
+once first read: ``e``, ``occupied`` (the OR of its masks), its byte
+columns (``byte_columns``) and the Y side of each link L_z built from them
+(``link_y``, kept in ``link_y_masks``), so that every search of one host
+shares them.  The host also answers e(L_z) (``link_size``) and the 4-disks
+of a cycle (``disk_mask``).  Every stage reads the host through it: ``io``
+writes and parses it, and ``links`` and ``embed`` read link sizes, link Y
+sides and disk masks off it.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -45,6 +47,8 @@ Pair = tuple[int, int]
 
 # a binary digit of a mask, as the byte 0 or 1
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# _BIT_OF_BYTE[k] maps a byte to 1 if its bit k is set, else to 0
+_BIT_OF_BYTE = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
 
 
 def bits(mask: int) -> list[int]:
@@ -128,11 +132,14 @@ class TripartiteHost:
     ``TripartiteHost(class_sizes, faces)`` takes any iterable of (x, y, z)
     triples of ints and names the first bad face in input order; a face's
     mask takes z + 1 bits, so memory grows with the largest z given.
-    ``has`` tests one face, and ``sorted_faces`` and ``faces`` decode the
-    table, for tests and oracles.  ``e``, ``occupied`` (the OR of the
-    masks), ``byte_columns`` and ``link_y_masks`` are worked out here alone
-    and kept as plain bytes and int tuples.  Equality and hashing are by
-    value, whatever has been worked out.
+    ``has`` tests one face.  ``e``, ``occupied`` (the OR of the masks),
+    ``byte_columns`` and ``link_y_masks`` are worked out here alone and
+    kept as plain bytes and int tuples.  Bit z of the masks is one
+    byte-wise ``translate`` of byte column z // 8: ``link_size(z)`` counts
+    those bits, e(L_z), and ``link_y(z)`` selects with them the entries
+    that hold z and builds the Y side of L_z from them, once per z.
+    ``disk_mask`` ANDs four entries found by flat index.  Equality and
+    hashing are by value, whatever has been worked out.
     """
 
     class_sizes: tuple[int, int, int]
@@ -200,9 +207,8 @@ class TripartiteHost:
 
     @cached_property
     def link_y_masks(self) -> dict[int, tuple[int, ...]]:
-        """Per z whose link has been built, its Y side: entry y is the
-        bitmask over X of the x with (x, y, z) a face.  ``links.HostIndex.link``
-        fills it, once per z."""
+        """Per z whose link has been built, its Y side: ``link_y`` fills
+        it, once per z."""
         return {}
 
     def has(self, x: int, y: int, z: int) -> bool:
@@ -214,15 +220,37 @@ class TripartiteHost:
             and self.zmasks.get(x * ny + y, 0) >> z & 1 == 1
         )
 
-    def sorted_faces(self) -> list[Face]:
-        """The faces in lexicographic order: the sorted table, decoded."""
-        ny = self.n_y
-        return [(i // ny, i % ny, z) for i, m in sorted(self.zmasks.items()) for z in bits(m)]
+    def _holds(self, z: int) -> bytes:
+        """Per table entry, in table order, the byte 1 if its mask holds z,
+        else 0."""
+        if not 0 <= z < self.n_z:
+            raise IndexError(f"z = {z} out of range")
+        columns = self.byte_columns
+        if z >> 3 >= len(columns):
+            return bytes(len(self.zmasks))
+        return columns[z >> 3].translate(_BIT_OF_BYTE[z & 7])
 
-    @cached_property
-    def faces(self) -> frozenset[Face]:
-        """The faces as (x, y, z) tuples, decoded once when first read."""
-        return frozenset(self.sorted_faces())
+    def link_size(self, z: int) -> int:
+        """e(L_z), the number of faces through z."""
+        return self._holds(z).count(1)
+
+    def link_y(self, z: int) -> tuple[int, ...]:
+        """The Y side of L_z: entry y is the bitmask over X of the x with
+        (x, y, z) a face."""
+        y_masks = self.link_y_masks.get(z)
+        if y_masks is None:
+            ny = self.n_y
+            masks = [0] * ny
+            for i in compress(self.zmasks, self._holds(z)):
+                masks[i % ny] |= 1 << (i // ny)
+            y_masks = self.link_y_masks[z] = tuple(masks)
+        return y_masks
+
+    def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
+        """Bitmask over Z of the centers completing the cycle to 4-disks."""
+        get, ny = self.zmasks.get, self.n_y
+        ra, rb = xa * ny, xb * ny
+        return get(ra + ya, 0) & get(ra + yb, 0) & get(rb + ya, 0) & get(rb + yb, 0)
 
 
 @dataclass(frozen=True)

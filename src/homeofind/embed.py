@@ -286,30 +286,30 @@ def embed_v2(
     cfg: Config,
     rng: random.Random,
     *,
-    index: HostIndex,
+    host: TripartiteHost,
     K: int,
 ) -> Embedding:
     """Injective placement of V2 into X by exact search, seeded by ``rng``.
 
-    Each V2 vertex may go to the common link-neighbourhood of the images of
-    its V1 neighbours; ``rng`` shuffles the order in which its candidates are
-    tried.  The placement must be injective and make the image of every
-    special cycle admissible: a constraint between the images of its
-    pair-vertex u and face-vertex w, decided as
-    ``index.disk_mask(...).bit_count() > K``.  That count is the size of
-    the AND of the two images' column center sets, so each arc is first
-    settled by the two column sizes (``links.open_partners``, with u's
+    ``link`` is a link of ``host``.  Each V2 vertex may go to the common
+    link-neighbourhood of the images of its V1 neighbours; ``rng`` shuffles
+    the order in which its candidates are tried.  The placement must be
+    injective and make the image of every special cycle admissible: a
+    constraint between the images of its pair-vertex u and face-vertex w,
+    decided as ``host.disk_mask(...).bit_count() > K``.  That count is the
+    size of the AND of the two images' column center sets, so each arc is
+    first settled by the two column sizes (``links.open_partners``, with u's
     candidates ranked once by column size), and ANDed only where the sizes
     leave it open.  One bipartite matching (augmenting paths) first checks
     Hall's condition on the candidates.  Then candidates with no compatible
     partner are pruned (arc consistency) and Hall's condition is checked
     again.  Every constraint joins a face-vertex to a pair-vertex, so the
     search is depth first over the face-vertices (fewer than the
-    pair-vertices on a surface), with forward checking of the
-    pair-vertices.  A leaf matches the pair-vertices into the unused
-    X-vertices and ANDs each special cycle's image columns, less link.z,
-    into its center set; the search returns the ``Embedding`` of the first
-    leaf, in search order, whose one matching leaves distinct centers.
+    pair-vertices on a surface), with forward checking of the pair-vertices.
+    A leaf matches the pair-vertices into the unused X-vertices and ANDs
+    each special cycle's image columns, less link.z, into its center set;
+    the search returns the ``Embedding`` of the first leaf, in search order,
+    whose one matching leaves distinct centers.
 
     Raises RetriesExhausted when no injective placement exists (Hall's
     condition fails, as it does when a V2 vertex has no candidate at all),
@@ -341,27 +341,27 @@ def embed_v2(
     # the row depends on u and xw alone and is built once.
     # disk_mask(xu, xw, ya, yb) is the AND of the column masks
     # disk_mask(x, x, ya, yb) of xu and xw, which are worked out once per
-    # pair-vertex and X-vertex; a leaf reads its center sets from them too.
-    # The candidates of u are ranked once by column size, and a row takes
-    # the partners that open_partners settles as admissible as one suffix
-    # of that ranking, ANDing only the partners it leaves open.
-    n_z = index.host.n_z
+    # pair-vertex u, over its candidates: a face-vertex's face holds u's
+    # edge, so its candidates are among them.  A leaf reads its center sets
+    # from these columns too.  The candidates of u are ranked once by
+    # column size, and a row takes the partners that open_partners settles
+    # as admissible as one suffix of that ranking, ANDing only the partners
+    # it leaves open.
+    n_z = host.n_z
     columns: dict[int, dict[int, int]] = {}
     compat: dict[int, dict[int, int]] = {}
     ranks: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
     arcs_of: dict[int, list[int]] = {}
     for sc in aux.special_cycles:
-        ya, yb = v1_map[sc.a], v1_map[sc.b]
-        col = columns.setdefault(sc.u, {})
-        for x in bits(dom[sc.u] | dom[sc.w]):
-            if x not in col:
-                col[x] = index.disk_mask(x, x, ya, yb)
         if sc.u not in ranks:
-            xs = sorted(bits(dom[sc.u]), key=lambda x: col[x].bit_count())
+            ya, yb = v1_map[sc.a], v1_map[sc.b]
+            col = columns[sc.u] = {x: host.disk_mask(x, x, ya, yb) for x in bits(dom[sc.u])}
+            xs = sorted(col, key=lambda x: col[x].bit_count())
             cols, xbits = [col[x] for x in xs], [1 << x for x in xs]
             # suffix[i]: the candidates ranked i and on
             suffix = [*itertools.accumulate(reversed(xbits), operator.or_, initial=0)][::-1]
             ranks[sc.u] = ([c.bit_count() for c in cols], cols, xbits, suffix)
+        col = columns[sc.u]
         sizes, cols, xbits, suffix = ranks[sc.u]
         rows = compat.setdefault(sc.u, {})
         for xw in bits(dom[sc.w]):
@@ -582,9 +582,7 @@ def find_homeomorph(
     """
     K = cfg.k_for(target)
     aux = _aux_graph_within_capacity(host, target, K)
-    index = HostIndex(host)
-
-    choice = pick_link_vertex(host, cfg, K, index)
+    choice = pick_link_vertex(host, cfg, K, HostIndex(host))
     n = max(host.class_sizes)
 
     _, yprime = select_core_set(choice.link, choice.bad_pairs, cfg, n, choice.q)
@@ -593,7 +591,7 @@ def find_homeomorph(
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}
 
     rng = random.Random(derive_seed(cfg.rng_seed))
-    emb = embed_v2(aux, v1_map, choice.link, cfg, rng, index=index, K=K)
+    emb = embed_v2(aux, v1_map, choice.link, cfg, rng, host=host, K=K)
     cert = _assemble_certificate(target, aux, emb)
     assert_valid_embedding(cert, host)
     return cert

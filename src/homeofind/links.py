@@ -3,16 +3,15 @@
 The hot path here is counting, for every 4-cycle of a link, the number of
 host vertices z whose link also contains it (its 4-disks).  The host's
 z-mask table (see ``core``) already holds, per (x, y), the bitmask of the
-z completing it to a face; ``HostIndex`` holds the host alone and reads
-it, so a cycle's disk count is a popcount of an AND of four of its
-entries, looked up by flat index ``x * n_y + y``.  The z-scan visits only
-the z on some face, the set bits of ``TripartiteHost.occupied``, and reads
-e(L_z) for each as one count over a byte column of the masks
-(``HostIndex.link_size``); it builds a ``LinkGraph`` only for a z that
-passes the density condition, and only its Y side, from the table entries
-that column selects.  The host keeps its byte columns and the Y side of
-every link built, so a second search of the same host cuts no column and
-builds no link again.
+z completing it to a face, so a cycle's disk count is a popcount of an AND
+of four of its entries, looked up by flat index ``x * n_y + y``.  The
+z-scan visits only the z on some face, the set bits of
+``TripartiteHost.occupied``, and reads e(L_z) for each off the host
+(``TripartiteHost.link_size``); it builds a ``LinkGraph`` only for a z
+that passes the density condition (``HostIndex.link``), from the Y side
+the host keeps for it (``TripartiteHost.link_y``).  Every fact of the
+table lives on the host, so a second search of the same host cuts no
+column and builds no link side again.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it counts the forbidden cycles through each Y-pair it is given, and
@@ -49,8 +48,6 @@ from .core import Config, TripartiteHost, bits
 from .errors import NoQualifyingVertex
 from .exact import ceil_pow, floor_pow
 
-# _BIT_OF_BYTE[k] maps a byte to 1 if its bit k is set, else to 0
-_BIT_OF_BYTE = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
 # a flag byte 0 or 1, as the binary digit of a mask
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -60,7 +57,7 @@ class LinkGraph:
     """The bipartite X-Y graph of faces through a fixed z, as neighbour masks.
 
     ``y_masks[y]`` is the bitmask over X of the neighbours of y, the side
-    ``HostIndex.link`` builds from the host's table; edge xy is present
+    ``TripartiteHost.link_y`` builds from the host's table; edge xy is present
     when ``y_masks[y] >> x & 1``.  ``gamma(x)``, the bitmask over Y of the
     neighbours of x, is read off the Y side for one x, and ``x_masks``, all
     of them, is worked out when first read.
@@ -89,50 +86,18 @@ class LinkGraph:
 
 
 class HostIndex:
-    """The readers of a host's link facts, shared by a run's stages.
+    """The links of a host, as a run's stages read them.
 
-    It holds ``host`` alone; the byte columns (``byte_columns``) and the
-    Y sides of built links (``link_y_masks``) live on the host, so every
-    index of one host shares them.  ``disk_mask`` ANDs table entries found
-    by flat index.  Bit z of the masks is one byte-wise ``translate`` of
-    byte column z // 8: ``link_size(z)`` counts those bits, e(L_z), and
-    ``link(z)`` selects with them the table entries that hold z and builds
-    the Y side of its link from them, once per host.
+    It holds ``host`` alone, and ``link(z)`` wraps the Y side of L_z that
+    the host builds and keeps (``TripartiteHost.link_y``), so every index
+    of one host shares it.
     """
 
     def __init__(self, host: TripartiteHost):
         self.host = host
 
-    def _holds(self, z: int) -> bytes:
-        """Per table entry, in table order, the byte 1 if its mask holds z,
-        else 0."""
-        if not 0 <= z < self.host.n_z:
-            raise IndexError(f"z = {z} out of range")
-        columns = self.host.byte_columns
-        if z >> 3 >= len(columns):
-            return bytes(len(self.host.zmasks))
-        return columns[z >> 3].translate(_BIT_OF_BYTE[z & 7])
-
-    def link_size(self, z: int) -> int:
-        """e(L_z), the number of faces through z."""
-        return self._holds(z).count(1)
-
     def link(self, z: int) -> LinkGraph:
-        host = self.host
-        y_masks = host.link_y_masks.get(z)
-        if y_masks is None:
-            n_y = host.n_y
-            masks = [0] * n_y
-            for i in compress(host.zmasks, self._holds(z)):
-                masks[i % n_y] |= 1 << (i // n_y)
-            y_masks = host.link_y_masks[z] = tuple(masks)
-        return LinkGraph(z, host.n_x, y_masks)
-
-    def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
-        """Bitmask over Z of the centers completing the cycle to 4-disks."""
-        get, ny = self.host.zmasks.get, self.host.n_y
-        ra, rb = xa * ny, xb * ny
-        return get(ra + ya, 0) & get(ra + yb, 0) & get(rb + ya, 0) & get(rb + yb, 0)
+        return LinkGraph(z, self.host.n_x, self.host.link_y(z))
 
 
 def open_partners(c: int, sizes: Sequence[int], K: int, n_z: int, end: int) -> tuple[int, int]:
@@ -160,10 +125,11 @@ def open_partners(c: int, sizes: Sequence[int], K: int, n_z: int, end: int) -> t
 def count_forbidden(
     link: LinkGraph,
     K: int,
-    index: HostIndex,
+    host: TripartiteHost,
     pairs: Iterable[tuple[int, int]] | None = None,
 ) -> tuple[int, dict[tuple[int, int], int]]:
-    """The forbidden-cycle count of each Y-pair in ``pairs``, in one walk.
+    """The forbidden-cycle count of each Y-pair in ``pairs`` of ``link``, a
+    link of ``host``, in one walk.
 
     ``pairs`` holds Y-pairs (y1, y2) with y1 < y2; by default it is every
     pair of the link, and ``total`` is then B_z.  Returns
@@ -188,7 +154,6 @@ def count_forbidden(
     when that is above K, no cycle through the pair is forbidden.  f(y) is
     worked out once, for the first pair through y that reaches this test.
     """
-    host = index.host
     zb, ny, nz = host.zmasks, host.n_y, host.n_z
     ymasks = link.y_masks
     if pairs is None:
@@ -274,10 +239,10 @@ def pick_link_vertex(
     conditions are e(L_z) >= (C/2) n**(2-delta) and
     B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  Only the z
     of some face are scanned: they are the set bits of ``host.occupied``,
-    in ascending order.  Each condition is
-    one exact integer cutoff (see ``exact``): the first is worked out once
-    and read against ``index.link_size``, so the link graph is built only
-    for a z that passes it; the second once per such z.  A cutoff (1) above
+    in ascending order.  Each condition is one exact integer cutoff (see
+    ``exact``): the first is worked out once and read against
+    ``host.link_size``, so a link graph is built (``index.link``) only for
+    a z that passes it; the second once per such z.  A cutoff (1) above
     n_x n_y, the most edges a link can have, refuses before any e(L_z) is
     counted.
 
@@ -311,7 +276,7 @@ def pick_link_vertex(
         raise NoQualifyingVertex(f"{refusal} > n_x n_y = {cap}, so no link can pass (1)")
     best_diag = []
     for z in bits(host.occupied):
-        e_l = index.link_size(z)
+        e_l = host.link_size(z)
         # (1): e(L_z) >= (C/2) n**(2 - delta)
         if e_l < e_min:
             best_diag.append((z, e_l, None))
@@ -336,7 +301,7 @@ def pick_link_vertex(
                 for y1, row in enumerate(rows)
                 for y2 in compress(range(y1 + 1, link.n_y), map(opens.__getitem__, row))
             ] if any(opens) else []
-        b_z, by_pair = count_forbidden(link, K, index, walked)
+        b_z, by_pair = count_forbidden(link, K, host, walked)
         if not settled and b_z > b_max:
             best_diag.append((z, e_l, b_z))
             continue

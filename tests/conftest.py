@@ -6,6 +6,7 @@ import pytest
 from homeofind.core import ThreeGraph, TripartiteHost
 from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex
+from oracles import host_faces
 
 
 def random_threegraph(rng: random.Random, max_v: int = 9, max_e: int = 12) -> ThreeGraph:
@@ -45,7 +46,7 @@ def face_text(host: TripartiteHost) -> str:
     ``gen_random_host`` digests hash: ``parse_host`` refuses its first
     face line, and a host's text is ``write_host``'s ``m`` lines."""
     lines = [f"tph {host.n_x} {host.n_y} {host.n_z}"]
-    lines += [f"f {x} {y} {z}" for x, y, z in host.sorted_faces()]
+    lines += [f"f {x} {y} {z}" for x, y, z in host_faces(host)]
     return "\n".join(lines) + "\n"
 
 

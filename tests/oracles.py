@@ -3,13 +3,17 @@
 They live with the tests, so no shipping code can call them, and a test
 that compares one with the code that ships compares two paths.
 
+For the host: ``host_faces`` decodes its z-mask table into sorted face
+tuples, which the host itself never lists.
+
 For ``links``: ``iter_link_cycles``, the one other walk over a link's
 4-cycles (over X-pairs), and ``count_disks``, a face-membership scan
-independent of the index; the first yields and the second takes a cycle
-as a plain tuple ``(x1, x2, y1, y2)`` with x1 < x2 and y1 < y2.  Two more
-check the z-scan's expectation arguments in exact rational arithmetic:
-``expectation_oracle`` (the mean of e(L_z) is e(G)/n_Z) and
-``forbidden_expectation_oracle`` (the double count behind the mean of B_z).
+independent of ``TripartiteHost.disk_mask``; the first yields and the
+second takes a cycle as a plain tuple ``(x1, x2, y1, y2)`` with x1 < x2
+and y1 < y2.  Two more check the z-scan's expectation arguments in exact
+rational arithmetic: ``expectation_oracle`` (the mean of e(L_z) is
+e(G)/n_Z) and ``forbidden_expectation_oracle`` (the double count behind
+the mean of B_z).
 
 For ``embed``: ``clique_oracle``, an exhaustive scan over t-subsets of Y',
 checks ``find_complete_subgraph``.
@@ -30,12 +34,19 @@ from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex, LinkGraph
 
 
+def host_faces(host: TripartiteHost) -> list[tuple[int, int, int]]:
+    """The faces of ``host`` in lexicographic order: its table sorted by
+    flat index x * n_y + y, each entry with the set bits of its mask."""
+    ny = host.n_y
+    return [(i // ny, i % ny, z) for i, m in sorted(host.zmasks.items()) for z in bits(m)]
+
+
 def count_disks(host: TripartiteHost, c: tuple[int, int, int, int]) -> int:
     """Number of z whose link contains the cycle ``(x1, x2, y1, y2)``; direct
     membership scan.
 
-    Deliberately independent of the bitmask index so the two code paths can
-    be checked against each other.
+    Deliberately independent of ``TripartiteHost.disk_mask`` so the two code
+    paths can be checked against each other.
     """
     x1, x2, y1, y2 = c
     count = 0
@@ -98,7 +109,7 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
     for z in range(host.n_z):
         for c in iter_link_cycles(index.link(z)):
             if c not in counts:
-                counts[c] = index.disk_mask(*c).bit_count()
+                counts[c] = host.disk_mask(*c).bit_count()
             total_b += counts[c] <= K
     sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
 

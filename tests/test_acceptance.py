@@ -121,11 +121,11 @@ def test_criterion_3_oracle_equivalence(capfd):
                 for y1, y2 in itertools.combinations(range(n), 2):
                     if common >> y1 & common >> y2 & 1:
                         d = count_disks(host, (x1, x2, y1, y2))
-                        if index.disk_mask(x1, x2, y1, y2).bit_count() != d:
+                        if host.disk_mask(x1, x2, y1, y2).bit_count() != d:
                             mismatches += 1
                         if d <= K:
                             by_pair[(y1, y2)] = by_pair.get((y1, y2), 0) + 1
-            if count_forbidden(link, K, index) != (sum(by_pair.values()), by_pair):
+            if count_forbidden(link, K, host) != (sum(by_pair.values()), by_pair):
                 mismatches += 1
 
     clique_disagreements = 0

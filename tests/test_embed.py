@@ -54,7 +54,7 @@ from homeofind.links import (
     pick_link_vertex,
 )
 from homeofind.verify import verify_certificate
-from oracles import clique_oracle, count_disks
+from oracles import clique_oracle, count_disks, host_faces
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
@@ -65,8 +65,8 @@ def complete_link(n_x, n_y):
 
 
 def only_link(link, target):
-    """The index of a host whose 1 + 3 e(H) Z-vertices all have ``link`` as
-    their link.
+    """The host whose 1 + 3 e(H) Z-vertices all have ``link`` as their
+    link.
 
     With K = 0, every special cycle placed inside the link bounds 1 + 3 e(H)
     4-disks and is admissible, and the 3 e(H) of them other than z = 0 give
@@ -78,7 +78,7 @@ def only_link(link, target):
         for x, m in enumerate(link.x_masks) for y in range(link.n_y) if m >> y & 1
         for z in range(n_z)
     )
-    return HostIndex(TripartiteHost((link.n_x, link.n_y, n_z), faces))
+    return TripartiteHost((link.n_x, link.n_y, n_z), faces)
 
 
 class TestClassifyPairsTriples:
@@ -139,7 +139,7 @@ class TestClassifyPairsTriples:
         index = HostIndex(host)
         choice = pick_link_vertex(host, Config(C=4, delta=1), K, index)
         assert choice.q == Fraction(1, 2)
-        assert count_forbidden(choice.link, K, index) == (
+        assert count_forbidden(choice.link, K, host) == (
             15 * 15, dict.fromkeys(itertools.combinations(range(n), 2), 15)
         )
         full = (1 << n) - 1
@@ -237,7 +237,7 @@ class TestSelectCoreSet:
         q = Fraction(7, 12)
         # the verdicts of the pair test on a whole-link walk, at a q set by hand
         bad_pair_masks = pair_verdicts(
-            link, good_pair_rule(2, cfg.C, n, q), count_forbidden(link, 2, index)[1]
+            link, good_pair_rule(2, cfg.C, n, q), count_forbidden(link, 2, host)[1]
         )
         x, yprime = select_core_set(link, bad_pair_masks, cfg, n, q)
 
@@ -712,7 +712,7 @@ class TestEmbedV2:
         link = complete_link(4, 4)
         out = embed_v2(
             aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
-            index=only_link(link, target), K=0,
+            host=only_link(link, target), K=0,
         )
         assert out.v2_map == out.center_map == {}
 
@@ -722,7 +722,7 @@ class TestEmbedV2:
         v1_map = {0: 0, 1: 1, 2: 2}
         out = embed_v2(
             aux, v1_map, link, Config(rng_seed=1), random.Random(1),
-            index=only_link(link, TRIANGLE), K=0,
+            host=only_link(link, TRIANGLE), K=0,
         )
         assert sorted(out.v2_map) == sorted(aux.v2)
         assert len(set(out.v2_map.values())) == len(out.v2_map)
@@ -733,7 +733,7 @@ class TestEmbedV2:
         with pytest.raises(RetriesExhausted, match="no injective placement"):
             embed_v2(
                 aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
-                index=only_link(link, TRIANGLE), K=0,
+                host=only_link(link, TRIANGLE), K=0,
             )
 
     def test_collision_rate_below_half_at_scale(self):
@@ -744,10 +744,10 @@ class TestEmbedV2:
         aux = build_aux_graph(K4)
         link = link_of(100, 4, [(x, y) for x in range(100) for y in range(4) if x % 5 != y])
         v1_map = {i: i for i in range(4)}
-        index = only_link(link, K4)
+        host = only_link(link, K4)
         placements = set()
         for seed in range(400):
-            out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), index=index, K=0)
+            out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), host=host, K=0)
             assert sorted(out.v2_map) == sorted(aux.v2)
             assert len(set(out.v2_map.values())) == len(out.v2_map)
             for u, x in out.v2_map.items():
@@ -762,7 +762,7 @@ class TestEmbedV2:
         with pytest.raises(RetriesExhausted, match="no injective placement"):
             embed_v2(
                 aux, {0: 0, 1: 1, 2: 2}, link, Config(retry_limit=8), random.Random(0),
-                index=only_link(link, TRIANGLE), K=0,
+                host=only_link(link, TRIANGLE), K=0,
             )
 
     def test_permutation_on_exactly_wide_link(self):
@@ -774,7 +774,7 @@ class TestEmbedV2:
         v1_map = {v: v for v in aux.v1}
         link = complete_link(35, 7)
         out = embed_v2(
-            aux, v1_map, link, Config(), random.Random(0), index=only_link(link, torus7), K=0
+            aux, v1_map, link, Config(), random.Random(0), host=only_link(link, torus7), K=0
         )
         assert sorted(out.v2_map) == sorted(aux.v2)
         assert sorted(out.v2_map.values()) == list(range(35))
@@ -785,7 +785,7 @@ class TestEmbedV2:
         )
         index = HostIndex(host)
         out = embed_v2(
-            aux, v1_map, index.link(0), Config(), random.Random(0), index=index, K=42
+            aux, v1_map, index.link(0), Config(), random.Random(0), host=host, K=42
         )
         assert sorted(out.v2_map.values()) == list(range(35))
         assert sorted(out.center_map.values()) == list(range(1, 43))
@@ -807,15 +807,15 @@ class TestEmbedV2:
         faces = frozenset(
             (x, y, z) for z, (ys, xs) in enumerate(disks) for x in xs for y in ys
         )
-        return HostIndex(TripartiteHost((5, 3, len(disks)), faces))
+        return TripartiteHost((5, 3, len(disks)), faces)
 
     def test_no_admissible_placement_is_proved(self):
         aux = build_aux_graph(TRIANGLE)
-        index = self._clashing_host()
+        host = self._clashing_host()
         with pytest.raises(RetriesExhausted, match="no admissible placement: exhaustive"):
             embed_v2(
                 aux, {0: 0, 1: 1, 2: 2}, complete_link(5, 3), Config(),
-                random.Random(0), index=index, K=0,
+                random.Random(0), host=host, K=0,
             )
 
     def test_no_distinct_centers_is_proved(self):
@@ -831,7 +831,7 @@ class TestEmbedV2:
             try:
                 out = embed_v2(
                     aux, {0: 0, 1: 1, 2: 2}, index.link(0), Config(), random.Random(0),
-                    index=index, K=0,
+                    host=host, K=0,
                 )
             except RetriesExhausted as exc:
                 assert not found
@@ -841,11 +841,11 @@ class TestEmbedV2:
 
     def test_budget_reason_when_search_is_cut(self):
         aux = build_aux_graph(TRIANGLE)
-        index = self._clashing_host()
+        host = self._clashing_host()
         with pytest.raises(RetriesExhausted, match="budget of 1 nodes"):
             embed_v2(
                 aux, {0: 0, 1: 1, 2: 2}, complete_link(5, 3), Config(retry_limit=1),
-                random.Random(0), index=index, K=0,
+                random.Random(0), host=host, K=0,
             )
 
     def test_search_matches_brute_force(self):
@@ -878,7 +878,7 @@ class TestEmbedV2:
 
             def admissible(img):
                 masks = [
-                    index.disk_mask(img[sc.u], img[sc.w], sc.a, sc.b)
+                    host.disk_mask(img[sc.u], img[sc.w], sc.a, sc.b)
                     for sc in aux.special_cycles
                 ]
                 return all(m.bit_count() > K for m in masks) and distinct_centers(
@@ -904,7 +904,7 @@ class TestEmbedV2:
 
             want = exists(0, {})
             try:
-                out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), index=index, K=K)
+                out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), host=host, K=K)
             except RetriesExhausted as exc:
                 assert "budget" not in str(exc)
                 assert not want, seed
@@ -917,7 +917,7 @@ class TestEmbedV2:
             assert out.v1_map == v1_map and sorted(centers) == list(range(len(aux.special_cycles)))
             assert 0 not in centers.values() and len(set(centers.values())) == len(centers)
             for ci, sc in enumerate(aux.special_cycles):
-                assert index.disk_mask(out.v2_map[sc.u], out.v2_map[sc.w], sc.a, sc.b) >> centers[ci] & 1
+                assert host.disk_mask(out.v2_map[sc.u], out.v2_map[sc.w], sc.a, sc.b) >> centers[ci] & 1
             outcomes.append(True)
         assert any(outcomes) and not all(outcomes)
 
@@ -941,7 +941,7 @@ class TestEmbedV2:
         for seed in range(20):
             try:
                 out = embed_v2(
-                    aux, v1_map, index.link(0), Config(), random.Random(seed), index=index, K=K
+                    aux, v1_map, index.link(0), Config(), random.Random(seed), host=host, K=K
                 )
             except RetriesExhausted:
                 continue
@@ -971,7 +971,7 @@ class TestEmbedV2:
         for seed in (5, 7, 10, 16):
             answers.clear()
             out = embed_v2(
-                aux, v1_map, index.link(0), Config(), random.Random(seed), index=index, K=K
+                aux, v1_map, index.link(0), Config(), random.Random(seed), host=host, K=K
             )
             assert answers == [None, out.center_map], seed
             cert = embed._assemble_certificate(target, aux, out)
@@ -1005,7 +1005,7 @@ class TestEmbedV2:
             try:
                 out = embed_v2(
                     aux, {v: v for v in aux.v1}, index.link(0), cfg, random.Random(case),
-                    index=index, K=K,
+                    host=host, K=K,
                 )
             except RetriesExhausted as exc:
                 record.append(str(exc))
@@ -1041,8 +1041,9 @@ class TestAssignCenters:
         assert len(centers) == 12
         assert len(set(centers.values())) == 12
         # recheck all four faces of every disk against the raw host
+        faces = set(host_faces(host))
         for f in cert.host_faces:
-            assert f in host.faces
+            assert f in faces
 
 
 class TestPairVerdictsEndToEnd:
@@ -1184,7 +1185,7 @@ class TestFindHomeomorph:
         cert = find_homeomorph(host, TRIANGLE, Config(C=2, k_threshold=3, rng_seed=3))
         assert verify_certificate(cert, host).passed
         grown = type(host)(
-            host.class_sizes, frozenset(host.faces | {(0, 0, 0), (5, 5, 5)})
+            host.class_sizes, [*host_faces(host), (0, 0, 0), (5, 5, 5)]
         )
         assert verify_certificate(cert, grown).passed
 

@@ -27,6 +27,11 @@ there, unless the package's ``__init__`` imports it from that module.
 
 The builtin targets are the ``.tg`` files in ``homeofind/data``: no package
 module writes a face (a tuple of three integer literals) into its code.
+
+The host owns its table's facts: no package module but ``core`` names the
+byte columns, their bit table or the cache of link Y sides, and
+``links.HostIndex`` defines ``__init__`` and ``link`` alone, reading link
+sides off the host rather than working out facts of its own.
 """
 
 import ast
@@ -368,3 +373,64 @@ def test_literal_face_scan_finds_every_form(tmp_path):
         "faces = [(0, 1, 3), (0, 2, 'x'), (1, 2), (True, 1, 2)]\n"
     )
     assert literal_faces(src) == [(1, "(0, 1, 2)"), (2, "(0, 1, 3)")]
+
+
+HOST_TABLE = {"byte_columns", "link_y_masks", "_BIT_OF_BYTE"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "core"))
+def test_only_core_names_the_host_table_layout(module):
+    # e(L_z), the Y side of L_z and disk masks are TripartiteHost methods;
+    # every other module reads them through those
+    assert names_named(SRC / f"{module}.py") & HOST_TABLE == set()
+
+
+def class_members(path: Path, name: str) -> list[str]:
+    """The names that the body of the top-level class ``name`` in the file
+    defines, in order: its functions and classes, and the names it
+    assigns."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if not (isinstance(node, ast.ClassDef) and node.name == name):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                found += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
+def test_host_index_keeps_only_its_link():
+    assert class_members(SRC / "links.py", "HostIndex") == ["__init__", "link"]
+
+
+def test_host_table_scans_find_every_form(tmp_path):
+    forms = [
+        "def f(h):\n    return h.byte_columns\n",
+        "def f(h):\n    h.link_y_masks[0] = ()\n",
+        "def f(h):\n    return getattr(h, 'link_y_masks')\n",
+        "from .core import _BIT_OF_BYTE as bits\n",
+    ]
+    for i, form in enumerate(forms):
+        src = tmp_path / f"m{i}.py"
+        src.write_text(form)
+        assert names_named(src) & HOST_TABLE, form
+    src = tmp_path / "members.py"
+    src.write_text(
+        "class HostIndex:\n"
+        "    '''Reads no byte_columns.'''\n"
+        "    cache: dict = {}\n"
+        "    def __init__(self, host):\n        self.host = host\n"
+        "    def link(self, z):\n        def inner():\n            pass\n"
+        "    async def link_size(self, z):\n        pass\n"
+        "    size = alias, other = link_size, link\n"
+        "    class Nested:\n        pass\n"
+        "def disk_mask(self):\n    pass\n"
+    )
+    assert names_named(src) & HOST_TABLE == set()
+    assert class_members(src, "HostIndex") == [
+        "cache", "__init__", "link", "link_size", "size", "alias", "other", "Nested",
+    ]
+    assert class_members(src, "LinkGraph") == []

@@ -25,6 +25,7 @@ from oracles import (
     count_disks,
     expectation_oracle,
     forbidden_expectation_oracle,
+    host_faces,
     iter_link_cycles,
 )
 
@@ -35,11 +36,12 @@ SMALL = TripartiteHost(
 
 def brute_force_cycles(host, z):
     """All 4-cycles of L_z with disk counts via raw quadruple scan."""
+    faces = set(host_faces(host))
     out = {}
     for x1, x2 in itertools.combinations(range(host.n_x), 2):
         for y1, y2 in itertools.combinations(range(host.n_y), 2):
             in_link = all(
-                (x, y, z) in host.faces for x in (x1, x2) for y in (y1, y2)
+                (x, y, z) in faces for x in (x1, x2) for y in (y1, y2)
             )
             if in_link:
                 c = (x1, x2, y1, y2)
@@ -66,7 +68,7 @@ class TestLinkGraph:
         index = HostIndex(host)
         for z in range(host.n_z):
             link = index.link(z)
-            expected = {(x, y) for (x, y, zz) in host.faces if zz == z}
+            expected = {(x, y) for (x, y, zz) in host_faces(host) if zz == z}
             assert {
                 (x, y) for x, m in enumerate(link.x_masks) for y in range(host.n_y) if m >> y & 1
             } == expected
@@ -83,9 +85,8 @@ class TestCountDisks:
     def test_two_paths_agree(self):
         rng = random.Random(5)
         host = random_host(rng, 6, 6, 6, 0.4)
-        index = HostIndex(host)
         for c in [(0, 1, 0, 1), (1, 3, 2, 4), (0, 5, 1, 2)]:
-            assert count_disks(host, c) == index.disk_mask(*c).bit_count()
+            assert count_disks(host, c) == host.disk_mask(*c).bit_count()
 
 
 def forbidden_by_pair(cycles, K):
@@ -111,14 +112,14 @@ class TestClassifyCycles:
         cycles = brute_force_cycles(host, 0)
         assert cycles and set(cycles.values()) == {d}
         # disk count == K: forbidden; disk count > K - 1: admissible
-        assert count_forbidden(link, d, index) == (len(cycles), forbidden_by_pair(cycles, d))
-        assert count_forbidden(link, d - 1, index) == (0, {})
+        assert count_forbidden(link, d, host) == (len(cycles), forbidden_by_pair(cycles, d))
+        assert count_forbidden(link, d - 1, host) == (0, {})
 
     def test_no_cycles(self):
         host = TripartiteHost((2, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
         index = HostIndex(host)
         assert brute_force_cycles(host, 0) == {}
-        assert count_forbidden(index.link(0), 1, index) == (0, {})
+        assert count_forbidden(index.link(0), 1, host) == (0, {})
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_brute_force(self, seed):
@@ -129,11 +130,11 @@ class TestClassifyCycles:
             link = index.link(z)
             expected = brute_force_cycles(host, z)
             for c, d in expected.items():
-                assert index.disk_mask(*c).bit_count() == d
+                assert host.disk_mask(*c).bit_count() == d
             # at K = n_Z every cycle of the link is forbidden
             for K in (2, host.n_z):
                 by_pair = forbidden_by_pair(expected, K)
-                assert count_forbidden(link, K, index) == (sum(by_pair.values()), by_pair)
+                assert count_forbidden(link, K, host) == (sum(by_pair.values()), by_pair)
 
     def test_monotone_in_k(self):
         rng = random.Random(9)
@@ -143,9 +144,9 @@ class TestClassifyCycles:
         cycles = brute_force_cycles(host, 0)
         for k in range(1, 6):
             want = forbidden_by_pair(cycles, k)
-            lo, lo_pairs = count_forbidden(link, k, index)
+            lo, lo_pairs = count_forbidden(link, k, host)
             assert (lo, lo_pairs) == (sum(want.values()), want)
-            hi, hi_pairs = count_forbidden(link, k + 1, index)
+            hi, hi_pairs = count_forbidden(link, k + 1, host)
             # raising K never creates admissible cycles
             assert lo <= hi
             assert all(n <= hi_pairs.get(pair, 0) for pair, n in lo_pairs.items())
@@ -211,7 +212,7 @@ class TestCountForbidden:
         for K in (0, 1, 2, 4, host.n_z, host.n_z + 2):
             for z in range(host.n_z):
                 link = index.link(z)
-                total, by_pair = count_forbidden(link, K, index)
+                total, by_pair = count_forbidden(link, K, host)
                 want = brute_force_forbidden(host, link, K)
                 assert by_pair == want
                 assert total == sum(want.values())
@@ -221,7 +222,7 @@ class TestCountForbidden:
     def test_empty_link(self):
         host = TripartiteHost((3, 3, 3), frozenset({(0, 0, 1)}))
         index = HostIndex(host)
-        assert count_forbidden(index.link(0), 2, index) == (0, {})
+        assert count_forbidden(index.link(0), 2, host) == (0, {})
 
     def test_single_column_links(self):
         # every face on y = 0 (or on x = 0): the links have no 4-cycles
@@ -232,7 +233,7 @@ class TestCountForbidden:
             host = TripartiteHost((4, 4, 3), frozenset(faces))
             index = HostIndex(host)
             for K in (0, 5):
-                assert count_forbidden(index.link(0), K, index) == (0, {})
+                assert count_forbidden(index.link(0), K, host) == (0, {})
 
     def test_size_bound_is_strict(self):
         # n_Z = 4, K = 2.  The one cycle x0 x1 / y0 y1 of L_0 has column
@@ -246,8 +247,8 @@ class TestCountForbidden:
         host = TripartiteHost((2, 2, 4), faces)
         index = HostIndex(host)
         assert count_disks(host, (0, 1, 0, 1)) == 2
-        assert count_forbidden(index.link(0), 2, index) == (1, {(0, 1): 1})
-        assert count_forbidden(index.link(0), 1, index) == (0, {})
+        assert count_forbidden(index.link(0), 2, host) == (1, {(0, 1): 1})
+        assert count_forbidden(index.link(0), 1, host) == (0, {})
 
     def test_pair_floor_is_strict(self):
         # n_Z = 5.  Every entry of the one cycle x0 x1 / y0 y1 of L_0 has 4
@@ -261,8 +262,8 @@ class TestCountForbidden:
         host = TripartiteHost((2, 2, 5), faces)
         index = HostIndex(host)
         assert count_disks(host, (0, 1, 0, 1)) == 1
-        assert count_forbidden(index.link(0), 1, index) == (1, {(0, 1): 1})
-        assert count_forbidden(index.link(0), 0, index) == (0, {})
+        assert count_forbidden(index.link(0), 1, host) == (1, {(0, 1): 1})
+        assert count_forbidden(index.link(0), 0, host) == (0, {})
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_on_dense_hosts(self, seed):
@@ -275,7 +276,7 @@ class TestCountForbidden:
             n = rng.randint(8, 16)
             host = random_host(rng, n, n, n, rng.uniform(0.85, 1))
             index = HostIndex(host)
-            size = Counter((x, y) for x, y, _ in host.faces)
+            size = Counter((x, y) for x, y, _ in host_faces(host))
             link = index.link(rng.randrange(n))
             # brute_force_forbidden, with the disk counts shared by every K
             disks = {c: count_disks(host, c) for c in iter_link_cycles(link)}
@@ -283,7 +284,7 @@ class TestCountForbidden:
             f = {y: min(size[x, y] for x in range(n) if ym[y] >> x & 1) for y in range(n) if ym[y]}
             for K in (0, 1, 3, host.n_z - 1):
                 want = forbidden_by_pair(disks, K)
-                assert count_forbidden(link, K, index) == (sum(want.values()), want)
+                assert count_forbidden(link, K, host) == (sum(want.values()), want)
                 for y1, y2 in itertools.combinations(sorted(f), 2):
                     if (ym[y1] & ym[y2]).bit_count() < 2:
                         continue
@@ -304,7 +305,7 @@ class TestCountForbidden:
             cfg = Config(C=C)
             choice = pick_link_vertex(host, cfg, K=K, index=index)
             link, q = choice.link, choice.q
-            b_z, full = count_forbidden(link, K, index)
+            b_z, full = count_forbidden(link, K, host)
             assert choice.forbidden_exact == exact
             want = full_walk_verdicts(link, K, cfg.C, 10, q, full)
             assert choice.bad_pairs == want
@@ -382,11 +383,11 @@ def full_walk_scan(host, cfg, K, index, walks):
     e_min = ceil_pow(cfg.C / 2, n, 2 - cfg.delta)
     failed = 0
     for z in range(host.n_z):
-        e_l = index.link_size(z)
+        e_l = host.link_size(z)
         if e_l < e_min:
             continue
         if z not in walks:
-            walks[z] = count_forbidden(index.link(z), K, index)
+            walks[z] = count_forbidden(index.link(z), K, host)
         if walks[z][0] <= floor_pow(2 * K * e_l / cfg.C, n, 1 + cfg.delta):
             return z, failed
         failed += 1
@@ -463,7 +464,7 @@ class TestSameDecisions:
             lonely = None
             if seed % 2:
                 lonely = rng.randrange(n_y)
-                host = TripartiteHost(host.class_sizes, [f for f in host.faces if f[1] != lonely])
+                host = TripartiteHost(host.class_sizes, [f for f in host_faces(host) if f[1] != lonely])
             for choice in check_full_walk_decisions(host, seen):
                 link = choice.link
                 seen["n_x < n_y" if n_x < n_y else "n_x > n_y"] += 1
@@ -578,7 +579,7 @@ class TestPickLinkVertex:
         faces = [f for f in itertools.product(range(40), range(40), range(7)) if f[:2] != (0, 0)]
         host = TripartiteHost((40, 40, 10 ** 12), faces)
         seen = []
-        link_size = HostIndex.link_size
+        link_size = TripartiteHost.link_size
 
         def counted(self, z):
             seen.append(z)
@@ -586,7 +587,7 @@ class TestPickLinkVertex:
                 raise AssertionError(f"link_size read for z = {z}, which has no face")
             return link_size(self, z)
 
-        monkeypatch.setattr(HostIndex, "link_size", counted)
+        monkeypatch.setattr(TripartiteHost, "link_size", counted)
         cfg = Config(C=Fraction(3200, 10 ** 12), delta=1)
         with pytest.raises(NoQualifyingVertex, match=r"\(6, 1599, None\)\]$"):
             pick_link_vertex(host, cfg, K=3, index=HostIndex(host))
