@@ -286,19 +286,18 @@ def embed_v2(
     cfg: Config,
     rng: random.Random,
     *,
-    host: TripartiteHost,
     K: int,
 ) -> Embedding:
     """Injective placement of V2 into X by exact search, seeded by ``rng``.
 
-    ``link`` is a link of ``host``.  Each V2 vertex may go to the common
-    link-neighbourhood of the images of its V1 neighbours; ``rng`` shuffles
-    the order in which its candidates are tried.  The placement must be
-    injective and make the image of every special cycle admissible: a
-    constraint between the images of its pair-vertex u and face-vertex w,
-    decided as ``host.disk_mask(...).bit_count() > K``.  That count is the
-    size of the AND of the two images' column center sets, so each arc is
-    first settled by the two column sizes (``links.open_partners``, with u's
+    Each V2 vertex may go to the common link-neighbourhood of the images of
+    its V1 neighbours; ``rng`` shuffles the order in which its candidates
+    are tried.  The placement must be injective and make the image of every
+    special cycle admissible: a constraint between the images of its
+    pair-vertex u and face-vertex w, decided as
+    ``link.host.disk_mask(...).bit_count() > K``.  That count is the size of
+    the AND of the two images' column center sets, so each arc is first
+    settled by the two column sizes (``links.open_partners``, with u's
     candidates ranked once by column size), and ANDed only where the sizes
     leave it open.  One bipartite matching (augmenting paths) first checks
     Hall's condition on the candidates.  Then candidates with no compatible
@@ -347,7 +346,7 @@ def embed_v2(
     # column size, and a row takes the partners that open_partners settles
     # as admissible as one suffix of that ranking, ANDing only the partners
     # it leaves open.
-    n_z = host.n_z
+    disk_mask, n_z = link.host.disk_mask, link.host.n_z
     columns: dict[int, dict[int, int]] = {}
     compat: dict[int, dict[int, int]] = {}
     ranks: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
@@ -355,7 +354,7 @@ def embed_v2(
     for sc in aux.special_cycles:
         if sc.u not in ranks:
             ya, yb = v1_map[sc.a], v1_map[sc.b]
-            col = columns[sc.u] = {x: host.disk_mask(x, x, ya, yb) for x in bits(dom[sc.u])}
+            col = columns[sc.u] = {x: disk_mask(x, x, ya, yb) for x in bits(dom[sc.u])}
             xs = sorted(col, key=lambda x: col[x].bit_count())
             cols, xbits = [col[x] for x in xs], [1 << x for x in xs]
             # suffix[i]: the candidates ranked i and on
@@ -591,7 +590,7 @@ def find_homeomorph(
     v1_map = {v: core[i] for i, v in enumerate(aux.v1)}
 
     rng = random.Random(derive_seed(cfg.rng_seed))
-    emb = embed_v2(aux, v1_map, choice.link, cfg, rng, host=host, K=K)
+    emb = embed_v2(aux, v1_map, choice.link, cfg, rng, K=K)
     cert = _assemble_certificate(target, aux, emb)
     assert_valid_embedding(cert, host)
     return cert

@@ -8,10 +8,9 @@ of four of its entries, looked up by flat index ``x * n_y + y``.  The
 z-scan visits only the z on some face, the set bits of
 ``TripartiteHost.occupied``, and reads e(L_z) for each off the host
 (``TripartiteHost.link_size``); it builds a ``LinkGraph`` only for a z
-that passes the density condition (``HostIndex.link``), from the Y side
-the host keeps for it (``TripartiteHost.link_y``).  Every fact of the
-table lives on the host, so a second search of the same host cuts no
-column and builds no link side again.
+that passes the density condition (``HostIndex.link``).  A link graph is
+its host and z, and reads its Y side and e(L_z) off the host, so a second
+search of the same host cuts no column and builds no link side again.
 
 ``count_forbidden`` is the one walk over a link's 4-cycles that the search
 makes: it counts the forbidden cycles through each Y-pair it is given, and
@@ -40,7 +39,6 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, compress
 from math import ceil
 
@@ -54,50 +52,53 @@ _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 @dataclass(frozen=True)
 class LinkGraph:
-    """The bipartite X-Y graph of faces through a fixed z, as neighbour masks.
+    """L_z of ``host``: the bipartite X-Y graph of the faces through z.
 
-    ``y_masks[y]`` is the bitmask over X of the neighbours of y, the side
-    ``TripartiteHost.link_y`` builds from the host's table; edge xy is present
-    when ``y_masks[y] >> x & 1``.  ``gamma(x)``, the bitmask over Y of the
-    neighbours of x, is read off the Y side for one x, and ``x_masks``, all
-    of them, is worked out when first read.
+    A link is its host and z, and reads its Y side (``TripartiteHost.link_y``,
+    built when the link is made) and e(L_z) off the host.  ``y_masks[y]`` is
+    the bitmask over X of the neighbours of y, and ``gamma(x)`` the bitmask
+    over Y of the neighbours of x.
     """
 
+    host: TripartiteHost
     z: int
-    n_x: int
-    y_masks: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        self.host.link_y(self.z)  # a z outside [0, n_z) raises IndexError
+
+    @property
+    def y_masks(self) -> tuple[int, ...]:
+        return self.host.link_y(self.z)
+
+    @property
+    def n_x(self) -> int:
+        return self.host.n_x
 
     @property
     def n_y(self) -> int:
-        return len(self.y_masks)
+        return self.host.n_y
 
-    @cached_property
+    @property
     def e(self) -> int:
-        return sum(map(int.bit_count, self.y_masks))
+        return self.host.link_size(self.z)
 
     def gamma(self, x: int) -> int:
         """Gamma(x), the bitmask over Y of the neighbours of x."""
         return sum(1 << y for y, m in enumerate(self.y_masks) if m >> x & 1)
 
-    @cached_property
-    def x_masks(self) -> tuple[int, ...]:
-        """``x_masks[x]`` is Gamma(x): the transpose of ``y_masks``."""
-        return tuple(map(self.gamma, range(self.n_x)))
-
 
 class HostIndex:
     """The links of a host, as a run's stages read them.
 
-    It holds ``host`` alone, and ``link(z)`` wraps the Y side of L_z that
-    the host builds and keeps (``TripartiteHost.link_y``), so every index
-    of one host shares it.
+    It holds ``host`` alone, and ``link(z)`` is ``LinkGraph(host, z)``, so
+    every index of one host shares the Y sides the host keeps.
     """
 
     def __init__(self, host: TripartiteHost):
         self.host = host
 
     def link(self, z: int) -> LinkGraph:
-        return LinkGraph(z, self.host.n_x, self.host.link_y(z))
+        return LinkGraph(self.host, z)
 
 
 def open_partners(c: int, sizes: Sequence[int], K: int, n_z: int, end: int) -> tuple[int, int]:
@@ -125,11 +126,10 @@ def open_partners(c: int, sizes: Sequence[int], K: int, n_z: int, end: int) -> t
 def count_forbidden(
     link: LinkGraph,
     K: int,
-    host: TripartiteHost,
     pairs: Iterable[tuple[int, int]] | None = None,
 ) -> tuple[int, dict[tuple[int, int], int]]:
-    """The forbidden-cycle count of each Y-pair in ``pairs`` of ``link``, a
-    link of ``host``, in one walk.
+    """The forbidden-cycle count of each Y-pair in ``pairs`` of ``link``, in
+    one walk.
 
     ``pairs`` holds Y-pairs (y1, y2) with y1 < y2; by default it is every
     pair of the link, and ``total`` is then B_z.  Returns
@@ -154,12 +154,12 @@ def count_forbidden(
     when that is above K, no cycle through the pair is forbidden.  f(y) is
     worked out once, for the first pair through y that reaches this test.
     """
-    zb, ny, nz = host.zmasks, host.n_y, host.n_z
+    zb, ny, nz = link.host.zmasks, link.host.n_y, link.host.n_z
     ymasks = link.y_masks
     if pairs is None:
-        pairs = combinations([y for y in range(link.n_y) if ymasks[y]], 2)
+        pairs = combinations([y for y in range(ny) if ymasks[y]], 2)
     # f(y) once worked out, else 0: an entry of the link holds z, so f(y) >= 1
-    least = [0] * link.n_y
+    least = [0] * ny
 
     def f(y: int) -> int:
         least[y] = min([zb[x * ny + y].bit_count() for x in bits(ymasks[y])])
@@ -232,19 +232,18 @@ class LinkChoice:
 def pick_link_vertex(
     host: TripartiteHost, cfg: Config, K: int, index: HostIndex
 ) -> LinkChoice:
-    """First z (in index order) whose link is dense with few forbidden cycles,
-    with the verdict of every Y-pair of that link.
+    """First z on some face, taking the set bits of ``host.occupied`` in
+    ascending order, whose link is dense with few forbidden cycles, with the
+    verdict of every Y-pair of that link.
 
     Derandomizes the expectation argument over a random z by exhaustive scan:
     conditions are e(L_z) >= (C/2) n**(2-delta) and
-    B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  Only the z
-    of some face are scanned: they are the set bits of ``host.occupied``,
-    in ascending order.  Each condition is one exact integer cutoff (see
-    ``exact``): the first is worked out once and read against
-    ``host.link_size``, so a link graph is built (``index.link``) only for
-    a z that passes it; the second once per such z.  A cutoff (1) above
-    n_x n_y, the most edges a link can have, refuses before any e(L_z) is
-    counted.
+    B_z <= (2K/C) n**(1+delta) e(L_z), with n = max class size.  Each
+    condition is one exact integer cutoff (see ``exact``): the first is
+    worked out once and read against ``host.link_size``, so a link graph is
+    built (``index.link``) only for a z that passes it; the second once per
+    such z.  A cutoff (1) above n_x n_y, the most edges a link can have,
+    refuses before any e(L_z) is counted.
 
     A Y-pair of common degree d carries at most C(d, 2) forbidden cycles,
     so B_z <= T_z, the sum of C(d, 2) over the Y-pairs (the link's 4-cycle
@@ -296,12 +295,13 @@ def pick_link_vertex(
         walked = None  # every pair
         if settled:
             opens = [good(d, 0) and not good(d, cycles[d]) for d in range(top + 1)]
+            n_y = link.n_y
             walked = [
                 (y1, y2)
                 for y1, row in enumerate(rows)
-                for y2 in compress(range(y1 + 1, link.n_y), map(opens.__getitem__, row))
+                for y2 in compress(range(y1 + 1, n_y), map(opens.__getitem__, row))
             ] if any(opens) else []
-        b_z, by_pair = count_forbidden(link, K, host, walked)
+        b_z, by_pair = count_forbidden(link, K, walked)
         if not settled and b_z > b_max:
             best_diag.append((z, e_l, b_z))
             continue

@@ -67,7 +67,7 @@ def iter_link_cycles(link: LinkGraph):
     Each cycle is yielded once, as the tuple ``(x1, x2, y1, y2)`` with
     x1 < x2 and y1 < y2.
     """
-    masks = link.x_masks
+    masks = [link.gamma(x) for x in range(link.n_x)]
     xs = [x for x in range(link.n_x) if masks[x]]
     for i, x1 in enumerate(xs):
         m1 = masks[x1]

@@ -117,7 +117,7 @@ def test_criterion_3_oracle_equivalence(capfd):
             link = index.link(z)
             by_pair = {}
             for x1, x2 in itertools.combinations(range(n), 2):
-                common = link.x_masks[x1] & link.x_masks[x2]
+                common = link.gamma(x1) & link.gamma(x2)
                 for y1, y2 in itertools.combinations(range(n), 2):
                     if common >> y1 & common >> y2 & 1:
                         d = count_disks(host, (x1, x2, y1, y2))
@@ -125,7 +125,7 @@ def test_criterion_3_oracle_equivalence(capfd):
                             mismatches += 1
                         if d <= K:
                             by_pair[(y1, y2)] = by_pair.get((y1, y2), 0) + 1
-            if count_forbidden(link, K, host) != (sum(by_pair.values()), by_pair):
+            if count_forbidden(link, K) != (sum(by_pair.values()), by_pair):
                 mismatches += 1
 
     clique_disagreements = 0

@@ -65,8 +65,8 @@ def complete_link(n_x, n_y):
 
 
 def only_link(link, target):
-    """The host whose 1 + 3 e(H) Z-vertices all have ``link`` as their
-    link.
+    """L_0 of the host whose 1 + 3 e(H) Z-vertices all have ``link`` as
+    their link.
 
     With K = 0, every special cycle placed inside the link bounds 1 + 3 e(H)
     4-disks and is admissible, and the 3 e(H) of them other than z = 0 give
@@ -74,11 +74,9 @@ def only_link(link, target):
     """
     n_z = 1 + 3 * target.e
     faces = frozenset(
-        (x, y, z)
-        for x, m in enumerate(link.x_masks) for y in range(link.n_y) if m >> y & 1
-        for z in range(n_z)
+        (x, y, z) for y, m in enumerate(link.y_masks) for x in bits(m) for z in range(n_z)
     )
-    return TripartiteHost((link.n_x, link.n_y, n_z), faces)
+    return HostIndex(TripartiteHost((link.n_x, link.n_y, n_z), faces)).link(0)
 
 
 class TestClassifyPairsTriples:
@@ -98,7 +96,7 @@ class TestClassifyPairsTriples:
             # deg >= n^(1-2eps) = n q^2 and forb <= (K/C) n^(1-3eps) deg, C = 2
             return deg >= n * q ** 2 and forb <= K * n * q ** 3 * deg / 2
 
-        xm = link.x_masks
+        xm = [link.gamma(x) for x in range(link.n_x)]
         decided_by_count = 0
         for ps in pairs:
             y1, y2 = ps.pair
@@ -139,7 +137,7 @@ class TestClassifyPairsTriples:
         index = HostIndex(host)
         choice = pick_link_vertex(host, Config(C=4, delta=1), K, index)
         assert choice.q == Fraction(1, 2)
-        assert count_forbidden(choice.link, K, host) == (
+        assert count_forbidden(choice.link, K) == (
             15 * 15, dict.fromkeys(itertools.combinations(range(n), 2), 15)
         )
         full = (1 << n) - 1
@@ -237,12 +235,12 @@ class TestSelectCoreSet:
         q = Fraction(7, 12)
         # the verdicts of the pair test on a whole-link walk, at a q set by hand
         bad_pair_masks = pair_verdicts(
-            link, good_pair_rule(2, cfg.C, n, q), count_forbidden(link, 2, host)[1]
+            link, good_pair_rule(2, cfg.C, n, q), count_forbidden(link, 2)[1]
         )
         x, yprime = select_core_set(link, bad_pair_masks, cfg, n, q)
 
         # recompute everything independently
-        xm = link.x_masks
+        xm = [link.gamma(x) for x in range(link.n_x)]
         gamma = [y for y in range(n) if xm[x] >> y & 1]
         assert sorted(yprime) == gamma
         s = len(gamma)
@@ -317,7 +315,7 @@ class TestSelectCoreSet:
         seen = {"decided by T_x": 0, "no x": 0, "found at x > 0": 0}
         for seed in range(30):
             link, bad_pairs = hub_link(random.Random(seed))
-            rows = [{y for y in range(n) if link.x_masks[x] >> y & 1} for x in range(n_x)]
+            rows = [{y for y in range(n) if link.gamma(x) >> y & 1} for x in range(n_x)]
             bad_triples = {
                 tr for tr in itertools.combinations(range(n), 3)
                 if sum(1 for r in rows if r.issuperset(tr)) < n * q ** 3
@@ -372,7 +370,7 @@ def ywide_core_set(link, bad_pairs, cfg, n, q):
 
     C, nq = cfg.C, n * q
     for x in range(link.n_x):
-        gmask = link.x_masks[x]
+        gmask = link.gamma(x)
         s = gmask.bit_count()
         ys = bits(gmask)
         p_x = sum((bad_pairs[y] & gmask).bit_count() for y in ys) // 2
@@ -667,7 +665,7 @@ def _random_problem(seed):
     bad_pairs = {
         pr for pr in itertools.combinations(range(n_y), 2) if rng.random() < 0.3
     }
-    rows = [{y for y in range(n_y) if link.x_masks[x] >> y & 1} for x in range(n_x)]
+    rows = [{y for y in range(n_y) if link.gamma(x) >> y & 1} for x in range(n_x)]
     bad_triples = {
         tr for tr in itertools.combinations(range(n_y), 3)
         if sum(1 for r in rows if r.issuperset(tr)) < math.ceil(n * q ** 3)
@@ -709,32 +707,23 @@ class TestEmbedV2:
         target = ThreeGraph(3, frozenset())
         aux = build_aux_graph(target)
         # no V2 at all: trivially succeeds
-        link = complete_link(4, 4)
-        out = embed_v2(
-            aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
-            host=only_link(link, target), K=0,
-        )
+        link = only_link(complete_link(4, 4), target)
+        out = embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0), K=0)
         assert out.v2_map == out.center_map == {}
 
     def test_injective_on_complete_link(self):
         aux = build_aux_graph(TRIANGLE)
-        link = complete_link(20, 3)
+        link = only_link(complete_link(20, 3), TRIANGLE)
         v1_map = {0: 0, 1: 1, 2: 2}
-        out = embed_v2(
-            aux, v1_map, link, Config(rng_seed=1), random.Random(1),
-            host=only_link(link, TRIANGLE), K=0,
-        )
+        out = embed_v2(aux, v1_map, link, Config(rng_seed=1), random.Random(1), K=0)
         assert sorted(out.v2_map) == sorted(aux.v2)
         assert len(set(out.v2_map.values())) == len(out.v2_map)
 
     def test_empty_candidate_set(self):
         aux = build_aux_graph(TRIANGLE)
-        link = link_of(2, 3, {(0, 0), (0, 1)})
+        link = only_link(link_of(2, 3, {(0, 0), (0, 1)}), TRIANGLE)
         with pytest.raises(RetriesExhausted, match="no injective placement"):
-            embed_v2(
-                aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0),
-                host=only_link(link, TRIANGLE), K=0,
-            )
+            embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0), K=0)
 
     def test_collision_rate_below_half_at_scale(self):
         # K4 has |V2| = 10 on a 100-wide link.  x is joined to every y except
@@ -742,28 +731,26 @@ class TestEmbedV2:
         # Every seed must give a collision-free placement inside the common
         # neighbourhoods, and the seeds must not all give the same one.
         aux = build_aux_graph(K4)
-        link = link_of(100, 4, [(x, y) for x in range(100) for y in range(4) if x % 5 != y])
+        link = only_link(
+            link_of(100, 4, [(x, y) for x in range(100) for y in range(4) if x % 5 != y]), K4
+        )
         v1_map = {i: i for i in range(4)}
-        host = only_link(link, K4)
         placements = set()
         for seed in range(400):
-            out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), host=host, K=0)
+            out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), K=0)
             assert sorted(out.v2_map) == sorted(aux.v2)
             assert len(set(out.v2_map.values())) == len(out.v2_map)
             for u, x in out.v2_map.items():
-                assert all(link.x_masks[x] >> v1_map[a] & 1 for a in aux.neighbors_of_v2(u))
+                assert all(link.gamma(x) >> v1_map[a] & 1 for a in aux.neighbors_of_v2(u))
             placements.add(tuple(sorted(out.v2_map.items())))
         assert len(placements) > 1
 
     def test_retries_exhausted_when_injectivity_impossible(self):
         # |V2| = 4 but only 2 X-vertices available
         aux = build_aux_graph(TRIANGLE)
-        link = complete_link(2, 3)
+        link = only_link(complete_link(2, 3), TRIANGLE)
         with pytest.raises(RetriesExhausted, match="no injective placement"):
-            embed_v2(
-                aux, {0: 0, 1: 1, 2: 2}, link, Config(retry_limit=8), random.Random(0),
-                host=only_link(link, TRIANGLE), K=0,
-            )
+            embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(retry_limit=8), random.Random(0), K=0)
 
     def test_permutation_on_exactly_wide_link(self):
         # torus7 has |V2| = 21 + 14 = 35; on a 35-wide complete link every
@@ -772,10 +759,8 @@ class TestEmbedV2:
         torus7 = load_target("builtin:torus7")
         aux = build_aux_graph(torus7)
         v1_map = {v: v for v in aux.v1}
-        link = complete_link(35, 7)
-        out = embed_v2(
-            aux, v1_map, link, Config(), random.Random(0), host=only_link(link, torus7), K=0
-        )
+        link = only_link(complete_link(35, 7), torus7)
+        out = embed_v2(aux, v1_map, link, Config(), random.Random(0), K=0)
         assert sorted(out.v2_map) == sorted(aux.v2)
         assert sorted(out.v2_map.values()) == list(range(35))
         # the same with admissibility enforced: 43 centers per cycle > K = 42
@@ -784,16 +769,15 @@ class TestEmbedV2:
             frozenset(itertools.product(range(35), range(7), range(43))),
         )
         index = HostIndex(host)
-        out = embed_v2(
-            aux, v1_map, index.link(0), Config(), random.Random(0), host=host, K=42
-        )
+        out = embed_v2(aux, v1_map, index.link(0), Config(), random.Random(0), K=42)
         assert sorted(out.v2_map.values()) == list(range(35))
         assert sorted(out.center_map.values()) == list(range(1, 43))
 
     @staticmethod
-    def _clashing_host():
-        # Triangle on Y = {0, 1, 2}, complete link on 5 X-vertices, K = 0.
-        # One center per admissible {x, x'} and Y-pair (a disk on
+    def _clashing_link():
+        # Triangle on Y = {0, 1, 2} in the complete link of z = 6 on 5
+        # X-vertices, K = 1.  z = 6 bounds a disk on every cycle, so a cycle
+        # is admissible when one more center bounds one (a disk on
         # x, x', ya, yb): pairs 01 and 12 admit {0, 2} and {1, 3}, pair 02
         # admits {0, 4} and {1, 4}.  So u02 sits on 4, w on 0 or 1, and then
         # u01 and u12 both need 2 (w on 0) or both need 3 (w on 1).  Every
@@ -803,20 +787,18 @@ class TestEmbedV2:
             ((0, 1), (0, 2)), ((0, 1), (1, 3)),
             ((1, 2), (0, 2)), ((1, 2), (1, 3)),
             ((0, 2), (0, 4)), ((0, 2), (1, 4)),
+            ((0, 1, 2), range(5)),
         ]
         faces = frozenset(
             (x, y, z) for z, (ys, xs) in enumerate(disks) for x in xs for y in ys
         )
-        return TripartiteHost((5, 3, len(disks)), faces)
+        return HostIndex(TripartiteHost((5, 3, len(disks)), faces)).link(6)
 
     def test_no_admissible_placement_is_proved(self):
         aux = build_aux_graph(TRIANGLE)
-        host = self._clashing_host()
+        link = self._clashing_link()
         with pytest.raises(RetriesExhausted, match="no admissible placement: exhaustive"):
-            embed_v2(
-                aux, {0: 0, 1: 1, 2: 2}, complete_link(5, 3), Config(),
-                random.Random(0), host=host, K=0,
-            )
+            embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(), random.Random(0), K=1)
 
     def test_no_distinct_centers_is_proved(self):
         # In a complete host with n_Z = 3 every placement is admissible at
@@ -830,8 +812,7 @@ class TestEmbedV2:
             index = HostIndex(host)
             try:
                 out = embed_v2(
-                    aux, {0: 0, 1: 1, 2: 2}, index.link(0), Config(), random.Random(0),
-                    host=host, K=0,
+                    aux, {0: 0, 1: 1, 2: 2}, index.link(0), Config(), random.Random(0), K=0
                 )
             except RetriesExhausted as exc:
                 assert not found
@@ -841,12 +822,9 @@ class TestEmbedV2:
 
     def test_budget_reason_when_search_is_cut(self):
         aux = build_aux_graph(TRIANGLE)
-        host = self._clashing_host()
+        link = self._clashing_link()
         with pytest.raises(RetriesExhausted, match="budget of 1 nodes"):
-            embed_v2(
-                aux, {0: 0, 1: 1, 2: 2}, complete_link(5, 3), Config(retry_limit=1),
-                random.Random(0), host=host, K=0,
-            )
+            embed_v2(aux, {0: 0, 1: 1, 2: 2}, link, Config(retry_limit=1), random.Random(0), K=1)
 
     def test_search_matches_brute_force(self):
         # exact in both directions on these hosts: a placement is returned
@@ -886,7 +864,7 @@ class TestEmbedV2:
                 )
 
             cands = [
-                [x for x in range(n_x) if all(link.x_masks[x] >> y & 1 for y in aux.neighbors_of_v2(u))]
+                [x for x in range(n_x) if all(link.gamma(x) >> y & 1 for y in aux.neighbors_of_v2(u))]
                 for u in aux.v2
             ]
 
@@ -904,7 +882,7 @@ class TestEmbedV2:
 
             want = exists(0, {})
             try:
-                out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), host=host, K=K)
+                out = embed_v2(aux, v1_map, link, Config(), random.Random(seed), K=K)
             except RetriesExhausted as exc:
                 assert "budget" not in str(exc)
                 assert not want, seed
@@ -940,9 +918,7 @@ class TestEmbedV2:
         found = []
         for seed in range(20):
             try:
-                out = embed_v2(
-                    aux, v1_map, index.link(0), Config(), random.Random(seed), host=host, K=K
-                )
+                out = embed_v2(aux, v1_map, index.link(0), Config(), random.Random(seed), K=K)
             except RetriesExhausted:
                 continue
             cert = embed._assemble_certificate(target, aux, out)
@@ -970,9 +946,7 @@ class TestEmbedV2:
         monkeypatch.setattr(embed, "assign_centers", recorded)
         for seed in (5, 7, 10, 16):
             answers.clear()
-            out = embed_v2(
-                aux, v1_map, index.link(0), Config(), random.Random(seed), host=host, K=K
-            )
+            out = embed_v2(aux, v1_map, index.link(0), Config(), random.Random(seed), K=K)
             assert answers == [None, out.center_map], seed
             cert = embed._assemble_certificate(target, aux, out)
             assert verify_certificate(cert, host).passed, seed
@@ -1004,8 +978,7 @@ class TestEmbedV2:
             index = HostIndex(host)
             try:
                 out = embed_v2(
-                    aux, {v: v for v in aux.v1}, index.link(0), cfg, random.Random(case),
-                    host=host, K=K,
+                    aux, {v: v for v in aux.v1}, index.link(0), cfg, random.Random(case), K=K,
                 )
             except RetriesExhausted as exc:
                 record.append(str(exc))

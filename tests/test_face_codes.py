@@ -101,7 +101,7 @@ class TestNonCubicEncoding:
         for z in range(host.n_z):
             link = index.link(z)
             edges = {(x, y) for x, y, zz in faces if zz == z}
-            assert link.x_masks == tuple(
+            assert tuple(map(link.gamma, range(host.n_x))) == tuple(
                 sum(1 << y for y in range(host.n_y) if (x, y) in edges) for x in range(host.n_x)
             )
             assert link.y_masks == tuple(
@@ -160,7 +160,8 @@ def test_link_sizes_match_brute_force(sizes, p):
 def test_link_sizes_and_links_across_byte_columns():
     """Faces only at z in {7, 8, 64, 1000}, the last and first bits of
     byte columns, with n_z = 10**12: e(L_z) and the link of every z up to
-    one byte past the highest match brute force, and z beyond are empty."""
+    one byte past the highest match brute force, and z beyond are empty.
+    A link's e(L_z) is the host's, the popcount of its Y side."""
     rng = random.Random(11)
     sizes = (6, 5, 10 ** 12)
     faces = [
@@ -176,7 +177,8 @@ def test_link_sizes_and_links_across_byte_columns():
         edges = {(x, y) for x, y, zz in faces if zz == z}
         assert host.link_size(z) == len(edges), z
         link = index.link(z)
-        assert link.x_masks == tuple(
+        assert link.e == host.link_size(z) == sum(map(int.bit_count, host.link_y(z))), z
+        assert tuple(map(link.gamma, range(6))) == tuple(
             sum(1 << y for y in range(5) if (x, y) in edges) for x in range(6)
         ), z
         assert link.y_masks == tuple(
@@ -262,10 +264,10 @@ class TestHostCaches:
         index = HostIndex(host)
         for z in range(host.n_z):
             link = index.link(z)
-            assert len(link.x_masks) == link.n_x == host.n_x
+            assert link.n_x == host.n_x
             assert all(
-                (link.x_masks[x] >> y & 1) == (link.y_masks[y] >> x & 1)
+                (link.gamma(x) >> y & 1) == (link.y_masks[y] >> x & 1)
                 for x in range(host.n_x)
                 for y in range(host.n_y)
             )
-            assert link.e == sum(map(int.bit_count, link.x_masks))
+            assert link.e == sum(link.gamma(x).bit_count() for x in range(host.n_x))

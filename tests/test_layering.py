@@ -32,14 +32,20 @@ The host owns its table's facts: no package module but ``core`` names the
 byte columns, their bit table or the cache of link Y sides, and
 ``links.HostIndex`` defines ``__init__`` and ``link`` alone, reading link
 sides off the host rather than working out facts of its own.
+
+A link is its host and z: ``LinkGraph``'s fields are ``host`` and ``z``
+alone, and no function takes both a link and a host, so no caller can pass
+a link with a host it is not a link of.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import homeofind
+from homeofind.links import LinkGraph
 
 SRC = Path(homeofind.__file__).resolve().parent
 
@@ -434,3 +440,51 @@ def test_host_table_scans_find_every_form(tmp_path):
         "cache", "__init__", "link", "link_size", "size", "alias", "other", "Nested",
     ]
     assert class_members(src, "LinkGraph") == []
+
+
+def test_link_graph_is_its_host_and_z():
+    assert [f.name for f in dataclasses.fields(LinkGraph)] == ["host", "z"]
+
+
+def annotated_as(node: ast.expr | None) -> str | None:
+    """The name an annotation writes, as a name or as a string, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.strip()
+    return None
+
+
+def link_and_host_takers(path: Path) -> list[str]:
+    """The functions and methods of the file with a positional or
+    keyword-only parameter annotated ``LinkGraph`` and one annotated
+    ``TripartiteHost``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            kinds = {annotated_as(p.annotation) for p in a.posonlyargs + a.args + a.kwonlyargs}
+            if {"LinkGraph", "TripartiteHost"} <= kinds:
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_function_takes_a_link_and_a_host(module):
+    # the link's host is link.host
+    assert link_and_host_takers(SRC / f"{module}.py") == []
+
+
+def test_link_and_host_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def a(link: LinkGraph, K: int, host: TripartiteHost): pass\n"
+        "def b(link: LinkGraph, /, *, host: 'TripartiteHost'): pass\n"
+        "class C:\n"
+        "    def c(self, h: TripartiteHost, *args: int, link: ' LinkGraph ' = None): pass\n"
+        "async def d(host: 'TripartiteHost', link: 'LinkGraph', **kw: int): pass\n"
+        "def e(link: LinkGraph, host): pass\n"
+        "def f(host: TripartiteHost, links: list[LinkGraph]) -> LinkGraph: pass\n"
+        "def g(link: LinkGraph, *hosts: TripartiteHost, **kw: TripartiteHost): pass\n"
+    )
+    assert link_and_host_takers(src) == ["a", "b", "d", "c"]

@@ -16,6 +16,7 @@ from homeofind.harness import gen_random_host
 from homeofind.io import load_target
 from homeofind.links import (
     HostIndex,
+    LinkGraph,
     count_forbidden,
     good_pair_rule,
     open_partners,
@@ -52,7 +53,7 @@ def brute_force_cycles(host, z):
 class TestLinkGraph:
     def test_complete_two_by_two(self):
         link = HostIndex(SMALL).link(0)
-        assert link.x_masks == link.y_masks == (0b11, 0b11)
+        assert (link.gamma(0), link.gamma(1)) == link.y_masks == (0b11, 0b11)
         assert link.e == 4
 
     def test_empty_link(self):
@@ -61,6 +62,8 @@ class TestLinkGraph:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             HostIndex(SMALL).link(2)
+        with pytest.raises(IndexError):
+            LinkGraph(SMALL, 2)
 
     def test_matches_face_filter(self):
         rng = random.Random(11)
@@ -70,7 +73,7 @@ class TestLinkGraph:
             link = index.link(z)
             expected = {(x, y) for (x, y, zz) in host_faces(host) if zz == z}
             assert {
-                (x, y) for x, m in enumerate(link.x_masks) for y in range(host.n_y) if m >> y & 1
+                (x, y) for x in range(host.n_x) for y in range(host.n_y) if link.gamma(x) >> y & 1
             } == expected
 
 
@@ -112,14 +115,14 @@ class TestClassifyCycles:
         cycles = brute_force_cycles(host, 0)
         assert cycles and set(cycles.values()) == {d}
         # disk count == K: forbidden; disk count > K - 1: admissible
-        assert count_forbidden(link, d, host) == (len(cycles), forbidden_by_pair(cycles, d))
-        assert count_forbidden(link, d - 1, host) == (0, {})
+        assert count_forbidden(link, d) == (len(cycles), forbidden_by_pair(cycles, d))
+        assert count_forbidden(link, d - 1) == (0, {})
 
     def test_no_cycles(self):
         host = TripartiteHost((2, 2, 1), frozenset({(0, 0, 0), (1, 1, 0)}))
         index = HostIndex(host)
         assert brute_force_cycles(host, 0) == {}
-        assert count_forbidden(index.link(0), 1, host) == (0, {})
+        assert count_forbidden(index.link(0), 1) == (0, {})
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_brute_force(self, seed):
@@ -134,7 +137,7 @@ class TestClassifyCycles:
             # at K = n_Z every cycle of the link is forbidden
             for K in (2, host.n_z):
                 by_pair = forbidden_by_pair(expected, K)
-                assert count_forbidden(link, K, host) == (sum(by_pair.values()), by_pair)
+                assert count_forbidden(link, K) == (sum(by_pair.values()), by_pair)
 
     def test_monotone_in_k(self):
         rng = random.Random(9)
@@ -144,9 +147,9 @@ class TestClassifyCycles:
         cycles = brute_force_cycles(host, 0)
         for k in range(1, 6):
             want = forbidden_by_pair(cycles, k)
-            lo, lo_pairs = count_forbidden(link, k, host)
+            lo, lo_pairs = count_forbidden(link, k)
             assert (lo, lo_pairs) == (sum(want.values()), want)
-            hi, hi_pairs = count_forbidden(link, k + 1, host)
+            hi, hi_pairs = count_forbidden(link, k + 1)
             # raising K never creates admissible cycles
             assert lo <= hi
             assert all(n <= hi_pairs.get(pair, 0) for pair, n in lo_pairs.items())
@@ -212,7 +215,7 @@ class TestCountForbidden:
         for K in (0, 1, 2, 4, host.n_z, host.n_z + 2):
             for z in range(host.n_z):
                 link = index.link(z)
-                total, by_pair = count_forbidden(link, K, host)
+                total, by_pair = count_forbidden(link, K)
                 want = brute_force_forbidden(host, link, K)
                 assert by_pair == want
                 assert total == sum(want.values())
@@ -222,7 +225,7 @@ class TestCountForbidden:
     def test_empty_link(self):
         host = TripartiteHost((3, 3, 3), frozenset({(0, 0, 1)}))
         index = HostIndex(host)
-        assert count_forbidden(index.link(0), 2, host) == (0, {})
+        assert count_forbidden(index.link(0), 2) == (0, {})
 
     def test_single_column_links(self):
         # every face on y = 0 (or on x = 0): the links have no 4-cycles
@@ -233,7 +236,7 @@ class TestCountForbidden:
             host = TripartiteHost((4, 4, 3), frozenset(faces))
             index = HostIndex(host)
             for K in (0, 5):
-                assert count_forbidden(index.link(0), K, host) == (0, {})
+                assert count_forbidden(index.link(0), K) == (0, {})
 
     def test_size_bound_is_strict(self):
         # n_Z = 4, K = 2.  The one cycle x0 x1 / y0 y1 of L_0 has column
@@ -247,8 +250,8 @@ class TestCountForbidden:
         host = TripartiteHost((2, 2, 4), faces)
         index = HostIndex(host)
         assert count_disks(host, (0, 1, 0, 1)) == 2
-        assert count_forbidden(index.link(0), 2, host) == (1, {(0, 1): 1})
-        assert count_forbidden(index.link(0), 1, host) == (0, {})
+        assert count_forbidden(index.link(0), 2) == (1, {(0, 1): 1})
+        assert count_forbidden(index.link(0), 1) == (0, {})
 
     def test_pair_floor_is_strict(self):
         # n_Z = 5.  Every entry of the one cycle x0 x1 / y0 y1 of L_0 has 4
@@ -262,8 +265,8 @@ class TestCountForbidden:
         host = TripartiteHost((2, 2, 5), faces)
         index = HostIndex(host)
         assert count_disks(host, (0, 1, 0, 1)) == 1
-        assert count_forbidden(index.link(0), 1, host) == (1, {(0, 1): 1})
-        assert count_forbidden(index.link(0), 0, host) == (0, {})
+        assert count_forbidden(index.link(0), 1) == (1, {(0, 1): 1})
+        assert count_forbidden(index.link(0), 0) == (0, {})
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_on_dense_hosts(self, seed):
@@ -284,7 +287,7 @@ class TestCountForbidden:
             f = {y: min(size[x, y] for x in range(n) if ym[y] >> x & 1) for y in range(n) if ym[y]}
             for K in (0, 1, 3, host.n_z - 1):
                 want = forbidden_by_pair(disks, K)
-                assert count_forbidden(link, K, host) == (sum(want.values()), want)
+                assert count_forbidden(link, K) == (sum(want.values()), want)
                 for y1, y2 in itertools.combinations(sorted(f), 2):
                     if (ym[y1] & ym[y2]).bit_count() < 2:
                         continue
@@ -305,7 +308,7 @@ class TestCountForbidden:
             cfg = Config(C=C)
             choice = pick_link_vertex(host, cfg, K=K, index=index)
             link, q = choice.link, choice.q
-            b_z, full = count_forbidden(link, K, host)
+            b_z, full = count_forbidden(link, K)
             assert choice.forbidden_exact == exact
             want = full_walk_verdicts(link, K, cfg.C, 10, q, full)
             assert choice.bad_pairs == want
@@ -369,7 +372,7 @@ def full_walk_verdicts(link, K, C, n, q, full):
 
 def cycle_count(link):
     """T_z, the number of 4-cycles of the link, counted over X-pairs."""
-    xm = link.x_masks
+    xm = [link.gamma(x) for x in range(link.n_x)]
     return sum(
         comb((a & b).bit_count(), 2) for a, b in itertools.combinations(xm, 2)
     )
@@ -387,7 +390,7 @@ def full_walk_scan(host, cfg, K, index, walks):
         if e_l < e_min:
             continue
         if z not in walks:
-            walks[z] = count_forbidden(index.link(z), K, host)
+            walks[z] = count_forbidden(index.link(z), K)
         if walks[z][0] <= floor_pow(2 * K * e_l / cfg.C, n, 1 + cfg.delta):
             return z, failed
         failed += 1
@@ -468,7 +471,7 @@ class TestSameDecisions:
             for choice in check_full_walk_decisions(host, seen):
                 link = choice.link
                 seen["n_x < n_y" if n_x < n_y else "n_x > n_y"] += 1
-                assert link.x_masks == tuple(
+                assert tuple(map(link.gamma, range(n_x))) == tuple(
                     sum(1 << y for y in range(n_y) if host.has(x, y, link.z)) for x in range(n_x)
                 )
                 if lonely is not None:
