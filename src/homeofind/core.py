@@ -21,12 +21,14 @@ table is sparse (an (x, y) with no face has no entry), so it holds one int
 per occupied (x, y) and nothing per face or per header-sized class.  Facts
 of the table live on the host and are worked out here alone, each kept
 once first read: ``e``, ``occupied`` (the OR of its masks), its byte
-columns (``byte_columns``) and the Y side of each link L_z built from them
-(``link_y``, kept in ``link_y_masks``), so that every search of one host
-shares them.  The host also answers e(L_z) (``link_size``) and the 4-disks
-of a cycle (``disk_mask``).  Every stage reads the host through it: ``io``
-writes and parses it, and ``links`` and ``embed`` read link sizes, link Y
-sides and disk masks off it.
+columns (``byte_columns``, each one int whose byte i is a byte of the i-th
+mask) and the Y side of each link L_z built from them (``link_y``, kept in
+``link_y_masks``), so that every search of one host shares them.  Bit z of
+the masks is one AND and one popcount of column z // 8, so the host
+answers e(L_z) (``link_size``) without a per-entry step; it also answers
+the 4-disks of a cycle (``disk_mask``).  Every stage reads the host
+through it: ``io`` writes and parses it, and ``links`` and ``embed`` read
+link sizes, link Y sides and disk masks off it.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -35,6 +37,7 @@ is the one function that lists a mask's set bits, for every module.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -47,8 +50,6 @@ Pair = tuple[int, int]
 
 # a binary digit of a mask, as the byte 0 or 1
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-# _BIT_OF_BYTE[k] maps a byte to 1 if its bit k is set, else to 0
-_BIT_OF_BYTE = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
 
 
 def bits(mask: int) -> list[int]:
@@ -134,10 +135,11 @@ class TripartiteHost:
     mask takes z + 1 bits, so memory grows with the largest z given.
     ``has`` tests one face.  ``e``, ``occupied`` (the OR of the masks),
     ``byte_columns`` and ``link_y_masks`` are worked out here alone and
-    kept as plain bytes and int tuples.  Bit z of the masks is one
-    byte-wise ``translate`` of byte column z // 8: ``link_size(z)`` counts
-    those bits, e(L_z), and ``link_y(z)`` selects with them the entries
-    that hold z and builds the Y side of L_z from them, once per z.
+    kept as plain ints and int tuples.  Bit z of the masks is one AND of
+    byte column z // 8, shifted by z % 8, with the int whose byte i is 1
+    for each entry: ``link_size(z)`` is that int's popcount, e(L_z), and
+    ``link_y(z)`` selects with its bytes the entries that hold z and builds
+    the Y side of L_z from them, once per z.
     ``disk_mask`` ANDs four entries found by flat index.  Equality and
     hashing are by value, whatever has been worked out.
     """
@@ -193,17 +195,30 @@ class TripartiteHost:
         return reduce(or_, self.zmasks.values(), 0)
 
     @cached_property
-    def byte_columns(self) -> list[bytes]:
-        """The masks cut into byte columns: column j holds byte j of every
-        mask, in table order, so bit z of the masks is one byte-wise
-        ``translate`` of column z // 8."""
-        # Each mask as nb little-endian bytes, nb fixed by the highest z on
-        # a face (never by n_z): the join holds entries * nb bytes, which
-        # parse_host's table budget (entries times highest z + 1 bits)
-        # bounds up to one byte per entry.  Column j is every nb-th byte.
+    def byte_columns(self) -> list[int]:
+        """The masks cut into byte columns, each read as one int: byte i of
+        column j is byte j of the i-th mask, in table order, so bit z of the
+        masks is one AND and one popcount of column z // 8."""
+        # Each mask as little-endian bytes, stride apiece: an 8-byte word,
+        # all packed in one call, when the highest z on a face (never n_z)
+        # is below 64, else nb bytes, one to_bytes per mask (still linear
+        # in the table).  The join holds entries * stride bytes: 8 per
+        # entry, or what parse_host's table budget (entries times highest
+        # z + 1 bits) bounds up to one byte per entry.
+        masks = self.zmasks.values()
         nb = (self.occupied.bit_length() + 7) // 8
-        joined = b"".join(map(int.to_bytes, self.zmasks.values(), repeat(nb), repeat("little")))
-        return [joined[j::nb] for j in range(nb)]
+        if nb <= 8:
+            stride, joined = 8, struct.pack(f"<{len(masks)}Q", *masks)
+        else:
+            stride = nb
+            joined = b"".join(map(int.to_bytes, masks, repeat(nb), repeat("little")))
+        return [int.from_bytes(joined[j::stride], "little") for j in range(nb)]
+
+    @cached_property
+    def _ones(self) -> int:
+        """Byte i is 1 for each table entry i: the mask that keeps bit 0 of
+        every byte of a column."""
+        return int.from_bytes(b"\x01" * len(self.zmasks), "little")
 
     @cached_property
     def link_y_masks(self) -> dict[int, tuple[int, ...]]:
@@ -220,19 +235,23 @@ class TripartiteHost:
             and self.zmasks.get(x * ny + y, 0) >> z & 1 == 1
         )
 
-    def _holds(self, z: int) -> bytes:
-        """Per table entry, in table order, the byte 1 if its mask holds z,
-        else 0."""
+    def _flags(self, z: int) -> int:
+        """Byte i is 1 if the i-th mask, in table order, holds z, else 0."""
         if not 0 <= z < self.n_z:
             raise IndexError(f"z = {z} out of range")
         columns = self.byte_columns
         if z >> 3 >= len(columns):
-            return bytes(len(self.zmasks))
-        return columns[z >> 3].translate(_BIT_OF_BYTE[z & 7])
+            return 0
+        return columns[z >> 3] >> (z & 7) & self._ones
+
+    def _holds(self, z: int) -> bytes:
+        """Per table entry, in table order, the byte 1 if its mask holds z,
+        else 0."""
+        return self._flags(z).to_bytes(len(self.zmasks), "little")
 
     def link_size(self, z: int) -> int:
         """e(L_z), the number of faces through z."""
-        return self._holds(z).count(1)
+        return self._flags(z).bit_count()
 
     def link_y(self, z: int) -> tuple[int, ...]:
         """The Y side of L_z: entry y is the bitmask over X of the x with

@@ -60,7 +60,7 @@ def gen_random_host(
     bound = math.ceil(p * 2.0 ** 53)  # random() < p  <=>  v < bound
     top = bound >> 45
     # top byte of a -> the draw's digit: "1" kept, "0" dropped, "2" a tie
-    verdict = bytes(49 if t < top else 50 if t == top else 48 for t in range(256))
+    verdict = (b"1" * top + b"2" + b"0" * 255)[:256]
     row = n_y * n_z
     full = (1 << n_z) - 1
     table = {}

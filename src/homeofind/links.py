@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress
 from math import ceil
@@ -57,10 +57,11 @@ class LinkGraph:
     A link is its host and z, and reads its Y side (``TripartiteHost.link_y``,
     built when the link is made) and e(L_z) off the host.  ``y_masks[y]`` is
     the bitmask over X of the neighbours of y, and ``gamma(x)`` the bitmask
-    over Y of the neighbours of x.
+    over Y of the neighbours of x.  The repr names z alone, not the
+    host's table.
     """
 
-    host: TripartiteHost
+    host: TripartiteHost = field(repr=False)
     z: int
 
     def __post_init__(self) -> None:
@@ -261,7 +262,7 @@ def pick_link_vertex(
     with no neighbour is in a bad pair with every other y, as
     ceil(n q**2) >= 1.
     """
-    if host.e == 0:
+    if not host.zmasks:
         raise NoQualifyingVertex("empty host")
     n = max(host.class_sizes)
     C = cfg.C

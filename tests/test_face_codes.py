@@ -191,6 +191,56 @@ def test_link_sizes_and_links_across_byte_columns():
             index.link(z)
 
 
+def _faces_at(zs, sizes, seed):
+    rng = random.Random(seed)
+    return [
+        (x, y, z) for z in zs for x, y in itertools.product(range(sizes[0]), range(sizes[1]))
+        if rng.random() < 0.5
+    ]
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        _faces_at((0, 7, 8, 63), (6, 5), 3),  # one packed word per mask
+        _faces_at((1, 8, 12), (6, 5), 5),  # two of its bytes in use
+        _faces_at((64, 65, 127, 128, 1000), (6, 5), 4),  # wider masks, cut one by one
+        [],  # an empty table
+        [(2, 3, 0), (2, 3, 9), (2, 3, 63)],  # one entry, one word
+        [(4, 1, 8), (4, 1, 64)],  # one entry, two words wide
+    ],
+    ids=["one-word", "one-word-narrow", "wide", "empty", "one-entry", "one-entry-wide"],
+)
+def test_byte_columns_match_brute_force(faces):
+    """The byte columns, read as ints, against brute force: byte i of
+    column j is byte j of the i-th mask, and e(L_z), the per-entry flags
+    of z and the Y side of L_z match a face filter for every z up to one
+    byte past the highest face, on masks that pack into one 64-bit word
+    (all 8 bytes in use, or 2), wider ones, an empty table and one-entry
+    tables."""
+    sizes = (6, 5, 1010)
+    host = TripartiteHost(sizes, faces)
+    masks = list(host.zmasks.values())
+    top = host.occupied.bit_length()
+    columns = host.byte_columns
+    assert len(columns) == (top + 7) // 8
+    for j, column in enumerate(columns):
+        assert type(column) is int
+        assert column.to_bytes(len(masks), "little") == bytes(m >> 8 * j & 255 for m in masks), j
+    for z in range(top + 8):
+        edges = {(x, y) for x, y, zz in faces if zz == z}
+        assert host.link_size(z) == len(edges), z
+        assert host._holds(z) == bytes(m >> z & 1 for m in masks), z
+        assert host.link_y(z) == tuple(
+            sum(1 << x for x in range(sizes[0]) if (x, y) in edges) for y in range(sizes[1])
+        ), z
+    for z in (-1, sizes[2]):
+        with pytest.raises(IndexError):
+            host.link_size(z)
+        with pytest.raises(IndexError):
+            host._holds(z)
+
+
 def test_generated_host_retains_under_a_megabyte():
     """A dense n = 60 host is one mask per (x, y), not a set of face codes."""
     tracemalloc.start()
@@ -249,8 +299,8 @@ class TestHostCaches:
             # warm caches are no part of the host's value
             fresh = parse_host(write_host(host))
             assert host == fresh and hash(host) == hash(fresh)
-            # and they are plain bytes and int tuples, with no index in them
-            assert all(type(c) is bytes for c in host.byte_columns)
+            # and they are plain ints and int tuples, with no index in them
+            assert all(type(c) is int for c in host.byte_columns)
             for z, y_masks in host.link_y_masks.items():
                 assert type(z) is int and type(y_masks) is tuple
                 assert all(type(m) is int for m in y_masks)

@@ -381,7 +381,7 @@ def test_literal_face_scan_finds_every_form(tmp_path):
     assert literal_faces(src) == [(1, "(0, 1, 2)"), (2, "(0, 1, 3)")]
 
 
-HOST_TABLE = {"byte_columns", "link_y_masks", "_BIT_OF_BYTE"}
+HOST_TABLE = {"byte_columns", "link_y_masks", "_ones"}
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "core"))
@@ -417,7 +417,7 @@ def test_host_table_scans_find_every_form(tmp_path):
         "def f(h):\n    return h.byte_columns\n",
         "def f(h):\n    h.link_y_masks[0] = ()\n",
         "def f(h):\n    return getattr(h, 'link_y_masks')\n",
-        "from .core import _BIT_OF_BYTE as bits\n",
+        "from .core import _ones as bits\n",
     ]
     for i, form in enumerate(forms):
         src = tmp_path / f"m{i}.py"

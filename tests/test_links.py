@@ -65,6 +65,16 @@ class TestLinkGraph:
         with pytest.raises(IndexError):
             LinkGraph(SMALL, 2)
 
+    def test_repr_holds_no_host_table(self):
+        # a link or a choice shown in a failed assertion or a log line
+        # names its z, not the host's z-mask table
+        host = gen_random_host(60, 60, 60, 0.9, 1)
+        assert repr(LinkGraph(host, 0)) == "LinkGraph(z=0)"
+        choice = pick_link_vertex(host, Config(C=2), K=3, index=HostIndex(host))
+        shown = repr(choice)
+        assert shown.startswith(f"LinkChoice(link=LinkGraph(z={choice.link.z}), ")
+        assert "TripartiteHost" not in shown and "zmasks" not in shown
+
     def test_matches_face_filter(self):
         rng = random.Random(11)
         host = random_host(rng, 8, 7, 6, 0.3)
