@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import Config, covered_pairs
+from .core import Config, covered_pairs, euler_characteristic
 from .embed import find_homeomorph
 from .errors import PipelineError
 from .harness import SweepSpec, gen_random_host, run_sweep
@@ -139,7 +139,7 @@ def _cmd_inspect(args) -> int:
     """
     h = load_target(args.target)
     v, e, pairs = h.vertex_count, h.e, len(covered_pairs(h))
-    chi = h.chi
+    chi = euler_characteristic(h)
     print(f"vertices: {v}")
     print(f"faces: {e}")
     print(f"covered pairs: {pairs}")

@@ -6,10 +6,10 @@ the immutable value types shared by the whole pipeline, the certificate
 types ``Embedding`` and ``HomeomorphCertificate`` among them, together with
 the target-side construction: a target's bipartite auxiliary graph, whose
 special 4-cycles mark where 4-disks must be glued and which the search
-embeds, the canonical glued subdivision every certificate must realize,
-and chi.  Each has one builder here, and each is a fact of the target,
+embeds, and the canonical glued subdivision every certificate must
+realize.  Each has one builder here, and each is a fact of the target,
 worked out once when first read and kept on the ``ThreeGraph``
-(``aux_graph``, ``canonical_subdivision``, ``chi``), so that a find, its
+(``aux_graph``, ``canonical_subdivision``), so that a find, its
 certificate's I/O and every verify of one target object share one copy.
 The certificate path (``io``, ``verify``) imports this module alone.
 
@@ -72,10 +72,10 @@ def _norm_face(face: Iterable[int]) -> Face:
 class ThreeGraph:
     """A finite 3-uniform hypergraph on vertices 0..vertex_count-1.
 
-    ``aux_graph``, ``canonical_subdivision`` and ``chi`` are worked out on
-    first read by their builders below and kept on the object (see the
-    module docstring).  Equality and hashing are by value, whatever has
-    been worked out.
+    ``aux_graph`` and ``canonical_subdivision`` are worked out on first
+    read by their builders below and kept on the object (see the module
+    docstring).  Equality and hashing are by value, whatever has been
+    worked out.
     """
 
     vertex_count: int
@@ -110,10 +110,6 @@ class ThreeGraph:
     @cached_property
     def canonical_subdivision(self) -> CanonicalGluedSubdivision:
         return canonical_glued_subdivision(self)
-
-    @cached_property
-    def chi(self) -> int:
-        return euler_characteristic(self)
 
 
 def _class_sizes(class_sizes) -> tuple[int, int, int]:

@@ -3,10 +3,10 @@
 The verifier never trusts the pipeline: it derives the canonical glued
 subdivision of the target and demands that the certificate's faces, after
 relabeling through the recorded embedding, match it face for face.  The
-shape, the auxiliary graph and chi are facts of the target, built in
-``core`` from the target alone and kept on the ``ThreeGraph``, so the
-verifier reads each once per target object, however many certificates of
-it are checked; every check on the certificate itself runs every time.  It
+shape and the auxiliary graph are facts of the target, built in ``core``
+from the target alone and kept on the ``ThreeGraph``, so the verifier
+reads each once per target object, however many certificates of it are
+checked; every check on the certificate itself runs every time.  It
 imports nothing of the package but ``core``, so no search code can enter a
 verdict.  The brute-force oracles of the search stages are test code
 (``tests/oracles.py``), so no shipping path can call them.
@@ -40,16 +40,14 @@ def _fail(check: int, reason: str) -> VerifyResult:
 def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> VerifyResult:
     """Check a certificate against the host; trusts nothing.
 
-    Runs seven checks in order and reports the first violation:
+    Runs six checks in order and reports the first violation:
     (1) all faces exist in the host, (2) face count is 12 e(H),
     (3) embedding maps are injective, (4) centers are distinct,
     (5) v2_map and center_map are keyed by exactly the auxiliary graph's V2
     and special cycles, and the relabeled face set equals the canonical
-    glued subdivision,
-    (6) the Euler characteristic of the certificate complex, counted from
-    the shape's after (3)-(5), equals the target's, (7) v1_map maps exactly
-    the target's vertices into Y (this reaches isolated vertices, which no
-    face shows).
+    glued subdivision, (6) v1_map's keys are exactly the target vertices
+    0..v-1 and its images lie in Y (this reaches isolated vertices, which
+    no face shows).
     """
     target = cert.target
     emb = cert.embedding
@@ -98,23 +96,12 @@ def verify_certificate(cert: HomeomorphCertificate, host: TripartiteHost) -> Ver
     if relabeled != target.canonical_subdivision.faces:
         return _fail(5, "relabeled faces differ from the canonical glued subdivision")
 
-    # (6) Euler characteristic, from counts: checks 3-5 made the relabeling a
-    # bijection onto the shape's faces, so the certificate complex differs from
-    # the shape only in the vertices it lists, and chi(shape) = chi(H)
-    v_count = len(emb.v1_map) + len(emb.v2_map) + len(emb.center_map)
-    chi_target = target.chi
-    chi_cert = chi_target + v_count - target.canonical_subdivision.vertex_count
-    if chi_cert != chi_target:
-        return _fail(
-            6, f"certificate complex has chi = {chi_cert}, target has chi = {chi_target}"
-        )
-
-    # (7) the original vertices, isolated ones included, are exactly v1_map's
-    # keys, and it sends them into Y; check 6 has fixed how many keys there are
-    if not all(0 <= v < target.v for v in emb.v1_map):
-        return _fail(7, f"v1_map does not map exactly the target vertices 0..{target.v - 1}")
+    # (6) v1_map's keys are exactly the original vertices, isolated ones
+    # included (no face shows those), and it sends them into Y
+    if set(emb.v1_map) != set(aux.v1):
+        return _fail(6, f"v1_map does not map exactly the target vertices 0..{target.v - 1}")
     for v, y in emb.v1_map.items():
         if not 0 <= y < host.n_y:
-            return _fail(7, f"v1_map sends vertex {v} to {y}, outside Y = [0, {host.n_y})")
+            return _fail(6, f"v1_map sends vertex {v} to {y}, outside Y = [0, {host.n_y})")
 
     return VerifyResult(passed=True)

@@ -19,8 +19,8 @@ For ``embed``: ``clique_oracle``, an exhaustive scan over t-subsets of Y',
 checks ``find_complete_subgraph``.
 
 For ``verify``: ``certificate_chi_oracle`` counts the 1-cells of a
-certificate complex with ``one_cells`` over its faces, where check 6 reads
-chi from the canonical shape's counts.
+certificate complex with ``one_cells`` over its faces, so that every
+certificate the verifier passes is checked to have the target's chi.
 """
 
 from __future__ import annotations

@@ -476,7 +476,7 @@ class TestCli:
         certp = tmp_path / "bad.cert"
         certp.write_text(isolated_vertex_certificate_text(host, "v1 3 999"))
         assert main(["verify", "--cert", str(certp), "--host", hostp]) == 1
-        assert "fail check=7: " in capsys.readouterr().err
+        assert "fail check=6: " in capsys.readouterr().err
 
     def test_find_failure_exit_code(self, tmp_path, capsys):
         empty = self._write_host(tmp_path, TripartiteHost((5, 5, 5), frozenset()))

@@ -1,18 +1,19 @@
-"""A target's auxiliary graph, canonical glued subdivision and chi are
-facts of the ``ThreeGraph``: each is built on first read by its one builder
-in ``core`` and kept on the object.
+"""A target's auxiliary graph and canonical glued subdivision are facts of
+the ``ThreeGraph``: each is built on first read by its one builder in
+``core`` and kept on the object.
 
 Each cached fact is the same object on a second read and equals a fresh
 build, on every shipped target and on random complexes; a target whose
 facts are cached still compares and hashes by value and survives ``copy``
 and ``pickle``.  Counting the builders' calls pins the sharing: a sweep
 builds the graph and the shape of its one target once, and so do two
-find-and-verify rounds on one target object.
+find-and-verify rounds on one target object; neither works out chi.
 """
 
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +41,6 @@ NAMES = sorted(p.stem for p in DATA.glob("*.tg"))
 FACTS = [
     ("aux_graph", build_aux_graph),
     ("canonical_subdivision", canonical_glued_subdivision),
-    ("chi", euler_characteristic),
 ]
 
 
@@ -86,14 +86,26 @@ def test_cached_facts_survive_copies(clone):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of each builder, counted where the cached facts call them."""
-    counts = {attr: 0 for attr, _ in FACTS}
-    for attr, build in FACTS:
-        def counted(h, attr=attr, build=build):
-            counts[attr] += 1
+    """Calls of each builder, counted where the cached facts call them, and
+    of ``euler_characteristic``, counted under every package module's name
+    for it."""
+    counts = {attr: 0 for attr, _ in FACTS} | {"euler_characteristic": 0}
+
+    def counter(key, build):
+        def counted(h):
+            counts[key] += 1
             return build(h)
 
-        monkeypatch.setattr(core, build.__name__, counted)
+        return counted
+
+    for attr, build in FACTS:
+        monkeypatch.setattr(core, build.__name__, counter(attr, build))
+    chi = counter("euler_characteristic", euler_characteristic)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "homeofind" and (
+            getattr(module, "euler_characteristic", None) is euler_characteristic
+        ):
+            monkeypatch.setattr(module, "euler_characteristic", chi)
     return counts
 
 
@@ -102,7 +114,7 @@ def test_sweep_builds_each_target_fact_once(builds, tmp_path):
     spec = SweepSpec("builtin:triangle", (20,), Fraction(1), Fraction(1, 5), 5, 1, {"C": 2})
     (row,) = run_sweep(spec, tmp_path)
     assert 0 < row.successes < row.trials
-    assert builds == {"aux_graph": 1, "canonical_subdivision": 1, "chi": 1}
+    assert builds == {"aux_graph": 1, "canonical_subdivision": 1, "euler_characteristic": 0}
 
 
 def test_find_and_verify_rounds_build_each_target_fact_once(builds):
@@ -113,4 +125,4 @@ def test_find_and_verify_rounds_build_each_target_fact_once(builds):
         cert = find_homeomorph(host, target, cfg)
         assert cert.target is target
         assert verify_certificate(cert, host).passed
-        assert builds == {"aux_graph": 1, "canonical_subdivision": 1, "chi": 1}
+        assert builds == {"aux_graph": 1, "canonical_subdivision": 1, "euler_characteristic": 0}

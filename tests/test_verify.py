@@ -77,22 +77,23 @@ class TestCanonicalShape:
         canon = canonical_glued_subdivision(h)
         assert canon.euler_characteristic() == euler_characteristic(h)
 
-    # check 6 reads chi as target.chi plus the vertices a certificate lists,
-    # less the kept shape's vertex count: these are the two facts it rests on
+    # a certificate that passes checks 1-6 lists one vertex per vertex of the
+    # kept shape and has its faces and 1-cells, so its chi is the target's:
+    # these are the two facts that TestCheck6AgainstOracle's property rests on
     @staticmethod
-    def assert_check6_counts(h):
+    def assert_chi_counts(h):
         shape = h.canonical_subdivision
-        assert shape.euler_characteristic() == h.chi
+        assert shape.euler_characteristic() == euler_characteristic(h)
         assert shape.vertex_count == h.v + len(h.aux_graph.v2) + 3 * h.e
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
     def test_check6_counts_on_random_targets(self, h):
-        self.assert_check6_counts(h)
+        self.assert_chi_counts(h)
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_check6_counts_on_builtins(self, name):
-        self.assert_check6_counts(load_target(f"builtin:{name}"))
+        self.assert_chi_counts(load_target(f"builtin:{name}"))
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
@@ -202,7 +203,7 @@ def mutate_drop_isolated_vertex(host):
     """A target with an isolated vertex, minus that vertex's image.
 
     Checks 1-5 only look at faces, so the mutilated certificate sails
-    through them; only the Euler characteristic (check 6) notices.
+    through them; only check 6, which reads v1_map's keys, notices.
     """
     lonely = ThreeGraph(4, frozenset({(0, 1, 2)}))  # vertex 3 is isolated
     cert = find_homeomorph(host, lonely, Config(C=1, k_threshold=3, rng_seed=1))
@@ -314,24 +315,23 @@ def isolated_vertex_certificate_text(host, v1_line):
 
 class TestIsolatedVertexCount:
     # Vertices 3 and 4 are isolated, so no face shows their images and
-    # checks 1-5 pass: check 6 counts v1_map's entries, check 7 reads its keys.
+    # checks 1-5 pass: check 6 reads v1_map's keys and refuses each mutant.
     LONELY = ThreeGraph(5, frozenset({(0, 1, 2)}))
 
-    @pytest.mark.parametrize("mutate, check, reason", [
-        (lambda v1, free: {**v1, 9: free}, 6,
-         "certificate complex has chi = 4, target has chi = 3"),
-        (lambda v1, free: {9 if v == 4 else v: y for v, y in v1.items()}, 7,
-         "v1_map does not map exactly the target vertices 0..4"),
-        (lambda v1, free: {v: y for v, y in v1.items() if v != 4}, 6,
-         "certificate complex has chi = 2, target has chi = 3"),
+    @pytest.mark.parametrize("mutate", [
+        lambda v1, free: {**v1, 9: free},
+        lambda v1, free: {9 if v == 4 else v: y for v, y in v1.items()},
+        lambda v1, free: {v: y for v, y in v1.items() if v != 4},
     ], ids=["added", "renamed", "dropped"])
-    def test_v1_map_mutant(self, mutate, check, reason):
+    def test_v1_map_mutant(self, mutate):
         host = complete_host(16)
         cert = find_homeomorph(host, self.LONELY, Config(C=1, k_threshold=3, rng_seed=1))
         v1 = cert.embedding.v1_map
         free = min(set(range(host.n_y)) - set(v1.values()))
         bad = replace(cert, embedding=replace(cert.embedding, v1_map=mutate(v1, free)))
-        assert verify_certificate(bad, host) == VerifyResult(False, check, reason)
+        assert verify_certificate(bad, host) == VerifyResult(
+            False, 6, "v1_map does not map exactly the target vertices 0..4"
+        )
 
 
 def map_corruptions(cert, host):
@@ -350,7 +350,7 @@ def map_corruptions(cert, host):
 
 class TestCheck6AgainstOracle:
     # Found certificates: triangle, k4 and rp2 on two seeded hosts, and
-    # targets with isolated vertices, whose v1_map mutants reach check 6
+    # targets with isolated vertices, whose v1_map mutants pass checks 1-5
     LONELY = {
         "lonely4": ThreeGraph(4, frozenset({(0, 1, 2)})),
         "lonely5": TestIsolatedVertexCount.LONELY,
@@ -372,8 +372,10 @@ class TestCheck6AgainstOracle:
 
     @pytest.mark.parametrize("name, seed", FAMILY)
     def test_count_agrees_with_the_one_cell_walk(self, name, seed):
-        # wherever checks 1-5 pass, check 6 refuses exactly the certificates
-        # whose complex the oracle counts to another chi, and reports that chi
+        # every certificate the verifier passes has the target's chi, counted
+        # by the oracle's one-cell walk, and wherever checks 1-5 pass, check 6
+        # refuses exactly a v1_map not keyed by 0..v-1 or with an image
+        # outside Y
         cert, host = self.found(name, seed)
         target = cert.target
         mutants = [
@@ -391,30 +393,29 @@ class TestCheck6AgainstOracle:
             if not res.passed and res.check < 6:
                 continue
             reached.add(res.check)
-            chi = certificate_chi_oracle(bad)
-            assert (res.check == 6) == (chi != bad.target.chi)
-            if res.check == 6:
-                assert res.reason == (
-                    f"certificate complex has chi = {chi}, target has chi = {bad.target.chi}"
-                )
+            if res.passed:
+                assert certificate_chi_oracle(bad) == euler_characteristic(bad.target)
+            v1 = bad.embedding.v1_map
+            bad_v1 = set(v1) != set(range(bad.target.v)) or not all(
+                0 <= y < bad_host.n_y for y in v1.values()
+            )
+            assert (res.check == 6) == bad_v1
         assert {None, 6} <= reached
-        if name in self.LONELY:
-            assert 7 in reached
 
 
 class TestIsolatedVertexImage:
-    # No face shows an isolated vertex, so checks 1-6 pass each of these;
-    # only check 7 reads v1_map itself.
+    # No face shows an isolated vertex, so checks 1-5 pass each of these;
+    # only check 6 reads v1_map itself.
     @pytest.mark.parametrize("v1_line, reason", [
         ("v1 3 999", "sends vertex 3 to 999, outside Y = [0, 12)"),
         ("v1 3 -1", "sends vertex 3 to -1, outside Y = [0, 12)"),
         ("v1 99 5", "does not map exactly the target vertices 0..3"),
     ])
-    def test_check7_bad_isolated_vertex_image(self, v1_line, reason):
+    def test_check6_bad_isolated_vertex_image(self, v1_line, reason):
         host = complete_host(12)
         cert = parse_certificate(isolated_vertex_certificate_text(host, v1_line))
         res = verify_certificate(cert, host)
-        assert not res.passed and res.check == 7
+        assert not res.passed and res.check == 6
         assert reason in res.reason
 
 
