@@ -314,11 +314,29 @@ class Embedding:
 
 @dataclass(frozen=True)
 class HomeomorphCertificate:
-    """A homeomorphic copy of ``target`` in a host: its faces and their map."""
+    """A homeomorphic copy of ``target`` in a host: the target and where its
+    canonical glued subdivision goes."""
 
     target: ThreeGraph
-    host_faces: tuple[Face, ...]  # four per special cycle, in cycle order
     embedding: Embedding
+
+    @property
+    def host_faces(self) -> tuple[Face, ...]:
+        """The copy's faces in the host: each face of the target's canonical
+        shape mapped through the three maps, so four per special cycle, in
+        cycle order.  Worked out on every read; a map without a key the
+        shape needs raises KeyError."""
+        t, emb = self.target, self.embedding
+        shape = t.canonical_subdivision
+        # the shape lists its vertices in the order the maps key them: the
+        # target's, V2 and the special cycles
+        v, first_corner = t.vertex_count, len(shape.labels) - 3 * t.e
+        image = dict(zip(shape.labels, [
+            *map(emb.v1_map.__getitem__, range(v)),
+            *map(emb.v2_map.__getitem__, range(v, first_corner)),
+            *map(emb.center_map.__getitem__, range(3 * t.e)),
+        ]))
+        return tuple((image[x], image[y], image[z]) for x, y, z in shape.faces)
 
 
 @dataclass(frozen=True)
@@ -449,12 +467,18 @@ class CanonicalGluedSubdivision:
     """The abstract complex every certificate must realize.
 
     For each face f = xyz of the target and each edge e = ab of f there is a
-    disk vertex w = w_{f,e} carrying the four faces {a, u_e, w}, {u_e, b, w},
-    {b, u_f, w} and {u_f, a, w}.
+    disk vertex w = w_{f,e} carrying the four faces {u_e, a, w},
+    {u_e, b, w}, {u_f, b, w} and {u_f, a, w}.  ``labels`` lists the target's
+    vertices, then the pair- and face-vertices in the auxiliary graph's V2
+    order, then the disk vertices in special-cycle order, so a vertex's
+    position is its key in the embedding's maps (a disk vertex's less
+    v + |V2|).  ``faces`` holds each face as its (X, Y, Z) labels: a pair-
+    or face-vertex, an original vertex and a disk vertex, in build order
+    (face, edge, then the four faces of that edge's disk).
     """
 
     labels: tuple[Label, ...]
-    faces: frozenset[frozenset[Label]]
+    faces: tuple[tuple[Label, Label, Label], ...]
 
     @property
     def vertex_count(self) -> int:
@@ -473,14 +497,13 @@ class CanonicalGluedSubdivision:
 
 def canonical_glued_subdivision(h: ThreeGraph) -> CanonicalGluedSubdivision:
     """The shape a certificate of ``h`` must realize, built from the covered
-    pairs and the faces, never from the auxiliary graph, so that the
-    verifier checks the graph's tags and cycles against it."""
+    pairs and the faces, never from the auxiliary graph."""
     pairs = covered_pairs(h)
     hfaces = h.sorted_faces()
     labels: list[Label] = [("orig", x) for x in range(h.vertex_count)]
     labels += [("pair", p) for p in pairs]
     labels += [("face", f) for f in hfaces]
-    faces: set[frozenset[Label]] = set()
+    faces: list[tuple[Label, Label, Label]] = []
     for f in hfaces:
         x, y, z = f
         uf = ("face", f)
@@ -489,8 +512,6 @@ def canonical_glued_subdivision(h: ThreeGraph) -> CanonicalGluedSubdivision:
             w = ("corner", f, e)
             labels.append(w)
             ue = ("pair", e)
-            faces.add(frozenset({("orig", a), ue, w}))
-            faces.add(frozenset({ue, ("orig", b), w}))
-            faces.add(frozenset({("orig", b), uf, w}))
-            faces.add(frozenset({uf, ("orig", a), w}))
-    return CanonicalGluedSubdivision(labels=tuple(labels), faces=frozenset(faces))
+            ya, yb = ("orig", a), ("orig", b)
+            faces += [(ue, ya, w), (ue, yb, w), (uf, yb, w), (uf, ya, w)]
+    return CanonicalGluedSubdivision(labels=tuple(labels), faces=tuple(faces))

@@ -14,9 +14,9 @@ off per-X-vertex column center sets: settled by the two sets' sizes
 where ``links.open_partners`` can, and ANDed only where the sizes leave
 them open.  It returns the embedding of the first leaf, in search order,
 whose one matching of the pair-vertices leaves distinct centers in the
-AND of the same columns (``assign_centers``).  The assembled certificate
-goes to ``verify.verify_certificate`` before ``find_homeomorph`` returns
-it; a refusal is a RuntimeError.
+AND of the same columns (``assign_centers``).  The certificate, the
+target with that embedding, goes to ``verify.verify_certificate`` before
+``find_homeomorph`` returns it; a refusal is a RuntimeError.
 
 Both expectation arguments (the choice of z and the choice of x) are
 derandomized by first-qualifying scans, and the V2 placement is an exact
@@ -45,7 +45,6 @@ from .core import (
     AuxGraph,
     Config,
     Embedding,
-    Face,
     HomeomorphCertificate,
     Pair,
     ThreeGraph,
@@ -519,21 +518,9 @@ def assert_valid_embedding(cert: HomeomorphCertificate, host: TripartiteHost) ->
     result = verify_certificate(cert, host)
     if not result.passed:
         raise RuntimeError(
-            f"verify_certificate refused the assembled certificate: "
+            f"verify_certificate refused the certificate found: "
             f"check {result.check}: {result.reason}"
         )
-
-
-def _assemble_certificate(
-    target: ThreeGraph, aux: AuxGraph, emb: Embedding
-) -> HomeomorphCertificate:
-    faces: list[Face] = []
-    for ci, sc in enumerate(aux.special_cycles):
-        c = emb.center_map[ci]
-        ya, yb = emb.v1_map[sc.a], emb.v1_map[sc.b]
-        xu, xw = emb.v2_map[sc.u], emb.v2_map[sc.w]
-        faces += [(xu, ya, c), (xu, yb, c), (xw, yb, c), (xw, ya, c)]
-    return HomeomorphCertificate(target=target, host_faces=tuple(faces), embedding=emb)
 
 
 def _aux_graph_within_capacity(host: TripartiteHost, target: ThreeGraph, K: int) -> AuxGraph:
@@ -591,6 +578,6 @@ def find_homeomorph(
 
     rng = random.Random(derive_seed(cfg.rng_seed))
     emb = embed_v2(aux, v1_map, choice.link, cfg, rng, K=K)
-    cert = _assemble_certificate(target, aux, emb)
+    cert = HomeomorphCertificate(target=target, embedding=emb)
     assert_valid_embedding(cert, host)
     return cert

@@ -273,15 +273,16 @@ def load_host(path: str) -> TripartiteHost:
 def write_certificate(cert: HomeomorphCertificate) -> str:
     """Serialize a certificate.
 
-    Format: ``cert v1`` header, the target as a tg block, one ``v1`` line
+    Format: ``cert v2`` header, the target as a tg block, one ``v1`` line
     per target vertex appearing in no special cycle (isolated vertices,
     whose placement the disk lines cannot reconstruct), then per special
-    cycle a ``disk`` line with the host-local images (a u b w center)
-    followed by its four ``hf`` host faces.
+    cycle a ``disk`` line with the host-local images (a u b w center).
+    The text is the embedding alone: its host faces are worked out from
+    it (``HomeomorphCertificate.host_faces``), never written.
     """
     aux = cert.target.aux_graph
     emb = cert.embedding
-    lines = ["cert v1", *write_threegraph(cert.target).splitlines()]
+    lines = ["cert v2", *write_threegraph(cert.target).splitlines()]
 
     in_cycle = set()
     for sc in aux.special_cycles:
@@ -293,25 +294,24 @@ def write_certificate(cert: HomeomorphCertificate) -> str:
         a, b = emb.v1_map[sc.a], emb.v1_map[sc.b]
         u, w = emb.v2_map[sc.u], emb.v2_map[sc.w]
         lines.append(f"disk {ci} {a} {u} {b} {w} {emb.center_map[ci]}")
-        for f in cert.host_faces[4 * ci:4 * ci + 4]:
-            lines.append(f"hf {f[0]} {f[1]} {f[2]}")
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> HomeomorphCertificate:
+    """Read a ``cert v2`` text (see ``write_certificate``); any other
+    version, ``cert v1`` included, is refused on its header line."""
     versioned = False
     header = None
     tg_faces: list = []
     v1_lines = []
-    disk_blocks = []
-    current = None
+    disk_lines = []
     try:
         for lineno, tok in _content_lines(text):
             if tok[0] == "cert":
                 if versioned:
                     raise ValueError("duplicate cert header")
-                if tok[1:] != ["v1"]:
-                    raise ValueError("unsupported certificate version")
+                if tok[1:] != ["v2"]:
+                    raise ValueError("unsupported certificate version, expected 'cert v2'")
                 versioned = True
             elif tok[0] in ("tg", "f"):
                 if tok[0] == "tg":
@@ -324,20 +324,13 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
             elif tok[0] == "disk":
                 if len(tok) != 7:
                     raise ValueError("expected 'disk ci a u b w center'")
-                current = (lineno, tuple(int(t) for t in tok[1:]), [])
-                disk_blocks.append(current)
-            elif tok[0] == "hf":
-                if current is None:
-                    raise ValueError("hf before any disk line")
-                if len(tok) != 4:
-                    raise ValueError("expected 'hf x y z'")
-                current[2].append((int(tok[1]), int(tok[2]), int(tok[3])))
+                disk_lines.append((lineno, tuple(int(t) for t in tok[1:])))
             else:
                 raise ValueError(f"unknown directive {tok[0]!r}")
     except ValueError as exc:  # a malformed line, a token that is not an integer, or a bad target
         raise FormatError(f"line {lineno}: {exc}") from exc
     if not versioned:
-        raise FormatError("missing 'cert v1' header")
+        raise FormatError("missing 'cert v2' header")
 
     # every target vertex is in a face or on a v1 line, so this bounds what
     # the auxiliary graph allocates by the size of the text
@@ -349,9 +342,9 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         )
     target = _target(header, tg_faces)
     aux = target.aux_graph
-    if len(disk_blocks) != len(aux.special_cycles):
+    if len(disk_lines) != len(aux.special_cycles):
         raise FormatError(
-            f"certificate has {len(disk_blocks)} disk blocks, target requires "
+            f"certificate has {len(disk_lines)} disk lines, target requires "
             f"{len(aux.special_cycles)}"
         )
 
@@ -365,24 +358,21 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         mapping[key] = val
 
     seen = set()
-    for lineno, (ci, a, u, b, w, center), hfs in disk_blocks:
+    for lineno, (ci, a, u, b, w, center) in disk_lines:
         if not 0 <= ci < len(aux.special_cycles) or ci in seen:
             raise FormatError(f"line {lineno}: bad or duplicate cycle index {ci}")
         seen.add(ci)
-        if len(hfs) != 4:
-            raise FormatError(f"line {lineno}: disk {ci} must carry exactly four 'hf x y z' faces")
         sc = aux.special_cycles[ci]
         put(lineno, v1_map, sc.a, a, "v1 image")
         put(lineno, v1_map, sc.b, b, "v1 image")
         put(lineno, v2_map, sc.u, u, "v2 image")
         put(lineno, v2_map, sc.w, w, "v2 image")
         put(lineno, center_map, ci, center, "center")
-    faces = [f for _, _, hfs in sorted(disk_blocks, key=lambda bl: bl[1][0]) for f in hfs]
     for lineno, v, y in v1_lines:
         put(lineno, v1_map, v, y, "v1 image")
 
     emb = Embedding(v1_map=v1_map, v2_map=v2_map, center_map=center_map)
-    return HomeomorphCertificate(target=target, host_faces=tuple(faces), embedding=emb)
+    return HomeomorphCertificate(target=target, embedding=emb)
 
 
 def load_certificate(path: str) -> HomeomorphCertificate:

@@ -18,9 +18,12 @@ the mean of B_z).
 For ``embed``: ``clique_oracle``, an exhaustive scan over t-subsets of Y',
 checks ``find_complete_subgraph``.
 
-For ``verify``: ``certificate_chi_oracle`` counts the 1-cells of a
-certificate complex with ``one_cells`` over its faces, so that every
-certificate the verifier passes is checked to have the target's chi.
+For ``verify``: ``relabel_oracle`` judges a face list it is given the
+other way round from the verifier: it relabels each face through the
+inverted maps and compares the set with the canonical glued subdivision.
+``certificate_chi_oracle`` counts the 1-cells of a certificate complex
+with ``one_cells`` over its faces, so that every certificate the verifier
+passes is checked to have the target's chi.
 """
 
 from __future__ import annotations
@@ -122,6 +125,36 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
         "forbidden expectation bound violated"
     )
     return avg
+
+
+def relabel_oracle(cert: HomeomorphCertificate, host: TripartiteHost, faces) -> bool:
+    """Whether ``faces``, as the host faces of ``cert``, make a copy of its
+    target: each is a host face and there are 12 e(H) of them, the maps are
+    injective with distinct centers and keyed by exactly the target's
+    vertices (sent into Y), V2 and the special cycles, and relabeling each
+    face through the inverted maps, by the auxiliary graph's tags and
+    cycles, gives the canonical glued subdivision face for face."""
+    target, emb = cert.target, cert.embedding
+    aux = target.aux_graph
+    if not all(host.has(*f) for f in faces) or len(faces) != 12 * target.e:
+        return False
+    maps = (emb.v1_map, emb.v2_map, emb.center_map)
+    if any(len(set(m.values())) != len(m) for m in maps):
+        return False
+    if [set(m) for m in maps] != [set(aux.v1), set(aux.v2), set(range(3 * target.e))]:
+        return False
+    if not all(0 <= y < host.n_y for y in emb.v1_map.values()):
+        return False
+    x_label = {emb.v2_map[u]: tag for u, tag in zip(aux.v2, aux.v2_tags)}
+    y_label = {y: ("orig", v) for v, y in emb.v1_map.items()}
+    z_label = {
+        emb.center_map[ci]: ("corner", sc.face, sc.edge)
+        for ci, sc in enumerate(aux.special_cycles)
+    }
+    if not all(x in x_label and y in y_label and z in z_label for x, y, z in faces):
+        return False
+    relabeled = {frozenset({x_label[x], y_label[y], z_label[z]}) for x, y, z in faces}
+    return relabeled == {frozenset(f) for f in target.canonical_subdivision.faces}
 
 
 def certificate_chi_oracle(cert: HomeomorphCertificate) -> int:

@@ -35,12 +35,11 @@ from oracles import (
 )
 
 from test_verify import (
-    mutate_drop_face,
+    mutate_drop_disk,
     mutate_drop_isolated_vertex,
     mutate_duplicate_centers,
     mutate_duplicate_v2_image,
     mutate_face_outside_host,
-    mutate_swap_centers,
 )
 
 
@@ -202,17 +201,14 @@ def test_criterion_4_end_to_end_soundness(capfd):
 def test_criterion_5_mutation_suite(capfd):
     host = complete_host(16)
     triangle = load_target("builtin:triangle")
-    k4 = load_target("builtin:k4")
     cert3 = find_homeomorph(host, triangle, Config(C=1, k_threshold=3, rng_seed=0))
-    cert4 = find_homeomorph(host, k4, Config(C=1, k_threshold=12, rng_seed=0))
 
     mutants = [
-        (1, mutate_face_outside_host(cert3, host)),
-        (2, mutate_drop_face(cert3, host)),
-        (3, mutate_duplicate_v2_image(cert3, host)),
-        (4, mutate_duplicate_centers(cert3, host)),
-        (5, mutate_swap_centers(cert4, host, k4)),
-        (6, mutate_drop_isolated_vertex(host)),
+        (1, mutate_drop_isolated_vertex(host)),
+        (1, mutate_drop_disk(cert3, host)),
+        (2, mutate_duplicate_v2_image(cert3, host)),
+        (3, mutate_duplicate_centers(cert3, host)),
+        (4, mutate_face_outside_host(cert3, host)),
     ]
     detected = 0
     wrong = []
@@ -224,10 +220,10 @@ def test_criterion_5_mutation_suite(capfd):
             wrong.append((check, res))
     _report(
         capfd, 5,
-        detected == 6,
-        f"{detected}/6 corruptions caught by their own check",
+        detected == len(mutants),
+        f"{detected}/{len(mutants)} corruptions caught by their own check",
     )
-    assert detected == 6, wrong
+    assert detected == len(mutants), wrong
 
 
 def test_criterion_6_threshold_behavior(capfd):

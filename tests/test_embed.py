@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ from homeofind.errors import (
     RetriesExhausted,
 )
 from homeofind.harness import gen_random_host
-from homeofind.io import load_target, write_certificate
+from homeofind.io import load_target, parse_certificate, write_certificate
 from homeofind.links import (
     HostIndex,
     count_forbidden,
@@ -921,7 +922,7 @@ class TestEmbedV2:
                 out = embed_v2(aux, v1_map, index.link(0), Config(), random.Random(seed), K=K)
             except RetriesExhausted:
                 continue
-            cert = embed._assemble_certificate(target, aux, out)
+            cert = HomeomorphCertificate(target=target, embedding=out)
             found.append(verify_certificate(cert, host).passed)
         assert found == [True] * 20
 
@@ -948,7 +949,7 @@ class TestEmbedV2:
             answers.clear()
             out = embed_v2(aux, v1_map, index.link(0), Config(), random.Random(seed), K=K)
             assert answers == [None, out.center_map], seed
-            cert = embed._assemble_certificate(target, aux, out)
+            cert = HomeomorphCertificate(target=target, embedding=out)
             assert verify_certificate(cert, host).passed, seed
             if seed == 5:
                 assert sorted(out.v2_map.items()) == [
@@ -1112,13 +1113,13 @@ class TestFindHomeomorph:
 
     @pytest.mark.parametrize("host_args, target, digest", [
         ((30, 30, 30, 0.8, 1), TRIANGLE,
-         "a299cb0e47624cabc02e71ba3ebfaea50017de44b6cef0ff7c5e9ed7f593d482"),
+         "f485af895a58fc641fd94f445b00ec1dd994dac602951450a1d2230f6e7b7846"),
         ((30, 30, 30, 0.8, 1), K4,
-         "61172c6f85284084e985412a81eaac35af8b68ba4d4a7a733d03ef1ad449ad24"),
+         "d49b742ccf03c5c226913eb36633e31323b7d57b611139b392f1a9edff89051d"),
         ((40, 40, 40, 0.7, 2), TRIANGLE,
-         "bf796ccae9896d478a6fc8c48095677508faab4ec7844d2512a4548cb8333606"),
+         "ff977e6ae4678ca07d73b1c6118d8636c6e1fdbfe311ae9fa0e7b01dae7ffe6f"),
         ((40, 40, 40, 0.7, 2), K4,
-         "6165a4d16853d32660fed518744e605853ee74c23024c3bcc79e4cb1797793fe"),
+         "43e85d40906dfce9e6c746426c058329f06cfa78b2023e4c0179fbdc6b079b70"),
     ])
     def test_certificate_pinned(self, host_args, target, digest):
         # A change that only makes the search faster must leave every
@@ -1129,6 +1130,7 @@ class TestFindHomeomorph:
         cert = find_homeomorph(host, target, Config.desk_scale(target, C=2))
         text = write_certificate(cert)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert verify_certificate(parse_certificate(text), host).passed
 
     def test_k_below_three_e_finds(self, complete30):
         # K < 3 e(H) = 12 is valid: the search itself secures distinct centers
@@ -1169,28 +1171,25 @@ class TestFindHomeomorph:
         # refused by the verifier's injectivity check
         bad = HomeomorphCertificate(
             target=cert.target,
-            host_faces=cert.host_faces,
             embedding=Embedding(
                 v1_map=dict(cert.embedding.v1_map),
                 v2_map={u: 0 for u in cert.embedding.v2_map},
                 center_map=dict(cert.embedding.center_map),
             ),
         )
-        with pytest.raises(RuntimeError, match="check 3"):
+        with pytest.raises(RuntimeError, match="check 2"):
             assert_valid_embedding(bad, complete30)
 
     def test_find_refuses_a_certificate_the_verifier_refuses(self, complete30, monkeypatch):
-        # An assembly fault that moves the first face onto cycle 1's center
-        # leaves every face in the complete host, so only the verifier's
-        # comparison with the canonical subdivision can see it.
-        assemble = embed._assemble_certificate
+        # A search fault that moves cycle 0's center to z = n_z, outside Z,
+        # keeps every map keyed and injective and the centers distinct, so
+        # only check 4, which looks the mapped faces up in the host, sees it.
+        search = embed.embed_v2
 
-        def faulty(target, aux, emb):
-            cert = assemble(target, aux, emb)
-            x, y, _ = cert.host_faces[0]
-            faces = ((x, y, emb.center_map[1]),) + cert.host_faces[1:]
-            return HomeomorphCertificate(target=target, host_faces=faces, embedding=emb)
+        def faulty(*args, **kwargs):
+            emb = search(*args, **kwargs)
+            return replace(emb, center_map={**emb.center_map, 0: complete30.n_z})
 
-        monkeypatch.setattr(embed, "_assemble_certificate", faulty)
-        with pytest.raises(RuntimeError, match="check 5"):
+        monkeypatch.setattr(embed, "embed_v2", faulty)
+        with pytest.raises(RuntimeError, match="check 4"):
             find_homeomorph(complete30, TRIANGLE, Config(C=1, k_threshold=3, rng_seed=0))

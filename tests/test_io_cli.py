@@ -39,26 +39,14 @@ from test_verify import isolated_vertex_certificate_text
 
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
 
-# a triangle certificate as written on complete_host(10): three disk blocks
+# a triangle certificate as written on complete_host(10): three disk lines
 TRIANGLE_CERT = """\
-cert v1
+cert v2
 tg 3
 f 0 1 2
 disk 0 0 0 1 8 1
-hf 0 0 1
-hf 0 1 1
-hf 8 1 1
-hf 8 0 1
 disk 1 1 7 2 8 2
-hf 7 1 2
-hf 7 2 2
-hf 8 2 2
-hf 8 1 2
 disk 2 2 6 0 8 3
-hf 6 2 3
-hf 6 0 3
-hf 8 0 3
-hf 8 2 3
 """
 
 
@@ -353,14 +341,14 @@ class TestCertificateFormat:
     def test_missing_header(self):
         with pytest.raises(FormatError) as info:
             parse_certificate("tg 3\nf 0 1 2\n")
-        assert str(info.value) == "missing 'cert v1' header"
+        assert str(info.value) == "missing 'cert v2' header"
 
     @pytest.mark.parametrize("text, message", [
-        ("# c\n", "missing 'cert v1' header"),
-        ("cert v1\ntg 3\n# c\ncert v1\n", "line 4: duplicate cert header"),
-        ("cert v1\ncert v2\n", "line 2: duplicate cert header"),
-        ("cert v2\n", "line 1: unsupported certificate version"),
-        ("cert v1\ntg 3\nf 0 1 2\nhf 0 0 0\n", "line 4: hf before any disk line"),
+        ("# c\n", "missing 'cert v2' header"),
+        ("cert v2\ntg 3\n# c\ncert v2\n", "line 4: duplicate cert header"),
+        ("cert v2\ncert v1\n", "line 2: duplicate cert header"),
+        ("cert v1\n", "line 1: unsupported certificate version, expected 'cert v2'"),
+        ("cert v2\ntg 3\nf 0 1 2\nhf 0 0 0\n", "line 4: unknown directive 'hf'"),
     ])
     def test_cert_header_errors(self, text, message):
         with pytest.raises(FormatError) as info:
@@ -368,36 +356,27 @@ class TestCertificateFormat:
         assert str(info.value) == message
 
     def test_non_integer_token(self):
-        text = "cert v1\ntg 3\nf 0 1 2\ndisk a 0 3 1 4 5\n"
+        text = "cert v2\ntg 3\nf 0 1 2\ndisk a 0 3 1 4 5\n"
         with pytest.raises(FormatError, match=r"^line 4: .*'a'"):
             parse_certificate(text)
 
     @pytest.mark.parametrize("text, message", [
-        ("cert v1\n\n# c\ntg 3\nf 0 1 x\n", r"^line 5: .*'x'"),
-        ("cert v1\ntg 3\nf 0 1 2\ntg 3\n", r"^line 4: duplicate tg header$"),
-        ("cert v1\ntg 3\nf 0 1 9\n", r"^line 3: face \(0, 1, 9\) out of range$"),
-        ("cert v1\ntg 3\n\nf 0 0 1\n", r"^line 4: face \(0, 0, 1\) has repeated vertices$"),
-        ("cert v1\ntg -1\n", r"^line 2: vertex_count must be non-negative$"),
+        ("cert v2\n\n# c\ntg 3\nf 0 1 x\n", r"^line 5: .*'x'"),
+        ("cert v2\ntg 3\nf 0 1 2\ntg 3\n", r"^line 4: duplicate tg header$"),
+        ("cert v2\ntg 3\nf 0 1 9\n", r"^line 3: face \(0, 1, 9\) out of range$"),
+        ("cert v2\ntg 3\n\nf 0 0 1\n", r"^line 4: face \(0, 0, 1\) has repeated vertices$"),
+        ("cert v2\ntg -1\n", r"^line 2: vertex_count must be non-negative$"),
     ])
     def test_target_block_errors_name_certificate_line(self, text, message):
         with pytest.raises(FormatError, match=message):
             parse_certificate(text)
 
-    @pytest.mark.parametrize("text, lineno", [
-        ("cert v1\ntg 3\nf 0 1 2\ndisk 0 0 3 1 4 5\nhf 1 2\n", 5),
-        ("cert v1\ntg 3\nf 0 1 2\ndisk 0 0 3 1 4 5\nhf 0 0 0\n# c\nhf 1 2 3 4\n", 7),
-    ])
-    def test_malformed_hf_line_names_its_line(self, text, lineno):
-        with pytest.raises(FormatError) as info:
-            parse_certificate(text)
-        assert str(info.value) == f"line {lineno}: expected 'hf x y z'"
-
     def test_missing_disk_block(self):
-        # the last disk line and its four hf lines dropped
-        text = "".join(TRIANGLE_CERT.splitlines(keepends=True)[:-5])
+        # the last disk line dropped
+        text = "".join(TRIANGLE_CERT.splitlines(keepends=True)[:-1])
         with pytest.raises(FormatError) as info:
             parse_certificate(text)
-        assert str(info.value) == "certificate has 2 disk blocks, target requires 3"
+        assert str(info.value) == "certificate has 2 disk lines, target requires 3"
 
     def test_triangle_cert_parses(self):
         host = complete_host(10)
@@ -407,12 +386,11 @@ class TestCertificateFormat:
     @pytest.mark.parametrize("lineno, line, message", [
         (3, "f 0 1", "line 3: expected 'f a b c'"),
         (4, "disk 0 0 0 1 8", "line 4: expected 'disk ci a u b w center'"),
-        (9, "disk 0 1 7 2 8 2", "line 9: bad or duplicate cycle index 0"),
-        (14, "disk 3 2 6 0 8 3", "line 14: bad or duplicate cycle index 3"),
-        (12, None, "line 9: disk 1 must carry exactly four 'hf x y z' faces"),
-        (9, "disk 1 1 7 2 9 2", "line 9: inconsistent v2 image for 6: 8 vs 9"),
-        (14, "disk 2 2 6 1 8 3", "line 14: inconsistent v1 image for 0: 0 vs 1"),
-        (19, "v1 0 9", "line 19: inconsistent v1 image for 0: 0 vs 9"),
+        (5, "disk 0 1 7 2 8 2", "line 5: bad or duplicate cycle index 0"),
+        (6, "disk 3 2 6 0 8 3", "line 6: bad or duplicate cycle index 3"),
+        (5, "disk 1 1 7 2 9 2", "line 5: inconsistent v2 image for 6: 8 vs 9"),
+        (6, "disk 2 2 6 1 8 3", "line 6: inconsistent v1 image for 0: 0 vs 1"),
+        (7, "v1 0 9", "line 7: inconsistent v1 image for 0: 0 vs 9"),
     ])
     def test_block_errors_name_their_line(self, lineno, line, message):
         with pytest.raises(FormatError) as info:
@@ -426,7 +404,7 @@ class TestCertificateFormat:
 
         monkeypatch.setattr("homeofind.core.build_aux_graph", never)
         with pytest.raises(FormatError) as info:
-            parse_certificate(f"cert v1\n# c\ntg {count}\nf 0 1 2\nv1 3 7\n")
+            parse_certificate(f"cert v2\n# c\ntg {count}\nf 0 1 2\nv1 3 7\n")
         assert str(info.value) == (
             f"line 3: tg {count} names more vertices than its "
             "1 face lines and 1 v1 lines can place"
@@ -476,7 +454,7 @@ class TestCli:
         certp = tmp_path / "bad.cert"
         certp.write_text(isolated_vertex_certificate_text(host, "v1 3 999"))
         assert main(["verify", "--cert", str(certp), "--host", hostp]) == 1
-        assert "fail check=6: " in capsys.readouterr().err
+        assert "fail check=1: " in capsys.readouterr().err
 
     def test_find_failure_exit_code(self, tmp_path, capsys):
         empty = self._write_host(tmp_path, TripartiteHost((5, 5, 5), frozenset()))
@@ -617,15 +595,15 @@ class TestCli:
     def test_missing_disk_block_exit_2(self, tmp_path, capsys):
         hostp = self._write_host(tmp_path, complete_host(10))
         certp = tmp_path / "short.cert"
-        certp.write_text("".join(TRIANGLE_CERT.splitlines(keepends=True)[:-5]))
+        certp.write_text("".join(TRIANGLE_CERT.splitlines(keepends=True)[:-1]))
         assert main(["verify", "--cert", str(certp), "--host", hostp]) == 2
         err = capsys.readouterr().err
-        assert err == "error: certificate has 2 disk blocks, target requires 3\n"
+        assert err == "error: certificate has 2 disk lines, target requires 3\n"
 
     def test_truncated_v1_line_exit_2(self, tmp_path, capsys):
         hostp = self._write_host(tmp_path, complete_host(10))
         certp = tmp_path / "bad.cert"
-        certp.write_text("cert v1\ntg 4\nf 0 1 2\nv1 0\n")
+        certp.write_text("cert v2\ntg 4\nf 0 1 2\nv1 0\n")
         assert main(["verify", "--cert", str(certp), "--host", hostp]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 4: expected 'v1 v y'")

@@ -1,6 +1,7 @@
+import functools
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import homeofind
 from conftest import complete_host, problem_of, random_host, random_threegraph
 from homeofind.core import (
     Config,
+    HomeomorphCertificate,
     ThreeGraph,
     TripartiteHost,
     build_aux_graph,
@@ -31,6 +33,7 @@ from oracles import (
     clique_oracle,
     expectation_oracle,
     forbidden_expectation_oracle,
+    relabel_oracle,
 )
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
@@ -77,9 +80,9 @@ class TestCanonicalShape:
         canon = canonical_glued_subdivision(h)
         assert canon.euler_characteristic() == euler_characteristic(h)
 
-    # a certificate that passes checks 1-6 lists one vertex per vertex of the
+    # a certificate that passes checks 1-4 lists one vertex per vertex of the
     # kept shape and has its faces and 1-cells, so its chi is the target's:
-    # these are the two facts that TestCheck6AgainstOracle's property rests on
+    # these are the two facts that TestVerifierAgainstOracle's chi test rests on
     @staticmethod
     def assert_chi_counts(h):
         shape = h.canonical_subdivision
@@ -99,12 +102,28 @@ class TestCanonicalShape:
     @given(threegraphs)
     def test_added_vertices_carry_the_aux_tags(self, h):
         # pair- and face-vertices are named by the auxiliary graph's own
-        # tags, in its V2 order; the disk centers follow
+        # tags, in its V2 order; the disk centers follow in special-cycle
+        # order, so a label's position is its key in the embedding's maps
         canon = canonical_glued_subdivision(h)
         aux = build_aux_graph(h)
         added = canon.labels[h.vertex_count:]
         assert added[:len(aux.v2)] == aux.v2_tags
-        assert all(label[0] == "corner" for label in added[len(aux.v2):])
+        assert added[len(aux.v2):] == tuple(
+            ("corner", sc.face, sc.edge) for sc in aux.special_cycles
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(threegraphs)
+    def test_faces_are_xyz_triples_four_per_special_cycle(self, h):
+        canon = canonical_glued_subdivision(h)
+        aux = build_aux_graph(h)
+        label = canon.labels.__getitem__
+        want = []
+        for ci, sc in enumerate(aux.special_cycles):
+            a, b, u, w = label(sc.a), label(sc.b), label(sc.u), label(sc.w)
+            c = label(len(canon.labels) - 3 * h.e + ci)
+            want += [(u, a, c), (u, b, c), (w, b, c), (w, a, c)]
+        assert canon.faces == tuple(want)
 
     def test_every_face_has_a_corner_vertex(self):
         canon = canonical_glued_subdivision(K4)
@@ -138,19 +157,14 @@ class TestVerifierAccepts:
         assert verify_certificate(cert, host).passed
 
 
-# -- the six independence mutations: each flips exactly one check ----------
+# -- the independence mutations: each flips exactly one check -------------
 
 
 def mutate_face_outside_host(cert, host):
-    """Point one certificate face at a Z vertex the host does not have."""
-    faces = list(cert.host_faces)
-    x, y, z = faces[0]
-    faces[0] = (x, y, host.n_z + 5)
-    return replace(cert, host_faces=tuple(faces)), host
-
-
-def mutate_drop_face(cert, host):
-    return replace(cert, host_faces=cert.host_faces[:-1]), host
+    """Re-image the first disk center to a Z vertex the host does not have,
+    so that the four faces of that disk leave the host."""
+    cm = {**cert.embedding.center_map, 0: host.n_z + 5}
+    return replace(cert, embedding=replace(cert.embedding, center_map=cm)), host
 
 
 def mutate_duplicate_v2_image(cert, host):
@@ -164,46 +178,21 @@ def mutate_duplicate_centers(cert, host):
     cm = dict(cert.embedding.center_map)
     keys = sorted(cm)
     cm[keys[0]] = cm[keys[1]]
-    # keep the original faces so checks 1-3 still pass
     return replace(cert, embedding=replace(cert.embedding, center_map=cm)), host
 
 
-def mutate_swap_centers(cert, host, target):
-    """Swap two disk centers in the map while leaving the faces alone.
-
-    Counts, injectivity and distinctness all survive, but relabeling now
-    attaches the wrong corner vertices, so the glued faces no longer match
-    the canonical subdivision.
-    """
+def mutate_drop_disk(cert, host):
+    """Drop the last special cycle's center, so that one disk has no image."""
     cm = dict(cert.embedding.center_map)
-    keys = sorted(cm)
-    cm[keys[0]], cm[keys[1]] = cm[keys[1]], cm[keys[0]]
-    emb = replace(cert.embedding, center_map=cm)
-    return replace(cert, embedding=emb), host
-
-
-def mutate_swap_pair_and_face_images(cert, host, target):
-    """Swap the X images of a pair-vertex and a face-vertex."""
-    aux = build_aux_graph(target)
-    u = next(u for u, (kind, _) in zip(aux.v2, aux.v2_tags) if kind == "pair")
-    w = next(u for u, (kind, _) in zip(aux.v2, aux.v2_tags) if kind == "face")
-    v2 = dict(cert.embedding.v2_map)
-    v2[u], v2[w] = v2[w], v2[u]
-    return replace(cert, embedding=replace(cert.embedding, v2_map=v2)), host
-
-
-def mutate_swap_y_images(cert, host, target):
-    """Swap the Y images of target vertices 0 and 1."""
-    v1 = dict(cert.embedding.v1_map)
-    v1[0], v1[1] = v1[1], v1[0]
-    return replace(cert, embedding=replace(cert.embedding, v1_map=v1)), host
+    del cm[max(cm)]
+    return replace(cert, embedding=replace(cert.embedding, center_map=cm)), host
 
 
 def mutate_drop_isolated_vertex(host):
     """A target with an isolated vertex, minus that vertex's image.
 
-    Checks 1-5 only look at faces, so the mutilated certificate sails
-    through them; only check 6, which reads v1_map's keys, notices.
+    No face shows vertex 3, so only check 1, which reads v1_map's keys,
+    notices.
     """
     lonely = ThreeGraph(4, frozenset({(0, 1, 2)}))  # vertex 3 is isolated
     cert = find_homeomorph(host, lonely, Config(C=1, k_threshold=3, rng_seed=1))
@@ -212,71 +201,79 @@ def mutate_drop_isolated_vertex(host):
     return replace(cert, embedding=replace(cert.embedding, v1_map=v1)), host
 
 
+def swap_images(cert, field, a, b):
+    """``cert`` with the images of keys ``a`` and ``b`` of its ``field`` map
+    swapped."""
+    m = dict(getattr(cert.embedding, field))
+    m[a], m[b] = m[b], m[a]
+    return replace(cert, embedding=replace(cert.embedding, **{field: m}))
+
+
 class TestVerifierRejects:
-    def test_check1_face_outside_host(self):
+    def test_check4_face_outside_host(self):
         cert, host = _good_cert()
         bad, host = mutate_face_outside_host(cert, host)
         res = verify_certificate(bad, host)
-        assert not res.passed and res.check == 1
+        assert (res.passed, res.check) == (False, 4)
+        x, y, _ = cert.host_faces[0]
+        assert res.reason == f"certificate face {(x, y, host.n_z + 5)} not a face of the host"
 
-    def test_check2_missing_face(self):
+    def test_check1_dropped_disk(self):
         cert, host = _good_cert()
-        bad, host = mutate_drop_face(cert, host)
-        res = verify_certificate(bad, host)
-        assert not res.passed and res.check == 2
+        bad, host = mutate_drop_disk(cert, host)
+        assert verify_certificate(bad, host) == VerifyResult(
+            False, 1, "center_map keys are not the special-cycle indices 0 to 3e(H) - 1"
+        )
 
-    def test_check3_non_injective_v2(self):
+    def test_check2_non_injective_v2(self):
         cert, host = _good_cert()
         bad, host = mutate_duplicate_v2_image(cert, host)
         res = verify_certificate(bad, host)
-        assert not res.passed and res.check == 3
+        assert not res.passed and res.check == 2
 
-    def test_check4_repeated_center(self):
+    def test_check3_repeated_center(self):
         cert, host = _good_cert()
         bad, host = mutate_duplicate_centers(cert, host)
         res = verify_certificate(bad, host)
-        assert not res.passed and res.check == 4
+        assert not res.passed and res.check == 3
 
-    def test_check5_swapped_centers(self):
-        host = complete_host(16)
-        cert, _ = _good_cert(host, K4)
-        bad, host = mutate_swap_centers(cert, host, K4)
-        res = verify_certificate(bad, host)
-        assert not res.passed and res.check == 5
-
-    # Swapped images keep the faces, counts and injectivity, so checks 1-4
-    # pass; only the relabeling sees that the maps no longer fit the faces.
-    @pytest.mark.parametrize("mutate", [mutate_swap_pair_and_face_images, mutate_swap_y_images])
-    @pytest.mark.parametrize("target", [TRIANGLE, K4], ids=["triangle", "k4"])
-    def test_check5_swapped_images(self, mutate, target):
-        cert, host = _good_cert(complete_host(16), target)
-        bad, host = mutate(cert, host, target)
-        res = verify_certificate(bad, host)
-        assert (res.passed, res.check) == (False, 5)
-        assert res.reason == "relabeled faces differ from the canonical glued subdivision"
-
-    def test_check5_face_outside_embedding_image(self):
-        # a face moved to an X-vertex no V2 vertex maps to: still a host
-        # face, with the count, maps and centers untouched
-        cert, host = _good_cert()
-        x = min(set(range(host.n_x)) - set(cert.embedding.v2_map.values()))
-        _, y, z = cert.host_faces[0]
-        bad = replace(cert, host_faces=((x, y, z), *cert.host_faces[1:]))
-        res = verify_certificate(bad, host)
-        assert (res.passed, res.check) == (False, 5)
-        assert res.reason == f"face {(x, y, z)} has a vertex outside the embedding image"
-
-    def test_check6_dropped_isolated_vertex(self):
+    def test_check1_dropped_isolated_vertex(self):
         host = complete_host(10)
         bad, host = mutate_drop_isolated_vertex(host)
         res = verify_certificate(bad, host)
-        assert not res.passed and res.check == 6
+        assert not res.passed and res.check == 1
 
     def test_wrong_host_rejected(self):
         cert, _ = _good_cert()
         empty = type(complete_host(10))((10, 10, 10), frozenset())
         res = verify_certificate(cert, empty)
-        assert not res.passed and res.check == 1
+        assert not res.passed and res.check == 4
+
+
+class TestRelabelledCopies:
+    # Swapping two images keeps every map keyed, injective and with distinct
+    # centers, so the verdict is the swapped copy's faces: on a complete host
+    # it is another valid copy, and on the host made of the found copy's
+    # faces alone check 4 refuses it.
+    @staticmethod
+    def swapped_keys(target, field):
+        if field != "v2_map":
+            return 0, 1
+        aux = target.aux_graph
+        u = next(u for u, (kind, _) in zip(aux.v2, aux.v2_tags) if kind == "pair")
+        w = next(u for u, (kind, _) in zip(aux.v2, aux.v2_tags) if kind == "face")
+        return u, w
+
+    @pytest.mark.parametrize("field", ["v2_map", "v1_map", "center_map"])
+    @pytest.mark.parametrize("target", [TRIANGLE, K4], ids=["triangle", "k4"])
+    def test_swap_is_judged_by_its_faces(self, target, field):
+        cert, host = _good_cert(complete_host(16), target)
+        own = TripartiteHost(host.class_sizes, cert.host_faces)
+        assert verify_certificate(cert, own).passed
+        bad = swap_images(cert, field, *self.swapped_keys(target, field))
+        assert set(bad.host_faces) != set(cert.host_faces)
+        assert verify_certificate(bad, host).passed
+        assert verify_certificate(bad, own).check == 4
 
 
 def rekey(cert, field, old, new):
@@ -288,17 +285,17 @@ def rekey(cert, field, old, new):
 
 
 class TestForeignMapKeys:
-    # Checks 1-4 read only the maps' values, so each rekeyed certificate
-    # reaches check 5.  Center key -1 would relabel through cycle 2.
+    # Each rekeyed map keeps its images, so only check 1, which reads the
+    # keys, refuses it.  Center key -1 would map through cycle 2.
     @pytest.mark.parametrize("field, old, new", [
         ("v2_map", 3, 999),
         ("center_map", 0, 99),
         ("center_map", 2, -1),
     ])
-    def test_check5_foreign_key(self, field, old, new):
+    def test_check1_foreign_key(self, field, old, new):
         cert, host = _good_cert()
         res = verify_certificate(rekey(cert, field, old, new), host)
-        assert not res.passed and res.check == 5
+        assert not res.passed and res.check == 1
         assert res.reason.startswith(f"{field} keys are not")
 
 
@@ -314,8 +311,8 @@ def isolated_vertex_certificate_text(host, v1_line):
 
 
 class TestIsolatedVertexCount:
-    # Vertices 3 and 4 are isolated, so no face shows their images and
-    # checks 1-5 pass: check 6 reads v1_map's keys and refuses each mutant.
+    # Vertices 3 and 4 are isolated, so no face shows their images: check 1
+    # reads v1_map's keys and refuses each mutant.
     LONELY = ThreeGraph(5, frozenset({(0, 1, 2)}))
 
     @pytest.mark.parametrize("mutate", [
@@ -330,7 +327,7 @@ class TestIsolatedVertexCount:
         free = min(set(range(host.n_y)) - set(v1.values()))
         bad = replace(cert, embedding=replace(cert.embedding, v1_map=mutate(v1, free)))
         assert verify_certificate(bad, host) == VerifyResult(
-            False, 6, "v1_map does not map exactly the target vertices 0..4"
+            False, 1, "v1_map does not map exactly the target vertices 0..4"
         )
 
 
@@ -348,89 +345,119 @@ def map_corruptions(cert, host):
             yield rekey(cert, field, key, fresh)
 
 
-class TestCheck6AgainstOracle:
-    # Found certificates: triangle, k4 and rp2 on two seeded hosts, and
-    # targets with isolated vertices, whose v1_map mutants pass checks 1-5
-    LONELY = {
-        "lonely4": ThreeGraph(4, frozenset({(0, 1, 2)})),
-        "lonely5": TestIsolatedVertexCount.LONELY,
-    }
-    FAMILY = [
-        (name, seed) for name in ("triangle", "k4", "rp2") for seed in (0, 1)
-    ] + [(name, 1) for name in LONELY]
-
-    @classmethod
-    def found(cls, name, seed):
-        if name in cls.LONELY:
-            target = cls.LONELY[name]
-            host, cfg = complete_host(16), Config(C=1, k_threshold=3, rng_seed=seed)
+def single_entry_mutants(cert, host, rng, count):
+    """``count`` copies of ``cert``, each with one entry of one map re-imaged
+    (possibly just outside its class), dropped, given another entry's image,
+    or added at a fresh key."""
+    emb = cert.embedding
+    for _ in range(count):
+        field, n = rng.choice([("v1_map", host.n_y), ("v2_map", host.n_x), ("center_map", host.n_z)])
+        m = dict(getattr(emb, field))
+        key = rng.choice(sorted(m))
+        kind = rng.choice(["re-image", "drop", "duplicate", "add"])
+        if kind == "re-image":
+            m[key] = rng.randrange(-1, n + 2)
+        elif kind == "drop":
+            del m[key]
+        elif kind == "duplicate":
+            m[key] = m[rng.choice(sorted(m))]
         else:
-            target = load_target(f"builtin:{name}")
-            host = gen_random_host(32, 32, 32, 0.9, seed)
-            cfg = Config(C=2, k_threshold=3, rng_seed=seed)
-        return find_homeomorph(host, target, cfg), host
+            m[max(m) + 1] = rng.randrange(-1, n + 2)
+        yield replace(cert, embedding=replace(emb, **{field: m}))
 
-    @pytest.mark.parametrize("name, seed", FAMILY)
-    def test_count_agrees_with_the_one_cell_walk(self, name, seed):
-        # every certificate the verifier passes has the target's chi, counted
-        # by the oracle's one-cell walk, and wherever checks 1-5 pass, check 6
-        # refuses exactly a v1_map not keyed by 0..v-1 or with an image
-        # outside Y
-        cert, host = self.found(name, seed)
-        target = cert.target
-        mutants = [
-            (cert, host),
-            mutate_face_outside_host(cert, host),
-            mutate_drop_face(cert, host),
-            mutate_duplicate_v2_image(cert, host),
-            mutate_duplicate_centers(cert, host),
-            mutate_swap_centers(cert, host, target),
-            mutate_drop_isolated_vertex(complete_host(16)),
-        ] + [(bad, host) for bad in map_corruptions(cert, host)]
+
+# Targets with isolated vertices, whose v1_map mutants no face shows
+LONELY = {
+    "lonely4": ThreeGraph(4, frozenset({(0, 1, 2)})),
+    "lonely5": TestIsolatedVertexCount.LONELY,
+}
+
+
+@functools.cache
+def found(name):
+    """A found certificate of a builtin on a 48-wide random host, which
+    every builtin fits, or of a ``LONELY`` target on a complete host."""
+    if name in LONELY:
+        host = complete_host(16)
+        return find_homeomorph(host, LONELY[name], Config(C=1, k_threshold=3, rng_seed=1)), host
+    host = gen_random_host(48, 48, 48, 0.8, 0)
+    target = load_target(f"builtin:{name}")
+    return find_homeomorph(host, target, Config(C=2, k_threshold=3, rng_seed=0)), host
+
+
+class TestVerifierAgainstOracle:
+    @pytest.mark.parametrize("name", [*BUILTINS, *LONELY])
+    def test_verdict_is_the_relabel_oracles(self, name):
+        # the verifier passes exactly what the relabel-and-compare oracle
+        # accepts on the faces the maps give, and every certificate it
+        # passes has the target's chi, counted by the one-cell walk
+        cert, host = found(name)
+        rng = random.Random(f"mutants of {name}")
+        family = [cert, *single_entry_mutants(cert, host, rng, 200), *map_corruptions(cert, host)]
         reached = set()
-        for bad, bad_host in mutants:
-            res = verify_certificate(bad, bad_host)
-            if not res.passed and res.check < 6:
-                continue
+        for bad in family:
+            res = verify_certificate(bad, host)
             reached.add(res.check)
+            try:
+                faces = bad.host_faces
+            except KeyError:  # a map lacks a vertex of the shape: no copy to compare
+                assert res.check == 1
+                continue
+            assert res.passed == relabel_oracle(bad, host, faces), res
             if res.passed:
                 assert certificate_chi_oracle(bad) == euler_characteristic(bad.target)
-            v1 = bad.embedding.v1_map
-            bad_v1 = set(v1) != set(range(bad.target.v)) or not all(
-                0 <= y < bad_host.n_y for y in v1.values()
-            )
-            assert (res.check == 6) == bad_v1
-        assert {None, 6} <= reached
+        assert reached == {None, 1, 2, 3, 4}
+
+
+class TestHostFaces:
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_four_faces_per_special_cycle_in_cycle_order(self, name):
+        # the faces bench outcomes are keyed on: (u, a, c), (u, b, c),
+        # (w, b, c) and (w, a, c) of each disk, mapped through the embedding
+        cert, _ = found(name)
+        emb = cert.embedding
+        cycles = cert.target.aux_graph.special_cycles
+        assert len(cert.host_faces) == 4 * len(cycles) == 12 * cert.target.e
+        for ci, sc in enumerate(cycles):
+            c = emb.center_map[ci]
+            ya, yb = emb.v1_map[sc.a], emb.v1_map[sc.b]
+            xu, xw = emb.v2_map[sc.u], emb.v2_map[sc.w]
+            want = ((xu, ya, c), (xu, yb, c), (xw, yb, c), (xw, ya, c))
+            assert cert.host_faces[4 * ci:4 * ci + 4] == want
+
+    def test_a_certificate_is_its_target_and_embedding(self):
+        assert [f.name for f in fields(HomeomorphCertificate)] == ["target", "embedding"]
 
 
 class TestIsolatedVertexImage:
-    # No face shows an isolated vertex, so checks 1-5 pass each of these;
-    # only check 6 reads v1_map itself.
+    # No face shows an isolated vertex, so only check 1's reading of
+    # v1_map itself refuses these.
     @pytest.mark.parametrize("v1_line, reason", [
         ("v1 3 999", "sends vertex 3 to 999, outside Y = [0, 12)"),
         ("v1 3 -1", "sends vertex 3 to -1, outside Y = [0, 12)"),
         ("v1 99 5", "does not map exactly the target vertices 0..3"),
     ])
-    def test_check6_bad_isolated_vertex_image(self, v1_line, reason):
+    def test_check1_bad_isolated_vertex_image(self, v1_line, reason):
         host = complete_host(12)
         cert = parse_certificate(isolated_vertex_certificate_text(host, v1_line))
         res = verify_certificate(cert, host)
-        assert not res.passed and res.check == 6
+        assert not res.passed and res.check == 1
         assert reason in res.reason
 
 
 class TestOutOfRangeFaces:
     def test_face_outside_its_class_does_not_alias(self):
-        # (0, 3, 0) and (1, 0, 0) share the naive code (x * n_y + y) * n_z + z
-        # = 12 at sizes (2, 3, 4); y = 3 is outside Y
-        host = TripartiteHost((2, 3, 4), frozenset({(1, 0, 0)}))
-        assert host.has(1, 0, 0)
-        assert not host.has(0, 3, 0)
-        cert, _ = _good_cert()
-        forged = replace(cert, host_faces=((0, 3, 0),) + cert.host_faces[1:])
-        res = verify_certificate(forged, host)
-        assert not res.passed and res.check == 1
-        assert "(0, 3, 0)" in res.reason
+        # a center re-imaged to z = n_z + 5 puts (x, y, n_z + 5) in the
+        # copy, whose naive code (x * n_y + y) * n_z + z is that of the host
+        # face (x, y + 1, 5) of the complete host
+        cert, host = _good_cert()
+        bad, _ = mutate_face_outside_host(cert, host)
+        x, y, z = bad.host_faces[0]
+        assert z == host.n_z + 5 and y + 1 < host.n_y and host.has(x, y + 1, 5)
+        assert not host.has(x, y, z)
+        res = verify_certificate(bad, host)
+        assert not res.passed and res.check == 4
+        assert f"{(x, y, z)}" in res.reason
 
 
 class TestExpectationOracles:
