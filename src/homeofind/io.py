@@ -16,9 +16,16 @@ hexadecimal, bit z set for the face (x, y, z), and a run ``m x y HEX0
 HEX1 ... HEXk-1`` means exactly the k lines ``m x y+i HEXi``, read in order
 on its own line number.  ``write_host`` writes, in sorted order, one line
 per maximal run of entries (x, y), (x, y + 1), ... of an x row, so a
-dense host takes one line per x.  ``parse_host`` reads these lines in any
-order, ORing each mask into the entry of its (x, y); they are a host's
-only face lines, and an ``f`` line is refused on its line.  HEX is read as
+dense host takes one line per x.  For n_z <= 64 it writes each mask as a
+word of W bytes, W the smallest of 1, 2, 4 and 8 that holds n_z bits: 2W
+lower-case digits, zeros in front, one blank between words.  Wider masks
+are written without leading zeros.  ``parse_host`` reads these lines in
+any order, ORing each mask into the entry of its (x, y); they are a host's
+only face lines, and an ``f`` line is refused on its line.  A run line
+spelled as ``write_host`` spells it is read in bulk where its masks and
+entries allow (see ``parse_host``); any other (n_z > 64, masks without
+leading zeros, ``0x``, ``_``, tabs or double blanks) is read entry by
+entry, to the same table or the same error.  HEX is read as
 ``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
 mask too; a mask that is negative, 0, or has a bit at or above n_z is
 refused.  Each line is checked as it is read, its coordinates against the
@@ -44,15 +51,17 @@ wider than any before is checked against the bound where it is read.  An
 entry that a mask opens is checked too, but only when (text length // 2)
 times n_z exceeds the bound: a table has no more entries than the text has
 mask tokens, each a character and the blank before it, and no mask
-reaches 2**n_z, so otherwise no table the text spells can pass it.  A
-written host stays far inside the bound: a dense n = 60 host holds about
-3.7 bits per character.
+reaches 2**n_z, so otherwise no table the text spells can pass it.  A run
+of words never passes the bound: n_z <= 64, and each entry takes at least
+two characters.  A written host stays far inside the bound: a dense
+n = 60 host holds about 3.5 bits per character.
 """
 
 from __future__ import annotations
 
+import struct
 from importlib import resources
-from itertools import count, pairwise, repeat
+from itertools import count, pairwise
 
 from .core import (
     Embedding,
@@ -66,12 +75,12 @@ class FormatError(ValueError):
     pass
 
 
-def _content_lines(text: str):
+def _content_lines(text: str, maxsplit: int = -1):
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, line.split()
+        yield lineno, line.split(None, maxsplit)
 
 
 def _target_line(tok: list[str], header: int | None, faces: list) -> int:
@@ -155,6 +164,30 @@ def _coordinate(name: str, tok: str, n: int) -> int:
     return val
 
 
+def _word(nz: int) -> tuple[str, int] | None:
+    """The ``struct`` code and byte width W of a written mask word for masks
+    below ``2**nz``: the smallest of 1, 2, 4 and 8 bytes that holds nz bits,
+    or None when nz > 64."""
+    for code, w in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)):
+        if nz <= 8 * w:
+            return code, w
+    return None
+
+
+def _words(hexes: str, code: str, w: int) -> tuple[int, ...] | None:
+    """The masks of a run line's HEX part if it is k words of exactly 2w
+    hexadecimal digits, one blank apart, else None."""
+    k, rest = divmod(len(hexes) + 1, 2 * w + 1)
+    if rest or hexes[2 * w::2 * w + 1].count(" ") != k - 1:
+        return None
+    try:
+        packed = bytes.fromhex(hexes)
+    except ValueError:
+        return None
+    # a blank or digit out of place leaves fewer than 2kw digits
+    return struct.unpack(f">{k}{code}", packed) if len(packed) == k * w else None
+
+
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host in one pass over its lines, checking each line
     as it is read: a ``FormatError`` names the first malformed line.
@@ -167,28 +200,35 @@ def parse_host(text: str) -> TripartiteHost:
     or above n_z, is refused, and so is an ``f`` line, which only a
     target's text holds.
 
-    A line whose entries are all new, inside the row, positive, below
-    ``2**nz`` and within the table's bound (see the module docstring) is
-    read in bulk: its masks in one ``map``, checked with ``min`` and
-    ``max``, and added with one ``dict.update``.  Any other line is read
-    entry by entry: a mask is checked only when it is not positive or
-    wider than any before, and an entry it opens is checked against the
-    bound only when (mask tokens the text can hold) * n_z exceeds it, so
-    it gives the same table or the same error as its one-mask lines.
+    A run line spelled as ``write_host`` spells it, its HEX part k words
+    of 2W hexadecimal digits one blank apart (n_z <= 64), is read in bulk
+    when its masks are positive and below ``2**nz`` and its entries inside
+    the row and new: its masks in one ``bytes.fromhex`` and one
+    ``struct.unpack``, checked with ``min`` and ``max``, and added with one
+    ``dict.update``.  A run that starts above every entry read so far is
+    new without a lookup.  Any other line is read entry by entry: a mask
+    is checked only when it is not positive or wider than any before, and
+    an entry it opens is checked against the bound only when (mask tokens
+    the text can hold) * n_z exceeds it, so it gives the same table or the
+    same error as its one-mask lines.
     """
     sizes = None
     table: dict[int, int] = {}
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
     try:
-        for lineno, tok in _content_lines(text):
+        # x, y and the HEX part of a run line; a header is split in full
+        for lineno, tok in _content_lines(text, 3):
             if tok[0] == "tph":
+                tok = " ".join(tok).split()
                 if sizes is not None:
                     raise ValueError("duplicate tph header")
                 if len(tok) != 4:
                     raise ValueError("expected 'tph nx ny nz'")
                 nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
-                # a mask token takes a character and the blank before it
-                get, top, checked = table.get, 0, len(text) // 2 * nz > budget
+                # a mask token takes a character and the blank before it;
+                # every entry read so far lies below high
+                get, top, high, checked = table.get, 0, 0, len(text) // 2 * nz > budget
+                word = _word(nz)
             elif tok[0] == "f":
                 raise ValueError("'f' lines belong to targets; a host's faces are 'm x y HEX' lines")
             elif tok[0] != "m":
@@ -198,16 +238,21 @@ def parse_host(text: str) -> TripartiteHost:
             elif len(tok) < 4:
                 raise ValueError("expected 'm x y HEX'")
             else:
-                # in bulk when its entries are new and inside the row and its
-                # masks fit, else as its one-mask lines
+                # in bulk when written as words, its masks in class and its
+                # entries inside the row and new, else as its one-mask lines;
+                # words never pass the table's bound (see the module docstring)
                 x, y = _coordinate("x", tok[1], nx), _coordinate("y", tok[2], ny)
-                keys = range(x * ny + y, x * ny + y + len(tok) - 3)
-                masks = _bulk_masks(tok, nz) if y + len(keys) <= ny and table.keys().isdisjoint(keys) else None
-                if masks and (len(table) + len(keys)) * (width := max(top, max(masks).bit_length())) <= budget:
-                    top = width
-                    table.update(zip(keys, masks))
+                start = x * ny + y
+                masks = word and _words(tok[3], *word)
+                if (
+                    masks and y + len(masks) <= ny and min(masks) > 0 and not max(masks) >> nz
+                    and (start >= high or table.keys().isdisjoint(range(start, start + len(masks))))
+                ):
+                    table.update(zip(count(start), masks))
+                    high = max(high, start + len(masks))
                     continue
-                for y, key, hexed in zip(count(y), keys, tok[3:]):
+                hexes = tok[3].split()
+                for y, key, hexed in zip(count(y), count(start), hexes):
                     if y >= ny:
                         raise ValueError(f"y = {y} is outside [0, {ny})")
                     entry = get(key)
@@ -217,6 +262,7 @@ def parse_host(text: str) -> TripartiteHost:
                     if mask <= 0 or mask.bit_length() > top:
                         top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
                     table[key] = mask if entry is None else entry | mask
+                high = max(high, start + len(hexes))
     except ValueError as exc:  # a malformed line, token, header size or coordinate, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
@@ -224,30 +270,28 @@ def parse_host(text: str) -> TripartiteHost:
     return TripartiteHost._from_table(sizes, table)
 
 
-def _bulk_masks(tok: list[str], nz: int) -> list[int] | None:
-    """The masks of run line ``tok`` if each is a hexadecimal mask in
-    [1, 2**nz), else None."""
-    try:
-        masks = list(map(int, tok[3:], repeat(16)))
-    except ValueError:
-        return None
-    return masks if min(masks) > 0 and max(masks).bit_length() <= nz else None
-
-
 def write_host(host: TripartiteHost) -> str:
     """One ``m x y HEX0 HEX1 ...`` line per maximal run of table entries
     (x, y), (x, y + 1), ... of an x row, in sorted order: HEXi is the
-    z-mask of (x, y + i) in lower-case hexadecimal."""
+    z-mask of (x, y + i) in lower-case hexadecimal.  For n_z <= 64 each
+    mask is a word of W bytes, W the smallest of 1, 2, 4 and 8 that holds
+    n_z bits, written as its 2W digits, zeros in front: one
+    ``struct.pack(...).hex(" ", W)`` per run.  Wider masks are written
+    without leading zeros."""
     ny, masks = host.n_y, host.zmasks
     keys = sorted(masks)
-    hexed = [f"{masks[key]:x}" for key in keys]
+    values = [masks[key] for key in keys]
+    word = _word(host.n_z)
+
+    def run(i: int, j: int) -> str:
+        if word:
+            return struct.pack(f">{j - i}{word[0]}", *values[i:j]).hex(" ", word[1])
+        return " ".join(f"{mask:x}" for mask in values[i:j])
+
     # a run starts at a key that does not follow the one before, or opens a row
     starts = [i for i, (prev, key) in enumerate(zip([-2, *keys], keys)) if key != prev + 1 or key % ny == 0]
     lines = [f"tph {host.n_x} {ny} {host.n_z}"]
-    lines += [
-        f"m {keys[i] // ny} {keys[i] % ny} {' '.join(hexed[i:j])}"
-        for i, j in pairwise([*starts, len(keys)])
-    ]
+    lines += [f"m {keys[i] // ny} {keys[i] % ny} {run(i, j)}" for i, j in pairwise([*starts, len(keys)])]
     return "\n".join(lines) + "\n"
 
 

@@ -138,18 +138,37 @@ class TestHostFormat:
 
     def test_entries_apart_written_on_lines_of_their_own(self):
         host = TripartiteHost((2, 3, 9), {(0, 2, 0), (0, 2, 8), (1, 0, 4)})
-        assert write_host(host) == "tph 2 3 9\nm 0 2 101\nm 1 0 10\n"
+        assert write_host(host) == "tph 2 3 9\nm 0 2 0101\nm 1 0 0010\n"
 
     def test_a_complete_row_written_as_one_line(self):
         # (0, 2) and (1, 0) are consecutive entries of two rows
         host = TripartiteHost((2, 3, 9), {(0, 2, 0), (1, 0, 0), (1, 1, 8), (1, 1, 1), (1, 2, 4)})
-        assert write_host(host) == "tph 2 3 9\nm 0 2 1\nm 1 0 1 102 10\n"
+        assert write_host(host) == "tph 2 3 9\nm 0 2 0001\nm 1 0 0001 0102 0010\n"
         assert parse_host(write_host(host)) == host
 
     def test_a_row_with_a_gap_written_as_two_lines(self):
         host = TripartiteHost((1, 5, 4), {(0, 0, 0), (0, 1, 3), (0, 3, 1), (0, 4, 2)})
-        assert write_host(host) == "tph 1 5 4\nm 0 0 1 8\nm 0 3 2 4\n"
+        assert write_host(host) == "tph 1 5 4\nm 0 0 01 08\nm 0 3 02 04\n"
         assert parse_host(write_host(host)) == host
+
+    @pytest.mark.parametrize("nz, digits", [
+        (1, 2), (8, 2), (9, 4), (16, 4), (17, 8), (32, 8), (33, 16), (64, 16), (65, None),
+    ])
+    def test_masks_written_as_words_as_wide_as_n_z_needs(self, nz, digits):
+        # up to n_z = 64 each mask is a word of 1, 2, 4 or 8 bytes, its
+        # digits zero-padded; wider masks keep no leading zeros
+        host = TripartiteHost((2, 3, nz), {(0, 0, 0), (0, 1, nz - 1), (0, 1, nz // 2), (1, 2, nz // 3)})
+        text = write_host(host)
+        header, *runs = text.splitlines()
+        runs = [line.split() for line in runs]
+        # the same host with no leading zeros, as hosts were written before
+        bare = "".join(
+            line + "\n" for line in [header, *(" ".join([*toks[:3], *(f"{int(h, 16):x}" for h in toks[3:])]) for toks in runs)]
+        )
+        if digits:
+            assert {len(h) for toks in runs for h in toks[3:]} == {digits}
+        assert (text == bare) == (digits is None)
+        assert parse_host(text) == parse_host(bare) == host
 
     def test_mask_lines_of_one_entry_or_together(self):
         text = "tph 2 2 8\nm 1 0 1\nm 1 0 0x0C\nm 0 1 1\nm 1 0 4\nm 1 0 +8_0\n"

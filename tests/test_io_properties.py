@@ -39,6 +39,15 @@ def dense_hosts(draw):
 
 
 @st.composite
+def wide_hosts(draw):
+    """Hosts of a few faces whose n_z sits on either side of each word
+    width's edge, 64 included."""
+    sizes = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.sampled_from([8, 9, 16, 17, 32, 33, 64, 65])))
+    cell = st.tuples(*(st.integers(0, n - 1) for n in sizes))
+    return TripartiteHost(sizes, frozenset(draw(st.lists(cell, max_size=12))))
+
+
+@st.composite
 def threegraphs(draw):
     v = draw(st.integers(0, 7))
     triples = list(itertools.combinations(range(v), 3))
@@ -49,6 +58,20 @@ def threegraphs(draw):
 FILLER = ["", " ", "\t", "# a comment", "  #indented 1 2 3", "#"]
 
 
+def word_digits(nz):
+    """The digits of one written mask word below ``2**nz`` (nz <= 64): two
+    per byte of the smallest of 1, 2, 4 and 8 bytes that holds nz bits."""
+    return 2 * next(w for w in (1, 2, 4, 8) if nz <= 8 * w)
+
+
+def spelled(draw, masks, nz):
+    """A run's HEX part, drawn in either spelling: words of ``word_digits``
+    digits, zeros in front, as ``write_host`` writes them, or each mask
+    without leading zeros."""
+    width = word_digits(nz) if nz <= 64 and draw(st.booleans()) else 0
+    return " ".join(f"{m:0{width}x}" for m in masks)
+
+
 @st.composite
 def host_lines(draw, host):
     """The lines of a text of ``host``, header first: its ``write_host``
@@ -57,22 +80,25 @@ def host_lines(draw, host):
     one in which each run that ``write_host`` writes is split into runs at
     drawn points, now and then followed by a run over its entries from a
     drawn one on, which holds their lowest bits while the split runs hold
-    the rest."""
+    the rest.  Each line's masks are drawn as words or without leading
+    zeros (``spelled``)."""
     kind = draw(st.sampled_from(["written", "entries", "runs"]))
     written = write_host(host).splitlines()
-    if kind == "written":
-        return written
     lines = written[:1]
+    nz = host.n_z
     if kind == "entries":
         for key, mask in sorted(host.zmasks.items()):
             x, y = divmod(key, host.n_y)
             low = mask & -mask
             parts = draw(st.sampled_from([[mask], [low, mask], [mask ^ low or mask, low]]))
-            lines += [f"m {x} {y} {part:x}" for part in parts]
+            lines += [f"m {x} {y} {spelled(draw, [part], nz)}" for part in parts]
         return lines
     for line in written[1:]:
         _, x, y, *hexes = line.split()
         masks = [int(h, 16) for h in hexes]
+        if kind == "written":
+            lines.append(f"m {x} {y} {spelled(draw, masks, nz)}")
+            continue
         lows = []
         if draw(st.booleans()):
             i = draw(st.integers(0, len(masks) - 1))
@@ -81,7 +107,7 @@ def host_lines(draw, host):
                 masks[t] = masks[t] ^ low or masks[t]
         cuts = sorted(draw(st.sets(st.integers(1, len(masks) - 1), max_size=3)) if len(masks) > 1 else [])
         for i, part in [(i, masks[i:j]) for i, j in itertools.pairwise([0, *cuts, len(masks)])] + lows:
-            lines.append(" ".join(["m", x, str(int(y) + i), *(f"{m:x}" for m in part)]))
+            lines.append(f"m {x} {int(y) + i} {spelled(draw, part, nz)}")
     return lines
 
 
@@ -292,9 +318,12 @@ def bad_edit(draw, lines, ny, nz):
         return 1
     at = draw(st.sampled_from(entries))
     toks = lines[at].split()
+    digits = word_digits(nz)
     last = [  # an extra mask that is 0, not hexadecimal or out of class, a run past its row, or no mask
         [toks[3], "0"], [toks[3], "#"], [*toks[3:], "g"], [toks[3], f"{1 << nz:x}"], [toks[3]] * (ny + 1),
         [], [""], [f"{toks[3]}\t0"],
+        # a word that is 0 or out of class after a first mask
+        [toks[3], "0" * digits], [toks[3], f"{1 << nz:0{digits}x}"],
         # a bit out of class, a mask not positive, or not hexadecimal
         [f"{1 << nz:x}"], ["0"], ["-1"], ["-" + toks[3]], ["g"], ["0x"], ["1.0"],
     ]
@@ -363,6 +392,40 @@ class TestParseHostMatchesReference:
     def test_run_shaped_text(self, case):
         text, _ = case
         assert outcome(parse_host, text) == outcome(reference_parse_host, text)
+
+    # masks of every word width, split, overlapping and in either spelling
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), wide_hosts())
+    def test_runs_of_wide_masks(self, data, host):
+        text = "\n".join(data.draw(host_lines(host))) + "\n"
+        assert parse_host(text) == reference_parse_host(text) == host
+
+    # lines spelled as, or nearly as, written words, and runs of words that
+    # start below an entry read before them: each gives the table, or the
+    # error, of one int() per token
+    @pytest.mark.parametrize("text, expected", [
+        ("tph 1 3 5\nm 0 0 01 00 02\n", "line 2: mask 0 names no face"),  # a zero word
+        ("tph 1 3 5\nm 0 0 01 20 02\n", "line 2: z = 5 is outside [0, 5)"),  # a word of 2**nz
+        ("tph 1 2 12\nm 0 0 0001 1000\n", "line 2: z = 12 is outside [0, 12)"),
+        ("tph 2 3 5\nm 0 1 01 02 03\n", "line 2: y = 3 is outside [0, 3)"),  # past the row's end
+        # a run that starts below an entry read before it: ORed where it
+        # overlaps one, and new where it does not
+        ("tph 1 3 5\nm 0 2 01\nm 0 0 02 02 04\n", {0: 2, 1: 2, 2: 5}),
+        ("tph 1 3 5\nm 0 1 01\nm 0 0 02 04\n", {0: 2, 1: 5}),
+        ("tph 2 3 5\nm 1 0 01\nm 0 1 02 04\n", {1: 2, 2: 4, 3: 1}),
+        ("tph 1 2 5\nm 0 0 01\t02\n", {0: 1, 1: 2}),  # a tab between words
+        ("tph 1 2 5\nm 0 0 01 2\n", {0: 1, 1: 2}),  # a word a digit short, or long
+        ("tph 1 2 5\nm 0 0 01 002\n", {0: 1, 1: 2}),
+        ("tph 1 2 12\nm 0 0 001 00002\n", {0: 1, 1: 2}),
+        ("tph 1 2 12\nm 0 0 000102 03\n", {0: 0x102, 1: 3}),  # its blank out of place
+        ("tph 1 2 12\nm 0 0 0_01 0002\n", {0: 1, 1: 2}),  # "_" or "0x" inside a word
+        ("tph 1 2 12\nm 0 0 0x01 0002\n", {0: 1, 1: 2}),
+        ("tph 1 2 12\nm 0 0 00AB 0002\n", {0: 0xAB, 1: 2}),  # upper case
+    ])
+    def test_words_and_near_words(self, text, expected):
+        found = outcome(parse_host, text)
+        assert found == outcome(reference_parse_host, text)
+        assert (found if isinstance(found, str) else found.zmasks) == expected
 
 
 @st.composite

@@ -91,11 +91,11 @@ class TestCanonicalShape:
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
-    def test_check6_counts_on_random_targets(self, h):
+    def test_shape_counts_on_random_targets(self, h):
         self.assert_chi_counts(h)
 
     @pytest.mark.parametrize("name", BUILTINS)
-    def test_check6_counts_on_builtins(self, name):
+    def test_shape_counts_on_builtins(self, name):
         self.assert_chi_counts(load_target(f"builtin:{name}"))
 
     @settings(max_examples=60, deadline=None)
