@@ -18,21 +18,27 @@ table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
 each (x, y) with at least one face, the bitmask over Z of the z that
 complete (x, y) to a face, keyed by the flat index ``x * n_y + y``.  The
 table is sparse (an (x, y) with no face has no entry), so it holds one int
-per occupied (x, y) and nothing per face or per header-sized class.  Facts
-of the table live on the host and are worked out here alone, each kept
-once first read: ``e``, ``occupied`` (the OR of its masks), its byte
-columns (``byte_columns``, each one int whose byte i is a byte of the i-th
-mask) and the Y side of each link L_z built from them (``link_y``, kept in
-``link_y_masks``), so that every search of one host shares them.  Bit z of
-the masks is one AND and one popcount of column z // 8, so the host
-answers e(L_z) (``link_size``) without a per-entry step; it also answers
-the 4-disks of a cycle (``disk_mask``).  Every stage reads the host
-through it: ``io`` writes and parses it, and ``links`` and ``embed`` read
-link sizes, link Y sides and disk masks off it.
+per occupied (x, y) and nothing per face or per header-sized class.  Its
+keys ascend, whichever constructor made it, so a full table (an entry for
+every (x, y)) lists its entries in flat order.  Facts of the table live on
+the host and are worked out here alone, each kept once first read: ``e``,
+``occupied`` (the OR of its masks), its byte columns (``byte_columns``,
+each one int whose byte i is a byte of the i-th mask), the Y side of each
+link L_z read from them (``link_y``, kept in ``link_y_masks``) and the
+size of every entry by flat index (``entry_sizes``, n_x * n_y slots), so
+that every search of one host shares them.  Bit z of the masks is one AND
+and one popcount of column z // 8, so the host answers e(L_z)
+(``link_size``) without a per-entry step, and the Y side of L_z is one
+strided read of those flags per y; it also answers the 4-disks of a
+cycle (``disk_mask``).  Every stage reads the host through it: ``io``
+writes and parses it, and ``links`` and ``embed`` read link sizes, link Y
+sides, entry sizes and disk masks off it.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
-is the one function that lists a mask's set bits, for every module.
+is the one function that lists a mask's set bits, for every module, and
+``flags`` and ``mask_of`` turn a mask into one byte 0 or 1 per bit and
+back.
 """
 
 from __future__ import annotations
@@ -48,15 +54,29 @@ from typing import Iterable
 Face = tuple[int, int, int]
 Pair = tuple[int, int]
 
-# a binary digit of a mask, as the byte 0 or 1
+# a binary digit of a mask as the byte 0 or 1, and back
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def flags(mask: int) -> bytes:
+    """Byte i is 1 where bit i of the non-negative ``mask`` is set, else 0,
+    up to its highest set bit (0 gives the one byte 0): its binary digits,
+    reversed, as bytes."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+
+
+def mask_of(flag_bytes: bytes) -> int:
+    """The bitmask with bit i set where byte i of ``flag_bytes`` is 1 (the
+    others 0), and 0 for no bytes: the bytes as binary digits, reversed,
+    read in C.  The inverse of ``flags``."""
+    return int(flag_bytes.translate(_FLAG_DIGITS)[::-1] or b"0", 2)
 
 
 def bits(mask: int) -> list[int]:
     """The positions of the set bits of the non-negative ``mask``, ascending,
-    found in C: its binary digits, reversed, select from the counter
-    0, 1, 2, ..."""
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)))
+    found in C: its flags select from the counter 0, 1, 2, ..."""
+    return list(compress(count(), flags(mask)))
 
 
 def _norm_face(face: Iterable[int]) -> Face:
@@ -125,19 +145,23 @@ class TripartiteHost:
 
     Faces are stored as the z-mask table ``zmasks`` (see the module
     docstring): bit z of ``zmasks[x * n_y + y]`` marks the face (x, y, z),
-    and no entry is zero.  Treat the table as read-only.
+    no entry is zero and the keys ascend.  Treat the table as read-only.
     ``TripartiteHost(class_sizes, faces)`` takes any iterable of (x, y, z)
-    triples of ints and names the first bad face in input order; a face's
-    mask takes z + 1 bits, so memory grows with the largest z given.
-    ``has`` tests one face.  ``e``, ``occupied`` (the OR of the masks),
-    ``byte_columns`` and ``link_y_masks`` are worked out here alone and
-    kept as plain ints and int tuples.  Bit z of the masks is one AND of
-    byte column z // 8, shifted by z % 8, with the int whose byte i is 1
-    for each entry: ``link_size(z)`` is that int's popcount, e(L_z), and
-    ``link_y(z)`` selects with its bytes the entries that hold z and builds
-    the Y side of L_z from them, once per z.
-    ``disk_mask`` ANDs four entries found by flat index.  Equality and
-    hashing are by value, whatever has been worked out.
+    triples of ints, names the first bad face in input order and sorts the
+    table it builds; a face's mask takes z + 1 bits, so memory grows with
+    the largest z given.  ``has`` tests one face.  ``e``, ``occupied`` (the
+    OR of the masks), ``byte_columns``, ``entry_sizes`` and
+    ``link_y_masks`` are worked out here alone and kept as plain ints, int
+    lists and int tuples.  Bit z of the masks is one AND of byte column
+    z // 8, shifted by z % 8, with the int whose byte i is 1 for each
+    entry: ``link_size(z)`` is that int's popcount, e(L_z), and
+    ``link_y(z)``, built once per z, reads its bytes at stride n_y, one
+    read per y, for the Y side of L_z.  A full table's bytes are in flat
+    order already; a table with a gap first spreads them over n_x * n_y
+    bytes.
+    ``entry_sizes`` takes n_x * n_y slots, and is built only when first
+    read.  ``disk_mask`` ANDs four entries found by flat index.  Equality
+    and hashing are by value, whatever has been worked out.
     """
 
     class_sizes: tuple[int, int, int]
@@ -154,13 +178,14 @@ class TripartiteHost:
             i = x * ny + y
             table[i] = table.get(i, 0) | 1 << z
         object.__setattr__(self, "class_sizes", sizes)
-        object.__setattr__(self, "zmasks", table)
+        object.__setattr__(self, "zmasks", dict(sorted(table.items())))
 
     @classmethod
     def _from_table(cls, class_sizes, zmasks: dict[int, int]) -> "TripartiteHost":
         """A host that takes over ``zmasks``.  Only the sizes are checked: the
-        caller vouches for keys in [0, n_x * n_y) and non-zero masks below
-        2**n_z."""
+        caller vouches for keys in [0, n_x * n_y), inserted in ascending
+        order (``link_y`` reads a full table's entries as flat order), and
+        non-zero masks below 2**n_z."""
         host = object.__new__(cls)
         object.__setattr__(host, "class_sizes", _class_sizes(class_sizes))
         object.__setattr__(host, "zmasks", zmasks)
@@ -217,6 +242,20 @@ class TripartiteHost:
         return int.from_bytes(b"\x01" * len(self.zmasks), "little")
 
     @cached_property
+    def entry_sizes(self) -> list[int]:
+        """Per flat index x * n_y + y, the number of faces of its entry, 0
+        where the table has none: n_x * n_y slots, so ``entry_sizes[y::n_y]``
+        holds the sizes of y's entries by x."""
+        sizes = list(map(int.bit_count, self.zmasks.values()))
+        cells = self.n_x * self.n_y
+        if len(sizes) < cells:  # a table with a gap: each size at its flat index
+            flat = [0] * cells
+            for i, size in zip(self.zmasks, sizes):
+                flat[i] = size
+            sizes = flat
+        return sizes
+
+    @cached_property
     def link_y_masks(self) -> dict[int, tuple[int, ...]]:
         """Per z whose link has been built, its Y side: ``link_y`` fills
         it, once per z."""
@@ -251,14 +290,20 @@ class TripartiteHost:
 
     def link_y(self, z: int) -> tuple[int, ...]:
         """The Y side of L_z: entry y is the bitmask over X of the x with
-        (x, y, z) a face."""
+        (x, y, z) a face.  The flags of z, one byte per flat index, are read
+        at stride n_y from y: a full table's ``_holds(z)`` is in flat order
+        already, and a table with a gap first puts each flag at its flat
+        index in n_x * n_y bytes."""
         y_masks = self.link_y_masks.get(z)
         if y_masks is None:
-            ny = self.n_y
-            masks = [0] * ny
-            for i in compress(self.zmasks, self._holds(z)):
-                masks[i % ny] |= 1 << (i // ny)
-            y_masks = self.link_y_masks[z] = tuple(masks)
+            holds, ny = self._holds(z), self.n_y
+            cells = self.n_x * ny
+            if len(holds) < cells:
+                flat = bytearray(cells)
+                for i in compress(self.zmasks, holds):
+                    flat[i] = 1
+                holds = flat
+            y_masks = self.link_y_masks[z] = tuple(mask_of(holds[y::ny]) for y in range(ny))
         return y_masks
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:

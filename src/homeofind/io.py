@@ -21,11 +21,13 @@ word of W bytes, W the smallest of 1, 2, 4 and 8 that holds n_z bits: 2W
 lower-case digits, zeros in front, one blank between words.  Wider masks
 are written without leading zeros.  ``parse_host`` reads these lines in
 any order, ORing each mask into the entry of its (x, y); they are a host's
-only face lines, and an ``f`` line is refused on its line.  A run line
-spelled as ``write_host`` spells it is read in bulk where its masks and
-entries allow (see ``parse_host``); any other (n_z > 64, masks without
-leading zeros, ``0x``, ``_``, tabs or double blanks) is read entry by
-entry, to the same table or the same error.  HEX is read as
+only face lines, and an ``f`` line is refused on its line.  Its table's
+keys ascend, as every host's do (see ``core``): it sorts the table once,
+at the end, and only when a line opened an entry below one read before.
+A run line spelled as ``write_host`` spells it is read in bulk where its
+masks and entries allow (see ``parse_host``); any other (n_z > 64, masks
+without leading zeros, ``0x``, ``_``, tabs or double blanks) is read
+entry by entry, to the same table or the same error.  HEX is read as
 ``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
 mask too; a mask that is negative, 0, or has a bit at or above n_z is
 refused.  Each line is checked as it is read, its coordinates against the
@@ -211,6 +213,12 @@ def parse_host(text: str) -> TripartiteHost:
     an entry it opens is checked against the bound only when (mask tokens
     the text can hold) * n_z exceeds it, so it gives the same table or the
     same error as its one-mask lines.
+
+    Every entry read so far lies below a high-water mark, so a text whose
+    lines open entries in ascending order, as ``write_host`` writes them,
+    builds its table in key order.  Only when some line opened an entry
+    below the mark is the table sorted, once, at the end, so that its keys
+    ascend (see ``TripartiteHost._from_table``).
     """
     sizes = None
     table: dict[int, int] = {}
@@ -228,6 +236,7 @@ def parse_host(text: str) -> TripartiteHost:
                 # a mask token takes a character and the blank before it;
                 # every entry read so far lies below high
                 get, top, high, checked = table.get, 0, 0, len(text) // 2 * nz > budget
+                disordered = False  # whether a line opened an entry below high
                 word = _word(nz)
             elif tok[0] == "f":
                 raise ValueError("'f' lines belong to targets; a host's faces are 'm x y HEX' lines")
@@ -249,6 +258,7 @@ def parse_host(text: str) -> TripartiteHost:
                     and (start >= high or table.keys().isdisjoint(range(start, start + len(masks))))
                 ):
                     table.update(zip(count(start), masks))
+                    disordered |= start < high
                     high = max(high, start + len(masks))
                     continue
                 hexes = tok[3].split()
@@ -256,8 +266,10 @@ def parse_host(text: str) -> TripartiteHost:
                     if y >= ny:
                         raise ValueError(f"y = {y} is outside [0, {ny})")
                     entry = get(key)
-                    if entry is None and checked:  # a new entry may grow as wide as any mask
-                        _fits(len(table) + 1, top, budget)
+                    if entry is None:
+                        disordered |= key < high
+                        if checked:  # a new entry may grow as wide as any mask
+                            _fits(len(table) + 1, top, budget)
                     mask = int(hexed, 16)
                     if mask <= 0 or mask.bit_length() > top:
                         top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
@@ -267,20 +279,21 @@ def parse_host(text: str) -> TripartiteHost:
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
+    if disordered:
+        table = dict(sorted(table.items()))
     return TripartiteHost._from_table(sizes, table)
 
 
 def write_host(host: TripartiteHost) -> str:
     """One ``m x y HEX0 HEX1 ...`` line per maximal run of table entries
-    (x, y), (x, y + 1), ... of an x row, in sorted order: HEXi is the
-    z-mask of (x, y + i) in lower-case hexadecimal.  For n_z <= 64 each
-    mask is a word of W bytes, W the smallest of 1, 2, 4 and 8 that holds
-    n_z bits, written as its 2W digits, zeros in front: one
-    ``struct.pack(...).hex(" ", W)`` per run.  Wider masks are written
-    without leading zeros."""
+    (x, y), (x, y + 1), ... of an x row, in table order, which is sorted
+    as a host's keys ascend: HEXi is the z-mask of (x, y + i) in
+    lower-case hexadecimal.  For n_z <= 64 each mask is a word of W bytes,
+    W the smallest of 1, 2, 4 and 8 that holds n_z bits, written as its 2W
+    digits, zeros in front: one ``struct.pack(...).hex(" ", W)`` per run.
+    Wider masks are written without leading zeros."""
     ny, masks = host.n_y, host.zmasks
-    keys = sorted(masks)
-    values = [masks[key] for key in keys]
+    keys, values = list(masks), list(masks.values())
     word = _word(host.n_z)
 
     def run(i: int, j: int) -> str:

@@ -17,11 +17,14 @@ makes: it counts the forbidden cycles through each Y-pair it is given, and
 their total, B_z when it is given every pair.  The walk skips, without an
 AND, cycles whose disk count is certainly above or certainly at most K by
 the sizes of its two column z-sets alone (``open_partners``, the one
-statement of that rule, which ``embed.embed_v2`` reads its arcs by too),
-and before building any column it skips a whole Y-pair when a per-y
+statement of that rule, which ``embed.embed_v2`` reads its arcs by too).
+Before building any column it skips a whole Y-pair when the host's entry
+sizes (``TripartiteHost.entry_sizes``) show by inclusion-exclusion that
+every cycle through the pair bounds more than K disks: first by a per-y
 floor, the smallest table entry on an edge of the link at each of its two
-y, shows by inclusion-exclusion that every cycle through the pair bounds
-more than K disks.  Both uses of those counts, the z-scan's condition (2)
+y, by which a whole-link walk enumerates only the pairs it leaves open,
+and then by the two least sums of the pair's two entry sizes over its
+common neighbours.  Both uses of those counts, the z-scan's condition (2)
 and the good/bad pair test (``good_pair_rule``), have an exact upper bound
 in the common degrees d of the Y-pairs, as a pair carries at most C(d, 2)
 forbidden cycles.  So ``pick_link_vertex``, which works the degrees out
@@ -39,15 +42,13 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import accumulate, compress
 from math import ceil
+from operator import add, or_
 
-from .core import Config, TripartiteHost, bits
+from .core import Config, TripartiteHost, bits, flags, mask_of
 from .errors import NoQualifyingVertex
 from .exact import ceil_pow, floor_pow
-
-# a flag byte 0 or 1, as the binary digit of a mask
-_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -147,34 +148,61 @@ def count_forbidden(
     admissible when c + c' > K + n_Z), and ANDed only where the sizes leave
     them open.
 
-    A third, per-y fact settles a whole Y-pair before any column is built.
-    Let f(y) be the least |zmasks[x * n_y + y]| over the link neighbours x
-    of y.  The disks of a cycle through (y1, y2) are the AND of four table
-    entries, two of size >= f(y1) and two of size >= f(y2), so by
-    inclusion-exclusion it bounds at least 2 (f(y1) + f(y2)) - 3 n_Z disks:
-    when that is above K, no cycle through the pair is forbidden.  f(y) is
-    worked out once, for the first pair through y that reaches this test.
+    Two facts of the table entries' sizes (``TripartiteHost.entry_sizes``,
+    read at stride n_y from y) settle a whole Y-pair before any column is
+    built, both by inclusion-exclusion.  Let s(x) be the sizes of the
+    entries (x, y1) and (x, y2) added: Z(x) holds at least s(x) - n_Z
+    centers, so the cycle on x, x' bounds at least s(x) + s(x') - 3 n_Z
+    disks.  When s0 + s1 - 3 n_Z > K, with s0 and s1 the two least s(x)
+    over the pair's common neighbours, no cycle through the pair is
+    forbidden.  Each s(x) is at least f(y1) + f(y2), where f(y) is the
+    least entry size over the link neighbours of y, so the pair is settled
+    too, without a sum, when 2 (f(y1) + f(y2)) - 3 n_Z > K: a whole-link
+    walk works f out for every y, sorts the y by it and enumerates only
+    the pairs this floor leaves open (one ``bisect`` per y1 over prefix
+    masks of that order).  A walk of given pairs works f(y) out for the
+    first pair through y that reaches the floor test, so a walk that
+    reaches none reads no entry sizes.
     """
-    zb, ny, nz = link.host.zmasks, link.host.n_y, link.host.n_z
-    ymasks = link.y_masks
-    if pairs is None:
-        pairs = combinations([y for y in range(ny) if ymasks[y]], 2)
-    # f(y) once worked out, else 0: an entry of the link holds z, so f(y) >= 1
+    host, ymasks = link.host, link.y_masks
+    zb, ny, nz = host.zmasks, host.n_y, host.n_z
+    # by y once f(y) is worked out, its entry sizes by x and f(y), else 0:
+    # an entry of the link holds z, so f(y) >= 1
+    by_x: list[list[int]] = [[]] * ny
     least = [0] * ny
 
     def f(y: int) -> int:
-        least[y] = min([zb[x * ny + y].bit_count() for x in bits(ymasks[y])])
+        sizes = by_x[y] = host.entry_sizes[y::ny]
+        least[y] = min(compress(sizes, flags(ymasks[y])))
         return least[y]
 
     pair_cap = K + 3 * nz
+    floor_cap = pair_cap // 2  # 2 (f(y1) + f(y2)) > pair_cap  <=>  f(y1) + f(y2) > floor_cap
+    if pairs is None:
+        ys = [y for y in range(ny) if ymasks[y]]
+        for y in ys:
+            f(y)
+        order = sorted(ys, key=least.__getitem__)
+        floors = [least[y] for y in order]
+        # prefix[j], the mask of the y with the j least floors
+        prefix = list(accumulate((1 << y for y in order), or_, initial=0))
+        pairs = (
+            (y1, y2)
+            for y1 in ys
+            for y2 in bits(prefix[bisect_right(floors, floor_cap - least[y1])] >> y1 + 1 << y1 + 1)
+        )
     total = 0
     by_pair: dict[tuple[int, int], int] = {}
     for y1, y2 in pairs:
         common = ymasks[y1] & ymasks[y2]
         if common & (common - 1) == 0:  # fewer than two common neighbours
             continue
-        if 2 * ((least[y1] or f(y1)) + (least[y2] or f(y2))) > pair_cap:
+        if (least[y1] or f(y1)) + (least[y2] or f(y2)) > floor_cap:
             continue  # every cycle through the pair bounds more than K disks
+        on = flags(common)
+        s0, s1 = sorted(map(add, compress(by_x[y1], on), compress(by_x[y2], on)))[:2]
+        if s0 + s1 > pair_cap:
+            continue  # by the size sums, so does every cycle through the pair
         cols = sorted(
             (zb[x * ny + y1] & zb[x * ny + y2] for x in bits(common)),
             key=int.bit_count,
@@ -333,16 +361,11 @@ def _pair_verdicts(
     """
     n_y = len(rows)
     short = [not good(d, 0) for d in range(top + 1)]
-    flags = b"".join([bytes(y1 + 1) + bytes(map(short.__getitem__, row)) for y1, row in enumerate(rows)])
-    bad = [_mask_of(flags[y * n_y:(y + 1) * n_y]) | _mask_of(flags[y::n_y]) for y in range(n_y)]
+    short_flags = b"".join([bytes(y1 + 1) + bytes(map(short.__getitem__, row)) for y1, row in enumerate(rows)])
+    bad = [mask_of(short_flags[y * n_y:(y + 1) * n_y]) | mask_of(short_flags[y::n_y]) for y in range(n_y)]
     for (y1, y2), forb in by_pair.items():
         if not good(rows[y1][y2 - y1 - 1], forb):
             bad[y1] |= 1 << y2
             bad[y2] |= 1 << y1
     return tuple(bad)
 
-
-def _mask_of(flags: bytes) -> int:
-    """The bitmask with bit i set where byte i of ``flags`` is 1 (the others
-    0): the bytes as binary digits, reversed, read in C."""
-    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)

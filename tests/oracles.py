@@ -4,7 +4,8 @@ They live with the tests, so no shipping code can call them, and a test
 that compares one with the code that ships compares two paths.
 
 For the host: ``host_faces`` decodes its z-mask table into sorted face
-tuples, which the host itself never lists.
+tuples, which the host itself never lists, and ``link_y_transpose`` builds
+the Y side of a link by a face-membership scan.
 
 For ``links``: ``iter_link_cycles``, the one other walk over a link's
 4-cycles (over X-pairs), and ``count_disks``, a face-membership scan
@@ -181,3 +182,12 @@ def clique_oracle(p: ProblemGraph, t: int) -> bool:
         if all(tr not in bad for tr in itertools.combinations(subset, 3)):
             return True
     return False
+
+
+def link_y_transpose(host: TripartiteHost, z: int) -> tuple[int, ...]:
+    """The Y side of L_z by a face-membership scan: per y, the bitmask over
+    X of the x with (x, y, z) a face.  Independent of the host's table
+    order and of ``TripartiteHost.link_y``'s strided reads."""
+    return tuple(
+        sum(1 << x for x in range(host.n_x) if host.has(x, y, z)) for y in range(host.n_y)
+    )

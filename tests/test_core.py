@@ -14,6 +14,8 @@ from homeofind.core import (
     build_aux_graph,
     covered_pairs,
     euler_characteristic,
+    flags,
+    mask_of,
     one_cells,
 )
 from homeofind.verify import canonical_glued_subdivision
@@ -35,17 +37,32 @@ def one_cells_by_enumeration(h: ThreeGraph) -> set:
     return cells
 
 
+MASKS = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=999).map(lambda i: 1 << i),
+    st.integers(min_value=0, max_value=2 ** 1000 - 1),
+)
+
+
 class TestBits:
-    @given(
-        st.one_of(
-            st.just(0),
-            st.integers(min_value=0, max_value=999).map(lambda i: 1 << i),
-            st.integers(min_value=0, max_value=2 ** 1000 - 1),
-        )
-    )
+    @given(MASKS)
     @settings(max_examples=200, deadline=None)
     def test_lists_the_set_bits_ascending(self, mask):
         assert bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    @given(MASKS)
+    @settings(max_examples=200, deadline=None)
+    def test_flags_and_mask_of_are_inverse(self, mask):
+        # one byte per binary digit, so 0 is the one byte 0
+        want = bytes(mask >> i & 1 for i in range(max(1, mask.bit_length())))
+        assert flags(mask) == want
+        assert mask_of(want) == mask
+        # zero flags past the highest set bit, and a bytearray, read the same
+        assert mask_of(bytearray(want + bytes(9))) == mask
+
+    def test_mask_of_no_flags_is_zero(self):
+        # an n_x = 0 host's strided reads are empty slices
+        assert mask_of(b"") == 0 and mask_of(bytearray()) == 0
 
 
 class TestThreeGraph:

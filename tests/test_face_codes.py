@@ -25,7 +25,7 @@ from homeofind.io import (
 )
 from homeofind.links import HostIndex
 from homeofind.verify import verify_certificate
-from oracles import host_faces
+from oracles import host_faces, link_y_transpose
 
 NON_CUBIC = [(3, 5, 7), (7, 1, 4), (4, 7, 1), (1, 6, 3)]
 
@@ -75,6 +75,36 @@ class TestConstruction:
         assert a != TripartiteHost(sizes[::-1], [])
         assert (a == (a.class_sizes, a.zmasks)) is False  # no host, no equality
         assert "_hash" not in vars(a)  # hashed by value, nothing cached
+
+    def test_every_constructor_keeps_keys_ascending(self):
+        """Table keys ascend whichever way a host is made: from shuffled
+        faces, parsed from text whose lines come out of order (written run
+        lines reversed, or unpadded one-mask lines, some overlapping an
+        entry, shuffled, so read entry by entry) or drawn by
+        ``gen_random_host``; and each gives the same host."""
+        sizes, rng = (5, 7, 9), random.Random(31)
+        base = gen_random_host(*sizes, 0.3, 32)  # some (x, y) have no face
+        assert 0 < len(base.zmasks) < 5 * 7
+        faces = host_faces(base)
+        rng.shuffle(faces)
+        head, *runs = write_host(base).splitlines()
+        # an odd key's lowest face also on a line of its own
+        one_mask = [
+            f"m {key // 7} {key % 7} {part:x}"
+            for key, mask in base.zmasks.items()
+            for part in ((mask & -mask, mask) if key % 2 else (mask,))
+        ]
+        rng.shuffle(one_mask)
+        hosts = {
+            "gen_random_host": base,
+            "shuffled faces": TripartiteHost(sizes, faces),
+            "reversed runs": parse_host("\n".join([head, *runs[::-1]])),
+            "shuffled one-mask lines": parse_host("\n".join([head, *one_mask])),
+        }
+        for how, host in hosts.items():
+            assert list(host.zmasks) == sorted(host.zmasks), how
+            assert host == base, how
+            assert write_host(host) == write_host(base), how
 
 
 class TestNonCubicEncoding:
@@ -239,6 +269,48 @@ def test_byte_columns_match_brute_force(faces):
             host.link_size(z)
         with pytest.raises(IndexError):
             host._holds(z)
+
+
+def _strided_host(kind: str) -> TripartiteHost:
+    """A host whose Y sides are read by strides, full (every (x, y) has a
+    face) or with gaps, made in each way that could leave its table out of
+    flat order: a table that is full but unsorted would give wrong reads."""
+    sizes = (5, 7, 9)
+    if kind == "no-x":
+        return TripartiteHost((0, 7, 9), [])
+    p, full = (0.15, False) if kind.startswith("gapped") else (0.7, True)
+    base = gen_random_host(*sizes, p, 41)
+    assert (len(base.zmasks) == 5 * 7) == full
+    if kind.endswith("shuffled"):
+        faces = host_faces(base)
+        random.Random(42).shuffle(faces)
+        return TripartiteHost(sizes, faces)
+    if kind.endswith("reversed-text"):
+        head, *runs = write_host(base).splitlines()
+        return parse_host("\n".join([head, *runs[::-1]]))
+    return base
+
+
+STRIDED_KINDS = [
+    "full", "full-shuffled", "full-reversed-text", "gapped", "gapped-shuffled",
+    "gapped-reversed-text", "no-x",
+]
+
+
+@pytest.mark.parametrize("kind", STRIDED_KINDS)
+def test_link_y_matches_transpose(kind):
+    host = _strided_host(kind)
+    for z in range(host.n_z):
+        assert host.link_y(z) == link_y_transpose(host, z), z
+
+
+@pytest.mark.parametrize("kind", STRIDED_KINDS)
+def test_entry_sizes_match_brute_force(kind):
+    host = _strided_host(kind)
+    nx, ny, nz = host.class_sizes
+    assert host.entry_sizes == [
+        sum(host.has(x, y, z) for z in range(nz)) for x in range(nx) for y in range(ny)
+    ]
 
 
 def test_generated_host_retains_under_a_megabyte():

@@ -209,6 +209,16 @@ class TestIterLinkCycles:
             assert set(cycles) == set(brute_force_cycles(host, z))
 
 
+class _Reads(dict):
+    """A host table that counts its reads by key (``reads``)."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 def brute_force_forbidden(host, link, K):
     """Forbidden cycles per Y-pair via the oracle enumeration and face scan."""
     return forbidden_by_pair({c: count_disks(host, c) for c in iter_link_cycles(link)}, K)
@@ -277,6 +287,66 @@ class TestCountForbidden:
         assert count_disks(host, (0, 1, 0, 1)) == 1
         assert count_forbidden(index.link(0), 1) == (1, {(0, 1): 1})
         assert count_forbidden(index.link(0), 0) == (0, {})
+
+    @staticmethod
+    def check_walks(host, K, z=0):
+        """``count_forbidden`` on L_z against the oracle walk, for every pair
+        and for every third pair (some with fewer than two common
+        neighbours); returns the table reads by key that the two walks
+        made, which only building a column does."""
+        link = HostIndex(host).link(z)
+        want = brute_force_forbidden(host, link, K)
+        given = list(itertools.combinations(range(host.n_y), 2))[::3]
+        part = {pair: forb for pair, forb in want.items() if pair in given}
+        host.zmasks.reads = 0
+        assert count_forbidden(link, K) == (sum(want.values()), want)
+        assert count_forbidden(link, K, given) == (sum(part.values()), part)
+        return host.zmasks.reads
+
+    def test_size_sums_settle_pairs_the_floor_leaves_open(self):
+        # n_Z = 12, L_0 complete on 6 x 6.  Entry (x, y) holds every center
+        # but when x = y, where it holds the 8 centers 0..7.  So f(y) = 8
+        # for every y, and the floor 2 (8 + 8) - 3 * 12 = -4 settles no
+        # pair.  The sizes of a pair's two entries at x add up to 24,
+        # except 20 at x = y1 and at x = y2, so every cycle through the
+        # pair bounds at least 20 + 20 - 3 * 12 = 4 disks: at K <= 3 the
+        # sums settle every pair before any column is built.  At K = 12 =
+        # n_Z every cycle is forbidden, and the columns are walked.
+        faces = [
+            (x, y, z) for x in range(6) for y in range(6) for z in range(8 if x == y else 12)
+        ]
+        host = TripartiteHost._from_table((6, 6, 12), _Reads(TripartiteHost((6, 6, 12), faces).zmasks))
+        for K in (0, 1, 3):
+            assert self.check_walks(host, K) == 0, K
+        assert self.check_walks(host, 12) > 0
+        assert count_forbidden(HostIndex(host).link(0), 12)[0] == comb(6, 2) ** 2
+
+    def test_columns_walked_where_sizes_leave_pairs_open(self):
+        # a dense host where, at each K in {0, 1, 3}, the floor settles a
+        # pair, the size sums settle others and the rest are walked column
+        # by column (the split recomputed from the faces; at K = 12 every
+        # pair is walked); each walk must match the oracle's
+        host = random_host(random.Random(3), 7, 7, 12, 0.8)
+        host = TripartiteHost._from_table(host.class_sizes, _Reads(host.zmasks))
+        size = Counter((x, y) for x, y, _ in host_faces(host))
+        ym = HostIndex(host).link(0).y_masks
+        f = [min(size[x, y] for x in range(7) if ym[y] >> x & 1) for y in range(7)]
+        for K in (0, 1, 3, 12):
+            assert self.check_walks(host, K) > 0, K
+            split = Counter()
+            for y1, y2 in itertools.combinations(range(7), 2):
+                common = [x for x in range(7) if (ym[y1] & ym[y2]) >> x & 1]
+                sums = sorted(size[x, y1] + size[x, y2] for x in common)
+                if len(common) < 2:
+                    continue
+                if 2 * (f[y1] + f[y2]) - 3 * 12 > K:
+                    split["floor"] += 1
+                elif sums[0] + sums[1] - 3 * 12 > K:
+                    split["sums"] += 1
+                else:
+                    split["walked"] += 1
+            assert len(split) == (1 if K == 12 else 3), (K, split)
+        assert count_forbidden(HostIndex(host).link(0), 1)[0] > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_on_dense_hosts(self, seed):
