@@ -28,11 +28,12 @@ link L_z read from them (``link_y``, kept in ``link_y_masks``) and the
 size of every entry by flat index (``entry_sizes``, n_x * n_y slots), so
 that every search of one host shares them.  Bit z of the masks is one AND
 and one popcount of column z // 8, so the host answers e(L_z)
-(``link_size``) without a per-entry step, and the Y side of L_z is one
-strided read of those flags per y; it also answers the 4-disks of a
-cycle (``disk_mask``).  Every stage reads the host through it: ``io``
-writes and parses it, and ``links`` and ``embed`` read link sizes, link Y
-sides, entry sizes and disk masks off it.
+(``link_size``) and e (a popcount per column) without a per-entry step;
+a full table's Y side of L_z is one strided read of those flags per y,
+and a table with a gap ORs in the x of each entry that holds z.  It also
+answers the 4-disks of a cycle (``disk_mask``).  Every stage reads the
+host through it: ``io`` writes and parses it, and ``links`` and ``embed``
+read link sizes, link Y sides, entry sizes and disk masks off it.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -154,14 +155,15 @@ class TripartiteHost:
     ``link_y_masks`` are worked out here alone and kept as plain ints, int
     lists and int tuples.  Bit z of the masks is one AND of byte column
     z // 8, shifted by z % 8, with the int whose byte i is 1 for each
-    entry: ``link_size(z)`` is that int's popcount, e(L_z), and
-    ``link_y(z)``, built once per z, reads its bytes at stride n_y, one
-    read per y, for the Y side of L_z.  A full table's bytes are in flat
-    order already; a table with a gap first spreads them over n_x * n_y
-    bytes.
-    ``entry_sizes`` takes n_x * n_y slots, and is built only when first
-    read.  ``disk_mask`` ANDs four entries found by flat index.  Equality
-    and hashing are by value, whatever has been worked out.
+    entry: ``link_size(z)`` is that int's popcount, e(L_z), and ``e`` the
+    sum of the columns' popcounts.  ``link_y(z)``, built once per z, reads
+    a full table's bytes, in flat order already, at stride n_y, one read
+    per y, for the Y side of L_z; a table with a gap ORs the x bit of each
+    entry holding z into its y's mask, so only the n_y masks are sized
+    from the header.  ``entry_sizes`` takes n_x * n_y slots, and is built
+    only when first read.  ``disk_mask`` ANDs four entries found by flat
+    index.  Equality and hashing are by value, whatever has been worked
+    out.
     """
 
     class_sizes: tuple[int, int, int]
@@ -208,7 +210,8 @@ class TripartiteHost:
 
     @cached_property
     def e(self) -> int:
-        return sum(map(int.bit_count, self.zmasks.values()))
+        """The number of faces: a popcount per byte column, not per entry."""
+        return sum(map(int.bit_count, self.byte_columns))
 
     @cached_property
     def occupied(self) -> int:
@@ -290,20 +293,21 @@ class TripartiteHost:
 
     def link_y(self, z: int) -> tuple[int, ...]:
         """The Y side of L_z: entry y is the bitmask over X of the x with
-        (x, y, z) a face.  The flags of z, one byte per flat index, are read
-        at stride n_y from y: a full table's ``_holds(z)`` is in flat order
-        already, and a table with a gap first puts each flag at its flat
-        index in n_x * n_y bytes."""
+        (x, y, z) a face.  A full table's ``_holds(z)``, one byte per flat
+        index, is read at stride n_y from y; a table with a gap ORs the x
+        bit of each entry that holds z into its y's mask, so that nothing
+        but the n_y masks is sized from the header."""
         y_masks = self.link_y_masks.get(z)
         if y_masks is None:
             holds, ny = self._holds(z), self.n_y
-            cells = self.n_x * ny
-            if len(holds) < cells:
-                flat = bytearray(cells)
-                for i in compress(self.zmasks, holds):
-                    flat[i] = 1
-                holds = flat
-            y_masks = self.link_y_masks[z] = tuple(mask_of(holds[y::ny]) for y in range(ny))
+            if len(holds) == self.n_x * ny:
+                y_masks = tuple(mask_of(holds[y::ny]) for y in range(ny))
+            else:
+                gapped = [0] * ny
+                for x, y in map(divmod, compress(self.zmasks, holds), repeat(ny)):
+                    gapped[y] |= 1 << x
+                y_masks = tuple(gapped)
+            self.link_y_masks[z] = y_masks
         return y_masks
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:

@@ -22,12 +22,13 @@ lower-case digits, zeros in front, one blank between words.  Wider masks
 are written without leading zeros.  ``parse_host`` reads these lines in
 any order, ORing each mask into the entry of its (x, y); they are a host's
 only face lines, and an ``f`` line is refused on its line.  Its table's
-keys ascend, as every host's do (see ``core``): it sorts the table once,
-at the end, and only when a line opened an entry below one read before.
-A run line spelled as ``write_host`` spells it is read in bulk where its
-masks and entries allow (see ``parse_host``); any other (n_z > 64, masks
-without leading zeros, ``0x``, ``_``, tabs or double blanks) is read
-entry by entry, to the same table or the same error.  HEX is read as
+keys ascend, as every host's do (see ``core``).  A text spelled exactly
+as ``write_host`` spells it is read whole, all its masks in one decode
+(see ``parse_host``); any other (a comment, CRLF line ends, n_z > 64,
+masks without leading zeros, ``0x``, ``_``, tabs, double blanks, lines
+out of order) is read line by line and entry by entry, to the same table
+or the same error, and its table is sorted once, at the end, only when a
+line opened an entry below one read before.  HEX is read as
 ``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
 mask too; a mask that is negative, 0, or has a bit at or above n_z is
 refused.  Each line is checked as it is read, its coordinates against the
@@ -53,17 +54,18 @@ wider than any before is checked against the bound where it is read.  An
 entry that a mask opens is checked too, but only when (text length // 2)
 times n_z exceeds the bound: a table has no more entries than the text has
 mask tokens, each a character and the blank before it, and no mask
-reaches 2**n_z, so otherwise no table the text spells can pass it.  A run
-of words never passes the bound: n_z <= 64, and each entry takes at least
-two characters.  A written host stays far inside the bound: a dense
-n = 60 host holds about 3.5 bits per character.
+reaches 2**n_z, so otherwise no table the text spells can pass it.  A
+written text never passes the bound, so it is read whole unchecked: n_z
+<= 64, and each entry takes at least three characters.  A dense n = 60
+host holds about 3.5 bits per character.
 """
 
 from __future__ import annotations
 
 import struct
 from importlib import resources
-from itertools import count, pairwise
+from itertools import chain, count, pairwise
+from operator import add, le
 
 from .core import (
     Embedding,
@@ -176,23 +178,56 @@ def _word(nz: int) -> tuple[str, int] | None:
     return None
 
 
-def _words(hexes: str, code: str, w: int) -> tuple[int, ...] | None:
-    """The masks of a run line's HEX part if it is k words of exactly 2w
-    hexadecimal digits, one blank apart, else None."""
-    k, rest = divmod(len(hexes) + 1, 2 * w + 1)
-    if rest or hexes[2 * w::2 * w + 1].count(" ") != k - 1:
+def _written_table(text: str) -> tuple[tuple[int, int, int], dict[int, int]] | None:
+    """The sizes and table of a text spelled exactly as ``write_host``
+    spells a host of n_z <= 64, read as one piece, or None for any other
+    text (see ``parse_host``)."""
+    if not text.endswith("\n"):
         return None
+    # the last line is the empty one after the final "\n"; a line of fewer
+    # than four tokens leaves fewer than four columns
+    (tph, *sizes), *rows, _ = [line.split(" ", 3) for line in text.split("\n")]
+    columns = list(zip(*rows))
+    if tph != "tph" or len(columns) != 4:
+        return None
+    ms, xs, ys, hexes = columns
+    digits = "".join([*sizes, *xs, *ys])
+    if ms.count("m") != len(ms) or not digits.isdecimal():
+        return None
+    # not three sizes, an empty token or one past int()'s digit limit, or
+    # a HEX part not hexadecimal
     try:
-        packed = bytes.fromhex(hexes)
+        nx, ny, nz = sizes = tuple(map(int, sizes))
+        xs, ys = list(map(int, xs)), list(map(int, ys))
+        if nz > 64:
+            return None
+        code, w = _word(nz)
+        joined, step = " ".join(hexes), 2 * w + 1
+        packed = bytes.fromhex(joined)
     except ValueError:
         return None
-    # a blank or digit out of place leaves fewer than 2kw digits
-    return struct.unpack(f">{k}{code}", packed) if len(packed) == k * w else None
+    # blanks on every word's slot and 2kW hexadecimal digits elsewhere put
+    # each line's HEX part, which a blank ends, on a word boundary too
+    k, rest = divmod(len(joined) + 1, step)
+    if rest or joined[2 * w::step].count(" ") != k - 1 or len(packed) != k * w:
+        return None
+    masks = struct.unpack(f">{k}{code}", packed)
+    runs = [(len(hexed) + 1) // step for hexed in hexes]
+    starts = [x * ny + y for x, y in zip(xs, ys)]
+    ends = list(map(add, starts, runs))
+    # masks in class, each run inside its row, runs ascending apart
+    if (
+        0 in masks or max(masks) >> nz or max(xs) >= nx
+        or max(map(add, ys, runs)) > ny or not all(map(le, ends, starts[1:]))
+    ):
+        return None
+    return sizes, dict(zip(chain.from_iterable(map(range, starts, ends)), masks))
 
 
 def parse_host(text: str) -> TripartiteHost:
-    """Parse a ``.tph`` host in one pass over its lines, checking each line
-    as it is read: a ``FormatError`` names the first malformed line.
+    """Parse a ``.tph`` host, whole when it is spelled as ``write_host``
+    writes it, else in one pass over its lines, checking each line as it
+    is read: a ``FormatError`` names the first malformed line.
 
     After the header, an ``m x y HEX0 ... HEXk-1`` line (k >= 1) reads as
     the k lines ``m x y+i HEXi`` on its line's number, each ORing the mask
@@ -202,24 +237,30 @@ def parse_host(text: str) -> TripartiteHost:
     or above n_z, is refused, and so is an ``f`` line, which only a
     target's text holds.
 
-    A run line spelled as ``write_host`` spells it, its HEX part k words
-    of 2W hexadecimal digits one blank apart (n_z <= 64), is read in bulk
-    when its masks are positive and below ``2**nz`` and its entries inside
-    the row and new: its masks in one ``bytes.fromhex`` and one
-    ``struct.unpack``, checked with ``min`` and ``max``, and added with one
-    ``dict.update``.  A run that starts above every entry read so far is
-    new without a lookup.  Any other line is read entry by entry: a mask
-    is checked only when it is not positive or wider than any before, and
-    an entry it opens is checked against the bound only when (mask tokens
-    the text can hold) * n_z exceeds it, so it gives the same table or the
-    same error as its one-mask lines.
+    A written text is read as one piece: a ``tph nx ny nz`` header (n_z <=
+    64), then ``m x y W0 ... Wk-1`` lines, each with x < n_x and y + k <=
+    n_y, its words 2W hexadecimal digits one blank apart, its tokens one
+    blank apart and its sizes and coordinates decimal, its run above
+    the one before, and one ``\\n`` after every line.  Its masks take one
+    ``bytes.fromhex`` over the joined HEX parts and one ``struct.unpack``,
+    are checked with one ``0 in`` and one ``max``, and fill one ``dict``
+    whose keys ascend, so the table needs no sort.  Besides the table,
+    that reader holds for a moment about four times the text: its tokens,
+    the joined HEX parts, their bytes and the tuple of masks.
 
-    Every entry read so far lies below a high-water mark, so a text whose
-    lines open entries in ascending order, as ``write_host`` writes them,
-    builds its table in key order.  Only when some line opened an entry
-    below the mark is the table sorted, once, at the end, so that its keys
-    ascend (see ``TripartiteHost._from_table``).
+    Any other text (a comment, CRLF line ends, masks without leading
+    zeros, n_z > 64, a line out of order) is read line by line, entry by
+    entry, to the table or the error of its one-mask lines: a mask is
+    checked only when it is not positive or wider than any before, and an
+    entry it opens is checked against the bound only when (mask tokens the
+    text can hold) * n_z exceeds it.  Every entry read so far lies below a
+    high-water mark; only when some line opened an entry below it is the
+    table sorted, once, at the end, so that its keys ascend (see
+    ``TripartiteHost._from_table``).
     """
+    written = _written_table(text)
+    if written:
+        return TripartiteHost._from_table(*written)
     sizes = None
     table: dict[int, int] = {}
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
@@ -237,7 +278,6 @@ def parse_host(text: str) -> TripartiteHost:
                 # every entry read so far lies below high
                 get, top, high, checked = table.get, 0, 0, len(text) // 2 * nz > budget
                 disordered = False  # whether a line opened an entry below high
-                word = _word(nz)
             elif tok[0] == "f":
                 raise ValueError("'f' lines belong to targets; a host's faces are 'm x y HEX' lines")
             elif tok[0] != "m":
@@ -247,20 +287,8 @@ def parse_host(text: str) -> TripartiteHost:
             elif len(tok) < 4:
                 raise ValueError("expected 'm x y HEX'")
             else:
-                # in bulk when written as words, its masks in class and its
-                # entries inside the row and new, else as its one-mask lines;
-                # words never pass the table's bound (see the module docstring)
                 x, y = _coordinate("x", tok[1], nx), _coordinate("y", tok[2], ny)
                 start = x * ny + y
-                masks = word and _words(tok[3], *word)
-                if (
-                    masks and y + len(masks) <= ny and min(masks) > 0 and not max(masks) >> nz
-                    and (start >= high or table.keys().isdisjoint(range(start, start + len(masks))))
-                ):
-                    table.update(zip(count(start), masks))
-                    disordered |= start < high
-                    high = max(high, start + len(masks))
-                    continue
                 hexes = tok[3].split()
                 for y, key, hexed in zip(count(y), count(start), hexes):
                     if y >= ny:

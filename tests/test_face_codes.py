@@ -68,7 +68,8 @@ class TestConstruction:
         random.Random(1).shuffle(shuffled)
         b = TripartiteHost(sizes, shuffled)
         assert a == b and hash(a) == hash(b)
-        c = TripartiteHost._from_table(sizes, dict(reversed(a.zmasks.items())))
+        c = TripartiteHost._from_table(sizes, dict(sorted(brute_table(sizes, faces).items())))
+        assert list(c.zmasks) == sorted(c.zmasks)
         assert a == c and hash(a) == hash(c)
         if faces[1:]:
             assert a != TripartiteHost(sizes, faces[1:])
@@ -311,6 +312,32 @@ def test_entry_sizes_match_brute_force(kind):
     assert host.entry_sizes == [
         sum(host.has(x, y, z) for z in range(nz)) for x in range(nx) for y in range(ny)
     ]
+
+
+def test_gapped_link_is_not_sized_from_the_header():
+    """One entry in a 3000 x 3000 header: its link's Y side is the one
+    mask at y = 7, built without n_x * n_y flags."""
+    host = parse_host("tph 3000 3000 1\nm 5 7 1\n")
+    tracemalloc.start()
+    try:
+        y_masks = HostIndex(host).link(0).y_masks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y_masks == tuple(1 << 5 if y == 7 else 0 for y in range(3000))
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "sizes, p",
+    [((5, 7, 9), 0.15), ((6, 5, 70), 0.3), ((4, 3, 200), 0.05), ((3, 4, 130), 1), ((2, 2, 66), 0), ((0, 3, 5), 1)],
+)
+def test_e_counts_the_faces(sizes, p):
+    """e, a popcount per byte column, is the number of faces: on tables
+    with gaps, masks wider than 64 bits, a full wide table and empty
+    ones."""
+    host = gen_random_host(*sizes, p, 43)
+    assert host.e == len(host_faces(host))
 
 
 def test_generated_host_retains_under_a_megabyte():

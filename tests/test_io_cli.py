@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import random
+import struct
 import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import F_LINE_REFUSED, complete_host, face_text, random_host, random_threegraph
 from homeofind import cli
+from homeofind import io as host_io
 from homeofind.cli import main
 from homeofind.core import (
     Config,
@@ -21,6 +24,7 @@ from homeofind.core import (
 )
 from homeofind.embed import find_homeomorph
 from homeofind.errors import NoQualifyingVertex
+from homeofind.harness import gen_random_host
 from homeofind.io import (
     TABLE_BITS_FLOOR,
     TABLE_BITS_PER_CHAR,
@@ -169,6 +173,31 @@ class TestHostFormat:
             assert {len(h) for toks in runs for h in toks[3:]} == {digits}
         assert (text == bare) == (digits is None)
         assert parse_host(text) == parse_host(bare) == host
+
+    @pytest.mark.parametrize("nz", [1, 8, 9, 16, 17, 32, 33, 60, 64])
+    @pytest.mark.parametrize("p", [0.3, 1])
+    def test_a_written_host_is_read_whole(self, monkeypatch, nz, p):
+        # a written text's masks take one struct.unpack; with a trailing
+        # comment, CRLF line ends or a tab after its last word it is read
+        # line by line, with none, to an equal table whose keys ascend in
+        # the same order
+        host = gen_random_host(5, 6, nz, p, nz)
+        text = write_host(host)
+        calls = []
+
+        def unpack(fmt, data):
+            calls.append(fmt)
+            return struct.unpack(fmt, data)
+
+        monkeypatch.setattr(host_io, "struct", SimpleNamespace(unpack=unpack))
+        whole = parse_host(text)
+        assert len(calls) == 1
+        assert whole == host and list(whole.zmasks) == sorted(whole.zmasks)
+        for other in (text + "# end\n", text.replace("\n", "\r\n"), text[:-1] + "\t\n"):
+            calls.clear()
+            by_line = parse_host(other)
+            assert calls == []
+            assert list(by_line.zmasks.items()) == list(whole.zmasks.items())
 
     def test_mask_lines_of_one_entry_or_together(self):
         text = "tph 2 2 8\nm 1 0 1\nm 1 0 0x0C\nm 0 1 1\nm 1 0 4\nm 1 0 +8_0\n"

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homeofind.core import ThreeGraph, TripartiteHost
+from homeofind.harness import gen_random_host
 from homeofind.io import (
     FormatError,
     load_target,
@@ -45,6 +46,16 @@ def wide_hosts(draw):
     sizes = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.sampled_from([8, 9, 16, 17, 32, 33, 64, 65])))
     cell = st.tuples(*(st.integers(0, n - 1) for n in sizes))
     return TripartiteHost(sizes, frozenset(draw(st.lists(cell, max_size=12))))
+
+
+@st.composite
+def written_hosts(draw):
+    """``gen_random_host`` hosts of sizes 1 to 5 and of a drawn density
+    (full rows, rows with gaps and empty ones), their n_z drawn from each
+    word width, its edges included."""
+    nz = draw(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 60, 63, 64]))
+    sizes = (draw(st.integers(1, 5)), draw(st.integers(1, 5)), nz)
+    return gen_random_host(*sizes, draw(st.sampled_from([0.02, 0.5, 1])), draw(st.integers(0, 2**32)))
 
 
 @st.composite
@@ -400,6 +411,15 @@ class TestParseHostMatchesReference:
         text = "\n".join(data.draw(host_lines(host))) + "\n"
         assert parse_host(text) == reference_parse_host(text) == host
 
+    # write_host's own text at every word width, read whole
+    @settings(max_examples=100, deadline=None)
+    @given(written_hosts())
+    def test_written_text(self, host):
+        text = write_host(host)
+        parsed = parse_host(text)
+        assert parsed == reference_parse_host(text) == host
+        assert list(parsed.zmasks) == list(host.zmasks)
+
     # lines spelled as, or nearly as, written words, and runs of words that
     # start below an entry read before them: each gives the table, or the
     # error, of one int() per token
@@ -421,6 +441,30 @@ class TestParseHostMatchesReference:
         ("tph 1 2 12\nm 0 0 0_01 0002\n", {0: 1, 1: 2}),  # "_" or "0x" inside a word
         ("tph 1 2 12\nm 0 0 0x01 0002\n", {0: 1, 1: 2}),
         ("tph 1 2 12\nm 0 0 00AB 0002\n", {0: 0xAB, 1: 2}),  # upper case
+        # written texts but for one thing, each read line by line
+        ("tph 1 3 5\nm 0 0 01 02\nm 0 1 04\n", {0: 1, 1: 6}),  # runs that overlap
+        ("tph 2 3 5\nm 1 0 01\nm 0 0 02\n", {0: 2, 3: 1}),  # runs out of order
+        ("tph 1 3 5\nm 1 0 01\n", "line 2: x = 1 is outside [0, 1)"),
+        ("tph 1 1 5\nm 0 0 01 02\n", "line 2: y = 1 is outside [0, 1)"),
+        ("tph 1 1 65\nm 0 0 01\n", {0: 1}),  # n_z past 64
+        ("tph 1 1 5\nm 0 0 01", {0: 1}),  # no final line end, or two
+        ("tph 1 1 5\nm 0 0 01\n\n", {0: 1}),
+        ("tph 1 1 5\nm 0 0 01\x0c\n", {0: 1}),  # a line end that splitlines honours
+        ("tph 1 1 5\nm \x0c0 0 01\n", "line 2: expected 'm x y HEX'"),
+        ("tph 1 2 5\nm +0 0 01\nm 0 1 02\n", {0: 1, 1: 2}),  # a coordinate spelled with a sign, or in other digits
+        ("tph 1 2 5\nm ٠ 1 01\n", {1: 1}),
+        ("tph 1 1 ٥\nm 0 0 01\n", {0: 1}),
+        ("tph 1 1 5 7\nm 0 0 01\n", "line 1: expected 'tph nx ny nz'"),
+        ("tph  1 1 5\nm 0 0 01\n", {0: 1}),  # a double blank
+        ("tph 1 1 5\nm 0  0 01\n", {0: 1}),
+        ("tph 1 1 5\nm 0 0\n", "line 2: expected 'm x y HEX'"),
+        ("tph 1 1 5\nM 0 0 01\n", "line 2: unknown directive 'M'"),
+        ("tph 1 1 5\nm 0 0 01 \n", {0: 1}),  # a trailing blank
+        (f"tph 1 1 5\nm {10 ** 30} 0 01\n", f"line 2: x = {10 ** 30} is outside [0, 1)"),
+        ("tph 2 2 2\n", {}),  # no entry
+        ("tpx 1 1 5\nm 0 0 01\n", "line 1: unknown directive 'tpx'"),
+        ("tph 1 1\nm 0 0 01\n", "line 1: expected 'tph nx ny nz'"),
+        ("tph 1 2 12\nm 0 0 \t\t01 0203\n", {0: 1, 1: 0x203}),  # a word's digits short by tabs
     ])
     def test_words_and_near_words(self, text, expected):
         found = outcome(parse_host, text)
