@@ -16,24 +16,28 @@ The certificate path (``io``, ``verify``) imports this module alone.
 It also defines the one storage format of a host's faces, its z-mask
 table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
 each (x, y) with at least one face, the bitmask over Z of the z that
-complete (x, y) to a face, keyed by the flat index ``x * n_y + y``.  The
-table is sparse (an (x, y) with no face has no entry), so it holds one int
-per occupied (x, y) and nothing per face or per header-sized class.  Its
-keys ascend, whichever constructor made it, so a full table (an entry for
-every (x, y)) lists its entries in flat order.  Facts of the table live on
-the host and are worked out here alone, each kept once first read: ``e``,
-``occupied`` (the OR of its masks), its byte columns (``byte_columns``,
-each one int whose byte i is a byte of the i-th mask), the Y side of each
-link L_z read from them (``link_y``, kept in ``link_y_masks``) and the
-size of every entry by flat index (``entry_sizes``, n_x * n_y slots), so
-that every search of one host shares them.  Bit z of the masks is one AND
-and one popcount of column z // 8, so the host answers e(L_z)
-(``link_size``) and e (a popcount per column) without a per-entry step;
-a full table's Y side of L_z is one strided read of those flags per y,
-and a table with a gap ORs in the x of each entry that holds z.  It also
-answers the 4-disks of a cycle (``disk_mask``).  Every stage reads the
-host through it: ``io`` writes and parses it, and ``links`` and ``embed``
-read link sizes, link Y sides, entry sizes and disk masks off it.
+complete (x, y) to a face, filed under the flat index ``x * n_y + y``.
+The table is two parallel sequences: ``keys``, the flat indices of the
+entries, ascending whichever constructor made them, and ``masks``, their
+masks in that order.  It is sparse (an (x, y) with no face has no entry),
+so it holds one int per occupied (x, y) and nothing per face or per
+header-sized class.  A full table (an entry for every (x, y)) has the keys
+``range(n_x * n_y)``, so its i-th mask is that of flat index i; any other
+has a tuple of keys, and an entry is found by one ``bisect`` over them.
+Facts of the table live on the host and are worked out here alone, each
+kept once first read: ``e``, ``occupied`` (the OR of its masks), its byte
+columns (``byte_columns``, each one int whose byte i is a byte of the
+i-th mask), the Y side of each link L_z read from them (``link_y``, kept
+in ``link_y_masks``) and the size of every entry by flat index
+(``entry_sizes``, n_x * n_y slots), so that every search of one host
+shares them.  Bit z of the masks is one AND and one popcount of column
+z // 8, so the host answers e(L_z) (``link_size``) and e (a popcount per
+column) without a per-entry step; a full table's Y side of L_z is one
+strided read of those flags per y, and a table with a gap ORs in the x of
+each entry that holds z.  It also answers the 4-disks of a cycle
+(``disk_mask``).  Every stage reads the host through it: ``io`` writes
+and parses it, and ``links`` and ``embed`` read link sizes, link Y sides,
+entry sizes and disk masks off it.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -45,11 +49,12 @@ back.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from fractions import Fraction
 from itertools import combinations, compress, count, repeat
-from operator import or_
+from operator import getitem, or_
 from typing import Iterable
 
 Face = tuple[int, int, int]
@@ -140,34 +145,45 @@ def _class_sizes(class_sizes) -> tuple[int, int, int]:
     return sizes
 
 
+def _bisected(keys: tuple[int, ...], masks: tuple[int, ...], i: int) -> int:
+    """The mask of flat index i in a table with a gap, 0 where it has none:
+    one ``bisect`` over its keys."""
+    j = bisect_left(keys, i)
+    return masks[j] if j < len(keys) and keys[j] == i else 0
+
+
 @dataclass(frozen=True, init=False)
 class TripartiteHost:
     """A 3-partite 3-graph with classes X, Y, Z and per-class 0-based indices.
 
-    Faces are stored as the z-mask table ``zmasks`` (see the module
-    docstring): bit z of ``zmasks[x * n_y + y]`` marks the face (x, y, z),
-    no entry is zero and the keys ascend.  Treat the table as read-only.
-    ``TripartiteHost(class_sizes, faces)`` takes any iterable of (x, y, z)
-    triples of ints, names the first bad face in input order and sorts the
-    table it builds; a face's mask takes z + 1 bits, so memory grows with
-    the largest z given.  ``has`` tests one face.  ``e``, ``occupied`` (the
-    OR of the masks), ``byte_columns``, ``entry_sizes`` and
-    ``link_y_masks`` are worked out here alone and kept as plain ints, int
-    lists and int tuples.  Bit z of the masks is one AND of byte column
-    z // 8, shifted by z % 8, with the int whose byte i is 1 for each
-    entry: ``link_size(z)`` is that int's popcount, e(L_z), and ``e`` the
-    sum of the columns' popcounts.  ``link_y(z)``, built once per z, reads
-    a full table's bytes, in flat order already, at stride n_y, one read
-    per y, for the Y side of L_z; a table with a gap ORs the x bit of each
-    entry holding z into its y's mask, so only the n_y masks are sized
-    from the header.  ``entry_sizes`` takes n_x * n_y slots, and is built
-    only when first read.  ``disk_mask`` ANDs four entries found by flat
-    index.  Equality and hashing are by value, whatever has been worked
-    out.
+    Faces are stored as the z-mask table (see the module docstring): bit z
+    of ``masks[i]`` marks the face (x, y, z) where ``keys[i]`` is
+    x * n_y + y.  The keys ascend, ``keys`` is ``range(n_x * n_y)`` exactly
+    when every (x, y) has an entry and a tuple otherwise, and no mask is
+    zero, so equal tables are equal field by field: equality and hashing
+    are by value, whatever has been worked out.  Treat the table as
+    read-only.  ``TripartiteHost(class_sizes, faces)`` takes any iterable
+    of (x, y, z) triples of ints, names the first bad face in input order
+    and sorts the table it builds; a face's mask takes z + 1 bits, so
+    memory grows with the largest z given.  ``has`` tests one face.  ``e``,
+    ``occupied`` (the OR of the masks), ``byte_columns``, ``entry_sizes``
+    and ``link_y_masks`` are worked out here alone and kept as plain ints,
+    int lists and int tuples.  Bit z of the masks is one AND of byte
+    column z // 8, shifted by z % 8, with the int whose byte i is 1 for
+    each entry: ``link_size(z)`` is that int's popcount, e(L_z), and ``e``
+    the sum of the columns' popcounts.  ``link_y(z)``, built once per z,
+    reads a full table's bytes, in flat order already, at stride n_y, one
+    read per y, for the Y side of L_z; a table with a gap ORs the x bit of
+    each entry holding z into its y's mask, so only the n_y masks are
+    sized from the header.  ``entry_sizes`` takes n_x * n_y slots, and is
+    built only when first read.  ``has`` and ``disk_mask`` find entries by
+    flat index through one lookup, which indexes a full table's masks and
+    bisects a gapped table's keys.
     """
 
     class_sizes: tuple[int, int, int]
-    zmasks: dict[int, int]
+    keys: range | tuple[int, ...]
+    masks: tuple[int, ...]
 
     def __init__(self, class_sizes, faces: Iterable[Face]):
         nx, ny, nz = sizes = _class_sizes(class_sizes)
@@ -179,22 +195,30 @@ class TripartiteHost:
                 raise ValueError(f"face {(x, y, z)} out of class bounds")
             i = x * ny + y
             table[i] = table.get(i, 0) | 1 << z
-        object.__setattr__(self, "class_sizes", sizes)
-        object.__setattr__(self, "zmasks", dict(sorted(table.items())))
+        table = dict(sorted(table.items()))
+        self._take(sizes, table, tuple(table.values()))
 
     @classmethod
-    def _from_table(cls, class_sizes, zmasks: dict[int, int]) -> "TripartiteHost":
-        """A host that takes over ``zmasks``.  Only the sizes are checked: the
-        caller vouches for keys in [0, n_x * n_y), inserted in ascending
-        order (``link_y`` reads a full table's entries as flat order), and
-        non-zero masks below 2**n_z."""
+    def _from_table(cls, class_sizes, keys: Iterable[int], masks: tuple[int, ...]) -> "TripartiteHost":
+        """A host that takes over ``masks``, a tuple, and the ``keys`` that
+        file them.  Only the sizes are checked: the caller vouches for as
+        many keys as masks, ascending in [0, n_x * n_y), and non-zero masks
+        below 2**n_z.  ``keys`` is read only when the table has a gap."""
         host = object.__new__(cls)
-        object.__setattr__(host, "class_sizes", _class_sizes(class_sizes))
-        object.__setattr__(host, "zmasks", zmasks)
+        host._take(_class_sizes(class_sizes), keys, masks)
         return host
 
-    def __hash__(self):
-        return hash((self.class_sizes, frozenset(self.zmasks.items())))
+    def _take(self, sizes: tuple[int, int, int], keys: Iterable[int], masks: tuple[int, ...]) -> None:
+        # ascending keys, one per (x, y), are the flat indices in order
+        full = len(masks) == sizes[0] * sizes[1]
+        keys = range(len(masks)) if full else tuple(keys)
+        object.__setattr__(self, "class_sizes", sizes)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "masks", masks)
+        # the one lookup of the mask of flat index i in [0, n_x * n_y), 0
+        # where the table has none; set here rather than on first read, as
+        # a verify of a fresh host reads only a few entries
+        object.__setattr__(self, "_at", partial(getitem, masks) if full else partial(_bisected, keys, masks))
 
     @property
     def n_x(self) -> int:
@@ -216,7 +240,7 @@ class TripartiteHost:
     @cached_property
     def occupied(self) -> int:
         """The OR of the table's masks: bit z is set when z is on a face."""
-        return reduce(or_, self.zmasks.values(), 0)
+        return reduce(or_, self.masks, 0)
 
     @cached_property
     def byte_columns(self) -> list[int]:
@@ -229,7 +253,7 @@ class TripartiteHost:
         # in the table).  The join holds entries * stride bytes: 8 per
         # entry, or what parse_host's table budget (entries times highest
         # z + 1 bits) bounds up to one byte per entry.
-        masks = self.zmasks.values()
+        masks = self.masks
         nb = (self.occupied.bit_length() + 7) // 8
         if nb <= 8:
             stride, joined = 8, struct.pack(f"<{len(masks)}Q", *masks)
@@ -242,18 +266,17 @@ class TripartiteHost:
     def _ones(self) -> int:
         """Byte i is 1 for each table entry i: the mask that keeps bit 0 of
         every byte of a column."""
-        return int.from_bytes(b"\x01" * len(self.zmasks), "little")
+        return int.from_bytes(b"\x01" * len(self.masks), "little")
 
     @cached_property
     def entry_sizes(self) -> list[int]:
         """Per flat index x * n_y + y, the number of faces of its entry, 0
         where the table has none: n_x * n_y slots, so ``entry_sizes[y::n_y]``
         holds the sizes of y's entries by x."""
-        sizes = list(map(int.bit_count, self.zmasks.values()))
-        cells = self.n_x * self.n_y
-        if len(sizes) < cells:  # a table with a gap: each size at its flat index
-            flat = [0] * cells
-            for i, size in zip(self.zmasks, sizes):
+        sizes = list(map(int.bit_count, self.masks))
+        if type(self.keys) is not range:  # a table with a gap: each size at its flat index
+            flat = [0] * (self.n_x * self.n_y)
+            for i, size in zip(self.keys, sizes):
                 flat[i] = size
             sizes = flat
         return sizes
@@ -268,10 +291,7 @@ class TripartiteHost:
         """Whether (x, y, z) is a face.  Each coordinate is checked against
         its class first: out of range, it would alias another face's entry."""
         nx, ny, nz = self.class_sizes
-        return (
-            0 <= x < nx and 0 <= y < ny and 0 <= z < nz
-            and self.zmasks.get(x * ny + y, 0) >> z & 1 == 1
-        )
+        return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz and self._at(x * ny + y) >> z & 1 == 1
 
     def _flags(self, z: int) -> int:
         """Byte i is 1 if the i-th mask, in table order, holds z, else 0."""
@@ -285,7 +305,7 @@ class TripartiteHost:
     def _holds(self, z: int) -> bytes:
         """Per table entry, in table order, the byte 1 if its mask holds z,
         else 0."""
-        return self._flags(z).to_bytes(len(self.zmasks), "little")
+        return self._flags(z).to_bytes(len(self.masks), "little")
 
     def link_size(self, z: int) -> int:
         """e(L_z), the number of faces through z."""
@@ -300,21 +320,24 @@ class TripartiteHost:
         y_masks = self.link_y_masks.get(z)
         if y_masks is None:
             holds, ny = self._holds(z), self.n_y
-            if len(holds) == self.n_x * ny:
+            if type(self.keys) is range:
                 y_masks = tuple(mask_of(holds[y::ny]) for y in range(ny))
             else:
                 gapped = [0] * ny
-                for x, y in map(divmod, compress(self.zmasks, holds), repeat(ny)):
+                for x, y in map(divmod, compress(self.keys, holds), repeat(ny)):
                     gapped[y] |= 1 << x
                 y_masks = tuple(gapped)
             self.link_y_masks[z] = y_masks
         return y_masks
 
     def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
-        """Bitmask over Z of the centers completing the cycle to 4-disks."""
-        get, ny = self.zmasks.get, self.n_y
+        """Bitmask over Z of the centers completing the cycle to 4-disks.
+        With xa == xb it is the AND of the two entries (xa, ya) and (xa, yb),
+        a column's center set, read with two lookups."""
+        at, ny = self._at, self.n_y
         ra, rb = xa * ny, xb * ny
-        return get(ra + ya, 0) & get(ra + yb, 0) & get(rb + ya, 0) & get(rb + yb, 0)
+        column = at(ra + ya) & at(ra + yb)
+        return column if ra == rb else column & at(rb + ya) & at(rb + yb)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ lower-case digits, zeros in front, one blank between words.  Wider masks
 are written without leading zeros.  ``parse_host`` reads these lines in
 any order, ORing each mask into the entry of its (x, y); they are a host's
 only face lines, and an ``f`` line is refused on its line.  Its table's
-keys ascend, as every host's do (see ``core``).  A text spelled exactly
+keys ascend and its masks follow them, as every host's do (see ``core``).  A text spelled exactly
 as ``write_host`` spells it is read whole, all its masks in one decode
 (see ``parse_host``); any other (a comment, CRLF line ends, n_z > 64,
 masks without leading zeros, ``0x``, ``_``, tabs, double blanks, lines
@@ -63,6 +63,7 @@ host holds about 3.5 bits per character.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from importlib import resources
 from itertools import chain, count, pairwise
 from operator import add, le
@@ -178,29 +179,36 @@ def _word(nz: int) -> tuple[str, int] | None:
     return None
 
 
-def _written_table(text: str) -> tuple[tuple[int, int, int], dict[int, int]] | None:
-    """The sizes and table of a text spelled exactly as ``write_host``
+def _written_table(text: str) -> tuple[tuple[int, int, int], Iterable[int], tuple[int, ...]] | None:
+    """The sizes, keys and masks of a text spelled exactly as ``write_host``
     spells a host of n_z <= 64, read as one piece, or None for any other
-    text (see ``parse_host``)."""
+    text (see ``parse_host``).  The header is read first, so a text of
+    n_z > 64 is declined before its body is split."""
     if not text.endswith("\n"):
+        return None
+    head, _, body = text.partition("\n")
+    tph, *sizes = head.split(" ")
+    if tph != "tph" or not "".join(sizes).isdecimal():
+        return None
+    # not three sizes, an empty token or one past int()'s digit limit
+    try:
+        nx, ny, nz = sizes = tuple(map(int, sizes))
+    except ValueError:
+        return None
+    if nz > 64:
         return None
     # the last line is the empty one after the final "\n"; a line of fewer
     # than four tokens leaves fewer than four columns
-    (tph, *sizes), *rows, _ = [line.split(" ", 3) for line in text.split("\n")]
+    *rows, _ = [line.split(" ", 3) for line in body.split("\n")]
     columns = list(zip(*rows))
-    if tph != "tph" or len(columns) != 4:
+    if len(columns) != 4:
         return None
     ms, xs, ys, hexes = columns
-    digits = "".join([*sizes, *xs, *ys])
-    if ms.count("m") != len(ms) or not digits.isdecimal():
+    if ms.count("m") != len(ms) or not "".join([*xs, *ys]).isdecimal():
         return None
-    # not three sizes, an empty token or one past int()'s digit limit, or
-    # a HEX part not hexadecimal
+    # a coordinate past int()'s digit limit, or a HEX part not hexadecimal
     try:
-        nx, ny, nz = sizes = tuple(map(int, sizes))
         xs, ys = list(map(int, xs)), list(map(int, ys))
-        if nz > 64:
-            return None
         code, w = _word(nz)
         joined, step = " ".join(hexes), 2 * w + 1
         packed = bytes.fromhex(joined)
@@ -221,7 +229,8 @@ def _written_table(text: str) -> tuple[tuple[int, int, int], dict[int, int]] | N
         or max(map(add, ys, runs)) > ny or not all(map(le, ends, starts[1:]))
     ):
         return None
-    return sizes, dict(zip(chain.from_iterable(map(range, starts, ends)), masks))
+    # the runs' keys, read only when the table has a gap
+    return sizes, chain.from_iterable(map(range, starts, ends)), masks
 
 
 def parse_host(text: str) -> TripartiteHost:
@@ -241,22 +250,26 @@ def parse_host(text: str) -> TripartiteHost:
     64), then ``m x y W0 ... Wk-1`` lines, each with x < n_x and y + k <=
     n_y, its words 2W hexadecimal digits one blank apart, its tokens one
     blank apart and its sizes and coordinates decimal, its run above
-    the one before, and one ``\\n`` after every line.  Its masks take one
-    ``bytes.fromhex`` over the joined HEX parts and one ``struct.unpack``,
-    are checked with one ``0 in`` and one ``max``, and fill one ``dict``
-    whose keys ascend, so the table needs no sort.  Besides the table,
-    that reader holds for a moment about four times the text: its tokens,
-    the joined HEX parts, their bytes and the tuple of masks.
+    the one before, and one ``\\n`` after every line.  Its header is read
+    first, so a text of n_z > 64 is passed on before its body is split.
+    Its masks take one ``bytes.fromhex`` over the joined HEX parts and one
+    ``struct.unpack``, and are checked with one ``0 in`` and one ``max``;
+    the unpacked tuple is the table's ``masks`` as it stands, its runs
+    ascend, so the table needs no sort, and its keys are the ``range`` of
+    a full table or, with a gap, the runs' flat indices.  Besides the
+    table, that reader holds for a moment about four times the text: its
+    tokens, its coordinates, the joined HEX parts and their bytes.
 
     Any other text (a comment, CRLF line ends, masks without leading
     zeros, n_z > 64, a line out of order) is read line by line, entry by
-    entry, to the table or the error of its one-mask lines: a mask is
-    checked only when it is not positive or wider than any before, and an
-    entry it opens is checked against the bound only when (mask tokens the
-    text can hold) * n_z exceeds it.  Every entry read so far lies below a
-    high-water mark; only when some line opened an entry below it is the
-    table sorted, once, at the end, so that its keys ascend (see
-    ``TripartiteHost._from_table``).
+    entry, to the table or the error of its one-mask lines, which it ORs
+    into a ``dict`` by flat index: a mask is checked only when it is not
+    positive or wider than any before, and an entry it opens is checked
+    against the bound only when (mask tokens the text can hold) * n_z
+    exceeds it.  Every entry read so far lies below a high-water mark;
+    only when some line opened an entry below it is the dict sorted, once,
+    at the end, before it is handed over as the table's keys and masks
+    (see ``TripartiteHost._from_table``), so that its keys ascend.
     """
     written = _written_table(text)
     if written:
@@ -309,7 +322,7 @@ def parse_host(text: str) -> TripartiteHost:
         raise FormatError("missing tph header")
     if disordered:
         table = dict(sorted(table.items()))
-    return TripartiteHost._from_table(sizes, table)
+    return TripartiteHost._from_table(sizes, table, tuple(table.values()))
 
 
 def write_host(host: TripartiteHost) -> str:
@@ -320,8 +333,7 @@ def write_host(host: TripartiteHost) -> str:
     W the smallest of 1, 2, 4 and 8 that holds n_z bits, written as its 2W
     digits, zeros in front: one ``struct.pack(...).hex(" ", W)`` per run.
     Wider masks are written without leading zeros."""
-    ny, masks = host.n_y, host.zmasks
-    keys, values = list(masks), list(masks.values())
+    ny, keys, values = host.n_y, host.keys, host.masks
     word = _word(host.n_z)
 
     def run(i: int, j: int) -> str:

@@ -141,12 +141,13 @@ def count_forbidden(
     sum of the values, counts the forbidden cycles through the walked pairs.
 
     For a Y-pair, each common neighbour x contributes the column z-set
-    Z(x) = zmasks[x * n_y + y1] & zmasks[x * n_y + y2], and the cycle on columns x, x' bounds
-    |Z(x) & Z(x')| disks.  With the columns sorted by c = |Z(x)|, each
-    column's cycles with the columns before it are settled by the two sizes
-    where ``open_partners`` can (forbidden when c <= K or c' <= K,
-    admissible when c + c' > K + n_Z), and ANDed only where the sizes leave
-    them open.
+    Z(x), the AND of the masks of the entries (x, y1) and (x, y2) (each
+    read by flat index through the host's one table lookup), and the cycle
+    on columns x, x' bounds |Z(x) & Z(x')| disks.  With the columns sorted
+    by c = |Z(x)|, each column's cycles with the columns before it are
+    settled by the two sizes where ``open_partners`` can (forbidden when
+    c <= K or c' <= K, admissible when c + c' > K + n_Z), and ANDed only
+    where the sizes leave them open.
 
     Two facts of the table entries' sizes (``TripartiteHost.entry_sizes``,
     read at stride n_y from y) settle a whole Y-pair before any column is
@@ -165,7 +166,7 @@ def count_forbidden(
     reaches none reads no entry sizes.
     """
     host, ymasks = link.host, link.y_masks
-    zb, ny, nz = host.zmasks, host.n_y, host.n_z
+    at, ny, nz = host._at, host.n_y, host.n_z
     # by y once f(y) is worked out, its entry sizes by x and f(y), else 0:
     # an entry of the link holds z, so f(y) >= 1
     by_x: list[list[int]] = [[]] * ny
@@ -204,7 +205,7 @@ def count_forbidden(
         if s0 + s1 > pair_cap:
             continue  # by the size sums, so does every cycle through the pair
         cols = sorted(
-            (zb[x * ny + y1] & zb[x * ny + y2] for x in bits(common)),
+            (at(x * ny + y1) & at(x * ny + y2) for x in bits(common)),
             key=int.bit_count,
         )
         sizes = [c.bit_count() for c in cols]
@@ -290,7 +291,7 @@ def pick_link_vertex(
     with no neighbour is in a bad pair with every other y, as
     ceil(n q**2) >= 1.
     """
-    if not host.zmasks:
+    if not host.masks:
         raise NoQualifyingVertex("empty host")
     n = max(host.class_sizes)
     C = cfg.C

@@ -3,9 +3,11 @@
 They live with the tests, so no shipping code can call them, and a test
 that compares one with the code that ships compares two paths.
 
-For the host: ``host_faces`` decodes its z-mask table into sorted face
-tuples, which the host itself never lists, and ``link_y_transpose`` builds
-the Y side of a link by a face-membership scan.
+For the host: ``table`` reads its z-mask table as one dict from flat index
+to mask, in the host's key order, which the host itself never builds;
+``host_faces`` decodes that table into sorted face tuples, which the host
+never lists either, and ``link_y_transpose`` builds the Y side of a link by
+a face-membership scan.
 
 For ``links``: ``iter_link_cycles``, the one other walk over a link's
 4-cycles (over X-pairs), and ``count_disks``, a face-membership scan
@@ -38,11 +40,17 @@ from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex, LinkGraph
 
 
+def table(host: TripartiteHost) -> dict[int, int]:
+    """The host's z-mask table as a dict from flat index x * n_y + y to
+    mask, its entries in the order of the host's keys."""
+    return dict(zip(host.keys, host.masks, strict=True))
+
+
 def host_faces(host: TripartiteHost) -> list[tuple[int, int, int]]:
     """The faces of ``host`` in lexicographic order: its table sorted by
     flat index x * n_y + y, each entry with the set bits of its mask."""
     ny = host.n_y
-    return [(i // ny, i % ny, z) for i, m in sorted(host.zmasks.items()) for z in bits(m)]
+    return [(i // ny, i % ny, z) for i, m in sorted(table(host).items()) for z in bits(m)]
 
 
 def count_disks(host: TripartiteHost, c: tuple[int, int, int, int]) -> int:

@@ -11,7 +11,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homeofind import io as host_io
 from homeofind.core import Config, TripartiteHost
 from homeofind.embed import find_homeomorph
 from homeofind.errors import PipelineError
@@ -25,7 +28,7 @@ from homeofind.io import (
 )
 from homeofind.links import HostIndex
 from homeofind.verify import verify_certificate
-from oracles import host_faces, link_y_transpose
+from oracles import host_faces, link_y_transpose, table
 
 NON_CUBIC = [(3, 5, 7), (7, 1, 4), (4, 7, 1), (1, 6, 3)]
 
@@ -53,14 +56,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="class sizes"):
             TripartiteHost(sizes, [])
         with pytest.raises(ValueError, match="class sizes"):
-            TripartiteHost._from_table(sizes, {})
+            TripartiteHost._from_table(sizes, (), ())
 
     @pytest.mark.parametrize("sizes", NON_CUBIC)
     def test_table_matches_brute_force(self, sizes):
         faces = list(itertools.product(*map(range, sizes)))[::3]
         a = TripartiteHost(sizes, faces)
-        assert a.zmasks == brute_table(sizes, faces)
-        assert 0 not in a.zmasks.values()
+        assert table(a) == brute_table(sizes, faces)
+        assert 0 not in table(a).values()
         assert host_faces(a) == sorted(faces)
         assert a.e == len(faces)
         # by value: the order of the faces and a repeated face do not matter
@@ -68,13 +71,14 @@ class TestConstruction:
         random.Random(1).shuffle(shuffled)
         b = TripartiteHost(sizes, shuffled)
         assert a == b and hash(a) == hash(b)
-        c = TripartiteHost._from_table(sizes, dict(sorted(brute_table(sizes, faces).items())))
-        assert list(c.zmasks) == sorted(c.zmasks)
+        by_key = dict(sorted(brute_table(sizes, faces).items()))
+        c = TripartiteHost._from_table(sizes, by_key, tuple(by_key.values()))
+        assert list(table(c)) == sorted(table(c))
         assert a == c and hash(a) == hash(c)
         if faces[1:]:
             assert a != TripartiteHost(sizes, faces[1:])
         assert a != TripartiteHost(sizes[::-1], [])
-        assert (a == (a.class_sizes, a.zmasks)) is False  # no host, no equality
+        assert (a == (a.class_sizes, table(a))) is False  # no host, no equality
         assert "_hash" not in vars(a)  # hashed by value, nothing cached
 
     def test_every_constructor_keeps_keys_ascending(self):
@@ -85,14 +89,14 @@ class TestConstruction:
         ``gen_random_host``; and each gives the same host."""
         sizes, rng = (5, 7, 9), random.Random(31)
         base = gen_random_host(*sizes, 0.3, 32)  # some (x, y) have no face
-        assert 0 < len(base.zmasks) < 5 * 7
+        assert 0 < len(table(base)) < 5 * 7
         faces = host_faces(base)
         rng.shuffle(faces)
         head, *runs = write_host(base).splitlines()
         # an odd key's lowest face also on a line of its own
         one_mask = [
             f"m {key // 7} {key % 7} {part:x}"
-            for key, mask in base.zmasks.items()
+            for key, mask in table(base).items()
             for part in ((mask & -mask, mask) if key % 2 else (mask,))
         ]
         rng.shuffle(one_mask)
@@ -103,9 +107,77 @@ class TestConstruction:
             "shuffled one-mask lines": parse_host("\n".join([head, *one_mask])),
         }
         for how, host in hosts.items():
-            assert list(host.zmasks) == sorted(host.zmasks), how
+            assert list(table(host)) == sorted(table(host)), how
             assert host == base, how
             assert write_host(host) == write_host(base), how
+
+
+def _made_every_way(sizes, p, seed):
+    """One host made by each constructor: ``gen_random_host``, shuffled
+    faces, written text (read whole), its run lines reversed and its
+    entries as unpadded one-mask lines, an odd key's lowest face also on a
+    line of its own, reversed (both read line by line).  A written text
+    with no entry has no run line, and is read line by line too."""
+    base = gen_random_host(*sizes, p, seed)
+    faces = host_faces(base)
+    random.Random(seed).shuffle(faces)
+    written = write_host(base)
+    head, *runs = written.splitlines()
+    one_mask = [
+        f"m {key // sizes[1]} {key % sizes[1]} {part:x}"
+        for key, mask in table(base).items()
+        for part in ((mask & -mask, mask) if key % 2 else (mask,))
+    ]
+    by_line = ["\n".join([head, *runs[::-1]]), "\n".join([head, *one_mask[::-1]])]
+    assert (host_io._written_table(written) is not None) == bool(base.masks)
+    assert all(host_io._written_table(text) is None for text in by_line)
+    return base, {
+        "gen_random_host": base,
+        "shuffled faces": TripartiteHost(sizes, faces),
+        "written text": parse_host(written),
+        "reversed runs": parse_host(by_line[0]),
+        "reversed one-mask lines": parse_host(by_line[1]),
+    }
+
+
+class TestTableArrays:
+    """The table is two parallel sequences, ``keys`` and ``masks``, the
+    same whichever constructor made it: keys ascend, they are a ``range``
+    exactly when every (x, y) has an entry, no mask is 0, and ``has`` and
+    ``disk_mask`` match a brute force over the faces on full tables and
+    on tables with gaps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 12)),
+        st.sampled_from([0.1, 0.3, 0.7, 1]),
+        st.integers(0, 2 ** 32),
+    )
+    def test_every_constructor_gives_one_table(self, sizes, p, seed):
+        base, hosts = _made_every_way(sizes, p, seed)
+        nx, ny, nz = sizes
+        faces = set(host_faces(base))
+        by_key = brute_table(sizes, faces)
+        full = len(by_key) == nx * ny
+        for how, host in hosts.items():
+            keys, masks = host.keys, host.masks
+            assert list(keys) == sorted(by_key) and len(masks) == len(keys), how
+            assert (type(keys) is range) == full, how
+            assert type(keys) in (range, tuple) and type(masks) is tuple, how
+            assert 0 not in masks, how
+            assert host == base and hash(host) == hash(base), how
+            for x, y, z in itertools.product(*(range(-1, n + 1) for n in sizes)):
+                assert host.has(x, y, z) == ((x, y, z) in faces), (how, x, y, z)
+            for xa, xb, ya, yb in itertools.product(range(nx), range(nx), range(ny), range(ny)):
+                want = [by_key.get(x * ny + y, 0) for x in (xa, xb) for y in (ya, yb)]
+                assert host.disk_mask(xa, xb, ya, yb) == want[0] & want[1] & want[2] & want[3], how
+
+    @pytest.mark.parametrize("p, full", [(1, True), (0.1, False)])
+    def test_full_and_gapped_tables_are_both_made(self, p, full):
+        """Both kinds of table arise from every constructor: a full one at
+        p = 1 and one with gaps at p = 0.1."""
+        _, hosts = _made_every_way((3, 4, 5), p, 7)
+        assert {type(host.keys) is range for host in hosts.values()} == {full}
 
 
 class TestNonCubicEncoding:
@@ -128,7 +200,7 @@ class TestNonCubicEncoding:
         host = gen_random_host(*sizes, 0.5, 5)
         index = HostIndex(host)
         faces = host_faces(host)
-        assert index.host.zmasks == brute_table(sizes, faces)
+        assert table(index.host) == brute_table(sizes, faces)
         for z in range(host.n_z):
             link = index.link(z)
             edges = {(x, y) for x, y, zz in faces if zz == z}
@@ -251,7 +323,7 @@ def test_byte_columns_match_brute_force(faces):
     tables."""
     sizes = (6, 5, 1010)
     host = TripartiteHost(sizes, faces)
-    masks = list(host.zmasks.values())
+    masks = list(table(host).values())
     top = host.occupied.bit_length()
     columns = host.byte_columns
     assert len(columns) == (top + 7) // 8
@@ -281,7 +353,7 @@ def _strided_host(kind: str) -> TripartiteHost:
         return TripartiteHost((0, 7, 9), [])
     p, full = (0.15, False) if kind.startswith("gapped") else (0.7, True)
     base = gen_random_host(*sizes, p, 41)
-    assert (len(base.zmasks) == 5 * 7) == full
+    assert (len(table(base)) == 5 * 7) == full
     if kind.endswith("shuffled"):
         faces = host_faces(base)
         random.Random(42).shuffle(faces)

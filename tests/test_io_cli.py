@@ -39,6 +39,7 @@ from homeofind.io import (
     write_threegraph,
 )
 from homeofind.verify import canonical_glued_subdivision, verify_certificate
+from oracles import table
 from test_verify import isolated_vertex_certificate_text
 
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
@@ -192,23 +193,23 @@ class TestHostFormat:
         monkeypatch.setattr(host_io, "struct", SimpleNamespace(unpack=unpack))
         whole = parse_host(text)
         assert len(calls) == 1
-        assert whole == host and list(whole.zmasks) == sorted(whole.zmasks)
+        assert whole == host and list(table(whole)) == sorted(table(whole))
         for other in (text + "# end\n", text.replace("\n", "\r\n"), text[:-1] + "\t\n"):
             calls.clear()
             by_line = parse_host(other)
             assert calls == []
-            assert list(by_line.zmasks.items()) == list(whole.zmasks.items())
+            assert list(table(by_line).items()) == list(table(whole).items())
 
     def test_mask_lines_of_one_entry_or_together(self):
         text = "tph 2 2 8\nm 1 0 1\nm 1 0 0x0C\nm 0 1 1\nm 1 0 4\nm 1 0 +8_0\n"
         host = parse_host(text)
-        assert host.zmasks == {2: 0b10001101, 1: 1}
+        assert table(host) == {2: 0b10001101, 1: 1}
         assert host == TripartiteHost((2, 2, 8), {(1, 0, 0), (1, 0, 2), (1, 0, 3), (1, 0, 7), (0, 1, 0)})
 
     def test_a_run_reads_as_its_one_mask_lines(self):
         # m x y A B C is m x y A, m x y+1 B, m x y+2 C, each ORed into its entry
         text = "tph 2 3 8\nm 1 0 3 7 +2_0\nm 1 1 8 0x1\nm 0 2 4\n"
-        assert parse_host(text).zmasks == {3: 3, 4: 15, 5: 33, 2: 4}
+        assert table(parse_host(text)) == {3: 3, 4: 15, 5: 33, 2: 4}
         assert parse_host(text) == parse_host("tph 2 3 8\nm 1 0 3\nm 1 1 7\nm 1 2 20\nm 1 1 8\nm 1 2 1\nm 0 2 4\n")
 
     def test_face_out_of_class(self):
@@ -354,7 +355,7 @@ class TestHostFormat:
     def test_written_hosts_stay_inside_the_bound(self):
         for host in (complete_host(12), random_host(random.Random(3), 7, 9, 70, 0.05)):
             text = write_host(host)
-            bits = len(host.zmasks) * max(m.bit_length() for m in host.zmasks.values())
+            bits = len(table(host)) * max(m.bit_length() for m in table(host).values())
             assert bits <= TABLE_BITS_PER_CHAR * len(text)
             assert parse_host(text) == host
 

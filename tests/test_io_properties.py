@@ -19,6 +19,7 @@ from homeofind.io import (
     write_host,
     write_threegraph,
 )
+from oracles import table
 
 
 @st.composite
@@ -98,7 +99,7 @@ def host_lines(draw, host):
     lines = written[:1]
     nz = host.n_z
     if kind == "entries":
-        for key, mask in sorted(host.zmasks.items()):
+        for key, mask in sorted(table(host).items()):
             x, y = divmod(key, host.n_y)
             low = mask & -mask
             parts = draw(st.sampled_from([[mask], [low, mask], [mask ^ low or mask, low]]))
@@ -418,7 +419,7 @@ class TestParseHostMatchesReference:
         text = write_host(host)
         parsed = parse_host(text)
         assert parsed == reference_parse_host(text) == host
-        assert list(parsed.zmasks) == list(host.zmasks)
+        assert list(table(parsed)) == list(table(host))
 
     # lines spelled as, or nearly as, written words, and runs of words that
     # start below an entry read before them: each gives the table, or the
@@ -469,7 +470,7 @@ class TestParseHostMatchesReference:
     def test_words_and_near_words(self, text, expected):
         found = outcome(parse_host, text)
         assert found == outcome(reference_parse_host, text)
-        assert (found if isinstance(found, str) else found.zmasks) == expected
+        assert (found if isinstance(found, str) else table(found)) == expected
 
 
 @st.composite

@@ -28,6 +28,7 @@ from oracles import (
     forbidden_expectation_oracle,
     host_faces,
     iter_link_cycles,
+    table,
 )
 
 SMALL = TripartiteHost(
@@ -73,7 +74,7 @@ class TestLinkGraph:
         choice = pick_link_vertex(host, Config(C=2), K=3, index=HostIndex(host))
         shown = repr(choice)
         assert shown.startswith(f"LinkChoice(link=LinkGraph(z={choice.link.z}), ")
-        assert "TripartiteHost" not in shown and "zmasks" not in shown
+        assert "TripartiteHost" not in shown and "masks=" not in shown
 
     def test_matches_face_filter(self):
         rng = random.Random(11)
@@ -209,14 +210,14 @@ class TestIterLinkCycles:
             assert set(cycles) == set(brute_force_cycles(host, z))
 
 
-class _Reads(dict):
-    """A host table that counts its reads by key (``reads``)."""
+class _Reads(tuple):
+    """A host's masks that count their reads by index (``reads``)."""
 
     reads = 0
 
-    def __getitem__(self, key):
+    def __getitem__(self, i):
         self.reads += 1
-        return super().__getitem__(key)
+        return super().__getitem__(i)
 
 
 def brute_force_forbidden(host, link, K):
@@ -292,16 +293,16 @@ class TestCountForbidden:
     def check_walks(host, K, z=0):
         """``count_forbidden`` on L_z against the oracle walk, for every pair
         and for every third pair (some with fewer than two common
-        neighbours); returns the table reads by key that the two walks
+        neighbours); returns the mask reads by index that the two walks
         made, which only building a column does."""
         link = HostIndex(host).link(z)
         want = brute_force_forbidden(host, link, K)
         given = list(itertools.combinations(range(host.n_y), 2))[::3]
         part = {pair: forb for pair, forb in want.items() if pair in given}
-        host.zmasks.reads = 0
+        host.masks.reads = 0
         assert count_forbidden(link, K) == (sum(want.values()), want)
         assert count_forbidden(link, K, given) == (sum(part.values()), part)
-        return host.zmasks.reads
+        return host.masks.reads
 
     def test_size_sums_settle_pairs_the_floor_leaves_open(self):
         # n_Z = 12, L_0 complete on 6 x 6.  Entry (x, y) holds every center
@@ -315,7 +316,8 @@ class TestCountForbidden:
         faces = [
             (x, y, z) for x in range(6) for y in range(6) for z in range(8 if x == y else 12)
         ]
-        host = TripartiteHost._from_table((6, 6, 12), _Reads(TripartiteHost((6, 6, 12), faces).zmasks))
+        by_key = table(TripartiteHost((6, 6, 12), faces))
+        host = TripartiteHost._from_table((6, 6, 12), by_key, _Reads(by_key.values()))
         for K in (0, 1, 3):
             assert self.check_walks(host, K) == 0, K
         assert self.check_walks(host, 12) > 0
@@ -327,7 +329,8 @@ class TestCountForbidden:
         # by column (the split recomputed from the faces; at K = 12 every
         # pair is walked); each walk must match the oracle's
         host = random_host(random.Random(3), 7, 7, 12, 0.8)
-        host = TripartiteHost._from_table(host.class_sizes, _Reads(host.zmasks))
+        by_key = table(host)
+        host = TripartiteHost._from_table(host.class_sizes, by_key, _Reads(by_key.values()))
         size = Counter((x, y) for x, y, _ in host_faces(host))
         ym = HostIndex(host).link(0).y_masks
         f = [min(size[x, y] for x in range(7) if ym[y] >> x & 1) for y in range(7)]
