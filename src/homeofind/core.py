@@ -34,10 +34,13 @@ shares them.  Bit z of the masks is one AND and one popcount of column
 z // 8, so the host answers e(L_z) (``link_size``) and e (a popcount per
 column) without a per-entry step; a full table's Y side of L_z is one
 strided read of those flags per y, and a table with a gap ORs in the x of
-each entry that holds z.  It also answers the 4-disks of a cycle
-(``disk_mask``).  Every stage reads the host through it: ``io`` writes
-and parses it, and ``links`` and ``embed`` read link sizes, link Y sides,
-entry sizes and disk masks off it.
+each entry that holds z.  It also answers the columns of a Y-pair
+(``pair_columns``): per x, the AND of the entries (x, ya) and (x, yb), so
+that the 4-disks of the cycle on x, x' and the pair are the AND of two of
+them.  Every stage reads the host through it: ``io`` writes and parses it
+(``from_table`` takes over a table that ``io`` or generation has built),
+and ``links`` and ``embed`` read link sizes, link Y sides, entry sizes and
+pair columns off it.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from fractions import Fraction
 from itertools import combinations, compress, count, repeat
-from operator import getitem, or_
+from operator import and_, getitem, or_
 from typing import Iterable
 
 Face = tuple[int, int, int]
@@ -176,9 +179,11 @@ class TripartiteHost:
     read per y, for the Y side of L_z; a table with a gap ORs the x bit of
     each entry holding z into its y's mask, so only the n_y masks are
     sized from the header.  ``entry_sizes`` takes n_x * n_y slots, and is
-    built only when first read.  ``has`` and ``disk_mask`` find entries by
-    flat index through one lookup, which indexes a full table's masks and
-    bisects a gapped table's keys.
+    built only when first read.  ``has`` finds an entry by flat index
+    through one lookup, which indexes a full table's masks and bisects a
+    gapped table's keys.  ``pair_columns`` reads a full table's two entries
+    of every x at stride n_y, in one ``map``, and looks a gapped table's
+    up, two lookups per x.
     """
 
     class_sizes: tuple[int, int, int]
@@ -199,7 +204,7 @@ class TripartiteHost:
         self._take(sizes, table, tuple(table.values()))
 
     @classmethod
-    def _from_table(cls, class_sizes, keys: Iterable[int], masks: tuple[int, ...]) -> "TripartiteHost":
+    def from_table(cls, class_sizes, keys: Iterable[int], masks: tuple[int, ...]) -> "TripartiteHost":
         """A host that takes over ``masks``, a tuple, and the ``keys`` that
         file them.  Only the sizes are checked: the caller vouches for as
         many keys as masks, ascending in [0, n_x * n_y), and non-zero masks
@@ -330,14 +335,19 @@ class TripartiteHost:
             self.link_y_masks[z] = y_masks
         return y_masks
 
-    def disk_mask(self, xa: int, xb: int, ya: int, yb: int) -> int:
-        """Bitmask over Z of the centers completing the cycle to 4-disks.
-        With xa == xb it is the AND of the two entries (xa, ya) and (xa, yb),
-        a column's center set, read with two lookups."""
-        at, ny = self._at, self.n_y
-        ra, rb = xa * ny, xb * ny
-        column = at(ra + ya) & at(ra + yb)
-        return column if ra == rb else column & at(rb + ya) & at(rb + yb)
+    def pair_columns(self, ya: int, yb: int) -> list[int]:
+        """Per x, the AND of the entries (x, ya) and (x, yb): the bitmask
+        over Z of the centers of column x of the Y-pair, so that the cycle
+        on columns x and x' bounds the disks of ``cols[x] & cols[x']``.  A
+        full table reads the two entries of every x at stride n_y, in one
+        ``map``; a table with a gap looks each up, two lookups per x."""
+        ny = self.n_y
+        if not (0 <= ya < ny and 0 <= yb < ny):
+            raise IndexError(f"Y-pair ({ya}, {yb}) out of range")
+        if type(self.keys) is range:
+            return list(map(and_, self.masks[ya::ny], self.masks[yb::ny]))
+        at = self._at
+        return [at(i + ya) & at(i + yb) for i in range(0, self.n_x * ny, ny)]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ neighbourhoods in X by an exact search that keeps every special cycle
 admissible and leaves each its own center, and finally glue one 4-disk
 with that center onto the image of every special cycle.  That
 search is one function, ``embed_v2``.  Its admissibility arcs are read
-off per-X-vertex column center sets: settled by the two sets' sizes
-where ``links.open_partners`` can, and ANDed only where the sizes leave
-them open.  It returns the embedding of the first leaf, in search order,
+off per-X-vertex column center sets, the pair columns of each
+pair-vertex's Y-pair (``TripartiteHost.pair_columns``): settled by the
+two sets' sizes where ``links.open_partners`` can, ANDed only where the
+sizes leave them open, and built into rows only when read.  It returns
+the embedding of the first leaf, in search order,
 whose one matching of the pair-vertices leaves distinct centers in the
 AND of the same columns (``assign_centers``).  The certificate, the
 target with that embedding, goes to ``verify.verify_certificate`` before
@@ -50,6 +52,7 @@ from .core import (
     ThreeGraph,
     TripartiteHost,
     bits,
+    flags,
 )
 from .errors import CapacityExceeded, CliqueNotFound, NoQualifyingX, RetriesExhausted
 from .links import HostIndex, LinkGraph, open_partners, pick_link_vertex
@@ -278,6 +281,56 @@ def find_complete_subgraph(p: ProblemGraph, t: int) -> list[int]:
     )
 
 
+class _Rows(dict):
+    """compat[u] of ``embed_v2``: per image xw of a face-vertex on an arc
+    through u, the bitmask of u's candidates other than xw whose column
+    shares more than K centers with column xw, each built on its first
+    read (``__missing__``) by the one row rule.
+
+    ``col`` holds u's pair columns by x and ``cands`` u's candidates.  A
+    row is settled by sizes (``open_partners``): first against ``least``,
+    the least candidate column size s0 alone, which settles every partner
+    as admissible when column xw is big enough, and otherwise against the
+    candidates ranked by column size (``ranks``, worked out on first
+    need), whose admissible partners are one suffix of that ranking;
+    only the partners the sizes leave open are ANDed.  ``settled`` says
+    whether s0 settles every row, as s0 > K and 2 s0 > K + n_Z: then any
+    two distinct images of an arc through u are admissible.
+    """
+
+    def __init__(self, col: list[int], cands: int, K: int, n_z: int):
+        super().__init__()
+        self.col, self.cands, self.K, self.n_z = col, cands, K, n_z
+        s0 = min(map(int.bit_count, itertools.compress(col, flags(cands))))
+        self.least = [s0]  # as open_partners' ascending sizes
+        self.settled = open_partners(s0, self.least, K, n_z, 1)[1] == 0
+
+    @cached_property
+    def ranks(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The candidates' column sizes, columns and bits, ascending by
+        size, and suffix[i], the bitmask of the candidates ranked i and on."""
+        col = self.col
+        xs = sorted(bits(self.cands), key=lambda x: col[x].bit_count())
+        cols, xbits = [col[x] for x in xs], [1 << x for x in xs]
+        suffix = [*itertools.accumulate(reversed(xbits), operator.or_, initial=0)][::-1]
+        return [c.bit_count() for c in cols], cols, xbits, suffix
+
+    def __missing__(self, xw: int) -> int:
+        cw, K, n_z = self.col[xw], self.K, self.n_z
+        c = cw.bit_count()
+        if open_partners(c, self.least, K, n_z, 1)[1] == 0:
+            m = self.cands  # the least partner, and so every one, is admissible
+        else:
+            sizes, cols, xbits, suffix = self.ranks
+            lo, hi = open_partners(c, sizes, K, n_z, len(sizes))
+            m = suffix[hi]
+            for i in range(lo, hi):
+                if (cw & cols[i]).bit_count() > K:
+                    m |= xbits[i]
+        row = self[xw] = m & ~(1 << xw)
+        return row
+
+
 def embed_v2(
     aux: AuxGraph,
     v1_map: dict[int, int],
@@ -293,15 +346,20 @@ def embed_v2(
     its V1 neighbours; ``rng`` shuffles the order in which its candidates
     are tried.  The placement must be injective and make the image of every
     special cycle admissible: a constraint between the images of its
-    pair-vertex u and face-vertex w, decided as
-    ``link.host.disk_mask(...).bit_count() > K``.  That count is the size of
-    the AND of the two images' column center sets, so each arc is first
-    settled by the two column sizes (``links.open_partners``, with u's
-    candidates ranked once by column size), and ANDed only where the sizes
-    leave it open.  One bipartite matching (augmenting paths) first checks
+    pair-vertex u and face-vertex w, admissible when the AND of the two
+    images' columns (``link.host.pair_columns`` of the cycle's Y-pair)
+    holds more than K centers.  Each arc is settled by the two column
+    sizes where ``links.open_partners`` can, and ANDed only where they
+    leave it open, in a row of u's compatible images built on first read
+    (``_Rows``).  One bipartite matching (augmenting paths) first checks
     Hall's condition on the candidates.  Then candidates with no compatible
     partner are pruned (arc consistency) and Hall's condition is checked
-    again.  Every constraint joins a face-vertex to a pair-vertex, so the
+    again.  A u whose least candidate column size s0 has s0 > K and
+    2 s0 > K + n_Z admits any two distinct images on each of its arcs, so
+    those arcs are revised by the domains' sizes alone, and u's rows are
+    built only for the images the search places; the fixed point, and so
+    the search, is the same.  Every constraint joins a face-vertex to a
+    pair-vertex, so the
     search is depth first over the face-vertices (fewer than the
     pair-vertices on a surface), with forward checking of the pair-vertices.
     A leaf matches the pair-vertices into the unused X-vertices and ANDs
@@ -336,41 +394,19 @@ def embed_v2(
     # One arc (w, u) per special cycle, kept as arcs_of[w].  compat[u][xw]
     # is the bitmask of the images of u that make a cycle through u
     # admissible with its face-vertex on xw: u fixes the cycle's Y-pair, so
-    # the row depends on u and xw alone and is built once.
-    # disk_mask(xu, xw, ya, yb) is the AND of the column masks
-    # disk_mask(x, x, ya, yb) of xu and xw, which are worked out once per
-    # pair-vertex u, over its candidates: a face-vertex's face holds u's
-    # edge, so its candidates are among them.  A leaf reads its center sets
-    # from these columns too.  The candidates of u are ranked once by
-    # column size, and a row takes the partners that open_partners settles
-    # as admissible as one suffix of that ranking, ANDing only the partners
-    # it leaves open.
-    disk_mask, n_z = link.host.disk_mask, link.host.n_z
-    columns: dict[int, dict[int, int]] = {}
-    compat: dict[int, dict[int, int]] = {}
-    ranks: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
+    # the row depends on u and xw alone, and ``_Rows`` builds it on its
+    # first read.  A cycle bounds the disks of the AND of its two columns,
+    # the host's pair columns of u's Y-pair at the two images, read once
+    # per pair-vertex u: a face-vertex's face holds u's edge, so its
+    # candidates are among u's.  A leaf reads its center sets from these
+    # columns too (``_Rows.col``).
+    host = link.host
+    compat: dict[int, _Rows] = {}
     arcs_of: dict[int, list[int]] = {}
     for sc in aux.special_cycles:
-        if sc.u not in ranks:
-            ya, yb = v1_map[sc.a], v1_map[sc.b]
-            col = columns[sc.u] = {x: disk_mask(x, x, ya, yb) for x in bits(dom[sc.u])}
-            xs = sorted(col, key=lambda x: col[x].bit_count())
-            cols, xbits = [col[x] for x in xs], [1 << x for x in xs]
-            # suffix[i]: the candidates ranked i and on
-            suffix = [*itertools.accumulate(reversed(xbits), operator.or_, initial=0)][::-1]
-            ranks[sc.u] = ([c.bit_count() for c in cols], cols, xbits, suffix)
-        col = columns[sc.u]
-        sizes, cols, xbits, suffix = ranks[sc.u]
-        rows = compat.setdefault(sc.u, {})
-        for xw in bits(dom[sc.w]):
-            if xw not in rows:
-                cw = col[xw]
-                lo, hi = open_partners(cw.bit_count(), sizes, K, n_z, len(sizes))
-                m = suffix[hi]
-                for i in range(lo, hi):
-                    if (cw & cols[i]).bit_count() > K:
-                        m |= xbits[i]
-                rows[xw] = m & ~(1 << xw)
+        if sc.u not in compat:
+            col = host.pair_columns(v1_map[sc.a], v1_map[sc.b])
+            compat[sc.u] = _Rows(col, dom[sc.u], K, host.n_z)
         arcs_of.setdefault(sc.w, []).append(sc.u)
 
     def no_placement(why: str) -> RetriesExhausted:
@@ -382,18 +418,27 @@ def embed_v2(
     # Arc consistency: keep a candidate only while every arc through its
     # vertex offers it a compatible partner; repeat until nothing changes.
     # A face-vertex's cycles are consecutive, so the arcs go in cycle order.
+    # On a settled u every partner other than the candidate itself is
+    # compatible, so the domains' sizes decide the arc: a candidate keeps a
+    # partner unless the other side's one candidate is itself.  No domain
+    # is empty here: Hall's check gave each a candidate, and a revision
+    # that would empty one refuses.
     changed = True
     while changed:
         changed = False
         for w, u in ((w, u) for w, us in arcs_of.items() for u in us):
-            keep_w = keep_u = 0
-            du, rows = dom[u], compat[u]
-            for xw in bits(dom[w]):
-                m = rows[xw] & du
-                if m:
-                    keep_w |= 1 << xw
-                    keep_u |= m
-            if keep_w != dom[w] or keep_u != du:
+            dw, du, rows = dom[w], dom[u], compat[u]
+            if rows.settled:
+                keep_w = dw if du & (du - 1) else dw & ~du
+                keep_u = du if dw & (dw - 1) else du & ~dw
+            else:
+                keep_w = keep_u = 0
+                for xw in bits(dw):
+                    m = rows[xw] & du
+                    if m:
+                        keep_w |= 1 << xw
+                        keep_u |= m
+            if keep_w != dw or keep_u != du:
                 if not keep_w:
                     raise no_placement(f"pruning leaves V2 vertex {w} no image admissible with {u}")
                 dom[w], dom[u] = keep_w, keep_u
@@ -415,7 +460,7 @@ def embed_v2(
                 return None
             img = placed | matched
             centers = assign_centers([
-                columns[sc.u][img[sc.u]] & columns[sc.u][img[sc.w]] & keep
+                compat[sc.u].col[img[sc.u]] & compat[sc.u].col[img[sc.w]] & keep
                 for sc in aux.special_cycles
             ])
             if centers is None:

@@ -55,7 +55,7 @@ def gen_random_host(
         raise ValueError("p must lie in [0, 1]")
     p = float(p)
     if min(n_x, n_y, n_z) <= 0:  # no potential face, no draw
-        return TripartiteHost._from_table((n_x, n_y, n_z), (), ())
+        return TripartiteHost.from_table((n_x, n_y, n_z), (), ())
     rng = random.Random(seed)
     bound = math.ceil(p * 2.0 ** 53)  # random() < p  <=>  v < bound
     top = bound >> 45
@@ -80,7 +80,7 @@ def gen_random_host(
                 keys.append(flat)
                 masks.append(mask)
             bits >>= n_z
-    return TripartiteHost._from_table((n_x, n_y, n_z), keys, tuple(masks))
+    return TripartiteHost.from_table((n_x, n_y, n_z), keys, tuple(masks))
 
 
 _CFG_KEYS = tuple(f.name for f in fields(Config) if f.name != "rng_seed")

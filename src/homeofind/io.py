@@ -269,11 +269,11 @@ def parse_host(text: str) -> TripartiteHost:
     exceeds it.  Every entry read so far lies below a high-water mark;
     only when some line opened an entry below it is the dict sorted, once,
     at the end, before it is handed over as the table's keys and masks
-    (see ``TripartiteHost._from_table``), so that its keys ascend.
+    (see ``TripartiteHost.from_table``), so that its keys ascend.
     """
     written = _written_table(text)
     if written:
-        return TripartiteHost._from_table(*written)
+        return TripartiteHost.from_table(*written)
     sizes = None
     table: dict[int, int] = {}
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
@@ -322,7 +322,7 @@ def parse_host(text: str) -> TripartiteHost:
         raise FormatError("missing tph header")
     if disordered:
         table = dict(sorted(table.items()))
-    return TripartiteHost._from_table(sizes, table, tuple(table.values()))
+    return TripartiteHost.from_table(sizes, table, tuple(table.values()))
 
 
 def write_host(host: TripartiteHost) -> str:

@@ -141,13 +141,13 @@ def count_forbidden(
     sum of the values, counts the forbidden cycles through the walked pairs.
 
     For a Y-pair, each common neighbour x contributes the column z-set
-    Z(x), the AND of the masks of the entries (x, y1) and (x, y2) (each
-    read by flat index through the host's one table lookup), and the cycle
-    on columns x, x' bounds |Z(x) & Z(x')| disks.  With the columns sorted
-    by c = |Z(x)|, each column's cycles with the columns before it are
-    settled by the two sizes where ``open_partners`` can (forbidden when
-    c <= K or c' <= K, admissible when c + c' > K + n_Z), and ANDed only
-    where the sizes leave them open.
+    Z(x), the AND of the masks of the entries (x, y1) and (x, y2) (the
+    pair's ``TripartiteHost.pair_columns``, kept at the common neighbours),
+    and the cycle on columns x, x' bounds |Z(x) & Z(x')| disks.  With the
+    columns sorted by c = |Z(x)|, each column's cycles with the columns
+    before it are settled by the two sizes where ``open_partners`` can
+    (forbidden when c <= K or c' <= K, admissible when c + c' > K + n_Z),
+    and ANDed only where the sizes leave them open.
 
     Two facts of the table entries' sizes (``TripartiteHost.entry_sizes``,
     read at stride n_y from y) settle a whole Y-pair before any column is
@@ -160,13 +160,14 @@ def count_forbidden(
     least entry size over the link neighbours of y, so the pair is settled
     too, without a sum, when 2 (f(y1) + f(y2)) - 3 n_Z > K: a whole-link
     walk works f out for every y, sorts the y by it and enumerates only
-    the pairs this floor leaves open (one ``bisect`` per y1 over prefix
-    masks of that order).  A walk of given pairs works f(y) out for the
-    first pair through y that reaches the floor test, so a walk that
+    the pairs this floor leaves open: only the y1 that leave a pair open
+    with the least floor, in label order, and for each one ``bisect`` over
+    prefix masks of that order.  A walk of given pairs works f(y) out for
+    the first pair through y that reaches the floor test, so a walk that
     reaches none reads no entry sizes.
     """
     host, ymasks = link.host, link.y_masks
-    at, ny, nz = host._at, host.n_y, host.n_z
+    ny, nz = host.n_y, host.n_z
     # by y once f(y) is worked out, its entry sizes by x and f(y), else 0:
     # an entry of the link holds z, so f(y) >= 1
     by_x: list[list[int]] = [[]] * ny
@@ -187,9 +188,11 @@ def count_forbidden(
         floors = [least[y] for y in order]
         # prefix[j], the mask of the y with the j least floors
         prefix = list(accumulate((1 << y for y in order), or_, initial=0))
+        # a y1 that even the least floor leaves settled opens no pair
         pairs = (
             (y1, y2)
             for y1 in ys
+            if least[y1] + floors[0] <= floor_cap
             for y2 in bits(prefix[bisect_right(floors, floor_cap - least[y1])] >> y1 + 1 << y1 + 1)
         )
     total = 0
@@ -204,10 +207,7 @@ def count_forbidden(
         s0, s1 = sorted(map(add, compress(by_x[y1], on), compress(by_x[y2], on)))[:2]
         if s0 + s1 > pair_cap:
             continue  # by the size sums, so does every cycle through the pair
-        cols = sorted(
-            (at(x * ny + y1) & at(x * ny + y2) for x in bits(common)),
-            key=int.bit_count,
-        )
+        cols = sorted(compress(host.pair_columns(y1, y2), on), key=int.bit_count)
         sizes = [c.bit_count() for c in cols]
         forb = 0
         for j in range(1, len(cols)):

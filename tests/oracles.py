@@ -11,15 +11,18 @@ a face-membership scan.
 
 For ``links``: ``iter_link_cycles``, the one other walk over a link's
 4-cycles (over X-pairs), and ``count_disks``, a face-membership scan
-independent of ``TripartiteHost.disk_mask``; the first yields and the
+independent of ``TripartiteHost.pair_columns``; the first yields and the
 second takes a cycle as a plain tuple ``(x1, x2, y1, y2)`` with x1 < x2
-and y1 < y2.  Two more check the z-scan's expectation arguments in exact
+and y1 < y2.  ``disk_mask`` is no oracle but a reader: the centers of a
+cycle as the search sees them, the AND of its two pair columns.  Two more check the z-scan's expectation arguments in exact
 rational arithmetic: ``expectation_oracle`` (the mean of e(L_z) is
 e(G)/n_Z) and ``forbidden_expectation_oracle`` (the double count behind
 the mean of B_z).
 
 For ``embed``: ``clique_oracle``, an exhaustive scan over t-subsets of Y',
-checks ``find_complete_subgraph``.
+checks ``find_complete_subgraph``, and ``arc_consistency_oracle``, a
+brute-force fixed point over the special cycles with columns read off
+``has``, checks ``embed_v2``'s pruned domains.
 
 For ``verify``: ``relabel_oracle`` judges a face list it is given the
 other way round from the verifier: it relabels each face through the
@@ -53,11 +56,17 @@ def host_faces(host: TripartiteHost) -> list[tuple[int, int, int]]:
     return [(i // ny, i % ny, z) for i, m in sorted(table(host).items()) for z in bits(m)]
 
 
+def disk_mask(host: TripartiteHost, xa: int, xb: int, ya: int, yb: int) -> int:
+    """Bitmask over Z of the centers completing the cycle (xa, xb, ya, yb)
+    to 4-disks: the AND of its two columns in ``host.pair_columns``."""
+    return (cols := host.pair_columns(ya, yb))[xa] & cols[xb]
+
+
 def count_disks(host: TripartiteHost, c: tuple[int, int, int, int]) -> int:
     """Number of z whose link contains the cycle ``(x1, x2, y1, y2)``; direct
     membership scan.
 
-    Deliberately independent of ``TripartiteHost.disk_mask`` so the two code
+    Deliberately independent of ``TripartiteHost.pair_columns`` so the two code
     paths can be checked against each other.
     """
     x1, x2, y1, y2 = c
@@ -121,7 +130,7 @@ def forbidden_expectation_oracle(host: TripartiteHost, K: int) -> Fraction:
     for z in range(host.n_z):
         for c in iter_link_cycles(index.link(z)):
             if c not in counts:
-                counts[c] = host.disk_mask(*c).bit_count()
+                counts[c] = disk_mask(host, *c).bit_count()
             total_b += counts[c] <= K
     sum_forbidden_disks = sum(d for d in counts.values() if d <= K)
 
@@ -190,6 +199,46 @@ def clique_oracle(p: ProblemGraph, t: int) -> bool:
         if all(tr not in bad for tr in itertools.combinations(subset, 3)):
             return True
     return False
+
+
+def arc_consistency_oracle(host: TripartiteHost, aux, v1_map, dom, K: int) -> dict[int, int]:
+    """The fixed point of ``embed_v2``'s arc consistency by brute force.
+
+    For each special cycle (a, u, b, w), the column of x is the set of z
+    with (x, a', z) and (x, b', z) faces (a' and b' the images of a and b),
+    read off ``has``.  A candidate x of w is kept while some partner
+    x' != x in u's domain has |col(x) & col(x')| > K, and a candidate of u
+    likewise while some partner in w's domain does; every cycle is
+    revised in turn until nothing changes.  ``dom`` maps each V2 vertex to
+    its bitmask of candidates; the result is a new such dict, in which a
+    domain may be empty.
+    """
+    dom = dict(dom)
+    cols: dict[tuple[int, int, int], set[int]] = {}
+
+    def col(x, ya, yb):
+        if (x, ya, yb) not in cols:
+            cols[x, ya, yb] = {
+                z for z in range(host.n_z) if host.has(x, ya, z) and host.has(x, yb, z)
+            }
+        return cols[x, ya, yb]
+
+    def admissible(x, x2, ya, yb):
+        return x != x2 and len(col(x, ya, yb) & col(x2, ya, yb)) > K
+
+    changed = True
+    while changed:
+        changed = False
+        for sc in aux.special_cycles:
+            ya, yb = v1_map[sc.a], v1_map[sc.b]
+            ws, us = bits(dom[sc.w]), bits(dom[sc.u])
+            keep_w = [x for x in ws if any(admissible(x, x2, ya, yb) for x2 in us)]
+            keep_u = [x2 for x2 in us if any(admissible(x, x2, ya, yb) for x in ws)]
+            if len(keep_w) < len(ws) or len(keep_u) < len(us):
+                dom[sc.w] = sum(1 << x for x in keep_w)
+                dom[sc.u] = sum(1 << x for x in keep_u)
+                changed = True
+    return dom
 
 
 def link_y_transpose(host: TripartiteHost, z: int) -> tuple[int, ...]:

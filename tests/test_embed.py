@@ -55,7 +55,7 @@ from homeofind.links import (
     pick_link_vertex,
 )
 from homeofind.verify import verify_certificate
-from oracles import clique_oracle, count_disks, host_faces
+from oracles import arc_consistency_oracle, clique_oracle, count_disks, disk_mask, host_faces
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
@@ -857,7 +857,7 @@ class TestEmbedV2:
 
             def admissible(img):
                 masks = [
-                    host.disk_mask(img[sc.u], img[sc.w], sc.a, sc.b)
+                    disk_mask(host, img[sc.u], img[sc.w], sc.a, sc.b)
                     for sc in aux.special_cycles
                 ]
                 return all(m.bit_count() > K for m in masks) and distinct_centers(
@@ -896,7 +896,7 @@ class TestEmbedV2:
             assert out.v1_map == v1_map and sorted(centers) == list(range(len(aux.special_cycles)))
             assert 0 not in centers.values() and len(set(centers.values())) == len(centers)
             for ci, sc in enumerate(aux.special_cycles):
-                assert host.disk_mask(out.v2_map[sc.u], out.v2_map[sc.w], sc.a, sc.b) >> centers[ci] & 1
+                assert disk_mask(host, out.v2_map[sc.u], out.v2_map[sc.w], sc.a, sc.b) >> centers[ci] & 1
             outcomes.append(True)
         assert any(outcomes) and not all(outcomes)
 
@@ -987,6 +987,102 @@ class TestEmbedV2:
                 record.append((sorted(out.v2_map.items()), sorted(out.center_map.items())))
         digest = hashlib.sha256(repr(record).encode()).hexdigest()
         assert digest == "b0b7e6d1606268a4c16a4db8f4e15da6772050f35d02b8c11312d739433e9cf4"
+
+
+def settled_pair_vertices(host, aux, v1_map, dom, K):
+    """The pair-vertices u whose least candidate column size s0 has
+    s0 > K and 2 s0 > K + n_Z, so that every arc through u is admissible
+    for any two distinct images; columns read off ``disk_mask``."""
+    ya_yb = {sc.u: (v1_map[sc.a], v1_map[sc.b]) for sc in aux.special_cycles}
+    settled = set()
+    for u, (ya, yb) in ya_yb.items():
+        s0 = min(disk_mask(host, x, x, ya, yb).bit_count() for x in bits(dom[u]))
+        if s0 > K and 2 * s0 > K + host.n_z:
+            settled.add(u)
+    return settled, set(ya_yb)
+
+
+class TestArcConsistency:
+    """Arc consistency revises arcs whose pair-vertex sizes settle by the
+    domains' sizes, and reads rows for the others: its domains are the
+    brute-force fixed point either way, and a settled pair-vertex builds
+    rows only for the images the search places."""
+
+    def test_pruned_domains_match_brute_force(self, monkeypatch):
+        # embed_v2 hands the domains to _match twice before its search:
+        # for Hall's check as built, and again once pruning is done
+        calls = []
+        real_match = embed._match
+
+        def recording(verts, order, allowed, owner=None):
+            calls.append(dict(allowed) if isinstance(allowed, dict) else None)
+            return real_match(verts, order, allowed, owner)
+
+        monkeypatch.setattr(embed, "_match", recording)
+        targets = (TRIANGLE, ThreeGraph(4, frozenset({(0, 1, 2), (0, 1, 3)})))
+        rng = random.Random(60)
+        kinds = {"every": 0, "none": 0, "some": 0}
+        refused = 0
+        for case in range(240):
+            target = targets[case % 2]
+            n_z = rng.randint(5, 10)
+            host = random_host(rng, rng.randint(6, 10), 4, n_z, rng.uniform(0.5, 1.0))
+            K = rng.randint(0, 4)
+            aux = build_aux_graph(target)
+            v1_map = {v: v for v in aux.v1}
+            calls.clear()
+            try:
+                embed_v2(aux, v1_map, HostIndex(host).link(0), Config(), random.Random(case), K=K)
+            except RetriesExhausted as exc:
+                if "(Hall)" in str(exc):
+                    continue  # refused before any pruning
+                if "pruning leaves" in str(exc):
+                    want = arc_consistency_oracle(host, aux, v1_map, calls[0], K)
+                    assert 0 in want.values(), case
+                    refused += 1
+                    continue
+            settled, pair_vertices = settled_pair_vertices(host, aux, v1_map, calls[0], K)
+            kind = "every" if settled == pair_vertices else "some" if settled else "none"
+            kinds[kind] += 1
+            want = arc_consistency_oracle(host, aux, v1_map, calls[0], K)
+            assert 0 not in want.values() and calls[1] == want, case
+        assert min(kinds.values()) >= 10 and refused >= 5, (kinds, refused)
+
+    def test_settled_pair_vertex_builds_rows_only_where_placed(self, monkeypatch):
+        # a dense n = 60 host at K = 12, as on the dense benchmark: every
+        # pair-vertex of k4 is settled by sizes, so arc consistency reads no
+        # row and each of its rows is an image the search placed on one of
+        # its face-vertices, two of the about 50 candidates each has
+        made, seen = [], []
+
+        class Recording(embed._Rows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        real_embed = embed.embed_v2
+
+        def kept(aux, v1_map, link, cfg, rng, *, K):
+            seen.append((aux, link, K))
+            return real_embed(aux, v1_map, link, cfg, rng, K=K)
+
+        monkeypatch.setattr(embed, "_Rows", Recording)
+        monkeypatch.setattr(embed, "embed_v2", kept)
+        host = gen_random_host(60, 60, 60, Fraction(9, 10), 11)
+        cert = find_homeomorph(host, K4, Config(C=2, k_threshold=12, rng_seed=1))
+        (aux, link, K), emb = seen[0], cert.embedding
+        # the rows are made in the order the pair-vertices first appear
+        pair_vertices = list(dict.fromkeys(sc.u for sc in aux.special_cycles))
+        dom = {}
+        for u in pair_vertices:
+            a, b = aux.neighbors_of_v2(u)
+            dom[u] = link.y_masks[emb.v1_map[a]] & link.y_masks[emb.v1_map[b]]
+        settled, _ = settled_pair_vertices(host, aux, emb.v1_map, dom, K)
+        assert settled == set(pair_vertices) and len(made) == len(pair_vertices)
+        for u, rows in zip(pair_vertices, made):
+            faces = {sc.w for sc in aux.special_cycles if sc.u == u}
+            assert rows.settled and set(rows) == {emb.v2_map[w] for w in faces}, u
+            assert len(rows) == 2 and dom[u].bit_count() > 40, u
 
 
 def center_sets(*sets):

@@ -28,7 +28,7 @@ from homeofind.io import (
 )
 from homeofind.links import HostIndex
 from homeofind.verify import verify_certificate
-from oracles import host_faces, link_y_transpose, table
+from oracles import disk_mask, host_faces, link_y_transpose, table
 
 NON_CUBIC = [(3, 5, 7), (7, 1, 4), (4, 7, 1), (1, 6, 3)]
 
@@ -56,7 +56,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="class sizes"):
             TripartiteHost(sizes, [])
         with pytest.raises(ValueError, match="class sizes"):
-            TripartiteHost._from_table(sizes, (), ())
+            TripartiteHost.from_table(sizes, (), ())
 
     @pytest.mark.parametrize("sizes", NON_CUBIC)
     def test_table_matches_brute_force(self, sizes):
@@ -72,7 +72,7 @@ class TestConstruction:
         b = TripartiteHost(sizes, shuffled)
         assert a == b and hash(a) == hash(b)
         by_key = dict(sorted(brute_table(sizes, faces).items()))
-        c = TripartiteHost._from_table(sizes, by_key, tuple(by_key.values()))
+        c = TripartiteHost.from_table(sizes, by_key, tuple(by_key.values()))
         assert list(table(c)) == sorted(table(c))
         assert a == c and hash(a) == hash(c)
         if faces[1:]:
@@ -143,9 +143,9 @@ def _made_every_way(sizes, p, seed):
 class TestTableArrays:
     """The table is two parallel sequences, ``keys`` and ``masks``, the
     same whichever constructor made it: keys ascend, they are a ``range``
-    exactly when every (x, y) has an entry, no mask is 0, and ``has`` and
-    ``disk_mask`` match a brute force over the faces on full tables and
-    on tables with gaps."""
+    exactly when every (x, y) has an entry, no mask is 0, and ``has``,
+    ``pair_columns`` and the disk masks read from them match a brute force
+    over the faces on full tables and on tables with gaps."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -168,9 +168,12 @@ class TestTableArrays:
             assert host == base and hash(host) == hash(base), how
             for x, y, z in itertools.product(*(range(-1, n + 1) for n in sizes)):
                 assert host.has(x, y, z) == ((x, y, z) in faces), (how, x, y, z)
+            for ya, yb in itertools.product(range(ny), repeat=2):
+                want = [by_key.get(x * ny + ya, 0) & by_key.get(x * ny + yb, 0) for x in range(nx)]
+                assert host.pair_columns(ya, yb) == want, (how, ya, yb)
             for xa, xb, ya, yb in itertools.product(range(nx), range(nx), range(ny), range(ny)):
                 want = [by_key.get(x * ny + y, 0) for x in (xa, xb) for y in (ya, yb)]
-                assert host.disk_mask(xa, xb, ya, yb) == want[0] & want[1] & want[2] & want[3], how
+                assert disk_mask(host, xa, xb, ya, yb) == want[0] & want[1] & want[2] & want[3], how
 
     @pytest.mark.parametrize("p, full", [(1, True), (0.1, False)])
     def test_full_and_gapped_tables_are_both_made(self, p, full):
@@ -178,6 +181,26 @@ class TestTableArrays:
         p = 1 and one with gaps at p = 0.1."""
         _, hosts = _made_every_way((3, 4, 5), p, 7)
         assert {type(host.keys) is range for host in hosts.values()} == {full}
+
+    @pytest.mark.parametrize("p, full", [(1, True), (0.1, False)])
+    def test_pair_columns_match_brute_force(self, p, full):
+        """Per x, the z with (x, ya, z) and (x, yb, z) both faces, read off
+        the face list, on a full table (p = 1) and on tables with gaps;
+        a y outside [0, n_y) is refused rather than read from another
+        row."""
+        sizes = (5, 4, 9)
+        for how, host in _made_every_way(sizes, p, 3)[1].items():
+            assert (type(host.keys) is range) == full, how
+            faces = set(host_faces(host))
+            for ya, yb in itertools.product(range(4), repeat=2):
+                want = [
+                    sum(1 << z for z in range(9) if {(x, ya, z), (x, yb, z)} <= faces)
+                    for x in range(5)
+                ]
+                assert host.pair_columns(ya, yb) == want, (how, ya, yb)
+            for ya, yb in ((-1, 0), (0, 4), (4, 4)):
+                with pytest.raises(IndexError):
+                    host.pair_columns(ya, yb)
 
 
 class TestNonCubicEncoding:

@@ -22,7 +22,8 @@ The z-scan in ``links`` decides every Y-pair of the chosen link, and
 names the pair test or a forbidden count.
 
 A name starting with ``_`` is private to its module: no package module
-imports one from another.  Every name a package module imports is used
+imports one from another, nor reads one as an attribute (``host._at``)
+unless it defines that name itself.  Every name a package module imports is used
 there, unless the package's ``__init__`` imports it from that module.
 
 The builtin targets are the ``.tg`` files in ``homeofind/data``: no package
@@ -157,6 +158,58 @@ def test_private_import_scan_finds_every_form(tmp_path):
         ("homeofind.links", "_bits"), ("homeofind.io", "_DIGITS"),
         ("homeofind.core", "_norm_face"),
     ]
+
+
+def private_attribute_reads(path: Path) -> list[str]:
+    """The names starting with ``_``, dunders aside, that the file reads as
+    an attribute (``obj._name``) without defining them: as a function or
+    class, an assigned name or attribute, or the name given to
+    ``setattr`` or ``__setattr__``.  In source order, once each."""
+    tree = ast.parse(path.read_text())
+    defined, read = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) > 1 and (
+            getattr(node.func, "id", None) == "setattr"
+            or getattr(node.func, "attr", None) == "__setattr__"
+        ):
+            if isinstance(node.args[1], ast.Constant):
+                defined.add(node.args[1].value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+            if name.startswith("_") and not name.endswith("__") and name not in read:
+                read.append(name)
+    return [name for name in read if name not in defined]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_private_attribute_crosses_modules(module):
+    assert private_attribute_reads(SRC / f"{module}.py") == []
+
+
+def test_private_attribute_scan_finds_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._set = 1\n"
+        "        object.__setattr__(self, '_kept', 2)\n"
+        "        setattr(self, '_named', 3)\n"
+        "    def _own(self):\n"
+        "        return self._own, self._set, self._kept, self._named, self.__dict__\n"
+        "def f(host, h):\n"
+        "    g = host._at\n"
+        "    return host.from_table, h._at(0), A._from_table(), g\n"
+        "_mod = 1\n"
+        "x = other._mod\n"
+    )
+    assert private_attribute_reads(src) == ["_at", "_from_table"]
 
 
 def unused_imports(path: Path, exported: set[str]) -> list[str]:

@@ -24,6 +24,7 @@ from homeofind.links import (
 )
 from oracles import (
     count_disks,
+    disk_mask,
     expectation_oracle,
     forbidden_expectation_oracle,
     host_faces,
@@ -100,7 +101,7 @@ class TestCountDisks:
         rng = random.Random(5)
         host = random_host(rng, 6, 6, 6, 0.4)
         for c in [(0, 1, 0, 1), (1, 3, 2, 4), (0, 5, 1, 2)]:
-            assert count_disks(host, c) == host.disk_mask(*c).bit_count()
+            assert count_disks(host, c) == disk_mask(host, *c).bit_count()
 
 
 def forbidden_by_pair(cycles, K):
@@ -115,7 +116,7 @@ def forbidden_by_pair(cycles, K):
 
 class TestClassifyCycles:
     """A cycle bounding more than K disks is admissible, otherwise forbidden:
-    ``disk_mask`` and ``count_forbidden``, the paths the search takes,
+    ``pair_columns`` and ``count_forbidden``, the paths the search takes,
     against the raw quadruple scan."""
 
     def test_threshold_boundary(self):
@@ -144,7 +145,7 @@ class TestClassifyCycles:
             link = index.link(z)
             expected = brute_force_cycles(host, z)
             for c, d in expected.items():
-                assert host.disk_mask(*c).bit_count() == d
+                assert disk_mask(host, *c).bit_count() == d
             # at K = n_Z every cycle of the link is forbidden
             for K in (2, host.n_z):
                 by_pair = forbidden_by_pair(expected, K)
@@ -317,7 +318,7 @@ class TestCountForbidden:
             (x, y, z) for x in range(6) for y in range(6) for z in range(8 if x == y else 12)
         ]
         by_key = table(TripartiteHost((6, 6, 12), faces))
-        host = TripartiteHost._from_table((6, 6, 12), by_key, _Reads(by_key.values()))
+        host = TripartiteHost.from_table((6, 6, 12), by_key, _Reads(by_key.values()))
         for K in (0, 1, 3):
             assert self.check_walks(host, K) == 0, K
         assert self.check_walks(host, 12) > 0
@@ -330,7 +331,7 @@ class TestCountForbidden:
         # pair is walked); each walk must match the oracle's
         host = random_host(random.Random(3), 7, 7, 12, 0.8)
         by_key = table(host)
-        host = TripartiteHost._from_table(host.class_sizes, by_key, _Reads(by_key.values()))
+        host = TripartiteHost.from_table(host.class_sizes, by_key, _Reads(by_key.values()))
         size = Counter((x, y) for x, y, _ in host_faces(host))
         ym = HostIndex(host).link(0).y_masks
         f = [min(size[x, y] for x in range(7) if ym[y] >> x & 1) for y in range(7)]
