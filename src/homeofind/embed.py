@@ -287,23 +287,22 @@ class _Rows(dict):
     shares more than K centers with column xw, each built on its first
     read (``__missing__``) by the one row rule.
 
-    ``col`` holds u's pair columns by x and ``cands`` u's candidates.  A
-    row is settled by sizes (``open_partners``): first against ``least``,
-    the least candidate column size s0 alone, which settles every partner
-    as admissible when column xw is big enough, and otherwise against the
-    candidates ranked by column size (``ranks``, worked out on first
-    need), whose admissible partners are one suffix of that ranking;
-    only the partners the sizes leave open are ANDed.  ``settled`` says
-    whether s0 settles every row, as s0 > K and 2 s0 > K + n_Z: then any
-    two distinct images of an arc through u are admissible.
+    ``col`` holds u's pair columns by x and ``cands`` u's candidates.
+    ``settled`` says whether the least candidate column size s0 settles
+    every row, as s0 > K and 2 s0 > K + n_Z (the two size facts of
+    ``open_partners``): then any two distinct images of an arc through u
+    are admissible, and a row is u's candidates less xw.  Otherwise a row
+    is settled by sizes against the candidates ranked by column size
+    (``ranks``, worked out on first need), whose admissible partners are
+    one suffix of that ranking; only the partners the sizes leave open
+    are ANDed.
     """
 
     def __init__(self, col: list[int], cands: int, K: int, n_z: int):
         super().__init__()
         self.col, self.cands, self.K, self.n_z = col, cands, K, n_z
         s0 = min(map(int.bit_count, itertools.compress(col, flags(cands))))
-        self.least = [s0]  # as open_partners' ascending sizes
-        self.settled = open_partners(s0, self.least, K, n_z, 1)[1] == 0
+        self.settled = s0 > K and 2 * s0 > K + n_z
 
     @cached_property
     def ranks(self) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -317,12 +316,11 @@ class _Rows(dict):
 
     def __missing__(self, xw: int) -> int:
         cw, K, n_z = self.col[xw], self.K, self.n_z
-        c = cw.bit_count()
-        if open_partners(c, self.least, K, n_z, 1)[1] == 0:
-            m = self.cands  # the least partner, and so every one, is admissible
+        if self.settled:
+            m = self.cands  # every candidate's column is admissible with xw's
         else:
             sizes, cols, xbits, suffix = self.ranks
-            lo, hi = open_partners(c, sizes, K, n_z, len(sizes))
+            lo, hi = open_partners(cw.bit_count(), sizes, K, n_z, len(sizes))
             m = suffix[hi]
             for i in range(lo, hi):
                 if (cw & cols[i]).bit_count() > K:
