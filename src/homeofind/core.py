@@ -15,32 +15,26 @@ The certificate path (``io``, ``verify``) imports this module alone.
 
 It also defines the one storage format of a host's faces, its z-mask
 table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
-each (x, y) with at least one face, the bitmask over Z of the z that
-complete (x, y) to a face, filed under the flat index ``x * n_y + y``.
-The table is two parallel sequences: ``keys``, the flat indices of the
-entries, ascending whichever constructor made them, and ``masks``, their
-masks in that order.  It is sparse (an (x, y) with no face has no entry),
-so it holds one int per occupied (x, y) and nothing per face or per
-header-sized class.  A full table (an entry for every (x, y)) has the keys
-``range(n_x * n_y)``, so its i-th mask is that of flat index i; any other
-has a tuple of keys, and an entry is found by one ``bisect`` over them.
-Facts of the table live on the host and are worked out here alone, each
-kept once first read: ``e``, ``occupied`` (the OR of its masks), its byte
+every (x, y), the bitmask over Z of the z that complete (x, y) to a face,
+0 where (x, y) is on no face, in the tuple ``masks`` at the flat index
+``x * n_y + y``.  The table has one slot per (x, y) and nothing per face,
+so an entry is one index and the entries of one y are one stride.  Facts
+of the table live on the host and are worked out here alone, each kept
+once first read: ``e``, ``occupied`` (the OR of its masks), its byte
 columns (``byte_columns``, each one int whose byte i is a byte of the
-i-th mask), the Y side of each link L_z read from them (``link_y``, kept
-in ``link_y_masks``) and the size of every entry by flat index
-(``entry_sizes``, n_x * n_y slots), so that every search of one host
-shares them.  Bit z of the masks is one AND and one popcount of column
-z // 8, so the host answers e(L_z) (``link_size``) and e (a popcount per
-column) without a per-entry step; a full table's Y side of L_z is one
-strided read of those flags per y, and a table with a gap ORs in the x of
-each entry that holds z.  It also answers the columns of a Y-pair
-(``pair_columns``): per x, the AND of the entries (x, ya) and (x, yb), so
-that the 4-disks of the cycle on x, x' and the pair are the AND of two of
-them.  Every stage reads the host through it: ``io`` writes and parses it
-(``from_table`` takes over a table that ``io`` or generation has built),
-and ``links`` and ``embed`` read link sizes, link Y sides, entry sizes and
-pair columns off it.
+mask of flat index i), the Y side of each link L_z read from them
+(``link_y``, kept in ``link_y_masks``) and the size of every entry
+(``entry_sizes``), so that every search of one host shares them.  Bit z
+of the masks is one AND and one popcount of column z // 8, so the host
+answers e(L_z) (``link_size``) and e (a popcount per column) without a
+per-entry step, and the Y side of L_z is one strided read of those flags
+per y.  It also answers the columns of a Y-pair (``pair_columns``): per
+x, the AND of the entries (x, ya) and (x, yb), so that the 4-disks of the
+cycle on x, x' and the pair are the AND of two of them.  Every stage
+reads the host through it: ``io`` writes and parses it (``from_table``
+takes over a table that ``io`` or generation has built), and ``links``
+and ``embed`` read link sizes, link Y sides, entry sizes and pair columns
+off it.
 
 Every set the pipeline handles is an int bitmask like those z-sets: a link's
 neighbourhoods, Gamma(x), a search domain, a cycle's center set.  ``bits``
@@ -52,12 +46,11 @@ back.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations, compress, count, repeat
-from operator import and_, getitem, or_
+from operator import and_, or_
 from typing import Iterable
 
 Face = tuple[int, int, int]
@@ -148,82 +141,56 @@ def _class_sizes(class_sizes) -> tuple[int, int, int]:
     return sizes
 
 
-def _bisected(keys: tuple[int, ...], masks: tuple[int, ...], i: int) -> int:
-    """The mask of flat index i in a table with a gap, 0 where it has none:
-    one ``bisect`` over its keys."""
-    j = bisect_left(keys, i)
-    return masks[j] if j < len(keys) and keys[j] == i else 0
-
-
 @dataclass(frozen=True, init=False)
 class TripartiteHost:
     """A 3-partite 3-graph with classes X, Y, Z and per-class 0-based indices.
 
     Faces are stored as the z-mask table (see the module docstring): bit z
-    of ``masks[i]`` marks the face (x, y, z) where ``keys[i]`` is
-    x * n_y + y.  The keys ascend, ``keys`` is ``range(n_x * n_y)`` exactly
-    when every (x, y) has an entry and a tuple otherwise, and no mask is
-    zero, so equal tables are equal field by field: equality and hashing
-    are by value, whatever has been worked out.  Treat the table as
-    read-only.  ``TripartiteHost(class_sizes, faces)`` takes any iterable
-    of (x, y, z) triples of ints, names the first bad face in input order
-    and sorts the table it builds; a face's mask takes z + 1 bits, so
-    memory grows with the largest z given.  ``has`` tests one face.  ``e``,
-    ``occupied`` (the OR of the masks), ``byte_columns``, ``entry_sizes``
-    and ``link_y_masks`` are worked out here alone and kept as plain ints,
-    int lists and int tuples.  Bit z of the masks is one AND of byte
-    column z // 8, shifted by z % 8, with the int whose byte i is 1 for
-    each entry: ``link_size(z)`` is that int's popcount, e(L_z), and ``e``
-    the sum of the columns' popcounts.  ``link_y(z)``, built once per z,
-    reads a full table's bytes, in flat order already, at stride n_y, one
-    read per y, for the Y side of L_z; a table with a gap ORs the x bit of
-    each entry holding z into its y's mask, so only the n_y masks are
-    sized from the header.  ``entry_sizes`` takes n_x * n_y slots, and is
-    built only when first read.  ``has`` finds an entry by flat index
-    through one lookup, which indexes a full table's masks and bisects a
-    gapped table's keys.  ``pair_columns`` reads a full table's two entries
-    of every x at stride n_y, in one ``map``, and looks a gapped table's
-    up, two lookups per x.
+    of ``masks[x * n_y + y]`` marks the face (x, y, z), and ``masks`` has
+    n_x * n_y slots, 0 where (x, y) is on no face, so equal tables are
+    equal field by field: equality and hashing are by value, whatever has
+    been worked out.  Treat the table as read-only.
+    ``TripartiteHost(class_sizes, faces)`` takes any iterable of (x, y, z)
+    triples of ints, names the first bad face in input order and ORs each
+    into its slot; a face's mask takes z + 1 bits, so memory grows with
+    n_x * n_y and with the largest z given.  ``has`` tests one face, by
+    one index.  ``e``, ``occupied`` (the OR of the masks),
+    ``byte_columns``, ``entry_sizes`` and ``link_y_masks`` are worked out
+    here alone and kept as plain ints, int lists and int tuples.  Bit z of
+    the masks is one AND of byte column z // 8, shifted by z % 8, with the
+    int whose byte i is 1 for each slot: ``link_size(z)`` is that int's
+    popcount, e(L_z), and ``e`` the sum of the columns' popcounts.
+    ``link_y(z)``, built once per z, reads those bytes at stride n_y, one
+    read per y, for the Y side of L_z, and ``pair_columns`` reads the two
+    entries of every x at stride n_y, in one ``map``.
     """
 
     class_sizes: tuple[int, int, int]
-    keys: range | tuple[int, ...]
     masks: tuple[int, ...]
 
     def __init__(self, class_sizes, faces: Iterable[Face]):
         nx, ny, nz = sizes = _class_sizes(class_sizes)
-        table: dict[int, int] = {}
+        slots = [0] * (nx * ny)
         for x, y, z in faces:
             if not (type(x) is int and type(y) is int and type(z) is int):
                 raise ValueError(f"face {(x, y, z)} has a non-integer coordinate")
             if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
                 raise ValueError(f"face {(x, y, z)} out of class bounds")
-            i = x * ny + y
-            table[i] = table.get(i, 0) | 1 << z
-        table = dict(sorted(table.items()))
-        self._take(sizes, table, tuple(table.values()))
+            slots[x * ny + y] |= 1 << z
+        self._take(sizes, tuple(slots))
 
     @classmethod
-    def from_table(cls, class_sizes, keys: Iterable[int], masks: tuple[int, ...]) -> "TripartiteHost":
-        """A host that takes over ``masks``, a tuple, and the ``keys`` that
-        file them.  Only the sizes are checked: the caller vouches for as
-        many keys as masks, ascending in [0, n_x * n_y), and non-zero masks
-        below 2**n_z.  ``keys`` is read only when the table has a gap."""
+    def from_table(cls, class_sizes, masks: tuple[int, ...]) -> "TripartiteHost":
+        """A host that takes over ``masks``, a tuple.  Only the sizes are
+        checked: the caller vouches for n_x * n_y masks, in flat order,
+        each below 2**n_z."""
         host = object.__new__(cls)
-        host._take(_class_sizes(class_sizes), keys, masks)
+        host._take(_class_sizes(class_sizes), masks)
         return host
 
-    def _take(self, sizes: tuple[int, int, int], keys: Iterable[int], masks: tuple[int, ...]) -> None:
-        # ascending keys, one per (x, y), are the flat indices in order
-        full = len(masks) == sizes[0] * sizes[1]
-        keys = range(len(masks)) if full else tuple(keys)
+    def _take(self, sizes: tuple[int, int, int], masks: tuple[int, ...]) -> None:
         object.__setattr__(self, "class_sizes", sizes)
-        object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "masks", masks)
-        # the one lookup of the mask of flat index i in [0, n_x * n_y), 0
-        # where the table has none; set here rather than on first read, as
-        # a verify of a fresh host reads only a few entries
-        object.__setattr__(self, "_at", partial(getitem, masks) if full else partial(_bisected, keys, masks))
 
     @property
     def n_x(self) -> int:
@@ -250,14 +217,14 @@ class TripartiteHost:
     @cached_property
     def byte_columns(self) -> list[int]:
         """The masks cut into byte columns, each read as one int: byte i of
-        column j is byte j of the i-th mask, in table order, so bit z of the
+        column j is byte j of the mask of flat index i, so bit z of the
         masks is one AND and one popcount of column z // 8."""
         # Each mask as little-endian bytes, stride apiece: an 8-byte word,
         # all packed in one call, when the highest z on a face (never n_z)
         # is below 64, else nb bytes, one to_bytes per mask (still linear
-        # in the table).  The join holds entries * stride bytes: 8 per
-        # entry, or what parse_host's table budget (entries times highest
-        # z + 1 bits) bounds up to one byte per entry.
+        # in the table).  The join holds slots * stride bytes: 8 per slot,
+        # or what parse_host's table budget (entries times highest z + 1
+        # bits) bounds up to one byte per entry.
         masks = self.masks
         nb = (self.occupied.bit_length() + 7) // 8
         if nb <= 8:
@@ -269,22 +236,15 @@ class TripartiteHost:
 
     @cached_property
     def _ones(self) -> int:
-        """Byte i is 1 for each table entry i: the mask that keeps bit 0 of
-        every byte of a column."""
+        """Byte i is 1 for each slot i: the mask that keeps bit 0 of every
+        byte of a column."""
         return int.from_bytes(b"\x01" * len(self.masks), "little")
 
     @cached_property
     def entry_sizes(self) -> list[int]:
-        """Per flat index x * n_y + y, the number of faces of its entry, 0
-        where the table has none: n_x * n_y slots, so ``entry_sizes[y::n_y]``
-        holds the sizes of y's entries by x."""
-        sizes = list(map(int.bit_count, self.masks))
-        if type(self.keys) is not range:  # a table with a gap: each size at its flat index
-            flat = [0] * (self.n_x * self.n_y)
-            for i, size in zip(self.keys, sizes):
-                flat[i] = size
-            sizes = flat
-        return sizes
+        """Per flat index x * n_y + y, the number of faces of its entry, so
+        ``entry_sizes[y::n_y]`` holds the sizes of y's entries by x."""
+        return list(map(int.bit_count, self.masks))
 
     @cached_property
     def link_y_masks(self) -> dict[int, tuple[int, ...]]:
@@ -296,10 +256,10 @@ class TripartiteHost:
         """Whether (x, y, z) is a face.  Each coordinate is checked against
         its class first: out of range, it would alias another face's entry."""
         nx, ny, nz = self.class_sizes
-        return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz and self._at(x * ny + y) >> z & 1 == 1
+        return 0 <= x < nx and 0 <= y < ny and 0 <= z < nz and self.masks[x * ny + y] >> z & 1 == 1
 
     def _flags(self, z: int) -> int:
-        """Byte i is 1 if the i-th mask, in table order, holds z, else 0."""
+        """Byte i is 1 if the mask of flat index i holds z, else 0."""
         if not 0 <= z < self.n_z:
             raise IndexError(f"z = {z} out of range")
         columns = self.byte_columns
@@ -308,8 +268,7 @@ class TripartiteHost:
         return columns[z >> 3] >> (z & 7) & self._ones
 
     def _holds(self, z: int) -> bytes:
-        """Per table entry, in table order, the byte 1 if its mask holds z,
-        else 0."""
+        """Per flat index, the byte 1 if its mask holds z, else 0."""
         return self._flags(z).to_bytes(len(self.masks), "little")
 
     def link_size(self, z: int) -> int:
@@ -318,36 +277,23 @@ class TripartiteHost:
 
     def link_y(self, z: int) -> tuple[int, ...]:
         """The Y side of L_z: entry y is the bitmask over X of the x with
-        (x, y, z) a face.  A full table's ``_holds(z)``, one byte per flat
-        index, is read at stride n_y from y; a table with a gap ORs the x
-        bit of each entry that holds z into its y's mask, so that nothing
-        but the n_y masks is sized from the header."""
+        (x, y, z) a face: ``_holds(z)``, one byte per flat index, read at
+        stride n_y from y."""
         y_masks = self.link_y_masks.get(z)
         if y_masks is None:
             holds, ny = self._holds(z), self.n_y
-            if type(self.keys) is range:
-                y_masks = tuple(mask_of(holds[y::ny]) for y in range(ny))
-            else:
-                gapped = [0] * ny
-                for x, y in map(divmod, compress(self.keys, holds), repeat(ny)):
-                    gapped[y] |= 1 << x
-                y_masks = tuple(gapped)
-            self.link_y_masks[z] = y_masks
+            y_masks = self.link_y_masks[z] = tuple(mask_of(holds[y::ny]) for y in range(ny))
         return y_masks
 
     def pair_columns(self, ya: int, yb: int) -> list[int]:
         """Per x, the AND of the entries (x, ya) and (x, yb): the bitmask
         over Z of the centers of column x of the Y-pair, so that the cycle
-        on columns x and x' bounds the disks of ``cols[x] & cols[x']``.  A
-        full table reads the two entries of every x at stride n_y, in one
-        ``map``; a table with a gap looks each up, two lookups per x."""
+        on columns x and x' bounds the disks of ``cols[x] & cols[x']``: the
+        two entries of every x, read at stride n_y, in one ``map``."""
         ny = self.n_y
         if not (0 <= ya < ny and 0 <= yb < ny):
             raise IndexError(f"Y-pair ({ya}, {yb}) out of range")
-        if type(self.keys) is range:
-            return list(map(and_, self.masks[ya::ny], self.masks[yb::ny]))
-        at = self._at
-        return [at(i + ya) & at(i + yb) for i in range(0, self.n_x * ny, ny)]
+        return list(map(and_, self.masks[ya::ny], self.masks[yb::ny]))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ def gen_random_host(
         raise ValueError("p must lie in [0, 1]")
     p = float(p)
     if min(n_x, n_y, n_z) <= 0:  # no potential face, no draw
-        return TripartiteHost.from_table((n_x, n_y, n_z), (), ())
+        return TripartiteHost((n_x, n_y, n_z), ())
     rng = random.Random(seed)
     bound = math.ceil(p * 2.0 ** 53)  # random() < p  <=>  v < bound
     top = bound >> 45
@@ -63,7 +63,7 @@ def gen_random_host(
     verdict = (b"1" * top + b"2" + b"0" * 255)[:256]
     row = n_y * n_z
     full = (1 << n_z) - 1
-    keys, masks = [], []
+    masks = []
     for x in range(n_x):
         words = rng.getrandbits(64 * row).to_bytes(8 * row, "little")
         digits = words[3::8].translate(verdict)
@@ -75,12 +75,10 @@ def gen_random_host(
                 digits[i] = 49 if ((a >> 5) << 26 | b >> 6) < bound else 48
                 i = digits.find(b"2", i + 1)
         bits = int(digits[::-1], 2)
-        for flat in range(x * n_y, (x + 1) * n_y):
-            if mask := bits & full:
-                keys.append(flat)
-                masks.append(mask)
+        for _ in range(n_y):
+            masks.append(bits & full)
             bits >>= n_z
-    return TripartiteHost.from_table((n_x, n_y, n_z), keys, tuple(masks))
+    return TripartiteHost.from_table((n_x, n_y, n_z), tuple(masks))
 
 
 _CFG_KEYS = tuple(f.name for f in fields(Config) if f.name != "rng_seed")

@@ -14,59 +14,61 @@ A host's text holds its z-mask table (see ``core``) on ``m`` lines: ``m x
 y HEX`` sets the faces of one (x, y) entry, HEX being its mask in
 hexadecimal, bit z set for the face (x, y, z), and a run ``m x y HEX0
 HEX1 ... HEXk-1`` means exactly the k lines ``m x y+i HEXi``, read in order
-on its own line number.  ``write_host`` writes, in sorted order, one line
-per maximal run of entries (x, y), (x, y + 1), ... of an x row, so a
-dense host takes one line per x.  For n_z <= 64 it writes each mask as a
+on its own line number.  ``write_host`` writes, in flat order, one line
+per maximal run of non-zero slots (x, y), (x, y + 1), ... of an x row, so
+a dense host takes one line per x.  For n_z <= 64 it writes each mask as a
 word of W bytes, W the smallest of 1, 2, 4 and 8 that holds n_z bits: 2W
 lower-case digits, zeros in front, one blank between words.  Wider masks
 are written without leading zeros.  ``parse_host`` reads these lines in
-any order, ORing each mask into the entry of its (x, y); they are a host's
-only face lines, and an ``f`` line is refused on its line.  Its table's
-keys ascend and its masks follow them, as every host's do (see ``core``).  A text spelled exactly
-as ``write_host`` spells it is read whole, all its masks in one decode
-(see ``parse_host``); any other (a comment, CRLF line ends, n_z > 64,
-masks without leading zeros, ``0x``, ``_``, tabs, double blanks, lines
-out of order) is read line by line and entry by entry, to the same table
-or the same error, and its table is sorted once, at the end, only when a
-line opened an entry below one read before.  HEX is read as
-``int(HEX, 16)`` reads it, so ``0x``, ``+``, ``_`` and upper case spell a
-mask too; a mask that is negative, 0, or has a bit at or above n_z is
-refused.  Each line is checked as it is read, its coordinates against the
-``tph`` sizes, so the error names the first malformed line in file order,
-and a run's error is that of the first of its one-mask lines that would
-fail.  Nothing is allocated in proportion to a header's count: not from a
-host's ``tph`` sizes, and not from a certificate's ``tg`` count, which is
-bounded by the lines that can place its vertices before anything is built
-from it.
+any order, ORing each mask into the slot of its (x, y); they are a host's
+only face lines, and an ``f`` line is refused on its line.  Its table has
+a slot for every (x, y), as every host's has (see ``core``).  A text
+spelled exactly as ``write_host`` spells a host with a face on every
+(x, y) is read whole, all its masks in one decode (see ``parse_host``);
+any other (an (x, y) left out, a comment, CRLF line ends, n_z > 64, masks
+without leading zeros, ``0x``, ``_``, tabs, double blanks, lines out of
+order) is read line by line and entry by entry, to the same table or the
+same error.  HEX is read as ``int(HEX, 16)`` reads it, so ``0x``, ``+``,
+``_`` and upper case spell a mask too; a mask that is negative, 0, or has
+a bit at or above n_z is refused.  Each line is checked as it is read,
+its coordinates against the ``tph`` sizes, so the error names the first
+malformed line in file order, and a run's error is that of the first of
+its one-mask lines that would fail.  A host's ``tph`` sizes allocate its
+n_x * n_y slots, and only once the header line has passed the table bound
+below; a certificate's ``tg`` count allocates nothing in proportion to
+itself, as it is bounded by the lines that can place its vertices before
+anything is built from it.
 
 A certificate's disk lines are laid out by the target's auxiliary graph,
 which ``write_certificate`` and ``parse_certificate`` read from the target
 (``ThreeGraph.aux_graph``, built once per target object), so a parsed
 certificate hands the verifier a target whose graph is already built.
 
-A host's table is bounded by its text: with k (x, y) entries and largest
-z = t, it holds at most k * (t + 1) bits, and ``parse_host`` refuses, on
-the line that would pass it, a text whose table would exceed
-``TABLE_BITS_PER_CHAR`` (64) bits per character of text plus a floor of
-``TABLE_BITS_FLOOR`` (2**23) bits, before any mask that large exists: a
-HEX token holds at most 4 bits per character of its own text.  A mask
-wider than any before is checked against the bound where it is read.  An
-entry that a mask opens is checked too, but only when (text length // 2)
-times n_z exceeds the bound: a table has no more entries than the text has
-mask tokens, each a character and the blank before it, and no mask
-reaches 2**n_z, so otherwise no table the text spells can pass it.  A
-written text never passes the bound, so it is read whole unchecked: n_z
-<= 64, and each entry takes at least three characters.  A dense n = 60
+A host's table is bounded by its text: ``TABLE_BITS_PER_CHAR`` (64) bits
+per character of text plus a floor of ``TABLE_BITS_FLOOR`` (2**23) bits.
+Its header pays one 64-bit word per slot, so ``parse_host`` refuses, on
+the header line, a ``tph`` header of more than (text length) + 2**17
+slots, before any slot exists.  Its masks pay too: with k non-zero
+entries and largest z = t, the table holds at most k * (t + 1) bits, and
+``parse_host`` refuses, on the line that would pass it, a text whose
+table would exceed the bound, before any mask that large exists: a HEX
+token holds at most 4 bits per character of its own text.  A mask wider
+than any before is checked against the bound where it is read.  An entry
+that a mask opens is checked too, but only when (text length // 2) times
+n_z exceeds the bound: a table has no more entries than the text has mask
+tokens, each a character and the blank before it, and no mask reaches
+2**n_z, so otherwise no table the text spells can pass it.  A text that
+is read whole never passes the bound, so it is read unchecked: n_z <= 64,
+and each of its slots takes at least three characters.  A dense n = 60
 host holds about 3.5 bits per character.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
 from importlib import resources
-from itertools import chain, count, pairwise
-from operator import add, le
+from itertools import accumulate, count, groupby
+from operator import add
 
 from .core import (
     Embedding,
@@ -139,12 +141,12 @@ TABLE_BITS_PER_CHAR = 64
 TABLE_BITS_FLOOR = 1 << 23
 
 
-def _fits(keys: int, width: int, budget: int) -> int:
-    """``width``, once a table of ``keys`` entries of up to ``width`` bits
+def _fits(entries: int, width: int, budget: int) -> int:
+    """``width``, once a table of ``entries`` masks of up to ``width`` bits
     is found within ``budget``."""
-    if keys * width > budget:
+    if entries * width > budget:
         raise ValueError(
-            f"a host table of {keys} (x, y) masks of up to {width} bits would exceed "
+            f"a host table of {entries} (x, y) masks of up to {width} bits would exceed "
             f"its budget of {budget} bits ({TABLE_BITS_PER_CHAR} per character of "
             f"text plus {TABLE_BITS_FLOOR})"
         )
@@ -179,11 +181,12 @@ def _word(nz: int) -> tuple[str, int] | None:
     return None
 
 
-def _written_table(text: str) -> tuple[tuple[int, int, int], Iterable[int], tuple[int, ...]] | None:
-    """The sizes, keys and masks of a text spelled exactly as ``write_host``
-    spells a host of n_z <= 64, read as one piece, or None for any other
-    text (see ``parse_host``).  The header is read first, so a text of
-    n_z > 64 is declined before its body is split."""
+def _written_table(text: str) -> tuple[tuple[int, int, int], tuple[int, ...]] | None:
+    """The sizes and masks of a text spelled exactly as ``write_host``
+    spells a host of n_z <= 64 with a face on every (x, y), read as one
+    piece, or None for any other text (see ``parse_host``).  The header is
+    read first, so a text of n_z > 64 is declined before its body is
+    split."""
     if not text.endswith("\n"):
         return None
     head, _, body = text.partition("\n")
@@ -222,60 +225,59 @@ def _written_table(text: str) -> tuple[tuple[int, int, int], Iterable[int], tupl
     masks = struct.unpack(f">{k}{code}", packed)
     runs = [(len(hexed) + 1) // step for hexed in hexes]
     starts = [x * ny + y for x, y in zip(xs, ys)]
-    ends = list(map(add, starts, runs))
-    # masks in class, each run inside its row, runs ascending apart
+    # masks in class, each run inside its row, and each starting where the
+    # one before ended, from slot 0 to the last: every slot filled in order
     if (
-        0 in masks or max(masks) >> nz or max(xs) >= nx
-        or max(map(add, ys, runs)) > ny or not all(map(le, ends, starts[1:]))
+        0 in masks or max(masks) >> nz or max(map(add, ys, runs)) > ny
+        or list(accumulate(runs, initial=0)) != [*starts, nx * ny]
     ):
         return None
-    # the runs' keys, read only when the table has a gap
-    return sizes, chain.from_iterable(map(range, starts, ends)), masks
+    return sizes, masks
 
 
 def parse_host(text: str) -> TripartiteHost:
     """Parse a ``.tph`` host, whole when it is spelled as ``write_host``
-    writes it, else in one pass over its lines, checking each line as it
-    is read: a ``FormatError`` names the first malformed line.
+    writes a host with a face on every (x, y), else in one pass over its
+    lines, checking each line as it is read: a ``FormatError`` names the
+    first malformed line.
 
-    After the header, an ``m x y HEX0 ... HEXk-1`` line (k >= 1) reads as
-    the k lines ``m x y+i HEXi`` on its line's number, each ORing the mask
-    ``int(HEXi, 16)`` into the table entry of its (x, y + i).  x and y are
-    each ``int(token)``, checked against its class, x then y, so no line
-    aliases another's entry.  A mask that is not positive, or has a bit at
-    or above n_z, is refused, and so is an ``f`` line, which only a
-    target's text holds.
+    The header's sizes are checked on its line, and so are its n_x * n_y
+    slots, each paid for as one 64-bit word of the table bound (see the
+    module docstring), before any slot is allocated.  After the header, an
+    ``m x y HEX0 ... HEXk-1`` line (k >= 1) reads as the k lines ``m x
+    y+i HEXi`` on its line's number, each ORing the mask ``int(HEXi, 16)``
+    into the slot of its (x, y + i).  x and y are each ``int(token)``,
+    checked against its class, x then y, so no line aliases another's
+    slot.  A mask that is not positive, or has a bit at or above n_z, is
+    refused, and so is an ``f`` line, which only a target's text holds.
 
     A written text is read as one piece: a ``tph nx ny nz`` header (n_z <=
-    64), then ``m x y W0 ... Wk-1`` lines, each with x < n_x and y + k <=
-    n_y, its words 2W hexadecimal digits one blank apart, its tokens one
-    blank apart and its sizes and coordinates decimal, its run above
-    the one before, and one ``\\n`` after every line.  Its header is read
-    first, so a text of n_z > 64 is passed on before its body is split.
-    Its masks take one ``bytes.fromhex`` over the joined HEX parts and one
-    ``struct.unpack``, and are checked with one ``0 in`` and one ``max``;
-    the unpacked tuple is the table's ``masks`` as it stands, its runs
-    ascend, so the table needs no sort, and its keys are the ``range`` of
-    a full table or, with a gap, the runs' flat indices.  Besides the
-    table, that reader holds for a moment about four times the text: its
-    tokens, its coordinates, the joined HEX parts and their bytes.
+    64), then ``m x y W0 ... Wk-1`` lines, each with y + k <= n_y, its
+    words 2W hexadecimal digits one blank apart, its tokens one blank
+    apart and its sizes and coordinates decimal, each run starting at the
+    slot after the one before, the first at (0, 0) and the last ending at
+    (n_x - 1, n_y - 1), and one ``\\n`` after every line.  Its header is
+    read first, so a text of n_z > 64 is passed on before its body is
+    split.  Its masks take one ``bytes.fromhex`` over the joined HEX parts
+    and one ``struct.unpack``, and are checked with one ``0 in`` and one
+    ``max``; the unpacked tuple, which fills every slot in flat order, is
+    the table's ``masks`` as it stands.  Besides the table, that reader
+    holds for a moment about four times the text: its tokens, its
+    coordinates, the joined HEX parts and their bytes.
 
-    Any other text (a comment, CRLF line ends, masks without leading
-    zeros, n_z > 64, a line out of order) is read line by line, entry by
-    entry, to the table or the error of its one-mask lines, which it ORs
-    into a ``dict`` by flat index: a mask is checked only when it is not
-    positive or wider than any before, and an entry it opens is checked
-    against the bound only when (mask tokens the text can hold) * n_z
-    exceeds it.  Every entry read so far lies below a high-water mark;
-    only when some line opened an entry below it is the dict sorted, once,
-    at the end, before it is handed over as the table's keys and masks
-    (see ``TripartiteHost.from_table``), so that its keys ascend.
+    Any other text (an (x, y) left out, a comment, CRLF line ends, masks
+    without leading zeros, n_z > 64, a line out of order) is read line by
+    line, entry by entry, to the table or the error of its one-mask lines,
+    which it ORs into a list of the n_x * n_y slots: a mask is checked only
+    when it is not positive or wider than any before, and an entry it
+    opens is checked against the bound only when (mask tokens the text can
+    hold) * n_z exceeds it.  The list, in flat order already, is handed
+    over as the table's masks (see ``TripartiteHost.from_table``).
     """
     written = _written_table(text)
     if written:
         return TripartiteHost.from_table(*written)
     sizes = None
-    table: dict[int, int] = {}
     budget = TABLE_BITS_PER_CHAR * len(text) + TABLE_BITS_FLOOR
     try:
         # x, y and the HEX part of a run line; a header is split in full
@@ -286,11 +288,13 @@ def parse_host(text: str) -> TripartiteHost:
                     raise ValueError("duplicate tph header")
                 if len(tok) != 4:
                     raise ValueError("expected 'tph nx ny nz'")
-                nx, ny, nz = sizes = TripartiteHost(map(int, tok[1:]), ()).class_sizes
-                # a mask token takes a character and the blank before it;
-                # every entry read so far lies below high
-                get, top, high, checked = table.get, 0, 0, len(text) // 2 * nz > budget
-                disordered = False  # whether a line opened an entry below high
+                # from_table checks the sizes alone, before any slot exists
+                nx, ny, nz = sizes = TripartiteHost.from_table(map(int, tok[1:]), ()).class_sizes
+                # every (x, y) has a slot, paid for as one 64-bit word
+                _fits(nx * ny, 64, budget)
+                slots = [0] * (nx * ny)
+                # a mask token takes a character and the blank before it
+                top, entries, checked = 0, 0, len(text) // 2 * nz > budget
             elif tok[0] == "f":
                 raise ValueError("'f' lines belong to targets; a host's faces are 'm x y HEX' lines")
             elif tok[0] != "m":
@@ -301,50 +305,47 @@ def parse_host(text: str) -> TripartiteHost:
                 raise ValueError("expected 'm x y HEX'")
             else:
                 x, y = _coordinate("x", tok[1], nx), _coordinate("y", tok[2], ny)
-                start = x * ny + y
-                hexes = tok[3].split()
-                for y, key, hexed in zip(count(y), count(start), hexes):
+                for y, key, hexed in zip(count(y), count(x * ny + y), tok[3].split()):
                     if y >= ny:
                         raise ValueError(f"y = {y} is outside [0, {ny})")
-                    entry = get(key)
-                    if entry is None:
-                        disordered |= key < high
-                        if checked:  # a new entry may grow as wide as any mask
-                            _fits(len(table) + 1, top, budget)
+                    new = slots[key] == 0
+                    if new and checked:  # a new entry may grow as wide as any mask
+                        _fits(entries + 1, top, budget)
                     mask = int(hexed, 16)
                     if mask <= 0 or mask.bit_length() > top:
-                        top = _fits(len(table) + (entry is None), _width(mask, nz), budget)
-                    table[key] = mask if entry is None else entry | mask
-                high = max(high, start + len(hexes))
+                        top = _fits(entries + new, _width(mask, nz), budget)
+                    entries += new
+                    slots[key] |= mask
     except ValueError as exc:  # a malformed line, token, header size or coordinate, or over budget
         raise FormatError(f"line {lineno}: {exc}") from exc
     if sizes is None:
         raise FormatError("missing tph header")
-    if disordered:
-        table = dict(sorted(table.items()))
-    return TripartiteHost.from_table(sizes, table, tuple(table.values()))
+    return TripartiteHost.from_table(sizes, tuple(slots))
 
 
 def write_host(host: TripartiteHost) -> str:
-    """One ``m x y HEX0 HEX1 ...`` line per maximal run of table entries
-    (x, y), (x, y + 1), ... of an x row, in table order, which is sorted
-    as a host's keys ascend: HEXi is the z-mask of (x, y + i) in
-    lower-case hexadecimal.  For n_z <= 64 each mask is a word of W bytes,
-    W the smallest of 1, 2, 4 and 8 that holds n_z bits, written as its 2W
-    digits, zeros in front: one ``struct.pack(...).hex(" ", W)`` per run.
-    Wider masks are written without leading zeros."""
-    ny, keys, values = host.n_y, host.keys, host.masks
+    """One ``m x y HEX0 HEX1 ...`` line per maximal run of non-zero slots
+    (x, y), (x, y + 1), ... of an x row, in flat order: HEXi is the z-mask
+    of (x, y + i) in lower-case hexadecimal.  For n_z <= 64 each mask is a
+    word of W bytes, W the smallest of 1, 2, 4 and 8 that holds n_z bits,
+    written as its 2W digits, zeros in front: one
+    ``struct.pack(...).hex(" ", W)`` per run.  Wider masks are written
+    without leading zeros."""
+    ny = host.n_y
     word = _word(host.n_z)
-
-    def run(i: int, j: int) -> str:
-        if word:
-            return struct.pack(f">{j - i}{word[0]}", *values[i:j]).hex(" ", word[1])
-        return " ".join(f"{mask:x}" for mask in values[i:j])
-
-    # a run starts at a key that does not follow the one before, or opens a row
-    starts = [i for i, (prev, key) in enumerate(zip([-2, *keys], keys)) if key != prev + 1 or key % ny == 0]
     lines = [f"tph {host.n_x} {ny} {host.n_z}"]
-    lines += [f"m {keys[i] // ny} {keys[i] % ny} {run(i, j)}" for i, j in pairwise([*starts, len(keys)])]
+    # the table's n_x rows of n_y slots
+    for x, row in enumerate(zip(*[iter(host.masks)] * ny)):
+        y = 0
+        for filled, run in groupby(row, bool):
+            run = list(run)
+            if filled:
+                if word:
+                    hexed = struct.pack(f">{len(run)}{word[0]}", *run).hex(" ", word[1])
+                else:
+                    hexed = " ".join(f"{mask:x}" for mask in run)
+                lines.append(f"m {x} {y} {hexed}")
+            y += len(run)
     return "\n".join(lines) + "\n"
 
 

@@ -291,7 +291,7 @@ def pick_link_vertex(
     with no neighbour is in a bad pair with every other y, as
     ceil(n q**2) >= 1.
     """
-    if not host.masks:
+    if not host.occupied:  # no face
         raise NoQualifyingVertex("empty host")
     n = max(host.class_sizes)
     C = cfg.C

@@ -12,6 +12,16 @@ checked; every check on the certificate itself runs every time.  It
 imports nothing of the package but ``core``, so no search code can enter a
 verdict.  The brute-force oracles of the search stages are test code
 (``tests/oracles.py``), so no shipping path can call them.
+
+Soundness: the shape is the target after three rounds of stellar
+subdivision (each face f at u_f, then each covered pair e at u_e, then
+each edge u_e u_f at the corner w_{f,e}), and a stellar subdivision is a
+PL homeomorphism (Alexander 1930), so the shape is homeomorphic to the
+target, which a test checks against an oracle that applies those rounds.
+An injective vertex map that sends every face of the shape to a face of
+the host is an isomorphism onto a subcomplex of the host, so a
+certificate that passes every check holds a homeomorphic copy of the
+target.
 """
 
 from __future__ import annotations

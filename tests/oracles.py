@@ -4,7 +4,8 @@ They live with the tests, so no shipping code can call them, and a test
 that compares one with the code that ships compares two paths.
 
 For the host: ``table`` reads its z-mask table as one dict from flat index
-to mask, in the host's key order, which the host itself never builds;
+to mask, for the slots that hold a face, which the host itself never
+builds;
 ``host_faces`` decodes that table into sorted face tuples, which the host
 never lists either, and ``link_y_transpose`` builds the Y side of a link by
 a face-membership scan.
@@ -29,7 +30,11 @@ other way round from the verifier: it relabels each face through the
 inverted maps and compares the set with the canonical glued subdivision.
 ``certificate_chi_oracle`` counts the 1-cells of a certificate complex
 with ``one_cells`` over its faces, so that every certificate the verifier
-passes is checked to have the target's chi.
+passes is checked to have the target's chi.  ``stellar_subdivision``
+applies three rounds of stellar subdivision to a target's faces, with the
+canonical shape's own labels, so that the shape the verifier maps is
+checked to be the target subdivided, which is what makes a passing
+certificate a homeomorphic copy.
 """
 
 from __future__ import annotations
@@ -38,15 +43,15 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from homeofind.core import HomeomorphCertificate, TripartiteHost, bits, one_cells
+from homeofind.core import HomeomorphCertificate, ThreeGraph, TripartiteHost, bits, one_cells
 from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex, LinkGraph
 
 
 def table(host: TripartiteHost) -> dict[int, int]:
     """The host's z-mask table as a dict from flat index x * n_y + y to
-    mask, its entries in the order of the host's keys."""
-    return dict(zip(host.keys, host.masks, strict=True))
+    mask, for the slots whose mask is not 0, in flat order."""
+    return {i: mask for i, mask in enumerate(host.masks) if mask}
 
 
 def host_faces(host: TripartiteHost) -> list[tuple[int, int, int]]:
@@ -248,3 +253,40 @@ def link_y_transpose(host: TripartiteHost, z: int) -> tuple[int, ...]:
     return tuple(
         sum(1 << x for x in range(host.n_x) if host.has(x, y, z)) for y in range(host.n_y)
     )
+
+
+def _stellar(faces: list[frozenset], simplex: frozenset, apex) -> list[frozenset]:
+    """The stellar subdivision of the 2-complex ``faces`` at ``simplex``,
+    with the new vertex ``apex``: each face F that contains the simplex
+    gives way to the faces F - {s} + {apex}, one per vertex s of the
+    simplex, and every other face stays."""
+    out = []
+    for face in faces:
+        if simplex <= face:
+            out += [face - {s} | {apex} for s in simplex]
+        else:
+            out.append(face)
+    return out
+
+
+def stellar_subdivision(h: ThreeGraph) -> tuple[set, list[frozenset]]:
+    """The vertices and faces (each a frozenset of labels) of ``h`` after
+    three rounds of stellar subdivision, labelled as the canonical shape
+    labels them: every face f at ``("face", f)``, then every covered pair
+    e at ``("pair", e)``, then every edge between ``("pair", e)`` and
+    ``("face", f)`` for e in f at the corner ``("corner", f, e)``.  Built
+    from the target's faces alone, by the one move, and never from the
+    shape, its auxiliary graph or ``covered_pairs``."""
+    faces = [frozenset(("orig", v) for v in f) for f in sorted(h.faces)]
+    vertices = {("orig", v) for v in range(h.vertex_count)}
+    for f in sorted(h.faces):
+        faces = _stellar(faces, frozenset(("orig", v) for v in f), ("face", f))
+        vertices.add(("face", f))
+    for e in sorted({e for f in h.faces for e in itertools.combinations(f, 2)}):
+        faces = _stellar(faces, frozenset(("orig", v) for v in e), ("pair", e))
+        vertices.add(("pair", e))
+    for f in sorted(h.faces):
+        for e in itertools.combinations(f, 2):
+            faces = _stellar(faces, frozenset({("pair", e), ("face", f)}), ("corner", f, e))
+            vertices.add(("corner", f, e))
+    return vertices, faces

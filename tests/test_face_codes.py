@@ -1,9 +1,9 @@
 """The z-mask table, the one storage format of a host's faces.
 
-A host with class sizes (n_x, n_y, n_z) keeps, per (x, y) with a face, the
-bitmask over Z of its faces, keyed by x * n_y + y.  Every benchmark host is
-cubic, so these tests use non-cubic sizes, where a key that mixed up n_x
-and n_y would go wrong.
+A host with class sizes (n_x, n_y, n_z) keeps, per (x, y), the bitmask
+over Z of its faces, 0 where it has none, at the flat index x * n_y + y.
+Every benchmark host is cubic, so these tests use non-cubic sizes, where
+an index that mixed up n_x and n_y would go wrong.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from homeofind.embed import find_homeomorph
 from homeofind.errors import PipelineError
 from homeofind.harness import gen_random_host
 from homeofind.io import (
+    FormatError,
     load_target,
     parse_certificate,
     parse_host,
@@ -56,7 +57,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="class sizes"):
             TripartiteHost(sizes, [])
         with pytest.raises(ValueError, match="class sizes"):
-            TripartiteHost.from_table(sizes, (), ())
+            TripartiteHost.from_table(sizes, ())
 
     @pytest.mark.parametrize("sizes", NON_CUBIC)
     def test_table_matches_brute_force(self, sizes):
@@ -71,8 +72,8 @@ class TestConstruction:
         random.Random(1).shuffle(shuffled)
         b = TripartiteHost(sizes, shuffled)
         assert a == b and hash(a) == hash(b)
-        by_key = dict(sorted(brute_table(sizes, faces).items()))
-        c = TripartiteHost.from_table(sizes, by_key, tuple(by_key.values()))
+        by_key = brute_table(sizes, faces)
+        c = TripartiteHost.from_table(sizes, tuple(by_key.get(i, 0) for i in range(sizes[0] * sizes[1])))
         assert list(table(c)) == sorted(table(c))
         assert a == c and hash(a) == hash(c)
         if faces[1:]:
@@ -82,10 +83,10 @@ class TestConstruction:
         assert "_hash" not in vars(a)  # hashed by value, nothing cached
 
     def test_every_constructor_keeps_keys_ascending(self):
-        """Table keys ascend whichever way a host is made: from shuffled
-        faces, parsed from text whose lines come out of order (written run
-        lines reversed, or unpadded one-mask lines, some overlapping an
-        entry, shuffled, so read entry by entry) or drawn by
+        """Table entries are in flat order whichever way a host is made:
+        from shuffled faces, parsed from text whose lines come out of order
+        (written run lines reversed, or unpadded one-mask lines, some
+        overlapping an entry, shuffled, so read entry by entry) or drawn by
         ``gen_random_host``; and each gives the same host."""
         sizes, rng = (5, 7, 9), random.Random(31)
         base = gen_random_host(*sizes, 0.3, 32)  # some (x, y) have no face
@@ -114,10 +115,11 @@ class TestConstruction:
 
 def _made_every_way(sizes, p, seed):
     """One host made by each constructor: ``gen_random_host``, shuffled
-    faces, written text (read whole), its run lines reversed and its
-    entries as unpadded one-mask lines, an odd key's lowest face also on a
-    line of its own, reversed (both read line by line).  A written text
-    with no entry has no run line, and is read line by line too."""
+    faces, written text (read whole when every (x, y) has a face), its run
+    lines reversed and its entries as unpadded one-mask lines, an odd
+    key's lowest face also on a line of its own, reversed (both read line
+    by line).  A written text with an empty slot, or with no slot at all,
+    is read line by line too."""
     base = gen_random_host(*sizes, p, seed)
     faces = host_faces(base)
     random.Random(seed).shuffle(faces)
@@ -129,7 +131,7 @@ def _made_every_way(sizes, p, seed):
         for part in ((mask & -mask, mask) if key % 2 else (mask,))
     ]
     by_line = ["\n".join([head, *runs[::-1]]), "\n".join([head, *one_mask[::-1]])]
-    assert (host_io._written_table(written) is not None) == bool(base.masks)
+    assert (host_io._written_table(written) is not None) == (bool(base.masks) and 0 not in base.masks)
     assert all(host_io._written_table(text) is None for text in by_line)
     return base, {
         "gen_random_host": base,
@@ -141,11 +143,11 @@ def _made_every_way(sizes, p, seed):
 
 
 class TestTableArrays:
-    """The table is two parallel sequences, ``keys`` and ``masks``, the
-    same whichever constructor made it: keys ascend, they are a ``range``
-    exactly when every (x, y) has an entry, no mask is 0, and ``has``,
-    ``pair_columns`` and the disk masks read from them match a brute force
-    over the faces on full tables and on tables with gaps."""
+    """The table is one tuple, ``masks``, the same whichever constructor
+    made it: a slot for every (x, y) in flat order, 0 where (x, y) is on no
+    face, and ``has``, ``pair_columns`` and the disk masks read from it
+    match a brute force over the faces on full tables and on tables with
+    gaps."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -158,13 +160,10 @@ class TestTableArrays:
         nx, ny, nz = sizes
         faces = set(host_faces(base))
         by_key = brute_table(sizes, faces)
-        full = len(by_key) == nx * ny
         for how, host in hosts.items():
-            keys, masks = host.keys, host.masks
-            assert list(keys) == sorted(by_key) and len(masks) == len(keys), how
-            assert (type(keys) is range) == full, how
-            assert type(keys) in (range, tuple) and type(masks) is tuple, how
-            assert 0 not in masks, how
+            masks = host.masks
+            assert len(masks) == nx * ny and type(masks) is tuple, how
+            assert table(host) == by_key, how
             assert host == base and hash(host) == hash(base), how
             for x, y, z in itertools.product(*(range(-1, n + 1) for n in sizes)):
                 assert host.has(x, y, z) == ((x, y, z) in faces), (how, x, y, z)
@@ -178,9 +177,9 @@ class TestTableArrays:
     @pytest.mark.parametrize("p, full", [(1, True), (0.1, False)])
     def test_full_and_gapped_tables_are_both_made(self, p, full):
         """Both kinds of table arise from every constructor: a full one at
-        p = 1 and one with gaps at p = 0.1."""
+        p = 1 and one with gaps (empty slots) at p = 0.1."""
         _, hosts = _made_every_way((3, 4, 5), p, 7)
-        assert {type(host.keys) is range for host in hosts.values()} == {full}
+        assert {0 not in host.masks for host in hosts.values()} == {full}
 
     @pytest.mark.parametrize("p, full", [(1, True), (0.1, False)])
     def test_pair_columns_match_brute_force(self, p, full):
@@ -190,7 +189,7 @@ class TestTableArrays:
         row."""
         sizes = (5, 4, 9)
         for how, host in _made_every_way(sizes, p, 3)[1].items():
-            assert (type(host.keys) is range) == full, how
+            assert (0 not in host.masks) == full, how
             faces = set(host_faces(host))
             for ya, yb in itertools.product(range(4), repeat=2):
                 want = [
@@ -339,14 +338,15 @@ def _faces_at(zs, sizes, seed):
 )
 def test_byte_columns_match_brute_force(faces):
     """The byte columns, read as ints, against brute force: byte i of
-    column j is byte j of the i-th mask, and e(L_z), the per-entry flags
+    column j is byte j of the mask of slot i, and e(L_z), the per-slot flags
     of z and the Y side of L_z match a face filter for every z up to one
     byte past the highest face, on masks that pack into one 64-bit word
     (all 8 bytes in use, or 2), wider ones, an empty table and one-entry
     tables."""
     sizes = (6, 5, 1010)
     host = TripartiteHost(sizes, faces)
-    masks = list(table(host).values())
+    masks = host.masks
+    assert len(masks) == 6 * 5
     top = host.occupied.bit_length()
     columns = host.byte_columns
     assert len(columns) == (top + 7) // 8
@@ -409,17 +409,17 @@ def test_entry_sizes_match_brute_force(kind):
     ]
 
 
-def test_gapped_link_is_not_sized_from_the_header():
-    """One entry in a 3000 x 3000 header: its link's Y side is the one
-    mask at y = 7, built without n_x * n_y flags."""
-    host = parse_host("tph 3000 3000 1\nm 5 7 1\n")
+def test_a_header_the_text_cannot_pay_for_is_refused():
+    """One entry in a 3000 x 3000 header: its 9 000 000 slots, one 64-bit
+    word each, pass the table bound of its 24-character text, so the
+    header line is refused before any slot is allocated."""
     tracemalloc.start()
     try:
-        y_masks = HostIndex(host).link(0).y_masks
+        with pytest.raises(FormatError, match=r"^line 1: a host table of 9000000 \(x, y\) masks of up to 64 bits"):
+            parse_host("tph 3000 3000 1\nm 5 7 1\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert y_masks == tuple(1 << 5 if y == 7 else 0 for y in range(3000))
     assert peak < 1 << 20
 
 

@@ -178,10 +178,10 @@ class TestHostFormat:
     @pytest.mark.parametrize("nz", [1, 8, 9, 16, 17, 32, 33, 60, 64])
     @pytest.mark.parametrize("p", [0.3, 1])
     def test_a_written_host_is_read_whole(self, monkeypatch, nz, p):
-        # a written text's masks take one struct.unpack; with a trailing
-        # comment, CRLF line ends or a tab after its last word it is read
-        # line by line, with none, to an equal table whose keys ascend in
-        # the same order
+        # a written text's masks take one struct.unpack (a text with an
+        # empty slot is then declined, and read line by line); with a
+        # trailing comment, CRLF line ends or a tab after its last word it
+        # is read line by line, with none, to an equal table
         host = gen_random_host(5, 6, nz, p, nz)
         text = write_host(host)
         calls = []
@@ -263,17 +263,30 @@ class TestHostFormat:
         with pytest.raises(FormatError, match=r"^line 2: .*'x'"):
             parse_host("# host\ntph 2 x 2\n")
 
-    def test_huge_header_allocates_nothing_in_proportion(self):
-        # no table is sized from the header: memory follows the text, not
-        # the tph sizes
+    def test_huge_header_is_refused_before_any_slot(self):
+        # a header's n_x * n_y slots each pay one 64-bit word of the table
+        # bound, so a header the text cannot pay for is refused on its line
+        # in memory that follows the text, not the tph sizes
         tracemalloc.start()
         try:
-            host = parse_host(f"tph {10**12} {10**12} {10**12}\nm 0 0 1\n")
+            with pytest.raises(FormatError, match=rf"^line 1: a host table of {10**24} \(x, y\) masks of up to 64 bits"):
+                parse_host(f"tph {10**12} {10**12} {10**12}\nm 0 0 1\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert host == TripartiteHost((10**12,) * 3, frozenset({(0, 0, 0)}))
         assert peak < 1 << 20
+
+    def test_header_bound_is_the_text_length_plus_a_floor_of_slots(self):
+        # 64 bits per slot against 64 per character plus 2**23: a header of
+        # len(text) + 2**17 slots parses, and one slot more is refused
+        def text(ny):
+            return f"tph 1 {ny} 1\nm 0 0 1\n"
+
+        ny = 2**17 + len(text(2**17))
+        assert ny == 2**17 + len(text(ny))
+        assert parse_host(text(ny)) == TripartiteHost((1, ny, 1), [(0, 0, 0)])
+        with pytest.raises(FormatError, match=rf"^line 1: a host table of {ny + 1} \(x, y\) masks"):
+            parse_host(text(ny + 1))
 
     def test_table_bounded_by_text(self):
         # one 2**17-bit mask, then one-face entries that may each grow as

@@ -174,7 +174,8 @@ def one_mask_lines(text):
 
 def reference_parse_host(text):
     """``parse_host`` written plainly: one pass, one ``int()`` per token read,
-    each line checked as it is read (header sizes on the header line; an
+    each line checked as it is read (header sizes, then the n_x * n_y slots
+    they ask the text to pay for, on the header line; an
     ``f`` line refused whatever it holds; x, then y, then the mask on an
     ``m`` line, x and y first with ``int()`` and then against their class,
     the mask with ``int(tok, 16)`` and then for being positive and below
@@ -201,6 +202,15 @@ def reference_parse_host(text):
                 if min(sizes) < 0:
                     raise ValueError(
                         f"class sizes must be three non-negative integers, got {sizes}"
+                    )
+                # a slot for every (x, y), one 64-bit word each, paid for
+                # by 64 bits per character of text plus 2**23
+                slots = sizes[0] * sizes[1]
+                budget = 64 * len(text) + 2**23
+                if 64 * slots > budget:
+                    raise ValueError(
+                        f"a host table of {slots} (x, y) masks of up to 64 bits would exceed "
+                        f"its budget of {budget} bits (64 per character of text plus {2**23})"
                     )
                 continue
             face = []
@@ -527,8 +537,9 @@ class TestFirstBadLine:
 
 
 # Directives of all three formats, comment markers, non-numeric garbage,
-# small integers and large ones (headers are never built in proportion to
-# their counts, so a huge one stays cheap).
+# small integers and large ones (a tph header whose slots the text cannot
+# pay for is refused before any is allocated, and a tg count is never
+# built in proportion to itself, so a huge one stays cheap).
 TOKENS = st.one_of(
     st.sampled_from(["tph", "f", "m", "tg", "cert", "v1", "disk", "hf", "#", "#x"]),
     st.text(alphabet="abxyz.+-_#", min_size=1, max_size=3),

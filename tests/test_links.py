@@ -13,7 +13,7 @@ from homeofind.embed import classify_pairs_triples
 from homeofind.errors import NoQualifyingVertex
 from homeofind.exact import ceil_pow, floor_pow
 from homeofind.harness import gen_random_host
-from homeofind.io import load_target
+from homeofind.io import load_target, parse_host
 from homeofind.links import (
     HostIndex,
     LinkGraph,
@@ -29,7 +29,6 @@ from oracles import (
     forbidden_expectation_oracle,
     host_faces,
     iter_link_cycles,
-    table,
 )
 
 SMALL = TripartiteHost(
@@ -317,8 +316,7 @@ class TestCountForbidden:
         faces = [
             (x, y, z) for x in range(6) for y in range(6) for z in range(8 if x == y else 12)
         ]
-        by_key = table(TripartiteHost((6, 6, 12), faces))
-        host = TripartiteHost.from_table((6, 6, 12), by_key, _Reads(by_key.values()))
+        host = TripartiteHost.from_table((6, 6, 12), _Reads(TripartiteHost((6, 6, 12), faces).masks))
         for K in (0, 1, 3):
             assert self.check_walks(host, K) == 0, K
         assert self.check_walks(host, 12) > 0
@@ -330,8 +328,7 @@ class TestCountForbidden:
         # by column (the split recomputed from the faces; at K = 12 every
         # pair is walked); each walk must match the oracle's
         host = random_host(random.Random(3), 7, 7, 12, 0.8)
-        by_key = table(host)
-        host = TripartiteHost.from_table(host.class_sizes, by_key, _Reads(by_key.values()))
+        host = TripartiteHost.from_table(host.class_sizes, _Reads(host.masks))
         size = Counter((x, y) for x, y, _ in host_faces(host))
         ym = HostIndex(host).link(0).y_masks
         f = [min(size[x, y] for x in range(7) if ym[y] >> x & 1) for y in range(7)]
@@ -578,6 +575,20 @@ class TestPickLinkVertex:
         host = TripartiteHost((3, 3, 3), frozenset())
         with pytest.raises(NoQualifyingVertex):
             pick_link_vertex(host, Config(C=1), K=3, index=HostIndex(host))
+
+    @pytest.mark.parametrize("how", ["faces", "gen_random_host", "parse_host"])
+    def test_faceless_host_with_slots_is_refused_as_empty(self, how):
+        # every (x, y) has a slot, each 0: the refusal names the empty host,
+        # not the density conditions
+        host = {
+            "faces": lambda: TripartiteHost((5, 5, 5), []),
+            "gen_random_host": lambda: gen_random_host(5, 5, 5, 0, 1),
+            "parse_host": lambda: parse_host("tph 5 5 5\n"),
+        }[how]()
+        assert len(host.masks) == 25
+        with pytest.raises(NoQualifyingVertex) as info:
+            pick_link_vertex(host, Config(C=1), K=3, index=HostIndex(host))
+        assert str(info.value) == "empty host"
 
     def test_sparse_host_rejected(self):
         host = TripartiteHost((4, 4, 4), frozenset({(0, 0, 0)}))

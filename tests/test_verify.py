@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from homeofind.core import (
     build_aux_graph,
     covered_pairs,
     euler_characteristic,
+    one_cells,
 )
 from homeofind.embed import (
     find_complete_subgraph,
@@ -34,6 +36,7 @@ from oracles import (
     expectation_oracle,
     forbidden_expectation_oracle,
     relabel_oracle,
+    stellar_subdivision,
 )
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
@@ -130,6 +133,64 @@ class TestCanonicalShape:
         for f in canon.faces:
             tags = sorted(lbl[0] for lbl in f)
             assert "corner" in tags
+
+
+def is_stellar(h, labels, faces) -> bool:
+    """Whether a shape of ``labels`` and ``faces`` is ``h`` after the three
+    rounds of ``stellar_subdivision``: the same vertices and the same
+    faces, no label and no face repeated."""
+    vertices, want = stellar_subdivision(h)
+    got = Counter(map(frozenset, faces))
+    return (
+        len(set(labels)) == len(labels) and set(labels) == vertices
+        and set(got.values()) <= {1} and got == Counter(want)
+    )
+
+
+def shape_counts(labels, faces) -> tuple[int, int, int, int]:
+    """A shape's vertices, 1-cells, faces and chi."""
+    v, one, f = len(labels), len(one_cells(faces)), len(faces)
+    return v, one, f, v - one + f
+
+
+class TestStellarSubdivision:
+    """The canonical shape is the target after three rounds of stellar
+    subdivision, each a PL homeomorphism, so that a copy of the shape in
+    the host is a copy of the target: checked against the oracle that
+    applies the rounds, and the oracle against two mutant shapes it must
+    refuse."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_shape_is_the_target_subdivided_on_builtins(self, name):
+        h = load_target(f"builtin:{name}")
+        shape = canonical_glued_subdivision(h)
+        assert is_stellar(h, shape.labels, shape.faces)
+
+    @settings(max_examples=60, deadline=None)
+    @given(threegraphs)
+    def test_shape_is_the_target_subdivided_on_random_targets(self, h):
+        shape = canonical_glued_subdivision(h)
+        assert is_stellar(h, shape.labels, shape.faces)
+
+    def test_a_dropped_face_is_refused(self):
+        shape = canonical_glued_subdivision(K4)
+        assert not is_stellar(K4, shape.labels, shape.faces[1:])
+
+    def test_a_misglued_corner_is_refused_though_every_count_holds(self):
+        # the first corner of k4, w = w_{f,e}, glued to the face-vertex of
+        # the other face through e instead of f's: v, the 1-cells, the
+        # faces and chi are unchanged, (26, 72, 48, 2), but not the shape
+        shape = canonical_glued_subdivision(K4)
+        _, f, e = w = shape.labels[K4.vertex_count + len(K4.aux_graph.v2)]
+        (other,) = [g for g in K4.faces if g != f and set(e) <= set(g)]
+        moved = {("face", f): ("face", other)}
+        faces = [
+            tuple(moved.get(label, label) for label in face) if w in face else face
+            for face in shape.faces
+        ]
+        assert faces != list(shape.faces)
+        assert shape_counts(shape.labels, faces) == shape_counts(shape.labels, shape.faces) == (26, 72, 48, 2)
+        assert not is_stellar(K4, shape.labels, faces)
 
 
 def _good_cert(host=None, target=TRIANGLE, seed=0):
