@@ -16,7 +16,7 @@ from .errors import PipelineError
 from .harness import SweepSpec, gen_random_host, run_sweep
 from .io import load_certificate, load_host, load_target, write_certificate
 from .links import LinkGraph, pick_link_vertex
-from .verify import canonical_glued_subdivision, verify_certificate
+from .verify import verify_certificate
 
 __all__ = [
     "AuxGraph",
@@ -30,7 +30,6 @@ __all__ = [
     "ThreeGraph",
     "TripartiteHost",
     "build_aux_graph",
-    "canonical_glued_subdivision",
     "covered_pairs",
     "euler_characteristic",
     "find_complete_subgraph",

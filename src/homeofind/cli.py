@@ -130,12 +130,12 @@ def _cmd_inspect(args) -> int:
     """Counts of the target, its auxiliary graph and its subdivision.
 
     The last two follow from v(H), e(H) and the covered pairs P (see
-    core.build_aux_graph and core.canonical_glued_subdivision; the verifier
-    reads that shape once per target object, as the target's cached
-    ``canonical_subdivision``): |V2| = P + e(H) with 2P + 3e(H) edges and
-    3e(H) special cycles, and v(H) + P + 4e(H) vertices and 12e(H) faces
-    with the target's chi.  Neither is built, so the cost follows the file,
-    not its tg count.
+    core.build_aux_graph, the one builder of both: the subdivision is a
+    4-disk glued along each special cycle, as
+    ``HomeomorphCertificate.host_faces`` reads it): |V2| = P + e(H) with
+    2P + 3e(H) edges and 3e(H) special cycles, and v(H) + P + 4e(H)
+    vertices and 12e(H) faces with the target's chi.  Neither is built, so
+    the cost follows the file, not its tg count.
     """
     h = load_target(args.target)
     v, e, pairs = h.vertex_count, h.e, len(covered_pairs(h))

@@ -5,13 +5,15 @@ face turns it into a two-dimensional simplicial complex.  This module holds
 the immutable value types shared by the whole pipeline, the certificate
 types ``Embedding`` and ``HomeomorphCertificate`` among them, together with
 the target-side construction: a target's bipartite auxiliary graph, whose
-special 4-cycles mark where 4-disks must be glued and which the search
-embeds, and the canonical glued subdivision every certificate must
-realize.  Each has one builder here, and each is a fact of the target,
-worked out once when first read and kept on the ``ThreeGraph``
-(``aux_graph``, ``canonical_subdivision``), so that a find, its
-certificate's I/O and every verify of one target object share one copy.
-The certificate path (``io``, ``verify``) imports this module alone.
+special 4-cycles mark where 4-disks must be glued.  ``build_aux_graph``
+is the one builder of a target's combinatorics: the search embeds the
+graph, and the glued subdivision every certificate must realize is read
+off its special cycles, one 4-disk per cycle
+(``HomeomorphCertificate.host_faces``).  The graph is a fact of the
+target, worked out once when first read and kept on the ``ThreeGraph``
+(``aux_graph``), so that a find, its certificate's I/O and every verify
+of one target object share one copy.  The certificate path (``io``,
+``verify``) imports this module alone.
 
 It also defines the one storage format of a host's faces, its z-mask
 table: a ``TripartiteHost`` with class sizes (n_x, n_y, n_z) keeps, for
@@ -94,10 +96,9 @@ def _norm_face(face: Iterable[int]) -> Face:
 class ThreeGraph:
     """A finite 3-uniform hypergraph on vertices 0..vertex_count-1.
 
-    ``aux_graph`` and ``canonical_subdivision`` are worked out on first
-    read by their builders below and kept on the object (see the module
-    docstring).  Equality and hashing are by value, whatever has been
-    worked out.
+    ``aux_graph`` is worked out on first read by ``build_aux_graph`` and
+    kept on the object (see the module docstring).  Equality and hashing
+    are by value, whatever has been worked out.
     """
 
     vertex_count: int
@@ -128,10 +129,6 @@ class ThreeGraph:
     @cached_property
     def aux_graph(self) -> AuxGraph:
         return build_aux_graph(self)
-
-    @cached_property
-    def canonical_subdivision(self) -> CanonicalGluedSubdivision:
-        return canonical_glued_subdivision(self)
 
 
 def _class_sizes(class_sizes) -> tuple[int, int, int]:
@@ -301,15 +298,14 @@ class SpecialCycle:
     """One of the three distinguished 4-cycles arising from a face.
 
     The cycle visits a, u, b, w in order: a and b are original vertices, u is
-    the pair-vertex of the pair ab and w the face-vertex of ``face``.
+    the pair-vertex of the pair ab and w the face-vertex of the face; the
+    auxiliary graph's ``v2_tags`` name the pair and the face.
     """
 
     a: int
     u: int
     b: int
     w: int
-    face: Face
-    edge: Pair
 
 
 @dataclass(frozen=True)
@@ -343,28 +339,26 @@ class Embedding:
 @dataclass(frozen=True)
 class HomeomorphCertificate:
     """A homeomorphic copy of ``target`` in a host: the target and where its
-    canonical glued subdivision goes."""
+    glued subdivision goes."""
 
     target: ThreeGraph
     embedding: Embedding
 
     @property
     def host_faces(self) -> tuple[Face, ...]:
-        """The copy's faces in the host: each face of the target's canonical
-        shape mapped through the three maps, so four per special cycle, in
-        cycle order.  Worked out on every read; a map without a key the
-        shape needs raises KeyError."""
-        t, emb = self.target, self.embedding
-        shape = t.canonical_subdivision
-        # the shape lists its vertices in the order the maps key them: the
-        # target's, V2 and the special cycles
-        v, first_corner = t.vertex_count, len(shape.labels) - 3 * t.e
-        image = dict(zip(shape.labels, [
-            *map(emb.v1_map.__getitem__, range(v)),
-            *map(emb.v2_map.__getitem__, range(v, first_corner)),
-            *map(emb.center_map.__getitem__, range(3 * t.e)),
-        ]))
-        return tuple((image[x], image[y], image[z]) for x, y, z in shape.faces)
+        """The copy's faces in the host, read off the target's special
+        cycles: the cycle ci = (a, u, b, w) bounds the 4-disk of the four
+        faces (x[u], y[a], c), (x[u], y[b], c), (x[w], y[b], c) and
+        (x[w], y[a], c), where x, y and c are ``v2_map``, ``v1_map`` and
+        ``center_map[ci]``, listed in cycle order.  Worked out on every
+        read; a map without a key a cycle needs raises KeyError."""
+        emb = self.embedding
+        x, y, center = emb.v2_map, emb.v1_map, emb.center_map
+        faces = []
+        for ci, sc in enumerate(self.target.aux_graph.special_cycles):
+            xu, xw, ya, yb, c = x[sc.u], x[sc.w], y[sc.a], y[sc.b], center[ci]
+            faces += (xu, ya, c), (xu, yb, c), (xw, yb, c), (xw, ya, c)
+        return tuple(faces)
 
 
 @dataclass(frozen=True)
@@ -477,7 +471,7 @@ def build_aux_graph(h: ThreeGraph) -> AuxGraph:
         w = v2_of[f]
         for a, b in ((x, y), (y, z), (z, x)):
             e = (min(a, b), max(a, b))
-            cycles.append(SpecialCycle(a=a, u=v2_of[e], b=b, w=w, face=f, edge=e))
+            cycles.append(SpecialCycle(a=a, u=v2_of[e], b=b, w=w))
 
     return AuxGraph(
         v1=v1,
@@ -486,60 +480,3 @@ def build_aux_graph(h: ThreeGraph) -> AuxGraph:
         special_cycles=tuple(cycles),
     )
 
-
-Label = tuple
-
-
-@dataclass(frozen=True)
-class CanonicalGluedSubdivision:
-    """The abstract complex every certificate must realize.
-
-    For each face f = xyz of the target and each edge e = ab of f there is a
-    disk vertex w = w_{f,e} carrying the four faces {u_e, a, w},
-    {u_e, b, w}, {u_f, b, w} and {u_f, a, w}.  ``labels`` lists the target's
-    vertices, then the pair- and face-vertices in the auxiliary graph's V2
-    order, then the disk vertices in special-cycle order, so a vertex's
-    position is its key in the embedding's maps (a disk vertex's less
-    v + |V2|).  ``faces`` holds each face as its (X, Y, Z) labels: a pair-
-    or face-vertex, an original vertex and a disk vertex, in build order
-    (face, edge, then the four faces of that edge's disk).
-    """
-
-    labels: tuple[Label, ...]
-    faces: tuple[tuple[Label, Label, Label], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.labels)
-
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
-
-    def one_cell_count(self) -> int:
-        return len(one_cells(self.faces))
-
-    def euler_characteristic(self) -> int:
-        return self.vertex_count - self.one_cell_count() + self.face_count
-
-
-def canonical_glued_subdivision(h: ThreeGraph) -> CanonicalGluedSubdivision:
-    """The shape a certificate of ``h`` must realize, built from the covered
-    pairs and the faces, never from the auxiliary graph."""
-    pairs = covered_pairs(h)
-    hfaces = h.sorted_faces()
-    labels: list[Label] = [("orig", x) for x in range(h.vertex_count)]
-    labels += [("pair", p) for p in pairs]
-    labels += [("face", f) for f in hfaces]
-    faces: list[tuple[Label, Label, Label]] = []
-    for f in hfaces:
-        x, y, z = f
-        uf = ("face", f)
-        for a, b in ((x, y), (y, z), (z, x)):
-            e = (min(a, b), max(a, b))
-            w = ("corner", f, e)
-            labels.append(w)
-            ue = ("pair", e)
-            ya, yb = ("orig", a), ("orig", b)
-            faces += [(ue, ya, w), (ue, yb, w), (uf, yb, w), (uf, ya, w)]
-    return CanonicalGluedSubdivision(labels=tuple(labels), faces=tuple(faces))

@@ -39,8 +39,11 @@ below; a certificate's ``tg`` count allocates nothing in proportion to
 itself, as it is bounded by the lines that can place its vertices before
 anything is built from it.
 
-A certificate's disk lines are laid out by the target's auxiliary graph,
-which ``write_certificate`` and ``parse_certificate`` read from the target
+A certificate's disk lines are laid out by the special cycles of the
+target's auxiliary graph, one line per cycle: the cycles that the
+verifier reads the certificate's faces off
+(``HomeomorphCertificate.host_faces``).  ``write_certificate`` and
+``parse_certificate`` read the graph from the target
 (``ThreeGraph.aux_graph``, built once per target object), so a parsed
 certificate hands the verifier a target whose graph is already built.
 
@@ -186,7 +189,7 @@ def _written_table(text: str) -> tuple[tuple[int, int, int], tuple[int, ...]] | 
     spells a host of n_z <= 64 with a face on every (x, y), read as one
     piece, or None for any other text (see ``parse_host``).  The header is
     read first, so a text of n_z > 64 is declined before its body is
-    split."""
+    split, and the runs' tiling before the masks are decoded."""
     if not text.endswith("\n"):
         return None
     head, _, body = text.partition("\n")
@@ -209,28 +212,35 @@ def _written_table(text: str) -> tuple[tuple[int, int, int], tuple[int, ...]] | 
     ms, xs, ys, hexes = columns
     if ms.count("m") != len(ms) or not "".join([*xs, *ys]).isdecimal():
         return None
-    # a coordinate past int()'s digit limit, or a HEX part not hexadecimal
+    # a coordinate past int()'s digit limit
     try:
         xs, ys = list(map(int, xs)), list(map(int, ys))
-        code, w = _word(nz)
-        joined, step = " ".join(hexes), 2 * w + 1
+    except ValueError:
+        return None
+    code, w = _word(nz)
+    step = 2 * w + 1
+    # each run inside its row, and each starting where the one before
+    # ended, from slot 0 to the last: every slot filled in order, tested on
+    # the HEX parts' lengths before any mask is decoded
+    runs = [(len(hexed) + 1) // step for hexed in hexes]
+    starts = [x * ny + y for x, y in zip(xs, ys)]
+    if max(map(add, ys, runs)) > ny or list(accumulate(runs, initial=0)) != [*starts, nx * ny]:
+        return None
+    # a HEX part not hexadecimal
+    joined = " ".join(hexes)
+    try:
         packed = bytes.fromhex(joined)
     except ValueError:
         return None
     # blanks on every word's slot and 2kW hexadecimal digits elsewhere put
-    # each line's HEX part, which a blank ends, on a word boundary too
+    # each line's HEX part, which a blank ends, on a word boundary too, so
+    # the runs above are its words
     k, rest = divmod(len(joined) + 1, step)
     if rest or joined[2 * w::step].count(" ") != k - 1 or len(packed) != k * w:
         return None
     masks = struct.unpack(f">{k}{code}", packed)
-    runs = [(len(hexed) + 1) // step for hexed in hexes]
-    starts = [x * ny + y for x, y in zip(xs, ys)]
-    # masks in class, each run inside its row, and each starting where the
-    # one before ended, from slot 0 to the last: every slot filled in order
-    if (
-        0 in masks or max(masks) >> nz or max(map(add, ys, runs)) > ny
-        or list(accumulate(runs, initial=0)) != [*starts, nx * ny]
-    ):
+    # masks in class
+    if 0 in masks or max(masks) >> nz:
         return None
     return sizes, masks
 
@@ -258,7 +268,9 @@ def parse_host(text: str) -> TripartiteHost:
     slot after the one before, the first at (0, 0) and the last ending at
     (n_x - 1, n_y - 1), and one ``\\n`` after every line.  Its header is
     read first, so a text of n_z > 64 is passed on before its body is
-    split.  Its masks take one ``bytes.fromhex`` over the joined HEX parts
+    split, and its runs are tested to fill every slot on the lengths of
+    their HEX parts, so a text with an (x, y) left out is passed on before
+    any mask is decoded.  Its masks take one ``bytes.fromhex`` over the joined HEX parts
     and one ``struct.unpack``, and are checked with one ``0 in`` and one
     ``max``; the unpacked tuple, which fills every slot in flat order, is
     the table's ``masks`` as it stands.  Besides the table, that reader

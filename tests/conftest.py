@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from homeofind.core import ThreeGraph, TripartiteHost
+from homeofind.core import HomeomorphCertificate, ThreeGraph, TripartiteHost, one_cells
 from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex
-from oracles import host_faces
+from oracles import host_faces, label_embedding
 
 
 def random_threegraph(rng: random.Random, max_v: int = 9, max_e: int = 12) -> ThreeGraph:
@@ -16,6 +16,21 @@ def random_threegraph(rng: random.Random, max_v: int = 9, max_e: int = 12) -> Th
     all_faces = list(itertools.combinations(range(v), 3))
     e = rng.randint(0, min(max_e, len(all_faces)))
     return ThreeGraph(v, frozenset(rng.sample(all_faces, e)))
+
+
+def labelled_shape(h: ThreeGraph) -> tuple[list[tuple], tuple[tuple, ...]]:
+    """The vertices and faces of ``h``'s glued subdivision as the shipping
+    code reads them: the labels of ``label_embedding``, and
+    ``HomeomorphCertificate.host_faces`` under it."""
+    lab = label_embedding(h)
+    labels = [*lab.v1_map.values(), *lab.v2_map.values(), *lab.center_map.values()]
+    return labels, HomeomorphCertificate(h, lab).host_faces
+
+
+def shape_counts(labels, faces) -> tuple[int, int, int, int]:
+    """A shape's vertices, 1-cells, faces and chi."""
+    v, one, f = len(labels), len(one_cells(faces)), len(faces)
+    return v, one, f, v - one + f
 
 
 def random_host(rng: random.Random, nx: int, ny: int, nz: int, p: float) -> TripartiteHost:

@@ -27,14 +27,18 @@ brute-force fixed point over the special cycles with columns read off
 
 For ``verify``: ``relabel_oracle`` judges a face list it is given the
 other way round from the verifier: it relabels each face through the
-inverted maps and compares the set with the canonical glued subdivision.
-``certificate_chi_oracle`` counts the 1-cells of a certificate complex
-with ``one_cells`` over its faces, so that every certificate the verifier
-passes is checked to have the target's chi.  ``stellar_subdivision``
-applies three rounds of stellar subdivision to a target's faces, with the
-canonical shape's own labels, so that the shape the verifier maps is
-checked to be the target subdivided, which is what makes a passing
-certificate a homeomorphic copy.
+inverted maps and compares the set with ``stellar_subdivision`` of the
+target.  ``certificate_chi_oracle`` counts the 1-cells of a certificate
+complex with ``one_cells`` over its faces, so that every certificate the
+verifier passes is checked to have the target's chi.
+``stellar_subdivision`` applies three rounds of stellar subdivision to a
+target's faces, so that the faces the verifier maps, read off the special
+cycles by ``HomeomorphCertificate.host_faces``, are checked to be the
+target subdivided, which is what makes a passing certificate a
+homeomorphic copy.  ``label_embedding`` is no oracle but the embedding
+that names each vertex of that subdivision by the label
+``stellar_subdivision`` gives it, so that ``host_faces`` under it lists
+the subdivision's faces by label.
 """
 
 from __future__ import annotations
@@ -43,7 +47,14 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from homeofind.core import HomeomorphCertificate, ThreeGraph, TripartiteHost, bits, one_cells
+from homeofind.core import (
+    Embedding,
+    HomeomorphCertificate,
+    ThreeGraph,
+    TripartiteHost,
+    bits,
+    one_cells,
+)
 from homeofind.embed import ProblemGraph
 from homeofind.links import HostIndex, LinkGraph
 
@@ -155,8 +166,8 @@ def relabel_oracle(cert: HomeomorphCertificate, host: TripartiteHost, faces) -> 
     target: each is a host face and there are 12 e(H) of them, the maps are
     injective with distinct centers and keyed by exactly the target's
     vertices (sent into Y), V2 and the special cycles, and relabeling each
-    face through the inverted maps, by the auxiliary graph's tags and
-    cycles, gives the canonical glued subdivision face for face."""
+    face through the inverted maps, by ``label_embedding``, gives the
+    target after ``stellar_subdivision``'s three rounds face for face."""
     target, emb = cert.target, cert.embedding
     aux = target.aux_graph
     if not all(host.has(*f) for f in faces) or len(faces) != 12 * target.e:
@@ -168,16 +179,31 @@ def relabel_oracle(cert: HomeomorphCertificate, host: TripartiteHost, faces) -> 
         return False
     if not all(0 <= y < host.n_y for y in emb.v1_map.values()):
         return False
-    x_label = {emb.v2_map[u]: tag for u, tag in zip(aux.v2, aux.v2_tags)}
-    y_label = {y: ("orig", v) for v, y in emb.v1_map.items()}
-    z_label = {
-        emb.center_map[ci]: ("corner", sc.face, sc.edge)
-        for ci, sc in enumerate(aux.special_cycles)
-    }
+    lab = label_embedding(target)
+    y_label, x_label, z_label = (
+        {m[key]: label for key, label in by_key.items()}
+        for m, by_key in zip(maps, (lab.v1_map, lab.v2_map, lab.center_map))
+    )
     if not all(x in x_label and y in y_label and z in z_label for x, y, z in faces):
         return False
     relabeled = {frozenset({x_label[x], y_label[y], z_label[z]}) for x, y, z in faces}
-    return relabeled == {frozenset(f) for f in target.canonical_subdivision.faces}
+    return relabeled == set(stellar_subdivision(target)[1])
+
+
+def label_embedding(h: ThreeGraph) -> Embedding:
+    """The embedding that maps every vertex of ``h``'s glued subdivision
+    to its label: ``("orig", v)`` for a target vertex, the auxiliary
+    graph's tag for a V2 vertex, and ``("corner", f, e)`` for the special
+    cycle of face f and pair e, read off the tags at its w and u."""
+    aux = h.aux_graph
+    tag = dict(zip(aux.v2, aux.v2_tags))
+    return Embedding(
+        v1_map={v: ("orig", v) for v in aux.v1},
+        v2_map=tag,
+        center_map={
+            ci: ("corner", tag[sc.w][1], tag[sc.u][1]) for ci, sc in enumerate(aux.special_cycles)
+        },
+    )
 
 
 def certificate_chi_oracle(cert: HomeomorphCertificate) -> int:
@@ -271,12 +297,12 @@ def _stellar(faces: list[frozenset], simplex: frozenset, apex) -> list[frozenset
 
 def stellar_subdivision(h: ThreeGraph) -> tuple[set, list[frozenset]]:
     """The vertices and faces (each a frozenset of labels) of ``h`` after
-    three rounds of stellar subdivision, labelled as the canonical shape
+    three rounds of stellar subdivision, labelled as ``label_embedding``
     labels them: every face f at ``("face", f)``, then every covered pair
     e at ``("pair", e)``, then every edge between ``("pair", e)`` and
     ``("face", f)`` for e in f at the corner ``("corner", f, e)``.  Built
-    from the target's faces alone, by the one move, and never from the
-    shape, its auxiliary graph or ``covered_pairs``."""
+    from the target's faces alone, by the one move, and never from its
+    auxiliary graph or ``covered_pairs``."""
     faces = [frozenset(("orig", v) for v in f) for f in sorted(h.faces)]
     vertices = {("orig", v) for v in range(h.vertex_count)}
     for f in sorted(h.faces):

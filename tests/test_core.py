@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_threegraph
+from conftest import labelled_shape, random_threegraph
 from homeofind.core import (
     Config,
     ThreeGraph,
@@ -18,7 +18,6 @@ from homeofind.core import (
     mask_of,
     one_cells,
 )
-from homeofind.verify import canonical_glued_subdivision
 
 K4 = ThreeGraph(4, frozenset(itertools.combinations(range(4), 3)))
 TRIANGLE = ThreeGraph(3, frozenset({(0, 1, 2)}))
@@ -123,7 +122,7 @@ class TestOneCells:
     @given(threegraphs())
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_enumeration(self, h):
-        # the same complex as ints, as canonical-style labels and as the
+        # the same complex as ints, as subdivision labels and as the
         # class-tagged vertices of a host face (x, y, z)
         labelled = [[("orig", v) if v % 2 else ("pair", (v, v + 1)) for v in f] for f in h.faces]
         tagged = [(("x", x), ("y", y), ("z", z)) for x, y, z in h.faces]
@@ -146,11 +145,12 @@ class TestEulerCharacteristic:
 
 
 def triple_subdivision(h: ThreeGraph) -> ThreeGraph:
-    """The triple subdivision of ``h`` as a plain 3-graph on 0..v-1."""
-    canon = canonical_glued_subdivision(h)
-    index = {lbl: i for i, lbl in enumerate(canon.labels)}
-    faces = frozenset(tuple(index[lbl] for lbl in f) for f in canon.faces)
-    return ThreeGraph(canon.vertex_count, faces)
+    """The triple subdivision of ``h`` as a plain 3-graph on 0..v-1, read
+    off the special cycles by ``host_faces`` (see ``labelled_shape``)."""
+    labels, shape = labelled_shape(h)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    faces = frozenset(tuple(index[lbl] for lbl in f) for f in shape)
+    return ThreeGraph(len(labels), faces)
 
 
 class TestTripleSubdivision:
@@ -198,13 +198,12 @@ class TestAuxGraph:
 
     def test_special_cycles_of_a_face(self):
         aux = build_aux_graph(TRIANGLE)
-        got = {(sc.a, sc.b, sc.edge) for sc in aux.special_cycles}
-        assert got == {(0, 1, (0, 1)), (1, 2, (1, 2)), (2, 0, (0, 2))}
-        # all three share the face vertex and use the right pair vertices
+        # all three share the face vertex and use the pair vertex of a, b
         tags = dict(zip(aux.v2, aux.v2_tags))
+        got = {(sc.a, sc.b, tags[sc.u]) for sc in aux.special_cycles}
+        assert got == {(0, 1, ("pair", (0, 1))), (1, 2, ("pair", (1, 2))), (2, 0, ("pair", (0, 2)))}
         for sc in aux.special_cycles:
             assert tags[sc.w] == ("face", (0, 1, 2))
-            assert tags[sc.u] == ("pair", sc.edge)
 
     @given(threegraphs())
     @settings(max_examples=60, deadline=None)

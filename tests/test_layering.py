@@ -13,10 +13,6 @@ The brute-force oracles that check the shipping code are test code, in
 ``tests/oracles.py``: no package module defines a function or class of the
 same name, so a test comparing the two compares two paths.
 
-The canonical glued subdivision is the verifier's reference shape: no
-search module (``exact``, ``links``, ``embed``) names its builder, its type
-or the target attribute that keeps it.
-
 The z-scan in ``links`` decides every Y-pair of the chosen link, and
 ``embed`` reads only its bad-pair masks: no function or class of ``embed``
 names the pair test or a forbidden count.
@@ -62,7 +58,6 @@ PUBLIC = [
     "ThreeGraph",
     "TripartiteHost",
     "build_aux_graph",
-    "canonical_glued_subdivision",
     "covered_pairs",
     "euler_characteristic",
     "find_complete_subgraph",
@@ -348,11 +343,6 @@ def test_no_module_defines_an_oracle(module):
     assert top_level_names(SRC / f"{module}.py") & oracles == set()
 
 
-CANONICAL_SHAPE = {
-    "CanonicalGluedSubdivision", "canonical_glued_subdivision", "canonical_subdivision",
-}
-
-
 def names_named(path: Path) -> set[str]:
     """Every name the file names: those of ``names_used``, every name it
     imports, under its own name and its alias, and every string constant
@@ -367,31 +357,6 @@ def names_named(path: Path) -> set[str]:
             if node.value.isidentifier():
                 found.add(node.value)
     return found
-
-
-@pytest.mark.parametrize("module", EXACT_MODULES)
-def test_search_never_names_the_canonical_shape(module):
-    # the verifier's reference shape is built from the target alone; no
-    # search stage builds it, reads it off a target or imports its type
-    assert names_named(SRC / f"{module}.py") & CANONICAL_SHAPE == set()
-
-
-def test_shape_scan_finds_every_form(tmp_path):
-    forms = [
-        "from .core import canonical_glued_subdivision as cgs\n",
-        "import homeofind.core.CanonicalGluedSubdivision\n",
-        "def f(h):\n    return h.canonical_subdivision\n",
-        "def f(h):\n    return getattr(h, 'canonical_subdivision')\n",
-        "def f(h) -> 'CanonicalGluedSubdivision':\n    pass\n",
-        "def f(h):\n    return canonical_glued_subdivision(h)\n",
-    ]
-    for i, form in enumerate(forms):
-        src = tmp_path / f"m{i}.py"
-        src.write_text(form)
-        assert names_named(src) & CANONICAL_SHAPE, form
-    src = tmp_path / "clean.py"
-    src.write_text('"""No canonical_subdivision here."""\ndef f(h):\n    return h.aux_graph\n')
-    assert names_named(src) & CANONICAL_SHAPE == set()
 
 
 PAIR_VERDICT = {"good_pair_rule", "count_forbidden", "forbidden_by_pair"}

@@ -1,13 +1,13 @@
-"""A target's auxiliary graph and canonical glued subdivision are facts of
-the ``ThreeGraph``: each is built on first read by its one builder in
-``core`` and kept on the object.
+"""A target's auxiliary graph is a fact of the ``ThreeGraph``: it is built
+on first read by its one builder in ``core`` and kept on the object, and a
+certificate's faces are read off its special cycles.
 
-Each cached fact is the same object on a second read and equals a fresh
+The cached fact is the same object on a second read and equals a fresh
 build, on every shipped target and on random complexes; a target whose
-facts are cached still compares and hashes by value and survives ``copy``
-and ``pickle``.  Counting the builders' calls pins the sharing: a sweep
-builds the graph and the shape of its one target once, and so do two
-find-and-verify rounds on one target object; neither works out chi.
+fact is cached still compares and hashes by value and survives ``copy``
+and ``pickle``.  Counting the builder's calls pins the sharing: a sweep
+builds the graph of its one target once, and so do two find-and-verify
+rounds on one target object; neither works out chi.
 """
 
 import copy
@@ -26,7 +26,6 @@ from homeofind.core import (
     Config,
     ThreeGraph,
     build_aux_graph,
-    canonical_glued_subdivision,
     euler_characteristic,
 )
 from homeofind.embed import find_homeomorph
@@ -40,7 +39,6 @@ NAMES = sorted(p.stem for p in DATA.glob("*.tg"))
 # (cached attribute, its builder)
 FACTS = [
     ("aux_graph", build_aux_graph),
-    ("canonical_subdivision", canonical_glued_subdivision),
 ]
 
 
@@ -114,7 +112,7 @@ def test_sweep_builds_each_target_fact_once(builds, tmp_path):
     spec = SweepSpec("builtin:triangle", (20,), Fraction(1), Fraction(1, 5), 5, 1, {"C": 2})
     (row,) = run_sweep(spec, tmp_path)
     assert 0 < row.successes < row.trials
-    assert builds == {"aux_graph": 1, "canonical_subdivision": 1, "euler_characteristic": 0}
+    assert builds == {"aux_graph": 1, "euler_characteristic": 0}
 
 
 def test_find_and_verify_rounds_build_each_target_fact_once(builds):
@@ -125,4 +123,4 @@ def test_find_and_verify_rounds_build_each_target_fact_once(builds):
         cert = find_homeomorph(host, target, cfg)
         assert cert.target is target
         assert verify_certificate(cert, host).passed
-        assert builds == {"aux_graph": 1, "canonical_subdivision": 1, "euler_characteristic": 0}
+        assert builds == {"aux_graph": 1, "euler_characteristic": 0}

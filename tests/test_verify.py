@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homeofind
-from conftest import complete_host, problem_of, random_host, random_threegraph
+from conftest import (
+    complete_host,
+    labelled_shape,
+    problem_of,
+    random_host,
+    random_threegraph,
+    shape_counts,
+)
 from homeofind.core import (
     Config,
     HomeomorphCertificate,
@@ -20,7 +27,6 @@ from homeofind.core import (
     build_aux_graph,
     covered_pairs,
     euler_characteristic,
-    one_cells,
 )
 from homeofind.embed import (
     find_complete_subgraph,
@@ -29,7 +35,7 @@ from homeofind.embed import (
 from homeofind.errors import CliqueNotFound
 from homeofind.harness import gen_random_host
 from homeofind.io import load_target, parse_certificate, write_certificate
-from homeofind.verify import VerifyResult, canonical_glued_subdivision, verify_certificate
+from homeofind.verify import VerifyResult, verify_certificate
 from oracles import (
     certificate_chi_oracle,
     clique_oracle,
@@ -49,48 +55,41 @@ threegraphs = st.integers(min_value=0, max_value=10 ** 9).map(
 
 
 class TestCanonicalShape:
+    """The glued subdivision as ``host_faces`` reads it off the special
+    cycles, its vertices and faces by label (``labelled_shape``)."""
+
     def test_single_face_counts(self):
-        canon = canonical_glued_subdivision(TRIANGLE)
-        assert canon.vertex_count == 10
-        assert canon.face_count == 12
-        assert canon.one_cell_count() == 21
-        assert canon.euler_characteristic() == 1
+        assert shape_counts(*labelled_shape(TRIANGLE)) == (10, 21, 12, 1)
 
     def test_k4_counts(self):
-        canon = canonical_glued_subdivision(K4)
-        assert canon.vertex_count == 26  # 4 + 6 + 4 + 12
-        assert canon.face_count == 48
-        assert canon.one_cell_count() == 72
-        assert canon.euler_characteristic() == 2
+        # 4 + 6 + 4 + 12 vertices
+        assert shape_counts(*labelled_shape(K4)) == (26, 72, 48, 2)
 
     def test_empty(self):
-        canon = canonical_glued_subdivision(ThreeGraph(0, frozenset()))
-        assert canon.vertex_count == 0
-        assert canon.face_count == 0
+        assert labelled_shape(ThreeGraph(0, frozenset())) == ([], ())
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
     def test_counts_match_triple_subdivision(self, h):
-        canon = canonical_glued_subdivision(h)
+        v, one, f, _ = shape_counts(*labelled_shape(h))
         pairs = len(covered_pairs(h))
-        assert canon.face_count == 12 * h.e
-        assert canon.vertex_count == h.vertex_count + pairs + 4 * h.e
-        assert canon.one_cell_count() == 2 * pairs + 15 * h.e
+        assert f == 12 * h.e
+        assert v == h.vertex_count + pairs + 4 * h.e
+        assert one == 2 * pairs + 15 * h.e
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
     def test_preserves_euler_characteristic(self, h):
-        canon = canonical_glued_subdivision(h)
-        assert canon.euler_characteristic() == euler_characteristic(h)
+        assert shape_counts(*labelled_shape(h))[3] == euler_characteristic(h)
 
     # a certificate that passes checks 1-4 lists one vertex per vertex of the
-    # kept shape and has its faces and 1-cells, so its chi is the target's:
-    # these are the two facts that TestVerifierAgainstOracle's chi test rests on
+    # shape and has its faces and 1-cells, so its chi is the target's: these
+    # are the two facts that TestVerifierAgainstOracle's chi test rests on
     @staticmethod
     def assert_chi_counts(h):
-        shape = h.canonical_subdivision
-        assert shape.euler_characteristic() == euler_characteristic(h)
-        assert shape.vertex_count == h.v + len(h.aux_graph.v2) + 3 * h.e
+        v, _, _, chi = shape_counts(*labelled_shape(h))
+        assert chi == euler_characteristic(h)
+        assert v == h.v + len(h.aux_graph.v2) + 3 * h.e
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
@@ -103,34 +102,21 @@ class TestCanonicalShape:
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
-    def test_added_vertices_carry_the_aux_tags(self, h):
-        # pair- and face-vertices are named by the auxiliary graph's own
-        # tags, in its V2 order; the disk centers follow in special-cycle
-        # order, so a label's position is its key in the embedding's maps
-        canon = canonical_glued_subdivision(h)
-        aux = build_aux_graph(h)
-        added = canon.labels[h.vertex_count:]
-        assert added[:len(aux.v2)] == aux.v2_tags
-        assert added[len(aux.v2):] == tuple(
-            ("corner", sc.face, sc.edge) for sc in aux.special_cycles
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(threegraphs)
     def test_faces_are_xyz_triples_four_per_special_cycle(self, h):
-        canon = canonical_glued_subdivision(h)
+        # an X label (a pair- or face-vertex), a Y label (an original
+        # vertex) and a Z label (the disk's corner), four per special cycle
+        _, faces = labelled_shape(h)
         aux = build_aux_graph(h)
-        label = canon.labels.__getitem__
+        tag = dict(zip(aux.v2, aux.v2_tags))
         want = []
-        for ci, sc in enumerate(aux.special_cycles):
-            a, b, u, w = label(sc.a), label(sc.b), label(sc.u), label(sc.w)
-            c = label(len(canon.labels) - 3 * h.e + ci)
+        for sc in aux.special_cycles:
+            a, b, u, w = ("orig", sc.a), ("orig", sc.b), tag[sc.u], tag[sc.w]
+            c = ("corner", w[1], u[1])
             want += [(u, a, c), (u, b, c), (w, b, c), (w, a, c)]
-        assert canon.faces == tuple(want)
+        assert faces == tuple(want)
 
     def test_every_face_has_a_corner_vertex(self):
-        canon = canonical_glued_subdivision(K4)
-        for f in canon.faces:
+        for f in labelled_shape(K4)[1]:
             tags = sorted(lbl[0] for lbl in f)
             assert "corner" in tags
 
@@ -147,50 +133,42 @@ def is_stellar(h, labels, faces) -> bool:
     )
 
 
-def shape_counts(labels, faces) -> tuple[int, int, int, int]:
-    """A shape's vertices, 1-cells, faces and chi."""
-    v, one, f = len(labels), len(one_cells(faces)), len(faces)
-    return v, one, f, v - one + f
-
-
 class TestStellarSubdivision:
-    """The canonical shape is the target after three rounds of stellar
-    subdivision, each a PL homeomorphism, so that a copy of the shape in
-    the host is a copy of the target: checked against the oracle that
-    applies the rounds, and the oracle against two mutant shapes it must
-    refuse."""
+    """The faces ``host_faces`` reads off the special cycles are the target
+    after three rounds of stellar subdivision, each a PL homeomorphism, so
+    that a copy of them in the host is a copy of the target: checked
+    against the oracle that applies the rounds, and the oracle against two
+    mutant shapes it must refuse."""
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_shape_is_the_target_subdivided_on_builtins(self, name):
         h = load_target(f"builtin:{name}")
-        shape = canonical_glued_subdivision(h)
-        assert is_stellar(h, shape.labels, shape.faces)
+        assert is_stellar(h, *labelled_shape(h))
 
     @settings(max_examples=60, deadline=None)
     @given(threegraphs)
     def test_shape_is_the_target_subdivided_on_random_targets(self, h):
-        shape = canonical_glued_subdivision(h)
-        assert is_stellar(h, shape.labels, shape.faces)
+        assert is_stellar(h, *labelled_shape(h))
 
     def test_a_dropped_face_is_refused(self):
-        shape = canonical_glued_subdivision(K4)
-        assert not is_stellar(K4, shape.labels, shape.faces[1:])
+        labels, faces = labelled_shape(K4)
+        assert not is_stellar(K4, labels, faces[1:])
 
     def test_a_misglued_corner_is_refused_though_every_count_holds(self):
         # the first corner of k4, w = w_{f,e}, glued to the face-vertex of
         # the other face through e instead of f's: v, the 1-cells, the
         # faces and chi are unchanged, (26, 72, 48, 2), but not the shape
-        shape = canonical_glued_subdivision(K4)
-        _, f, e = w = shape.labels[K4.vertex_count + len(K4.aux_graph.v2)]
+        labels, shape = labelled_shape(K4)
+        _, f, e = w = labels[K4.vertex_count + len(K4.aux_graph.v2)]
         (other,) = [g for g in K4.faces if g != f and set(e) <= set(g)]
         moved = {("face", f): ("face", other)}
         faces = [
             tuple(moved.get(label, label) for label in face) if w in face else face
-            for face in shape.faces
+            for face in shape
         ]
-        assert faces != list(shape.faces)
-        assert shape_counts(shape.labels, faces) == shape_counts(shape.labels, shape.faces) == (26, 72, 48, 2)
-        assert not is_stellar(K4, shape.labels, faces)
+        assert faces != list(shape)
+        assert shape_counts(labels, faces) == shape_counts(labels, shape) == (26, 72, 48, 2)
+        assert not is_stellar(K4, labels, faces)
 
 
 def _good_cert(host=None, target=TRIANGLE, seed=0):
