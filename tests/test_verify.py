@@ -464,6 +464,40 @@ class TestHostFaces:
             want = ((xu, ya, c), (xu, yb, c), (xw, yb, c), (xw, ya, c))
             assert cert.host_faces[4 * ci:4 * ci + 4] == want
 
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_check4_names_the_first_face_of_the_first_bad_disk(self, name):
+        # the middle and the last disk moved off Z, each to a center of its
+        # own: check 4 names the middle disk's first face, (x[u], y[a], c),
+        # so the cycle order of host_faces decides the message
+        cert, host = found(name)
+        mid, last = len(cert.target.aux_graph.special_cycles) // 2, 3 * cert.target.e - 1
+        cm = {**cert.embedding.center_map, mid: host.n_z + 5, last: host.n_z + 6}
+        bad = replace(cert, embedding=replace(cert.embedding, center_map=cm))
+        x, y, _ = cert.host_faces[4 * mid]
+        assert bad.host_faces[4 * mid] == (x, y, host.n_z + 5)
+        assert verify_certificate(bad, host) == VerifyResult(
+            False, 4, f"certificate face {(x, y, host.n_z + 5)} not a face of the host"
+        )
+
+    @pytest.mark.parametrize("field, reason", [
+        ("v1_map", "v1_map does not map exactly the target vertices 0..3"),
+        ("v2_map", "v2_map keys are not the auxiliary graph's V2"),
+        ("center_map", "center_map keys are not the special-cycle indices 0 to 3e(H) - 1"),
+    ])
+    def test_a_map_without_a_key_a_cycle_needs_stops_at_check1(self, field, reason):
+        # the last cycle's a, w or index dropped from its map: host_faces
+        # raises KeyError, and check 1 refuses the certificate before
+        # check 4 reads its faces
+        cert, host = found("k4")
+        last = 3 * cert.target.e - 1
+        sc = cert.target.aux_graph.special_cycles[last]
+        m = dict(getattr(cert.embedding, field))
+        del m[{"v1_map": sc.a, "v2_map": sc.w, "center_map": last}[field]]
+        bad = replace(cert, embedding=replace(cert.embedding, **{field: m}))
+        with pytest.raises(KeyError):
+            bad.host_faces
+        assert verify_certificate(bad, host) == VerifyResult(False, 1, reason)
+
     def test_a_certificate_is_its_target_and_embedding(self):
         assert [f.name for f in fields(HomeomorphCertificate)] == ["target", "embedding"]
 
